@@ -23,7 +23,10 @@ use baselines::{
     AsptDirection, AsptPlan, BlockSpmmKernel, EllSpmmKernel, GemmKernel, MergeSpmmKernel,
     NnzSplitSpmmKernel, TransposeKernel,
 };
-use gpu_sim::{Kernel, SddmmSoftmaxSpmmKernel};
+use gpu_sim::{
+    CheckLevel, Gpu, Kernel, LaunchCache, LaunchError, LaunchRequest, Launched,
+    SddmmSoftmaxSpmmKernel,
+};
 use sparse::ell::EllMatrix;
 use sparse::{block, gen, Layout, Matrix, PatternGranularity, PatternLut, RowSwizzle};
 use sputnik::{
@@ -37,6 +40,21 @@ use std::sync::atomic::AtomicU32;
 /// `(m, k, n, sparsity)`; the seed for shape `i` is `0x5A17 + i * 101`.
 pub const SHAPES: [(usize, usize, usize, f64); 3] =
     [(64, 96, 32, 0.7), (128, 128, 128, 0.9), (100, 76, 40, 0.8)];
+
+/// Sanitize one registered launch through `cache` under the pair index
+/// `fp`: the registry is deterministic, so the index is a sound operand
+/// fingerprint (same index, same operands).
+pub fn sanitize_cached(
+    gpu: &Gpu,
+    cache: &LaunchCache,
+    fp: u64,
+    kernel: &dyn Kernel,
+) -> Result<Launched, LaunchError> {
+    let req = LaunchRequest::functional(kernel)
+        .cached((cache, fp))
+        .check(CheckLevel::Sanitize);
+    gpu.run(&req)
+}
 
 /// Visit every registered kernel/launch pair once.
 ///
@@ -60,11 +78,7 @@ pub fn for_each_kernel(visit: &mut dyn FnMut(&dyn Kernel)) {
                 ..SpmmConfig::heuristic::<f32>(n)
             },
         ] {
-            let swizzle = if cfg.row_swizzle {
-                RowSwizzle::by_length_desc(&a)
-            } else {
-                RowSwizzle::identity(a.rows())
-            };
+            let swizzle = RowSwizzle::for_config(&a, cfg.row_swizzle);
             let mut out = Matrix::<f32>::zeros(m, n);
             let kernel = SpmmKernel::try_new(&a, &b, &mut out, &swizzle, cfg)
                 .unwrap_or_else(|e| panic!("registry: spmm construction: {e}"));

@@ -8,9 +8,9 @@
 //!
 //! * `Gpu::profile_reference` — the old collect-every-`BlockCost` path, kept
 //!   as ground truth;
-//! * `Gpu::with_block_dedup(false).try_profile` — the streaming reduction
+//! * `Gpu::with_block_dedup(false).profile` — the streaming reduction
 //!   alone;
-//! * `Gpu::try_profile` — streaming + dedup (kernels with signatures).
+//! * `Gpu::profile` — streaming + dedup (kernels with signatures).
 //!
 //! All three must produce equal [`LaunchStats`] (`PartialEq` covers every
 //! field, floats included — equality, not tolerance). A second gate checks
@@ -43,13 +43,8 @@ fn assert_fastpath_identical(kernel: &dyn Kernel, label: &str) {
     let reference = Gpu::v100()
         .profile_reference(kernel)
         .unwrap_or_else(|e| panic!("{label}: reference launch failed: {e}"));
-    let streamed = Gpu::v100()
-        .with_block_dedup(false)
-        .try_profile(kernel)
-        .unwrap_or_else(|e| panic!("{label}: streamed launch failed: {e}"));
-    let dedup = Gpu::v100()
-        .try_profile(kernel)
-        .unwrap_or_else(|e| panic!("{label}: dedup launch failed: {e}"));
+    let streamed = Gpu::v100().with_block_dedup(false).profile(kernel);
+    let dedup = Gpu::v100().profile(kernel);
     assert_eq!(streamed, reference, "{label}: streaming reduction diverged");
     assert_eq!(dedup, reference, "{label}: block dedup diverged");
 }
@@ -71,11 +66,7 @@ fn all_kernels_fastpath_bit_identical() {
                 ..SpmmConfig::heuristic::<f32>(n)
             },
         ] {
-            let swizzle = if cfg.row_swizzle {
-                RowSwizzle::by_length_desc(&a)
-            } else {
-                RowSwizzle::identity(a.rows())
-            };
+            let swizzle = RowSwizzle::for_config(&a, cfg.row_swizzle);
             let kernel = sputnik::SpmmKernel::<f32>::for_profile(&a, n, &swizzle, cfg);
             assert_fastpath_identical(&kernel, &label("spmm"));
         }
@@ -197,7 +188,7 @@ fn functional_launch_unaffected_by_dedup_setting() {
             let kernel =
                 sputnik::SpmmKernel::try_new(&a, &b, &mut out, &swizzle, SpmmConfig::default())
                     .unwrap_or_else(|e| panic!("{e}"));
-            gpu.try_launch(&kernel).unwrap_or_else(|e| panic!("{e}"))
+            gpu.launch(&kernel)
         };
         (out, stats)
     };
@@ -317,9 +308,7 @@ fn profile_launches_never_touch_outputs() {
             let kernel =
                 sputnik::SpmmKernel::try_new(&a, &b, &mut out, &swizzle, SpmmConfig::default())
                     .unwrap_or_else(|e| panic!("{e}"));
-            let _ = Gpu::v100()
-                .try_profile(&kernel)
-                .unwrap_or_else(|e| panic!("{e}"));
+            let _ = Gpu::v100().profile(&kernel);
         }
         assert!(
             out.as_slice().iter().all(|&v| v == 7.125),
@@ -332,9 +321,7 @@ fn profile_launches_never_touch_outputs() {
         let mut out = Matrix::<f32>::from_fn(m, n, |_, _| 7.125);
         {
             let kernel = FallbackSpmmKernel::new(&a, &b, &mut out);
-            let _ = Gpu::v100()
-                .try_profile(&kernel)
-                .unwrap_or_else(|e| panic!("{e}"));
+            let _ = Gpu::v100().profile(&kernel);
         }
         assert!(
             out.as_slice().iter().all(|&v| v == 7.125),
@@ -349,9 +336,7 @@ fn profile_launches_never_touch_outputs() {
             .map(|_| AtomicU32::new(7.125f32.to_bits()))
             .collect();
         let kernel = NnzSplitSpmmKernel::new(&a, &b, &out);
-        let _ = Gpu::v100()
-            .try_profile(&kernel)
-            .unwrap_or_else(|e| panic!("{e}"));
+        let _ = Gpu::v100().profile(&kernel);
         assert!(
             out.iter()
                 .all(|v| v.load(Ordering::Relaxed) == 7.125f32.to_bits()),

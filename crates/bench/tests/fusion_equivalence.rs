@@ -12,7 +12,7 @@
 //! logits — and pins the planner's legality rule: fuse exactly when the
 //! staging footprint fits the device's shared memory, never otherwise.
 
-use gpu_sim::{Gpu, Verdict};
+use gpu_sim::{Gpu, SddmmSoftmaxSpmmKernel, Verdict};
 use sparse::{gen, CsrMatrix, Matrix};
 use sputnik::{
     attention_configs, sparse_attention_fused, sparse_attention_unfused, FusionPlanner, PlanOp,
@@ -51,9 +51,21 @@ fn assert_fusion_bit_identical(
             run.time.launches, 1,
             "{label}: fused run must be one launch"
         );
-        let report = run
-            .report
-            .unwrap_or_else(|| panic!("{label}: fused run has no report"));
+        let mut context = vec![0.0f32; mask.rows() * v.cols()];
+        let kernel = SddmmSoftmaxSpmmKernel::new(
+            q,
+            k,
+            v,
+            mask,
+            &mut context,
+            scale,
+            run.configs.sddmm.block_items_x as usize,
+            run.configs.spmm.block_items_x as usize,
+            run.decision.plan_tag.clone(),
+        );
+        let (_, report) = gpu
+            .sanitize(&kernel)
+            .unwrap_or_else(|e| panic!("{label}: fused launch failed to sanitize: {e}"));
         assert!(
             report.violations.is_empty(),
             "{label}: sanitizer violations on the fused launch: {:?}",

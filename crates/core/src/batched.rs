@@ -21,12 +21,12 @@ use crate::error::{is_transient, SputnikError};
 use crate::reference;
 use crate::sddmm::{self, SddmmKernel};
 use crate::spmm::{self, SpmmKernel};
-use gpu_sim::{Gpu, LaunchCache, LaunchStats, Stream};
+use gpu_sim::{Gpu, LaunchCache, LaunchRequest, LaunchStats, Stream};
 use sparse::{CsrMatrix, Matrix, RowSwizzle, Scalar};
 
 /// Per-item attribution for batched launches that bypass the launch cache
 /// because the [`Gpu`] carries a fault plan. The bypass itself is silent
-/// (it happens inside [`Gpu::try_launch_cached`]), which used to leave chaos
+/// (it happens inside [`Gpu::run`]), which used to leave chaos
 /// runs with no record of *which* batch items consumed fault-schedule
 /// indices — this instant restores the audit trail.
 fn note_fault_plan_bypass(gpu: &Gpu, op: &str, item: usize) {
@@ -93,11 +93,7 @@ pub fn spmm_batched_cached<T: Scalar>(
     bs: &[&Matrix<T>],
     cfg: SpmmConfig,
 ) -> BatchedResult<Matrix<T>> {
-    let swizzle = if cfg.row_swizzle {
-        RowSwizzle::by_length_desc(a)
-    } else {
-        RowSwizzle::identity(a.rows())
-    };
+    let swizzle = RowSwizzle::for_config(a, cfg.row_swizzle);
     let mut stream = Stream::with_cache(gpu, cache);
     let mut outputs = Vec::with_capacity(bs.len());
     let mut naive_us = 0.0;
@@ -144,11 +140,7 @@ pub fn sddmm_batched_cached<T: Scalar>(
     mask: &CsrMatrix<T>,
     cfg: SddmmConfig,
 ) -> BatchedResult<CsrMatrix<T>> {
-    let swizzle = if cfg.row_swizzle {
-        RowSwizzle::by_length_desc(mask)
-    } else {
-        RowSwizzle::identity(mask.rows())
-    };
+    let swizzle = RowSwizzle::for_config(mask, cfg.row_swizzle);
     let mut stream = Stream::with_cache(gpu, cache);
     let mut outputs = Vec::with_capacity(pairs.len());
     let mut naive_us = 0.0;
@@ -309,8 +301,9 @@ fn launch_sddmm_cached<T: Scalar>(
     let mut values = vec![T::zero(); mask.nnz()];
     let stats = {
         let kernel = SddmmKernel::try_new(lhs, rhs, mask, &mut values, swizzle, cfg)?;
-        gpu.try_launch_cached(cache, sddmm::mask_fingerprint(mask, lhs.cols()), &kernel)?
-            .0
+        let fingerprint = sddmm::mask_fingerprint(mask, lhs.cols());
+        gpu.run(&LaunchRequest::functional(&kernel).cached((cache, fingerprint)))?
+            .stats
     };
     Ok((mask.with_values(values), stats))
 }

@@ -32,8 +32,8 @@ use crate::spmm::{
 };
 use gpu_sim::{
     AccessBound, AccessPattern, AlignmentFacts, BarrierFacts, BlockContext, BufferBound,
-    BufferSpec, Dim3, Fingerprint, Gpu, Kernel, LaunchCache, LaunchStats, StageBound, StaticFacts,
-    SyncUnsafeSlice,
+    BufferSpec, Dim3, Fingerprint, Gpu, Kernel, LaunchCache, LaunchRequest, LaunchStats,
+    StageBound, StaticFacts, SyncUnsafeSlice,
 };
 use sparse::{CsrMatrix, Matrix, RowSwizzle, Scalar};
 
@@ -180,7 +180,7 @@ pub fn spmm<T: Scalar>(
 
 /// [`spmm`] with every GPU rung consulting a cross-launch [`LaunchCache`].
 /// A hit skips the cost simulation and replays only the functional output
-/// (via [`Gpu::try_launch_cached`]), so the detection guards still inspect a
+/// (see [`Gpu::run`]), so the detection guards still inspect a
 /// freshly computed `C`; the returned statistics are the memoized ones,
 /// bit-identical to a cold launch.
 pub fn spmm_cached<T: Scalar>(
@@ -302,116 +302,6 @@ fn spmm_with_cache<T: Scalar>(
     Ok((out, report))
 }
 
-/// Run the requested Sputnik SpMM configuration under the gpu-sim sanitizer
-/// (the simulator's `compute-sanitizer` analogue; see
-/// [`gpu_sim::sanitizer`]): a functional launch whose racecheck / memcheck /
-/// aligncheck / lint findings come back in a
-/// [`SanitizerReport`](gpu_sim::SanitizerReport) next to the usual stats.
-/// Unlike [`spmm`], there is no degradation ladder — the point is to check
-/// the requested kernel, not to hide its failures.
-pub fn sanitize<T: Scalar>(
-    gpu: &Gpu,
-    a: &CsrMatrix<T>,
-    b: &Matrix<T>,
-    cfg: SpmmConfig,
-) -> Result<(Matrix<T>, LaunchStats, gpu_sim::SanitizerReport), SputnikError> {
-    if a.cols() != b.rows() {
-        return Err(SputnikError::ShapeMismatch {
-            expected: format!("B with {} rows", a.cols()),
-            found: format!("{}x{}", b.rows(), b.cols()),
-            context: "sanitize spmm inner dimension",
-        });
-    }
-    if b.layout() != sparse::Layout::RowMajor {
-        return Err(SputnikError::IllegalConfig {
-            reason: "Sputnik uses row-major dense operands".into(),
-        });
-    }
-    let swizzle = if cfg.row_swizzle {
-        RowSwizzle::by_length_desc(a)
-    } else {
-        RowSwizzle::identity(a.rows())
-    };
-    let mut out = Matrix::<T>::zeros(a.rows(), b.cols());
-    let (stats, report) = {
-        let kernel = SpmmKernel::try_new(a, b, &mut out, &swizzle, cfg)?;
-        gpu.sanitize(&kernel)?
-    };
-    Ok((out, stats, report))
-}
-
-/// [`sanitize`] consulting a cross-launch [`LaunchCache`]: a
-/// fingerprint-identical launch that was already sanitized skips the whole
-/// dynamic pass (the report is replayed from the cache, the functional
-/// output recomputed). The extra `bool` reports whether the cache served.
-pub fn sanitize_cached<T: Scalar>(
-    gpu: &Gpu,
-    cache: &LaunchCache,
-    a: &CsrMatrix<T>,
-    b: &Matrix<T>,
-    cfg: SpmmConfig,
-) -> Result<(Matrix<T>, LaunchStats, gpu_sim::SanitizerReport, bool), SputnikError> {
-    if a.cols() != b.rows() {
-        return Err(SputnikError::ShapeMismatch {
-            expected: format!("B with {} rows", a.cols()),
-            found: format!("{}x{}", b.rows(), b.cols()),
-            context: "sanitize spmm inner dimension",
-        });
-    }
-    if b.layout() != sparse::Layout::RowMajor {
-        return Err(SputnikError::IllegalConfig {
-            reason: "Sputnik uses row-major dense operands".into(),
-        });
-    }
-    let swizzle = if cfg.row_swizzle {
-        RowSwizzle::by_length_desc(a)
-    } else {
-        RowSwizzle::identity(a.rows())
-    };
-    let mut out = Matrix::<T>::zeros(a.rows(), b.cols());
-    let (stats, report, cached) = {
-        let kernel = SpmmKernel::try_new(a, b, &mut out, &swizzle, cfg)?;
-        gpu.sanitize_cached(cache, operand_fingerprint(a, b.cols()), &kernel)?
-    };
-    Ok((out, stats, report, cached))
-}
-
-/// Gate a kernel launch on the static auditor (see
-/// [`gpu_sim::static_check`]): a `Refuted` verdict rejects the launch with a
-/// typed [`SputnikError::StaticallyRefuted`] *before* the simulator executes
-/// a single block. Inside the dispatch ladder this is a deterministic
-/// failure, so the rung is abandoned immediately and the ladder degrades.
-pub(crate) fn audit_launch(gpu: &Gpu, kernel: &dyn Kernel) -> Result<(), SputnikError> {
-    let audit = gpu.audit(kernel);
-    if let Some(finding) = audit.refutation() {
-        gpu_sim::metrics::global().incr("dispatch_static_refuted", 1);
-        if gpu_sim::trace::enabled() {
-            gpu_sim::trace::instant(
-                "dispatch",
-                "dispatch",
-                &format!("statically refuted: {} ({})", audit.kernel, finding.detail),
-            );
-        }
-        return Err(SputnikError::StaticallyRefuted {
-            kernel: audit.kernel.clone(),
-            class: finding.class.name().to_string(),
-            detail: finding.detail.clone(),
-        });
-    }
-    Ok(())
-}
-
-/// Launch any kernel through the dispatch layer's static-audit gate:
-/// `Refuted` launches come back as [`SputnikError::StaticallyRefuted`]
-/// without executing a single block; everything else launches normally.
-/// This is the same gate every internal ladder rung passes through —
-/// exposed so out-of-ladder callers (tests, tools, new subsystems) reject
-/// provably bad launches just as early.
-pub fn launch_audited(gpu: &Gpu, kernel: &dyn Kernel) -> Result<LaunchStats, SputnikError> {
-    audit_launch(gpu, kernel)?;
-    gpu.try_launch(kernel).map_err(SputnikError::from)
-}
-
 fn launch_sputnik<T: Scalar>(
     gpu: &Gpu,
     cache: Option<&LaunchCache>,
@@ -419,22 +309,11 @@ fn launch_sputnik<T: Scalar>(
     b: &Matrix<T>,
     cfg: SpmmConfig,
 ) -> Result<(Matrix<T>, LaunchStats), SputnikError> {
-    let swizzle = if cfg.row_swizzle {
-        RowSwizzle::by_length_desc(a)
-    } else {
-        RowSwizzle::identity(a.rows())
-    };
+    let swizzle = RowSwizzle::for_config(a, cfg.row_swizzle);
     let mut out = Matrix::<T>::zeros(a.rows(), b.cols());
     let stats = {
         let kernel = SpmmKernel::try_new(a, b, &mut out, &swizzle, cfg)?;
-        audit_launch(gpu, &kernel)?;
-        match cache {
-            Some(c) => {
-                gpu.try_launch_cached(c, operand_fingerprint(a, b.cols()), &kernel)?
-                    .0
-            }
-            None => gpu.try_launch(&kernel)?,
-        }
+        launch_rung(gpu, cache, a, b, &kernel)?
     };
     Ok((out, stats))
 }
@@ -448,16 +327,24 @@ fn launch_fallback<T: Scalar>(
     let mut out = Matrix::<T>::zeros(a.rows(), b.cols());
     let stats = {
         let kernel = FallbackSpmmKernel::new(a, b, &mut out);
-        audit_launch(gpu, &kernel)?;
-        match cache {
-            Some(c) => {
-                gpu.try_launch_cached(c, operand_fingerprint(a, b.cols()), &kernel)?
-                    .0
-            }
-            None => gpu.try_launch(&kernel)?,
-        }
+        launch_rung(gpu, cache, a, b, &kernel)?
     };
     Ok((out, stats))
+}
+
+/// One GPU rung's functional launch through [`Gpu::run`]: a statically
+/// refuted launch comes back as [`SputnikError::StaticallyRefuted`] before
+/// a block runs — a deterministic failure, so the ladder degrades at once.
+fn launch_rung<T: Scalar>(
+    gpu: &Gpu,
+    cache: Option<&LaunchCache>,
+    a: &CsrMatrix<T>,
+    b: &Matrix<T>,
+    kernel: &dyn Kernel,
+) -> Result<LaunchStats, SputnikError> {
+    let req = LaunchRequest::functional(kernel)
+        .cached(cache.map(|c| (c, operand_fingerprint(a, b.cols()))));
+    Ok(gpu.run(&req)?.stats)
 }
 
 /// CPU rung: the golden reference, converted to the storage type.
@@ -770,7 +657,7 @@ mod tests {
         let gpu = Gpu::v100();
         let mut out = Matrix::<f32>::zeros(40, 48);
         let kernel = FallbackSpmmKernel::new(&a, &b, &mut out);
-        let stats = gpu.try_launch(&kernel).expect("fallback launches");
+        let stats = gpu.launch(&kernel);
         assert!(stats.time_us > 0.0);
         assert!(
             !stats.kernel.contains("sputnik"),
@@ -933,19 +820,15 @@ mod tests {
         let b = Matrix::<f32>::random(64, 32, 42);
         let gpu = Gpu::v100();
         let cfg = SpmmConfig::heuristic::<f32>(32);
-        let (out, stats, report) = sanitize(&gpu, &a, &b, cfg).unwrap();
+        let swizzle = RowSwizzle::for_config(&a, cfg.row_swizzle);
+        let mut out = Matrix::<f32>::zeros(48, 32);
+        let (stats, report) = {
+            let kernel = SpmmKernel::try_new(&a, &b, &mut out, &swizzle, cfg).unwrap();
+            gpu.sanitize(&kernel).unwrap()
+        };
         assert_eq!(report.violation_count, 0, "{report}");
         assert!(stats.time_us > 0.0);
         let expect = reference::spmm(&a, &b);
         assert!(out.max_abs_diff(&expect) < 1e-3);
-    }
-
-    #[test]
-    fn sanitize_rejects_shape_mismatch() {
-        let a = gen::uniform(16, 32, 0.6, 43);
-        let b = Matrix::<f32>::random(48, 16, 44); // inner dim 32 != 48
-        let gpu = Gpu::v100();
-        let err = sanitize(&gpu, &a, &b, SpmmConfig::default()).unwrap_err();
-        assert!(matches!(err, SputnikError::ShapeMismatch { .. }));
     }
 }

@@ -151,6 +151,15 @@ impl From<LaunchError> for SputnikError {
             },
             LaunchError::OccupancyZero { kernel } => SputnikError::OccupancyZero { kernel },
             LaunchError::DeviceFault(fault) => SputnikError::DeviceFault(fault),
+            LaunchError::StaticallyRefuted {
+                kernel,
+                class,
+                detail,
+            } => SputnikError::StaticallyRefuted {
+                kernel,
+                class: class.name().to_string(),
+                detail,
+            },
         }
     }
 }

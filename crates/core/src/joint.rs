@@ -62,7 +62,7 @@ use crate::spmm::{
 };
 use gpu_sim::{
     AccessBound, AccessPattern, AlignmentFacts, BarrierFacts, BlockContext, BufferBound, BufferId,
-    BufferSpec, Dim3, Fingerprint, Gpu, Kernel, LaunchCache, LaunchKey, LaunchStats, SmemScope,
+    BufferSpec, Dim3, Fingerprint, Gpu, Kernel, LaunchCache, LaunchRequest, LaunchStats, SmemScope,
     StageBound, StaticFacts, SyncUnsafeSlice, VectorClass,
 };
 use sparse::{CsrMatrix, Matrix, PatternLut, RowSwizzle, Scalar};
@@ -808,16 +808,11 @@ pub fn try_joint_spmm<T: Scalar>(
 ) -> Result<(Matrix<T>, LaunchStats), SputnikError> {
     require_finite("a", a.values())?;
     require_finite("b", b.as_slice())?;
-    let swizzle = if cfg.row_swizzle {
-        RowSwizzle::by_length_desc(a)
-    } else {
-        RowSwizzle::identity(a.rows())
-    };
+    let swizzle = RowSwizzle::for_config(a, cfg.row_swizzle);
     let mut out = Matrix::<T>::zeros(a.rows(), b.cols());
     let stats = {
         let kernel = JointSpmmKernel::try_new(a, b, &mut out, &swizzle, lut, cfg)?;
-        crate::dispatch::audit_launch(gpu, &kernel)?;
-        gpu.try_launch(&kernel)?
+        gpu.run(&LaunchRequest::functional(&kernel))?.stats
     };
     record_skip_metrics(a, lut);
     Ok((out, stats))
@@ -833,17 +828,7 @@ pub fn joint_spmm_profile<T: Scalar>(
     lut: &PatternLut,
     cfg: SpmmConfig,
 ) -> LaunchStats {
-    assert_eq!(a.cols(), b_rows, "inner dimensions must agree");
-    let swizzle = if cfg.row_swizzle {
-        RowSwizzle::by_length_desc(a)
-    } else {
-        RowSwizzle::identity(a.rows())
-    };
-    let kernel = JointSpmmKernel::<T>::for_profile(a, n, &swizzle, lut, cfg)
-        .unwrap_or_else(|e| panic!("{e}"));
-    let stats = gpu.profile(&kernel);
-    record_skip_metrics(a, lut);
-    stats
+    profile_joint(gpu, None, a, b_rows, n, lut, cfg).0
 }
 
 /// [`joint_spmm_profile`] through a cross-launch [`LaunchCache`]: returns
@@ -859,23 +844,35 @@ pub fn joint_spmm_profile_cached<T: Scalar>(
     lut: &PatternLut,
     cfg: SpmmConfig,
 ) -> (LaunchStats, bool) {
+    profile_joint(gpu, Some(cache), a, b_rows, n, lut, cfg)
+}
+
+/// The profile launch behind [`joint_spmm_profile`] and
+/// [`joint_spmm_profile_cached`]; a cache hit builds neither the swizzle
+/// nor the kernel, and only simulated launches count skip metrics.
+fn profile_joint<T: Scalar>(
+    gpu: &Gpu,
+    cache: Option<&LaunchCache>,
+    a: &CsrMatrix<T>,
+    b_rows: usize,
+    n: usize,
+    lut: &PatternLut,
+    cfg: SpmmConfig,
+) -> (LaunchStats, bool) {
     assert_eq!(a.cols(), b_rows, "inner dimensions must agree");
-    if gpu.fault_plan().is_some() {
-        return (joint_spmm_profile(gpu, a, b_rows, n, lut, cfg), false);
-    }
-    let key = LaunchKey {
-        kernel: JointSpmmKernel::<T>::launch_name(&cfg, lut),
-        fingerprint: joint_fingerprint(a, n, lut),
-        device: gpu.device().name.clone(),
-        arch: gpu.device().arch_fingerprint(),
+    let build = |go: &mut dyn FnMut(&dyn Kernel)| {
+        let swizzle = RowSwizzle::for_config(a, cfg.row_swizzle);
+        let kernel = JointSpmmKernel::<T>::for_profile(a, n, &swizzle, lut, cfg)
+            .unwrap_or_else(|e| panic!("{e}"));
+        go(&kernel);
     };
-    if let Some(stats) = cache.lookup(&key) {
-        gpu.note_cache_hit(&stats);
-        return (stats, true);
+    let req = LaunchRequest::profile_lazy(JointSpmmKernel::<T>::launch_name(&cfg, lut), &build)
+        .cached(cache.map(|c| (c, joint_fingerprint(a, n, lut))));
+    let launched = gpu.run(&req).unwrap_or_else(|e| panic!("{e}"));
+    if !launched.hit {
+        record_skip_metrics(a, lut);
     }
-    let stats = joint_spmm_profile(gpu, a, b_rows, n, lut, cfg);
-    cache.insert(key, stats.clone());
-    (stats, false)
+    (launched.stats, launched.hit)
 }
 
 #[cfg(test)]

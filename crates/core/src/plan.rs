@@ -21,19 +21,19 @@
 //! `gpu_sim::fused`), so the planner's decision is invisible to the
 //! numbers: `fusion_equivalence` pins bitwise equality either way.
 //!
-//! Fused launches flow through the full static-audit → sanitizer →
-//! [`LaunchCache`] funnel. The cache key gains a plan-shape component: the
-//! op chain and stage tiles are baked into the kernel name, and the
-//! fingerprint mixes the mask topology with the problem shape, the scale
-//! bits, and the plan tag.
+//! Fused launches flow through the [`Gpu::run`] funnel: statically audited
+//! and memoized in the [`LaunchCache`]. The cache key gains a plan-shape
+//! component: the op chain and stage tiles are baked into the kernel name,
+//! and the fingerprint mixes the mask topology with the problem shape, the
+//! scale bits, and the plan tag.
 
 use crate::config::{SddmmConfig, SpmmConfig};
 use crate::error::SputnikError;
-use crate::sddmm::{mask_fingerprint, sddmm_profile, sddmm_profile_cached, try_sddmm};
+use crate::sddmm::{mask_fingerprint, profile_sddmm, try_sddmm};
 use crate::softmax::{sparse_softmax_scaled, sparse_softmax_scaled_profile};
-use crate::spmm::{require_finite, spmm_profile, spmm_profile_cached, try_spmm};
+use crate::spmm::{profile_spmm, require_finite, try_spmm};
 use crate::tune::AutoTuner;
-use gpu_sim::{trace, Gpu, Kernel, LaunchCache, SanitizerReport, SddmmSoftmaxSpmmKernel, Verdict};
+use gpu_sim::{trace, Gpu, Kernel, LaunchCache, LaunchRequest, SddmmSoftmaxSpmmKernel, Verdict};
 use sparse::{CsrMatrix, Matrix};
 
 /// One node of the launch-plan IR: an operation over the shared mask
@@ -246,15 +246,38 @@ pub struct FusedAttention {
     pub time: FusedAttentionTime,
     pub decision: FusionDecision,
     pub configs: AttentionConfigs,
-    /// The sanitizer report of the fused launch (`None` on the unfused
-    /// path and on cache-miss-free replays of an unsanitized GPU).
-    pub report: Option<SanitizerReport>,
+}
+
+/// Launch the fused kernel through [`Gpu::run`] inside a `fusion` trace
+/// span.
+fn run_fused(
+    gpu: &Gpu,
+    req: &LaunchRequest<'_>,
+    name: &str,
+) -> Result<FusedAttentionTime, SputnikError> {
+    let track = gpu.device().name.clone();
+    let traced = trace::enabled();
+    if traced {
+        trace::begin_span("fusion", &track, name);
+    }
+    let result = gpu.run(req);
+    if traced {
+        trace::end_span(&track);
+    }
+    let launched = result?;
+    Ok(FusedAttentionTime {
+        fused: true,
+        fused_us: launched.stats.time_us,
+        launches: 1,
+        cache_hits: usize::from(launched.hit),
+        ..Default::default()
+    })
 }
 
 /// Planned sparse attention: plan the `[Sddmm, Scale, SparseSoftmax,
-/// Spmm]` chain, launch the fused kernel through the static-audit →
-/// sanitizer → [`LaunchCache`] funnel when the planner proves the merge,
-/// and fall back to the three-launch pipeline (scale folded into the
+/// Spmm]` chain, launch the fused kernel through the audited [`Gpu::run`]
+/// funnel (memoized in the [`LaunchCache`]) when the planner proves the
+/// merge, and fall back to the three-launch pipeline (scale folded into the
 /// softmax kernel) otherwise. `q` is `rows x k`, `kmat` is `cols x k`
 /// (the SDDMM's transposed-RHS form), `v` is `cols x n`.
 #[allow(clippy::too_many_arguments)]
@@ -279,7 +302,7 @@ pub fn try_sparse_attention_fused(
 
     if decision.fused {
         let mut context = Matrix::<f32>::zeros(mask.rows(), n);
-        let (stats, report, hit) = {
+        let time = {
             let kernel = SddmmSoftmaxSpmmKernel::new(
                 q,
                 kmat,
@@ -291,37 +314,16 @@ pub fn try_sparse_attention_fused(
                 configs.spmm.block_items_x as usize,
                 decision.plan_tag.clone(),
             );
-            crate::dispatch::audit_launch(gpu, &kernel)?;
-            let track = gpu.device().name.clone();
-            let traced = trace::enabled();
-            if traced {
-                trace::begin_span("fusion", &track, &kernel.name());
-            }
-            let result = match cache {
-                Some(c) => gpu.sanitize_cached(
-                    c,
-                    plan_fingerprint(mask, d, n, scale, &decision.plan_tag),
-                    &kernel,
-                ),
-                None => gpu.sanitize(&kernel).map(|(s, r)| (s, r, false)),
-            };
-            if traced {
-                trace::end_span(&track);
-            }
-            result.map_err(SputnikError::from)?
+            let cached =
+                cache.map(|c| (c, plan_fingerprint(mask, d, n, scale, &decision.plan_tag)));
+            let req = LaunchRequest::functional(&kernel).cached(cached);
+            run_fused(gpu, &req, &kernel.name())?
         };
         Ok(FusedAttention {
             context,
-            time: FusedAttentionTime {
-                fused: true,
-                fused_us: stats.time_us,
-                launches: 1,
-                cache_hits: usize::from(hit),
-                ..Default::default()
-            },
+            time,
             decision,
             configs,
-            report: Some(report),
         })
     } else {
         let (context, time) = sparse_attention_unfused(gpu, q, kmat, v, mask, scale, &configs)?;
@@ -330,7 +332,6 @@ pub fn try_sparse_attention_fused(
             time,
             decision,
             configs,
-            report: None,
         })
     }
 }
@@ -407,48 +408,14 @@ pub fn sparse_attention_fused_profile(
             configs.spmm.block_items_x as usize,
             decision.plan_tag.clone(),
         );
-        crate::dispatch::audit_launch(gpu, &kernel)?;
-        let track = gpu.device().name.clone();
-        let traced = trace::enabled();
-        if traced {
-            trace::begin_span("fusion", &track, &kernel.name());
-        }
-        let result = match cache {
-            Some(c) => gpu.try_profile_cached(
-                c,
-                plan_fingerprint(mask, k, n, scale, &decision.plan_tag),
-                &kernel,
-            ),
-            None => gpu.try_profile(&kernel).map(|s| (s, false)),
-        };
-        if traced {
-            trace::end_span(&track);
-        }
-        let (stats, hit) = result.map_err(SputnikError::from)?;
-        Ok((
-            FusedAttentionTime {
-                fused: true,
-                fused_us: stats.time_us,
-                launches: 1,
-                cache_hits: usize::from(hit),
-                ..Default::default()
-            },
-            decision,
-            configs,
-        ))
+        let cached = cache.map(|c| (c, plan_fingerprint(mask, k, n, scale, &decision.plan_tag)));
+        let req = LaunchRequest::profile(&kernel).cached(cached);
+        let time = run_fused(gpu, &req, &kernel.name())?;
+        Ok((time, decision, configs))
     } else {
-        let ((s1, h1), s2, (s3, h3)) = match cache {
-            Some(c) => (
-                sddmm_profile_cached(gpu, c, mask, k, configs.sddmm),
-                sparse_softmax_scaled_profile(gpu, mask, scale),
-                spmm_profile_cached(gpu, c, mask, mask.cols(), n, configs.spmm),
-            ),
-            None => (
-                (sddmm_profile(gpu, mask, k, configs.sddmm), false),
-                sparse_softmax_scaled_profile(gpu, mask, scale),
-                (spmm_profile(gpu, mask, mask.cols(), n, configs.spmm), false),
-            ),
-        };
+        let (s1, h1) = profile_sddmm(gpu, cache, mask, k, configs.sddmm);
+        let s2 = sparse_softmax_scaled_profile(gpu, mask, scale);
+        let (s3, h3) = profile_spmm(gpu, cache, mask, mask.cols(), n, configs.spmm);
         Ok((
             FusedAttentionTime {
                 fused: false,
@@ -544,8 +511,6 @@ mod tests {
             want.as_slice(),
             "fusion changed bits"
         );
-        let report = run.report.unwrap();
-        assert!(report.violations.is_empty(), "{:?}", report.violations);
     }
 
     #[test]

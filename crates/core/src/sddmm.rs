@@ -18,8 +18,8 @@ use crate::error::SputnikError;
 use crate::spmm::require_finite;
 use gpu_sim::{
     AccessBound, AccessPattern, AlignmentFacts, BarrierFacts, BlockContext, BufferBound, BufferId,
-    BufferSpec, Dim3, Fingerprint, Gpu, Kernel, LaunchCache, LaunchKey, LaunchStats, StageBound,
-    StaticFacts, SyncUnsafeSlice,
+    BufferSpec, Dim3, Fingerprint, Gpu, Kernel, LaunchCache, LaunchRequest, LaunchStats,
+    StageBound, StaticFacts, SyncUnsafeSlice,
 };
 use sparse::{CsrMatrix, Matrix, RowSwizzle, Scalar};
 
@@ -506,7 +506,7 @@ pub fn sddmm<T: Scalar>(
 
 /// Fallible SDDMM: validates shapes, configuration legality, operand
 /// finiteness, and device resource limits, then launches through
-/// [`Gpu::try_launch`] so injected faults surface as errors.
+/// [`Gpu::run`] so static refutations and injected faults surface as errors.
 pub fn try_sddmm<T: Scalar>(
     gpu: &Gpu,
     lhs: &Matrix<T>,
@@ -517,15 +517,11 @@ pub fn try_sddmm<T: Scalar>(
     require_finite("lhs", lhs.as_slice())?;
     require_finite("rhs", rhs.as_slice())?;
     require_finite("mask", mask.values())?;
-    let swizzle = if cfg.row_swizzle {
-        RowSwizzle::by_length_desc(mask)
-    } else {
-        RowSwizzle::identity(mask.rows())
-    };
+    let swizzle = RowSwizzle::for_config(mask, cfg.row_swizzle);
     let mut values = vec![T::zero(); mask.nnz()];
     let stats = {
         let kernel = SddmmKernel::try_new(lhs, rhs, mask, &mut values, &swizzle, cfg)?;
-        gpu.try_launch(&kernel)?
+        gpu.run(&LaunchRequest::functional(&kernel))?.stats
     };
     Ok((mask.with_values(values), stats))
 }
@@ -537,13 +533,7 @@ pub fn sddmm_profile<T: Scalar>(
     k: usize,
     cfg: SddmmConfig,
 ) -> LaunchStats {
-    let swizzle = if cfg.row_swizzle {
-        RowSwizzle::by_length_desc(mask)
-    } else {
-        RowSwizzle::identity(mask.rows())
-    };
-    let kernel = SddmmKernel::<T>::for_profile(mask, k, &swizzle, cfg);
-    gpu.profile(&kernel)
+    profile_sddmm(gpu, None, mask, k, cfg).0
 }
 
 /// [`sddmm_profile`] through a cross-launch [`LaunchCache`]: returns the
@@ -557,25 +547,27 @@ pub fn sddmm_profile_cached<T: Scalar>(
     k: usize,
     cfg: SddmmConfig,
 ) -> (LaunchStats, bool) {
-    // The key needs only the config-derived name, so a hit skips swizzle
-    // construction. Fault-plan GPUs must not be served from (or populate)
-    // the cache: schedules consume per-launch indices.
-    if gpu.fault_plan().is_some() {
-        return (sddmm_profile(gpu, mask, k, cfg), false);
-    }
-    let key = LaunchKey {
-        kernel: SddmmKernel::<T>::launch_name(&cfg),
-        fingerprint: mask_fingerprint(mask, k),
-        device: gpu.device().name.clone(),
-        arch: gpu.device().arch_fingerprint(),
+    profile_sddmm(gpu, Some(cache), mask, k, cfg)
+}
+
+/// The profile launch behind [`sddmm_profile`] and
+/// [`sddmm_profile_cached`]; a cache hit builds neither the swizzle nor the
+/// kernel.
+pub(crate) fn profile_sddmm<T: Scalar>(
+    gpu: &Gpu,
+    cache: Option<&LaunchCache>,
+    mask: &CsrMatrix<T>,
+    k: usize,
+    cfg: SddmmConfig,
+) -> (LaunchStats, bool) {
+    let build = |go: &mut dyn FnMut(&dyn Kernel)| {
+        let swizzle = RowSwizzle::for_config(mask, cfg.row_swizzle);
+        go(&SddmmKernel::<T>::for_profile(mask, k, &swizzle, cfg));
     };
-    if let Some(stats) = cache.lookup(&key) {
-        gpu.note_cache_hit(&stats);
-        return (stats, true);
-    }
-    let stats = sddmm_profile(gpu, mask, k, cfg);
-    cache.insert(key, stats.clone());
-    (stats, false)
+    let req = LaunchRequest::profile_lazy(SddmmKernel::<T>::launch_name(&cfg), &build)
+        .cached(cache.map(|c| (c, mask_fingerprint(mask, k))));
+    let launched = gpu.run(&req).unwrap_or_else(|e| panic!("{e}"));
+    (launched.stats, launched.hit)
 }
 
 /// The launch-cache fingerprint for an SDDMM-shaped problem: the mask
@@ -752,11 +744,7 @@ mod tests {
                 row_swizzle: swiz,
                 ..SddmmConfig::default()
             };
-            let swizzle = if swiz {
-                RowSwizzle::by_length_desc(&mask)
-            } else {
-                RowSwizzle::identity(mask.rows())
-            };
+            let swizzle = RowSwizzle::for_config(&mask, swiz);
             let fast = {
                 let kernel = SddmmKernel::<f32>::for_profile(&mask, k, &swizzle, cfg);
                 Gpu::v100().profile(&kernel)

@@ -25,17 +25,18 @@
 //!   by the ring all-reduce — the standard modeling split between
 //!   numerical semantics and schedule.
 //!
-//! Every shard launch goes through [`Gpu::sanitize_cached`]: statically
-//! audited, sanitized on first sight, and replayed through the
+//! Every shard launch goes through [`Gpu::run`] at the default audit
+//! level: statically audited (a refuted shard fails the op before any block
+//! runs), simulated on first sight, and replayed through the
 //! [`LaunchCache`] (functional outputs only) on repeat launches.
 //!
-//! [`Gpu::sanitize_cached`]: gpu_sim::Gpu::sanitize_cached
+//! [`Gpu::run`]: gpu_sim::Gpu::run
 
 use crate::config::{SddmmConfig, SpmmConfig};
 use crate::error::SputnikError;
 use crate::sddmm::{mask_fingerprint, SddmmKernel};
 use crate::spmm::{operand_fingerprint, require_finite, SpmmKernel};
-use gpu_sim::{Fleet, FleetSync, LaunchCache, LaunchStats, SanitizerReport};
+use gpu_sim::{Fleet, FleetSync, LaunchCache, LaunchRequest, LaunchStats};
 use sparse::{CsrMatrix, Matrix, RowSwizzle, Scalar};
 
 /// The result of a sharded kernel run: the assembled output plus the
@@ -47,7 +48,7 @@ pub struct ShardedRun<Out> {
     /// Per-shard launch stats, in device order (empty shards skipped).
     pub shard_stats: Vec<LaunchStats>,
     /// How many shard launches were served from the [`LaunchCache`]
-    /// (functional replay, memoized sanitizer report).
+    /// (functional replay, memoized stats).
     pub cache_hits: usize,
     /// The resolved fleet timeline: per-device busy clocks, makespan, and
     /// interconnect counters.
@@ -148,33 +149,9 @@ pub fn k_slice<T: Scalar>(
     )?)
 }
 
-/// Reject shard launches whose sanitizer report is not clean: a sharded
-/// run must be exactly as safe as the single-device path it replaces.
-fn require_clean(report: &SanitizerReport, device: usize) -> Result<(), SputnikError> {
-    if report.clean() {
-        Ok(())
-    } else {
-        Err(SputnikError::CorruptOutput {
-            kernel: report.kernel.clone(),
-            reason: format!(
-                "sanitizer reported {} violation(s) on device {device}",
-                report.violation_count
-            ),
-        })
-    }
-}
-
-fn spmm_swizzle<T: Scalar>(shard: &CsrMatrix<T>, cfg: &SpmmConfig) -> RowSwizzle {
-    if cfg.row_swizzle {
-        RowSwizzle::by_length_desc(shard)
-    } else {
-        RowSwizzle::identity(shard.rows())
-    }
-}
-
 /// Row-sharded (data-parallel) SpMM across a fleet: `A (m x k) * B (k x n)`
 /// with contiguous nnz-balanced row blocks, one per device. Each shard is
-/// sanitized/audited and launched through the [`LaunchCache`]; shards on
+/// audited and launched through the [`LaunchCache`]; shards on
 /// devices other than 0 gather their output block to device 0 over the
 /// interconnect (`B` is assumed pre-replicated, the data-parallel norm).
 /// The assembled output is bit-identical to [`crate::spmm`].
@@ -198,18 +175,17 @@ pub fn spmm_row_sharded<T: Scalar>(
             continue;
         }
         let shard = row_slice(a, r0, r1)?;
-        let swizzle = spmm_swizzle(&shard, &cfg);
+        let swizzle = RowSwizzle::for_config(&shard, cfg.row_swizzle);
         let mut out_d = Matrix::<T>::zeros(shard.rows(), n);
-        let (stats, report, hit) = {
+        let launched = {
             let kernel = SpmmKernel::try_new(&shard, b, &mut out_d, &swizzle, cfg)?;
-            fleet
-                .gpu(dev)
-                .sanitize_cached(cache, operand_fingerprint(&shard, n), &kernel)?
+            let req =
+                LaunchRequest::functional(&kernel).cached((cache, operand_fingerprint(&shard, n)));
+            fleet.gpu(dev).run(&req)?
         };
-        require_clean(&report, dev)?;
-        cache_hits += usize::from(hit);
-        fleet.submit(dev, stats.time_us);
-        shard_stats.push(stats);
+        cache_hits += usize::from(launched.hit);
+        fleet.submit(dev, launched.stats.time_us);
+        shard_stats.push(launched.stats);
         if dev != 0 {
             let bytes = (out_d.rows() * n) as u64 * u64::from(T::BYTES);
             gathers.push(fleet.transfer(dev, 0, bytes, "gather C row-shard"));
@@ -257,23 +233,18 @@ pub fn sddmm_row_sharded<T: Scalar>(
         }
         let shard_mask = row_slice(mask, r0, r1)?;
         let lhs_shard = Matrix::from_vec(r1 - r0, k, lhs.as_slice()[r0 * k..r1 * k].to_vec());
-        let swizzle = if cfg.row_swizzle {
-            RowSwizzle::by_length_desc(&shard_mask)
-        } else {
-            RowSwizzle::identity(shard_mask.rows())
-        };
+        let swizzle = RowSwizzle::for_config(&shard_mask, cfg.row_swizzle);
         let mut vals_d = vec![T::zero(); shard_mask.nnz()];
-        let (stats, report, hit) = {
+        let launched = {
             let kernel =
                 SddmmKernel::try_new(&lhs_shard, rhs, &shard_mask, &mut vals_d, &swizzle, cfg)?;
-            fleet
-                .gpu(dev)
-                .sanitize_cached(cache, mask_fingerprint(&shard_mask, k), &kernel)?
+            let req = LaunchRequest::functional(&kernel)
+                .cached((cache, mask_fingerprint(&shard_mask, k)));
+            fleet.gpu(dev).run(&req)?
         };
-        require_clean(&report, dev)?;
-        cache_hits += usize::from(hit);
-        fleet.submit(dev, stats.time_us);
-        shard_stats.push(stats);
+        cache_hits += usize::from(launched.hit);
+        fleet.submit(dev, launched.stats.time_us);
+        shard_stats.push(launched.stats);
         if dev != 0 && !vals_d.is_empty() {
             let bytes = vals_d.len() as u64 * u64::from(T::BYTES);
             gathers.push(fleet.transfer(dev, 0, bytes, "gather SDDMM value shard"));
@@ -332,18 +303,17 @@ pub fn spmm_k_split<T: Scalar>(
         }
         let chunk = k_slice(a, k0, k1)?;
         let b_chunk = Matrix::from_vec(k1 - k0, n, b.as_slice()[k0 * n..k1 * n].to_vec());
-        let swizzle = spmm_swizzle(&chunk, &cfg);
-        let (stats, report, hit) = {
+        let swizzle = RowSwizzle::for_config(&chunk, cfg.row_swizzle);
+        let launched = {
             let kernel = SpmmKernel::try_new(&chunk, &b_chunk, &mut output, &swizzle, cfg)?
                 .with_accumulate();
-            fleet
-                .gpu(dev)
-                .sanitize_cached(cache, operand_fingerprint(&chunk, n), &kernel)?
+            let req =
+                LaunchRequest::functional(&kernel).cached((cache, operand_fingerprint(&chunk, n)));
+            fleet.gpu(dev).run(&req)?
         };
-        require_clean(&report, dev)?;
-        cache_hits += usize::from(hit);
-        fleet.submit(dev, stats.time_us);
-        shard_stats.push(stats);
+        cache_hits += usize::from(launched.hit);
+        fleet.submit(dev, launched.stats.time_us);
+        shard_stats.push(launched.stats);
     }
     fleet.ring_all_reduce((a.rows() * n) as u64 * u64::from(T::BYTES));
     let sync = fleet.sync()?;

@@ -19,7 +19,7 @@ use crate::error::SputnikError;
 use crate::roma::{MemoryAligner, ROMA_MASK_INSTRS, ROMA_PRELUDE_INSTRS};
 use gpu_sim::{
     AccessBound, AccessPattern, AlignmentFacts, BarrierFacts, BlockContext, BufferBound, BufferId,
-    BufferSpec, Dim3, Fingerprint, Gpu, Kernel, LaunchCache, LaunchKey, LaunchStats, SmemScope,
+    BufferSpec, Dim3, Fingerprint, Gpu, Kernel, LaunchCache, LaunchRequest, LaunchStats, SmemScope,
     StageBound, StaticFacts, SyncUnsafeSlice, VectorClass,
 };
 use sparse::{CsrMatrix, Matrix, RowSwizzle, Scalar};
@@ -954,8 +954,8 @@ impl<T: Scalar> Kernel for SpmmKernel<'_, T> {
 
 /// Run SpMM on the simulated GPU: allocates the output, builds the swizzle
 /// (when enabled), launches functionally, and returns `(C, stats)`.
-/// Panics on invalid inputs or device faults; [`try_spmm`] is the
-/// recoverable equivalent.
+/// Panics on invalid inputs, refuted launches or device faults;
+/// [`try_spmm`] is the recoverable equivalent.
 pub fn spmm<T: Scalar>(
     gpu: &Gpu,
     a: &CsrMatrix<T>,
@@ -967,8 +967,8 @@ pub fn spmm<T: Scalar>(
 
 /// Fallible SpMM: validates shapes, configuration legality, operand
 /// finiteness, and device resource limits up front, then launches through
-/// [`Gpu::try_launch`] so injected device faults surface as errors instead
-/// of panics. Returns `(C, stats)` on success.
+/// [`Gpu::run`] so static refutations and injected device faults surface as
+/// errors instead of panics. Returns `(C, stats)` on success.
 pub fn try_spmm<T: Scalar>(
     gpu: &Gpu,
     a: &CsrMatrix<T>,
@@ -977,15 +977,11 @@ pub fn try_spmm<T: Scalar>(
 ) -> Result<(Matrix<T>, LaunchStats), SputnikError> {
     require_finite("a", a.values())?;
     require_finite("b", b.as_slice())?;
-    let swizzle = if cfg.row_swizzle {
-        RowSwizzle::by_length_desc(a)
-    } else {
-        RowSwizzle::identity(a.rows())
-    };
+    let swizzle = RowSwizzle::for_config(a, cfg.row_swizzle);
     let mut out = Matrix::<T>::zeros(a.rows(), b.cols());
     let stats = {
         let kernel = SpmmKernel::try_new(a, b, &mut out, &swizzle, cfg)?;
-        gpu.try_launch(&kernel)?
+        gpu.run(&LaunchRequest::functional(&kernel))?.stats
     };
     Ok((out, stats))
 }
@@ -999,14 +995,7 @@ pub fn spmm_profile<T: Scalar>(
     n: usize,
     cfg: SpmmConfig,
 ) -> LaunchStats {
-    assert_eq!(a.cols(), b_rows, "inner dimensions must agree");
-    let swizzle = if cfg.row_swizzle {
-        RowSwizzle::by_length_desc(a)
-    } else {
-        RowSwizzle::identity(a.rows())
-    };
-    let kernel = SpmmKernel::<T>::for_profile(a, n, &swizzle, cfg);
-    gpu.profile(&kernel)
+    profile_spmm(gpu, None, a, b_rows, n, cfg).0
 }
 
 /// [`spmm_profile`] through a cross-launch [`LaunchCache`]: returns the
@@ -1023,26 +1012,29 @@ pub fn spmm_profile_cached<T: Scalar>(
     n: usize,
     cfg: SpmmConfig,
 ) -> (LaunchStats, bool) {
+    profile_spmm(gpu, Some(cache), a, b_rows, n, cfg)
+}
+
+/// The profile launch behind [`spmm_profile`] and [`spmm_profile_cached`].
+/// The request names the launch up front, so a cache hit builds neither the
+/// swizzle nor the kernel.
+pub(crate) fn profile_spmm<T: Scalar>(
+    gpu: &Gpu,
+    cache: Option<&LaunchCache>,
+    a: &CsrMatrix<T>,
+    b_rows: usize,
+    n: usize,
+    cfg: SpmmConfig,
+) -> (LaunchStats, bool) {
     assert_eq!(a.cols(), b_rows, "inner dimensions must agree");
-    // The key needs only the config-derived name, so a hit skips swizzle
-    // construction entirely. Fault-plan GPUs must not be served from (or
-    // populate) the cache: schedules consume per-launch indices.
-    if gpu.fault_plan().is_some() {
-        return (spmm_profile(gpu, a, b_rows, n, cfg), false);
-    }
-    let key = LaunchKey {
-        kernel: SpmmKernel::<T>::launch_name(&cfg),
-        fingerprint: operand_fingerprint(a, n),
-        device: gpu.device().name.clone(),
-        arch: gpu.device().arch_fingerprint(),
+    let build = |go: &mut dyn FnMut(&dyn Kernel)| {
+        let swizzle = RowSwizzle::for_config(a, cfg.row_swizzle);
+        go(&SpmmKernel::<T>::for_profile(a, n, &swizzle, cfg));
     };
-    if let Some(stats) = cache.lookup(&key) {
-        gpu.note_cache_hit(&stats);
-        return (stats, true);
-    }
-    let stats = spmm_profile(gpu, a, b_rows, n, cfg);
-    cache.insert(key, stats.clone());
-    (stats, false)
+    let req = LaunchRequest::profile_lazy(SpmmKernel::<T>::launch_name(&cfg), &build)
+        .cached(cache.map(|c| (c, operand_fingerprint(a, n))));
+    let launched = gpu.run(&req).unwrap_or_else(|e| panic!("{e}"));
+    (launched.stats, launched.hit)
 }
 
 /// The launch-cache fingerprint for an SpMM-shaped problem: the sparse

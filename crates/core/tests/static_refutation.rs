@@ -1,6 +1,7 @@
-//! Seeded-violation tests for the static launch auditor at the dispatch
-//! boundary: one provably-bad kernel per check class, each driven through
-//! [`sputnik::launch_audited`] — the same gate every ladder rung uses.
+//! Seeded-violation tests for the static launch auditor at the launch
+//! funnel: one provably-bad kernel per check class, each driven through
+//! [`Gpu::run`] — the one path every launch, ladder rungs included, takes —
+//! and surfaced as the typed [`SputnikError`] the Sputnik APIs return.
 //!
 //! The probe kernel **panics in `execute_block`**, so these tests prove the
 //! strongest property the auditor claims: a `Refuted` launch is rejected
@@ -10,7 +11,8 @@
 
 use gpu_sim::{
     AccessBound, AccessPattern, AlignmentFacts, BarrierFacts, BlockContext, BufferBound, BufferId,
-    BufferSpec, Dim3, Gpu, Kernel, StageBound, StaticFacts, VectorClass,
+    BufferSpec, Dim3, Gpu, Kernel, LaunchRequest, LaunchStats, StageBound, StaticFacts,
+    VectorClass,
 };
 use sputnik::SputnikError;
 
@@ -71,7 +73,7 @@ impl Kernel for Refutable {
         assert!(
             self.executable,
             "a statically refuted launch reached execute_block — the \
-             dispatch gate ran the simulation before (or instead of) \
+             launch funnel ran the simulation before (or instead of) \
              rejecting it"
         );
         ctx.ld_global(BufferId(0), 0, 32, 1, 4);
@@ -81,12 +83,17 @@ impl Kernel for Refutable {
     }
 }
 
-/// Drive the probe through the dispatch gate and demand a refutation of
-/// the expected class.
+/// A functional launch through the funnel, as a Sputnik API sees it.
+fn launch(gpu: &Gpu, probe: &Refutable) -> Result<LaunchStats, SputnikError> {
+    Ok(gpu.run(&LaunchRequest::functional(probe))?.stats)
+}
+
+/// Drive the probe through the funnel and demand a refutation of the
+/// expected class.
 fn expect_refuted(probe: &Refutable, expected_class: &str) {
     let gpu = Gpu::v100();
     let before = gpu_sim::metrics::global().get("dispatch_static_refuted");
-    match sputnik::launch_audited(&gpu, probe) {
+    match launch(&gpu, probe) {
         Err(SputnikError::StaticallyRefuted {
             kernel,
             class,
@@ -110,7 +117,7 @@ fn expect_refuted(probe: &Refutable, expected_class: &str) {
 fn clean_probe_passes_the_gate_and_launches() {
     let mut probe = Refutable::clean();
     probe.executable = true;
-    let stats = sputnik::launch_audited(&Gpu::v100(), &probe).expect("clean launch");
+    let stats = launch(&Gpu::v100(), &probe).expect("clean launch");
     assert_eq!(stats.blocks, 4);
 }
 

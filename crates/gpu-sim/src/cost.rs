@@ -226,16 +226,6 @@ impl BlockContext {
         self.san.take().map(|b| *b)
     }
 
-    /// True when an attached sanitizer still has its boundscheck armed: the
-    /// batched trace paths must then visit every row's address individually.
-    /// When the static auditor proves bounds ([`crate::static_check`]), the
-    /// sanitizer mask disarms the check and the batched paths regain their
-    /// closed-form sector accounting.
-    #[inline]
-    fn san_checks_bounds(&self) -> bool {
-        self.san.as_deref().is_some_and(|s| s.checks_bounds())
-    }
-
     /// Whether the kernel must produce real numerical outputs.
     #[inline]
     pub fn functional(&self) -> bool {
@@ -478,8 +468,8 @@ impl BlockContext {
     /// count of a contiguous access depends only on `byte_addr %
     /// SECTOR_BYTES` and its length, so when the stride is a whole number of
     /// sectors every row costs the same and one multiply replaces the loop.
-    /// Ragged strides (or an armed dynamic boundscheck, which must see every
-    /// row's address) fall back to the per-row loop.
+    /// Ragged strides (or a sanitized launch, whose boundscheck must see
+    /// every row's address) fall back to the per-row loop.
     #[inline]
     pub fn ld_global_trace_tiled(
         &mut self,
@@ -492,7 +482,7 @@ impl BlockContext {
         if !self.record {
             return;
         }
-        if !self.san_checks_bounds() && stride_bytes.is_multiple_of(memory::SECTOR_BYTES) {
+        if self.san.is_none() && stride_bytes.is_multiple_of(memory::SECTOR_BYTES) {
             self.cost.gmem[buf.0 as usize].ld_sectors +=
                 count * memory::sectors_contiguous(base, bytes);
         } else {
@@ -516,7 +506,7 @@ impl BlockContext {
         if !self.record {
             return;
         }
-        if !self.san_checks_bounds() && stride_bytes.is_multiple_of(memory::SECTOR_BYTES) {
+        if self.san.is_none() && stride_bytes.is_multiple_of(memory::SECTOR_BYTES) {
             self.cost.gmem[buf.0 as usize].st_sectors +=
                 count * memory::sectors_contiguous(base, bytes);
         } else {

@@ -49,7 +49,7 @@
 
 use crate::device::{DeviceConfig, LinkProfile};
 use crate::kernel::Kernel;
-use crate::launch::{Gpu, LaunchError, LaunchStats};
+use crate::launch::{Gpu, LaunchError, LaunchRequest, LaunchStats};
 use crate::{metrics, trace};
 use std::collections::{HashMap, VecDeque};
 
@@ -231,15 +231,18 @@ impl Fleet {
         self.clocks[device]
     }
 
-    /// Asynchronously launch `kernel` on `device`: execute it on the owning
-    /// [`Gpu`] now (outputs + per-launch stats) and enqueue its cost on the
-    /// device's stream. Returns the launch statistics.
+    /// Asynchronously launch `kernel` on `device`: run it through the owning
+    /// [`Gpu`]'s funnel now ([`Gpu::run`]: audited, outputs + per-launch
+    /// stats) and enqueue its cost on the device's stream. Returns the
+    /// launch statistics.
     pub fn launch(
         &mut self,
         device: usize,
         kernel: &dyn Kernel,
     ) -> Result<LaunchStats, LaunchError> {
-        let stats = self.gpus[device].try_launch(kernel)?;
+        let stats = self.gpus[device]
+            .run(&LaunchRequest::functional(kernel))?
+            .stats;
         self.submit(device, stats.time_us);
         Ok(stats)
     }

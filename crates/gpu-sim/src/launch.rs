@@ -6,16 +6,17 @@ use crate::cost::{BlockContext, BlockCost, BlockCostLite, Traffic, MAX_BUFFERS};
 use crate::device::DeviceConfig;
 use crate::fault::{DeviceFault, FaultKind, FaultPlan};
 use crate::kernel::Kernel;
-use crate::launch_cache::{LaunchCache, LaunchKey};
+use crate::launch_cache::{KeyRef, LaunchCache, LaunchKey};
 use crate::metrics;
 use crate::occupancy::{self, Occupancy};
-use crate::sanitizer::{self, BlockSan, ChecksMask, SanitizerReport, Verdict};
+use crate::sanitizer::{self, BlockSan, CheckClass, SanitizerReport};
 use crate::scheduler;
 use crate::static_check::{self, StaticAudit};
 use crate::timing;
 use crate::trace;
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::collections::HashMap;
 
 /// Why a launch could not run (or did not complete).
@@ -33,6 +34,14 @@ pub enum LaunchError {
     OccupancyZero { kernel: String },
     /// An injected device fault aborted the launch.
     DeviceFault(DeviceFault),
+    /// The static auditor ([`crate::static_check`]) refuted a safety
+    /// property of the launch descriptor: the launch was rejected before a
+    /// single block ran.
+    StaticallyRefuted {
+        kernel: String,
+        class: CheckClass,
+        detail: String,
+    },
 }
 
 impl std::fmt::Display for LaunchError {
@@ -53,6 +62,15 @@ impl std::fmt::Display for LaunchError {
                 )
             }
             LaunchError::DeviceFault(fault) => write!(f, "device fault: {fault}"),
+            LaunchError::StaticallyRefuted {
+                kernel,
+                class,
+                detail,
+            } => write!(
+                f,
+                "kernel {kernel} statically refuted [{}]: {detail}",
+                class.name()
+            ),
         }
     }
 }
@@ -63,6 +81,136 @@ impl From<DeviceFault> for LaunchError {
     fn from(fault: DeviceFault) -> Self {
         LaunchError::DeviceFault(fault)
     }
+}
+
+/// Whether a launch computes outputs or only its cost trace.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Mode {
+    /// Blocks compute real outputs *and* the launch is timed.
+    Functional,
+    /// Cost traces only, no outputs: the large benchmark sweeps.
+    Profile,
+}
+
+/// How much checking a launch gets before (and while) it runs.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub enum CheckLevel {
+    /// The static audit ([`crate::static_check`]): a `Refuted` verdict
+    /// rejects the launch with [`LaunchError::StaticallyRefuted`] before a
+    /// single block runs.
+    #[default]
+    Audit,
+    /// The audit plus the dynamic sanitizer with every check armed (see
+    /// [`crate::sanitizer`]), the simulator's analogue of
+    /// `compute-sanitizer`. The fault plan is not consulted — the sanitizer
+    /// checks the kernel, not the device — and sanitized launches serialize
+    /// process-wide (a global shadow map backs the cross-block racecheck).
+    /// A cache hit replays the memoized report instead of re-sanitizing.
+    Sanitize,
+}
+
+/// Builds a kernel and hands it to the continuation (see
+/// [`LaunchRequest::profile_lazy`]).
+pub type KernelBuilder<'r> = dyn Fn(&mut dyn FnMut(&dyn Kernel)) + 'r;
+
+/// The kernel a request launches: built by the caller, or built by the
+/// funnel only when the launch really simulates.
+enum Source<'r> {
+    Built(&'r dyn Kernel),
+    /// A profile launch named up front, so a cache hit never constructs the
+    /// kernel (nor anything it borrows, such as a row swizzle). `build`
+    /// hands the kernel to its continuation.
+    Lazy {
+        name: String,
+        build: &'r KernelBuilder<'r>,
+    },
+}
+
+/// One launch through [`Gpu::run`]: the kernel plus the [`Mode`], an
+/// optional [`LaunchCache`] with the operand fingerprint, and the
+/// [`CheckLevel`].
+pub struct LaunchRequest<'r> {
+    source: Source<'r>,
+    mode: Mode,
+    cache: Option<(&'r LaunchCache, u64)>,
+    check: CheckLevel,
+}
+
+impl<'r> LaunchRequest<'r> {
+    /// An uncached launch of `kernel` at [`CheckLevel::Audit`].
+    pub fn new(mode: Mode, kernel: &'r dyn Kernel) -> Self {
+        Self {
+            source: Source::Built(kernel),
+            mode,
+            cache: None,
+            check: CheckLevel::Audit,
+        }
+    }
+
+    /// [`LaunchRequest::new`] in [`Mode::Functional`].
+    pub fn functional(kernel: &'r dyn Kernel) -> Self {
+        Self::new(Mode::Functional, kernel)
+    }
+
+    /// [`LaunchRequest::new`] in [`Mode::Profile`].
+    pub fn profile(kernel: &'r dyn Kernel) -> Self {
+        Self::new(Mode::Profile, kernel)
+    }
+
+    /// A profile launch whose kernel is built only on a cache miss. `name`
+    /// must equal the built kernel's [`Kernel::name`]; `build` constructs
+    /// the kernel and passes it to the continuation once.
+    pub fn profile_lazy(name: String, build: &'r KernelBuilder<'r>) -> Self {
+        Self {
+            source: Source::Lazy { name, build },
+            mode: Mode::Profile,
+            cache: None,
+            check: CheckLevel::Audit,
+        }
+    }
+
+    /// Memoize through a cache under an operand fingerprint (see
+    /// [`crate::launch_cache`] for what it must cover); `None` leaves the
+    /// request uncached.
+    pub fn cached(mut self, cache: impl Into<Option<(&'r LaunchCache, u64)>>) -> Self {
+        self.cache = cache.into();
+        self
+    }
+
+    /// Set the check level.
+    pub fn check(mut self, level: CheckLevel) -> Self {
+        self.check = level;
+        self
+    }
+
+    fn name(&self) -> Cow<'_, str> {
+        match &self.source {
+            Source::Built(kernel) => Cow::Owned(kernel.name()),
+            Source::Lazy { name, .. } => Cow::Borrowed(name),
+        }
+    }
+
+    fn with_kernel<R>(&self, f: impl FnOnce(&dyn Kernel) -> R) -> R {
+        match &self.source {
+            Source::Built(kernel) => f(*kernel),
+            Source::Lazy { name, build } => {
+                let mut f = Some(f);
+                let mut out = None;
+                build(&mut |kernel| out = f.take().map(|f| f(kernel)));
+                out.unwrap_or_else(|| panic!("launch builder for {name} built no kernel"))
+            }
+        }
+    }
+}
+
+/// What [`Gpu::run`] returns.
+#[derive(Debug, Clone)]
+pub struct Launched {
+    pub stats: LaunchStats,
+    /// The sanitizer report: `Some` exactly at [`CheckLevel::Sanitize`].
+    pub report: Option<SanitizerReport>,
+    /// Whether the stats (and report) were served from the cache.
+    pub hit: bool,
 }
 
 /// Device-wide roofline times (cycles) per pipeline — the denominator view
@@ -221,110 +369,27 @@ impl Gpu {
     }
 
     /// Launch a kernel functionally: blocks compute real outputs *and* the
-    /// launch is timed. Panics on invalid launches or injected faults; use
-    /// [`Gpu::try_launch`] for a recoverable error instead.
+    /// launch is timed. Panics on refuted or invalid launches and injected
+    /// faults; [`Gpu::run`] returns them as errors instead.
     pub fn launch(&self, kernel: &dyn Kernel) -> LaunchStats {
-        self.try_launch(kernel).unwrap_or_else(|e| panic!("{e}"))
+        self.run_or_panic(&LaunchRequest::functional(kernel))
     }
 
-    /// Profile a kernel: cost traces only, no functional output. Used by the
-    /// large benchmark sweeps where only timing is needed.
+    /// Profile a kernel: cost traces only, no functional output. Panics
+    /// like [`Gpu::launch`].
     pub fn profile(&self, kernel: &dyn Kernel) -> LaunchStats {
-        self.try_profile(kernel).unwrap_or_else(|e| panic!("{e}"))
+        self.run_or_panic(&LaunchRequest::profile(kernel))
     }
 
-    /// Fallible functional launch: validates resources, consults the fault
-    /// plan, executes, and reports faults as errors instead of panicking.
-    pub fn try_launch(&self, kernel: &dyn Kernel) -> Result<LaunchStats, LaunchError> {
-        self.try_run(kernel, true)
-    }
-
-    /// Fallible profile launch (cost only).
-    pub fn try_profile(&self, kernel: &dyn Kernel) -> Result<LaunchStats, LaunchError> {
-        self.try_run(kernel, false)
-    }
-
-    /// The [`LaunchCache`] key this launch would use. See
-    /// [`crate::launch_cache`] for what `fingerprint` must cover (operand
-    /// structure plus any problem dimension the kernel name does not encode).
-    pub fn cache_key(&self, kernel: &dyn Kernel, fingerprint: u64) -> LaunchKey {
-        LaunchKey {
-            kernel: kernel.name(),
-            fingerprint,
-            device: self.dev.name.clone(),
-            arch: self.dev.arch_fingerprint(),
-        }
-    }
-
-    /// Memoized profile launch: consult `cache` before simulating. Returns
-    /// the stats plus whether they were served from the cache. A GPU
-    /// carrying a fault plan bypasses the cache entirely (fault schedules
-    /// consume per-launch indices).
-    pub fn try_profile_cached(
+    /// Run a kernel functionally at [`CheckLevel::Sanitize`]: the stats plus
+    /// the sanitizer's racecheck / memcheck / aligncheck / lint findings.
+    pub fn sanitize(
         &self,
-        cache: &LaunchCache,
-        fingerprint: u64,
         kernel: &dyn Kernel,
-    ) -> Result<(LaunchStats, bool), LaunchError> {
-        if self.fault.is_some() {
-            return self.try_profile(kernel).map(|s| (s, false));
-        }
-        let key = self.cache_key(kernel, fingerprint);
-        if let Some(stats) = cache.lookup(&key) {
-            self.note_cache_hit(&stats);
-            return Ok((stats, true));
-        }
-        let stats = self.try_profile(kernel)?;
-        cache.insert(key, stats.clone());
-        Ok((stats, false))
-    }
-
-    /// Memoized functional launch: on a hit the kernel still executes every
-    /// block (outputs must be produced) but with cost recording disabled —
-    /// the statistics come from the cache. Fault-plan GPUs bypass the cache.
-    pub fn try_launch_cached(
-        &self,
-        cache: &LaunchCache,
-        fingerprint: u64,
-        kernel: &dyn Kernel,
-    ) -> Result<(LaunchStats, bool), LaunchError> {
-        if self.fault.is_some() {
-            return self.try_launch(kernel).map(|s| (s, false));
-        }
-        let key = self.cache_key(kernel, fingerprint);
-        if let Some(stats) = cache.lookup(&key) {
-            self.validate(kernel)?;
-            self.replay_functional(kernel);
-            self.note_cache_hit(&stats);
-            return Ok((stats, true));
-        }
-        let stats = self.try_launch(kernel)?;
-        cache.insert(key, stats.clone());
-        Ok((stats, false))
-    }
-
-    /// Record a launch served from a [`LaunchCache`] into the trace and
-    /// metrics (the simulated paths record themselves; cache hits replay
-    /// stats without simulating, so whoever serves the hit must report it).
-    /// Called by [`Gpu::try_profile_cached`] / [`Gpu::try_launch_cached`]
-    /// and by higher-level cached entry points that do their own lookup.
-    pub fn note_cache_hit(&self, stats: &LaunchStats) {
-        metrics::global().record_launch(stats, true);
-        trace::launch(&self.dev.name, stats, Some(true));
-    }
-
-    /// Execute every block functionally with cost recording disabled (the
-    /// output-producing half of a cached functional launch). This is the
-    /// warm hot path: kernel bodies stage through the scratch arena
-    /// ([`crate::arena`]) and skip cost-only work, so after each rayon
-    /// worker's pools are warm a replay performs **zero heap allocations**
-    /// (enforced by the `zero_alloc` integration test).
-    pub fn replay_functional(&self, kernel: &dyn Kernel) {
-        let grid = kernel.grid();
-        (0..grid.size()).into_par_iter().for_each(|lin| {
-            let mut ctx = BlockContext::replay();
-            kernel.execute_block(grid.delinearize(lin), &mut ctx);
-        });
+    ) -> Result<(LaunchStats, SanitizerReport), LaunchError> {
+        let req = LaunchRequest::functional(kernel).check(CheckLevel::Sanitize);
+        self.run(&req)
+            .map(|l| (l.stats, l.report.unwrap_or_default()))
     }
 
     /// Statically audit a kernel's launch descriptor against this device's
@@ -334,85 +399,171 @@ impl Gpu {
         static_check::audit(&self.dev, kernel)
     }
 
-    /// Run a kernel under the sanitizer (see [`crate::sanitizer`]): a
-    /// functional launch whose blocks additionally record racecheck /
-    /// memcheck / aligncheck / lint findings, the simulator's analogue of
-    /// `compute-sanitizer`. The fault plan is not consulted — the sanitizer
-    /// checks the kernel, not the device. Sanitized launches serialize
-    /// process-wide (a global shadow map backs the cross-block racecheck).
+    /// The [`LaunchCache`] key this launch would use. See
+    /// [`crate::launch_cache`] for what `fingerprint` must cover (operand
+    /// structure plus any problem dimension the kernel name does not encode).
+    pub fn cache_key(&self, kernel: &dyn Kernel, fingerprint: u64) -> LaunchKey {
+        self.key(kernel.name(), fingerprint)
+    }
+
+    fn key(&self, kernel: String, fingerprint: u64) -> LaunchKey {
+        LaunchKey::new(
+            kernel,
+            fingerprint,
+            self.dev.name.clone(),
+            self.dev.arch_fingerprint(),
+        )
+    }
+
+    /// The one launch path. Every launch, whatever its entry point:
     ///
-    /// The launch is first statically audited: dynamic checks whose class
-    /// the auditor `Proven` are disarmed (the cross-block racecheck always
-    /// stays on — it has no static counterpart), and `Refuted` findings are
-    /// folded into the report as hard violations while their dynamic checks
-    /// stay armed for defense in depth. Use [`Gpu::sanitize_full`] to force
-    /// every dynamic check regardless of the audit.
-    pub fn sanitize(
-        &self,
-        kernel: &dyn Kernel,
-    ) -> Result<(LaunchStats, SanitizerReport), LaunchError> {
-        let audit = self.audit(kernel);
-        let mask = audit.dynamic_mask();
-        metrics::global().incr_many(&[
-            ("static_audits", 1),
-            ("static_checks_proven", audit.proven()),
-            ("sanitizer_checks_skipped", mask.skipped()),
-        ]);
-        let (stats, mut report) = self.sanitize_with_mask(kernel, mask)?;
-        for f in &audit.findings {
-            if f.verdict == Verdict::Refuted {
-                report.push_static_refutation(f.class, &f.detail);
-                metrics::global().incr("sanitizer_violations", 1);
+    /// 1. consults the request's cache, unless this GPU carries a fault
+    ///    plan (schedules consume per-launch indices, so fault-plan launches
+    ///    neither look up nor insert). An entry is inserted only after its
+    ///    launch passed the audit, so a hit skips the audit; a profile hit
+    ///    never builds the kernel, and a functional hit replays the blocks
+    ///    for their outputs with the stats (and report) from the cache;
+    /// 2. otherwise audits the launch: a `Refuted` verdict returns
+    ///    [`LaunchError::StaticallyRefuted`] before a single block runs;
+    /// 3. validates resources, consults the fault plan (below
+    ///    [`CheckLevel::Sanitize`]) and simulates.
+    pub fn run(&self, req: &LaunchRequest<'_>) -> Result<Launched, LaunchError> {
+        let sanitize = req.check == CheckLevel::Sanitize;
+        let cached = req
+            .cache
+            .filter(|_| self.fault.is_none())
+            .map(|(cache, fp)| (cache, fp, req.name()));
+        if let Some((cache, fp, name)) = &cached {
+            let key = KeyRef::new(name, *fp, &self.dev.name, self.dev.arch_fingerprint());
+            if let Some((stats, report)) = cache.find(key, sanitize) {
+                if req.mode == Mode::Functional {
+                    req.with_kernel(|kernel| self.replay_functional(kernel));
+                }
+                self.note_cache_hit(&stats);
+                if sanitize {
+                    metrics::global().incr("sanitizer_skips", 1);
+                }
+                return Ok(Launched {
+                    stats,
+                    report,
+                    hit: true,
+                });
             }
         }
-        Ok((stats, report))
-    }
-
-    /// [`Gpu::sanitize`] with every dynamic check armed, ignoring the static
-    /// audit. This is the pre-audit behavior, kept as the reference the
-    /// audited path is validated against (`sanitize_all` runs both and
-    /// fails on any disagreement).
-    pub fn sanitize_full(
-        &self,
-        kernel: &dyn Kernel,
-    ) -> Result<(LaunchStats, SanitizerReport), LaunchError> {
-        self.sanitize_with_mask(kernel, ChecksMask::ALL)
-    }
-
-    /// Memoized sanitized launch: a [`LaunchCache`] hit whose entry carries
-    /// a sanitizer report skips re-sanitizing entirely — the sanitizer
-    /// checks the cost trace, which (kernel name, fingerprint, device) fully
-    /// determines — replaying functional outputs only. Returns the stats,
-    /// the report, and whether they were served from the cache. Fault-plan
-    /// GPUs bypass the cache like every other cached path.
-    pub fn sanitize_cached(
-        &self,
-        cache: &LaunchCache,
-        fingerprint: u64,
-        kernel: &dyn Kernel,
-    ) -> Result<(LaunchStats, SanitizerReport, bool), LaunchError> {
-        if self.fault.is_some() {
-            return self.sanitize(kernel).map(|(s, r)| (s, r, false));
+        let launched = req.with_kernel(|kernel| self.simulate(kernel, req.mode, sanitize))?;
+        if let Some((cache, fp, name)) = cached {
+            let key = self.key(name.into_owned(), fp);
+            cache.insert(key, launched.stats.clone(), launched.report.clone());
         }
-        let key = self.cache_key(kernel, fingerprint);
-        if let Some((stats, report)) = cache.lookup_sanitized(&key) {
-            self.validate(kernel)?;
-            self.replay_functional(kernel);
-            self.note_cache_hit(&stats);
-            metrics::global().incr("sanitizer_skips", 1);
-            return Ok((stats, report, true));
-        }
-        let (stats, report) = self.sanitize(kernel)?;
-        cache.insert_sanitized(key, stats.clone(), report.clone());
-        Ok((stats, report, false))
+        Ok(launched)
     }
 
-    fn sanitize_with_mask(
+    fn run_or_panic(&self, req: &LaunchRequest<'_>) -> LaunchStats {
+        self.run(req).unwrap_or_else(|e| panic!("{e}")).stats
+    }
+
+    /// Record a launch served from a [`LaunchCache`] into the trace and
+    /// metrics (the simulated paths record themselves in [`Gpu::finish`]).
+    fn note_cache_hit(&self, stats: &LaunchStats) {
+        metrics::global().record_launch(stats, true);
+        trace::launch(&self.dev.name, stats, Some(true));
+    }
+
+    /// Execute every block functionally with cost recording disabled: the
+    /// output-producing half of a cached functional launch (see
+    /// [`Gpu::run`]). This is the warm hot path: kernel bodies stage through
+    /// the scratch arena ([`crate::arena`]) and skip cost-only work, so after
+    /// each rayon worker's pools are warm a replay performs **zero heap
+    /// allocations** (enforced by the `zero_alloc` integration test).
+    pub fn replay_functional(&self, kernel: &dyn Kernel) {
+        let grid = kernel.grid();
+        (0..grid.size()).into_par_iter().for_each(|lin| {
+            let mut ctx = BlockContext::replay();
+            kernel.execute_block(grid.delinearize(lin), &mut ctx);
+        });
+    }
+
+    /// The rejection gate: audit the launch and turn the first `Refuted`
+    /// finding into [`LaunchError::StaticallyRefuted`].
+    fn gate(&self, kernel: &dyn Kernel) -> Result<(), LaunchError> {
+        let (proven, refuted) = static_check::gate(&self.dev, kernel);
+        metrics::global().incr_many(&[("static_audits", 1), ("static_checks_proven", proven)]);
+        let Some(finding) = refuted else {
+            return Ok(());
+        };
+        let kernel = kernel.name();
+        metrics::global().incr("dispatch_static_refuted", 1);
+        if trace::enabled() {
+            trace::instant(
+                "dispatch",
+                "dispatch",
+                &format!("statically refuted: {kernel} ({})", finding.detail),
+            );
+        }
+        Err(LaunchError::StaticallyRefuted {
+            kernel,
+            class: finding.class,
+            detail: finding.detail,
+        })
+    }
+
+    /// A cache miss: audit, validate, then simulate (sanitized or through
+    /// the fault plan).
+    fn simulate(
         &self,
         kernel: &dyn Kernel,
-        mask: ChecksMask,
-    ) -> Result<(LaunchStats, SanitizerReport), LaunchError> {
+        mode: Mode,
+        sanitize: bool,
+    ) -> Result<Launched, LaunchError> {
+        self.gate(kernel)?;
         let occ = self.validate(kernel)?;
+        let functional = mode == Mode::Functional;
+        if sanitize {
+            let (stats, report) = self.sanitized(kernel, functional, occ);
+            return Ok(Launched {
+                stats,
+                report: Some(report),
+                hit: false,
+            });
+        }
+
+        // The fault decision comes *after* the audit and resource
+        // validation: an invalid launch never reaches the device, so it
+        // must not consume an index in the fault schedule.
+        let poison = match self.fault.as_ref() {
+            Some(plan) => match plan.decide(&kernel.name()) {
+                Some(fault) if fault.kind == FaultKind::PoisonOutput => {
+                    Some(plan.poison_seed(&fault))
+                }
+                Some(fault) => return Err(LaunchError::DeviceFault(fault)),
+                None => None,
+            },
+            None => None,
+        };
+
+        let stats = self.execute(kernel, functional, occ);
+
+        // A poison fault corrupts the output *after* a successful-looking
+        // launch: callers only notice by inspecting the results.
+        if functional {
+            if let Some(seed) = poison {
+                kernel.poison_output(seed);
+            }
+        }
+        Ok(Launched {
+            stats,
+            report: None,
+            hit: false,
+        })
+    }
+
+    /// Execute every block with all sanitizer checks armed.
+    fn sanitized(
+        &self,
+        kernel: &dyn Kernel,
+        functional: bool,
+        occ: Occupancy,
+    ) -> (LaunchStats, SanitizerReport) {
         let req = kernel.block_requirements();
         let buffers = kernel.buffers();
         let multi_warp = req.threads > self.dev.warp_size;
@@ -430,8 +581,8 @@ impl Gpu {
                 (BlockCost::default(), Vec::new(), Vec::new()),
                 |(mut total, mut lites, mut sans), lin| {
                     let idx = grid.delinearize(lin);
-                    let san = BlockSan::with_mask(&buffers, req.smem_bytes, multi_warp, mask);
-                    let mut ctx = BlockContext::sanitized(true, san);
+                    let san = BlockSan::for_kernel(&buffers, req.smem_bytes, multi_warp);
+                    let mut ctx = BlockContext::sanitized(functional, san);
                     sanitizer::enter_block(lin);
                     kernel.execute_block(idx, &mut ctx);
                     sanitizer::exit_block();
@@ -474,7 +625,7 @@ impl Gpu {
                 ),
             );
         }
-        Ok((stats, report))
+        (stats, report)
     }
 
     /// Resource validation shared by every launch path.
@@ -497,36 +648,7 @@ impl Gpu {
         Ok(occ)
     }
 
-    fn try_run(&self, kernel: &dyn Kernel, functional: bool) -> Result<LaunchStats, LaunchError> {
-        let occ = self.validate(kernel)?;
-
-        // The fault decision comes *after* resource validation: an invalid
-        // launch never reaches the device, so it must not consume an index
-        // in the fault schedule.
-        let poison = match self.fault.as_ref() {
-            Some(plan) => match plan.decide(&kernel.name()) {
-                Some(fault) if fault.kind == FaultKind::PoisonOutput => {
-                    Some(plan.poison_seed(&fault))
-                }
-                Some(fault) => return Err(LaunchError::DeviceFault(fault)),
-                None => None,
-            },
-            None => None,
-        };
-
-        let stats = self.run(kernel, functional, occ);
-
-        // A poison fault corrupts the output *after* a successful-looking
-        // launch: callers only notice by inspecting the results.
-        if functional {
-            if let Some(seed) = poison {
-                kernel.poison_output(seed);
-            }
-        }
-        Ok(stats)
-    }
-
-    fn run(&self, kernel: &dyn Kernel, functional: bool, occ: Occupancy) -> LaunchStats {
+    fn execute(&self, kernel: &dyn Kernel, functional: bool, occ: Occupancy) -> LaunchStats {
         let grid = kernel.grid();
         let n_blocks = grid.size();
 
@@ -958,39 +1080,31 @@ impl<'g> Stream<'g> {
     }
 
     /// Launch functionally on the stream; returns this kernel's stats.
+    /// Panics like [`Gpu::launch`].
     pub fn launch(&mut self, kernel: &dyn Kernel) -> LaunchStats {
-        let stats = self.gpu.launch(kernel);
-        self.launches.push(stats.clone());
-        stats
+        self.push(&LaunchRequest::functional(kernel))
     }
 
     /// Launch functionally on the stream through the attached cache (see
-    /// [`Gpu::try_launch_cached`] for what `fingerprint` must cover). On a
-    /// hit the kernel still executes for its outputs but the statistics are
+    /// [`crate::launch_cache`] for what `fingerprint` must cover). On a hit
+    /// the kernel still executes for its outputs but the statistics are
     /// replayed instead of re-simulated. Falls back to an uncached launch
-    /// when no cache is attached. Panics on launch errors, like
-    /// [`Stream::launch`].
+    /// when no cache is attached. Panics like [`Stream::launch`].
     pub fn launch_cached(&mut self, fingerprint: u64, kernel: &dyn Kernel) -> LaunchStats {
-        let stats = match self.cache {
-            Some(cache) => {
-                let (stats, hit) = self
-                    .gpu
-                    .try_launch_cached(cache, fingerprint, kernel)
-                    .unwrap_or_else(|e| panic!("{e}"));
-                self.cache_hits += u64::from(hit);
-                stats
-            }
-            None => self.gpu.launch(kernel),
-        };
-        self.launches.push(stats.clone());
-        stats
+        let cache = self.cache.map(|cache| (cache, fingerprint));
+        self.push(&LaunchRequest::functional(kernel).cached(cache))
     }
 
     /// Profile on the stream (cost only).
     pub fn profile(&mut self, kernel: &dyn Kernel) -> LaunchStats {
-        let stats = self.gpu.profile(kernel);
-        self.launches.push(stats.clone());
-        stats
+        self.push(&LaunchRequest::profile(kernel))
+    }
+
+    fn push(&mut self, req: &LaunchRequest<'_>) -> LaunchStats {
+        let launched = self.gpu.run(req).unwrap_or_else(|e| panic!("{e}"));
+        self.cache_hits += u64::from(launched.hit);
+        self.launches.push(launched.stats.clone());
+        launched.stats
     }
 
     pub fn launches(&self) -> &[LaunchStats] {
@@ -1060,8 +1174,8 @@ impl LaunchSummary {
         self.dram_bytes += stats.dram_bytes;
     }
 
-    /// Accumulate a memoized launch (see [`Gpu::try_profile_cached`] /
-    /// [`Gpu::try_launch_cached`]), recording whether the cache served it.
+    /// Accumulate a memoized launch (see [`Gpu::run`]), recording whether
+    /// the cache served it.
     pub fn add_cached(&mut self, stats: &LaunchStats, hit: bool) {
         self.add(stats);
         if hit {

@@ -46,7 +46,9 @@
 use crate::launch::LaunchStats;
 use crate::sanitizer::SanitizerReport;
 use crate::{metrics, trace};
+use std::borrow::Borrow;
 use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
@@ -65,13 +67,102 @@ pub const DEFAULT_CAPACITY: usize = 8192;
 /// V100 next to a cut-down one), and simulated statistics depend on the
 /// resources, not the label. With `arch` in the key, replay can never
 /// cross-pollinate between device profiles.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+///
+/// The fields are private: keys are built only by the launch funnel
+/// ([`crate::Gpu::run`], [`crate::Gpu::cache_key`]), so the key policy
+/// lives in one place.
+#[derive(Debug, Clone)]
 pub struct LaunchKey {
-    pub kernel: String,
-    pub fingerprint: u64,
-    pub device: String,
-    pub arch: u64,
+    kernel: String,
+    fingerprint: u64,
+    device: String,
+    arch: u64,
 }
+
+impl LaunchKey {
+    pub(crate) fn new(kernel: String, fingerprint: u64, device: String, arch: u64) -> Self {
+        Self {
+            kernel,
+            fingerprint,
+            device,
+            arch,
+        }
+    }
+}
+
+/// A borrowed [`LaunchKey`]: the launch funnel looks the cache up by parts,
+/// so a hit allocates no key. Hashing and equality go through this view for
+/// owned keys too, which is what lets the map be probed with either.
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+pub(crate) struct KeyRef<'a> {
+    kernel: &'a str,
+    fingerprint: u64,
+    device: &'a str,
+    arch: u64,
+}
+
+impl<'a> KeyRef<'a> {
+    pub(crate) fn new(kernel: &'a str, fingerprint: u64, device: &'a str, arch: u64) -> Self {
+        Self {
+            kernel,
+            fingerprint,
+            device,
+            arch,
+        }
+    }
+}
+
+/// The map's borrowed key form (the standard trick for probing a
+/// `HashMap<K, V>` without building a `K`).
+trait Parts {
+    fn parts(&self) -> KeyRef<'_>;
+}
+
+impl Parts for LaunchKey {
+    fn parts(&self) -> KeyRef<'_> {
+        KeyRef::new(&self.kernel, self.fingerprint, &self.device, self.arch)
+    }
+}
+
+impl Parts for KeyRef<'_> {
+    fn parts(&self) -> KeyRef<'_> {
+        *self
+    }
+}
+
+impl<'a> Borrow<dyn Parts + 'a> for LaunchKey {
+    fn borrow(&self) -> &(dyn Parts + 'a) {
+        self
+    }
+}
+
+impl Hash for dyn Parts + '_ {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.parts().hash(state);
+    }
+}
+
+impl PartialEq for dyn Parts + '_ {
+    fn eq(&self, other: &Self) -> bool {
+        self.parts() == other.parts()
+    }
+}
+
+impl Eq for dyn Parts + '_ {}
+
+impl Hash for LaunchKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.parts().hash(state);
+    }
+}
+
+impl PartialEq for LaunchKey {
+    fn eq(&self, other: &Self) -> bool {
+        self.parts() == other.parts()
+    }
+}
+
+impl Eq for LaunchKey {}
 
 #[derive(Debug)]
 struct Entry {
@@ -140,50 +231,62 @@ impl LaunchCache {
     /// Look up a key, counting the hit or miss and refreshing the entry's
     /// recency on a hit.
     pub fn lookup(&self, key: &LaunchKey) -> Option<LaunchStats> {
+        self.find(key.parts(), false).map(|(stats, _)| stats)
+    }
+
+    /// [`LaunchCache::lookup`] for the launch funnel. With `sanitized`, an
+    /// entry hits only if it carries a sanitizer report (an entry that was
+    /// never sanitized has no report to replay), and the report comes back
+    /// with the stats.
+    pub(crate) fn find(
+        &self,
+        key: KeyRef<'_>,
+        sanitized: bool,
+    ) -> Option<(LaunchStats, Option<SanitizerReport>)> {
         let tick = self.next_tick();
         let found = {
             let mut map = self.entries();
-            map.get_mut(key).map(|e| {
-                e.last_used = tick;
-                e.stats.clone()
-            })
+            map.get_mut(&key as &dyn Parts)
+                .filter(|e| !sanitized || e.sanitized.is_some())
+                .map(|e| {
+                    e.last_used = tick;
+                    let report = if sanitized { e.sanitized.clone() } else { None };
+                    (e.stats.clone(), report)
+                })
         };
-        match found {
-            Some(stats) => {
+        let (counter, outcome) = match found {
+            Some(_) => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                metrics::global().incr("cache_hits", 1);
-                if trace::enabled() {
-                    trace::instant("cache", &key.device, &format!("hit: {}", key.kernel));
-                }
-                Some(stats)
+                ("cache_hits", "hit")
             }
             None => {
                 self.misses.fetch_add(1, Ordering::Relaxed);
-                metrics::global().incr("cache_misses", 1);
-                if trace::enabled() {
-                    trace::instant("cache", &key.device, &format!("miss: {}", key.kernel));
-                }
-                None
+                ("cache_misses", "miss")
             }
+        };
+        metrics::global().incr(counter, 1);
+        if trace::enabled() {
+            let scope = if sanitized { "sanitized " } else { "" };
+            trace::instant(
+                "cache",
+                key.device,
+                &format!("{scope}{outcome}: {}", key.kernel),
+            );
         }
+        found
     }
 
-    /// Record freshly simulated statistics under a key, evicting the
-    /// least-recently-used half of the table first when it is full. A prior
-    /// sanitizer report stored under the same key survives the overwrite
-    /// (the key determines the trace, so the report stays valid).
-    pub fn insert(&self, key: LaunchKey, stats: LaunchStats) {
-        self.insert_entry(key, stats, None);
-    }
-
-    /// Record a sanitized launch: the statistics plus the sanitizer report,
-    /// so fingerprint-identical launches can skip re-sanitizing entirely
-    /// (served by [`LaunchCache::lookup_sanitized`]).
-    pub fn insert_sanitized(&self, key: LaunchKey, stats: LaunchStats, report: SanitizerReport) {
-        self.insert_entry(key, stats, Some(report));
-    }
-
-    fn insert_entry(&self, key: LaunchKey, stats: LaunchStats, sanitized: Option<SanitizerReport>) {
+    /// Record freshly simulated statistics (plus the sanitizer report of a
+    /// sanitized launch) under a key, evicting the least-recently-used half
+    /// of the table first when it is full. A prior report stored under the
+    /// same key survives a report-less overwrite (the key determines the
+    /// trace, so the report stays valid).
+    pub(crate) fn insert(
+        &self,
+        key: LaunchKey,
+        stats: LaunchStats,
+        sanitized: Option<SanitizerReport>,
+    ) {
         let tick = self.next_tick();
         let mut map = self.entries();
         if map.len() >= self.capacity && !map.contains_key(&key) {
@@ -216,41 +319,6 @@ impl LaunchCache {
             }
         }
         metrics::global().incr("cache_inserts", 1);
-    }
-
-    /// Look up a key that was previously [`LaunchCache::insert_sanitized`]:
-    /// returns the cached statistics *and* the sanitizer report. An entry
-    /// that was only ever plain-inserted is a miss — its launch was never
-    /// sanitized, so there is no report to replay.
-    pub fn lookup_sanitized(&self, key: &LaunchKey) -> Option<(LaunchStats, SanitizerReport)> {
-        let tick = self.next_tick();
-        let found = {
-            let mut map = self.entries();
-            map.get_mut(key).and_then(|e| {
-                let report = e.sanitized.clone()?;
-                e.last_used = tick;
-                Some((e.stats.clone(), report))
-            })
-        };
-        match found {
-            Some(hit) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                metrics::global().incr("cache_hits", 1);
-                if trace::enabled() {
-                    trace::instant(
-                        "cache",
-                        &key.device,
-                        &format!("sanitized hit: {}", key.kernel),
-                    );
-                }
-                Some(hit)
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                metrics::global().incr("cache_misses", 1);
-                None
-            }
-        }
     }
 
     pub fn hits(&self) -> u64 {
@@ -322,19 +390,14 @@ mod tests {
     }
 
     fn key(fp: u64) -> LaunchKey {
-        LaunchKey {
-            kernel: "k".into(),
-            fingerprint: fp,
-            device: "V100".into(),
-            arch: 0xA4C4,
-        }
+        LaunchKey::new("k".into(), fp, "V100".into(), 0xA4C4)
     }
 
     #[test]
     fn hit_and_miss_counters() {
         let cache = LaunchCache::new();
         assert!(cache.lookup(&key(1)).is_none());
-        cache.insert(key(1), dummy_stats(10.0));
+        cache.insert(key(1), dummy_stats(10.0), None);
         let hit = cache.lookup(&key(1)).expect("inserted");
         assert_eq!(hit.time_us, 10.0);
         assert!(cache.lookup(&key(2)).is_none());
@@ -346,7 +409,7 @@ mod tests {
     #[test]
     fn keys_distinguish_all_components() {
         let cache = LaunchCache::new();
-        cache.insert(key(1), dummy_stats(1.0));
+        cache.insert(key(1), dummy_stats(1.0), None);
         let mut other_kernel = key(1);
         other_kernel.kernel = "k2".into();
         let mut other_dev = key(1);
@@ -373,24 +436,19 @@ mod tests {
         assert_eq!(stock.name, cut_down.name);
 
         let cache = LaunchCache::new();
-        let stock_key = LaunchKey {
-            kernel: "k".into(),
-            fingerprint: 7,
-            device: stock.name.clone(),
-            arch: stock.arch_fingerprint(),
-        };
-        let cut_key = LaunchKey {
-            kernel: "k".into(),
-            fingerprint: 7,
-            device: cut_down.name.clone(),
-            arch: cut_down.arch_fingerprint(),
-        };
-        cache.insert(stock_key.clone(), dummy_stats(10.0));
+        let stock_key = LaunchKey::new("k".into(), 7, stock.name.clone(), stock.arch_fingerprint());
+        let cut_key = LaunchKey::new(
+            "k".into(),
+            7,
+            cut_down.name.clone(),
+            cut_down.arch_fingerprint(),
+        );
+        cache.insert(stock_key.clone(), dummy_stats(10.0), None);
         assert!(
             cache.lookup(&cut_key).is_none(),
             "cut-down device must not see the stock device's entry"
         );
-        cache.insert(cut_key.clone(), dummy_stats(20.0));
+        cache.insert(cut_key.clone(), dummy_stats(20.0), None);
         let stock_hit = cache.lookup(&stock_key).expect("stock entry intact");
         let cut_hit = cache.lookup(&cut_key).expect("cut-down entry present");
         assert_eq!(stock_hit.time_us, 10.0);
@@ -400,8 +458,8 @@ mod tests {
     #[test]
     fn clear_resets_everything() {
         let cache = LaunchCache::with_capacity(1);
-        cache.insert(key(1), dummy_stats(1.0));
-        cache.insert(key(2), dummy_stats(1.0)); // evicts key 1
+        cache.insert(key(1), dummy_stats(1.0), None);
+        cache.insert(key(2), dummy_stats(1.0), None); // evicts key 1
         let _ = cache.lookup(&key(2));
         cache.clear();
         assert!(cache.is_empty());
@@ -416,7 +474,7 @@ mod tests {
     fn ten_thousand_key_sweep_is_capacity_bounded() {
         let cache = LaunchCache::with_capacity(256);
         for fp in 0..10_000 {
-            cache.insert(key(fp), dummy_stats(fp as f64));
+            cache.insert(key(fp), dummy_stats(fp as f64), None);
         }
         assert!(
             cache.len() <= 256,
@@ -435,12 +493,12 @@ mod tests {
     fn eviction_prefers_least_recently_used() {
         let cache = LaunchCache::with_capacity(4);
         for fp in 0..4 {
-            cache.insert(key(fp), dummy_stats(1.0));
+            cache.insert(key(fp), dummy_stats(1.0), None);
         }
         // Touch 0 and 1 so 2 and 3 become the LRU half.
         assert!(cache.lookup(&key(0)).is_some());
         assert!(cache.lookup(&key(1)).is_some());
-        cache.insert(key(4), dummy_stats(1.0));
+        cache.insert(key(4), dummy_stats(1.0), None);
         assert_eq!(cache.evictions(), 2);
         assert!(cache.lookup(&key(0)).is_some(), "recently used survives");
         assert!(cache.lookup(&key(1)).is_some(), "recently used survives");
@@ -452,9 +510,9 @@ mod tests {
     #[test]
     fn reinserting_existing_key_never_evicts() {
         let cache = LaunchCache::with_capacity(2);
-        cache.insert(key(1), dummy_stats(1.0));
-        cache.insert(key(2), dummy_stats(2.0));
-        cache.insert(key(1), dummy_stats(3.0)); // overwrite, table full
+        cache.insert(key(1), dummy_stats(1.0), None);
+        cache.insert(key(2), dummy_stats(2.0), None);
+        cache.insert(key(1), dummy_stats(3.0), None); // overwrite, table full
         assert_eq!(cache.evictions(), 0);
         assert_eq!(cache.len(), 2);
         let got = cache.lookup(&key(1)).expect("overwritten entry");

@@ -26,10 +26,9 @@
 //! | `dedup_blocks_total` / `dedup_blocks_executed` | structural block dedup (ratio = executed/total) |
 //! | `faults_injected` | faults delivered by a [`crate::FaultPlan`] |
 //! | `sanitizer_runs` / `sanitizer_violations` | sanitized launches and findings |
-//! | `static_audits` / `static_checks_proven` | static launch audits and classes proven |
-//! | `sanitizer_checks_skipped` | dynamic check classes disarmed by a static proof |
+//! | `static_audits` / `static_checks_proven` | launches audited by [`crate::Gpu::run`] (every cache miss) and classes proven |
 //! | `sanitizer_skips` | whole sanitize runs skipped on a fingerprint-identical cache hit |
-//! | `dispatch_static_refuted` | launches rejected at dispatch by the static auditor |
+//! | `dispatch_static_refuted` | launches rejected by the static auditor, from every entry point (they all go through [`crate::Gpu::run`]) |
 //! | `dispatch_degraded` / `dispatch_failed_attempts` | degradation-ladder traffic |
 //! | `dispatch_rung_*` | served requests per ladder rung (`sputnik`, `heuristic`, `fallback`, `cpu_reference`) |
 //! | `serve_offered` / `serve_served` / `serve_shed` / `serve_rejected` | front-door outcome totals |

@@ -101,41 +101,6 @@ impl CheckClass {
     }
 }
 
-/// Which dynamic check classes a sanitized launch still has to run. A class
-/// the static auditor proved is switched off; everything else stays on.
-/// Racecheck (the cross-block shadow map) has no static counterpart and is
-/// always live.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ChecksMask {
-    pub bounds: bool,
-    pub alignment: bool,
-    pub shared_capacity: bool,
-    pub barrier: bool,
-}
-
-impl ChecksMask {
-    /// Every dynamic check armed (the pre-audit behavior).
-    pub const ALL: ChecksMask = ChecksMask {
-        bounds: true,
-        alignment: true,
-        shared_capacity: true,
-        barrier: true,
-    };
-
-    /// How many of the four per-block check classes are switched off.
-    pub fn skipped(&self) -> u64 {
-        [
-            self.bounds,
-            self.alignment,
-            self.shared_capacity,
-            self.barrier,
-        ]
-        .iter()
-        .filter(|&&on| !on)
-        .count() as u64
-    }
-}
-
 /// Scope of a shared-memory access for the barrier-epoch hazard check.
 ///
 /// `Warp` marks warp-synchronous staging (e.g. Sputnik's sparse-operand
@@ -188,10 +153,6 @@ pub enum SanitizerViolation {
     /// barrier epoch: the kernel omitted a `bar_sync` between the store
     /// phase and the load phase of a multi-warp block.
     MissingBarrier { epoch: u64 },
-    /// The static auditor refuted a check class from the launch descriptor
-    /// alone (see [`crate::static_check`]): the violation is certain without
-    /// executing a single block.
-    StaticallyRefuted { class: String, detail: String },
 }
 
 impl std::fmt::Display for SanitizerViolation {
@@ -228,9 +189,6 @@ impl std::fmt::Display for SanitizerViolation {
                 f,
                 "missing barrier: block-scope smem load after store in epoch {epoch} with no bar_sync"
             ),
-            SanitizerViolation::StaticallyRefuted { class, detail } => {
-                write!(f, "statically refuted [{class}]: {detail}")
-            }
         }
     }
 }
@@ -313,16 +271,6 @@ impl SanitizerReport {
         }
     }
 
-    /// Fold a static refutation (from [`crate::static_check`]) into the
-    /// report as a hard violation: a statically refuted launch is dirty even
-    /// if the dynamic checks happened to miss the counterexample block.
-    pub fn push_static_refutation(&mut self, class: CheckClass, detail: &str) {
-        self.push_violation(SanitizerViolation::StaticallyRefuted {
-            class: class.name().to_string(),
-            detail: detail.to_string(),
-        });
-    }
-
     fn push_warning(&mut self, w: SanitizerWarning) {
         self.warning_count += 1;
         if self.warnings.len() < MAX_REPORTED {
@@ -387,9 +335,6 @@ pub struct BlockSan {
     /// Whether the block runs more than one warp (barrier/capacity hazards
     /// only exist across warps; single-warp blocks are warp-synchronous).
     multi_warp: bool,
-    /// Which check classes are still armed; classes the static auditor
-    /// proved are off (see [`ChecksMask`]).
-    mask: ChecksMask,
     /// Barrier epoch counter (incremented by `bar_sync`).
     epoch: u64,
     /// A block-scope smem store happened in the current epoch.
@@ -407,16 +352,6 @@ pub struct BlockSan {
 
 impl BlockSan {
     pub fn for_kernel(buffers: &[BufferSpec], smem_bytes: u32, multi_warp: bool) -> Self {
-        Self::with_mask(buffers, smem_bytes, multi_warp, ChecksMask::ALL)
-    }
-
-    /// A per-block sanitizer with statically proven check classes disarmed.
-    pub fn with_mask(
-        buffers: &[BufferSpec],
-        smem_bytes: u32,
-        multi_warp: bool,
-        mask: ChecksMask,
-    ) -> Self {
         let mut footprints: [Option<(&'static str, u64)>; MAX_BUFFERS] = [None; MAX_BUFFERS];
         for b in buffers {
             let slot = b.id.0 as usize;
@@ -428,7 +363,6 @@ impl BlockSan {
             footprints,
             smem_bytes,
             multi_warp,
-            mask,
             epoch: 0,
             store_in_epoch: false,
             epoch_store_bytes: 0,
@@ -455,18 +389,10 @@ impl BlockSan {
         }
     }
 
-    /// Whether the bounds (memcheck) class is still armed. The batched trace
-    /// recorders consult this to restore their sanitizer-free fast path when
-    /// the static auditor proved bounds.
-    #[inline]
-    pub(crate) fn checks_bounds(&self) -> bool {
-        self.mask.bounds
-    }
-
     /// Memcheck: a traced global access of `bytes` at `byte_addr` against
     /// the declared footprint of buffer `slot`.
     pub(crate) fn check_global(&mut self, slot: usize, byte_addr: u64, bytes: u64) {
-        if bytes == 0 || !self.mask.bounds {
+        if bytes == 0 {
             return;
         }
         match self.footprints.get(slot).copied().flatten() {
@@ -492,7 +418,7 @@ impl BlockSan {
         vec_width: u32,
         elem_bytes: u32,
     ) {
-        if vec_width <= 1 || !self.mask.alignment {
+        if vec_width <= 1 {
             return;
         }
         let align = vec_width as u64 * elem_bytes as u64;
@@ -517,12 +443,7 @@ impl BlockSan {
         if scope != SmemScope::Block || !self.multi_warp {
             return;
         }
-        if self.mask.barrier {
-            self.store_in_epoch = true;
-        }
-        if !self.mask.shared_capacity {
-            return;
-        }
+        self.store_in_epoch = true;
         self.epoch_store_bytes += bytes;
         if !self.overflow_reported
             && self.smem_bytes > 0
@@ -542,7 +463,6 @@ impl BlockSan {
     pub(crate) fn note_smem_load(&mut self, scope: SmemScope) {
         if scope == SmemScope::Block
             && self.multi_warp
-            && self.mask.barrier
             && self.store_in_epoch
             && !self.barrier_reported
         {

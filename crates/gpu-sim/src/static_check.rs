@@ -14,12 +14,13 @@
 //! [`audit`] evaluates five check classes ([`CheckClass`]) and returns a
 //! three-valued [`Verdict`] for each:
 //!
-//! * `Proven` — holds for every block; [`Gpu::sanitize`] skips the matching
-//!   dynamic check.
-//! * `Refuted` — the descriptor contains a counterexample; dispatch rejects
-//!   the launch before the simulator ever runs it.
+//! * `Proven` — holds for every block; the matching dynamic check can never
+//!   fire.
+//! * `Refuted` — the descriptor contains a counterexample; [`Gpu::run`]
+//!   rejects the launch with `LaunchError::StaticallyRefuted` before the
+//!   simulator executes a single block, whatever the entry point.
 //! * `NeedsDynamic` — depends on runtime data (gathered indices, barrier
-//!   interleavings); the PR-2 dynamic sanitizer remains the authority.
+//!   interleavings); the dynamic sanitizer remains the authority.
 //!
 //! The kernel's side of the bargain is [`StaticFacts`], a declarative
 //! summary returned by [`Kernel::static_facts`]: sound access-extent bounds
@@ -30,22 +31,22 @@
 //! kernel that declares nothing loses no checking — it only keeps paying
 //! the dynamic price. Soundness of a declaration is the implementor's
 //! burden, exactly like [`Kernel::block_signature`]; the cross-check is that
-//! `static_audit` and `sanitize_all` run both analyses over every
-//! registered kernel and fail CI on any disagreement.
+//! `sanitize_all` runs the all-armed dynamic sanitizer over every registered
+//! kernel that `static_audit` proves, so an unsound `Proven` surfaces as a
+//! sanitizer violation and fails CI.
 //!
 //! The cross-block racecheck has no static counterpart here (disjointness
 //! of output tiles is data-independent for these kernels but lives behind
-//! `SyncUnsafeSlice`, whose shadow map is cheap to keep always-on), so a
-//! sanitized launch always arms it.
+//! `SyncUnsafeSlice`, whose shadow map the sanitizer keeps).
 //!
-//! [`Gpu::sanitize`]: crate::launch::Gpu::sanitize
+//! [`Gpu::run`]: crate::launch::Gpu::run
 //! [`Kernel::static_facts`]: crate::kernel::Kernel::static_facts
 //! [`Kernel::block_signature`]: crate::kernel::Kernel::block_signature
 
 use crate::device::DeviceConfig;
 use crate::kernel::Kernel;
 use crate::occupancy;
-use crate::sanitizer::{CheckClass, ChecksMask, Verdict};
+use crate::sanitizer::{CheckClass, Verdict};
 use serde::{Deserialize, Serialize};
 
 /// CUDA architectural limit on threads per block (not a [`DeviceConfig`]
@@ -198,17 +199,6 @@ impl StaticAudit {
     pub fn count(&self, v: Verdict) -> u64 {
         self.findings.iter().filter(|f| f.verdict == v).count() as u64
     }
-
-    /// The dynamic checks a sanitized launch still needs: proven classes
-    /// are disarmed, refuted and undecided classes stay on.
-    pub fn dynamic_mask(&self) -> ChecksMask {
-        ChecksMask {
-            bounds: self.verdict(CheckClass::Bounds) != Verdict::Proven,
-            alignment: self.verdict(CheckClass::Alignment) != Verdict::Proven,
-            shared_capacity: self.verdict(CheckClass::SharedCapacity) != Verdict::Proven,
-            barrier: self.verdict(CheckClass::BarrierStructure) != Verdict::Proven,
-        }
-    }
 }
 
 impl std::fmt::Display for StaticAudit {
@@ -230,24 +220,58 @@ impl std::fmt::Display for StaticAudit {
 /// Audit one kernel's launch descriptor against a device model. Pure
 /// metadata analysis: no block executes, no output buffer is touched.
 pub fn audit(dev: &DeviceConfig, kernel: &dyn Kernel) -> StaticAudit {
+    StaticAudit {
+        kernel: kernel.name(),
+        findings: findings(dev, kernel, Details::All).into(),
+    }
+}
+
+/// The launch funnel's rejection gate: the number of proven classes and the
+/// first refuted finding, if any. Same verdicts as [`audit`], but only a
+/// refutation's detail is formatted, so auditing a clean launch allocates
+/// nothing beyond the kernel's own declarations.
+pub(crate) fn gate(dev: &DeviceConfig, kernel: &dyn Kernel) -> (u64, Option<StaticFinding>) {
+    let findings = findings(dev, kernel, Details::Refuted);
+    let proven = findings
+        .iter()
+        .filter(|f| f.verdict == Verdict::Proven)
+        .count() as u64;
+    let refuted = findings.into_iter().find(|f| f.verdict == Verdict::Refuted);
+    (proven, refuted)
+}
+
+fn findings(dev: &DeviceConfig, kernel: &dyn Kernel, d: Details) -> [StaticFinding; 5] {
     let facts = kernel.static_facts();
     let buffers = kernel.buffers();
     let req = kernel.block_requirements();
     let multi_warp = req.threads > dev.warp_size;
-    let findings = vec![
-        check_bounds(&facts, &buffers),
-        check_alignment(&facts),
-        check_shared_capacity(dev, &facts, req.smem_bytes, multi_warp),
-        check_grid_occupancy(dev, kernel),
-        check_barrier(&facts, multi_warp),
-    ];
-    StaticAudit {
-        kernel: kernel.name(),
-        findings,
-    }
+    [
+        check_bounds(d, &facts, &buffers),
+        check_alignment(d, &facts),
+        check_shared_capacity(d, dev, &facts, req.smem_bytes, multi_warp),
+        check_grid_occupancy(d, dev, kernel),
+        check_barrier(d, &facts, multi_warp),
+    ]
 }
 
-fn finding(class: CheckClass, verdict: Verdict, detail: String) -> StaticFinding {
+/// Which verdicts get a formatted detail: every one for [`audit`], only a
+/// refutation for [`gate`].
+#[derive(Clone, Copy)]
+enum Details {
+    All,
+    Refuted,
+}
+
+fn finding(
+    d: Details,
+    class: CheckClass,
+    verdict: Verdict,
+    detail: impl FnOnce() -> String,
+) -> StaticFinding {
+    let detail = match (d, verdict) {
+        (Details::All, _) | (_, Verdict::Refuted) => detail(),
+        (Details::Refuted, _) => String::new(),
+    };
     StaticFinding {
         class,
         verdict,
@@ -259,88 +283,81 @@ fn finding(class: CheckClass, verdict: Verdict, detail: String) -> StaticFinding
 /// footprint. The extent comes from the kernel's tile arithmetic, the
 /// footprint from its operand shapes — agreement of two independently
 /// derived numbers is the proof.
-fn check_bounds(facts: &StaticFacts, buffers: &[crate::cache::BufferSpec]) -> StaticFinding {
+fn check_bounds(
+    d: Details,
+    facts: &StaticFacts,
+    buffers: &[crate::cache::BufferSpec],
+) -> StaticFinding {
     let class = CheckClass::Bounds;
     let Some(declared) = facts.bounds.as_ref() else {
-        return finding(
-            class,
-            Verdict::NeedsDynamic,
-            "no declared access bounds".into(),
-        );
+        return finding(d, class, Verdict::NeedsDynamic, || {
+            "no declared access bounds".into()
+        });
     };
     let mut proven = 0usize;
-    let mut dynamic: Option<String> = None;
+    let mut dynamic: Option<(&str, &str)> = None;
     for spec in buffers {
         let bound = declared.iter().find(|b| b.slot == spec.id.0);
         match bound.map(|b| b.bound) {
             Some(AccessBound::Extent(end)) => {
                 if end > spec.footprint_bytes {
-                    return finding(
-                        class,
-                        Verdict::Refuted,
+                    return finding(d, class, Verdict::Refuted, || {
                         format!(
                             "`{}`: access extent {end} B exceeds declared footprint {} B",
                             spec.name, spec.footprint_bytes
-                        ),
-                    );
+                        )
+                    });
                 }
                 proven += 1;
             }
             Some(AccessBound::DataDependent) => {
-                dynamic.get_or_insert_with(|| {
-                    format!("`{}` gathers data-dependent addresses", spec.name)
-                });
+                dynamic.get_or_insert((spec.name, "gathers data-dependent addresses"));
             }
             None => {
-                dynamic.get_or_insert_with(|| format!("`{}` has no declared bound", spec.name));
+                dynamic.get_or_insert((spec.name, "has no declared bound"));
             }
         }
     }
     match dynamic {
-        Some(why) => finding(class, Verdict::NeedsDynamic, why),
-        None => finding(
-            class,
-            Verdict::Proven,
-            format!("{proven} buffer extents within declared footprints"),
-        ),
+        Some((name, why)) => finding(d, class, Verdict::NeedsDynamic, || {
+            format!("`{name}` {why}")
+        }),
+        None => finding(d, class, Verdict::Proven, || {
+            format!("{proven} buffer extents within declared footprints")
+        }),
     }
 }
 
-fn check_alignment(facts: &StaticFacts) -> StaticFinding {
+fn check_alignment(d: Details, facts: &StaticFacts) -> StaticFinding {
     let class = CheckClass::Alignment;
     match &facts.alignment {
-        AlignmentFacts::ScalarOnly => {
-            finding(class, Verdict::Proven, "no vector accesses issued".into())
-        }
+        AlignmentFacts::ScalarOnly => finding(d, class, Verdict::Proven, || {
+            "no vector accesses issued".into()
+        }),
         AlignmentFacts::Residues(sites) => {
             for site in sites {
                 let align = site.vec_width as u64 * site.elem_bytes as u64;
                 if site.vec_width > 1 && site.worst_residue != 0 {
-                    return finding(
-                        class,
-                        Verdict::Refuted,
+                    return finding(d, class, Verdict::Refuted, || {
                         format!(
                             "slot {} vec{} access class {} mod {align} is misaligned",
                             site.slot, site.vec_width, site.worst_residue
-                        ),
-                    );
+                        )
+                    });
                 }
             }
-            finding(
-                class,
-                Verdict::Proven,
-                format!("{} vector-access sites in residue class 0", sites.len()),
-            )
+            finding(d, class, Verdict::Proven, || {
+                format!("{} vector-access sites in residue class 0", sites.len())
+            })
         }
-        AlignmentFacts::DataDependent => finding(
-            class,
-            Verdict::NeedsDynamic,
-            "vector addresses depend on runtime data".into(),
-        ),
+        AlignmentFacts::DataDependent => finding(d, class, Verdict::NeedsDynamic, || {
+            "vector addresses depend on runtime data".into()
+        }),
     }
 }
 
 fn check_shared_capacity(
+    d: Details,
     dev: &DeviceConfig,
     facts: &StaticFacts,
     smem_bytes: u32,
@@ -348,145 +365,117 @@ fn check_shared_capacity(
 ) -> StaticFinding {
     let class = CheckClass::SharedCapacity;
     if smem_bytes > dev.smem_per_block_max {
-        return finding(
-            class,
-            Verdict::Refuted,
+        return finding(d, class, Verdict::Refuted, || {
             format!(
                 "{smem_bytes} B per block exceeds device cap {} B",
                 dev.smem_per_block_max
-            ),
-        );
+            )
+        });
     }
     if !multi_warp {
-        return finding(
-            class,
-            Verdict::Proven,
-            "single-warp block: staging is warp-synchronous".into(),
-        );
+        return finding(d, class, Verdict::Proven, || {
+            "single-warp block: staging is warp-synchronous".into()
+        });
     }
     match facts.stage {
         StageBound::Bytes(staged) => {
             if staged == 0 {
-                finding(class, Verdict::Proven, "no block-scope staging".into())
+                finding(d, class, Verdict::Proven, || {
+                    "no block-scope staging".into()
+                })
             } else if smem_bytes == 0 {
-                finding(
-                    class,
-                    Verdict::Refuted,
-                    format!("{staged} B staged per epoch with no declared shared memory"),
-                )
+                finding(d, class, Verdict::Refuted, || {
+                    format!("{staged} B staged per epoch with no declared shared memory")
+                })
             } else if staged > smem_bytes as u64 {
-                finding(
-                    class,
-                    Verdict::Refuted,
-                    format!("{staged} B staged per epoch exceeds declared {smem_bytes} B"),
-                )
+                finding(d, class, Verdict::Refuted, || {
+                    format!("{staged} B staged per epoch exceeds declared {smem_bytes} B")
+                })
             } else {
-                finding(
-                    class,
-                    Verdict::Proven,
-                    format!("<= {staged} B staged per epoch within declared {smem_bytes} B"),
-                )
+                finding(d, class, Verdict::Proven, || {
+                    format!("<= {staged} B staged per epoch within declared {smem_bytes} B")
+                })
             }
         }
-        StageBound::Unknown => finding(
-            class,
-            Verdict::NeedsDynamic,
-            "per-epoch staging bound undeclared".into(),
-        ),
+        StageBound::Unknown => finding(d, class, Verdict::NeedsDynamic, || {
+            "per-epoch staging bound undeclared".into()
+        }),
     }
 }
 
 /// Grid/occupancy needs no kernel declaration: it is fully decided by the
 /// launch descriptor and the device model.
-fn check_grid_occupancy(dev: &DeviceConfig, kernel: &dyn Kernel) -> StaticFinding {
+fn check_grid_occupancy(d: Details, dev: &DeviceConfig, kernel: &dyn Kernel) -> StaticFinding {
     let class = CheckClass::GridOccupancy;
     let grid = kernel.grid();
     let block = kernel.block_dim();
     let req = kernel.block_requirements();
     if req.threads == 0 {
-        return finding(class, Verdict::Refuted, "zero threads per block".into());
+        return finding(d, class, Verdict::Refuted, || {
+            "zero threads per block".into()
+        });
     }
     if req.threads > MAX_THREADS_PER_BLOCK {
-        return finding(
-            class,
-            Verdict::Refuted,
+        return finding(d, class, Verdict::Refuted, || {
             format!(
                 "{} threads per block exceeds the {MAX_THREADS_PER_BLOCK}-thread limit",
                 req.threads
-            ),
-        );
+            )
+        });
     }
     if block.x > MAX_BLOCK_DIM.0 || block.y > MAX_BLOCK_DIM.1 || block.z > MAX_BLOCK_DIM.2 {
-        return finding(
-            class,
-            Verdict::Refuted,
+        return finding(d, class, Verdict::Refuted, || {
             format!(
                 "block dim ({}, {}, {}) exceeds hardware limits",
                 block.x, block.y, block.z
-            ),
-        );
+            )
+        });
     }
     if grid.x > MAX_GRID_DIM.0 || grid.y > MAX_GRID_DIM.1 || grid.z > MAX_GRID_DIM.2 {
-        return finding(
-            class,
-            Verdict::Refuted,
+        return finding(d, class, Verdict::Refuted, || {
             format!(
                 "grid dim ({}, {}, {}) exceeds hardware limits",
                 grid.x, grid.y, grid.z
-            ),
-        );
+            )
+        });
     }
     let occ = occupancy::occupancy(dev, &req);
     if occ.blocks_per_sm == 0 {
-        return finding(
-            class,
-            Verdict::Refuted,
+        return finding(d, class, Verdict::Refuted, || {
             format!(
                 "zero occupancy: no block fits on an SM (limited by {:?})",
                 occ.limited_by
-            ),
-        );
+            )
+        });
     }
-    finding(
-        class,
-        Verdict::Proven,
+    finding(d, class, Verdict::Proven, || {
         format!(
             "{} blocks/SM ({} warps), dims within limits",
             occ.blocks_per_sm, occ.warps_per_sm
-        ),
-    )
+        )
+    })
 }
 
-fn check_barrier(facts: &StaticFacts, multi_warp: bool) -> StaticFinding {
+fn check_barrier(d: Details, facts: &StaticFacts, multi_warp: bool) -> StaticFinding {
     let class = CheckClass::BarrierStructure;
     if !multi_warp {
-        return finding(
-            class,
-            Verdict::Proven,
-            "single-warp block: no cross-warp hazards".into(),
-        );
+        return finding(d, class, Verdict::Proven, || {
+            "single-warp block: no cross-warp hazards".into()
+        });
     }
     match facts.barrier {
-        BarrierFacts::WarpSynchronous => finding(
-            class,
-            Verdict::Proven,
-            "all staging is warp-synchronous".into(),
-        ),
-        BarrierFacts::BarrierSeparated => finding(
-            class,
-            Verdict::NeedsDynamic,
-            "barrier-separated phases: interleaving checked dynamically".into(),
-        ),
-        BarrierFacts::NoBarrier => finding(
-            class,
-            Verdict::Refuted,
-            "block-scope staging with no bar_sync in a multi-warp block".into(),
-        ),
-        BarrierFacts::Unknown => finding(
-            class,
-            Verdict::NeedsDynamic,
-            "barrier discipline undeclared".into(),
-        ),
+        BarrierFacts::WarpSynchronous => finding(d, class, Verdict::Proven, || {
+            "all staging is warp-synchronous".into()
+        }),
+        BarrierFacts::BarrierSeparated => finding(d, class, Verdict::NeedsDynamic, || {
+            "barrier-separated phases: interleaving checked dynamically".into()
+        }),
+        BarrierFacts::NoBarrier => finding(d, class, Verdict::Refuted, || {
+            "block-scope staging with no bar_sync in a multi-warp block".into()
+        }),
+        BarrierFacts::Unknown => finding(d, class, Verdict::NeedsDynamic, || {
+            "barrier discipline undeclared".into()
+        }),
     }
 }
 
@@ -563,9 +552,6 @@ mod tests {
         let audit = audit(&dev(), &Probe::clean());
         assert_eq!(audit.proven(), 5, "{audit}");
         assert!(audit.refutation().is_none());
-        let mask = audit.dynamic_mask();
-        assert!(!mask.bounds && !mask.alignment && !mask.shared_capacity && !mask.barrier);
-        assert_eq!(mask.skipped(), 4);
     }
 
     #[test]
@@ -582,7 +568,6 @@ mod tests {
         ] {
             assert_eq!(audit.verdict(class), Verdict::NeedsDynamic, "{class:?}");
         }
-        assert_eq!(audit.dynamic_mask(), ChecksMask::ALL);
     }
 
     #[test]
@@ -594,8 +579,6 @@ mod tests {
         }]);
         let audit = audit(&dev(), &probe);
         assert_eq!(audit.verdict(CheckClass::Bounds), Verdict::Refuted);
-        // Refuted classes stay dynamically armed: defense in depth.
-        assert!(audit.dynamic_mask().bounds);
     }
 
     #[test]

@@ -3,11 +3,28 @@
 //! that violation — and that well-behaved kernels come back clean.
 
 use gpu_sim::{
-    AccessPattern, BlockContext, BufferId, BufferSpec, Dim3, Gpu, Kernel, LaunchSummary,
-    SanitizerViolation, SanitizerWarning, SmemScope, SyncUnsafeSlice,
+    AccessPattern, BlockContext, BufferId, BufferSpec, CheckLevel, Dim3, Gpu, Kernel, LaunchCache,
+    LaunchRequest, LaunchStats, LaunchSummary, SanitizerReport, SanitizerViolation,
+    SanitizerWarning, SmemScope, SyncUnsafeSlice,
 };
 
 const BUF: BufferId = BufferId(0);
+
+/// A sanitized functional launch memoized in `cache` under `fingerprint`:
+/// the stats, the report, and whether the cache served them.
+fn sanitize_cached(
+    gpu: &Gpu,
+    cache: &LaunchCache,
+    fingerprint: u64,
+    kernel: &dyn Kernel,
+) -> (LaunchStats, SanitizerReport, bool) {
+    let req = LaunchRequest::functional(kernel)
+        .cached((cache, fingerprint))
+        .check(CheckLevel::Sanitize);
+    let launched = gpu.run(&req).unwrap_or_else(|e| panic!("{e}"));
+    let report = launched.report.unwrap_or_default();
+    (launched.stats, report, launched.hit)
+}
 
 fn buffer(footprint_bytes: u64) -> Vec<BufferSpec> {
     vec![BufferSpec {
@@ -395,7 +412,7 @@ fn launch_summary_accumulates_sanitizer_counts() {
 #[test]
 fn sanitize_cached_skips_resanitizing_identical_fingerprints() {
     let gpu = Gpu::v100();
-    let cache = gpu_sim::LaunchCache::new();
+    let cache = LaunchCache::new();
     let fingerprint = 0xF00D;
 
     let mut a = vec![0.0f32; 256];
@@ -403,7 +420,7 @@ fn sanitize_cached_skips_resanitizing_identical_fingerprints() {
         let kernel = CleanKernel {
             out: SyncUnsafeSlice::new(&mut a),
         };
-        gpu.sanitize_cached(&cache, fingerprint, &kernel).unwrap()
+        sanitize_cached(&gpu, &cache, fingerprint, &kernel)
     };
     assert!(!hit, "first sight of the fingerprint cannot be a cache hit");
     assert_eq!(a[65], 1.0);
@@ -417,7 +434,7 @@ fn sanitize_cached_skips_resanitizing_identical_fingerprints() {
         let kernel = CleanKernel {
             out: SyncUnsafeSlice::new(&mut b),
         };
-        gpu.sanitize_cached(&cache, fingerprint, &kernel).unwrap()
+        sanitize_cached(&gpu, &cache, fingerprint, &kernel)
     };
     assert!(
         hit,
@@ -440,21 +457,21 @@ fn sanitize_cached_skips_resanitizing_identical_fingerprints() {
 #[test]
 fn sanitize_cached_distinguishes_fingerprints() {
     let gpu = Gpu::v100();
-    let cache = gpu_sim::LaunchCache::new();
+    let cache = LaunchCache::new();
 
     let mut a = vec![0.0f32; 256];
     let kernel = CleanKernel {
         out: SyncUnsafeSlice::new(&mut a),
     };
-    let (_, _, hit) = gpu.sanitize_cached(&cache, 1, &kernel).unwrap();
+    let (_, _, hit) = sanitize_cached(&gpu, &cache, 1, &kernel);
     assert!(!hit);
     // A different operand fingerprint is a different launch: no false hit.
-    let (_, _, hit) = gpu.sanitize_cached(&cache, 2, &kernel).unwrap();
+    let (_, _, hit) = sanitize_cached(&gpu, &cache, 2, &kernel);
     assert!(
         !hit,
         "distinct fingerprints must not share sanitize entries"
     );
-    let (_, _, hit) = gpu.sanitize_cached(&cache, 1, &kernel).unwrap();
+    let (_, _, hit) = sanitize_cached(&gpu, &cache, 1, &kernel);
     assert!(hit);
 }
 
@@ -465,13 +482,13 @@ fn sanitize_cached_replays_violations_from_the_cache() {
     // (GlobalOobKernel violates through its cost trace, so the hit's
     // functional replay is safe to run.)
     let gpu = Gpu::v100();
-    let cache = gpu_sim::LaunchCache::new();
+    let cache = LaunchCache::new();
 
-    let (_, cold_report, hit) = gpu.sanitize_cached(&cache, 9, &GlobalOobKernel).unwrap();
+    let (_, cold_report, hit) = sanitize_cached(&gpu, &cache, 9, &GlobalOobKernel);
     assert!(!hit);
     assert_eq!(cold_report.violation_count, 1);
 
-    let (_, report, hit) = gpu.sanitize_cached(&cache, 9, &GlobalOobKernel).unwrap();
+    let (_, report, hit) = sanitize_cached(&gpu, &cache, 9, &GlobalOobKernel);
     assert!(hit);
     assert_eq!(report.violation_count, 1);
     assert_eq!(report.violations, cold_report.violations);

@@ -38,6 +38,16 @@ impl RowSwizzle {
         Self { order }
     }
 
+    /// The ordering a kernel configuration asks for: [`Self::by_length_desc`]
+    /// when its `row_swizzle` flag is set, [`Self::identity`] otherwise.
+    pub fn for_config<T: Scalar>(m: &CsrMatrix<T>, row_swizzle: bool) -> Self {
+        if row_swizzle {
+            Self::by_length_desc(m)
+        } else {
+            Self::identity(m.rows())
+        }
+    }
+
     /// The row processed by the `i`-th scheduled unit of work.
     #[inline]
     pub fn row(&self, i: usize) -> usize {

@@ -1,0 +1,241 @@
+//! Every public launch entry point goes through `Gpu::run`, so every one of
+//! them rejects a statically refuted launch before a block runs.
+//!
+//! The probe kernel **panics in `execute_block`** unless it is the clean
+//! variant, so a test that reaches a block fails with the probe's own
+//! message. Fallible entry points must return
+//! `LaunchError::StaticallyRefuted`; panicking wrappers must panic with the
+//! refutation, never with the probe's message.
+
+use gpu_sim::{
+    AccessBound, AccessPattern, AlignmentFacts, BarrierFacts, BlockContext, BufferBound, BufferId,
+    BufferSpec, CheckClass, CheckLevel, Dim3, Fleet, Gpu, Kernel, LaunchCache, LaunchError,
+    LaunchRequest, Mode, StageBound, StaticFacts, Stream, VectorClass,
+};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+
+const FOOTPRINT: u64 = 4096;
+const PROBE_PANIC: &str = "refuted probe reached execute_block";
+
+/// A probe whose block body must never run unless `executable`.
+#[derive(Clone)]
+struct Refutable {
+    block: Dim3,
+    facts: StaticFacts,
+    executable: bool,
+}
+
+impl Refutable {
+    /// Statically clean on every class; its blocks may run.
+    fn clean() -> Self {
+        Refutable {
+            block: Dim3::x(64),
+            facts: StaticFacts {
+                bounds: Some(vec![BufferBound {
+                    slot: 0,
+                    bound: AccessBound::Extent(FOOTPRINT),
+                }]),
+                alignment: AlignmentFacts::ScalarOnly,
+                barrier: BarrierFacts::WarpSynchronous,
+                stage: StageBound::Bytes(0),
+            },
+            executable: true,
+        }
+    }
+
+    /// One probe per check class, each refuted on exactly that class.
+    fn refuted() -> Vec<(CheckClass, Refutable)> {
+        let bad = || Refutable {
+            executable: false,
+            ..Refutable::clean()
+        };
+        let mut bounds = bad();
+        bounds.facts.bounds = Some(vec![BufferBound {
+            slot: 0,
+            bound: AccessBound::Extent(FOOTPRINT + 4),
+        }]);
+        let mut alignment = bad();
+        alignment.facts.alignment = AlignmentFacts::Residues(vec![VectorClass {
+            slot: 0,
+            vec_width: 4,
+            elem_bytes: 4,
+            worst_residue: 8,
+        }]);
+        let mut stage = bad();
+        stage.facts.stage = StageBound::Bytes(1024 + 64);
+        let mut grid = bad();
+        grid.block = Dim3::x(2048);
+        let mut barrier = bad();
+        barrier.facts.barrier = BarrierFacts::NoBarrier;
+        vec![
+            (CheckClass::Bounds, bounds),
+            (CheckClass::Alignment, alignment),
+            (CheckClass::SharedCapacity, stage),
+            (CheckClass::GridOccupancy, grid),
+            (CheckClass::BarrierStructure, barrier),
+        ]
+    }
+}
+
+impl Kernel for Refutable {
+    fn name(&self) -> String {
+        "refutable_probe".into()
+    }
+    fn grid(&self) -> Dim3 {
+        Dim3::x(4)
+    }
+    fn block_dim(&self) -> Dim3 {
+        self.block
+    }
+    fn shared_mem_bytes(&self) -> u32 {
+        1024
+    }
+    fn buffers(&self) -> Vec<BufferSpec> {
+        vec![BufferSpec {
+            id: BufferId(0),
+            name: "buf",
+            footprint_bytes: FOOTPRINT,
+            pattern: AccessPattern::Streaming,
+        }]
+    }
+    fn execute_block(&self, _block: Dim3, ctx: &mut BlockContext) {
+        assert!(self.executable, "{PROBE_PANIC}");
+        ctx.ld_global(BufferId(0), 0, 32, 1, 4);
+    }
+    fn static_facts(&self) -> StaticFacts {
+        self.facts.clone()
+    }
+}
+
+/// Every request shape the funnel accepts: mode x cached x check level.
+fn requests<'r>(kernel: &'r dyn Kernel, cache: &'r LaunchCache) -> Vec<LaunchRequest<'r>> {
+    let mut out = Vec::new();
+    for mode in [Mode::Functional, Mode::Profile] {
+        for cached in [None, Some((cache, 7))] {
+            for level in [CheckLevel::Audit, CheckLevel::Sanitize] {
+                out.push(LaunchRequest::new(mode, kernel).cached(cached).check(level));
+            }
+        }
+    }
+    out
+}
+
+fn assert_refuted<T: std::fmt::Debug>(
+    result: Result<T, LaunchError>,
+    expected: CheckClass,
+    what: &str,
+) {
+    match result {
+        Err(LaunchError::StaticallyRefuted { kernel, class, .. }) => {
+            assert_eq!(kernel, "refutable_probe", "{what}");
+            assert_eq!(class, expected, "{what}: wrong class");
+        }
+        other => panic!("{what}: expected StaticallyRefuted, got {other:?}"),
+    }
+}
+
+/// Run a panicking entry point and return its panic message.
+fn panic_message(f: impl FnOnce()) -> String {
+    let Err(payload) = catch_unwind(AssertUnwindSafe(f)) else {
+        panic!("a refuted launch must panic");
+    };
+    payload
+        .downcast_ref::<String>()
+        .cloned()
+        .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
+        .unwrap_or_default()
+}
+
+fn assert_refutation_panic(what: &str, f: impl FnOnce()) {
+    let msg = panic_message(f);
+    assert!(
+        msg.contains("statically refuted"),
+        "{what}: panicked without the refutation: {msg}"
+    );
+    assert!(!msg.contains(PROBE_PANIC), "{what}: a block ran: {msg}");
+}
+
+#[test]
+fn run_refutes_in_every_mode_cache_and_check_level() {
+    let gpu = Gpu::v100();
+    let cache = LaunchCache::new();
+    for (class, probe) in Refutable::refuted() {
+        for (i, req) in requests(&probe, &cache).iter().enumerate() {
+            let before = gpu_sim::metrics::global().get("dispatch_static_refuted");
+            assert_refuted(gpu.run(req), class, &format!("{class:?} request #{i}"));
+            assert!(gpu_sim::metrics::global().get("dispatch_static_refuted") > before);
+        }
+    }
+    assert!(cache.is_empty(), "a refuted launch must never be cached");
+}
+
+#[test]
+fn gpu_wrappers_refute() {
+    let gpu = Gpu::v100();
+    for (class, probe) in Refutable::refuted() {
+        assert_refuted(gpu.sanitize(&probe), class, "Gpu::sanitize");
+        assert_refutation_panic("Gpu::launch", || {
+            gpu.launch(&probe);
+        });
+        assert_refutation_panic("Gpu::profile", || {
+            gpu.profile(&probe);
+        });
+    }
+}
+
+#[test]
+fn stream_and_fleet_refute() {
+    let gpu = Gpu::v100();
+    let cache = LaunchCache::new();
+    for (class, probe) in Refutable::refuted() {
+        assert_refutation_panic("Stream::launch", || {
+            Stream::new(&gpu).launch(&probe);
+        });
+        assert_refutation_panic("Stream::launch_cached", || {
+            Stream::with_cache(&gpu, &cache).launch_cached(7, &probe);
+        });
+        assert_refutation_panic("Stream::profile", || {
+            Stream::new(&gpu).profile(&probe);
+        });
+        assert_refuted(Fleet::v100(2).launch(1, &probe), class, "Fleet::launch");
+    }
+    assert!(cache.is_empty());
+}
+
+#[test]
+fn clean_probe_launches_through_every_entry_point() {
+    let gpu = Gpu::v100();
+    let cache = LaunchCache::new();
+    let probe = Refutable::clean();
+    for req in requests(&probe, &cache) {
+        assert_eq!(gpu.run(&req).expect("clean launch").stats.blocks, 4);
+    }
+    assert_eq!(gpu.launch(&probe).blocks, 4);
+    assert_eq!(gpu.profile(&probe).blocks, 4);
+    let (_, report) = gpu.sanitize(&probe).expect("clean sanitize");
+    assert!(report.clean(), "{report}");
+    let mut stream = Stream::with_cache(&gpu, &cache);
+    stream.launch(&probe);
+    stream.launch_cached(7, &probe);
+    stream.profile(&probe);
+    assert_eq!(stream.launches().len(), 3);
+    assert_eq!(stream.cache_hits(), 1, "the funnel already cached key 7");
+    assert_eq!(Fleet::v100(2).launch(1, &probe).expect("fleet").blocks, 4);
+}
+
+#[test]
+fn profile_hit_never_builds_the_kernel() {
+    let gpu = Gpu::v100();
+    let cache = LaunchCache::new();
+    let probe = Refutable::clean();
+    let build = |go: &mut dyn FnMut(&dyn Kernel)| go(&probe);
+    let req = LaunchRequest::profile_lazy(probe.name(), &build).cached((&cache, 11));
+    let cold = gpu.run(&req).expect("cold launch");
+    assert!(!cold.hit);
+
+    let unbuildable = |_: &mut dyn FnMut(&dyn Kernel)| panic!("a cache hit built the kernel");
+    let req = LaunchRequest::profile_lazy(probe.name(), &unbuildable).cached((&cache, 11));
+    let warm = gpu.run(&req).expect("warm launch");
+    assert!(warm.hit);
+    assert_eq!(warm.stats, cold.stats);
+}

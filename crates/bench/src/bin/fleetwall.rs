@@ -50,7 +50,8 @@ use serve::{
     attention_topologies, generate, run_fleet, ArrivalProcess, Request, ServePolicy, TrafficConfig,
 };
 use sputnik::spmm_row_sharded;
-use sputnik_bench::{gate, has_flag, Table};
+use sputnik_bench::gate::{BenchRecord, Gate};
+use sputnik_bench::{has_flag, Table};
 
 const DEVICES: [usize; 4] = [1, 2, 4, 8];
 const SEED: u64 = 0xF1EE7;
@@ -58,13 +59,6 @@ const SEED: u64 = 0xF1EE7;
 fn sweep(problem: &FleetProblem, strategy: ShardStrategy) -> Vec<ScalingPoint> {
     scaling_sweep(problem, strategy, &DEVICES)
         .unwrap_or_else(|e| panic!("{} {} sweep failed: {e}", problem.name, strategy.label()))
-}
-
-fn point(points: &[ScalingPoint], devices: usize) -> &ScalingPoint {
-    points
-        .iter()
-        .find(|p| p.devices == devices)
-        .unwrap_or_else(|| panic!("no sweep point for {devices} devices"))
 }
 
 fn tabulate(table: &mut Table, problem: &str, strategy: ShardStrategy, points: &[ScalingPoint]) {
@@ -81,21 +75,6 @@ fn tabulate(table: &mut Table, problem: &str, strategy: ShardStrategy, points: &
             format!("{}", u64::from(p.bit_identical)),
             format!("{}", p.cache_hits),
         ]);
-    }
-}
-
-/// Flat JSON lines for one sweep: `<prefix>_{eff,makespan_us,mb,transfers,identical}_d<D>`.
-fn emit_points(json: &mut String, prefix: &str, points: &[ScalingPoint]) {
-    for p in points {
-        json.push_str(&format!(
-            "  \"{prefix}_eff_d{d}\": {:.6},\n  \"{prefix}_makespan_us_d{d}\": {:.3},\n  \"{prefix}_transfer_bytes_d{d}\": {},\n  \"{prefix}_transfers_d{d}\": {},\n  \"{prefix}_identical_d{d}\": {},\n",
-            p.efficiency,
-            p.makespan_us,
-            p.transfer_bytes,
-            p.transfers,
-            u64::from(p.bit_identical),
-            d = p.devices,
-        ));
     }
 }
 
@@ -194,77 +173,55 @@ fn main() {
         check.events, check.tracks, check.launches, check.counters
     );
 
-    // Hand-rolled flat JSON: the vendored serde stub cannot serialize.
-    let mut json = String::from("{\n  \"bench\": \"fleetwall\",\n");
-    json.push_str(&format!(
-        "  \"seq\": {seq},\n  \"d_head\": {d_head},\n  \"band\": {band},\n  \"tf_nnz\": {},\n  \"mb_nnz\": {},\n",
-        tf.a.nnz(),
-        mb.a.nnz()
-    ));
-    emit_points(&mut json, "tf_row", &tf_row);
-    emit_points(&mut json, "tf_ksplit", &tf_ks);
-    emit_points(&mut json, "mb_row", &mb_row);
-    json.push_str(&format!("  \"identical_all\": {identical_all},\n"));
-    json.push_str(&format!(
-        "  \"serve_p99_us_1dev\": {:.3},\n  \"serve_p99_us_2dev\": {:.3},\n  \"serve_p99_ratio\": {:.6},\n",
-        one.latency.p99(),
-        two.latency.p99(),
-        serve_ratio
-    ));
-    json.push_str(&format!(
-        "  \"trace_events\": {},\n  \"trace_tracks\": {},\n  \"trace_counters\": {},\n  \"trace_ok\": {trace_ok}\n}}\n",
-        check.events, check.tracks, check.counters
-    ));
-    let out = "BENCH_fleetwall.json";
-    match std::fs::write(out, &json) {
-        Ok(()) => eprintln!("[results written to {out}]"),
-        Err(e) => eprintln!("[failed to write {out}: {e}]"),
-    }
-
-    let baseline_arg = std::env::args().skip_while(|a| a != "--check").nth(1);
-    if let Some(baseline_path) = baseline_arg {
-        let eff4 = point(&tf_row, 4).efficiency;
-        let result = gate::read_baseline(&baseline_path).and_then(|base| {
-            // The headline target: row sharding the big transformer
-            // workload must stay >= 70% efficient on 4 devices — an
-            // absolute floor, then a 5%-slack comparison against the
-            // committed curve to catch slow drift below it.
-            gate::require_not_below("tf_row_eff_d4", 0.70, eff4, 1.0)?;
-            gate::require_not_below(
-                "tf_row_eff_d4",
-                gate::metric_f64(&base, "tf_row_eff_d4", &baseline_path)?,
-                eff4,
-                0.95,
-            )?;
-            // Bit identity is binary: every point of every sweep, warm and
-            // cold, matches the single-GPU kernel exactly.
-            gate::require_exact("identical_all", 1, identical_all)?;
+    let mut rec = BenchRecord::new("fleetwall");
+    rec.int("seq", seq as u64)
+        .int("d_head", d_head as u64)
+        .int("band", band as u64)
+        .int("tf_nnz", tf.a.nnz() as u64)
+        .int("mb_nnz", mb.a.nnz() as u64);
+    for (prefix, points) in [
+        ("tf_row", &tf_row),
+        ("tf_ksplit", &tf_ks),
+        ("mb_row", &mb_row),
+    ] {
+        for p in points {
+            let d = p.devices;
+            rec.float(format!("{prefix}_eff_d{d}"), p.efficiency, 6)
+                .float(format!("{prefix}_makespan_us_d{d}"), p.makespan_us, 3)
+                .int(format!("{prefix}_transfer_bytes_d{d}"), p.transfer_bytes)
+                .int(format!("{prefix}_transfers_d{d}"), p.transfers)
+                .int(
+                    format!("{prefix}_identical_d{d}"),
+                    u64::from(p.bit_identical),
+                );
             // Multi-device runs must actually cross the interconnect.
-            for (prefix, points) in [
-                ("tf_row", &tf_row),
-                ("tf_ksplit", &tf_ks),
-                ("mb_row", &mb_row),
-            ] {
-                for p in points.iter().filter(|p| p.devices > 1) {
-                    let name = format!("{prefix}_transfers_d{}", p.devices);
-                    gate::require_nonzero(&name, p.transfers)?;
-                    let name = format!("{prefix}_transfer_bytes_d{}", p.devices);
-                    gate::require_nonzero(&name, p.transfer_bytes)?;
-                }
-            }
-            // Two devices never serve a worse tail than one at fixed load.
-            gate::require_not_above("serve_p99_ratio", 1.0, serve_ratio, 1.0)?;
-            // The exported fleet trace stays valid and populated.
-            gate::require_exact("trace_ok", 1, trace_ok)?;
-            gate::require_nonzero("trace_events", check.events as u64)?;
-            Ok(())
-        });
-        match result {
-            Ok(()) => println!("[--check passed vs {baseline_path}]"),
-            Err(e) => {
-                eprintln!("[--check FAILED: {e}]");
-                std::process::exit(1);
+            if d > 1 {
+                rec.gate(format!("{prefix}_transfers_d{d}"), Gate::Nonzero)
+                    .gate(format!("{prefix}_transfer_bytes_d{d}"), Gate::Nonzero);
             }
         }
     }
+    rec.int("identical_all", identical_all)
+        .float("serve_p99_us_1dev", one.latency.p99(), 3)
+        .float("serve_p99_us_2dev", two.latency.p99(), 3)
+        .float("serve_p99_ratio", serve_ratio, 6)
+        .int("trace_events", check.events as u64)
+        .int("trace_tracks", check.tracks as u64)
+        .int("trace_counters", check.counters as u64)
+        .int("trace_ok", trace_ok)
+        // The headline target: row sharding the big transformer workload
+        // must stay >= 70% efficient on 4 devices — an absolute floor, then
+        // a 5%-slack comparison against the committed curve to catch slow
+        // drift below it.
+        .gate("tf_row_eff_d4", Gate::AtLeast(0.70))
+        .gate("tf_row_eff_d4", Gate::AtLeastBaseline(0.95))
+        // Bit identity is binary: every point of every sweep, warm and
+        // cold, matches the single-GPU kernel exactly.
+        .gate("identical_all", Gate::Exact(1))
+        // Two devices never serve a worse tail than one at fixed load.
+        .gate("serve_p99_ratio", Gate::AtMost(1.0))
+        // The exported fleet trace stays valid and populated.
+        .gate("trace_ok", Gate::Exact(1))
+        .gate("trace_events", Gate::Nonzero)
+        .finish();
 }

@@ -28,7 +28,8 @@
 use gpu_sim::{Gpu, LaunchCache};
 use sparse::{gen, BsrMatrix, EllMatrix, Matrix};
 use sputnik::{SddmmConfig, SpmmConfig};
-use sputnik_bench::{gate, has_flag, Table};
+use sputnik_bench::gate::{BenchRecord, Gate};
+use sputnik_bench::{grid_label, has_flag, Table};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
@@ -263,12 +264,11 @@ fn breakdown(gpu: &Gpu, problems: &[Problem], reps: u32) {
 }
 
 fn main() {
-    let reps: u32 = if has_flag("--full") {
-        8
-    } else if has_flag("--quick") {
-        2
-    } else {
-        4
+    let grid = grid_label();
+    let reps: u32 = match grid {
+        "full" => 8,
+        "quick" => 2,
+        _ => 4,
     };
     let problems = build_problems();
     let gpu = Gpu::v100();
@@ -342,60 +342,31 @@ fn main() {
          ({miss_per_checkout:.6} misses/checkout)"
     );
 
-    let grid = if has_flag("--full") {
-        "full"
-    } else if has_flag("--quick") {
-        "quick"
-    } else {
-        "default"
-    };
-    // Hand-rolled flat JSON: the vendored serde stub cannot serialize.
-    let json = format!(
-        "{{\n  \"bench\": \"funcwall\",\n  \"grid\": \"{grid}\",\n  \"reps\": {reps},\n  \"launches\": {launches},\n  \"cold_ms\": {cold_ms:.3},\n  \"functional_gflops\": {gflops:.3},\n  \"allocs_per_launch\": {allocs_per_launch:.3},\n  \"replay_ms\": {replay_ms:.3},\n  \"replay_launches\": {replay_launches},\n  \"replay_allocs_per_launch\": {replay_allocs_per_launch:.4},\n  \"arena_checkouts\": {checkouts},\n  \"arena_pool_misses\": {pool_misses},\n  \"arena_miss_per_checkout\": {miss_per_checkout:.6}\n}}\n",
-    );
-    let out = "BENCH_funcwall.json";
-    match std::fs::write(out, &json) {
-        Ok(()) => eprintln!("[results written to {out}]"),
-        Err(e) => eprintln!("[failed to write {out}: {e}]"),
-    }
-
-    // CI gate on the machine-independent metrics.
-    let baseline_arg = std::env::args().skip_while(|a| a != "--check").nth(1);
-    if let Some(baseline_path) = baseline_arg {
-        let result = gate::read_baseline(&baseline_path).and_then(|base| {
-            // Cold-path allocations per launch: kernel construction and
-            // output buffers are expected; a jump means staging buffers
-            // started round-tripping the heap again. 25% headroom for
-            // allocator/runtime noise.
-            gate::require_not_above(
-                "allocs_per_launch",
-                gate::metric_f64(&base, "allocs_per_launch", &baseline_path)?,
-                allocs_per_launch,
-                1.25,
-            )?;
-            // The warm replay path must stay allocation-free per launch
-            // (the committed baseline is 0; any headroom would defeat it).
-            gate::require_not_above(
-                "replay_allocs_per_launch",
-                gate::metric_f64(&base, "replay_allocs_per_launch", &baseline_path)?,
-                replay_allocs_per_launch,
-                1.0,
-            )?;
-            // The arena must keep serving checkouts from the pool.
-            gate::require_not_above(
-                "arena_miss_per_checkout",
-                gate::metric_f64(&base, "arena_miss_per_checkout", &baseline_path)?.max(0.000_05),
-                miss_per_checkout,
-                2.0,
-            )?;
-            Ok(())
-        });
-        match result {
-            Ok(()) => println!("[--check passed vs {baseline_path}]"),
-            Err(e) => {
-                eprintln!("[--check FAILED: {e}]");
-                std::process::exit(1);
-            }
-        }
-    }
+    BenchRecord::new("funcwall")
+        .text("grid", grid)
+        .int("reps", u64::from(reps))
+        .int("launches", launches)
+        .float("cold_ms", cold_ms, 3)
+        .float("functional_gflops", gflops, 3)
+        .float("allocs_per_launch", allocs_per_launch, 3)
+        .float("replay_ms", replay_ms, 3)
+        .int("replay_launches", replay_launches)
+        .float("replay_allocs_per_launch", replay_allocs_per_launch, 4)
+        .int("arena_checkouts", checkouts)
+        .int("arena_pool_misses", pool_misses)
+        .float("arena_miss_per_checkout", miss_per_checkout, 6)
+        // Cold-path allocations per launch: kernel construction and output
+        // buffers are expected; a jump means staging buffers started
+        // round-tripping the heap again. 25% headroom for allocator/runtime
+        // noise.
+        .gate("allocs_per_launch", Gate::AtMostBaseline(1.25, 0.0))
+        // The warm replay path must not allocate more per launch than the
+        // committed baseline; any headroom would let it creep.
+        .gate("replay_allocs_per_launch", Gate::AtMostBaseline(1.0, 0.0))
+        // The arena must keep serving checkouts from the pool.
+        .gate(
+            "arena_miss_per_checkout",
+            Gate::AtMostBaseline(2.0, 0.000_05),
+        )
+        .finish();
 }

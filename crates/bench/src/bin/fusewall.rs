@@ -38,7 +38,8 @@ use sputnik::{
     attention_configs, sparse_attention_fused, sparse_attention_fused_profile,
     sparse_attention_unfused,
 };
-use sputnik_bench::{gate, has_flag, Table};
+use sputnik_bench::gate::{BenchRecord, Gate};
+use sputnik_bench::{has_flag, Table};
 
 const SEED: u64 = 0xF05E;
 const BAND: usize = 128;
@@ -168,73 +169,39 @@ fn main() {
     let bit_identical_all = u64::from(points.iter().all(|p| p.bit_identical));
     let all_fused = u64::from(points.iter().all(|p| p.fused));
     let replay_hits: u64 = points.iter().map(|p| p.replay_hits as u64).sum();
-    let speedup_4096 = points
-        .iter()
-        .find(|p| p.seq == 4096)
-        .map_or(0.0, |p| p.speedup);
-
-    // Hand-rolled flat JSON: the vendored serde stub cannot serialize.
-    let mut json = String::from("{\n  \"bench\": \"fusewall\",\n");
-    json.push_str(&format!(
-        "  \"band\": {BAND},\n  \"off_diag_sparsity\": {OFF_DIAG_SPARSITY},\n  \"d_head\": {D_HEAD},\n"
-    ));
+    let mut rec = BenchRecord::new("fusewall");
+    rec.int("band", BAND as u64)
+        .plain("off_diag_sparsity", OFF_DIAG_SPARSITY)
+        .int("d_head", D_HEAD as u64);
     for p in &points {
-        json.push_str(&format!(
-            "  \"nnz_seq{s}\": {},\n  \"staging_bytes_seq{s}\": {},\n  \"fused_seq{s}\": {},\n  \"unfused_us_seq{s}\": {:.3},\n  \"fused_us_seq{s}\": {:.3},\n  \"speedup_seq{s}\": {:.6},\n  \"bit_identical_seq{s}\": {},\n  \"replay_hits_seq{s}\": {},\n",
-            p.nnz,
-            p.staging_bytes,
-            u64::from(p.fused),
-            p.unfused_us,
-            p.fused_us,
-            p.speedup,
-            u64::from(p.bit_identical),
-            p.replay_hits,
-            s = p.seq,
-        ));
+        let s = p.seq;
+        rec.int(format!("nnz_seq{s}"), p.nnz as u64)
+            .int(format!("staging_bytes_seq{s}"), p.staging_bytes)
+            .int(format!("fused_seq{s}"), u64::from(p.fused))
+            .float(format!("unfused_us_seq{s}"), p.unfused_us, 3)
+            .float(format!("fused_us_seq{s}"), p.fused_us, 3)
+            .float(format!("speedup_seq{s}"), p.speedup, 6)
+            .int(format!("bit_identical_seq{s}"), u64::from(p.bit_identical))
+            .int(format!("replay_hits_seq{s}"), p.replay_hits as u64);
     }
-    json.push_str(&format!(
-        "  \"bit_identical_all\": {bit_identical_all},\n  \"all_fused\": {all_fused},\n  \"replay_cache_hits\": {replay_hits},\n"
-    ));
-    json.push_str(&format!(
-        "  \"trace_events\": {},\n  \"trace_launches\": {},\n  \"trace_ok\": {trace_ok}\n}}\n",
-        check.events, check.launches
-    ));
-    let out = "BENCH_fusewall.json";
-    match std::fs::write(out, &json) {
-        Ok(()) => eprintln!("[results written to {out}]"),
-        Err(e) => eprintln!("[failed to write {out}: {e}]"),
-    }
-
-    let baseline_arg = std::env::args().skip_while(|a| a != "--check").nth(1);
-    if let Some(baseline_path) = baseline_arg {
-        let result = gate::read_baseline(&baseline_path).and_then(|base| {
-            // The headline target: at the paper's long-sequence regime the
-            // fused pipeline must beat three launches by >= 1.3x — an
-            // absolute floor, then a 5%-slack drift check vs the committed
-            // baseline.
-            gate::require_not_below("speedup_seq4096", 1.30, speedup_4096, 1.0)?;
-            gate::require_not_below(
-                "speedup_seq4096",
-                gate::metric_f64(&base, "speedup_seq4096", &baseline_path)?,
-                speedup_4096,
-                0.95,
-            )?;
-            // The planner must take the fused path at every band-mask point.
-            gate::require_exact("all_fused", 1, all_fused)?;
-            // Fusion is bit-invisible, at every point, or it does not ship.
-            gate::require_exact("bit_identical_all", 1, bit_identical_all)?;
-            // Replayed fused layers are served from the LaunchCache.
-            gate::require_nonzero("replay_cache_hits", replay_hits)?;
-            // The traced run exports fusion spans as valid Chrome JSON.
-            gate::require_exact("trace_ok", 1, trace_ok)?;
-            Ok(())
-        });
-        match result {
-            Ok(()) => println!("[--check passed vs {baseline_path}]"),
-            Err(e) => {
-                eprintln!("[--check FAILED: {e}]");
-                std::process::exit(1);
-            }
-        }
-    }
+    rec.int("bit_identical_all", bit_identical_all)
+        .int("all_fused", all_fused)
+        .int("replay_cache_hits", replay_hits)
+        .int("trace_events", check.events as u64)
+        .int("trace_launches", check.launches as u64)
+        .int("trace_ok", trace_ok)
+        // The headline target: at the paper's long-sequence regime the fused
+        // pipeline must beat three launches by >= 1.3x — an absolute floor, then
+        // a 5%-slack drift check vs the committed baseline.
+        .gate("speedup_seq4096", Gate::AtLeast(1.30))
+        .gate("speedup_seq4096", Gate::AtLeastBaseline(0.95))
+        // The planner must take the fused path at every band-mask point.
+        .gate("all_fused", Gate::Exact(1))
+        // Fusion is bit-invisible, at every point, or it does not ship.
+        .gate("bit_identical_all", Gate::Exact(1))
+        // Replayed fused layers are served from the LaunchCache.
+        .gate("replay_cache_hits", Gate::Nonzero)
+        // The traced run exports fusion spans as valid Chrome JSON.
+        .gate("trace_ok", Gate::Exact(1))
+        .finish();
 }

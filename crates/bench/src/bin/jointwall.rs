@@ -40,7 +40,8 @@
 use gpu_sim::{chrome_trace_json, trace, validate_chrome_trace, Gpu, Verdict};
 use sparse::{gen, CsrMatrix, PatternGranularity, PatternLut, RowSwizzle};
 use sputnik::{joint_heuristic, joint_spmm_profile, JointSpmmKernel};
-use sputnik_bench::{gate, has_flag, Table};
+use sputnik_bench::gate::{BenchRecord, Gate};
+use sputnik_bench::{has_flag, Table};
 
 const SEED: u64 = 0x1017;
 const M: usize = 512;
@@ -162,77 +163,46 @@ fn main() {
         check.events, check.launches, check.counters
     );
 
-    let bit_identical_all = u64::from(sweep.all_bit_identical());
-    let gate_point = &sweep.points[gate_idx];
-    let speedup_fine_gate = gate_point.fine_speedup_vs_spmm();
-    let fine_dead_gate = gate_point.fine_dead_frac;
-
-    // Hand-rolled flat JSON: the vendored serde stub cannot serialize.
-    let mut json = String::from("{\n  \"bench\": \"jointwall\",\n");
-    json.push_str(&format!(
-        "  \"m\": {M},\n  \"k\": {K},\n  \"n\": {N},\n  \"weight_sparsity\": {WEIGHT_SPARSITY},\n"
-    ));
+    let mut rec = BenchRecord::new("jointwall");
+    rec.int("m", M as u64)
+        .int("k", K as u64)
+        .int("n", N as u64)
+        .plain("weight_sparsity", WEIGHT_SPARSITY);
     for p in &sweep.points {
         let key = zf_key(p.target_zero_frac);
-        json.push_str(&format!(
-            "  \"realized_{key}\": {:.6},\n  \"fine_dead_{key}\": {:.6},\n  \"gemm_us_{key}\": {:.3},\n  \"spmm_us_{key}\": {:.3},\n  \"fine_us_{key}\": {:.3},\n  \"coarse_us_{key}\": {:.3},\n  \"speedup_fine_{key}\": {:.6},\n  \"bit_identical_{key}\": {},\n",
-            p.realized_zero_frac,
-            p.fine_dead_frac,
-            p.dense_gemm_us,
-            p.weight_spmm_us,
-            p.joint_fine_us,
-            p.joint_coarse_us,
-            p.fine_speedup_vs_spmm(),
-            u64::from(p.bit_identical),
-        ));
+        rec.float(format!("realized_{key}"), p.realized_zero_frac, 6)
+            .float(format!("fine_dead_{key}"), p.fine_dead_frac, 6)
+            .float(format!("gemm_us_{key}"), p.dense_gemm_us, 3)
+            .float(format!("spmm_us_{key}"), p.weight_spmm_us, 3)
+            .float(format!("fine_us_{key}"), p.joint_fine_us, 3)
+            .float(format!("coarse_us_{key}"), p.joint_coarse_us, 3)
+            .float(format!("speedup_fine_{key}"), p.fine_speedup_vs_spmm(), 6)
+            .int(format!("bit_identical_{key}"), u64::from(p.bit_identical));
     }
-    json.push_str(&format!(
-        "  \"bit_identical_all\": {bit_identical_all},\n  \"statically_refuted\": {statically_refuted},\n  \"joint_tiles_total\": {tiles_total},\n  \"joint_tiles_skipped\": {tiles_skipped},\n"
-    ));
-    json.push_str(&format!(
-        "  \"trace_events\": {},\n  \"trace_launches\": {},\n  \"trace_counters\": {},\n  \"trace_ok\": {trace_ok}\n}}\n",
-        check.events, check.launches, check.counters
-    ));
-    let out = "BENCH_jointwall.json";
-    match std::fs::write(out, &json) {
-        Ok(()) => eprintln!("[results written to {out}]"),
-        Err(e) => eprintln!("[failed to write {out}: {e}]"),
-    }
-
-    let baseline_arg = std::env::args().skip_while(|a| a != "--check").nth(1);
-    if let Some(baseline_path) = baseline_arg {
-        let result = gate::read_baseline(&baseline_path).and_then(|base| {
-            // The headline target: with >= 70% of fine tiles dead, the
-            // joint kernel must beat weight-only SpMM by >= 1.5x — an
-            // absolute floor, then a 5%-slack drift check vs the
-            // committed baseline.
-            gate::require_not_below("speedup_fine_zf80", 1.50, speedup_fine_gate, 1.0)?;
-            gate::require_not_below(
-                "speedup_fine_zf80",
-                gate::metric_f64(&base, "speedup_fine_zf80", &baseline_path)?,
-                speedup_fine_gate,
-                0.95,
-            )?;
-            // The gate point really is the >= 70%-skipped regime.
-            gate::require_not_below("fine_dead_zf80", 0.70, fine_dead_gate, 1.0)?;
-            // Skipping is bit-invisible at every point, or it does not ship.
-            gate::require_exact("bit_identical_all", 1, bit_identical_all)?;
-            // The static auditor never refutes a joint launch descriptor.
-            gate::require_exact("statically_refuted", 0, statically_refuted)?;
-            // The observability counters reached the metrics registry.
-            gate::require_nonzero("joint_tiles_total", tiles_total)?;
-            gate::require_nonzero("joint_tiles_skipped", tiles_skipped)?;
-            // The traced run exports the joint counter track as valid
-            // Chrome JSON.
-            gate::require_exact("trace_ok", 1, trace_ok)?;
-            Ok(())
-        });
-        match result {
-            Ok(()) => println!("[--check passed vs {baseline_path}]"),
-            Err(e) => {
-                eprintln!("[--check FAILED: {e}]");
-                std::process::exit(1);
-            }
-        }
-    }
+    rec.int("bit_identical_all", u64::from(sweep.all_bit_identical()))
+        .int("statically_refuted", statically_refuted)
+        .int("joint_tiles_total", tiles_total)
+        .int("joint_tiles_skipped", tiles_skipped)
+        .int("trace_events", check.events as u64)
+        .int("trace_launches", check.launches as u64)
+        .int("trace_counters", check.counters as u64)
+        .int("trace_ok", trace_ok)
+        // The headline target: with >= 70% of fine tiles dead, the joint
+        // kernel must beat weight-only SpMM by >= 1.5x — an absolute floor,
+        // then a 5%-slack drift check vs the committed baseline.
+        .gate("speedup_fine_zf80", Gate::AtLeast(1.50))
+        .gate("speedup_fine_zf80", Gate::AtLeastBaseline(0.95))
+        // The gate point really is the >= 70%-skipped regime.
+        .gate("fine_dead_zf80", Gate::AtLeast(0.70))
+        // Skipping is bit-invisible at every point, or it does not ship.
+        .gate("bit_identical_all", Gate::Exact(1))
+        // The static auditor never refutes a joint launch descriptor.
+        .gate("statically_refuted", Gate::Exact(0))
+        // The observability counters reached the metrics registry.
+        .gate("joint_tiles_total", Gate::Nonzero)
+        .gate("joint_tiles_skipped", Gate::Nonzero)
+        // The traced run exports the joint counter track as valid Chrome
+        // JSON.
+        .gate("trace_ok", Gate::Exact(1))
+        .finish();
 }

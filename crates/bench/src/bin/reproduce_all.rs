@@ -6,8 +6,9 @@
 //! ```
 //!
 //! Each experiment binary can also be run individually; this driver simply
-//! executes them in paper order, forwarding `--quick`/`--full`, and writes
-//! all JSON records under `results/`.
+//! executes them in paper order, forwarding `--quick`/`--full`. Each
+//! experiment reports on stderr whether its `results/<name>.json` record was
+//! written (the offline serde stub cannot serialize, so it is not).
 
 use std::process::Command;
 
@@ -90,10 +91,7 @@ fn main() {
 
     println!("\n############################################################");
     if failures.is_empty() {
-        println!(
-            "## All {} experiments completed; JSON in results/",
-            experiments.len()
-        );
+        println!("## All {} experiments completed", experiments.len());
     } else {
         println!("## FAILED: {failures:?}");
         std::process::exit(1);

@@ -27,7 +27,8 @@ use serve::{
     attention_topologies, generate, run, ArrivalProcess, Request, ServePolicy, ServeReport,
     TrafficConfig,
 };
-use sputnik_bench::{gate, has_flag, Table};
+use sputnik_bench::gate::{BenchRecord, Gate};
+use sputnik_bench::{has_flag, Table};
 
 const SEQ: usize = 256;
 const HEAD_DIM: usize = 64;
@@ -198,75 +199,53 @@ fn main() {
         chaos.faults_injected, chaos.degraded, chaos.rung_counts
     );
 
-    let fixed = &reports[1];
-    let lost = fixed.lost().unsigned_abs();
-    let chaos_lost = chaos.lost().unsigned_abs();
-    // Hand-rolled flat JSON: the vendored serde stub cannot serialize.
-    let mut json = String::from("{\n  \"bench\": \"servewall\",\n");
-    json.push_str(&format!(
-        "  \"seq\": {SEQ},\n  \"head_dim\": {HEAD_DIM},\n  \"requests\": {requests},\n"
-    ));
+    let mut rec = BenchRecord::new("servewall");
+    rec.int("seq", SEQ as u64)
+        .int("head_dim", HEAD_DIM as u64)
+        .int("requests", requests as u64);
     for (i, r) in reports.iter().enumerate() {
-        json.push_str(&format!(
-            "  \"rate_l{i}\": {:.0},\n  \"served_l{i}\": {},\n  \"shed_l{i}\": {},\n  \"rejected_l{i}\": {},\n  \"p50_us_l{i}\": {:.3},\n  \"p99_us_l{i}\": {:.3},\n  \"goodput_l{i}\": {},\n",
-            rates[i], r.served, r.shed, r.rejected, r.latency.p50(), r.latency.p99(), r.goodput()
-        ));
+        rec.float(format!("rate_l{i}"), rates[i], 0)
+            .int(format!("served_l{i}"), r.served)
+            .int(format!("shed_l{i}"), r.shed)
+            .int(format!("rejected_l{i}"), r.rejected)
+            .float(format!("p50_us_l{i}"), r.latency.p50(), 3)
+            .float(format!("p99_us_l{i}"), r.latency.p99(), 3)
+            .int(format!("goodput_l{i}"), r.goodput());
     }
-    json.push_str(&format!(
-        "  \"bursty_served\": {},\n  \"bursty_shed\": {},\n  \"bursty_rejected\": {},\n  \"bursty_p99_us\": {:.3},\n",
-        bursty.served, bursty.shed, bursty.rejected, bursty.latency.p99()
-    ));
-    json.push_str(&format!(
-        "  \"slo_served\": {},\n  \"slo_shed\": {},\n  \"slo_p99_us\": {:.3},\n",
-        slo.served,
-        slo.shed,
-        slo.latency.p99()
-    ));
-    json.push_str(&format!(
-        "  \"offered\": {},\n  \"served\": {},\n  \"lost\": {lost},\n  \"p99_us\": {:.3},\n  \"cache_hits\": {},\n  \"max_queue_depth\": {},\n",
-        fixed.offered, fixed.served, fixed.latency.p99(), fixed.cache_hits, fixed.max_queue_depth
-    ));
-    json.push_str(&format!(
-        "  \"chaos_offered\": {},\n  \"chaos_served\": {},\n  \"chaos_lost\": {chaos_lost},\n  \"chaos_faults\": {},\n  \"chaos_degraded\": {},\n  \"chaos_p99_us\": {:.3}\n}}\n",
-        chaos.offered, chaos.served, chaos.faults_injected, chaos.degraded, chaos.latency.p99()
-    ));
-    let out = "BENCH_servewall.json";
-    match std::fs::write(out, &json) {
-        Ok(()) => eprintln!("[results written to {out}]"),
-        Err(e) => eprintln!("[failed to write {out}: {e}]"),
-    }
-
-    let baseline_arg = std::env::args().skip_while(|a| a != "--check").nth(1);
-    if let Some(baseline_path) = baseline_arg {
-        let result = gate::read_baseline(&baseline_path).and_then(|base| {
-            // Tail latency at the fixed load point. Simulated and
-            // deterministic, so 5% headroom is generous — it absorbs
-            // intentional cost-model tweaks, not noise.
-            gate::require_not_above(
-                "p99_us",
-                gate::metric_f64(&base, "p99_us", &baseline_path)?,
-                fixed.latency.p99(),
-                1.05,
-            )?;
-            // Conservation, pinned from outside the server.
-            gate::require_exact("lost", 0, lost)?;
-            // Topology-keyed windows must keep hitting the launch cache.
-            gate::require_nonzero("cache_hits", fixed.cache_hits)?;
-            // The tight-SLO point must keep shedding at the door: a zero
-            // here means backpressure stopped firing.
-            gate::require_nonzero("slo_shed", slo.shed)?;
-            // Chaos: faults degrade requests; they never drop them.
-            gate::require_exact("chaos_lost", 0, chaos_lost)?;
-            gate::require_nonzero("chaos_faults", chaos.faults_injected)?;
-            gate::require_nonzero("chaos_degraded", chaos.degraded)?;
-            Ok(())
-        });
-        match result {
-            Ok(()) => println!("[--check passed vs {baseline_path}]"),
-            Err(e) => {
-                eprintln!("[--check FAILED: {e}]");
-                std::process::exit(1);
-            }
-        }
-    }
+    let fixed = &reports[1];
+    rec.int("bursty_served", bursty.served)
+        .int("bursty_shed", bursty.shed)
+        .int("bursty_rejected", bursty.rejected)
+        .float("bursty_p99_us", bursty.latency.p99(), 3)
+        .int("slo_served", slo.served)
+        .int("slo_shed", slo.shed)
+        .float("slo_p99_us", slo.latency.p99(), 3)
+        .int("offered", fixed.offered)
+        .int("served", fixed.served)
+        .int("lost", fixed.lost().unsigned_abs())
+        .float("p99_us", fixed.latency.p99(), 3)
+        .int("cache_hits", fixed.cache_hits)
+        .int("max_queue_depth", fixed.max_queue_depth as u64)
+        .int("chaos_offered", chaos.offered)
+        .int("chaos_served", chaos.served)
+        .int("chaos_lost", chaos.lost().unsigned_abs())
+        .int("chaos_faults", chaos.faults_injected)
+        .int("chaos_degraded", chaos.degraded)
+        .float("chaos_p99_us", chaos.latency.p99(), 3)
+        // Tail latency at the fixed load point. Simulated and deterministic,
+        // so 5% headroom is generous — it absorbs intentional cost-model
+        // tweaks, not noise.
+        .gate("p99_us", Gate::AtMostBaseline(1.05, 0.0))
+        // Conservation, pinned from outside the server.
+        .gate("lost", Gate::Exact(0))
+        // Topology-keyed windows must keep hitting the launch cache.
+        .gate("cache_hits", Gate::Nonzero)
+        // The tight-SLO point must keep shedding at the door: a zero here
+        // means backpressure stopped firing.
+        .gate("slo_shed", Gate::Nonzero)
+        // Chaos: faults degrade requests; they never drop them.
+        .gate("chaos_lost", Gate::Exact(0))
+        .gate("chaos_faults", Gate::Nonzero)
+        .gate("chaos_degraded", Gate::Nonzero)
+        .finish();
 }

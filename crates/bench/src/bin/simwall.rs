@@ -25,7 +25,8 @@
 use gpu_sim::{Gpu, LaunchCache, LaunchSummary};
 use sparse::dataset::{self, ProblemSpec};
 use sputnik::{SddmmConfig, SpmmConfig};
-use sputnik_bench::{gate, has_flag, Table};
+use sputnik_bench::gate::{BenchRecord, Gate};
+use sputnik_bench::{grid_label, Table};
 use std::time::Instant;
 
 /// One full sweep over the corpus; returns the accumulated summary.
@@ -62,12 +63,11 @@ fn sweep(
 }
 
 fn main() {
-    let count = if has_flag("--full") {
-        48
-    } else if has_flag("--quick") {
-        6
-    } else {
-        16
+    let grid = grid_label();
+    let count = match grid {
+        "full" => 48,
+        "quick" => 6,
+        _ => 16,
     };
     let specs = dataset::dl_corpus_sample(count, 17);
     let problems: Vec<(ProblemSpec, sparse::CsrMatrix<f32>)> = specs
@@ -125,44 +125,18 @@ fn main() {
     t.print();
     println!("cold -> warm speedup: {cold_warm:.1}x   slowpath -> cold: {slow_cold:.2}x");
 
-    let grid = if has_flag("--full") {
-        "full"
-    } else if has_flag("--quick") {
-        "quick"
-    } else {
-        "default"
-    };
-    // The vendored serde stub cannot serialize, so the record is written by
-    // hand — one flat object, stable key order.
-    let json = format!(
-        "{{\n  \"bench\": \"simwall\",\n  \"grid\": \"{grid}\",\n  \"problems\": {count},\n  \"launches_per_pass\": {launches},\n  \"slowpath_ms\": {slowpath_ms:.3},\n  \"cold_ms\": {cold_ms:.3},\n  \"warm_ms\": {warm_ms:.3},\n  \"cold_warm_speedup\": {cold_warm:.3},\n  \"slowpath_cold_speedup\": {slow_cold:.3},\n  \"cache_hits_warm\": {hits},\n  \"cache_misses_cold\": {misses},\n  \"cache_evictions\": {evictions}\n}}\n",
-        launches = cold.launches,
-        hits = warm.cache_hits,
-        misses = cold.cache_misses,
-        evictions = warm.cache_evictions,
-    );
-    let out = "BENCH_simwall.json";
-    match std::fs::write(out, &json) {
-        Ok(()) => eprintln!("[results written to {out}]"),
-        Err(e) => eprintln!("[failed to write {out}: {e}]"),
-    }
-
-    // CI gate: compare against a committed baseline, if asked.
-    let baseline_arg = std::env::args().skip_while(|a| a != "--check").nth(1);
-    if let Some(baseline_path) = baseline_arg {
-        match check_regression(&baseline_path, cold_warm) {
-            Ok(()) => println!("[--check passed vs {baseline_path}]"),
-            Err(e) => {
-                eprintln!("[--check FAILED: {e}]");
-                std::process::exit(1);
-            }
-        }
-    }
-}
-
-/// Fail when the cold→warm speedup regressed to below half the baseline's.
-fn check_regression(baseline_path: &str, current_speedup: f64) -> Result<(), String> {
-    let text = gate::read_baseline(baseline_path)?;
-    let baseline = gate::metric_f64(&text, "cold_warm_speedup", baseline_path)?;
-    gate::require_not_below("cold_warm_speedup", baseline, current_speedup, 0.5)
+    BenchRecord::new("simwall")
+        .text("grid", grid)
+        .int("problems", count as u64)
+        .int("launches_per_pass", cold.launches)
+        .float("slowpath_ms", slowpath_ms, 3)
+        .float("cold_ms", cold_ms, 3)
+        .float("warm_ms", warm_ms, 3)
+        .float("cold_warm_speedup", cold_warm, 3)
+        .float("slowpath_cold_speedup", slow_cold, 3)
+        .int("cache_hits_warm", warm.cache_hits)
+        .int("cache_misses_cold", cold.cache_misses)
+        .int("cache_evictions", warm.cache_evictions)
+        .gate("cold_warm_speedup", Gate::AtLeastBaseline(0.5))
+        .finish();
 }

@@ -35,7 +35,8 @@
 #![allow(clippy::disallowed_methods)]
 
 use gpu_sim::{CheckClass, Gpu, LaunchCache, Verdict};
-use sputnik_bench::{gate, has_flag, registry, Table};
+use sputnik_bench::gate::{BenchRecord, Gate};
+use sputnik_bench::{grid_label, has_flag, registry, Table};
 use std::time::Instant;
 
 /// Per-class verdict tallies, indexed `[class][verdict]`.
@@ -86,12 +87,10 @@ impl Tally {
 
 fn main() {
     let verbose = has_flag("--verbose");
-    let reps: u32 = if has_flag("--full") {
-        8
-    } else if has_flag("--quick") {
-        1
-    } else {
-        3
+    let reps: u32 = match grid_label() {
+        "full" => 8,
+        "quick" => 1,
+        _ => 3,
     };
     let gpu = Gpu::v100();
 
@@ -199,84 +198,49 @@ fn main() {
         cached_vs_full * 100.0
     );
 
-    // Hand-rolled flat JSON: the vendored serde stub cannot serialize.
-    let mut json = String::from("{\n  \"bench\": \"staticwall\",\n");
-    json.push_str(&format!("  \"pairs_total\": {pairs},\n"));
-    json.push_str(&format!("  \"checks_total\": {checks_total},\n"));
+    let mut rec = BenchRecord::new("staticwall");
+    rec.int("pairs_total", pairs)
+        .int("checks_total", checks_total);
     for &class in &CheckClass::ALL {
         for (v, tag) in [
             (Verdict::Proven, "proven"),
             (Verdict::NeedsDynamic, "needs_dynamic"),
             (Verdict::Refuted, "refuted"),
         ] {
-            json.push_str(&format!(
-                "  \"{}_{}\": {},\n",
-                class.name(),
-                tag,
-                tally.class(class, v)
-            ));
+            rec.int(format!("{}_{tag}", class.name()), tally.class(class, v));
         }
+        // Per-class proven counts are exact: a kernel silently regressing
+        // from `proven` to `needs_dynamic` loses a static guarantee (and
+        // re-arms its dynamic check) without failing any test — this is the
+        // gate that catches it.
+        rec.gate(format!("{}_proven", class.name()), Gate::MatchBaseline);
     }
-    json.push_str(&format!("  \"proven_total\": {proven},\n"));
-    json.push_str(&format!("  \"needs_dynamic_total\": {needs_dynamic},\n"));
-    json.push_str(&format!("  \"refuted_total\": {refuted},\n"));
-    json.push_str(&format!("  \"proven_frac\": {proven_frac:.4},\n"));
-    json.push_str(&format!("  \"audit_ms\": {audit_sweep_ms:.3},\n"));
-    json.push_str(&format!("  \"sanitize_full_ms\": {full_ms:.3},\n"));
-    json.push_str(&format!("  \"sanitize_cached_ms\": {cached_ms:.3},\n"));
-    json.push_str(&format!("  \"audit_vs_full\": {audit_vs_full:.4},\n"));
-    json.push_str(&format!("  \"cached_vs_full\": {cached_vs_full:.4}\n}}\n"));
-    let out = "BENCH_staticwall.json";
-    match std::fs::write(out, &json) {
-        Ok(()) => eprintln!("[results written to {out}]"),
-        Err(e) => eprintln!("[failed to write {out}: {e}]"),
-    }
-
-    // CI gate.
-    let baseline_arg = std::env::args().skip_while(|a| a != "--check").nth(1);
-    if let Some(baseline_path) = baseline_arg {
-        let result = gate::read_baseline(&baseline_path).and_then(|base| {
-            // The registry itself is deterministic: a pair-count change
-            // means a kernel was added or dropped — regenerate the
-            // baseline deliberately, don't let it drift.
-            gate::require_exact(
-                "pairs_total",
-                gate::metric_u64(&base, "pairs_total", &baseline_path)?,
-                pairs,
-            )?;
-            // Shipped kernels must audit clean: any refutation is a bug
-            // in a kernel's declared facts or in the kernel itself.
-            gate::require_exact("refuted_total", 0, refuted)?;
-            // Per-class proven counts are exact: a kernel silently
-            // regressing from `proven` to `needs_dynamic` loses a static
-            // guarantee (and re-arms its dynamic check) without failing
-            // any test — this is the gate that catches it.
-            for &class in &CheckClass::ALL {
-                let key = format!("{}_proven", class.name());
-                gate::require_exact(
-                    &key,
-                    gate::metric_u64(&base, &key, &baseline_path)?,
-                    tally.class(class, Verdict::Proven),
-                )?;
-            }
-            // The paper-level acceptance floor, independent of baseline.
-            gate::require_not_below("proven_frac", 0.60, proven_frac, 1.0)?;
-            // Wall gates on in-process ratios (far more stable than either
-            // absolute wall on a shared CI runner). The static audit must
-            // stay orders of magnitude cheaper than the dynamic sweep —
-            // 0.25 is hugely generous vs the ~0.04 observed. The
-            // warm-cache sweep must keep collapsing the dynamic cost.
-            gate::require_not_above("audit_vs_full", 0.25, audit_vs_full, 1.0)?;
-            gate::require_not_above("cached_vs_full", 0.60, cached_vs_full, 1.0)?;
-            gate::require_exact("cache_hits", u64::from(reps) * pairs, cache_hits)?;
-            Ok(())
-        });
-        match result {
-            Ok(()) => println!("[--check passed vs {baseline_path}]"),
-            Err(e) => {
-                eprintln!("[--check FAILED: {e}]");
-                std::process::exit(1);
-            }
-        }
-    }
+    rec.int("proven_total", proven)
+        .int("needs_dynamic_total", needs_dynamic)
+        .int("refuted_total", refuted)
+        .float("proven_frac", proven_frac, 4)
+        .float("audit_ms", audit_sweep_ms, 3)
+        .float("sanitize_full_ms", full_ms, 3)
+        .float("sanitize_cached_ms", cached_ms, 3)
+        .float("audit_vs_full", audit_vs_full, 4)
+        .float("cached_vs_full", cached_vs_full, 4)
+        .int("cache_hits", cache_hits)
+        // The registry itself is deterministic: a pair-count change means a
+        // kernel was added or dropped — regenerate the baseline
+        // deliberately, don't let it drift.
+        .gate("pairs_total", Gate::MatchBaseline)
+        // Shipped kernels must audit clean: any refutation is a bug in a
+        // kernel's declared facts or in the kernel itself.
+        .gate("refuted_total", Gate::Exact(0))
+        // The paper-level acceptance floor, independent of baseline.
+        .gate("proven_frac", Gate::AtLeast(0.60))
+        // Wall gates on in-process ratios (far more stable than either
+        // absolute wall on a shared CI runner). The static audit must stay
+        // orders of magnitude cheaper than the dynamic sweep — 0.25 is
+        // hugely generous vs the ~0.04 observed. The warm-cache sweep must
+        // keep collapsing the dynamic cost, every repeat launch a hit.
+        .gate("audit_vs_full", Gate::AtMost(0.25))
+        .gate("cached_vs_full", Gate::AtMost(0.60))
+        .gate("cache_hits", Gate::Exact(u64::from(reps) * pairs))
+        .finish();
 }

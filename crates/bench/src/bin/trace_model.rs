@@ -25,7 +25,7 @@ use dnn::{mobilenet, rnn, transformer};
 use gpu_sim::{metrics, trace, FaultKind, FaultPlan, Gpu, LaunchCache};
 use sparse::{gen, Matrix};
 use sputnik::{DispatchPolicy, SpmmConfig};
-use sputnik_bench::gate;
+use sputnik_bench::gate::{BenchRecord, Gate};
 
 fn main() {
     metrics::global().reset();
@@ -137,49 +137,25 @@ fn main() {
         check.events, check.launches, check.counters, check.instants, check.tracks
     );
 
-    // ---- Counter snapshot (hand-rolled flat JSON: the vendored serde stub
-    // cannot serialize).
+    // ---- Counter snapshot and CI gate. The workload is fixed and the
+    // simulator deterministic, so the launch count must match the baseline
+    // exactly; the cache must still hit and replay.
     let snap = metrics::global().snapshot();
-    let bench_json = format!(
-        "{{\n  \"bench\": \"trace_model\",\n  \"launches\": {launches},\n  \"launches_replayed\": {replayed},\n  \"cache_hits\": {hits},\n  \"cache_misses\": {misses},\n  \"faults_injected\": {faults},\n  \"dispatch_degraded\": {degraded},\n  \"sim_time_us\": {sim:.3},\n  \"trace_events\": {events},\n  \"trace_launches\": {tlaunches},\n  \"trace_tracks\": {tracks},\n  \"profile_layers\": {layers},\n  \"profile_total_us\": {total:.3}\n}}\n",
-        launches = snap.get("launches"),
-        replayed = snap.get("launches_replayed"),
-        hits = snap.get("cache_hits"),
-        misses = snap.get("cache_misses"),
-        faults = snap.get("faults_injected"),
-        degraded = snap.get("dispatch_degraded"),
-        sim = snap.sim_time_us(),
-        events = check.events,
-        tlaunches = check.launches,
-        tracks = check.tracks,
-        layers = profile.layers.len(),
-        total = profile.total_us,
-    );
-    let bench_path = "BENCH_trace_model.json";
-    match std::fs::write(bench_path, &bench_json) {
-        Ok(()) => eprintln!("[results written to {bench_path}]"),
-        Err(e) => eprintln!("[failed to write {bench_path}: {e}]"),
-    }
-
-    // ---- CI gate.
-    let baseline_arg = std::env::args().skip_while(|a| a != "--check").nth(1);
-    if let Some(baseline_path) = baseline_arg {
-        match check_counters(&baseline_path, &snap) {
-            Ok(()) => println!("[--check passed vs {baseline_path}]"),
-            Err(e) => {
-                eprintln!("[--check FAILED: {e}]");
-                std::process::exit(1);
-            }
-        }
-    }
-}
-
-/// The workload is fixed and the simulator deterministic, so the launch
-/// count must match the baseline exactly; the cache must still hit.
-fn check_counters(baseline_path: &str, snap: &gpu_sim::MetricsSnapshot) -> Result<(), String> {
-    let text = gate::read_baseline(baseline_path)?;
-    let base_launches = gate::metric_u64(&text, "launches", baseline_path)?;
-    gate::require_exact("launches", base_launches, snap.get("launches"))?;
-    gate::require_nonzero("cache_hits", snap.get("cache_hits"))?;
-    gate::require_nonzero("launches_replayed", snap.get("launches_replayed"))
+    BenchRecord::new("trace_model")
+        .int("launches", snap.get("launches"))
+        .int("launches_replayed", snap.get("launches_replayed"))
+        .int("cache_hits", snap.get("cache_hits"))
+        .int("cache_misses", snap.get("cache_misses"))
+        .int("faults_injected", snap.get("faults_injected"))
+        .int("dispatch_degraded", snap.get("dispatch_degraded"))
+        .float("sim_time_us", snap.sim_time_us(), 3)
+        .int("trace_events", check.events as u64)
+        .int("trace_launches", check.launches as u64)
+        .int("trace_tracks", check.tracks as u64)
+        .int("profile_layers", profile.layers.len() as u64)
+        .float("profile_total_us", profile.total_us, 3)
+        .gate("launches", Gate::MatchBaseline)
+        .gate("cache_hits", Gate::Nonzero)
+        .gate("launches_replayed", Gate::Nonzero)
+        .finish();
 }

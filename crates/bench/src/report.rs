@@ -73,22 +73,40 @@ pub fn geo_mean(xs: &[f64]) -> f64 {
     sparse::stats::geometric_mean(xs)
 }
 
-/// Persist a serializable result under `results/<name>.json`.
+/// Persist a serializable result under `results/<name>.json`, reporting on
+/// stderr whether the file was written. The offline serde stub cannot
+/// serialize, so in this workspace every call reports the file as not
+/// written.
 pub fn write_json<T: Serialize>(name: &str, value: &T) {
-    let dir = Path::new("results");
-    if fs::create_dir_all(dir).is_err() {
-        return;
-    }
-    let path = dir.join(format!("{name}.json"));
-    if let Ok(json) = serde_json::to_string_pretty(value) {
-        let _ = fs::write(&path, json);
-        eprintln!("[results written to {}]", path.display());
+    let path = Path::new("results").join(format!("{name}.json"));
+    let written = serde_json::to_string_pretty(value)
+        .map_err(|e| e.to_string())
+        .and_then(|json| {
+            fs::create_dir_all("results")
+                .and_then(|()| fs::write(&path, json))
+                .map_err(|e| e.to_string())
+        });
+    match written {
+        Ok(()) => eprintln!("[results written to {}]", path.display()),
+        Err(e) => eprintln!("[{} not written: {e}]", path.display()),
     }
 }
 
 /// Parse `--quick` / `--full` style flags from argv.
 pub fn has_flag(flag: &str) -> bool {
     std::env::args().any(|a| a == flag)
+}
+
+/// The problem grid `--full` / `--quick` select: `"full"`, `"quick"` or
+/// `"default"` (`--full` wins when both are given).
+pub fn grid_label() -> &'static str {
+    if has_flag("--full") {
+        "full"
+    } else if has_flag("--quick") {
+        "quick"
+    } else {
+        "default"
+    }
 }
 
 #[cfg(test)]

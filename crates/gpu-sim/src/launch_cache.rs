@@ -17,6 +17,16 @@
 //! indices) *and* any problem dimension not implied by it (e.g. SpMM's dense
 //! column count `n`, which the kernel name does not encode).
 //!
+//! ## What a hit costs
+//!
+//! A profile-mode hit is O(1) host work: one hash-map lookup and a copy of
+//! the stored stats (a functional hit also replays the math, see below).
+//! The operand fingerprint does not spoil that: `sparse::CsrMatrix`
+//! memoizes its O(nnz) topology hash on first use, and the memo is sound
+//! because a matrix's topology is immutable after construction (only its
+//! values are mutable). A new-values-same-topology operand built with
+//! `with_values` carries the memo, so it hits without rehashing.
+//!
 //! ## Capacity and eviction
 //!
 //! Dataset sweeps can touch tens of thousands of distinct keys; an unbounded

@@ -9,6 +9,7 @@ use crate::dense::Matrix;
 use crate::element::{IndexWidth, Scalar};
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::sync::OnceLock;
 
 /// Errors produced when validating CSR structure.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -57,13 +58,34 @@ impl std::error::Error for CsrError {}
 /// The mixed-precision kernels model 16-bit column indices; the width used
 /// on "device" is a kernel-configuration concern (`IndexWidth`), while host
 /// storage is always u32.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct CsrMatrix<T> {
     rows: usize,
     cols: usize,
     row_offsets: Vec<u32>,
     col_indices: Vec<u32>,
     values: Vec<T>,
+    /// Lazily memoized [`Self::fingerprint`]. Sound because the topology
+    /// (`rows`, `cols`, `row_offsets`, `col_indices`) is immutable after
+    /// construction: `values_mut` is the only `&mut` accessor and it
+    /// touches values only. Constructors that keep the topology (`Clone`,
+    /// `with_values`, `convert`) carry the memo over; constructors that
+    /// build a new topology start empty. Any future topology mutator must
+    /// reset this field.
+    #[serde(skip)]
+    fingerprint: OnceLock<u64>,
+}
+
+/// Equality of dimensions, topology and values; the fingerprint memo is a
+/// cache and never takes part.
+impl<T: PartialEq> PartialEq for CsrMatrix<T> {
+    fn eq(&self, other: &Self) -> bool {
+        self.rows == other.rows
+            && self.cols == other.cols
+            && self.row_offsets == other.row_offsets
+            && self.col_indices == other.col_indices
+            && self.values == other.values
+    }
 }
 
 impl<T: Scalar> CsrMatrix<T> {
@@ -123,6 +145,7 @@ impl<T: Scalar> CsrMatrix<T> {
             row_offsets,
             col_indices,
             values,
+            fingerprint: OnceLock::new(),
         })
     }
 
@@ -134,6 +157,7 @@ impl<T: Scalar> CsrMatrix<T> {
             row_offsets: vec![0; rows + 1],
             col_indices: vec![],
             values: vec![],
+            fingerprint: OnceLock::new(),
         }
     }
 
@@ -161,6 +185,7 @@ impl<T: Scalar> CsrMatrix<T> {
             row_offsets,
             col_indices,
             values,
+            fingerprint: OnceLock::new(),
         }
     }
 
@@ -245,6 +270,7 @@ impl<T: Scalar> CsrMatrix<T> {
             row_offsets: self.row_offsets.clone(),
             col_indices: self.col_indices.clone(),
             values,
+            fingerprint: self.fingerprint.clone(),
         }
     }
 
@@ -253,13 +279,22 @@ impl<T: Scalar> CsrMatrix<T> {
     /// traces depend only on structure). FNV-1a over the raw words, so the
     /// result is identical across runs, platforms, and Rust versions, which
     /// makes it usable as a persistent cache-key component.
+    ///
+    /// Every launch-cache lookup keys on this. The O(nnz) hash runs once
+    /// per topology; later calls, and calls on clones, `with_values` and
+    /// `convert` results, return the memo in O(1).
     pub fn fingerprint(&self) -> u64 {
+        let fp = *self.fingerprint.get_or_init(|| self.compute_fingerprint());
+        debug_assert_eq!(fp, self.compute_fingerprint(), "stale fingerprint memo");
+        fp
+    }
+
+    /// The uncached topology hash behind [`Self::fingerprint`].
+    fn compute_fingerprint(&self) -> u64 {
         const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
         const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
         let mut h = FNV_OFFSET;
-        // FNV-1a lifted to whole words (one xor-multiply per word): this
-        // runs on every launch-cache lookup, so it must stay O(nnz) with a
-        // small constant.
+        // FNV-1a lifted to whole words: one xor-multiply per word.
         let mut mix = |word: u64| {
             h ^= word;
             h = h.wrapping_mul(FNV_PRIME);
@@ -321,6 +356,7 @@ impl<T: Scalar> CsrMatrix<T> {
             row_offsets,
             col_indices,
             values,
+            fingerprint: OnceLock::new(),
         }
     }
 
@@ -362,6 +398,7 @@ impl<T: Scalar> CsrMatrix<T> {
                 .iter()
                 .map(|v| U::from_f32(v.to_f32()))
                 .collect(),
+            fingerprint: self.fingerprint.clone(),
         }
     }
 
@@ -573,6 +610,74 @@ mod tests {
             CsrMatrix::<f32>::empty(4, 8).fingerprint(),
             CsrMatrix::<f32>::empty(8, 4).fingerprint()
         );
+    }
+
+    #[test]
+    fn fingerprint_values_are_pinned() {
+        // Launch-cache keys embed these hashes; they must never drift.
+        assert_eq!(
+            CsrMatrix::<f32>::empty(4, 8).fingerprint(),
+            0x5770_b860_8afb_a819
+        );
+        assert_eq!(
+            crate::gen::uniform(32, 64, 0.7, 801).fingerprint(),
+            0x11d5_c708_1b86_6fa6
+        );
+        assert_eq!(
+            crate::gen::uniform(32, 64, 0.7, 802).fingerprint(),
+            0x0677_2b5d_4df7_e740
+        );
+    }
+
+    #[test]
+    fn fingerprint_memo_fills_on_first_call() {
+        let m = crate::gen::uniform(32, 64, 0.7, 801);
+        assert!(m.fingerprint.get().is_none());
+        let fp = m.fingerprint();
+        assert_eq!(m.fingerprint.get(), Some(&fp));
+        assert_eq!(fp, m.compute_fingerprint());
+    }
+
+    #[test]
+    fn fingerprint_memo_survives_topology_preserving_constructors() {
+        let mut m = crate::gen::uniform(32, 64, 0.7, 801);
+        let fp = m.fingerprint();
+        let cloned = m.clone();
+        let revalued = m.with_values(vec![7.0; m.nnz()]);
+        let converted: CsrMatrix<crate::f16::Half> = m.convert();
+        for (memo, fresh) in [
+            (cloned.fingerprint.get(), cloned.compute_fingerprint()),
+            (revalued.fingerprint.get(), revalued.compute_fingerprint()),
+            (converted.fingerprint.get(), converted.compute_fingerprint()),
+        ] {
+            assert_eq!(memo, Some(&fp));
+            assert_eq!(fresh, fp);
+        }
+        m.values_mut().iter_mut().for_each(|v| *v += 1.0);
+        assert_eq!(m.fingerprint(), m.compute_fingerprint());
+        assert_eq!(m.fingerprint(), fp);
+    }
+
+    #[test]
+    fn fingerprint_memo_starts_empty_on_new_topology() {
+        let m = crate::gen::uniform(32, 64, 0.7, 801);
+        m.fingerprint();
+        let t = m.transpose();
+        let p = m.padded_to_multiple(4).expect("plenty of free columns");
+        assert!(t.fingerprint.get().is_none());
+        assert!(p.fingerprint.get().is_none());
+        assert_ne!(t.fingerprint(), m.fingerprint());
+        assert_ne!(p.fingerprint(), m.fingerprint());
+    }
+
+    #[test]
+    fn equality_ignores_fingerprint_memo() {
+        let m = sample();
+        let twin = sample();
+        m.fingerprint();
+        assert!(m.fingerprint.get().is_some() && twin.fingerprint.get().is_none());
+        assert_eq!(m, twin);
+        assert_ne!(m, twin.with_values(vec![0.0; 4]));
     }
 
     #[test]

@@ -168,7 +168,6 @@ fn main() {
     let chaos_policy = ServePolicy {
         dispatch: sputnik::DispatchPolicy {
             attempts_per_rung: 1,
-            ..sputnik::DispatchPolicy::default()
         },
         ..policy.clone()
     };

@@ -14,9 +14,11 @@
 //!   chrome://tracing or Perfetto, structurally validated before writing;
 //! - `BENCH_trace_model.json` — the profiler-counter snapshot (repo root).
 //!
-//! `--check <baseline.json>` gates CI: the launch count must match the
-//! committed baseline exactly (the workload is deterministic, so any drift
-//! is an unreviewed behaviour change) and the cache must still produce hits.
+//! `--check <baseline.json>` gates CI: the launch count, the dispatch
+//! ladder's injected faults and degraded serves, and the trace event count
+//! must match the committed baseline exactly (the workload is deterministic,
+//! so any drift is an unreviewed behaviour change) and the cache must still
+//! produce hits.
 
 use dnn::lstm::SparseLstmCell;
 use dnn::rnn::{CellKind, RnnProblem};
@@ -78,6 +80,7 @@ fn main() {
     let b = Matrix::<f32>::random(64, 32, 4);
     let (_, report) = match sputnik::dispatch::spmm(
         &faulty,
+        None,
         &a,
         &b,
         SpmmConfig::default(),
@@ -138,8 +141,9 @@ fn main() {
     );
 
     // ---- Counter snapshot and CI gate. The workload is fixed and the
-    // simulator deterministic, so the launch count must match the baseline
-    // exactly; the cache must still hit and replay.
+    // simulator deterministic, so the launch count and step 5's ladder
+    // counters must match the baseline exactly; the cache must still hit
+    // and replay.
     let snap = metrics::global().snapshot();
     BenchRecord::new("trace_model")
         .int("launches", snap.get("launches"))
@@ -155,6 +159,9 @@ fn main() {
         .int("profile_layers", profile.layers.len() as u64)
         .float("profile_total_us", profile.total_us, 3)
         .gate("launches", Gate::MatchBaseline)
+        .gate("faults_injected", Gate::MatchBaseline)
+        .gate("dispatch_degraded", Gate::MatchBaseline)
+        .gate("trace_events", Gate::MatchBaseline)
         .gate("cache_hits", Gate::Nonzero)
         .gate("launches_replayed", Gate::Nonzero)
         .finish();

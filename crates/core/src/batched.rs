@@ -14,14 +14,19 @@
 //! [`spmm_batched`] / [`sddmm_batched`] memoize within the one call (a
 //! private per-batch cache); the `_cached` variants accept a caller-owned
 //! cache so repeated batches (layers, training steps) hit across calls too.
+//!
+//! [`spmm_batched_dispatch`] / [`sddmm_batched_dispatch`] are the
+//! fault-tolerant windows the serving front door uses: loops over
+//! [`dispatch::spmm`] / [`dispatch::sddmm`], so each item walks the one
+//! degradation ladder, timed with the same [`pipelined_us`] fold as
+//! [`gpu_sim::Stream::total_us`].
 
 use crate::config::{SddmmConfig, SpmmConfig};
-use crate::dispatch::{self, Attempt, DispatchPolicy, DispatchReport, Rung};
-use crate::error::{is_transient, SputnikError};
-use crate::reference;
+use crate::dispatch::{self, DispatchPolicy, DispatchReport, Rung, SwizzledMask};
+use crate::error::SputnikError;
 use crate::sddmm::{self, SddmmKernel};
 use crate::spmm::{self, SpmmKernel};
-use gpu_sim::{Gpu, LaunchCache, LaunchRequest, LaunchStats, Stream};
+use gpu_sim::{pipelined_us, Gpu, LaunchCache, Stream};
 use sparse::{CsrMatrix, Matrix, RowSwizzle, Scalar};
 
 /// Per-item attribution for batched launches that bypass the launch cache
@@ -203,37 +208,50 @@ impl<T> DispatchedBatch<T> {
     }
 }
 
-/// Pipeline the GPU-served launches of a dispatched batch the way
-/// [`Stream::total_us`] would: one exposed launch overhead, each
-/// non-final kernel hides the next launch's setup unless it is shorter than
-/// the short-kernel gap. Backoff (simulated retry delay) is serial in both
-/// views. Returns `(stream_us, naive_us)`.
-fn pipeline_dispatched(gpu: &Gpu, reports: &[DispatchReport]) -> (f64, f64) {
-    let overhead = gpu.device().launch_overhead_us;
-    let times: Vec<f64> = reports
-        .iter()
-        .filter_map(|r| r.stats.as_ref().map(|s| s.time_us))
-        .collect();
-    let backoff: f64 = reports.iter().map(|r| r.backoff_us).sum();
-    let naive_us: f64 = times.iter().sum::<f64>() + backoff;
-    let mut stream_us = if times.is_empty() { 0.0 } else { overhead };
-    for (i, &t) in times.iter().enumerate() {
-        let exec = t - overhead;
-        stream_us += if i + 1 < times.len() {
-            exec.max(overhead * 0.3)
-        } else {
-            exec
-        };
+/// Run a window of `items` dispatched calls: `serve(i)` answers item `i`
+/// through the [`crate::dispatch`] ladder. The GPU-served launches are
+/// pipelined exactly like [`gpu_sim::Stream::total_us`]; retry backoff is
+/// serial in both the pipelined and the naive view.
+fn dispatch_window<T>(
+    gpu: &Gpu,
+    cache: &LaunchCache,
+    op: &str,
+    items: usize,
+    mut serve: impl FnMut(usize) -> Result<(T, DispatchReport), SputnikError>,
+) -> Result<DispatchedBatch<T>, SputnikError> {
+    let hits_before = cache.hits();
+    let mut outputs = Vec::with_capacity(items);
+    let mut reports = Vec::with_capacity(items);
+    for item in 0..items {
+        note_fault_plan_bypass(gpu, op, item);
+        let (out, report) = serve(item)?;
+        outputs.push(out);
+        reports.push(report);
     }
-    (stream_us + backoff, naive_us)
+    let launches = || {
+        reports
+            .iter()
+            .filter_map(|r| r.stats.as_ref().map(|s| s.time_us))
+    };
+    let backoff: f64 = reports.iter().map(|r| r.backoff_us).sum();
+    let naive_us = launches().sum::<f64>() + backoff;
+    let stream_us = pipelined_us(gpu.device().launch_overhead_us, launches()) + backoff;
+    assert_stream_invariant(stream_us, naive_us);
+    Ok(DispatchedBatch {
+        outputs,
+        reports,
+        stream_us,
+        naive_us,
+        cache_hits: cache.hits() - hits_before,
+    })
 }
 
-/// Fault-tolerant batched SpMM: every item goes through the
-/// [`crate::dispatch`] degradation ladder (retry → heuristic → fallback →
-/// CPU), so an armed [`gpu_sim::FaultPlan`] degrades individual items
-/// instead of killing the batch. Clean items consult `cache` exactly like
-/// [`spmm_batched_cached`] (fault-plan GPUs bypass it, and each bypassed
-/// item leaves a trace instant for auditability).
+/// Fault-tolerant batched SpMM: every item goes through
+/// [`dispatch::spmm`] (retry → heuristic → fallback → CPU), so an armed
+/// [`gpu_sim::FaultPlan`] degrades individual items instead of killing the
+/// batch. Clean items consult `cache` exactly like [`spmm_batched_cached`]
+/// (fault-plan GPUs bypass it, and each bypassed item leaves a trace
+/// instant for auditability).
 ///
 /// Errors are returned only for deterministic input violations; transient
 /// device faults always land on a rung.
@@ -245,74 +263,15 @@ pub fn spmm_batched_dispatch<T: Scalar>(
     cfg: SpmmConfig,
     policy: &DispatchPolicy,
 ) -> Result<DispatchedBatch<Matrix<T>>, SputnikError> {
-    let hits_before = cache.hits();
-    let mut outputs = Vec::with_capacity(bs.len());
-    let mut reports = Vec::with_capacity(bs.len());
-    for (item, b) in bs.iter().enumerate() {
-        note_fault_plan_bypass(gpu, "spmm-dispatch", item);
-        let (out, report) = dispatch::spmm_cached(gpu, cache, a, b, cfg, policy)?;
-        outputs.push(out);
-        reports.push(report);
-    }
-    let (stream_us, naive_us) = pipeline_dispatched(gpu, &reports);
-    assert_stream_invariant(stream_us, naive_us);
-    Ok(DispatchedBatch {
-        outputs,
-        reports,
-        stream_us,
-        naive_us,
-        cache_hits: cache.hits() - hits_before,
+    dispatch_window(gpu, cache, "spmm-dispatch", bs.len(), |i| {
+        dispatch::spmm(gpu, Some(cache), a, bs[i], cfg, policy)
     })
 }
 
-/// Scan an SDDMM output for non-finite values (the SDDMM ladder's detection
-/// guard; the SpMM checksum has no cheap SDDMM analogue — recomputing the
-/// masked dot products *is* the kernel).
-fn check_sddmm_output<T: Scalar>(
-    out: &CsrMatrix<T>,
-    policy: &DispatchPolicy,
-    kernel: &str,
-) -> Result<(), SputnikError> {
-    if !policy.check_finite {
-        return Ok(());
-    }
-    for v in out.values() {
-        if !v.to_f32().is_finite() {
-            return Err(SputnikError::CorruptOutput {
-                kernel: kernel.to_string(),
-                reason: "non-finite value in output".into(),
-            });
-        }
-    }
-    Ok(())
-}
-
-/// One SDDMM launch through the cross-launch cache (the SDDMM analogue of
-/// the dispatch module's `launch_sputnik`).
-fn launch_sddmm_cached<T: Scalar>(
-    gpu: &Gpu,
-    cache: &LaunchCache,
-    lhs: &Matrix<T>,
-    rhs: &Matrix<T>,
-    mask: &CsrMatrix<T>,
-    swizzle: &RowSwizzle,
-    cfg: SddmmConfig,
-) -> Result<(CsrMatrix<T>, LaunchStats), SputnikError> {
-    let mut values = vec![T::zero(); mask.nnz()];
-    let stats = {
-        let kernel = SddmmKernel::try_new(lhs, rhs, mask, &mut values, swizzle, cfg)?;
-        let fingerprint = sddmm::mask_fingerprint(mask, lhs.cols());
-        gpu.run(&LaunchRequest::functional(&kernel).cached((cache, fingerprint)))?
-            .stats
-    };
-    Ok((mask.with_values(values), stats))
-}
-
 /// Fault-tolerant batched SDDMM: the SDDMM arm of the serving front door.
-/// The ladder is shorter than SpMM's — requested config → heuristic config →
-/// CPU reference — because there is no separate fallback SDDMM kernel; the
-/// rung that served each item still lands in its [`DispatchReport`] so
-/// chaos runs stay fully attributed.
+/// Every item goes through [`dispatch::sddmm`] (requested config →
+/// heuristic config → CPU reference), with the mask's row swizzles built
+/// once for the whole window.
 pub fn sddmm_batched_dispatch<T: Scalar>(
     gpu: &Gpu,
     cache: &LaunchCache,
@@ -321,104 +280,10 @@ pub fn sddmm_batched_dispatch<T: Scalar>(
     cfg: SddmmConfig,
     policy: &DispatchPolicy,
 ) -> Result<DispatchedBatch<CsrMatrix<T>>, SputnikError> {
-    let hits_before = cache.hits();
-    let swizzle_desc = RowSwizzle::by_length_desc(mask);
-    let swizzle_id = RowSwizzle::identity(mask.rows());
-    let mut outputs = Vec::with_capacity(pairs.len());
-    let mut reports = Vec::with_capacity(pairs.len());
-    for (item, (lhs, rhs)) in pairs.iter().enumerate() {
-        note_fault_plan_bypass(gpu, "sddmm-dispatch", item);
-        let heuristic = SddmmConfig::heuristic::<T>(lhs.cols());
-        let mut rungs = vec![(Rung::Sputnik, cfg)];
-        if heuristic != cfg {
-            rungs.push((Rung::Heuristic, heuristic));
-        }
-        let mut attempts = Vec::new();
-        let mut backoff_us = 0.0f64;
-        let mut served: Option<(CsrMatrix<T>, DispatchReport)> = None;
-        'ladder: for (rung, rung_cfg) in rungs {
-            for attempt in 0..policy.attempts_per_rung {
-                if attempt > 0 {
-                    backoff_us += policy.backoff_base_us * f64::from(1u32 << (attempt - 1));
-                }
-                let swizzle = if rung_cfg.row_swizzle {
-                    &swizzle_desc
-                } else {
-                    &swizzle_id
-                };
-                let result = launch_sddmm_cached(gpu, cache, lhs, rhs, mask, swizzle, rung_cfg)
-                    .and_then(|(out, stats)| {
-                        check_sddmm_output(&out, policy, &stats.kernel)?;
-                        Ok((out, stats))
-                    });
-                match result {
-                    Ok((out, stats)) => {
-                        if rung != Rung::Sputnik {
-                            gpu_sim::metrics::global().incr("dispatch_degraded", 1);
-                            if gpu_sim::trace::enabled() {
-                                gpu_sim::trace::instant(
-                                    "dispatch",
-                                    "dispatch",
-                                    &format!("degraded: sddmm served by {rung} ({})", stats.kernel),
-                                );
-                            }
-                        }
-                        let report = DispatchReport {
-                            served_by: rung,
-                            stats: Some(stats),
-                            attempts: std::mem::take(&mut attempts),
-                            backoff_us,
-                        };
-                        served = Some((out, report));
-                        break 'ladder;
-                    }
-                    Err(err) => {
-                        let transient = is_transient(&err);
-                        gpu_sim::metrics::global().incr("dispatch_failed_attempts", 1);
-                        if gpu_sim::trace::enabled() {
-                            gpu_sim::trace::instant(
-                                "dispatch",
-                                "dispatch",
-                                &format!("sddmm rung {rung} attempt {attempt} failed: {err}"),
-                            );
-                        }
-                        attempts.push(Attempt { rung, error: err });
-                        if !transient {
-                            break;
-                        }
-                    }
-                }
-            }
-        }
-        let (out, report) = served.unwrap_or_else(|| {
-            // Last rung: host execution, cannot fail.
-            gpu_sim::metrics::global().incr("dispatch_degraded", 1);
-            if gpu_sim::trace::enabled() {
-                gpu_sim::trace::instant("dispatch", "dispatch", "degraded: sddmm on cpu-reference");
-            }
-            let out32 = reference::sddmm(&lhs.to_f32(), &rhs.to_f32(), mask);
-            let values: Vec<T> = out32.values().iter().map(|&v| T::from_f32(v)).collect();
-            (
-                mask.with_values(values),
-                DispatchReport {
-                    served_by: Rung::CpuReference,
-                    stats: None,
-                    attempts: std::mem::take(&mut attempts),
-                    backoff_us,
-                },
-            )
-        });
-        outputs.push(out);
-        reports.push(report);
-    }
-    let (stream_us, naive_us) = pipeline_dispatched(gpu, &reports);
-    assert_stream_invariant(stream_us, naive_us);
-    Ok(DispatchedBatch {
-        outputs,
-        reports,
-        stream_us,
-        naive_us,
-        cache_hits: cache.hits() - hits_before,
+    let mask = SwizzledMask::new(mask);
+    dispatch_window(gpu, cache, "sddmm-dispatch", pairs.len(), |i| {
+        let (lhs, rhs) = pairs[i];
+        dispatch::sddmm_swizzled(gpu, Some(cache), lhs, rhs, &mask, cfg, policy)
     })
 }
 

@@ -1,31 +1,35 @@
-//! Fault-tolerant SpMM dispatch: detection guards plus a
-//! retry-with-degradation ladder.
+//! Fault-tolerant dispatch: one degradation ladder serves SpMM and SDDMM.
 //!
 //! Production serving cannot crash because one kernel launch hit a transient
-//! device fault. This module wraps the Sputnik SpMM in a dispatcher that
+//! device fault. Each op validates its inputs once — violations are
+//! *deterministic* and returned immediately, since no rung can fix them —
+//! and then declares its GPU rungs and output check for the one private
+//! ladder, `descend`. The ladder holds the only copies of the bounded
+//! same-rung retries on transient errors (with simulated backoff), the
+//! `dispatch_*` counters and trace instants, and the CPU reference bottom
+//! rung, which cannot fail. Rungs, fastest first:
 //!
-//! 1. validates inputs once (shapes, finiteness) — violations here are
-//!    *deterministic* and returned immediately, no rung can fix them;
-//! 2. launches the requested Sputnik configuration and checks the output
-//!    with two guards: a NaN/Inf scan and an ABFT-style checksum
-//!    (`sum(C) == sum_nz(a_val * rowsum(B)[a_col])`, accumulated in f64);
-//! 3. on failure, descends a degradation ladder with bounded retries:
-//!    [`Rung::Sputnik`] (retry the same config) → [`Rung::Heuristic`]
-//!    (the paper's [`SpmmConfig::heuristic`] selection) → [`Rung::Fallback`]
-//!    (an internal row-per-block kernel whose name contains no `"sputnik"`,
-//!    so name-matched fault plans spare it) → [`Rung::CpuReference`]
-//!    (host execution, always available);
-//! 4. records which rung served the call, every failed attempt, and the
-//!    simulated backoff spent, in a [`DispatchReport`].
+//! - **SpMM** ([`spmm`]): [`Rung::Sputnik`] (the requested configuration) →
+//!   [`Rung::Heuristic`] ([`SpmmConfig::heuristic`], when it differs) →
+//!   [`Rung::Fallback`] (an internal row-per-block kernel whose name contains
+//!   no `"sputnik"`, so name-matched fault plans spare it) →
+//!   [`Rung::CpuReference`]. Checked by a NaN/Inf scan and an ABFT checksum
+//!   (`sum(C) == sum_nz(a_val * rowsum(B)[a_col])`, accumulated in f64).
+//! - **SDDMM** ([`sddmm`]): Sputnik → Heuristic ([`SddmmConfig::heuristic`],
+//!   when it differs) → CPU. Checked by the NaN/Inf scan alone: recomputing
+//!   the masked dot products *is* the kernel.
 //!
-//! The guards run on the host against the functional output and never touch
-//! the simulated [`LaunchStats`]: with an empty
-//! [`FaultPlan`](gpu_sim::FaultPlan), dispatch returns statistics identical
-//! to a direct [`crate::spmm`] call.
+//! Every rung must compute the same function, so configurations only the
+//! Sputnik rung honours — SpMM's `fused_bias_relu`, SDDMM's
+//! `scale_by_mask` — are rejected with [`SputnikError::IllegalConfig`].
+//! The guards run on the host and never touch the simulated
+//! [`LaunchStats`]: with an empty [`FaultPlan`](gpu_sim::FaultPlan),
+//! dispatch returns statistics identical to a direct launch.
 
-use crate::config::SpmmConfig;
+use crate::config::{SddmmConfig, SpmmConfig};
 use crate::error::{is_transient, SputnikError};
 use crate::reference;
+use crate::sddmm::{mask_fingerprint, SddmmKernel};
 use crate::spmm::{
     operand_fingerprint, require_finite, SpmmKernel, BUF_A_INDICES, BUF_A_OFFSETS, BUF_A_VALUES,
     BUF_B, BUF_C,
@@ -44,10 +48,22 @@ pub enum Rung {
     Sputnik,
     /// The paper's heuristic configuration for this problem shape.
     Heuristic,
-    /// The internal row-per-block fallback kernel (cusparse-style).
+    /// The internal row-per-block fallback kernel (cusparse-style; SpMM only).
     Fallback,
     /// Host execution of the golden reference.
     CpuReference,
+}
+
+impl Rung {
+    /// The global-metrics counter bumped each time this rung serves a call.
+    fn counter(self) -> &'static str {
+        match self {
+            Rung::Sputnik => "dispatch_rung_sputnik",
+            Rung::Heuristic => "dispatch_rung_heuristic",
+            Rung::Fallback => "dispatch_rung_fallback",
+            Rung::CpuReference => "dispatch_rung_cpu_reference",
+        }
+    }
 }
 
 impl std::fmt::Display for Rung {
@@ -61,37 +77,31 @@ impl std::fmt::Display for Rung {
     }
 }
 
-/// Tuning knobs for the dispatcher.
+/// Tuning knob for the dispatcher.
 #[derive(Debug, Clone)]
 pub struct DispatchPolicy {
     /// Attempts per GPU rung (first try + retries). Retries are only spent
     /// on transient errors; deterministic failures skip straight to the
     /// next rung.
     pub attempts_per_rung: u32,
-    /// Simulated backoff before the r-th retry of a rung, in microseconds:
-    /// `backoff_base_us << r`, accumulated into the report (no host sleep).
-    pub backoff_base_us: f64,
-    /// Scan functional outputs for NaN/Inf.
-    pub check_finite: bool,
-    /// Verify the ABFT row-sum checksum on functional outputs.
-    pub check_checksum: bool,
-    /// Relative tolerance for the checksum guard. The guard compares an
-    /// f64 shadow sum against f32 kernel arithmetic, so this must absorb
-    /// rounding differences — it targets gross corruption, not ULPs.
-    pub checksum_rel_tol: f64,
 }
 
 impl Default for DispatchPolicy {
     fn default() -> Self {
         Self {
             attempts_per_rung: 2,
-            backoff_base_us: 50.0,
-            check_finite: true,
-            check_checksum: true,
-            checksum_rel_tol: 1e-3,
         }
     }
 }
+
+/// Simulated backoff before the r-th retry of a rung, in microseconds:
+/// `BACKOFF_BASE_US << (r - 1)`, accumulated into the report (no host sleep).
+const BACKOFF_BASE_US: f64 = 50.0;
+
+/// Relative tolerance of the SpMM checksum guard. The guard compares an f64
+/// shadow sum against kernel arithmetic, so this must absorb rounding
+/// differences — it targets gross corruption, not ULPs.
+const CHECKSUM_REL_TOL: f64 = 1e-3;
 
 /// A failed attempt, kept for post-mortems.
 #[derive(Debug, Clone)]
@@ -120,81 +130,116 @@ impl DispatchReport {
     }
 }
 
-/// Aggregate rung usage across many dispatched calls.
-///
-/// [`DegradationStats::record`] also mirrors each call into the process-wide
-/// [`gpu_sim::metrics`] registry as monotonic per-rung counters (see
-/// [`DegradationStats::RUNG_COUNTERS`]), so serving sweeps and plain kernel
-/// sweeps share one degradation dashboard: any snapshot of the global
-/// registry shows how many calls each rung served, regardless of which
-/// subsystem dispatched them.
-#[derive(Debug, Clone, Default)]
-pub struct DegradationStats {
-    pub calls: u64,
-    pub served: [u64; 4],
-    pub failed_attempts: u64,
-    pub backoff_us: f64,
+/// The degradation ladder. Walks `rungs` in order, launching each up to
+/// `policy.attempts_per_rung` times (retrying only transient errors, with
+/// simulated backoff), and serves the first launch whose output passes
+/// `check`. When every GPU rung fails, `cpu` serves: the bottom rung cannot
+/// fail.
+fn descend<Out>(
+    op: &str,
+    policy: &DispatchPolicy,
+    rungs: &[Rung],
+    mut launch: impl FnMut(Rung) -> Result<(Out, LaunchStats), SputnikError>,
+    check: impl Fn(&Out, &str) -> Result<(), SputnikError>,
+    cpu: impl FnOnce() -> Out,
+) -> (Out, DispatchReport) {
+    let mut attempts = Vec::new();
+    let mut backoff_us = 0.0f64;
+    for &rung in rungs {
+        for attempt in 0..policy.attempts_per_rung {
+            if attempt > 0 {
+                backoff_us += BACKOFF_BASE_US * f64::from(1u32 << (attempt - 1));
+            }
+            let result = launch(rung).and_then(|(out, stats)| {
+                check(&out, &stats.kernel)?;
+                Ok((out, stats))
+            });
+            match result {
+                Ok((out, stats)) => {
+                    let report = served(op, rung, Some(stats), attempts, backoff_us);
+                    return (out, report);
+                }
+                Err(err) => {
+                    gpu_sim::metrics::global().incr("dispatch_failed_attempts", 1);
+                    if gpu_sim::trace::enabled() {
+                        gpu_sim::trace::instant(
+                            "dispatch",
+                            "dispatch",
+                            &format!("{op} rung {rung} attempt {attempt} failed: {err}"),
+                        );
+                    }
+                    let transient = is_transient(&err);
+                    attempts.push(Attempt { rung, error: err });
+                    if !transient {
+                        // Deterministic failure: retrying the same rung
+                        // cannot help.
+                        break;
+                    }
+                }
+            }
+        }
+    }
+    let report = served(op, Rung::CpuReference, None, attempts, backoff_us);
+    (cpu(), report)
 }
 
-impl DegradationStats {
-    /// Global-metrics counter name for each rung, indexed by `Rung as usize`.
-    pub const RUNG_COUNTERS: [&'static str; 4] = [
-        "dispatch_rung_sputnik",
-        "dispatch_rung_heuristic",
-        "dispatch_rung_fallback",
-        "dispatch_rung_cpu_reference",
-    ];
-
-    pub fn record(&mut self, report: &DispatchReport) {
-        self.calls += 1;
-        self.served[report.served_by as usize] += 1;
-        self.failed_attempts += report.attempts.len() as u64;
-        self.backoff_us += report.backoff_us;
-        gpu_sim::metrics::global().incr(Self::RUNG_COUNTERS[report.served_by as usize], 1);
-    }
-
-    /// Fraction of calls served by the requested Sputnik configuration.
-    pub fn clean_fraction(&self) -> f64 {
-        if self.calls == 0 {
-            return 1.0;
+/// The ladder's single serve point: bumps the rung counter, plus the
+/// degradation counter and trace instant when a lower rung serves.
+fn served(
+    op: &str,
+    rung: Rung,
+    stats: Option<LaunchStats>,
+    attempts: Vec<Attempt>,
+    backoff_us: f64,
+) -> DispatchReport {
+    let metrics = gpu_sim::metrics::global();
+    if rung == Rung::Sputnik {
+        metrics.incr(rung.counter(), 1);
+    } else {
+        metrics.incr_many(&[(rung.counter(), 1), ("dispatch_degraded", 1)]);
+        if gpu_sim::trace::enabled() {
+            let kernel = stats
+                .as_ref()
+                .map_or(String::new(), |s| format!(" ({})", s.kernel));
+            let name = format!("degraded: {op} served by {rung}{kernel}");
+            gpu_sim::trace::instant("dispatch", "dispatch", &name);
         }
-        self.served[Rung::Sputnik as usize] as f64 / self.calls as f64
     }
+    DispatchReport {
+        served_by: rung,
+        stats,
+        attempts,
+        backoff_us,
+    }
+}
+
+/// One GPU rung's functional launch through [`Gpu::run`], consulting the
+/// cache under `key` when one is given. A statically refuted launch comes
+/// back as [`SputnikError::StaticallyRefuted`] before a block runs — a
+/// deterministic failure, so the ladder degrades at once.
+fn run_rung(
+    gpu: &Gpu,
+    key: Option<(&LaunchCache, u64)>,
+    kernel: &dyn Kernel,
+) -> Result<LaunchStats, SputnikError> {
+    Ok(gpu
+        .run(&LaunchRequest::functional(kernel).cached(key))?
+        .stats)
 }
 
 /// Fault-tolerant SpMM: `A (sparse) * B (dense)` through the degradation
 /// ladder. Returns the output and a report of which rung served.
 ///
+/// With a `cache`, every GPU rung consults it: a hit skips the cost
+/// simulation and replays only the functional output (see [`Gpu::run`]), so
+/// the guards still inspect a freshly computed `C`, and the statistics are
+/// the memoized ones, bit-identical to a cold launch.
+///
 /// Errors are returned only for deterministic input violations (shape
-/// mismatch, non-finite operands): anything transient degrades to a slower
-/// rung, and the CPU reference rung cannot fail.
+/// mismatch, non-finite operands, a `fused_bias_relu` configuration):
+/// anything transient degrades to a slower rung, and the CPU reference rung
+/// cannot fail.
 pub fn spmm<T: Scalar>(
-    gpu: &Gpu,
-    a: &CsrMatrix<T>,
-    b: &Matrix<T>,
-    cfg: SpmmConfig,
-    policy: &DispatchPolicy,
-) -> Result<(Matrix<T>, DispatchReport), SputnikError> {
-    spmm_with_cache(gpu, None, a, b, cfg, policy)
-}
-
-/// [`spmm`] with every GPU rung consulting a cross-launch [`LaunchCache`].
-/// A hit skips the cost simulation and replays only the functional output
-/// (see [`Gpu::run`]), so the detection guards still inspect a
-/// freshly computed `C`; the returned statistics are the memoized ones,
-/// bit-identical to a cold launch.
-pub fn spmm_cached<T: Scalar>(
-    gpu: &Gpu,
-    cache: &LaunchCache,
-    a: &CsrMatrix<T>,
-    b: &Matrix<T>,
-    cfg: SpmmConfig,
-    policy: &DispatchPolicy,
-) -> Result<(Matrix<T>, DispatchReport), SputnikError> {
-    spmm_with_cache(gpu, Some(cache), a, b, cfg, policy)
-}
-
-fn spmm_with_cache<T: Scalar>(
     gpu: &Gpu,
     cache: Option<&LaunchCache>,
     a: &CsrMatrix<T>,
@@ -214,137 +259,160 @@ fn spmm_with_cache<T: Scalar>(
             reason: "Sputnik uses row-major dense operands".into(),
         });
     }
+    if cfg.fused_bias_relu {
+        return Err(SputnikError::IllegalConfig {
+            reason: "dispatch cannot serve fused_bias_relu: the lower rungs have no \
+                     epilogue, so a degraded call would change its answer"
+                .into(),
+        });
+    }
     require_finite("a", a.values())?;
     require_finite("b", b.as_slice())?;
 
     // Shared by every checksum evaluation: per-row sums of B, in f64.
     let b_rowsums = checksum_b_rowsums(b);
-    let mut attempts = Vec::new();
-    let mut backoff_us = 0.0f64;
-
-    // GPU rungs: requested config, heuristic config, internal fallback.
+    let key = cache.map(|c| (c, operand_fingerprint(a, b.cols())));
     let heuristic = SpmmConfig::heuristic::<T>(b.cols());
-    let gpu_rungs: Vec<(Rung, Option<SpmmConfig>)> = {
-        let mut r = vec![(Rung::Sputnik, Some(cfg))];
-        if heuristic != cfg {
-            r.push((Rung::Heuristic, Some(heuristic)));
-        }
-        r.push((Rung::Fallback, None));
-        r
+    let rungs: &[Rung] = if heuristic == cfg {
+        &[Rung::Sputnik, Rung::Fallback]
+    } else {
+        &[Rung::Sputnik, Rung::Heuristic, Rung::Fallback]
     };
-
-    for (rung, rung_cfg) in gpu_rungs {
-        for attempt in 0..policy.attempts_per_rung {
-            if attempt > 0 {
-                backoff_us += policy.backoff_base_us * f64::from(1u32 << (attempt - 1));
-            }
-            let result = match rung_cfg {
-                Some(c) => launch_sputnik(gpu, cache, a, b, c),
-                None => launch_fallback(gpu, cache, a, b),
+    let launch = |rung: Rung| -> Result<(Matrix<T>, LaunchStats), SputnikError> {
+        let mut out = Matrix::<T>::zeros(a.rows(), b.cols());
+        let stats = if rung == Rung::Fallback {
+            run_rung(gpu, key, &FallbackSpmmKernel::new(a, b, &mut out))?
+        } else {
+            let c = if rung == Rung::Sputnik {
+                cfg
+            } else {
+                heuristic
             };
-            match result.and_then(|(out, stats)| {
-                check_output(&out, a, &b_rowsums, rung_cfg, policy, &stats.kernel)?;
-                Ok((out, stats))
-            }) {
-                Ok((out, stats)) => {
-                    if rung != Rung::Sputnik {
-                        gpu_sim::metrics::global().incr("dispatch_degraded", 1);
-                        if gpu_sim::trace::enabled() {
-                            gpu_sim::trace::instant(
-                                "dispatch",
-                                "dispatch",
-                                &format!("degraded: served by {rung} ({})", stats.kernel),
-                            );
-                        }
-                    }
-                    let report = DispatchReport {
-                        served_by: rung,
-                        stats: Some(stats),
-                        attempts: std::mem::take(&mut attempts),
-                        backoff_us,
-                    };
-                    return Ok((out, report));
-                }
-                Err(err) => {
-                    let transient = is_transient(&err);
-                    gpu_sim::metrics::global().incr("dispatch_failed_attempts", 1);
-                    if gpu_sim::trace::enabled() {
-                        gpu_sim::trace::instant(
-                            "dispatch",
-                            "dispatch",
-                            &format!("rung {rung} attempt {attempt} failed: {err}"),
-                        );
-                    }
-                    attempts.push(Attempt { rung, error: err });
-                    if !transient {
-                        // Deterministic failure: retrying the same rung
-                        // cannot help.
-                        break;
-                    }
-                }
-            }
+            let swizzle = RowSwizzle::for_config(a, c.row_swizzle);
+            let kernel = SpmmKernel::try_new(a, b, &mut out, &swizzle, c)?;
+            run_rung(gpu, key, &kernel)?
+        };
+        Ok((out, stats))
+    };
+    let check = |out: &Matrix<T>, kernel: &str| {
+        check_finite(out.as_slice(), kernel)?;
+        check_checksum(out, a, &b_rowsums, kernel)
+    };
+    // The CPU rung accumulates in the fallback kernel's order, so results
+    // stay bit-stable across the lower rungs for f32.
+    Ok(descend("spmm", policy, rungs, launch, check, || {
+        reference_as_t(a, b)
+    }))
+}
+
+/// An SDDMM mask with both row orderings an SDDMM rung may ask for, built
+/// once so a batched window does not rebuild them per item.
+pub(crate) struct SwizzledMask<'a, T: Scalar> {
+    mask: &'a CsrMatrix<T>,
+    by_length: RowSwizzle,
+    identity: RowSwizzle,
+}
+
+impl<'a, T: Scalar> SwizzledMask<'a, T> {
+    pub(crate) fn new(mask: &'a CsrMatrix<T>) -> Self {
+        Self {
+            mask,
+            by_length: RowSwizzle::by_length_desc(mask),
+            identity: RowSwizzle::identity(mask.rows()),
         }
     }
 
-    // Last rung: host execution. Identical accumulation order to the
-    // fallback kernel, so results remain bit-stable across rungs for f32.
-    gpu_sim::metrics::global().incr("dispatch_degraded", 1);
-    if gpu_sim::trace::enabled() {
-        gpu_sim::trace::instant("dispatch", "dispatch", "degraded: served by cpu-reference");
+    fn for_config(&self, cfg: SddmmConfig) -> &RowSwizzle {
+        if cfg.row_swizzle {
+            &self.by_length
+        } else {
+            &self.identity
+        }
     }
-    let out = reference_as_t::<T>(a, b);
-    let report = DispatchReport {
-        served_by: Rung::CpuReference,
-        stats: None,
-        attempts,
-        backoff_us,
-    };
-    Ok((out, report))
 }
 
-fn launch_sputnik<T: Scalar>(
+/// Fault-tolerant SDDMM: `(lhs * rhs^T) ⊙ mask` through the degradation
+/// ladder (requested config → heuristic config → CPU reference; there is
+/// no separate fallback SDDMM kernel). `cache` works as in [`spmm`].
+///
+/// Errors are returned only for deterministic input violations (shape
+/// mismatch, a `scale_by_mask` configuration). Unlike [`spmm`], operands
+/// are not scanned for NaN/Inf up front: on small serving masks the scan
+/// of both dense operands is a measurable share of a cached launch's host
+/// time, and a non-finite operand still fails every GPU rung's output
+/// check, so the CPU rung serves it.
+pub fn sddmm<T: Scalar>(
     gpu: &Gpu,
     cache: Option<&LaunchCache>,
-    a: &CsrMatrix<T>,
-    b: &Matrix<T>,
-    cfg: SpmmConfig,
-) -> Result<(Matrix<T>, LaunchStats), SputnikError> {
-    let swizzle = RowSwizzle::for_config(a, cfg.row_swizzle);
-    let mut out = Matrix::<T>::zeros(a.rows(), b.cols());
-    let stats = {
-        let kernel = SpmmKernel::try_new(a, b, &mut out, &swizzle, cfg)?;
-        launch_rung(gpu, cache, a, b, &kernel)?
-    };
-    Ok((out, stats))
+    lhs: &Matrix<T>,
+    rhs: &Matrix<T>,
+    mask: &CsrMatrix<T>,
+    cfg: SddmmConfig,
+    policy: &DispatchPolicy,
+) -> Result<(CsrMatrix<T>, DispatchReport), SputnikError> {
+    sddmm_swizzled(gpu, cache, lhs, rhs, &SwizzledMask::new(mask), cfg, policy)
 }
 
-fn launch_fallback<T: Scalar>(
+/// [`sddmm`] over a mask whose row swizzles are already built.
+pub(crate) fn sddmm_swizzled<T: Scalar>(
     gpu: &Gpu,
     cache: Option<&LaunchCache>,
-    a: &CsrMatrix<T>,
-    b: &Matrix<T>,
-) -> Result<(Matrix<T>, LaunchStats), SputnikError> {
-    let mut out = Matrix::<T>::zeros(a.rows(), b.cols());
-    let stats = {
-        let kernel = FallbackSpmmKernel::new(a, b, &mut out);
-        launch_rung(gpu, cache, a, b, &kernel)?
-    };
-    Ok((out, stats))
-}
+    lhs: &Matrix<T>,
+    rhs: &Matrix<T>,
+    mask: &SwizzledMask<'_, T>,
+    cfg: SddmmConfig,
+    policy: &DispatchPolicy,
+) -> Result<(CsrMatrix<T>, DispatchReport), SputnikError> {
+    let m = mask.mask;
+    // Checked here, not only in the kernel, because the CPU rung asserts it.
+    if lhs.cols() != rhs.cols() || m.rows() != lhs.rows() || m.cols() != rhs.rows() {
+        return Err(SputnikError::ShapeMismatch {
+            expected: "lhs and rhs of one width, a lhs.rows x rhs.rows mask".into(),
+            found: format!(
+                "lhs {}x{}, rhs {}x{}, mask {}x{}",
+                lhs.rows(),
+                lhs.cols(),
+                rhs.rows(),
+                rhs.cols(),
+                m.rows(),
+                m.cols()
+            ),
+            context: "dispatch sddmm",
+        });
+    }
+    if cfg.scale_by_mask {
+        return Err(SputnikError::IllegalConfig {
+            reason: "dispatch cannot serve scale_by_mask: the lower rungs do not scale, \
+                     so a degraded call would change its answer"
+                .into(),
+        });
+    }
 
-/// One GPU rung's functional launch through [`Gpu::run`]: a statically
-/// refuted launch comes back as [`SputnikError::StaticallyRefuted`] before
-/// a block runs — a deterministic failure, so the ladder degrades at once.
-fn launch_rung<T: Scalar>(
-    gpu: &Gpu,
-    cache: Option<&LaunchCache>,
-    a: &CsrMatrix<T>,
-    b: &Matrix<T>,
-    kernel: &dyn Kernel,
-) -> Result<LaunchStats, SputnikError> {
-    let req = LaunchRequest::functional(kernel)
-        .cached(cache.map(|c| (c, operand_fingerprint(a, b.cols()))));
-    Ok(gpu.run(&req)?.stats)
+    let key = cache.map(|c| (c, mask_fingerprint(m, lhs.cols())));
+    let heuristic = SddmmConfig::heuristic::<T>(lhs.cols());
+    let rungs: &[Rung] = if heuristic == cfg {
+        &[Rung::Sputnik]
+    } else {
+        &[Rung::Sputnik, Rung::Heuristic]
+    };
+    let launch = |rung: Rung| -> Result<(CsrMatrix<T>, LaunchStats), SputnikError> {
+        let c = if rung == Rung::Sputnik {
+            cfg
+        } else {
+            heuristic
+        };
+        let mut values = vec![T::zero(); m.nnz()];
+        let stats = {
+            let kernel = SddmmKernel::try_new(lhs, rhs, m, &mut values, mask.for_config(c), c)?;
+            run_rung(gpu, key, &kernel)?
+        };
+        Ok((m.with_values(values), stats))
+    };
+    let check = |out: &CsrMatrix<T>, kernel: &str| check_finite(out.values(), kernel);
+    Ok(descend("sddmm", policy, rungs, launch, check, || {
+        let out32 = reference::sddmm(&lhs.to_f32(), &rhs.to_f32(), m);
+        m.with_values(out32.values().iter().map(|&v| T::from_f32(v)).collect())
+    }))
 }
 
 /// CPU rung: the golden reference, converted to the storage type.
@@ -371,55 +439,50 @@ fn checksum_b_rowsums<T: Scalar>(b: &Matrix<T>) -> Vec<f64> {
         .collect()
 }
 
-/// Detection guards: NaN/Inf scan plus the ABFT row-sum checksum
+/// Detection guard shared by every op: a NaN/Inf scan of the output.
+fn check_finite<T: Scalar>(values: &[T], kernel: &str) -> Result<(), SputnikError> {
+    if values.iter().all(|v| v.to_f32().is_finite()) {
+        return Ok(());
+    }
+    Err(SputnikError::CorruptOutput {
+        kernel: kernel.to_string(),
+        reason: "non-finite value in output".into(),
+    })
+}
+
+/// SpMM's ABFT row-sum checksum guard:
 /// `sum(C) == sum over nonzeros of a_val * rowsum(B)[a_col]`.
-fn check_output<T: Scalar>(
+fn check_checksum<T: Scalar>(
     out: &Matrix<T>,
     a: &CsrMatrix<T>,
     b_rowsums: &[f64],
-    cfg: Option<SpmmConfig>,
-    policy: &DispatchPolicy,
     kernel: &str,
 ) -> Result<(), SputnikError> {
-    if policy.check_finite {
-        for v in out.as_slice() {
-            if !v.to_f32().is_finite() {
-                return Err(SputnikError::CorruptOutput {
-                    kernel: kernel.to_string(),
-                    reason: "non-finite value in output".into(),
-                });
-            }
-        }
+    let expected: f64 = a
+        .col_indices()
+        .iter()
+        .zip(a.values())
+        .map(|(&col, v)| f64::from(v.to_f32()) * b_rowsums[col as usize])
+        .sum();
+    let actual: f64 = out.as_slice().iter().map(|v| f64::from(v.to_f32())).sum();
+    // Scale-aware tolerance: rounding grows with the mass being summed.
+    let scale: f64 = a
+        .col_indices()
+        .iter()
+        .zip(a.values())
+        .map(|(&col, v)| (f64::from(v.to_f32()) * b_rowsums[col as usize]).abs())
+        .sum::<f64>()
+        .max(1.0);
+    // `within` is false for a NaN sum (NaN fails every comparison), so
+    // corruption is flagged rather than slipping through.
+    let within = (actual - expected).abs() <= CHECKSUM_REL_TOL * scale;
+    if within {
+        return Ok(());
     }
-    // The checksum is a linear identity: a fused ReLU epilogue breaks it.
-    let nonlinear = cfg.is_some_and(|c| c.fused_bias_relu);
-    if policy.check_checksum && !nonlinear {
-        let expected: f64 = a
-            .col_indices()
-            .iter()
-            .zip(a.values())
-            .map(|(&col, v)| f64::from(v.to_f32()) * b_rowsums[col as usize])
-            .sum();
-        let actual: f64 = out.as_slice().iter().map(|v| f64::from(v.to_f32())).sum();
-        // Scale-aware tolerance: rounding grows with the mass being summed.
-        let scale: f64 = a
-            .col_indices()
-            .iter()
-            .zip(a.values())
-            .map(|(&col, v)| (f64::from(v.to_f32()) * b_rowsums[col as usize]).abs())
-            .sum::<f64>()
-            .max(1.0);
-        // `within` is false for a NaN sum (NaN fails every comparison), so
-        // corruption is flagged rather than slipping through.
-        let within = (actual - expected).abs() <= policy.checksum_rel_tol * scale;
-        if !within {
-            return Err(SputnikError::CorruptOutput {
-                kernel: kernel.to_string(),
-                reason: format!("checksum mismatch: expected {expected:.6e}, found {actual:.6e}"),
-            });
-        }
-    }
-    Ok(())
+    Err(SputnikError::CorruptOutput {
+        kernel: kernel.to_string(),
+        reason: format!("checksum mismatch: expected {expected:.6e}, found {actual:.6e}"),
+    })
 }
 
 /// The internal fallback kernel: one thread block per output row, 32 lanes
@@ -678,6 +741,7 @@ mod tests {
         let gpu = Gpu::v100();
         let (out, report) = spmm(
             &gpu,
+            None,
             &a,
             &b,
             SpmmConfig::default(),
@@ -699,6 +763,7 @@ mod tests {
         let gpu = Gpu::v100();
         let err = spmm(
             &gpu,
+            None,
             &a,
             &b,
             SpmmConfig::default(),
@@ -716,6 +781,7 @@ mod tests {
         let gpu = Gpu::v100();
         let err = spmm(
             &gpu,
+            None,
             &a,
             &b,
             SpmmConfig::default(),
@@ -739,7 +805,7 @@ mod tests {
             vector_width: 3,
             ..SpmmConfig::default()
         };
-        let (out, report) = spmm(&gpu, &a, &b, bad, &DispatchPolicy::default()).unwrap();
+        let (out, report) = spmm(&gpu, None, &a, &b, bad, &DispatchPolicy::default()).unwrap();
         assert_eq!(report.served_by, Rung::Heuristic);
         // Deterministic failure: exactly one attempt burned on the bad rung.
         assert_eq!(report.attempts.len(), 1);
@@ -751,26 +817,46 @@ mod tests {
         assert!(out.max_abs_diff(&expect) < 1e-3);
     }
 
+    /// The ladder's serve point writes the per-rung counters; the registry
+    /// is process-global, so assert on the delta.
     #[test]
-    fn degradation_stats_aggregate() {
-        let mut stats = DegradationStats::default();
+    fn degraded_dispatch_bumps_the_rung_counter() {
+        use gpu_sim::{FaultKind, FaultPlan};
         let a = gen::uniform(16, 32, 0.6, 31);
         let b = Matrix::<f32>::random(32, 16, 32);
-        let gpu = Gpu::v100();
-        for _ in 0..3 {
-            let (_, report) = spmm(
-                &gpu,
-                &a,
-                &b,
-                SpmmConfig::default(),
-                &DispatchPolicy::default(),
-            )
-            .unwrap();
-            stats.record(&report);
+        let gpu = Gpu::v100()
+            .with_fault_plan(FaultPlan::fail_all(FaultKind::EccError).matching("sputnik"));
+        let metrics = gpu_sim::metrics::global();
+        let before = metrics.get("dispatch_rung_fallback");
+        let (_, report) = spmm(
+            &gpu,
+            None,
+            &a,
+            &b,
+            SpmmConfig::default(),
+            &DispatchPolicy::default(),
+        )
+        .unwrap();
+        assert_eq!(report.served_by, Rung::Fallback);
+        assert!(metrics.get("dispatch_rung_fallback") > before);
+    }
+
+    /// The checksum guard catches corruption on its own, without the
+    /// finite scan — including NaN propagation, which must not slip through
+    /// the tolerance comparison.
+    #[test]
+    fn checksum_guard_catches_corruption_without_finite_scan() {
+        let a = gen::uniform(48, 96, 0.7, 500);
+        let b = Matrix::<f32>::random(96, 32, 501);
+        let rowsums = checksum_b_rowsums(&b);
+        let clean = reference::spmm(&a, &b);
+        assert!(check_checksum(&clean, &a, &rowsums, "k").is_ok());
+        for bad in [f32::NAN, 1e3] {
+            let mut poisoned = clean.clone();
+            poisoned.set(7, 5, bad);
+            let err = check_checksum(&poisoned, &a, &rowsums, "k").expect_err("corrupt");
+            assert!(matches!(err, SputnikError::CorruptOutput { .. }));
         }
-        assert_eq!(stats.calls, 3);
-        assert_eq!(stats.served[Rung::Sputnik as usize], 3);
-        assert_eq!(stats.clean_fraction(), 1.0);
     }
 
     #[test]
@@ -781,10 +867,10 @@ mod tests {
         let cache = LaunchCache::new();
         let policy = DispatchPolicy::default();
         let (cold_out, cold) =
-            spmm_cached(&gpu, &cache, &a, &b, SpmmConfig::default(), &policy).unwrap();
+            spmm(&gpu, Some(&cache), &a, &b, SpmmConfig::default(), &policy).unwrap();
         assert_eq!(cache.hits(), 0);
         let (warm_out, warm) =
-            spmm_cached(&gpu, &cache, &a, &b, SpmmConfig::default(), &policy).unwrap();
+            spmm(&gpu, Some(&cache), &a, &b, SpmmConfig::default(), &policy).unwrap();
         assert!(cache.hits() >= 1, "second dispatch must hit the cache");
         assert!(warm.clean());
         // The replayed launch recomputes real outputs and returns the
@@ -792,7 +878,7 @@ mod tests {
         assert_eq!(cold_out.as_slice(), warm_out.as_slice());
         assert_eq!(cold.stats, warm.stats);
         // The guards saw a real output: corrupt inputs would still fail.
-        let (plain_out, plain) = spmm(&gpu, &a, &b, SpmmConfig::default(), &policy).unwrap();
+        let (plain_out, plain) = spmm(&gpu, None, &a, &b, SpmmConfig::default(), &policy).unwrap();
         assert_eq!(plain_out.as_slice(), warm_out.as_slice());
         assert_eq!(plain.stats, warm.stats);
     }

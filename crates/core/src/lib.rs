@@ -26,9 +26,7 @@ pub use batched::{
     spmm_batched_dispatch, BatchedResult, DispatchedBatch,
 };
 pub use config::{SddmmConfig, SpmmConfig};
-pub use dispatch::{
-    spmm_cached, DegradationStats, DispatchPolicy, DispatchReport, FallbackSpmmKernel, Rung,
-};
+pub use dispatch::{DispatchPolicy, DispatchReport, FallbackSpmmKernel, Rung};
 pub use error::SputnikError;
 pub use joint::{
     joint_heuristic, joint_spmm, joint_spmm_profile, joint_spmm_profile_cached, try_joint_spmm,

@@ -49,6 +49,7 @@ fn dispatch_survives_total_sputnik_failure_bit_correct() {
         Gpu::v100().with_fault_plan(FaultPlan::fail_all(FaultKind::EccError).matching("sputnik"));
     let (out, report) = dispatch::spmm(
         &gpu,
+        None,
         &a,
         &b,
         SpmmConfig::default(),
@@ -80,6 +81,7 @@ fn dispatch_survives_total_device_failure_via_cpu() {
     let gpu = Gpu::v100().with_fault_plan(FaultPlan::fail_all(FaultKind::EccError));
     let (out, report) = dispatch::spmm(
         &gpu,
+        None,
         &a,
         &b,
         SpmmConfig::default(),
@@ -101,6 +103,7 @@ fn dispatch_detects_poisoned_output() {
         .with_fault_plan(FaultPlan::fail_all(FaultKind::PoisonOutput).matching("sputnik"));
     let (out, report) = dispatch::spmm(
         &gpu,
+        None,
         &a,
         &b,
         SpmmConfig::default(),
@@ -117,25 +120,6 @@ fn dispatch_detects_poisoned_output() {
     assert!(out.as_slice().iter().all(|v| v.is_finite()));
 }
 
-/// The checksum guard alone (finite scan disabled) also catches poisoning —
-/// including the NaN-propagation case, which must not slip through the
-/// tolerance comparison.
-#[test]
-fn checksum_guard_catches_corruption_without_finite_scan() {
-    let (a, b) = problem(500);
-    let gpu = Gpu::v100()
-        .with_fault_plan(FaultPlan::fail_all(FaultKind::PoisonOutput).matching("sputnik"));
-    let policy = DispatchPolicy {
-        check_finite: false,
-        ..DispatchPolicy::default()
-    };
-    let (out, report) =
-        dispatch::spmm(&gpu, &a, &b, SpmmConfig::default(), &policy).expect("must not fail");
-    assert_eq!(report.served_by, Rung::Fallback);
-    let expect = reference::spmm(&a, &b);
-    assert_eq!(out.as_slice(), expect.as_slice());
-}
-
 /// Transient faults that clear (fail-first-N) are absorbed by same-rung
 /// retries: the requested configuration still serves.
 #[test]
@@ -144,6 +128,7 @@ fn transient_fault_recovered_by_retry() {
     let gpu = Gpu::v100().with_fault_plan(FaultPlan::fail_first(1, FaultKind::EccError));
     let (out, report) = dispatch::spmm(
         &gpu,
+        None,
         &a,
         &b,
         SpmmConfig::default(),
@@ -172,6 +157,7 @@ fn rate_plans_replay_deterministically() {
         for _ in 0..6 {
             let (_, report) = dispatch::spmm(
                 &gpu,
+                None,
                 &a,
                 &b,
                 SpmmConfig::default(),
@@ -197,6 +183,7 @@ fn empty_fault_plan_changes_nothing() {
     let guarded_gpu = Gpu::v100().with_fault_plan(FaultPlan::none());
     let (out, report) = dispatch::spmm(
         &guarded_gpu,
+        None,
         &a,
         &b,
         SpmmConfig::default(),
@@ -234,17 +221,63 @@ fn dispatch_handles_half_precision_under_faults() {
     }
     let gpu =
         Gpu::v100().with_fault_plan(FaultPlan::fail_all(FaultKind::EccError).matching("sputnik"));
-    // Half rounding per element exceeds the default checksum tolerance
-    // budgeted for f32 kernels; widen it accordingly.
-    let policy = DispatchPolicy {
-        checksum_rel_tol: 5e-2,
-        ..DispatchPolicy::default()
-    };
-    let (out, report) = dispatch::spmm(&gpu, &a, &b, SpmmConfig::heuristic::<Half>(32), &policy)
-        .expect("dispatch must not fail");
+    let (out, report) = dispatch::spmm(
+        &gpu,
+        None,
+        &a,
+        &b,
+        SpmmConfig::heuristic::<Half>(32),
+        &DispatchPolicy::default(),
+    )
+    .expect("dispatch must not fail");
     assert_eq!(report.served_by, Rung::Fallback);
     let expect = reference::spmm(&a.convert::<f32>(), &b.to_f32());
     for (got, want) in out.as_slice().iter().zip(expect.as_slice()) {
         assert!((got.to_f32() - want).abs() <= want.abs() * 0.01 + 0.05);
     }
+}
+
+/// A fused ReLU epilogue exists only on the Sputnik rung, so a degraded
+/// call would silently drop it (negative outputs from the fallback kernel).
+/// Dispatch rejects the configuration before any rung runs.
+#[test]
+fn dispatch_rejects_fused_epilogue() {
+    let (a, b) = problem(200);
+    let gpu =
+        Gpu::v100().with_fault_plan(FaultPlan::fail_all(FaultKind::EccError).matching("sputnik"));
+    let cfg = SpmmConfig {
+        fused_bias_relu: true,
+        ..SpmmConfig::default()
+    };
+    let err = dispatch::spmm(&gpu, None, &a, &b, cfg, &DispatchPolicy::default())
+        .expect_err("no rung below Sputnik applies the epilogue");
+    assert!(matches!(err, SputnikError::IllegalConfig { .. }));
+    assert_eq!(
+        gpu.fault_plan().map(FaultPlan::launches_observed),
+        Some(0),
+        "rejected before any launch"
+    );
+}
+
+/// SDDMM's `scale_by_mask` is likewise applied by the Sputnik rung only.
+#[test]
+fn dispatch_rejects_sddmm_scale_by_mask() {
+    let mask = gen::uniform(24, 24, 0.6, 210);
+    let lhs = Matrix::<f32>::random(24, 32, 211);
+    let rhs = Matrix::<f32>::random(24, 32, 212);
+    let cfg = SddmmConfig {
+        scale_by_mask: true,
+        ..SddmmConfig::default()
+    };
+    let err = dispatch::sddmm(
+        &Gpu::v100(),
+        None,
+        &lhs,
+        &rhs,
+        &mask,
+        cfg,
+        &DispatchPolicy::default(),
+    )
+    .expect_err("no rung below Sputnik scales by the mask");
+    assert!(matches!(err, SputnikError::IllegalConfig { .. }));
 }

@@ -1116,32 +1116,42 @@ impl<'g> Stream<'g> {
         self.cache_hits
     }
 
-    /// Total simulated stream time: per-kernel execution plus ONE launch
-    /// overhead (subsequent launches are pipelined behind execution, except
-    /// when a kernel is shorter than the overhead itself).
-    ///
-    /// Invariant: never exceeds the naive sum of the individual launch
-    /// times — pipelining can only *hide* overhead. The gap penalty for a
-    /// too-short kernel applies only to launches with a successor (it models
-    /// the next launch's exposed setup); the final launch has none.
+    /// Total simulated stream time of the launches so far (see
+    /// [`pipelined_us`]).
     pub fn total_us(&self) -> f64 {
-        if self.launches.is_empty() {
-            return 0.0;
-        }
-        let overhead = self.gpu.device().launch_overhead_us;
-        let mut total = overhead;
-        for (i, s) in self.launches.iter().enumerate() {
-            let exec = s.time_us - overhead;
-            if i + 1 < self.launches.len() {
-                // A kernel shorter than the launch overhead leaves a gap
-                // the next launch cannot fully hide.
-                total += exec.max(overhead * 0.3);
-            } else {
-                total += exec;
-            }
-        }
-        total
+        pipelined_us(
+            self.gpu.device().launch_overhead_us,
+            self.launches.iter().map(|s| s.time_us),
+        )
     }
+}
+
+/// Simulated time of back-to-back launches on one stream, given each
+/// launch's standalone time: per-kernel execution plus ONE launch overhead
+/// (subsequent launches are pipelined behind execution, except when a
+/// kernel is shorter than the overhead itself). Zero for no launches.
+///
+/// Invariant: never exceeds the naive sum of the individual launch
+/// times — pipelining can only *hide* overhead. The gap penalty for a
+/// too-short kernel applies only to launches with a successor (it models
+/// the next launch's exposed setup); the final launch has none.
+pub fn pipelined_us(overhead_us: f64, times_us: impl IntoIterator<Item = f64>) -> f64 {
+    let mut times = times_us.into_iter().peekable();
+    if times.peek().is_none() {
+        return 0.0;
+    }
+    let mut total = overhead_us;
+    while let Some(t) = times.next() {
+        let exec = t - overhead_us;
+        if times.peek().is_some() {
+            // A kernel shorter than the launch overhead leaves a gap
+            // the next launch cannot fully hide.
+            total += exec.max(overhead_us * 0.3);
+        } else {
+            total += exec;
+        }
+    }
+    total
 }
 
 /// Aggregate of several launches (e.g. the layers of a network forward pass).

@@ -91,8 +91,8 @@ pub use fleet::{EventId, Fleet, FleetError, FleetSync};
 pub use fused::SddmmSoftmaxSpmmKernel;
 pub use kernel::Kernel;
 pub use launch::{
-    CheckLevel, Gpu, KernelBuilder, LaunchError, LaunchRequest, LaunchStats, LaunchSummary,
-    Launched, Mode, PipelineBreakdown, Stream,
+    pipelined_us, CheckLevel, Gpu, KernelBuilder, LaunchError, LaunchRequest, LaunchStats,
+    LaunchSummary, Launched, Mode, PipelineBreakdown, Stream,
 };
 pub use launch_cache::{LaunchCache, LaunchKey};
 pub use metrics::{MetricsRegistry, MetricsSnapshot};

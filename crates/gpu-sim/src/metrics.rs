@@ -30,7 +30,7 @@
 //! | `sanitizer_skips` | whole sanitize runs skipped on a fingerprint-identical cache hit |
 //! | `dispatch_static_refuted` | launches rejected by the static auditor, from every entry point (they all go through [`crate::Gpu::run`]) |
 //! | `dispatch_degraded` / `dispatch_failed_attempts` | degradation-ladder traffic |
-//! | `dispatch_rung_*` | served requests per ladder rung (`sputnik`, `heuristic`, `fallback`, `cpu_reference`) |
+//! | `dispatch_rung_*` | dispatched calls served per ladder rung (`sputnik`, `heuristic`, `fallback`, `cpu_reference`), bumped by the ladder's serve point in `sputnik::dispatch` |
 //! | `serve_offered` / `serve_served` / `serve_shed` / `serve_rejected` | front-door outcome totals |
 //! | `serve_late` / `serve_batches` / `serve_degraded` | SLO misses, launch windows, degraded serves |
 //! | `joint_tiles_total` / `joint_tiles_skipped` | pattern-LUT probes issued by joint-sparsity launches, and how many hit dead tiles (skip rate = skipped/total) |

@@ -78,8 +78,8 @@ pub struct ServeReport {
     /// Served past deadline (subset of `served`).
     pub late: u64,
     pub latency: LatencyRecorder,
-    /// Served requests by degradation rung, indexed like
-    /// [`sputnik::DegradationStats::RUNG_COUNTERS`].
+    /// Served requests by degradation rung, indexed by
+    /// `sputnik::Rung as usize`.
     pub rung_counts: [u64; 4],
     /// Served requests whose rung was not the requested configuration.
     pub degraded: u64,

@@ -30,7 +30,7 @@ fn main() {
     // 2. Clean device: dispatch serves from the requested Sputnik config.
     let gpu = Gpu::v100();
     let policy = DispatchPolicy::default();
-    let (out, report) = dispatch::spmm(&gpu, &a, &b, cfg, &policy).expect("clean dispatch");
+    let (out, report) = dispatch::spmm(&gpu, None, &a, &b, cfg, &policy).expect("clean dispatch");
     println!(
         "clean device    : served by {} (clean: {})",
         report.served_by,
@@ -42,7 +42,8 @@ fn main() {
     //    the conservative fallback kernel and still returns bit-correct output.
     let gpu =
         Gpu::v100().with_fault_plan(FaultPlan::fail_all(FaultKind::EccError).matching("sputnik"));
-    let (out, report) = dispatch::spmm(&gpu, &a, &b, cfg, &policy).expect("degraded dispatch");
+    let (out, report) =
+        dispatch::spmm(&gpu, None, &a, &b, cfg, &policy).expect("degraded dispatch");
     println!(
         "all-ECC device  : served by {} after {} failed attempts ({:.0} us backoff)",
         report.served_by,
@@ -59,7 +60,8 @@ fn main() {
     //    the post-launch guards catch it anyway.
     let gpu = Gpu::v100()
         .with_fault_plan(FaultPlan::fail_all(FaultKind::PoisonOutput).matching("sputnik"));
-    let (out, report) = dispatch::spmm(&gpu, &a, &b, cfg, &policy).expect("poisoned dispatch");
+    let (out, report) =
+        dispatch::spmm(&gpu, None, &a, &b, cfg, &policy).expect("poisoned dispatch");
     println!(
         "poisoned device : served by {} ({} corrupt outputs detected)",
         report.served_by,
@@ -70,7 +72,7 @@ fn main() {
     // 5. Transient flake: only the first launch fails; a bounded retry recovers
     //    without leaving the fast path.
     let gpu = Gpu::v100().with_fault_plan(FaultPlan::fail_first(1, FaultKind::EccError));
-    let (_, report) = dispatch::spmm(&gpu, &a, &b, cfg, &policy).expect("retried dispatch");
+    let (_, report) = dispatch::spmm(&gpu, None, &a, &b, cfg, &policy).expect("retried dispatch");
     println!(
         "transient flake : served by {} after retry ({} attempt logged)",
         report.served_by,

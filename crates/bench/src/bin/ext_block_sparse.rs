@@ -10,22 +10,15 @@
 //! to unstructured pruning at the same parameter budget).
 
 use gpu_sim::Gpu;
-use serde::Serialize;
 use sparse::{block, Matrix};
 use sputnik::SpmmConfig;
-use sputnik_bench::{has_flag, write_json, Table};
+use sputnik_bench::{has_flag, Table};
 
-// Fields are written to JSON; the vendored serde stub doesn't read them.
-#[allow(dead_code)]
-#[derive(Serialize)]
 struct Point {
     block_size: usize,
     sparsity: f64,
     time_us: f64,
-    tflops: f64,
     magnitude_retention: f64,
-    /// Throughput x retention: a crude "useful throughput per unit quality".
-    quality_weighted_tflops: f64,
 }
 
 fn main() {
@@ -78,9 +71,7 @@ fn main() {
             block_size: 1,
             sparsity: s,
             time_us: stats.time_us,
-            tflops: stats.tflops,
             magnitude_retention: 1.0,
-            quality_weighted_tflops: stats.tflops,
         });
 
         for &bs in block_sizes {
@@ -100,9 +91,7 @@ fn main() {
                 block_size: bs,
                 sparsity: s,
                 time_us: bstats.time_us,
-                tflops: bstats.tflops,
                 magnitude_retention: retention,
-                quality_weighted_tflops: qw,
             });
         }
     }
@@ -125,5 +114,4 @@ fn main() {
         }
     }
     println!("\nThe paper's tradeoff, quantified: structure buys speed and sells model quality.");
-    write_json("ext_block_sparse", &points);
 }

@@ -7,21 +7,9 @@
 //! everything) and watch the crossover and the cuSPARSE gap move.
 
 use gpu_sim::Gpu;
-use serde::Serialize;
 use sparse::{dataset, gen};
 use sputnik::SpmmConfig;
-use sputnik_bench::{geo_mean, has_flag, write_json, Table};
-
-// Fields are written to JSON; the vendored serde stub doesn't read them.
-#[allow(dead_code)]
-#[derive(Serialize)]
-struct DeviceRow {
-    device: String,
-    crossover_sparsity: Option<f64>,
-    spmm_90_us: f64,
-    dense_us: f64,
-    geo_speedup_vs_cusparse: f64,
-}
+use sputnik_bench::{geo_mean, has_flag, Table};
 
 fn main() {
     let (m, k, n) = (8192usize, 2048usize, 128usize);
@@ -37,7 +25,6 @@ fn main() {
             "geo speedup vs cuSPARSE",
         ],
     );
-    let mut rows = Vec::new();
 
     for gpu in [Gpu::gtx1080(), Gpu::v100(), Gpu::a100()] {
         let dense_us = baselines::gemm_profile(&gpu, m, k, n).time_us;
@@ -78,17 +65,9 @@ fn main() {
             crossover.map_or("-".into(), |s| format!("{s:.2}")),
             format!("{geo:.2}x"),
         ]);
-        rows.push(DeviceRow {
-            device: gpu.device().name.clone(),
-            crossover_sparsity: crossover,
-            spmm_90_us: spmm_90,
-            dense_us,
-            geo_speedup_vs_cusparse: geo,
-        });
     }
     table.print();
     println!("The crossover and the vendor-library gap are properties of the balance");
     println!("between math, bandwidth, and cache capacity — they move with the device,");
     println!("which is why the paper reports them for a specific part (the V100).");
-    write_json("ext_devices", &rows);
 }

@@ -7,12 +7,10 @@
 //! a grid of SpMM variants (the oracle) and compare the heuristic's pick.
 
 use gpu_sim::Gpu;
-use serde::Serialize;
 use sparse::dataset;
 use sputnik::SpmmConfig;
-use sputnik_bench::{geo_mean, has_flag, write_json, Table};
+use sputnik_bench::{geo_mean, has_flag, Table};
 
-#[derive(Serialize)]
 struct Entry {
     layer: String,
     m: usize,
@@ -125,5 +123,4 @@ fn main() {
         gaps.iter().cloned().fold(0.0f64, f64::max)
     );
     println!("(The paper used an oracle for four MobileNet layers for the same reason.)");
-    write_json("ext_heuristic_study", &entries);
 }

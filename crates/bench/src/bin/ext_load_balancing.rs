@@ -12,20 +12,15 @@
 //! * **ASpT** — reordered tiling (where its shape constraints allow).
 
 use gpu_sim::Gpu;
-use serde::Serialize;
 use sparse::{gen, stats};
 use sputnik::SpmmConfig;
-use sputnik_bench::{has_flag, write_json, Table};
+use sputnik_bench::{has_flag, Table};
 
-// Fields are written to JSON; the vendored serde stub doesn't read them.
-#[allow(dead_code)]
-#[derive(Serialize)]
 struct Point {
     achieved_cov: f64,
     natural_us: f64,
     swizzle_us: f64,
     nnz_split_us: f64,
-    aspt_us: Option<f64>,
 }
 
 fn main() {
@@ -78,7 +73,6 @@ fn main() {
             natural_us: natural.time_us,
             swizzle_us: swizzle.time_us,
             nnz_split_us: nnz_split.time_us,
-            aspt_us: aspt.map(|s| s.time_us),
         });
     }
     table.print();
@@ -98,5 +92,4 @@ fn main() {
         last.achieved_cov, last.natural_us, last.swizzle_us, last.nnz_split_us
     );
     println!("The swizzle gets balanced-case speed AND imbalance tolerance — Section V-C's pitch.");
-    write_json("ext_load_balancing", &points);
 }

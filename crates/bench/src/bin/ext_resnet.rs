@@ -7,7 +7,7 @@
 
 use dnn::resnet;
 use gpu_sim::Gpu;
-use sputnik_bench::{write_json, Table};
+use sputnik_bench::Table;
 
 fn main() {
     let gpu = Gpu::v100();
@@ -57,5 +57,4 @@ fn main() {
         d.weight_bytes as f64 / s90.weight_bytes as f64
     );
     println!("(Amdahl: the dense stem/shortcuts/classifier bound the end-to-end gain.)");
-    write_json("ext_resnet", &results);
 }

@@ -11,22 +11,14 @@
 //!   (`CsrMatrix::padded_to_multiple`), paying extra nonzeros and memory.
 
 use gpu_sim::Gpu;
-use serde::Serialize;
 use sparse::{gen, IndexWidth};
 use sputnik::SpmmConfig;
-use sputnik_bench::{has_flag, write_json, Table};
+use sputnik_bench::{has_flag, Table};
 
-// Fields are written to JSON; the vendored serde stub doesn't read them.
-#[allow(dead_code)]
-#[derive(Serialize)]
 struct Entry {
-    label: String,
-    sparsity: f64,
     scalar_us: f64,
     roma_us: f64,
     padded_us: f64,
-    padding_overhead_pct: f64,
-    extra_bytes: i64,
 }
 
 fn main() {
@@ -87,9 +79,8 @@ fn main() {
 
             let overhead = 100.0 * (padded.nnz() as f64 / a.nnz() as f64 - 1.0);
             let extra = padded.bytes(IndexWidth::U32) as i64 - a.bytes(IndexWidth::U32) as i64;
-            let label = format!("{m}x{k}x{n}");
             table.row(&[
-                label.clone(),
+                format!("{m}x{k}x{n}"),
                 format!("{s:.2}"),
                 format!("{:.1}", scalar.time_us),
                 format!("{:.1}", roma.time_us),
@@ -98,13 +89,9 @@ fn main() {
                 format!("{extra}"),
             ]);
             entries.push(Entry {
-                label,
-                sparsity: s,
                 scalar_us: scalar.time_us,
                 roma_us: roma.time_us,
                 padded_us: padded_stats.time_us,
-                padding_overhead_pct: overhead,
-                extra_bytes: extra,
             });
         }
     }
@@ -126,5 +113,4 @@ fn main() {
          \"ROMA does not change the amount of work done by each thread block\""
     );
     println!("...but padding mutates the data structure, costs memory, and fails on dense rows.");
-    write_json("ext_roma_study", &entries);
 }

@@ -8,22 +8,12 @@
 //! dense equivalent (three GEMMs + elementwise update), across sparsities.
 
 use gpu_sim::Gpu;
-use serde::Serialize;
 use sparse::gen;
 use sputnik::{CachedTranspose, SddmmConfig, SpmmConfig};
-use sputnik_bench::{has_flag, write_json, Table};
+use sputnik_bench::{has_flag, Table};
 
-// Fields are written to JSON; the vendored serde stub doesn't read them.
-#[allow(dead_code)]
-#[derive(Serialize)]
 struct Point {
     sparsity: f64,
-    fwd_us: f64,
-    dw_us: f64,
-    dx_us: f64,
-    update_us: f64,
-    sparse_total_us: f64,
-    dense_total_us: f64,
     speedup: f64,
 }
 
@@ -80,12 +70,6 @@ fn main() {
         ]);
         points.push(Point {
             sparsity: s,
-            fwd_us: fwd,
-            dw_us: dw,
-            dx_us: dx,
-            update_us: update,
-            sparse_total_us: sparse_total,
-            dense_total_us,
             speedup,
         });
     }
@@ -98,5 +82,4 @@ fn main() {
     );
     println!("(Higher than the inference crossover of Figure 1 — the backward pass adds");
     println!(" an SDDMM and a transposed SpMM, both harder than the forward SpMM.)");
-    write_json("ext_training", &points);
 }

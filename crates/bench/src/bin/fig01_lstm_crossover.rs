@@ -7,19 +7,8 @@
 //! ~14x fewer nonzeros for the same performance.
 
 use gpu_sim::Gpu;
-use serde::Serialize;
 use sparse::gen;
-use sputnik_bench::{has_flag, write_json, Table};
-
-// Fields are written to JSON; the vendored serde stub doesn't read them.
-#[allow(dead_code)]
-#[derive(Serialize)]
-struct Point {
-    sparsity: f64,
-    sputnik_us: f64,
-    cusparse_us: f64,
-    dense_us: f64,
-}
+use sputnik_bench::{has_flag, Table};
 
 fn main() {
     let gpu = Gpu::v100();
@@ -45,7 +34,6 @@ fn main() {
             "sputnik_vs_dense",
         ],
     );
-    let mut points = Vec::new();
     let mut sputnik_crossover: Option<f64> = None;
     let mut cusparse_crossover: Option<f64> = None;
 
@@ -67,12 +55,6 @@ fn main() {
             format!("{:.1}", dense_us),
             format!("{:.2}x", dense_us / ours),
         ]);
-        points.push(Point {
-            sparsity: s,
-            sputnik_us: ours,
-            cusparse_us: cusp,
-            dense_us,
-        });
     }
 
     table.print();
@@ -84,5 +66,4 @@ fn main() {
         "cuSPARSE overtakes dense at sparsity {} (paper: needs ~14x fewer nonzeros)",
         cusparse_crossover.map_or(">0.99 (never in range)".into(), |s| format!("{s:.2}"))
     );
-    write_json("fig01_lstm_crossover", &points);
 }

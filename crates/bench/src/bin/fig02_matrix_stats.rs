@@ -5,12 +5,10 @@
 //! Paper anchors: "deep learning matrices are 13.4x less sparse, have 2.3x
 //! longer rows, and have 25x less variation in row length within a matrix."
 
-use serde::Serialize;
 use sparse::dataset;
 use sparse::stats::{matrix_stats, mean};
-use sputnik_bench::{has_flag, write_json, Table};
+use sputnik_bench::{has_flag, Table};
 
-#[derive(Serialize)]
 struct CorpusSummary {
     corpus: String,
     matrices: usize,
@@ -83,6 +81,4 @@ fn main() {
     println!("DL matrices are {sparsity_ratio:.1}x less sparse (paper: 13.4x)");
     println!("DL matrices have {row_len_ratio:.1}x longer rows (paper: 2.3x)");
     println!("DL matrices have {cov_ratio:.1}x less row-length variation (paper: 25x)");
-
-    write_json("fig02_matrix_stats", &vec![dl, sci]);
 }

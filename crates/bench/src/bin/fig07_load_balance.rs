@@ -8,17 +8,11 @@
 //! retains 96.5%; the average CoV of DNN matrices (~0.3) is marked.
 
 use gpu_sim::Gpu;
-use serde::Serialize;
 use sparse::{gen, stats};
 use sputnik::SpmmConfig;
-use sputnik_bench::{has_flag, write_json, Table};
+use sputnik_bench::{has_flag, Table};
 
-// Fields are written to JSON; the vendored serde stub doesn't read them.
-#[allow(dead_code)]
-#[derive(Serialize)]
 struct Point {
-    target_cov: f64,
-    achieved_cov: f64,
     swizzle_pct: f64,
     standard_pct: f64,
 }
@@ -76,8 +70,6 @@ fn main() {
             format!("{standard_pct:.1}%"),
         ]);
         points.push(Point {
-            target_cov: cov,
-            achieved_cov: achieved,
             swizzle_pct,
             standard_pct,
         });
@@ -90,5 +82,4 @@ fn main() {
             last.swizzle_pct, last.standard_pct
         );
     }
-    write_json("fig07_load_balance", &points);
 }

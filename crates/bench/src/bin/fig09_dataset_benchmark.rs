@@ -11,22 +11,17 @@
 //! 93.34% / 99.7% of problems.
 
 use gpu_sim::{Gpu, LaunchCache};
-use serde::Serialize;
 use sparse::dataset;
 use sparse::Half;
 use sputnik::{SddmmConfig, SpmmConfig};
-use sputnik_bench::{geo_mean, has_flag, write_json, Table};
+use sputnik_bench::{geo_mean, has_flag, Table};
 
-// Fields are written to JSON; the vendored serde stub doesn't read them.
-#[allow(dead_code)]
-#[derive(Serialize)]
 struct ProblemResult {
     layer: String,
     m: usize,
     k: usize,
     n: usize,
     sparsity: f64,
-    flops: u64,
     spmm_f32_us: f64,
     spmm_f32_cusparse_us: f64,
     spmm_f32_tflops: f64,
@@ -101,7 +96,6 @@ fn main() {
                 k: spec.cols,
                 n,
                 sparsity: spec.sparsity,
-                flops: spec.flops(batch),
                 spmm_f32_us: ours.time_us,
                 spmm_f32_cusparse_us: cusp.time_us,
                 spmm_f32_tflops: ours.tflops,
@@ -224,5 +218,4 @@ fn main() {
         cache.misses(),
         3 * results.len()
     );
-    write_json("fig09_dataset_benchmark", &results);
 }

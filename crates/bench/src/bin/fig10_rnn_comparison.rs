@@ -10,12 +10,10 @@
 
 use dnn::rnn;
 use gpu_sim::Gpu;
-use serde::Serialize;
 use sparse::IndexWidth;
 use sputnik::{SddmmConfig, SpmmConfig};
-use sputnik_bench::{geo_mean, has_flag, write_json, Table};
+use sputnik_bench::{geo_mean, has_flag, Table};
 
-#[derive(Serialize)]
 struct RnnResult {
     label: String,
     // SpMM times (us)
@@ -175,5 +173,4 @@ fn main() {
         "3x".into(),
     ]);
     summary.print();
-    write_json("fig10_rnn_comparison", &results);
 }

@@ -4,17 +4,11 @@
 //! causal (lower-triangular) constraint. Rendered as a coarse ASCII density
 //! map plus the mask's summary statistics.
 
-use serde::Serialize;
 use sparse::gen;
-use sputnik_bench::{has_flag, write_json, Table};
+use sputnik_bench::{has_flag, Table};
 
-// Fields are written to JSON; the vendored serde stub doesn't read them.
-#[allow(dead_code)]
-#[derive(Serialize)]
 struct MaskSummary {
     seq: usize,
-    band: usize,
-    off_diag_sparsity: f64,
     nnz: usize,
     overall_sparsity: f64,
     avg_row_len: f64,
@@ -58,8 +52,6 @@ fn main() {
     let stats = sparse::matrix_stats(&mask);
     let summary = MaskSummary {
         seq,
-        band,
-        off_diag_sparsity: off,
         nnz: mask.nnz(),
         overall_sparsity: stats.sparsity,
         avg_row_len: stats.avg_row_length,
@@ -78,5 +70,4 @@ fn main() {
     ]);
     t.row(&["max row length".into(), summary.max_row_len.to_string()]);
     t.print();
-    write_json("fig11_attention_mask", &summary);
 }

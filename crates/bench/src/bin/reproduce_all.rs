@@ -6,9 +6,7 @@
 //! ```
 //!
 //! Each experiment binary can also be run individually; this driver simply
-//! executes them in paper order, forwarding `--quick`/`--full`. Each
-//! experiment reports on stderr whether its `results/<name>.json` record was
-//! written (the offline serde stub cannot serialize, so it is not).
+//! executes them in paper order, forwarding `--quick`/`--full`.
 
 use std::process::Command;
 

@@ -12,12 +12,11 @@
 //! occupancy-bound small problems).
 
 use gpu_sim::Gpu;
-use serde::Serialize;
 use sparse::dataset::{self, ModelFamily};
 use sputnik::{SddmmConfig, SpmmConfig};
-use sputnik_bench::{geo_mean, has_flag, write_json, Table};
+use sputnik_bench::{geo_mean, has_flag, Table};
 
-#[derive(Serialize, Default, Clone)]
+#[derive(Default, Clone)]
 struct Cell {
     /// Ablated-time / full-time ratios (per problem); a mean > 1 would mean
     /// the ablation *helped*.
@@ -184,35 +183,4 @@ fn main() {
             geo_mean(&ratios)
         );
     }
-
-    // Fields are written to JSON; the vendored serde stub doesn't read them.
-    #[allow(dead_code)]
-    #[derive(Serialize)]
-    struct Out {
-        spmm: Vec<(String, Vec<f64>)>,
-        sddmm: Vec<(String, Vec<f64>)>,
-    }
-    let out = Out {
-        spmm: spmm_ablations
-            .iter()
-            .enumerate()
-            .map(|(i, n)| {
-                (
-                    n.to_string(),
-                    (0..4).map(|c| spmm_cells[i][c].percent()).collect(),
-                )
-            })
-            .collect(),
-        sddmm: sddmm_ablations
-            .iter()
-            .enumerate()
-            .map(|(i, n)| {
-                (
-                    n.to_string(),
-                    (0..4).map(|c| sddmm_cells[i][c].percent()).collect(),
-                )
-            })
-            .collect(),
-    };
-    write_json("table02_ablation", &out);
 }

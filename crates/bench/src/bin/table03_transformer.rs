@@ -8,7 +8,7 @@
 
 use dnn::transformer::{benchmark, bits_per_dimension, AttentionMode, TransformerConfig};
 use gpu_sim::Gpu;
-use sputnik_bench::{has_flag, write_json, Table};
+use sputnik_bench::{has_flag, Table};
 
 fn main() {
     let cfg = if has_flag("--quick") {
@@ -70,5 +70,4 @@ fn main() {
             100.0 * sparse.attention_us / sparse.forward_us,
         );
     }
-    write_json("table03_transformer", &rows.to_vec());
 }

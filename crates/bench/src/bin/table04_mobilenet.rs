@@ -12,18 +12,13 @@
 use dnn::accuracy;
 use dnn::mobilenet::{benchmark, MobileNetV1};
 use gpu_sim::Gpu;
-use serde::Serialize;
-use sputnik_bench::{write_json, Table};
+use sputnik_bench::Table;
 
-// Fields are written to JSON; the vendored serde stub doesn't read them.
-#[allow(dead_code)]
-#[derive(Serialize)]
 struct RowOut {
     model: String,
     width: f64,
     top1: f64,
     frames_per_second: f64,
-    inference_us: f64,
     weight_mb: f64,
     oracle_overrides: usize,
 }
@@ -39,7 +34,6 @@ fn main() {
             width: w,
             top1: accuracy::dense_mobilenet_top1(w),
             frames_per_second: bench.frames_per_second,
-            inference_us: bench.inference_us,
             weight_mb: bench.weight_bytes as f64 / 1e6,
             oracle_overrides: 0,
         });
@@ -51,7 +45,6 @@ fn main() {
             width: w,
             top1: accuracy::sparse_mobilenet_top1(w),
             frames_per_second: bench.frames_per_second,
-            inference_us: bench.inference_us,
             weight_mb: bench.weight_bytes as f64 / 1e6,
             oracle_overrides: bench.oracle_overrides,
         });
@@ -110,5 +103,4 @@ fn main() {
             100.0 * (speedup - 1.0)
         );
     }
-    write_json("table04_mobilenet", &rows);
 }

@@ -14,11 +14,17 @@
 //!   chrome://tracing or Perfetto, structurally validated before writing;
 //! - `BENCH_trace_model.json` — the profiler-counter snapshot (repo root).
 //!
+//! The counters are reset and tracing enabled together, so the final
+//! counter snapshot is the delta over the traced window: the run checks
+//! that the per-layer rows sum to the profile total and that the books
+//! balance — folding the events reproduces `sim_time_ns`, `launches` and
+//! `launches_replayed` exactly ([`gpu_sim::trace::books_mismatches`]).
+//!
 //! `--check <baseline.json>` gates CI: the launch count, the dispatch
 //! ladder's injected faults and degraded serves, and the trace event count
 //! must match the committed baseline exactly (the workload is deterministic,
-//! so any drift is an unreviewed behaviour change) and the cache must still
-//! produce hits.
+//! so any drift is an unreviewed behaviour change), `books_mismatch` must be
+//! zero, and the cache must still produce hits.
 
 use dnn::lstm::SparseLstmCell;
 use dnn::rnn::{CellKind, RnnProblem};
@@ -124,12 +130,15 @@ fn main() {
 
     let profile = trace::ProfileReport::from_events(&events);
     println!("{}", profile.render());
-    let layer_sum: f64 = profile.layers.iter().map(|l| l.dur_us).sum();
-    assert!(
-        (layer_sum - profile.total_us).abs() <= 1e-6 * profile.total_us.max(1.0),
-        "per-layer durations ({layer_sum} us) must sum to the model total ({} us)",
-        profile.total_us
-    );
+    if let Err(e) = profile.check() {
+        eprintln!("[profile report failed its layer-sum check: {e}]");
+        std::process::exit(1);
+    }
+    let snap = metrics::global().snapshot();
+    let mismatches = trace::books_mismatches(&events, &snap);
+    for m in &mismatches {
+        eprintln!("[books do not balance: {m}]");
+    }
 
     println!(
         "mobilenet 0.5x sparse: {:.1} us/frame   transformer fwd: {:.1} us   tokens/s: {:.0}",
@@ -142,9 +151,8 @@ fn main() {
 
     // ---- Counter snapshot and CI gate. The workload is fixed and the
     // simulator deterministic, so the launch count and step 5's ladder
-    // counters must match the baseline exactly; the cache must still hit
-    // and replay.
-    let snap = metrics::global().snapshot();
+    // counters must match the baseline exactly; the books must balance; the
+    // cache must still hit and replay.
     BenchRecord::new("trace_model")
         .int("launches", snap.get("launches"))
         .int("launches_replayed", snap.get("launches_replayed"))
@@ -158,10 +166,12 @@ fn main() {
         .int("trace_tracks", check.tracks as u64)
         .int("profile_layers", profile.layers.len() as u64)
         .float("profile_total_us", profile.total_us, 3)
+        .int("books_mismatch", mismatches.len() as u64)
         .gate("launches", Gate::MatchBaseline)
         .gate("faults_injected", Gate::MatchBaseline)
         .gate("dispatch_degraded", Gate::MatchBaseline)
         .gate("trace_events", Gate::MatchBaseline)
+        .gate("books_mismatch", Gate::Exact(0))
         .gate("cache_hits", Gate::Nonzero)
         .gate("launches_replayed", Gate::Nonzero)
         .finish();

@@ -1,8 +1,4 @@
-//! Plain-text table rendering and JSON result persistence.
-
-use serde::Serialize;
-use std::fs;
-use std::path::Path;
+//! Plain-text table rendering and command-line helpers.
 
 /// A printable results table.
 #[derive(Debug, Default)]
@@ -71,25 +67,6 @@ impl Table {
 /// Geometric mean of positive values.
 pub fn geo_mean(xs: &[f64]) -> f64 {
     sparse::stats::geometric_mean(xs)
-}
-
-/// Persist a serializable result under `results/<name>.json`, reporting on
-/// stderr whether the file was written. The offline serde stub cannot
-/// serialize, so in this workspace every call reports the file as not
-/// written.
-pub fn write_json<T: Serialize>(name: &str, value: &T) {
-    let path = Path::new("results").join(format!("{name}.json"));
-    let written = serde_json::to_string_pretty(value)
-        .map_err(|e| e.to_string())
-        .and_then(|json| {
-            fs::create_dir_all("results")
-                .and_then(|()| fs::write(&path, json))
-                .map_err(|e| e.to_string())
-        });
-    match written {
-        Ok(()) => eprintln!("[results written to {}]", path.display()),
-        Err(e) => eprintln!("[{} not written: {e}]", path.display()),
-    }
 }
 
 /// Parse `--quick` / `--full` style flags from argv.

@@ -1,73 +1,42 @@
-//! Batched kernel launches.
+//! Batched kernel launches: fault-tolerant windows over one topology.
 //!
 //! Sparse attention runs the *same* sparse topology against many dense
 //! operands — one per (head, batch element) — and sparse training reuses one
-//! weight topology across micro-batches. These helpers amortize everything
-//! amortizable: the row swizzle is computed once, the launches go through a
-//! [`gpu_sim::Stream`] so consecutive kernels overlap their launch overhead
-//! (as back-to-back launches do on real hardware), and the stream consults a
-//! [`LaunchCache`] — the simulated statistics depend on the topology and
-//! configuration, not the dense values, so items 2..k of a batch replay item
-//! 1's simulation instead of re-running it. The usual bypass rule applies: a
-//! [`Gpu`] carrying a fault plan simulates every launch in full.
+//! weight topology across micro-batches. [`spmm_batched_dispatch`] /
+//! [`sddmm_batched_dispatch`] amortize everything amortizable: each item
+//! consults a caller-owned [`LaunchCache`] — the simulated statistics depend
+//! on the topology and configuration, not the dense values, so items 2..k
+//! of a window replay item 1's simulation (and repeated windows hit across
+//! calls) — and the window is timed with [`pipelined_us`], so consecutive
+//! kernels overlap their launch overhead as back-to-back launches do on real
+//! hardware. The usual bypass rule applies: a [`Gpu`] carrying a fault plan
+//! simulates every launch in full.
 //!
-//! [`spmm_batched`] / [`sddmm_batched`] memoize within the one call (a
-//! private per-batch cache); the `_cached` variants accept a caller-owned
-//! cache so repeated batches (layers, training steps) hit across calls too.
-//!
-//! [`spmm_batched_dispatch`] / [`sddmm_batched_dispatch`] are the
-//! fault-tolerant windows the serving front door uses: loops over
-//! [`dispatch::spmm`] / [`dispatch::sddmm`], so each item walks the one
-//! degradation ladder, timed with the same [`pipelined_us`] fold as
-//! [`gpu_sim::Stream::total_us`].
+//! The windows are loops over [`dispatch::spmm`] / [`dispatch::sddmm`], so
+//! each item walks the one degradation ladder: a fault degrades the item,
+//! never the window. The serving front door runs on them.
 
 use crate::config::{SddmmConfig, SpmmConfig};
 use crate::dispatch::{self, DispatchPolicy, DispatchReport, Rung, SwizzledMask};
 use crate::error::SputnikError;
-use crate::sddmm::{self, SddmmKernel};
-use crate::spmm::{self, SpmmKernel};
-use gpu_sim::{pipelined_us, Gpu, LaunchCache, Stream};
-use sparse::{CsrMatrix, Matrix, RowSwizzle, Scalar};
+use gpu_sim::trace::{self, Entry};
+use gpu_sim::{pipelined_us, Gpu, LaunchCache};
+use sparse::{CsrMatrix, Matrix, Scalar};
 
-/// Per-item attribution for batched launches that bypass the launch cache
+/// Per-item attribution for window items that bypass the launch cache
 /// because the [`Gpu`] carries a fault plan. The bypass itself is silent
 /// (it happens inside [`Gpu::run`]), which used to leave chaos
-/// runs with no record of *which* batch items consumed fault-schedule
+/// runs with no record of *which* window items consumed fault-schedule
 /// indices — this instant restores the audit trail.
 fn note_fault_plan_bypass(gpu: &Gpu, op: &str, item: usize) {
-    if gpu.fault_plan().is_some() && gpu_sim::trace::enabled() {
-        gpu_sim::trace::instant(
-            "batched",
-            "batched",
-            &format!("fault-plan bypass: {op} item {item} simulated in full"),
-        );
+    if gpu.fault_plan().is_some() {
+        trace::record("batched", "batched", Entry::Instant, &[], || {
+            format!("fault-plan bypass: {op} item {item} simulated in full")
+        });
     }
 }
 
-/// Result of a batched launch: per-item outputs plus stream-level timing.
-pub struct BatchedResult<T> {
-    pub outputs: Vec<T>,
-    /// Total simulated time with launch overhead pipelined.
-    pub stream_us: f64,
-    /// Sum of standalone launch times (what naive sequential launches cost).
-    pub naive_us: f64,
-    /// Launches whose statistics were replayed from the launch cache.
-    pub cache_hits: u64,
-}
-
-impl<T> BatchedResult<T> {
-    /// How much the stream pipelining saved.
-    ///
-    /// Invariant: **never negative**. Pipelining can only hide launch
-    /// overhead behind execution, so a stream slower than its naive
-    /// back-to-back sum is a model violation — the batched constructors
-    /// assert it on every batch.
-    pub fn overhead_saved_us(&self) -> f64 {
-        self.naive_us - self.stream_us
-    }
-}
-
-/// Check the stream-vs-naive model invariant for a finished batch.
+/// Check the stream-vs-naive model invariant for a finished window.
 fn assert_stream_invariant(stream_us: f64, naive_us: f64) {
     assert!(
         stream_us <= naive_us + 1e-9,
@@ -76,108 +45,13 @@ fn assert_stream_invariant(stream_us: f64, naive_us: f64) {
     );
 }
 
-/// SpMM of one sparse matrix against many dense operands, memoized within
-/// the batch (every item shares `a`'s topology and `cfg`, so items 2..k are
-/// cache replays).
-pub fn spmm_batched<T: Scalar>(
-    gpu: &Gpu,
-    a: &CsrMatrix<T>,
-    bs: &[&Matrix<T>],
-    cfg: SpmmConfig,
-) -> BatchedResult<Matrix<T>> {
-    let cache = LaunchCache::new();
-    spmm_batched_cached(gpu, &cache, a, bs, cfg)
-}
-
-/// [`spmm_batched`] through a caller-owned [`LaunchCache`], so repeated
-/// batches on the same topology hit across calls.
-pub fn spmm_batched_cached<T: Scalar>(
-    gpu: &Gpu,
-    cache: &LaunchCache,
-    a: &CsrMatrix<T>,
-    bs: &[&Matrix<T>],
-    cfg: SpmmConfig,
-) -> BatchedResult<Matrix<T>> {
-    let swizzle = RowSwizzle::for_config(a, cfg.row_swizzle);
-    let mut stream = Stream::with_cache(gpu, cache);
-    let mut outputs = Vec::with_capacity(bs.len());
-    let mut naive_us = 0.0;
-    for (item, b) in bs.iter().enumerate() {
-        note_fault_plan_bypass(gpu, "spmm", item);
-        let mut out = Matrix::<T>::zeros(a.rows(), b.cols());
-        let fingerprint = spmm::operand_fingerprint(a, b.cols());
-        let stats = {
-            let kernel = SpmmKernel::new(a, b, &mut out, &swizzle, cfg);
-            stream.launch_cached(fingerprint, &kernel)
-        };
-        naive_us += stats.time_us;
-        outputs.push(out);
-    }
-    let stream_us = stream.total_us();
-    assert_stream_invariant(stream_us, naive_us);
-    BatchedResult {
-        outputs,
-        stream_us,
-        naive_us,
-        cache_hits: stream.cache_hits(),
-    }
-}
-
-/// SDDMM of one mask against many (lhs, rhs) pairs — the per-head QK^T of
-/// sparse attention ("the sparse attention mask ... is shared by all
-/// attention heads and layers"). Memoized within the batch like
-/// [`spmm_batched`].
-pub fn sddmm_batched<T: Scalar>(
-    gpu: &Gpu,
-    pairs: &[(&Matrix<T>, &Matrix<T>)],
-    mask: &CsrMatrix<T>,
-    cfg: SddmmConfig,
-) -> BatchedResult<CsrMatrix<T>> {
-    let cache = LaunchCache::new();
-    sddmm_batched_cached(gpu, &cache, pairs, mask, cfg)
-}
-
-/// [`sddmm_batched`] through a caller-owned [`LaunchCache`].
-pub fn sddmm_batched_cached<T: Scalar>(
-    gpu: &Gpu,
-    cache: &LaunchCache,
-    pairs: &[(&Matrix<T>, &Matrix<T>)],
-    mask: &CsrMatrix<T>,
-    cfg: SddmmConfig,
-) -> BatchedResult<CsrMatrix<T>> {
-    let swizzle = RowSwizzle::for_config(mask, cfg.row_swizzle);
-    let mut stream = Stream::with_cache(gpu, cache);
-    let mut outputs = Vec::with_capacity(pairs.len());
-    let mut naive_us = 0.0;
-    for (item, (lhs, rhs)) in pairs.iter().enumerate() {
-        note_fault_plan_bypass(gpu, "sddmm", item);
-        let mut values = vec![T::zero(); mask.nnz()];
-        let fingerprint = sddmm::mask_fingerprint(mask, lhs.cols());
-        let stats = {
-            let kernel = SddmmKernel::new(lhs, rhs, mask, &mut values, &swizzle, cfg);
-            stream.launch_cached(fingerprint, &kernel)
-        };
-        naive_us += stats.time_us;
-        outputs.push(mask.with_values(values));
-    }
-    let stream_us = stream.total_us();
-    assert_stream_invariant(stream_us, naive_us);
-    BatchedResult {
-        outputs,
-        stream_us,
-        naive_us,
-        cache_hits: stream.cache_hits(),
-    }
-}
-
 /// Result of a fault-tolerant batched window: per-item outputs plus the
 /// [`DispatchReport`] for every item, so serving layers can attribute each
 /// request to the degradation rung that produced its answer.
 ///
-/// Timing mirrors [`BatchedResult`]: `stream_us` pipelines the GPU-served
-/// launches' overhead exactly like [`gpu_sim::Stream`] would (one exposed
-/// launch overhead, subsequent launches hidden behind execution), plus the
-/// simulated retry backoff. CPU-served items contribute **no** simulated
+/// Timing: `stream_us` pipelines the GPU-served launches' overhead with
+/// [`pipelined_us`] (one exposed launch overhead, subsequent launches
+/// hidden behind execution), plus the simulated retry backoff. CPU-served items contribute **no** simulated
 /// device time here — the caller owns the host-time model (see
 /// `serve::ServePolicy::cpu_service_us`), because how expensive a host
 /// fallback is depends on what else the host is doing.
@@ -210,8 +84,8 @@ impl<T> DispatchedBatch<T> {
 
 /// Run a window of `items` dispatched calls: `serve(i)` answers item `i`
 /// through the [`crate::dispatch`] ladder. The GPU-served launches are
-/// pipelined exactly like [`gpu_sim::Stream::total_us`]; retry backoff is
-/// serial in both the pipelined and the naive view.
+/// pipelined by [`pipelined_us`]; retry backoff is serial in both the
+/// pipelined and the naive view.
 fn dispatch_window<T>(
     gpu: &Gpu,
     cache: &LaunchCache,
@@ -249,9 +123,8 @@ fn dispatch_window<T>(
 /// Fault-tolerant batched SpMM: every item goes through
 /// [`dispatch::spmm`] (retry → heuristic → fallback → CPU), so an armed
 /// [`gpu_sim::FaultPlan`] degrades individual items instead of killing the
-/// batch. Clean items consult `cache` exactly like [`spmm_batched_cached`]
-/// (fault-plan GPUs bypass it, and each bypassed item leaves a trace
-/// instant for auditability).
+/// batch. Clean items consult `cache` (fault-plan GPUs bypass it, and each
+/// bypassed item leaves a trace instant for auditability).
 ///
 /// Errors are returned only for deterministic input violations; transient
 /// device faults always land on a rung.
@@ -294,6 +167,17 @@ mod tests {
     use gpu_sim::{FaultKind, FaultPlan};
     use sparse::gen;
 
+    fn spmm_window(
+        gpu: &Gpu,
+        cache: &LaunchCache,
+        a: &CsrMatrix<f32>,
+        bs: &[&Matrix<f32>],
+        cfg: SpmmConfig,
+    ) -> DispatchedBatch<Matrix<f32>> {
+        spmm_batched_dispatch(gpu, cache, a, bs, cfg, &DispatchPolicy::default())
+            .expect("clean inputs never error")
+    }
+
     #[test]
     fn batched_spmm_matches_individual_launches() {
         let gpu = Gpu::v100();
@@ -301,7 +185,7 @@ mod tests {
         let b1 = Matrix::<f32>::random(48, 32, 322);
         let b2 = Matrix::<f32>::random(48, 32, 323);
         let cfg = SpmmConfig::heuristic::<f32>(32);
-        let result = spmm_batched(&gpu, &a, &[&b1, &b2], cfg);
+        let result = spmm_window(&gpu, &LaunchCache::new(), &a, &[&b1, &b2], cfg);
         assert_eq!(result.outputs.len(), 2);
         assert!(result.outputs[0].max_abs_diff(&reference::spmm(&a, &b1)) < 1e-3);
         assert!(result.outputs[1].max_abs_diff(&reference::spmm(&a, &b2)) < 1e-3);
@@ -312,24 +196,24 @@ mod tests {
     }
 
     #[test]
-    fn stream_saves_launch_overhead() {
+    fn window_saves_launch_overhead() {
         let gpu = Gpu::v100();
         let a = gen::uniform(128, 128, 0.8, 324);
         let bs: Vec<Matrix<f32>> = (0..8).map(|i| Matrix::random(128, 64, 325 + i)).collect();
         let refs: Vec<&Matrix<f32>> = bs.iter().collect();
-        let result = spmm_batched(&gpu, &a, &refs, SpmmConfig::heuristic::<f32>(64));
+        let cfg = SpmmConfig::heuristic::<f32>(64);
+        let result = spmm_window(&gpu, &LaunchCache::new(), &a, &refs, cfg);
         assert!(
             result.stream_us < result.naive_us,
             "pipelining must save time"
         );
-        assert!(result.overhead_saved_us() > 0.0);
-        assert_eq!(result.cache_hits, 7, "items 2..8 hit the batch cache");
+        assert_eq!(result.cache_hits, 7, "items 2..8 hit the window's cache");
     }
 
-    /// Regression (`overhead_saved_us` < 0): a single tiny kernel used to
+    /// Regression (negative saved overhead): a single tiny kernel used to
     /// pay the short-kernel gap penalty with no successor to pipeline, so a
-    /// one-item "batch" came out slower than its naive launch. The saved
-    /// overhead must be non-negative for every batch size.
+    /// one-item window came out slower than its naive launch. The saved
+    /// overhead must be non-negative for every window size.
     #[test]
     fn overhead_saved_is_never_negative() {
         let gpu = Gpu::v100();
@@ -339,39 +223,14 @@ mod tests {
         let cfg = SpmmConfig::heuristic::<f32>(4);
         for k in 1..=bs.len() {
             let refs: Vec<&Matrix<f32>> = bs[..k].iter().collect();
-            let result = spmm_batched(&gpu, &a, &refs, cfg);
+            let result = spmm_window(&gpu, &LaunchCache::new(), &a, &refs, cfg);
             assert!(
-                result.overhead_saved_us() >= 0.0,
-                "batch of {k}: saved {} us is negative (stream {} vs naive {})",
-                result.overhead_saved_us(),
+                result.naive_us - result.stream_us >= 0.0,
+                "window of {k}: stream {} us exceeds naive {} us",
                 result.stream_us,
                 result.naive_us
             );
         }
-    }
-
-    #[test]
-    fn batched_sddmm_shares_the_mask() {
-        let gpu = Gpu::v100();
-        let mask = gen::attention_mask(96, 16, 0.9, 326);
-        let q1 = Matrix::<f32>::random(96, 32, 327);
-        let k1 = Matrix::<f32>::random(96, 32, 328);
-        let q2 = Matrix::<f32>::random(96, 32, 329);
-        let k2 = Matrix::<f32>::random(96, 32, 330);
-        let result = sddmm_batched(
-            &gpu,
-            &[(&q1, &k1), (&q2, &k2)],
-            &mask,
-            SddmmConfig::heuristic::<f32>(32),
-        );
-        for (out, (q, k)) in result.outputs.iter().zip([(&q1, &k1), (&q2, &k2)]) {
-            let expect = reference::sddmm(q, k, &mask);
-            assert!(out.same_pattern(&expect));
-            for (a, b) in out.values().iter().zip(expect.values()) {
-                assert!((a - b).abs() < 1e-3);
-            }
-        }
-        assert_eq!(result.cache_hits, 1, "pair 2 replays pair 1's simulation");
     }
 
     /// The cache replays *statistics*, never values: every item's functional
@@ -382,26 +241,12 @@ mod tests {
         let a = gen::uniform(48, 40, 0.6, 340);
         let bs: Vec<Matrix<f32>> = (0..4).map(|i| Matrix::random(40, 16, 341 + i)).collect();
         let refs: Vec<&Matrix<f32>> = bs.iter().collect();
-        let result = spmm_batched(&gpu, &a, &refs, SpmmConfig::heuristic::<f32>(16));
+        let cfg = SpmmConfig::heuristic::<f32>(16);
+        let result = spmm_window(&gpu, &LaunchCache::new(), &a, &refs, cfg);
         assert_eq!(result.cache_hits, 3);
         for (out, b) in result.outputs.iter().zip(&bs) {
             assert!(out.max_abs_diff(&reference::spmm(&a, b)) < 1e-3);
         }
-    }
-
-    #[test]
-    fn shared_cache_hits_across_batched_calls() {
-        let gpu = Gpu::v100();
-        let cache = LaunchCache::new();
-        let a = gen::uniform(64, 48, 0.7, 350);
-        let bs: Vec<Matrix<f32>> = (0..3).map(|i| Matrix::random(48, 32, 351 + i)).collect();
-        let refs: Vec<&Matrix<f32>> = bs.iter().collect();
-        let cfg = SpmmConfig::heuristic::<f32>(32);
-        let first = spmm_batched_cached(&gpu, &cache, &a, &refs, cfg);
-        assert_eq!(first.cache_hits, 2, "first call: items 2..3 hit");
-        let second = spmm_batched_cached(&gpu, &cache, &a, &refs, cfg);
-        assert_eq!(second.cache_hits, 3, "second call: every item hits");
-        assert_eq!(first.stream_us, second.stream_us, "replay is bit-identical");
     }
 
     #[test]
@@ -412,8 +257,7 @@ mod tests {
         let bs: Vec<Matrix<f32>> = (0..3).map(|i| Matrix::random(48, 32, 371 + i)).collect();
         let refs: Vec<&Matrix<f32>> = bs.iter().collect();
         let cfg = SpmmConfig::heuristic::<f32>(32);
-        let policy = DispatchPolicy::default();
-        let first = spmm_batched_dispatch(&gpu, &cache, &a, &refs, cfg, &policy).unwrap();
+        let first = spmm_window(&gpu, &cache, &a, &refs, cfg);
         assert_eq!(first.outputs.len(), 3);
         assert_eq!(first.degraded(), 0, "clean run serves from Sputnik rung");
         assert!(first.reports.iter().all(|r| r.clean()));
@@ -422,14 +266,14 @@ mod tests {
         }
         assert_eq!(first.cache_hits, 2, "items 2..3 replay item 1");
         assert!(first.stream_us <= first.naive_us);
-        let second = spmm_batched_dispatch(&gpu, &cache, &a, &refs, cfg, &policy).unwrap();
+        let second = spmm_window(&gpu, &cache, &a, &refs, cfg);
         assert_eq!(second.cache_hits, 3, "warm window: every item hits");
         assert_eq!(first.stream_us, second.stream_us, "replay is bit-identical");
     }
 
-    /// The point of the dispatched window: a fault plan that would abort
-    /// [`spmm_batched`] degrades individual items instead, every item lands
-    /// on a rung, and the outputs stay correct.
+    /// The point of the dispatched window: a fault plan degrades individual
+    /// items instead of aborting the window, every item lands on a rung,
+    /// and the outputs stay correct.
     #[test]
     fn dispatched_batch_survives_faults_per_item() {
         let gpu = Gpu::v100()
@@ -439,9 +283,7 @@ mod tests {
         let bs: Vec<Matrix<f32>> = (0..3).map(|i| Matrix::random(48, 32, 381 + i)).collect();
         let refs: Vec<&Matrix<f32>> = bs.iter().collect();
         let cfg = SpmmConfig::heuristic::<f32>(32);
-        let result =
-            spmm_batched_dispatch(&gpu, &cache, &a, &refs, cfg, &DispatchPolicy::default())
-                .expect("faults degrade, never error");
+        let result = spmm_window(&gpu, &cache, &a, &refs, cfg);
         assert_eq!(result.outputs.len(), 3);
         assert!(result.degraded() >= 1, "the faulted item must degrade");
         let failed: usize = result.reports.iter().map(|r| r.attempts.len()).sum();
@@ -477,8 +319,10 @@ mod tests {
         }
     }
 
+    /// One mask against many (lhs, rhs) pairs — the per-head QK^T of sparse
+    /// attention: pair 2 replays pair 1's simulation.
     #[test]
-    fn dispatched_sddmm_clean_run_serves_sputnik() {
+    fn dispatched_sddmm_clean_run_shares_the_mask() {
         let gpu = Gpu::v100();
         let cache = LaunchCache::new();
         let mask = gen::attention_mask(96, 16, 0.9, 393);
@@ -500,19 +344,19 @@ mod tests {
         assert_eq!(result.cache_hits, 1, "pair 2 replays pair 1");
         for (out, (q, k)) in result.outputs.iter().zip([(&q1, &k1), (&q2, &k2)]) {
             let expect = reference::sddmm(q, k, &mask);
+            assert!(out.same_pattern(&expect));
             for (a, b) in out.values().iter().zip(expect.values()) {
                 assert!((a - b).abs() < 1e-3);
             }
         }
     }
 
-    /// Satellite regression: batched launches under a fault plan bypass the
-    /// launch cache silently inside the launcher — the batch loops must
-    /// record a per-item trace instant so chaos runs can audit exactly which
-    /// items consumed fault-schedule indices.
+    /// Window items under a fault plan bypass the launch cache silently
+    /// inside the launcher — the window loop must record a per-item trace
+    /// instant so chaos runs can audit exactly which items consumed
+    /// fault-schedule indices.
     #[test]
     fn fault_plan_bypass_leaves_per_item_trace_instants() {
-        use gpu_sim::trace;
         let a = gen::uniform(48, 40, 0.6, 400);
         let bs: Vec<Matrix<f32>> = (0..4).map(|i| Matrix::random(40, 16, 401 + i)).collect();
         let refs: Vec<&Matrix<f32>> = bs.iter().collect();
@@ -520,15 +364,14 @@ mod tests {
         let q = Matrix::<f32>::random(48, 16, 406);
         let k = Matrix::<f32>::random(48, 16, 407);
         let gpu = Gpu::v100().with_fault_plan(FaultPlan::none());
+        let cache = LaunchCache::new();
+        let policy = DispatchPolicy::default();
 
         trace::enable();
-        spmm_batched(&gpu, &a, &refs, SpmmConfig::heuristic::<f32>(16));
-        sddmm_batched(
-            &gpu,
-            &[(&q, &k), (&q, &k)],
-            &mask,
-            SddmmConfig::heuristic::<f32>(16),
-        );
+        spmm_window(&gpu, &cache, &a, &refs, SpmmConfig::heuristic::<f32>(16));
+        let pairs = [(&q, &k), (&q, &k)];
+        let cfg = SddmmConfig::heuristic::<f32>(16);
+        sddmm_batched_dispatch(&gpu, &cache, &pairs, &mask, cfg, &policy).unwrap();
         let events = trace::disable();
 
         // The recorder is process-global (other tests may append events
@@ -539,27 +382,22 @@ mod tests {
             .filter(|e| e.cat == "batched")
             .map(|e| e.name.as_str())
             .collect();
-        for i in 0..4 {
-            let want = format!("fault-plan bypass: spmm item {i} simulated in full");
-            assert!(
-                bypasses.iter().any(|n| **n == want),
-                "missing instant '{want}' in {bypasses:?}"
-            );
-        }
-        for i in 0..2 {
-            let want = format!("fault-plan bypass: sddmm item {i} simulated in full");
-            assert!(
-                bypasses.iter().any(|n| **n == want),
-                "missing instant '{want}' in {bypasses:?}"
-            );
+        for (op, items) in [("spmm-dispatch", 4), ("sddmm-dispatch", 2)] {
+            for i in 0..items {
+                let want = format!("fault-plan bypass: {op} item {i} simulated in full");
+                assert!(
+                    bypasses.iter().any(|n| **n == want),
+                    "missing instant '{want}' in {bypasses:?}"
+                );
+            }
         }
     }
 
-    /// Fault-plan GPUs must bypass the batch cache (fault schedules consume
-    /// per-launch indices): every launch simulates, and scheduled faults
-    /// still fire at their exact index.
+    /// Fault-plan GPUs must bypass the window's cache (fault schedules
+    /// consume per-launch indices): every launch simulates, and a scheduled
+    /// fault fires at its exact index.
     #[test]
-    fn fault_plan_bypasses_batch_cache() {
+    fn fault_plan_bypasses_window_cache() {
         let a = gen::uniform(64, 48, 0.7, 360);
         let bs: Vec<Matrix<f32>> = (0..3).map(|i| Matrix::random(48, 32, 361 + i)).collect();
         let refs: Vec<&Matrix<f32>> = bs.iter().collect();
@@ -567,21 +405,19 @@ mod tests {
 
         // An armed-but-quiet plan: the cache must still be bypassed.
         let gpu = Gpu::v100().with_fault_plan(FaultPlan::none());
-        let result = spmm_batched(&gpu, &a, &refs, cfg);
+        let result = spmm_window(&gpu, &LaunchCache::new(), &a, &refs, cfg);
         assert_eq!(result.cache_hits, 0, "no cache service under a fault plan");
         assert_eq!(
             gpu.fault_plan().map(FaultPlan::launches_observed),
             Some(3),
-            "every batched launch consults the schedule"
+            "every window launch consults the schedule"
         );
 
-        // A plan that kills the first launch: the batch must panic (the
-        // stream uses the panicking launch path), proving launches were not
-        // served from a cache that would skip the fault.
+        // A plan that kills the first launch: item 0 must see the fault,
+        // proving launches were not served from a cache that would skip it.
         let gpu = Gpu::v100().with_fault_plan(FaultPlan::fail_first(1, FaultKind::EccError));
-        let killed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            spmm_batched(&gpu, &a, &refs, cfg)
-        }));
-        assert!(killed.is_err(), "scheduled fault must abort the batch");
+        let result = spmm_window(&gpu, &LaunchCache::new(), &a, &refs, cfg);
+        assert_eq!(result.reports[0].attempts.len(), 1, "scheduled fault fired");
+        assert!(result.reports[1..].iter().all(|r| r.clean()));
     }
 }

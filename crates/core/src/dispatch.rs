@@ -34,6 +34,7 @@ use crate::spmm::{
     operand_fingerprint, require_finite, SpmmKernel, BUF_A_INDICES, BUF_A_OFFSETS, BUF_A_VALUES,
     BUF_B, BUF_C,
 };
+use gpu_sim::trace::{self, Entry};
 use gpu_sim::{
     AccessBound, AccessPattern, AlignmentFacts, BarrierFacts, BlockContext, BufferBound,
     BufferSpec, Dim3, Fingerprint, Gpu, Kernel, LaunchCache, LaunchRequest, LaunchStats,
@@ -160,14 +161,10 @@ fn descend<Out>(
                     return (out, report);
                 }
                 Err(err) => {
-                    gpu_sim::metrics::global().incr("dispatch_failed_attempts", 1);
-                    if gpu_sim::trace::enabled() {
-                        gpu_sim::trace::instant(
-                            "dispatch",
-                            "dispatch",
-                            &format!("{op} rung {rung} attempt {attempt} failed: {err}"),
-                        );
-                    }
+                    let failed = [("dispatch_failed_attempts", 1)];
+                    trace::record("dispatch", "dispatch", Entry::Instant, &failed, || {
+                        format!("{op} rung {rung} attempt {attempt} failed: {err}")
+                    });
                     let transient = is_transient(&err);
                     attempts.push(Attempt { rung, error: err });
                     if !transient {
@@ -192,18 +189,16 @@ fn served(
     attempts: Vec<Attempt>,
     backoff_us: f64,
 ) -> DispatchReport {
-    let metrics = gpu_sim::metrics::global();
     if rung == Rung::Sputnik {
-        metrics.incr(rung.counter(), 1);
+        gpu_sim::metrics::global().incr(rung.counter(), 1);
     } else {
-        metrics.incr_many(&[(rung.counter(), 1), ("dispatch_degraded", 1)]);
-        if gpu_sim::trace::enabled() {
+        let degraded = [(rung.counter(), 1), ("dispatch_degraded", 1)];
+        trace::record("dispatch", "dispatch", Entry::Instant, &degraded, || {
             let kernel = stats
                 .as_ref()
                 .map_or(String::new(), |s| format!(" ({})", s.kernel));
-            let name = format!("degraded: {op} served by {rung}{kernel}");
-            gpu_sim::trace::instant("dispatch", "dispatch", &name);
-        }
+            format!("degraded: {op} served by {rung}{kernel}")
+        });
     }
     DispatchReport {
         served_by: rung,

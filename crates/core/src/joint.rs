@@ -60,6 +60,7 @@ use crate::spmm::{
     resolve_subwarp, validate_spmm, SubwarpWork, BUF_A_INDICES, BUF_A_OFFSETS, BUF_A_VALUES, BUF_B,
     BUF_C, BUF_SWIZZLE, MAX_BLOCK_SUBWARPS,
 };
+use gpu_sim::trace::{self, Entry};
 use gpu_sim::{
     AccessBound, AccessPattern, AlignmentFacts, BarrierFacts, BlockContext, BufferBound, BufferId,
     BufferSpec, Dim3, Fingerprint, Gpu, Kernel, LaunchCache, LaunchRequest, LaunchStats, SmemScope,
@@ -771,15 +772,13 @@ fn joint_fingerprint<T: Scalar>(a: &CsrMatrix<T>, n: usize, lut: &PatternLut) ->
 }
 
 /// Bump the joint-skip observability counters for one launch: LUT probes
-/// issued / probes that hit dead tiles, into the global metrics registry
-/// and (when tracing is on) the chrome-trace counter track.
+/// issued / probes that hit dead tiles: one counter-track sample each,
+/// bumping the counter of the same name.
 fn record_skip_metrics<T: Scalar>(a: &CsrMatrix<T>, lut: &PatternLut) {
     let (total, dead) = lut.probe_stats(a);
-    gpu_sim::metrics::global()
-        .incr_many(&[("joint_tiles_total", total), ("joint_tiles_skipped", dead)]);
-    if gpu_sim::trace::enabled() {
-        gpu_sim::trace::counter("joint", "joint", "joint_tiles_total", total);
-        gpu_sim::trace::counter("joint", "joint", "joint_tiles_skipped", dead);
+    for (name, value) in [("joint_tiles_total", total), ("joint_tiles_skipped", dead)] {
+        let sample = Entry::Counter(value);
+        trace::record("joint", "joint", sample, &[(name, value)], || name.into());
     }
 }
 

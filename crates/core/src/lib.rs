@@ -21,10 +21,7 @@ pub mod spmm;
 pub mod transpose;
 pub mod tune;
 
-pub use batched::{
-    sddmm_batched, sddmm_batched_cached, sddmm_batched_dispatch, spmm_batched, spmm_batched_cached,
-    spmm_batched_dispatch, BatchedResult, DispatchedBatch,
-};
+pub use batched::{sddmm_batched_dispatch, spmm_batched_dispatch, DispatchedBatch};
 pub use config::{SddmmConfig, SpmmConfig};
 pub use dispatch::{DispatchPolicy, DispatchReport, FallbackSpmmKernel, Rung};
 pub use error::SputnikError;

@@ -255,15 +255,10 @@ fn run_fused(
     req: &LaunchRequest<'_>,
     name: &str,
 ) -> Result<FusedAttentionTime, SputnikError> {
-    let track = gpu.device().name.clone();
-    let traced = trace::enabled();
-    if traced {
-        trace::begin_span("fusion", &track, name);
-    }
+    let track = &gpu.device().name;
+    trace::begin_span("fusion", track, || name.into());
     let result = gpu.run(req);
-    if traced {
-        trace::end_span(&track);
-    }
+    trace::end_span(track);
     let launched = result?;
     Ok(FusedAttentionTime {
         fused: true,

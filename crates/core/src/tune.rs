@@ -135,20 +135,13 @@ impl AutoTuner {
         }
         gpu_sim::metrics::global().incr("tune_searches", 1);
         // The span lives on the device track, so its duration is the
-        // simulated time of every probe launch the search runs. Capture the
-        // flag once: the span must be closed iff it was opened, even if
-        // tracing toggles mid-search.
-        let traced = gpu_sim::trace::enabled();
-        if traced {
-            gpu_sim::trace::begin_span(
-                "tune",
-                &gpu.device().name,
-                &format!(
-                    "tune m=2^{} k=2^{} n=2^{}",
-                    class.m_pow2, class.k_pow2, class.n_pow2
-                ),
-            );
-        }
+        // simulated time of every probe launch the search runs.
+        gpu_sim::trace::begin_span("tune", &gpu.device().name, || {
+            format!(
+                "tune m=2^{} k=2^{} n=2^{}",
+                class.m_pow2, class.k_pow2, class.n_pow2
+            )
+        });
         let profile = |cfg: SpmmConfig| match launch_cache {
             Some(lc) => spmm::spmm_profile_cached::<T>(gpu, lc, a, a.cols(), n, cfg).0,
             None => spmm::spmm_profile::<T>(gpu, a, a.cols(), n, cfg),
@@ -167,9 +160,7 @@ impl AutoTuner {
                 best.config = cfg;
             }
         }
-        if traced {
-            gpu_sim::trace::end_span(&gpu.device().name);
-        }
+        gpu_sim::trace::end_span(&gpu.device().name);
         self.cache.insert(class, best);
         best
     }

@@ -83,16 +83,10 @@ impl SparseLstmCell {
         assert_eq!(h.rows(), self.hidden);
 
         // The whole step is one span on the device track: two SpMMs plus the
-        // fused elementwise kernel. Capture the flag once so the span is
-        // closed iff it was opened.
-        let traced = gpu_sim::trace::enabled();
-        if traced {
-            gpu_sim::trace::begin_span(
-                "layer",
-                &gpu.device().name,
-                &format!("lstm_step h={} b={batch}", self.hidden),
-            );
-        }
+        // fused elementwise kernel.
+        gpu_sim::trace::begin_span("layer", &gpu.device().name, || {
+            format!("lstm_step h={} b={batch}", self.hidden)
+        });
 
         // Gates from the input path.
         let cfg = SpmmConfig::heuristic::<f32>(batch);
@@ -121,9 +115,7 @@ impl SparseLstmCell {
             gpu.launch(&kernel)
         };
 
-        if traced {
-            gpu_sim::trace::end_span(&gpu.device().name);
-        }
+        gpu_sim::trace::end_span(&gpu.device().name);
         LstmStep {
             h: h_out,
             c: c_out,

@@ -154,33 +154,24 @@ pub fn benchmark(
         ..Default::default()
     };
     // Layer spans live on the device track so a profile report can break the
-    // run down per layer. Capture the flag once so every begin has its end.
-    let traced = gpu_sim::trace::enabled();
+    // run down per layer.
     let track = &gpu.device().name;
 
     // Stem: dense 3x3 conv via im2col GEMM (27 input features), 112x112
     // output, plus its fused bias/ReLU pass. Kept dense in the sparse models
     // ("we leave the first layer dense, as we found it to be bandwidth bound
     // by the activation matrix").
-    if traced {
-        gpu_sim::trace::begin_span("layer", track, "stem");
-    }
+    gpu_sim::trace::begin_span("layer", track, || "stem".into());
     let stem_n = 112 * 112;
     bench.stem_us = baselines::gemm_profile(gpu, model.stem_out, 27, pad4(stem_n)).time_us
         + crate::layers::bias_relu_profile(gpu, model.stem_out, stem_n).time_us;
     bench.weight_bytes += (model.stem_out * 27 * 4) as u64;
-    if traced {
-        gpu_sim::trace::end_span(track);
-    }
+    gpu_sim::trace::end_span(track);
 
     for (li, b) in model.blocks.iter().enumerate() {
-        if traced {
-            gpu_sim::trace::begin_span(
-                "layer",
-                track,
-                &format!("block{li} ({}->{})", b.in_channels, b.out_channels),
-            );
-        }
+        gpu_sim::trace::begin_span("layer", track, || {
+            format!("block{li} ({}->{})", b.in_channels, b.out_channels)
+        });
         let out_sp = b.spatial / b.stride;
         let n = out_sp * out_sp;
         // Depthwise 3x3 with fused bias + ReLU.
@@ -229,21 +220,15 @@ pub fn benchmark(
                 bench.weight_bytes += w.bytes(IndexWidth::U32);
             }
         }
-        if traced {
-            gpu_sim::trace::end_span(track);
-        }
+        gpu_sim::trace::end_span(track);
     }
 
     // Global average pool is negligible; classifier stays dense.
-    if traced {
-        gpu_sim::trace::begin_span("layer", track, "classifier");
-    }
+    gpu_sim::trace::begin_span("layer", track, || "classifier".into());
     bench.classifier_us =
         baselines::gemm_profile(gpu, model.num_classes, model.classifier_in, 4).time_us;
     bench.weight_bytes += (model.num_classes * model.classifier_in * 4) as u64;
-    if traced {
-        gpu_sim::trace::end_span(track);
-    }
+    gpu_sim::trace::end_span(track);
 
     bench.inference_us =
         bench.stem_us + bench.depthwise_us + bench.pointwise_us + bench.classifier_us;

@@ -115,15 +115,10 @@ pub fn profile_problem(
     seed: u64,
 ) -> gpu_sim::LaunchStats {
     let w = problem.weights(seed);
-    let traced = gpu_sim::trace::enabled();
-    if traced {
-        gpu_sim::trace::begin_span("layer", &gpu.device().name, &problem.label());
-    }
+    gpu_sim::trace::begin_span("layer", &gpu.device().name, || problem.label());
     let cfg = sputnik::SpmmConfig::heuristic::<f32>(problem.n());
     let stats = sputnik::spmm_profile::<f32>(gpu, &w, problem.k(), problem.n(), cfg);
-    if traced {
-        gpu_sim::trace::end_span(&gpu.device().name);
-    }
+    gpu_sim::trace::end_span(&gpu.device().name);
     stats
 }
 

@@ -8,6 +8,7 @@
 //! and layers".
 
 use crate::attention;
+use gpu_sim::trace::{self, Entry};
 use gpu_sim::Gpu;
 use serde::{Deserialize, Serialize};
 use sparse::{gen, CsrMatrix, IndexWidth};
@@ -149,21 +150,19 @@ pub fn benchmark(gpu: &Gpu, cfg: &TransformerConfig, mode: &AttentionMode) -> Tr
     }
 
     let tokens = cfg.tokens();
-    // The model profiles each distinct shape once and multiplies; the trace
-    // mirrors that with `replay` events so the per-layer breakdown still
-    // accounts for every simulated microsecond. Capture the flag once so
-    // every opened span is closed.
-    let traced = gpu_sim::trace::enabled();
-    if traced {
-        gpu_sim::trace::begin_span("layer", &device, "layer0");
-    }
+    // The model profiles each distinct shape once and multiplies; the books
+    // mirror that with replay entries, so `sim_time_ns` and the per-layer
+    // breakdown still account for every simulated microsecond.
+    let replay = |name: &'static str, dur_us: f64, count: u64| {
+        let entry = Entry::Replay { dur_us, count };
+        trace::record("replay", &device, entry, &[], || name.into());
+    };
+    trace::begin_span("layer", &device, || "layer0".into());
     // Projections: Q, K, V, O — each a d_model x d_model GEMM over all
     // tokens (weights are dense in this experiment; sparsity lives in the
     // attention connectivity).
     let proj_one = baselines::gemm_profile(gpu, cfg.d_model, cfg.d_model, tokens).time_us;
-    if traced {
-        gpu_sim::trace::replay(&device, "qkvo_projection", proj_one * 3.0, 3);
-    }
+    replay("qkvo_projection", proj_one * 3.0, 3);
     let proj_us = 4.0 * proj_one;
     // FFN: two GEMMs plus the pointwise nonlinearity.
     let ffn_us = baselines::gemm_profile(gpu, cfg.ff, cfg.d_model, tokens).time_us
@@ -177,9 +176,8 @@ pub fn benchmark(gpu: &Gpu, cfg: &TransformerConfig, mode: &AttentionMode) -> Tr
         Some(m) => attention::sparse_attention_profile(gpu, m, cfg.d_head()),
     };
     let head_reps = (cfg.heads * cfg.batch - 1) as u64;
-    if traced && head_reps > 0 {
-        gpu_sim::trace::replay(
-            &device,
+    if head_reps > 0 {
+        replay(
             "attention_heads",
             per_head.total_us() * head_reps as f64,
             head_reps,
@@ -188,14 +186,12 @@ pub fn benchmark(gpu: &Gpu, cfg: &TransformerConfig, mode: &AttentionMode) -> Tr
     let attn_us = per_head.total_us() * (cfg.heads * cfg.batch) as f64;
 
     let layer_us = proj_us + ffn_us + attn_us;
-    if traced {
-        gpu_sim::trace::end_span(&device);
-        // Layers 1..L repeat layer 0's cost exactly.
-        for l in 1..cfg.layers {
-            gpu_sim::trace::begin_span("layer", &device, &format!("layer{l}"));
-            gpu_sim::trace::replay(&device, "layer_replay", layer_us, 1);
-            gpu_sim::trace::end_span(&device);
-        }
+    trace::end_span(&device);
+    // Layers 1..L repeat layer 0's cost exactly.
+    for l in 1..cfg.layers {
+        trace::begin_span("layer", &device, || format!("layer{l}"));
+        replay("layer_replay", layer_us, 1);
+        trace::end_span(&device);
     }
     let forward_us = layer_us * cfg.layers as f64;
 

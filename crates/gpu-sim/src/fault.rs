@@ -14,6 +14,7 @@
 //! Decisions are a pure function of `(seed, launch index)` so any failing
 //! schedule can be replayed exactly.
 
+use crate::trace::{self, Entry};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -183,10 +184,10 @@ impl FaultPlan {
             kernel: kernel.to_string(),
             launch_index: index,
         };
-        crate::metrics::global().incr("faults_injected", 1);
-        if crate::trace::enabled() {
-            crate::trace::instant("fault", "faults", &fault.to_string());
-        }
+        let injected = [("faults_injected", 1)];
+        trace::record("fault", "faults", Entry::Instant, &injected, || {
+            fault.to_string()
+        });
         Some(fault)
     }
 

@@ -33,7 +33,7 @@
 //! timeline placement: [`Fleet::sync`] replays the queued commands against
 //! the event graph to place every launch and transfer on each device's
 //! stream clock, applying the same pipelined-submission model as
-//! [`crate::Stream`] (one full launch overhead up front, later launches on
+//! [`crate::pipelined_us`] (one full launch overhead up front, later launches on
 //! a busy stream hide theirs behind executing work).
 //!
 //! ## Interconnect
@@ -42,15 +42,16 @@
 //! (alpha-beta: latency + bytes/bandwidth). [`Fleet::ring_all_reduce`]
 //! builds the classic 2(N−1)-step ring out of raw transfer + event
 //! commands, so its cost is emergent from the stream machinery rather than
-//! a closed-form formula. Every resolved transfer bumps the
-//! `fleet_transfers` / `fleet_transfer_bytes` metrics and lands on the
-//! source device's trace track (with an `interconnect_bytes` counter track
-//! in the Chrome export).
+//! a closed-form formula. Every resolved transfer is one recording call
+//! ([`crate::trace::record`]): it bumps the `fleet_transfers` /
+//! `fleet_transfer_bytes` metrics and, while tracing, lands on the source
+//! device's trace track (with an `interconnect_bytes` counter track in the
+//! Chrome export).
 
 use crate::device::{DeviceConfig, LinkProfile};
 use crate::kernel::Kernel;
 use crate::launch::{Gpu, LaunchError, LaunchRequest, LaunchStats};
-use crate::{metrics, trace};
+use crate::trace::{self, Entry};
 use std::collections::{HashMap, VecDeque};
 
 /// A cross-stream synchronization marker, created by
@@ -328,10 +329,10 @@ impl Fleet {
                         }
                         StreamOp::Launch { time_us } => {
                             let overhead = self.gpus[d].device().launch_overhead_us;
-                            // Pipelined submission, mirroring Stream: the
+                            // Pipelined submission, mirroring `pipelined_us`: the
                             // first launch pays its full overhead; later
                             // ones hide it behind executing work, floored
-                            // at the same driver-gap cost Stream charges.
+                            // at the same driver-gap cost it charges.
                             let exec = if self.launches_resolved[d] == 0 {
                                 *time_us
                             } else {
@@ -343,23 +344,23 @@ impl Fleet {
                         StreamOp::Transfer { bytes, dst, label } => {
                             let us = self.link.transfer_us(*bytes);
                             let bytes = *bytes;
-                            if trace::enabled() {
-                                trace::transfer(
-                                    &self.gpus[d].device().name,
-                                    &self.gpus[*dst].device().name,
-                                    label,
-                                    bytes,
-                                    us,
-                                );
-                            }
+                            let transfer = Entry::Transfer {
+                                dur_us: us,
+                                bytes,
+                                dst: &self.gpus[*dst].device().name,
+                            };
+                            let counts = [("fleet_transfers", 1), ("fleet_transfer_bytes", bytes)];
+                            trace::record(
+                                "transfer",
+                                &self.gpus[d].device().name,
+                                transfer,
+                                &counts,
+                                || label.clone(),
+                            );
                             self.clocks[d] += us;
                             self.transfer_bytes += bytes;
                             self.transfers += 1;
                             self.transfer_us += us;
-                            metrics::global().incr_many(&[
-                                ("fleet_transfers", 1),
-                                ("fleet_transfer_bytes", bytes),
-                            ]);
                         }
                     }
                     self.queues[d].pop_front();

@@ -13,7 +13,7 @@ use crate::sanitizer::{self, BlockSan, CheckClass, SanitizerReport};
 use crate::scheduler;
 use crate::static_check::{self, StaticAudit};
 use crate::timing;
-use crate::trace;
+use crate::trace::{self, Entry};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
@@ -439,10 +439,7 @@ impl Gpu {
                 if req.mode == Mode::Functional {
                     req.with_kernel(|kernel| self.replay_functional(kernel));
                 }
-                self.note_cache_hit(&stats);
-                if sanitize {
-                    metrics::global().incr("sanitizer_skips", 1);
-                }
+                self.note_cache_hit(&stats, sanitize);
                 return Ok(Launched {
                     stats,
                     report,
@@ -462,11 +459,22 @@ impl Gpu {
         self.run(req).unwrap_or_else(|e| panic!("{e}")).stats
     }
 
-    /// Record a launch served from a [`LaunchCache`] into the trace and
-    /// metrics (the simulated paths record themselves in [`Gpu::finish`]).
-    fn note_cache_hit(&self, stats: &LaunchStats) {
-        metrics::global().record_launch(stats, true);
-        trace::launch(&self.dev.name, stats, Some(true));
+    /// Record a launch served from a [`LaunchCache`] (the simulated paths
+    /// record themselves in [`Gpu::finish`]); a sanitized hit also counts
+    /// the sanitize run it skipped.
+    fn note_cache_hit(&self, stats: &LaunchStats, sanitized: bool) {
+        let skips: &[(&'static str, u64)] = if sanitized {
+            &[("sanitizer_skips", 1)]
+        } else {
+            &[]
+        };
+        let hit = Entry::Launch {
+            stats,
+            cached: Some(true),
+        };
+        trace::record("launch", &self.dev.name, hit, skips, || {
+            stats.kernel.clone()
+        });
     }
 
     /// Execute every block functionally with cost recording disabled: the
@@ -492,14 +500,10 @@ impl Gpu {
             return Ok(());
         };
         let kernel = kernel.name();
-        metrics::global().incr("dispatch_static_refuted", 1);
-        if trace::enabled() {
-            trace::instant(
-                "dispatch",
-                "dispatch",
-                &format!("statically refuted: {kernel} ({})", finding.detail),
-            );
-        }
+        let refuted = [("dispatch_static_refuted", 1)];
+        trace::record("dispatch", "dispatch", Entry::Instant, &refuted, || {
+            format!("statically refuted: {kernel} ({})", finding.detail)
+        });
         Err(LaunchError::StaticallyRefuted {
             kernel,
             class: finding.class,
@@ -611,20 +615,16 @@ impl Gpu {
         report.absorb_session(race_count, race_examples);
 
         let stats = self.finish(kernel, occ, total, lites);
-        metrics::global().incr_many(&[
+        let runs = [
             ("sanitizer_runs", 1),
             ("sanitizer_violations", report.violation_count),
-        ]);
-        if trace::enabled() {
-            trace::instant(
-                "sanitizer",
-                &self.dev.name,
-                &format!(
-                    "sanitize: {} ({} violations, {} warnings)",
-                    report.kernel, report.violation_count, report.warning_count
-                ),
-            );
-        }
+        ];
+        trace::record("sanitizer", &self.dev.name, Entry::Instant, &runs, || {
+            format!(
+                "sanitize: {} ({} violations, {} warnings)",
+                report.kernel, report.violation_count, report.warning_count
+            )
+        });
         (stats, report)
     }
 
@@ -944,8 +944,13 @@ impl Gpu {
         let stats = self.assemble(kernel, occ, &total, dram_bytes, &block_cycles);
         // Every simulated launch path funnels through here (the reference
         // engine calls `assemble` directly and stays unrecorded).
-        metrics::global().record_launch(&stats, false);
-        trace::launch(&self.dev.name, &stats, None);
+        let launch = Entry::Launch {
+            stats: &stats,
+            cached: None,
+        };
+        trace::record("launch", &self.dev.name, launch, &[], || {
+            stats.kernel.clone()
+        });
         stats
     }
 
@@ -1045,89 +1050,10 @@ impl Gpu {
     }
 }
 
-/// A sequence of dependent kernel launches (a CUDA stream): kernels run
-/// back to back, but consecutive launches overlap the host-side launch
-/// overhead with the previous kernel's execution — the reason back-to-back
-/// small kernels cost less than `n * (overhead + time)`.
-pub struct Stream<'g> {
-    gpu: &'g Gpu,
-    launches: Vec<LaunchStats>,
-    /// Optional launch cache consulted by [`Stream::launch_cached`].
-    cache: Option<&'g LaunchCache>,
-    cache_hits: u64,
-}
-
-impl<'g> Stream<'g> {
-    pub fn new(gpu: &'g Gpu) -> Self {
-        Self {
-            gpu,
-            launches: Vec::new(),
-            cache: None,
-            cache_hits: 0,
-        }
-    }
-
-    /// A stream whose [`Stream::launch_cached`] launches are memoized in
-    /// `cache`. The cache obeys the usual bypass rule: a [`Gpu`] carrying a
-    /// fault plan simulates every launch in full.
-    pub fn with_cache(gpu: &'g Gpu, cache: &'g LaunchCache) -> Self {
-        Self {
-            gpu,
-            launches: Vec::new(),
-            cache: Some(cache),
-            cache_hits: 0,
-        }
-    }
-
-    /// Launch functionally on the stream; returns this kernel's stats.
-    /// Panics like [`Gpu::launch`].
-    pub fn launch(&mut self, kernel: &dyn Kernel) -> LaunchStats {
-        self.push(&LaunchRequest::functional(kernel))
-    }
-
-    /// Launch functionally on the stream through the attached cache (see
-    /// [`crate::launch_cache`] for what `fingerprint` must cover). On a hit
-    /// the kernel still executes for its outputs but the statistics are
-    /// replayed instead of re-simulated. Falls back to an uncached launch
-    /// when no cache is attached. Panics like [`Stream::launch`].
-    pub fn launch_cached(&mut self, fingerprint: u64, kernel: &dyn Kernel) -> LaunchStats {
-        let cache = self.cache.map(|cache| (cache, fingerprint));
-        self.push(&LaunchRequest::functional(kernel).cached(cache))
-    }
-
-    /// Profile on the stream (cost only).
-    pub fn profile(&mut self, kernel: &dyn Kernel) -> LaunchStats {
-        self.push(&LaunchRequest::profile(kernel))
-    }
-
-    fn push(&mut self, req: &LaunchRequest<'_>) -> LaunchStats {
-        let launched = self.gpu.run(req).unwrap_or_else(|e| panic!("{e}"));
-        self.cache_hits += u64::from(launched.hit);
-        self.launches.push(launched.stats.clone());
-        launched.stats
-    }
-
-    pub fn launches(&self) -> &[LaunchStats] {
-        &self.launches
-    }
-
-    /// Launches served from the attached cache so far.
-    pub fn cache_hits(&self) -> u64 {
-        self.cache_hits
-    }
-
-    /// Total simulated stream time of the launches so far (see
-    /// [`pipelined_us`]).
-    pub fn total_us(&self) -> f64 {
-        pipelined_us(
-            self.gpu.device().launch_overhead_us,
-            self.launches.iter().map(|s| s.time_us),
-        )
-    }
-}
-
-/// Simulated time of back-to-back launches on one stream, given each
-/// launch's standalone time: per-kernel execution plus ONE launch overhead
+/// Simulated time of back-to-back launches on one stream (a CUDA stream:
+/// consecutive launches overlap the host-side launch overhead with the
+/// previous kernel's execution), given each launch's standalone time:
+/// per-kernel execution plus ONE launch overhead
 /// (subsequent launches are pipelined behind execution, except when a
 /// kernel is shorter than the overhead itself). Zero for no launches.
 ///
@@ -1280,38 +1206,36 @@ mod tests {
     }
 
     #[test]
-    fn stream_overlaps_launch_overhead() {
+    fn pipelining_overlaps_launch_overhead() {
         let gpu = Gpu::v100();
-        let k = Noop {
-            blocks: 800,
-            cycles_of_fma: 50_000,
-        };
-        let solo = gpu.profile(&k).time_us;
-        let mut stream = Stream::new(&gpu);
-        for _ in 0..4 {
-            stream.profile(&k);
-        }
-        let total = stream.total_us();
+        let overhead = gpu.device().launch_overhead_us;
+        let solo = gpu
+            .profile(&Noop {
+                blocks: 800,
+                cycles_of_fma: 50_000,
+            })
+            .time_us;
+        let total = pipelined_us(overhead, [solo; 4]);
         assert!(
             total < 4.0 * solo,
-            "stream {} must beat 4x solo {}",
-            total,
+            "stream {total} must beat 4x solo {}",
             4.0 * solo
         );
-        assert!(total > 4.0 * (solo - gpu.device().launch_overhead_us));
-        assert_eq!(stream.launches().len(), 4);
+        assert!(total > 4.0 * (solo - overhead));
     }
 
     #[test]
     fn empty_stream_costs_nothing() {
-        let gpu = Gpu::v100();
-        assert_eq!(Stream::new(&gpu).total_us(), 0.0);
+        assert_eq!(
+            pipelined_us(Gpu::v100().device().launch_overhead_us, []),
+            0.0
+        );
     }
 
     /// Regression: the short-kernel gap penalty used to apply to the *last*
     /// launch too, making a single-launch stream "slower" than the same
-    /// launch alone — which is how `BatchedResult::overhead_saved_us` went
-    /// negative. A stream of one is exactly the solo launch.
+    /// launch alone — which is how a batch's saved overhead went negative.
+    /// A stream of one is exactly the solo launch.
     #[test]
     fn single_launch_stream_equals_solo_launch() {
         let gpu = Gpu::v100();
@@ -1322,12 +1246,10 @@ mod tests {
             cycles_of_fma: 1,
         };
         let solo = gpu.profile(&k).time_us;
-        let mut stream = Stream::new(&gpu);
-        stream.profile(&k);
+        let one = pipelined_us(gpu.device().launch_overhead_us, [solo]);
         assert!(
-            (stream.total_us() - solo).abs() < 1e-12,
-            "stream of one ({}) must equal solo launch ({solo})",
-            stream.total_us()
+            (one - solo).abs() < 1e-12,
+            "stream of one ({one}) must equal solo launch ({solo})"
         );
     }
 
@@ -1336,56 +1258,57 @@ mod tests {
     #[test]
     fn stream_never_exceeds_naive_sum() {
         let gpu = Gpu::v100();
+        let overhead = gpu.device().launch_overhead_us;
         for cycles in [1, 2_000, 50_000] {
-            let k = Noop {
-                blocks: 4,
-                cycles_of_fma: cycles,
-            };
+            let solo = gpu
+                .profile(&Noop {
+                    blocks: 4,
+                    cycles_of_fma: cycles,
+                })
+                .time_us;
             for n in 1..5 {
-                let mut stream = Stream::new(&gpu);
-                let mut naive = 0.0;
-                for _ in 0..n {
-                    naive += stream.profile(&k).time_us;
-                }
+                let stream = pipelined_us(overhead, std::iter::repeat_n(solo, n));
+                let naive = solo * n as f64;
                 assert!(
-                    stream.total_us() <= naive + 1e-9,
-                    "stream {} > naive {naive} for {n} x {cycles}-cycle kernels",
-                    stream.total_us()
+                    stream <= naive + 1e-9,
+                    "stream {stream} > naive {naive} for {n} x {cycles}-cycle kernels"
                 );
             }
         }
     }
 
     #[test]
-    fn stream_cache_replays_identical_launches() {
+    fn cache_replays_identical_launches() {
         let gpu = Gpu::v100();
         let cache = LaunchCache::new();
-        let mut stream = Stream::with_cache(&gpu, &cache);
         let k = Noop {
             blocks: 8,
             cycles_of_fma: 100,
         };
-        let a = stream.launch_cached(42, &k);
-        let b = stream.launch_cached(42, &k);
-        assert_eq!(a, b, "replayed stats are bit-identical");
-        assert_eq!(stream.cache_hits(), 1);
+        let req = LaunchRequest::functional(&k).cached((&cache, 42));
+        let a = gpu.run(&req).unwrap();
+        let b = gpu.run(&req).unwrap();
+        assert_eq!(a.stats, b.stats, "replayed stats are bit-identical");
+        assert!(!a.hit && b.hit);
         assert_eq!(cache.hits(), 1);
         assert_eq!(cache.misses(), 1);
-        assert_eq!(stream.launches().len(), 2);
     }
 
     #[test]
-    fn stream_cache_bypassed_under_fault_plan() {
+    fn cache_bypassed_under_fault_plan() {
         let gpu = Gpu::v100().with_fault_plan(FaultPlan::none());
         let cache = LaunchCache::new();
-        let mut stream = Stream::with_cache(&gpu, &cache);
         let k = Noop {
             blocks: 8,
             cycles_of_fma: 100,
         };
-        stream.launch_cached(42, &k);
-        stream.launch_cached(42, &k);
-        assert_eq!(stream.cache_hits(), 0, "fault-plan GPUs simulate in full");
+        let req = LaunchRequest::functional(&k).cached((&cache, 42));
+        for _ in 0..2 {
+            assert!(
+                !gpu.run(&req).unwrap().hit,
+                "fault-plan GPUs simulate in full"
+            );
+        }
         assert!(cache.is_empty(), "no inserts while a fault plan is armed");
     }
 }

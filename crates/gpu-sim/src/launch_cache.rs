@@ -54,8 +54,9 @@
 //! skip scheduled faults and desynchronize the schedule.
 
 use crate::launch::LaunchStats;
+use crate::metrics;
 use crate::sanitizer::SanitizerReport;
-use crate::{metrics, trace};
+use crate::trace;
 use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
@@ -274,15 +275,16 @@ impl LaunchCache {
                 ("cache_misses", "miss")
             }
         };
-        metrics::global().incr(counter, 1);
-        if trace::enabled() {
-            let scope = if sanitized { "sanitized " } else { "" };
-            trace::instant(
-                "cache",
-                key.device,
-                &format!("{scope}{outcome}: {}", key.kernel),
-            );
-        }
+        trace::record(
+            "cache",
+            key.device,
+            trace::Entry::Instant,
+            &[(counter, 1)],
+            || {
+                let scope = if sanitized { "sanitized " } else { "" };
+                format!("{scope}{outcome}: {}", key.kernel)
+            },
+        );
         found
     }
 

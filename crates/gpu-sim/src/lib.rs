@@ -92,7 +92,7 @@ pub use fused::SddmmSoftmaxSpmmKernel;
 pub use kernel::Kernel;
 pub use launch::{
     pipelined_us, CheckLevel, Gpu, KernelBuilder, LaunchError, LaunchRequest, LaunchStats,
-    LaunchSummary, Launched, Mode, PipelineBreakdown, Stream,
+    LaunchSummary, Launched, Mode, PipelineBreakdown,
 };
 pub use launch_cache::{LaunchCache, LaunchKey};
 pub use metrics::{MetricsRegistry, MetricsSnapshot};

@@ -1,15 +1,18 @@
-//! A registry of monotonic profiler counters, snapshot-able as JSON.
+//! The profiler counters: monotonic running totals, snapshot-able as JSON.
 //!
-//! Where [`crate::trace`] records *events* (and costs a lock per event while
-//! enabled), this module keeps *running totals* that are always on: every
-//! launch, cache lookup, eviction, fault, and sanitizer run bumps a counter
-//! in the [`global`] registry. A [`MetricsSnapshot`] freezes the totals for
-//! reports and for the `trace_model` CI regression gate.
+//! The counters are one of two views of the process-global books kept by
+//! [`crate::trace`] (the other is the event log). Every event that bumps a
+//! counter goes through the one recording call, [`crate::trace::record`],
+//! which always bumps the counters and appends the event only while tracing
+//! is on, so the two views agree by construction. [`global`] reads the
+//! totals and bumps counters that have no event (cache inserts, audits,
+//! serve totals). A [`MetricsSnapshot`] freezes the totals for reports and
+//! for the `trace_model` CI regression gate.
 //!
 //! Counters are process-wide and monotonic (only [`MetricsRegistry::reset`]
 //! zeroes them), so concurrent sweeps simply sum. Tests that need exact
-//! counts use a local [`MetricsRegistry`] or single-process bins
-//! (`trace_model`), not the global one — parallel tests share it.
+//! counts run in a binary of their own (`tests/one_books.rs`) or in a
+//! single-process bin (`trace_model`) — parallel tests share the books.
 //!
 //! ## Counter vocabulary
 //!
@@ -17,7 +20,7 @@
 //! |---|---|
 //! | `launches` | launches recorded (simulated + cache replays) |
 //! | `launches_replayed` | launches served from a [`crate::LaunchCache`] |
-//! | `sim_time_ns` | total simulated time, nanoseconds |
+//! | `sim_time_ns` | total simulated time, nanoseconds: every launch plus every modelled replay (e.g. a transformer's repeated heads and layers), each rounded by [`sim_ns`] — the sum [`crate::ProfileReport::total_us`] takes |
 //! | `flops` | useful scalar FLOPs across launches |
 //! | `dram_bytes` | DRAM bytes moved across launches |
 //! | `blocks` | thread blocks launched |
@@ -31,84 +34,54 @@
 //! | `dispatch_static_refuted` | launches rejected by the static auditor, from every entry point (they all go through [`crate::Gpu::run`]) |
 //! | `dispatch_degraded` / `dispatch_failed_attempts` | degradation-ladder traffic |
 //! | `dispatch_rung_*` | dispatched calls served per ladder rung (`sputnik`, `heuristic`, `fallback`, `cpu_reference`), bumped by the ladder's serve point in `sputnik::dispatch` |
+//! | `fleet_transfers` / `fleet_transfer_bytes` | interconnect transfers a [`crate::Fleet`] resolved |
 //! | `serve_offered` / `serve_served` / `serve_shed` / `serve_rejected` | front-door outcome totals |
 //! | `serve_late` / `serve_batches` / `serve_degraded` | SLO misses, launch windows, degraded serves |
+//! | `serve_dev*_batches` | launch windows served per device (devices 0..8) |
 //! | `joint_tiles_total` / `joint_tiles_skipped` | pattern-LUT probes issued by joint-sparsity launches, and how many hit dead tiles (skip rate = skipped/total) |
 
-use crate::launch::LaunchStats;
-use std::collections::BTreeMap;
-use std::sync::{Mutex, MutexGuard};
+use crate::trace;
 
-/// A set of named monotonic `u64` counters behind one lock.
+/// Simulated microseconds as the integer nanoseconds `sim_time_ns` adds for
+/// one event (rounded per event, so a fold over the trace matches exactly).
+pub fn sim_ns(us: f64) -> u64 {
+    (us * 1e3).round().max(0.0) as u64
+}
+
+/// The counter view of the process-global books: reads, resets and
+/// event-less bumps.
 #[derive(Debug)]
-pub struct MetricsRegistry {
-    counters: Mutex<BTreeMap<&'static str, u64>>,
-}
-
-impl Default for MetricsRegistry {
-    fn default() -> Self {
-        Self::new()
-    }
-}
+pub struct MetricsRegistry;
 
 impl MetricsRegistry {
-    pub const fn new() -> Self {
-        Self {
-            counters: Mutex::new(BTreeMap::new()),
-        }
-    }
-
-    fn lock(&self) -> MutexGuard<'_, BTreeMap<&'static str, u64>> {
-        // Poisoning only means a panic elsewhere mid-increment; the totals
-        // themselves are still coherent.
-        match self.counters.lock() {
-            Ok(guard) => guard,
-            Err(poisoned) => poisoned.into_inner(),
-        }
-    }
-
     /// Add `delta` to a counter, creating it at zero first if needed.
     pub fn incr(&self, name: &'static str, delta: u64) {
-        *self.lock().entry(name).or_insert(0) += delta;
+        trace::books().bump(name, delta);
     }
 
     /// Bump several counters under one lock acquisition.
     pub fn incr_many(&self, deltas: &[(&'static str, u64)]) {
-        let mut map = self.lock();
+        let mut books = trace::books();
         for &(name, delta) in deltas {
-            *map.entry(name).or_insert(0) += delta;
+            books.bump(name, delta);
         }
-    }
-
-    /// Record one launch's contribution to the standard counters.
-    /// `replayed` marks launches served from a [`crate::LaunchCache`].
-    pub fn record_launch(&self, stats: &LaunchStats, replayed: bool) {
-        let ns = (stats.time_us * 1e3).round().max(0.0) as u64;
-        self.incr_many(&[
-            ("launches", 1),
-            ("launches_replayed", u64::from(replayed)),
-            ("sim_time_ns", ns),
-            ("flops", stats.flops),
-            ("dram_bytes", stats.dram_bytes),
-            ("blocks", stats.blocks),
-        ]);
     }
 
     /// Current value of a counter (0 if never incremented).
     pub fn get(&self, name: &str) -> u64 {
-        self.lock().get(name).copied().unwrap_or(0)
+        trace::books().counters.get(name).copied().unwrap_or(0)
     }
 
-    /// Zero every counter.
+    /// Zero every counter (the event log is untouched).
     pub fn reset(&self) {
-        self.lock().clear();
+        trace::books().counters.clear();
     }
 
     /// Freeze the current totals.
     pub fn snapshot(&self) -> MetricsSnapshot {
         MetricsSnapshot {
-            counters: self
-                .lock()
+            counters: trace::books()
+                .counters
                 .iter()
                 .map(|(&k, &v)| (k.to_string(), v))
                 .collect(),
@@ -116,10 +89,9 @@ impl MetricsRegistry {
     }
 }
 
-/// The process-wide registry every launch path reports into.
+/// The process-wide counters every launch path reports into.
 pub fn global() -> &'static MetricsRegistry {
-    static GLOBAL: MetricsRegistry = MetricsRegistry::new();
-    &GLOBAL
+    &MetricsRegistry
 }
 
 /// A frozen, sorted view of a registry's counters.
@@ -170,29 +142,33 @@ impl MetricsSnapshot {
 mod tests {
     use super::*;
 
+    /// The books are process-global and the crate's tests run in parallel,
+    /// so this test owns its counter names and never resets.
     #[test]
     fn counters_accumulate_and_snapshot() {
-        let m = MetricsRegistry::new();
-        m.incr("launches", 1);
-        m.incr("launches", 2);
-        m.incr_many(&[("flops", 100), ("dram_bytes", 7)]);
-        assert_eq!(m.get("launches"), 3);
-        assert_eq!(m.get("flops"), 100);
-        assert_eq!(m.get("missing"), 0);
+        let m = global();
+        m.incr("metrics_test_launches", 1);
+        m.incr("metrics_test_launches", 2);
+        m.incr_many(&[("metrics_test_flops", 100), ("metrics_test_dram", 7)]);
+        assert_eq!(m.get("metrics_test_launches"), 3);
+        assert_eq!(m.get("metrics_test_flops"), 100);
+        assert_eq!(m.get("metrics_test_missing"), 0);
         let snap = m.snapshot();
-        assert_eq!(snap.get("dram_bytes"), 7);
-        m.reset();
-        assert_eq!(m.get("launches"), 0);
-        // The snapshot is unaffected by the reset.
-        assert_eq!(snap.get("launches"), 3);
+        assert_eq!(snap.get("metrics_test_dram"), 7);
+        m.incr("metrics_test_launches", 1);
+        // The snapshot is frozen.
+        assert_eq!(snap.get("metrics_test_launches"), 3);
+    }
+
+    fn snapshot(counters: &[(&str, u64)]) -> MetricsSnapshot {
+        MetricsSnapshot {
+            counters: counters.iter().map(|&(k, v)| (k.to_string(), v)).collect(),
+        }
     }
 
     #[test]
     fn snapshot_json_round_trips() {
-        let m = MetricsRegistry::new();
-        m.incr("b_counter", 2);
-        m.incr("a_counter", 1);
-        let json = m.snapshot().to_json();
+        let json = snapshot(&[("a_counter", 1), ("b_counter", 2)]).to_json();
         let doc = crate::trace::parse_json(&json).expect("snapshot JSON parses");
         let metrics = doc.get("metrics").expect("metrics object");
         assert_eq!(metrics.get("a_counter").and_then(|v| v.as_num()), Some(1.0));
@@ -201,10 +177,16 @@ mod tests {
 
     #[test]
     fn dedup_ratio_defaults_to_one() {
-        let m = MetricsRegistry::new();
-        assert_eq!(m.snapshot().dedup_ratio(), 1.0);
-        m.incr("dedup_blocks_total", 10);
-        m.incr("dedup_blocks_executed", 4);
-        assert_eq!(m.snapshot().dedup_ratio(), 0.4);
+        assert_eq!(snapshot(&[]).dedup_ratio(), 1.0);
+        let snap = snapshot(&[("dedup_blocks_executed", 4), ("dedup_blocks_total", 10)]);
+        assert_eq!(snap.dedup_ratio(), 0.4);
+    }
+
+    #[test]
+    fn sim_ns_rounds_per_event() {
+        assert_eq!(sim_ns(1.25), 1250);
+        assert_eq!(sim_ns(0.0004), 0);
+        assert_eq!(sim_ns(0.0006), 1);
+        assert_eq!(sim_ns(-3.0), 0);
     }
 }

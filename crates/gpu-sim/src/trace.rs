@@ -1,5 +1,6 @@
-//! Structured launch tracing: a lightweight, always-available event
-//! recorder, a Chrome `trace_event` exporter, and a profile report.
+//! One set of books: the process-global recorder behind both the
+//! [`crate::metrics`] counters and the launch trace, plus a Chrome
+//! `trace_event` exporter and a profile report.
 //!
 //! The simulator's value over hardware counters is visibility (cf. Lew et
 //! al., "Analyzing Machine Learning Workloads Using a Detailed GPU
@@ -8,29 +9,43 @@
 //! in a model run* each launch happened so sweeps can be compared across
 //! PRs and opened in a timeline viewer.
 //!
-//! ## Model
+//! ## One funnel
+//!
+//! Every event goes through one call, [`record`]. It always bumps the
+//! event's counters; only while tracing is on does it build the event's
+//! name (through a closure) and append the event to the log. Counters and
+//! log sit behind one lock, so the two views are two readings of the same
+//! books:
+//!
+//! * [`Entry::Launch`] — a kernel launch, carrying the full [`LaunchStats`].
+//!   Bumps `launches`, `launches_replayed` (cache hits), `sim_time_ns`,
+//!   `flops`, `dram_bytes` and `blocks`, and advances the track clock by
+//!   `stats.time_us`.
+//! * [`Entry::Replay`] — replicated work (e.g. the remaining attention heads
+//!   of a transformer layer, costed once and multiplied): bumps
+//!   `sim_time_ns` and advances the clock without re-simulating.
+//! * [`Entry::Transfer`] — an interconnect transfer occupying the source
+//!   track; advances its clock but is not device work.
+//! * [`Entry::Instant`] / [`Entry::Counter`] — point events (cache hit/miss,
+//!   dispatch-ladder step, fault, sanitizer run) and counter-track samples.
+//!
+//! So `sim_time_ns` is exactly the sum [`ProfileReport::total_us`] takes, at
+//! the counter's own per-event rounding ([`crate::metrics::sim_ns`]), and
+//! [`books_mismatches`] checks it. [`begin_span`] / [`end_span`] bracket a
+//! named region (a model layer, a tuning search) whose duration is the
+//! simulated time that elapsed on its track while it was open.
 //!
 //! Events land on **tracks** (one per device/stream, keyed by name). Each
-//! track carries a simulated clock, in microseconds, that only launches and
-//! replays advance:
+//! track carries a simulated clock, in microseconds, starting at zero when
+//! tracing is enabled.
 //!
-//! * [`launch`] — a kernel launch; a duration event carrying the full
-//!   [`LaunchStats`]. Advances the track clock by `stats.time_us`.
-//! * [`replay`] — replicated work (e.g. the remaining attention heads of a
-//!   transformer layer, costed once and multiplied): advances the clock
-//!   without re-simulating.
-//! * [`begin_span`] / [`end_span`] — a named region (a model layer, a tuning
-//!   search). Duration is the simulated time that elapsed on the track while
-//!   it was open.
-//! * [`instant`] — a point event: cache hit/miss, dispatch-ladder step,
-//!   fault injection, sanitizer run.
+//! ## Cost when tracing is off
 //!
-//! ## Cost when disabled
-//!
-//! Tracing is **off by default**; every recording entry point is a single
-//! relaxed atomic load when disabled, so the launch fast path (`simwall`)
-//! pays nothing measurable. Call sites that would `format!` an event name
-//! should guard on [`enabled`] first.
+//! Tracing is **off by default**. Then [`record`] takes the lock, bumps
+//! its counters and returns: it never runs the name closure, allocates, or
+//! clones the [`LaunchStats`] — the same cost as the counters alone, so the
+//! launch fast path (`simwall`) pays nothing measurable for the trace.
+//! Callers need no [`enabled`] guard.
 //!
 //! ## Export
 //!
@@ -44,7 +59,8 @@
 //! `trace_model` artifact.
 
 use crate::launch::LaunchStats;
-use std::collections::HashMap;
+use crate::metrics::{sim_ns, MetricsSnapshot};
+use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
@@ -108,6 +124,47 @@ impl TraceEvent {
     }
 }
 
+/// One event as [`record`] takes it: borrowed, so an untraced call
+/// allocates nothing. Each variant becomes the [`EventKind`] of the same
+/// name when tracing is on.
+#[derive(Debug, Clone, Copy)]
+pub enum Entry<'a> {
+    Launch {
+        stats: &'a LaunchStats,
+        cached: Option<bool>,
+    },
+    Replay {
+        dur_us: f64,
+        count: u64,
+    },
+    Instant,
+    Counter(u64),
+    Transfer {
+        dur_us: f64,
+        bytes: u64,
+        dst: &'a str,
+    },
+}
+
+impl Entry<'_> {
+    fn into_kind(self) -> EventKind {
+        match self {
+            Entry::Launch { stats, cached } => EventKind::Launch {
+                stats: Box::new(stats.clone()),
+                cached,
+            },
+            Entry::Replay { dur_us, count } => EventKind::Replay { dur_us, count },
+            Entry::Instant => EventKind::Instant,
+            Entry::Counter(value) => EventKind::Counter { value },
+            Entry::Transfer { dur_us, bytes, dst } => EventKind::Transfer {
+                dur_us,
+                bytes,
+                dst: dst.to_string(),
+            },
+        }
+    }
+}
+
 struct OpenSpan {
     name: String,
     cat: &'static str,
@@ -115,7 +172,10 @@ struct OpenSpan {
     start_us: f64,
 }
 
-struct Recorder {
+/// The books: the always-on counters and, while tracing is on, the event
+/// log with its per-track clocks and open spans.
+pub(crate) struct Books {
+    pub(crate) counters: BTreeMap<&'static str, u64>,
     events: Vec<TraceEvent>,
     /// Per-track simulated clocks. Tracks are few; linear scan is fine and
     /// keeps the constructor `const`.
@@ -123,13 +183,9 @@ struct Recorder {
     open: Vec<OpenSpan>,
 }
 
-impl Recorder {
-    const fn new() -> Self {
-        Self {
-            events: Vec::new(),
-            clocks: Vec::new(),
-            open: Vec::new(),
-        }
+impl Books {
+    pub(crate) fn bump(&mut self, name: &'static str, delta: u64) {
+        *self.counters.entry(name).or_insert(0) += delta;
     }
 
     fn clock(&self, track: &str) -> f64 {
@@ -146,168 +202,119 @@ impl Recorder {
             self.clocks.push((track.to_string(), us));
         }
     }
+
+    fn clear_log(&mut self) {
+        self.events.clear();
+        self.clocks.clear();
+        self.open.clear();
+    }
 }
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
-static RECORDER: Mutex<Recorder> = Mutex::new(Recorder::new());
+static BOOKS: Mutex<Books> = Mutex::new(Books {
+    counters: BTreeMap::new(),
+    events: Vec::new(),
+    clocks: Vec::new(),
+    open: Vec::new(),
+});
 
-fn lock() -> MutexGuard<'static, Recorder> {
+/// Lock the process-global books.
+pub(crate) fn books() -> MutexGuard<'static, Books> {
     // A poisoned mutex only means another thread panicked mid-record; the
-    // event list itself is still valid.
-    match RECORDER.lock() {
+    // counters and the event list are still valid.
+    match BOOKS.lock() {
         Ok(guard) => guard,
         Err(poisoned) => poisoned.into_inner(),
     }
 }
 
-/// Is the recorder on? One relaxed atomic load — the only cost every launch
-/// pays when tracing is off.
+/// Is the event log on? One relaxed atomic load.
 #[inline]
 pub fn enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
 }
 
-/// Turn the recorder on, clearing any previous events, clocks, and open
-/// spans. Track clocks restart at zero.
+/// Turn the event log on, clearing any previous events, clocks, and open
+/// spans. Track clocks restart at zero; the counters keep running.
 pub fn enable() {
-    let mut r = lock();
-    r.events.clear();
-    r.clocks.clear();
-    r.open.clear();
+    books().clear_log();
     ENABLED.store(true, Ordering::SeqCst);
 }
 
-/// Turn the recorder off and return everything it captured.
+/// Turn the event log off and return everything it captured.
 pub fn disable() -> Vec<TraceEvent> {
     ENABLED.store(false, Ordering::SeqCst);
-    let mut r = lock();
-    r.clocks.clear();
-    r.open.clear();
-    std::mem::take(&mut r.events)
+    let mut books = books();
+    let events = std::mem::take(&mut books.events);
+    books.clear_log();
+    events
 }
 
 /// Take the captured events without disabling (clocks keep running).
 pub fn drain() -> Vec<TraceEvent> {
-    std::mem::take(&mut lock().events)
+    std::mem::take(&mut books().events)
 }
 
 /// Current simulated clock of a track, in microseconds.
 pub fn clock(track: &str) -> f64 {
-    lock().clock(track)
+    books().clock(track)
 }
 
-/// Record a launch on `track` and advance its clock by `stats.time_us`.
-/// Called by the launcher for every simulated launch and every cache hit;
-/// model code normally never calls this directly.
-pub fn launch(track: &str, stats: &LaunchStats, cached: Option<bool>) {
+/// Record one event: the one call every counter-bearing event goes through.
+///
+/// Always bumps `counters`, plus the work counters a launch or replay
+/// implies (see the module docs). Only while tracing is on does it run
+/// `name` and append the event to `track` at the track's clock, advancing
+/// the clock by the event's duration.
+pub fn record(
+    cat: &'static str,
+    track: &str,
+    entry: Entry<'_>,
+    counters: &[(&'static str, u64)],
+    name: impl FnOnce() -> String,
+) {
+    let mut books = books();
+    match entry {
+        Entry::Launch { stats, cached } => {
+            books.bump("launches", 1);
+            books.bump("launches_replayed", u64::from(cached == Some(true)));
+            books.bump("sim_time_ns", sim_ns(stats.time_us));
+            books.bump("flops", stats.flops);
+            books.bump("dram_bytes", stats.dram_bytes);
+            books.bump("blocks", stats.blocks);
+        }
+        Entry::Replay { dur_us, .. } => books.bump("sim_time_ns", sim_ns(dur_us)),
+        Entry::Instant | Entry::Counter(_) | Entry::Transfer { .. } => {}
+    }
+    for &(counter, delta) in counters {
+        books.bump(counter, delta);
+    }
     if !enabled() {
         return;
     }
-    let mut r = lock();
-    let ts_us = r.clock(track);
-    r.events.push(TraceEvent {
-        name: stats.kernel.clone(),
-        cat: "launch",
-        track: track.to_string(),
-        ts_us,
-        kind: EventKind::Launch {
-            stats: Box::new(stats.clone()),
-            cached,
-        },
-    });
-    r.advance(track, stats.time_us);
-}
-
-/// Record replicated work: `count` repetitions totalling `dur_us`, costed
-/// once and multiplied by the model (e.g. identical transformer layers).
-/// Advances the track clock by `dur_us`.
-pub fn replay(track: &str, name: &str, dur_us: f64, count: u64) {
-    if !enabled() {
-        return;
-    }
-    let mut r = lock();
-    let ts_us = r.clock(track);
-    r.events.push(TraceEvent {
-        name: name.to_string(),
-        cat: "replay",
-        track: track.to_string(),
-        ts_us,
-        kind: EventKind::Replay { dur_us, count },
-    });
-    r.advance(track, dur_us);
-}
-
-/// Record a point event at the track's current clock.
-pub fn instant(cat: &'static str, track: &str, name: &str) {
-    if !enabled() {
-        return;
-    }
-    let mut r = lock();
-    let ts_us = r.clock(track);
-    r.events.push(TraceEvent {
-        name: name.to_string(),
+    let event = TraceEvent {
+        name: name(),
         cat,
         track: track.to_string(),
-        ts_us,
-        kind: EventKind::Instant,
-    });
-}
-
-/// Record a counter sample at the track's current clock: a step on a named
-/// Chrome counter track. The exporter emits it as a `"ph":"C"` event whose
-/// `args` carry `{ "value": <value> }`. Does not advance the clock — pair it
-/// with the launches whose work it annotates.
-pub fn counter(cat: &'static str, track: &str, name: &str, value: u64) {
-    if !enabled() {
-        return;
-    }
-    let mut r = lock();
-    let ts_us = r.clock(track);
-    r.events.push(TraceEvent {
-        name: name.to_string(),
-        cat,
-        track: track.to_string(),
-        ts_us,
-        kind: EventKind::Counter { value },
-    });
-}
-
-/// Record an interconnect transfer on the source device's track: `bytes`
-/// moved toward `dst` over `dur_us` of simulated time. Advances the source
-/// track's clock by `dur_us` (the stream is busy sending). Called by the
-/// fleet layer ([`crate::fleet`]) when it resolves a transfer command;
-/// model code normally never calls this directly.
-pub fn transfer(track: &str, dst: &str, name: &str, bytes: u64, dur_us: f64) {
-    if !enabled() {
-        return;
-    }
-    let mut r = lock();
-    let ts_us = r.clock(track);
-    r.events.push(TraceEvent {
-        name: name.to_string(),
-        cat: "transfer",
-        track: track.to_string(),
-        ts_us,
-        kind: EventKind::Transfer {
-            dur_us,
-            bytes,
-            dst: dst.to_string(),
-        },
-    });
-    r.advance(track, dur_us);
+        ts_us: books.clock(track),
+        kind: entry.into_kind(),
+    };
+    books.advance(track, event.dur_us());
+    books.events.push(event);
 }
 
 /// Open a named region on `track`. Close it with [`end_span`]; its duration
 /// is whatever simulated time launches/replays add while it is open. Spans
-/// on different tracks nest independently.
-pub fn begin_span(cat: &'static str, track: &str, name: &str) {
+/// on different tracks nest independently. `name` runs only while tracing
+/// is on.
+pub fn begin_span(cat: &'static str, track: &str, name: impl FnOnce() -> String) {
     if !enabled() {
         return;
     }
-    let mut r = lock();
-    let start_us = r.clock(track);
-    r.open.push(OpenSpan {
-        name: name.to_string(),
+    let mut books = books();
+    let start_us = books.clock(track);
+    books.open.push(OpenSpan {
+        name: name(),
         cat,
         track: track.to_string(),
         start_us,
@@ -321,13 +328,13 @@ pub fn end_span(track: &str) -> f64 {
     if !enabled() {
         return 0.0;
     }
-    let mut r = lock();
-    let Some(pos) = r.open.iter().rposition(|s| s.track == track) else {
+    let mut books = books();
+    let Some(pos) = books.open.iter().rposition(|s| s.track == track) else {
         return 0.0;
     };
-    let span = r.open.remove(pos);
-    let dur_us = r.clock(track) - span.start_us;
-    r.events.push(TraceEvent {
+    let span = books.open.remove(pos);
+    let dur_us = books.clock(track) - span.start_us;
+    books.events.push(TraceEvent {
         name: span.name,
         cat: span.cat,
         track: span.track,
@@ -335,6 +342,47 @@ pub fn end_span(track: &str) -> f64 {
         kind: EventKind::Span { dur_us },
     });
     dur_us
+}
+
+/// The counters a drained event list re-derives, in the order
+/// [`books_mismatches`] compares them.
+const RECONCILED: [&str; 3] = ["sim_time_ns", "launches", "launches_replayed"];
+
+/// Fold events into the [`RECONCILED`] counters, with the recorder's own
+/// per-event rounding: `sim_time_ns` sums every launch and replay,
+/// `launches` counts launch events and `launches_replayed` their cache hits.
+fn fold(events: &[TraceEvent]) -> [u64; 3] {
+    let mut totals = [0u64; 3];
+    for ev in events {
+        match &ev.kind {
+            EventKind::Launch { stats, cached } => {
+                totals[0] += sim_ns(stats.time_us);
+                totals[1] += 1;
+                totals[2] += u64::from(*cached == Some(true));
+            }
+            EventKind::Replay { dur_us, .. } => totals[0] += sim_ns(*dur_us),
+            _ => {}
+        }
+    }
+    totals
+}
+
+/// Reconcile a traced window's events against the counter delta over the
+/// same window: one message per [`RECONCILED`] counter that disagrees
+/// (empty when the books balance). Exact, not approximate — both sides sum
+/// the same integers.
+pub fn books_mismatches(events: &[TraceEvent], delta: &MetricsSnapshot) -> Vec<String> {
+    RECONCILED
+        .iter()
+        .zip(fold(events))
+        .filter(|&(name, traced)| delta.get(name) != traced)
+        .map(|(name, traced)| {
+            format!(
+                "{name}: counters say {} but the trace folds to {traced}",
+                delta.get(name)
+            )
+        })
+        .collect()
 }
 
 // ---------------------------------------------------------------------------
@@ -1164,11 +1212,20 @@ mod tests {
         enable();
         let track = "trace-test-clock";
         let gpu = test_gpu(track);
-        begin_span("layer", track, "layer0");
+        begin_span("layer", track, || "layer0".into());
         let a = gpu.profile(&Tiny);
         let b = gpu.profile(&Tiny);
         let span_dur = end_span(track);
-        replay(track, "layer0 xN", 3.0 * (a.time_us + b.time_us), 3);
+        record(
+            "replay",
+            track,
+            Entry::Replay {
+                dur_us: 3.0 * (a.time_us + b.time_us),
+                count: 3,
+            },
+            &[],
+            || "layer0 xN".into(),
+        );
         let events: Vec<TraceEvent> = disable().into_iter().filter(|e| e.track == track).collect();
 
         let launches: Vec<&TraceEvent> = events
@@ -1200,7 +1257,7 @@ mod tests {
         let track = "trace-test-disabled";
         let gpu = test_gpu(track);
         gpu.profile(&Tiny);
-        begin_span("layer", track, "ignored");
+        begin_span("layer", track, || "ignored".into());
         assert_eq!(end_span(track), 0.0);
         enable();
         let events = disable();
@@ -1216,11 +1273,13 @@ mod tests {
         enable();
         let track = "trace-test-chrome";
         let gpu = test_gpu(track);
-        begin_span("layer", track, "l\"ayer\n0"); // escaping exercised
+        begin_span("layer", track, || "l\"ayer\n0".into()); // escaping exercised
         gpu.profile(&Tiny);
         gpu.profile(&Tiny);
         end_span(track);
-        instant("cache", track, "miss: trace_tiny");
+        record("cache", track, Entry::Instant, &[], || {
+            "miss: trace_tiny".into()
+        });
         let events: Vec<TraceEvent> = disable().into_iter().filter(|e| e.track == track).collect();
         let json = chrome_trace_json(&events);
         let check = validate_chrome_trace(&json).expect("structurally valid trace");
@@ -1238,7 +1297,17 @@ mod tests {
         let gpu = test_gpu(track);
         gpu.profile(&Tiny);
         let before = clock(track);
-        transfer(track, "dev1", "shard -> dev1", 1 << 20, 12.5);
+        record(
+            "transfer",
+            track,
+            Entry::Transfer {
+                dur_us: 12.5,
+                bytes: 1 << 20,
+                dst: "dev1",
+            },
+            &[],
+            || "shard -> dev1".into(),
+        );
         assert!(
             (clock(track) - (before + 12.5)).abs() < 1e-9,
             "transfer occupies the source track"
@@ -1272,8 +1341,9 @@ mod tests {
         let track = "trace-test-counter";
         let gpu = test_gpu(track);
         gpu.profile(&Tiny);
-        counter("joint", track, "joint_tiles_skipped", 42);
-        counter("joint", track, "joint_tiles_total", 64);
+        for (name, value) in [("joint_tiles_skipped", 42), ("joint_tiles_total", 64)] {
+            record("joint", track, Entry::Counter(value), &[], || name.into());
+        }
         let events: Vec<TraceEvent> = disable().into_iter().filter(|e| e.track == track).collect();
         let skipped = events
             .iter()
@@ -1329,10 +1399,10 @@ mod tests {
         enable();
         let track = "trace-test-report";
         let gpu = test_gpu(track);
-        begin_span("layer", track, "stem");
+        begin_span("layer", track, || "stem".into());
         gpu.profile(&Tiny);
         end_span(track);
-        begin_span("layer", track, "body");
+        begin_span("layer", track, || "body".into());
         gpu.profile(&Tiny);
         gpu.profile(&Tiny);
         end_span(track);
@@ -1357,6 +1427,43 @@ mod tests {
         assert!(report.kernels.iter().any(|k| k.name == "trace_tiny"));
         assert!(!report.top.is_empty());
         assert!(!report.render().is_empty());
+    }
+
+    /// The books balance exactly when the counters equal the trace fold
+    /// (per-event ns rounding), and each disagreeing counter is named.
+    #[test]
+    fn books_mismatches_name_each_disagreeing_counter() {
+        let stats = test_gpu("trace-test-books").profile(&Tiny);
+        let event = |kind| TraceEvent {
+            name: "e".into(),
+            cat: "launch",
+            track: "t".into(),
+            ts_us: 0.0,
+            kind,
+        };
+        let events = [
+            event(EventKind::Launch {
+                stats: Box::new(stats.clone()),
+                cached: Some(true),
+            }),
+            event(EventKind::Replay {
+                dur_us: 1.25,
+                count: 3,
+            }),
+            event(EventKind::Instant),
+        ];
+        let snapshot = |ns| MetricsSnapshot {
+            counters: vec![
+                ("launches".into(), 1),
+                ("launches_replayed".into(), 1),
+                ("sim_time_ns".into(), ns),
+            ],
+        };
+        let balanced = sim_ns(stats.time_us) + 1250;
+        assert!(books_mismatches(&events, &snapshot(balanced)).is_empty());
+        let off = books_mismatches(&events, &snapshot(balanced - 1250));
+        assert_eq!(off.len(), 1, "{off:?}");
+        assert!(off[0].starts_with("sim_time_ns"), "{off:?}");
     }
 
     /// A doctored report whose layer rows no longer cover the total must

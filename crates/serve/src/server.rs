@@ -20,6 +20,13 @@
 //!    ladder instead of crashing the server. Every request gets a
 //!    [`sputnik::DispatchReport`] attributing the rung that served it.
 //!
+//! [`run`] and [`run_fleet`] are one loop: a single device is a fleet of
+//! one, and windows go round-robin across the fleet's devices. Every
+//! door outcome and every served window is one recording call
+//! ([`gpu_sim::trace::record`]) that bumps its `serve_*` counter and, while
+//! tracing is on, leaves an instant — door outcomes on the `serve` track,
+//! windows on their device's track, after the launches they ran.
+//!
 //! Conservation is asserted on every run: `served + shed + rejected ==
 //! offered`. Nothing falls on the floor, with or without faults — the chaos
 //! test suite and the servewall chaos gate both pin this.
@@ -28,7 +35,8 @@ use crate::queue::{Admission, AdmissionQueue};
 use crate::slo::LatencyRecorder;
 use crate::traffic::{OpKind, Request};
 use crate::workload::Topology;
-use gpu_sim::{trace, Fleet, Gpu, LaunchCache};
+use gpu_sim::trace::{self, Entry};
+use gpu_sim::{Fleet, Gpu, LaunchCache};
 use sparse::Matrix;
 use sputnik::{sddmm_batched_dispatch, spmm_batched_dispatch, DispatchPolicy, Rung, SputnikError};
 
@@ -90,8 +98,7 @@ pub struct ServeReport {
     pub faults_injected: u64,
     /// Simulated clock at the end of the run.
     pub sim_end_us: f64,
-    /// Batches dispatched per device ([`run_fleet`] only; empty for the
-    /// single-device [`run`]).
+    /// Batches dispatched per device (one entry for [`run`]).
     pub per_device_batches: Vec<u64>,
 }
 
@@ -109,16 +116,10 @@ impl ServeReport {
 }
 
 /// Projected completion latency for a request joining a backlog of `depth`
-/// queued requests: how many windows must drain first, times the smoothed
-/// per-window time (window wait + service).
-fn projected_latency_us(depth: usize, policy: &ServePolicy, ewma_batch_us: f64) -> f64 {
-    projected_latency_fleet_us(depth, 1, policy, ewma_batch_us)
-}
-
-/// The fleet generalization of [`projected_latency_us`]: `devices` windows
-/// drain concurrently, so the backlog clears `devices` times faster.
-/// Identical to the single-device projection at `devices == 1`.
-fn projected_latency_fleet_us(
+/// queued requests: how many windows must drain first — `devices` windows
+/// drain concurrently — times the smoothed per-window time (window wait +
+/// service).
+fn projected_latency_us(
     depth: usize,
     devices: usize,
     policy: &ServePolicy,
@@ -167,9 +168,9 @@ fn serve_window(
     }
 }
 
-/// Per-device batch counters for fleet serving: the metrics registry takes
-/// `'static` names, so the fleet width observable this way is capped at 8
-/// (matching the largest fleet the benches sweep).
+/// Per-device batch counters: the metrics registry takes `'static` names,
+/// so the fleet width observable this way is capped at 8 (matching the
+/// largest fleet the benches sweep).
 const DEV_BATCHES: [&str; 8] = [
     "serve_dev0_batches",
     "serve_dev1_batches",
@@ -181,7 +182,8 @@ const DEV_BATCHES: [&str; 8] = [
     "serve_dev7_batches",
 ];
 
-/// Serve a traffic trace (sorted by arrival) against the topologies.
+/// Serve a traffic trace (sorted by arrival) against the topologies on one
+/// device: [`run_fleet`] on a fleet of one.
 ///
 /// Errors are deterministic input violations only (shape mismatches);
 /// transient device faults always degrade down the ladder and are part of
@@ -192,21 +194,64 @@ pub fn run(
     policy: &ServePolicy,
     requests: &[Request],
 ) -> Result<ServeReport, SputnikError> {
+    serve(std::slice::from_ref(gpu), topologies, policy, requests)
+}
+
+/// Serve a traffic trace across a [`Fleet`]: batch windows are coalesced by
+/// one admission/backpressure loop and dispatched round-robin across the
+/// fleet's devices, each with its own busy clock. The scheduler keeps
+/// coalescing while devices drain, so under a saturating load `N` devices
+/// cut queue wait roughly `N`-fold — the fleetwall gate pins that p99 at 2
+/// devices beats 1 at fixed load. With a single device this is exactly
+/// [`run`].
+///
+/// One [`LaunchCache`] is shared across the fleet: keys carry device
+/// identity, so homogeneous devices replay each other's topologies safely
+/// while heterogeneous ones never cross-pollinate.
+pub fn run_fleet(
+    fleet: &Fleet,
+    topologies: &[Topology],
+    policy: &ServePolicy,
+    requests: &[Request],
+) -> Result<ServeReport, SputnikError> {
+    serve(fleet.gpus(), topologies, policy, requests)
+}
+
+/// Record a front-door outcome: a `serve` instant bumping its counter.
+fn door(counter: &'static str, name: impl FnOnce() -> String) {
+    trace::record("serve", "serve", Entry::Instant, &[(counter, 1)], name);
+}
+
+/// The one serving loop behind [`run`] and [`run_fleet`].
+fn serve(
+    gpus: &[Gpu],
+    topologies: &[Topology],
+    policy: &ServePolicy,
+    requests: &[Request],
+) -> Result<ServeReport, SputnikError> {
     assert!(!topologies.is_empty(), "cannot serve without topologies");
+    let devices = gpus.len();
     let cache = LaunchCache::new();
     let mut queue = AdmissionQueue::new(policy.queue_capacity);
     let mut report = ServeReport {
         offered: requests.len() as u64,
+        per_device_batches: vec![0; devices],
         ..ServeReport::default()
     };
-    let faults_before = gpu.fault_plan().map_or(0, |p| p.faults_injected());
-    let tracing = trace::enabled();
+    let faults = || -> u64 {
+        gpus.iter()
+            .map(|g| g.fault_plan().map_or(0, |p| p.faults_injected()))
+            .sum()
+    };
+    let faults_before = faults();
 
     let mut now = 0.0f64;
     let mut next_arrival = 0usize;
     // Smoothed per-window service time, seeding the backpressure projection
     // before the first batch completes.
     let mut ewma_batch_us = policy.batch_window_us.max(1.0);
+    let mut busy_until = vec![0.0f64; devices];
+    let mut next_dev = 0usize;
 
     while next_arrival < requests.len() || !queue.is_empty() {
         if queue.is_empty() {
@@ -219,7 +264,7 @@ pub fn run(
         while next_arrival < requests.len() && requests[next_arrival].arrival_us <= window_close {
             let r = requests[next_arrival].clone();
             next_arrival += 1;
-            let projected = projected_latency_us(queue.len(), policy, ewma_batch_us);
+            let projected = projected_latency_us(queue.len(), devices, policy, ewma_batch_us);
             let outcome = if projected > policy.p99_budget_us {
                 Admission::Shed
             } else {
@@ -229,26 +274,18 @@ pub fn run(
                 Admission::Admitted => {}
                 Admission::Rejected => {
                     report.rejected += 1;
-                    if tracing {
-                        trace::instant(
-                            "serve",
-                            "serve",
-                            &format!("rejected: request {} (queue at bound)", r.id),
-                        );
-                    }
+                    door("serve_rejected", || {
+                        format!("rejected: request {} (queue at bound)", r.id)
+                    });
                 }
                 Admission::Shed => {
                     report.shed += 1;
-                    if tracing {
-                        trace::instant(
-                            "serve",
-                            "serve",
-                            &format!(
-                                "shed at door: request {} (projected {projected:.0} us over budget)",
-                                r.id
-                            ),
-                        );
-                    }
+                    door("serve_shed", || {
+                        format!(
+                            "shed at door: request {} (projected {projected:.0} us over budget)",
+                            r.id
+                        )
+                    });
                 }
             }
         }
@@ -257,16 +294,12 @@ pub fn run(
         // 2. Shed queued requests that already missed their deadline.
         for r in queue.take_expired(now) {
             report.shed += 1;
-            if tracing {
-                trace::instant(
-                    "serve",
-                    "serve",
-                    &format!(
-                        "shed expired: request {} (deadline {:.0} us)",
-                        r.id, r.deadline_us
-                    ),
-                );
-            }
+            door("serve_shed", || {
+                format!(
+                    "shed expired: request {} (deadline {:.0} us)",
+                    r.id, r.deadline_us
+                )
+            });
         }
 
         // 3. Coalesce a window keyed by the oldest request's (op, topology).
@@ -277,38 +310,56 @@ pub fn run(
         let window = queue.take_window(op, topo_idx, policy.max_batch);
         let topo = &topologies[topo_idx];
 
-        // 4. Serve it through the fault-tolerant batched dispatchers.
+        // 4. Serve it through the fault-tolerant batched dispatchers,
+        // round-robin: the window starts when both it has closed and its
+        // device is free; the scheduler moves on as soon as the earliest
+        // device frees, coalescing the next window meanwhile.
+        let dev = next_dev;
+        next_dev = (next_dev + 1) % devices;
+        let gpu = &gpus[dev];
         let (cpu_served, stream_us, hits, reports) =
             serve_window(gpu, &cache, topo, op, window.len(), policy)?;
         let service_us = stream_us + cpu_served as f64 * policy.cpu_service_us;
-        if tracing {
-            trace::replay(
-                "serve",
-                &format!("window {op}/{} x{}", topo.name, window.len()),
-                service_us,
-                window.len() as u64,
-            );
-        }
-        now += service_us;
+        let done = window_close.max(busy_until[dev]) + service_us;
+        busy_until[dev] = done;
+        now = window_close.max(busy_until.iter().copied().fold(f64::INFINITY, f64::min));
         ewma_batch_us = 0.7 * ewma_batch_us + 0.3 * service_us;
         report.batches += 1;
+        report.per_device_batches[dev] += 1;
         report.cache_hits += hits;
+        let (mut late, mut degraded) = (0, 0);
         for (r, rep) in window.iter().zip(&reports) {
-            report.served += 1;
-            report.latency.record(now - r.arrival_us);
+            report.latency.record(done - r.arrival_us);
             report.rung_counts[rep.served_by as usize] += 1;
-            if rep.served_by != Rung::Sputnik {
-                report.degraded += 1;
-            }
-            if now > r.deadline_us {
-                report.late += 1;
-            }
+            degraded += u64::from(rep.served_by != Rung::Sputnik);
+            late += u64::from(done > r.deadline_us);
         }
+        let served = window.len() as u64;
+        report.served += served;
+        report.degraded += degraded;
+        report.late += late;
+
+        // The window's launches are already on the device track, so the
+        // window itself is an instant there: it adds no work to the books.
+        // Past the eighth device the per-device bump is a no-op.
+        let dev_batches = DEV_BATCHES
+            .get(dev)
+            .map_or(("serve_batches", 0), |&name| (name, 1));
+        let counts = [
+            ("serve_batches", 1),
+            ("serve_served", served),
+            ("serve_late", late),
+            ("serve_degraded", degraded),
+            dev_batches,
+        ];
+        trace::record("serve", &gpu.device().name, Entry::Instant, &counts, || {
+            format!("window {op}/{} x{served}: {service_us:.3} us", topo.name)
+        });
     }
 
     report.max_queue_depth = queue.max_depth();
-    report.sim_end_us = now;
-    report.faults_injected = gpu.fault_plan().map_or(0, |p| p.faults_injected()) - faults_before;
+    report.sim_end_us = busy_until.iter().copied().fold(now, f64::max);
+    report.faults_injected = faults() - faults_before;
 
     // The conservation invariant: every offered request got exactly one
     // typed outcome. A violation is a server bug, never load.
@@ -321,165 +372,7 @@ pub fn run(
         report.rejected,
         report.offered
     );
-
-    // Export the run into the shared metrics registry so serving and
-    // non-serving runs land on one dashboard (the registry is monotonic and
-    // process-global; concurrent runs sum).
-    gpu_sim::metrics::global().incr_many(&[
-        ("serve_offered", report.offered),
-        ("serve_served", report.served),
-        ("serve_shed", report.shed),
-        ("serve_rejected", report.rejected),
-        ("serve_late", report.late),
-        ("serve_batches", report.batches),
-        ("serve_degraded", report.degraded),
-    ]);
-
-    Ok(report)
-}
-
-/// Serve a traffic trace across a [`Fleet`]: batch windows are coalesced by
-/// the same admission/backpressure loop as [`run`] and dispatched
-/// round-robin across the fleet's devices, each with its own busy clock.
-/// The scheduler keeps coalescing while devices drain, so under a saturating
-/// load `N` devices cut queue wait roughly `N`-fold — the fleetwall gate
-/// pins that p99 at 2 devices beats 1 at fixed load. With a single device
-/// this reduces *exactly* to [`run`]'s semantics.
-///
-/// One [`LaunchCache`] is shared across the fleet: keys carry device
-/// identity, so homogeneous devices replay each other's topologies safely
-/// while heterogeneous ones never cross-pollinate.
-pub fn run_fleet(
-    fleet: &Fleet,
-    topologies: &[Topology],
-    policy: &ServePolicy,
-    requests: &[Request],
-) -> Result<ServeReport, SputnikError> {
-    assert!(!topologies.is_empty(), "cannot serve without topologies");
-    let devices = fleet.num_devices();
-    let cache = LaunchCache::new();
-    let mut queue = AdmissionQueue::new(policy.queue_capacity);
-    let mut report = ServeReport {
-        offered: requests.len() as u64,
-        per_device_batches: vec![0; devices],
-        ..ServeReport::default()
-    };
-    let faults_before: u64 = fleet
-        .gpus()
-        .iter()
-        .map(|g| g.fault_plan().map_or(0, |p| p.faults_injected()))
-        .sum();
-    let tracing = trace::enabled();
-
-    let mut now = 0.0f64;
-    let mut next_arrival = 0usize;
-    let mut ewma_batch_us = policy.batch_window_us.max(1.0);
-    let mut busy_until = vec![0.0f64; devices];
-    let mut next_dev = 0usize;
-
-    while next_arrival < requests.len() || !queue.is_empty() {
-        if queue.is_empty() {
-            now = now.max(requests[next_arrival].arrival_us);
-        }
-
-        // 1. Admit everything arriving inside this batch window.
-        let window_close = now + policy.batch_window_us;
-        while next_arrival < requests.len() && requests[next_arrival].arrival_us <= window_close {
-            let r = requests[next_arrival].clone();
-            next_arrival += 1;
-            let projected = projected_latency_fleet_us(queue.len(), devices, policy, ewma_batch_us);
-            let outcome = if projected > policy.p99_budget_us {
-                Admission::Shed
-            } else {
-                queue.try_admit(r.clone())
-            };
-            match outcome {
-                Admission::Admitted => {}
-                Admission::Rejected => report.rejected += 1,
-                Admission::Shed => report.shed += 1,
-            }
-        }
-        now = window_close;
-
-        // 2. Shed queued requests that already missed their deadline.
-        report.shed += queue.take_expired(now).len() as u64;
-
-        // 3. Coalesce a window keyed by the oldest request's (op, topology).
-        let Some(front) = queue.front() else {
-            continue;
-        };
-        let (op, topo_idx) = (front.op, front.topology);
-        let window = queue.take_window(op, topo_idx, policy.max_batch);
-        let topo = &topologies[topo_idx];
-
-        // 4. Dispatch round-robin: the window starts when both it has
-        // closed and its device is free; the scheduler moves on as soon as
-        // the earliest device frees, coalescing the next window meanwhile.
-        let dev = next_dev;
-        next_dev = (next_dev + 1) % devices;
-        let (cpu_served, stream_us, hits, reports) =
-            serve_window(fleet.gpu(dev), &cache, topo, op, window.len(), policy)?;
-        let service_us = stream_us + cpu_served as f64 * policy.cpu_service_us;
-        let start = window_close.max(busy_until[dev]);
-        let done = start + service_us;
-        busy_until[dev] = done;
-        if tracing {
-            trace::replay(
-                &format!("serve[dev{dev}]"),
-                &format!("window {op}/{} x{}", topo.name, window.len()),
-                service_us,
-                window.len() as u64,
-            );
-        }
-        now = window_close.max(busy_until.iter().copied().fold(f64::INFINITY, f64::min));
-        ewma_batch_us = 0.7 * ewma_batch_us + 0.3 * service_us;
-        report.batches += 1;
-        report.per_device_batches[dev] += 1;
-        report.cache_hits += hits;
-        if dev < DEV_BATCHES.len() {
-            gpu_sim::metrics::global().incr(DEV_BATCHES[dev], 1);
-        }
-        for (r, rep) in window.iter().zip(&reports) {
-            report.served += 1;
-            report.latency.record(done - r.arrival_us);
-            report.rung_counts[rep.served_by as usize] += 1;
-            if rep.served_by != Rung::Sputnik {
-                report.degraded += 1;
-            }
-            if done > r.deadline_us {
-                report.late += 1;
-            }
-        }
-    }
-
-    report.max_queue_depth = queue.max_depth();
-    report.sim_end_us = busy_until.iter().copied().fold(now, f64::max);
-    report.faults_injected = fleet
-        .gpus()
-        .iter()
-        .map(|g| g.fault_plan().map_or(0, |p| p.faults_injected()))
-        .sum::<u64>()
-        - faults_before;
-
-    assert_eq!(
-        report.served + report.shed + report.rejected,
-        report.offered,
-        "conservation violation: served {} + shed {} + rejected {} != offered {}",
-        report.served,
-        report.shed,
-        report.rejected,
-        report.offered
-    );
-
-    gpu_sim::metrics::global().incr_many(&[
-        ("serve_offered", report.offered),
-        ("serve_served", report.served),
-        ("serve_shed", report.shed),
-        ("serve_rejected", report.rejected),
-        ("serve_late", report.late),
-        ("serve_batches", report.batches),
-        ("serve_degraded", report.degraded),
-    ]);
+    gpu_sim::metrics::global().incr("serve_offered", report.offered);
 
     Ok(report)
 }

@@ -2,9 +2,9 @@
 //! cached transposes, autotuning, batched streams, block-sparse and ELL
 //! formats — exercised together across crates.
 
-use gpu_sim::Gpu;
+use gpu_sim::{Gpu, LaunchCache};
 use sparse::{block, gen, EllMatrix, Matrix};
-use sputnik::{AutoTuner, CachedTranspose, SpmmConfig};
+use sputnik::{AutoTuner, CachedTranspose, DispatchPolicy, SpmmConfig};
 
 /// A full backward pass built from the extensions: gradients wrt inputs via
 /// the cached transpose, using a tuned configuration, over a batch.
@@ -36,7 +36,11 @@ fn batched_equals_unbatched() {
     let heads: Vec<Matrix<f32>> = (0..4).map(|i| Matrix::random(64, 16, 2104 + i)).collect();
     let refs: Vec<&Matrix<f32>> = heads.iter().collect();
     let cfg = SpmmConfig::heuristic::<f32>(16);
-    let batched = sputnik::spmm_batched(&gpu, &a, &refs, cfg);
+    let cache = LaunchCache::new();
+    let policy = DispatchPolicy::default();
+    let batched = sputnik::spmm_batched_dispatch(&gpu, &cache, &a, &refs, cfg, &policy)
+        .expect("clean window");
+    assert_eq!(batched.cache_hits, 3, "heads 2..4 replay head 1");
     for (out, b) in batched.outputs.iter().zip(&heads) {
         let (solo, _) = sputnik::spmm(&gpu, &a, b, cfg);
         assert!(

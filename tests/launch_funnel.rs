@@ -10,7 +10,7 @@
 use gpu_sim::{
     AccessBound, AccessPattern, AlignmentFacts, BarrierFacts, BlockContext, BufferBound, BufferId,
     BufferSpec, CheckClass, CheckLevel, Dim3, Fleet, Gpu, Kernel, LaunchCache, LaunchError,
-    LaunchRequest, Mode, StageBound, StaticFacts, Stream, VectorClass,
+    LaunchRequest, Mode, StageBound, StaticFacts, VectorClass,
 };
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -184,22 +184,10 @@ fn gpu_wrappers_refute() {
 }
 
 #[test]
-fn stream_and_fleet_refute() {
-    let gpu = Gpu::v100();
-    let cache = LaunchCache::new();
+fn fleet_refutes() {
     for (class, probe) in Refutable::refuted() {
-        assert_refutation_panic("Stream::launch", || {
-            Stream::new(&gpu).launch(&probe);
-        });
-        assert_refutation_panic("Stream::launch_cached", || {
-            Stream::with_cache(&gpu, &cache).launch_cached(7, &probe);
-        });
-        assert_refutation_panic("Stream::profile", || {
-            Stream::new(&gpu).profile(&probe);
-        });
         assert_refuted(Fleet::v100(2).launch(1, &probe), class, "Fleet::launch");
     }
-    assert!(cache.is_empty());
 }
 
 #[test]
@@ -214,12 +202,6 @@ fn clean_probe_launches_through_every_entry_point() {
     assert_eq!(gpu.profile(&probe).blocks, 4);
     let (_, report) = gpu.sanitize(&probe).expect("clean sanitize");
     assert!(report.clean(), "{report}");
-    let mut stream = Stream::with_cache(&gpu, &cache);
-    stream.launch(&probe);
-    stream.launch_cached(7, &probe);
-    stream.profile(&probe);
-    assert_eq!(stream.launches().len(), 3);
-    assert_eq!(stream.cache_hits(), 1, "the funnel already cached key 7");
     assert_eq!(Fleet::v100(2).launch(1, &probe).expect("fleet").blocks, 4);
 }
 

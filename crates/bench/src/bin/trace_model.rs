@@ -18,7 +18,10 @@
 //! counter snapshot is the delta over the traced window: the run checks
 //! that the per-layer rows sum to the profile total and that the books
 //! balance — folding the events reproduces `sim_time_ns`, `launches` and
-//! `launches_replayed` exactly ([`gpu_sim::trace::books_mismatches`]).
+//! `launches_replayed` exactly ([`gpu_sim::trace::books_mismatches`]). The
+//! counter's `sim_time_us` and the unrounded `profile_total_us` may differ
+//! only by per-event ns rounding (at most 0.5 ns per launch or replay); the
+//! run prints that residual and fails if it is larger.
 //!
 //! `--check <baseline.json>` gates CI: the launch count, the dispatch
 //! ladder's injected faults and degraded serves, and the trace event count
@@ -30,6 +33,7 @@ use dnn::lstm::SparseLstmCell;
 use dnn::rnn::{CellKind, RnnProblem};
 use dnn::transformer::{AttentionMode, TransformerConfig};
 use dnn::{mobilenet, rnn, transformer};
+use gpu_sim::trace::EventKind;
 use gpu_sim::{metrics, trace, FaultKind, FaultPlan, Gpu, LaunchCache};
 use sparse::{gen, Matrix};
 use sputnik::{DispatchPolicy, SpmmConfig};
@@ -138,6 +142,25 @@ fn main() {
     let mismatches = trace::books_mismatches(&events, &snap);
     for m in &mismatches {
         eprintln!("[books do not balance: {m}]");
+    }
+    // `sim_time_ns` rounds each launch and replay to the ns; the profile
+    // sums the exact durations. The two totals may differ by that rounding
+    // alone: at most half a ns per event.
+    let work_events = events
+        .iter()
+        .filter(|e| matches!(e.kind, EventKind::Launch { .. } | EventKind::Replay { .. }))
+        .count();
+    let rounding_ns = snap.get("sim_time_ns") as f64 - profile.total_us * 1e3;
+    let rounding_bound_ns = 0.5 * work_events as f64;
+    println!(
+        "books: sim_time_ns {} over {work_events} launch/replay events vs profile \
+         {:.3} ns: rounding {rounding_ns:+.3} ns (bound ±{rounding_bound_ns:.1} ns)",
+        snap.get("sim_time_ns"),
+        profile.total_us * 1e3,
+    );
+    if rounding_ns.abs() > rounding_bound_ns + 1e-6 {
+        eprintln!("[sim_time_ns differs from the profile total by more than rounding]");
+        std::process::exit(1);
     }
 
     println!(

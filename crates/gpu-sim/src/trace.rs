@@ -264,7 +264,7 @@ pub fn clock(track: &str) -> f64 {
 ///
 /// Always bumps `counters`, plus the work counters a launch or replay
 /// implies (see the module docs). Only while tracing is on does it run
-/// `name` and append the event to `track` at the track's clock, advancing
+/// `name` (before taking the books' lock) and append the event to `track` at the track's clock, advancing
 /// the clock by the event's duration.
 pub fn record(
     cat: &'static str,
@@ -273,6 +273,10 @@ pub fn record(
     counters: &[(&'static str, u64)],
     name: impl FnOnce() -> String,
 ) {
+    // Build the name before taking the lock, so a closure that reads the
+    // books cannot deadlock and `format!` never lengthens the critical
+    // section.
+    let name = enabled().then(name);
     let mut books = books();
     match entry {
         Entry::Launch { stats, cached } => {
@@ -289,11 +293,11 @@ pub fn record(
     for &(counter, delta) in counters {
         books.bump(counter, delta);
     }
-    if !enabled() {
+    let Some(name) = name else {
         return;
-    }
+    };
     let event = TraceEvent {
-        name: name(),
+        name,
         cat,
         track: track.to_string(),
         ts_us: books.clock(track),
@@ -311,10 +315,11 @@ pub fn begin_span(cat: &'static str, track: &str, name: impl FnOnce() -> String)
     if !enabled() {
         return;
     }
+    let name = name();
     let mut books = books();
     let start_us = books.clock(track);
     books.open.push(OpenSpan {
-        name: name(),
+        name,
         cat,
         track: track.to_string(),
         start_us,
@@ -1265,6 +1270,23 @@ mod tests {
             !events.iter().any(|e| e.track == track),
             "nothing recorded while disabled"
         );
+    }
+
+    /// Names are built outside the books' lock, so a name closure may read
+    /// the books (here, the track clock) without deadlocking.
+    #[test]
+    fn name_closures_may_read_the_books() {
+        let _guard = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        enable();
+        let track = "trace-test-reentrant";
+        record("test", track, Entry::Instant, &[], || {
+            format!("instant at {}", clock(track))
+        });
+        begin_span("layer", track, || format!("span at {}", clock(track)));
+        end_span(track);
+        let events: Vec<TraceEvent> = disable().into_iter().filter(|e| e.track == track).collect();
+        let names: Vec<&str> = events.iter().map(|e| e.name.as_str()).collect();
+        assert_eq!(names, ["instant at 0", "span at 0"]);
     }
 
     #[test]

@@ -341,17 +341,15 @@ fn serve(
 
         // The window's launches are already on the device track, so the
         // window itself is an instant there: it adds no work to the books.
-        // Past the eighth device the per-device bump is a no-op.
-        let dev_batches = DEV_BATCHES
-            .get(dev)
-            .map_or(("serve_batches", 0), |&name| (name, 1));
-        let counts = [
+        // Devices past the eighth have no per-device counter.
+        let totals = [
             ("serve_batches", 1),
             ("serve_served", served),
             ("serve_late", late),
             ("serve_degraded", degraded),
-            dev_batches,
         ];
+        let dev_batches = DEV_BATCHES.get(dev).map(|&name| (name, 1));
+        let counts = [&totals[..], dev_batches.as_slice()].concat();
         trace::record("serve", &gpu.device().name, Entry::Instant, &counts, || {
             format!("window {op}/{} x{served}: {service_us:.3} us", topo.name)
         });

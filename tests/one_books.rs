@@ -6,12 +6,13 @@
 //! run's events must reproduce the counter deltas exactly: `sim_time_ns`
 //! (every launch plus every modelled replay, rounded per event like the
 //! counter), `launches`, `launches_replayed`, `faults_injected` and
-//! `dispatch_degraded`.
+//! `dispatch_degraded`. Last, `reset` must zero the counters without
+//! touching a frozen snapshot or the event log.
 //!
 //! The books are process-global, so this binary holds a single test.
 
 use dnn::transformer::{self, AttentionMode, TransformerConfig};
-use gpu_sim::trace::{self, EventKind, TraceEvent};
+use gpu_sim::trace::{self, Entry, EventKind, TraceEvent};
 use gpu_sim::{metrics, FaultKind, FaultPlan, Gpu, LaunchCache};
 use sparse::{gen, Matrix};
 use sputnik::{DispatchPolicy, Rung, SpmmConfig};
@@ -136,4 +137,23 @@ fn counters_and_trace_are_one_set_of_books() {
             .any(|e| matches!(e.kind, EventKind::Replay { .. })),
         "the mix must exercise replays"
     );
+
+    // `reset` zeroes the counter view only: a frozen snapshot keeps its
+    // values and the event log keeps its events.
+    let frozen = m.snapshot();
+    let launches = frozen.get("launches");
+    assert!(launches > 0);
+    trace::enable();
+    trace::record("test", "one-books", Entry::Instant, &[], || {
+        "before reset".into()
+    });
+    m.reset();
+    let events = trace::disable();
+    assert_eq!(m.get("launches"), 0, "reset zeroes every counter");
+    assert!(
+        m.snapshot().counters.iter().all(|&(_, v)| v == 0),
+        "reset zeroes every counter"
+    );
+    assert_eq!(frozen.get("launches"), launches, "snapshots are frozen");
+    assert_eq!(events.len(), 1, "reset leaves the event log alone");
 }

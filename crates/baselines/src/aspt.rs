@@ -265,27 +265,6 @@ impl<T: Scalar> Kernel for AsptSpmmKernel<'_, T> {
         ]
     }
 
-    /// Structural cost signature: the panel's heavy-tile shapes (column
-    /// count and nonzeros per tile), per-row light nonzeros, and row count.
-    /// With N restricted to 32 or 128, `n * eb` is a multiple of 32, so the
-    /// traced B-row and output-strip addresses all sit on sector boundaries
-    /// (class 0) and the column tile `n0` drops out of every address class —
-    /// blocks in the same panel are identical across the whole grid row.
-    fn block_signature(&self, block: Dim3) -> Option<u64> {
-        let panel = &self.plan.panels[block.y as usize];
-        let mut fp = gpu_sim::Fingerprint::new();
-        for (tile_cols, tile_nnz) in &panel.heavy_tiles {
-            fp.write_u64(tile_cols.len() as u64);
-            fp.write_u64(*tile_nnz as u64);
-        }
-        fp.write_u64(u64::MAX); // separates the variable-length sections
-        for &lnnz in &panel.light_nnz {
-            fp.write_u64(lnnz as u64);
-        }
-        fp.write_u64((panel.row_end - panel.row_start) as u64);
-        Some(fp.finish())
-    }
-
     /// Static safety facts for the launch auditor.
     ///
     /// Soundness: the metadata prelude reads 128 bytes from offset 0; heavy
@@ -381,16 +360,11 @@ impl<T: Scalar> Kernel for AsptSpmmKernel<'_, T> {
                 ctx.cost.flops += 2 * t * 32;
             }
 
-            // Store the panel's output strip, batched per panel (the row
-            // stride is a kernel constant: bit-identical to the row loop).
+            // Store the panel's output strip, one trace per row.
             ctx.cost.st_global_instrs += rows as u64;
-            ctx.st_global_trace_tiled(
-                BUF_C,
-                (panel.row_start * self.n + n0) as u64 * eb,
-                self.n as u64 * eb,
-                rows as u64,
-                32 * eb,
-            );
+            for r in panel.row_start..panel.row_start + rows {
+                ctx.st_global_trace(BUF_C, (r * self.n + n0) as u64 * eb, 32 * eb);
+            }
         }
 
         // ---- Functional: reordering is performance-only; results are the

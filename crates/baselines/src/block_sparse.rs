@@ -195,15 +195,10 @@ impl Kernel for BlockSpmmKernel<'_> {
                     SmemScope::Block,
                 );
                 ctx.cost.gmem[BUF_BLOCKS.0 as usize].ld_sectors += a_elems * 4 / 32 + 1;
-                // B strip rows, batched per block (row stride is a kernel
-                // constant: bit-identical to the per-row loop).
-                ctx.ld_global_trace_tiled(
-                    BUF_B,
-                    (bc * bs * self.n + n0) as u64 * 4,
-                    self.n as u64 * 4,
-                    bs as u64,
-                    tile_n as u64 * 4,
-                );
+                // B strip rows.
+                for r in bc * bs..(bc + 1) * bs {
+                    ctx.ld_global_trace(BUF_B, (r * self.n + n0) as u64 * 4, tile_n as u64 * 4);
+                }
                 ctx.bar_sync();
 
                 // Dense math: bs x TILE_N x bs FMAs, cuBLAS-grade inner loop.
@@ -217,13 +212,9 @@ impl Kernel for BlockSpmmKernel<'_> {
                 // Store the block row's output strip.
                 let store_instrs = ((bs * tile_n) as u64).div_ceil(THREADS as u64 * 4).max(1);
                 ctx.cost.st_global_instrs += store_instrs * warps;
-                ctx.st_global_trace_tiled(
-                    BUF_C,
-                    (br * bs * self.n + n0) as u64 * 4,
-                    self.n as u64 * 4,
-                    bs as u64,
-                    tile_n as u64 * 4,
-                );
+                for r in br * bs..(br + 1) * bs {
+                    ctx.st_global_trace(BUF_C, (r * self.n + n0) as u64 * 4, tile_n as u64 * 4);
+                }
             }
         }
         if nblocks == 0 {

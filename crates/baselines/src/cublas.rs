@@ -228,18 +228,12 @@ impl Kernel for GemmKernel<'_> {
             // Useful FLOPs only count the live region.
             ctx.cost.flops += 2 * (tile_m * tile_n * self.k) as u64;
 
-            // Epilogue: vectorized stores of the tile — one batched trace per
-            // tile instead of a call per row (the row stride is a kernel
-            // constant, so the batched form is bit-identical).
+            // Epilogue: vectorized stores of the tile, one trace per row.
             let store_instrs = ((tm * tn) as u64).div_ceil(threads as u64 * 4);
             ctx.cost.st_global_instrs += store_instrs * warps;
-            ctx.st_global_trace_tiled(
-                BUF_C,
-                (row0 * self.n + col0) as u64 * 4,
-                self.n as u64 * 4,
-                tile_m as u64,
-                tile_n as u64 * 4,
-            );
+            for r in row0..row0 + tile_m {
+                ctx.st_global_trace(BUF_C, (r * self.n + col0) as u64 * 4, tile_n as u64 * 4);
+            }
         }
 
         // ---- Functional ----------------------------------------------------
@@ -426,32 +420,23 @@ impl Kernel for TransposeKernel<'_> {
 
         // 4 warps ping a 32x32 tile through shared memory: coalesced reads,
         // coalesced writes, conflict-free via padding. Cost-only; replays
-        // skip it. Both traces batch per tile — the row strides are kernel
-        // constants, so the batched form is bit-identical to the row loops.
+        // skip it.
         if ctx.recording() {
             let rounds = (T_TILE as u64 * T_TILE as u64).div_ceil(32 * 8);
             ctx.cost.ld_global_instrs += rounds * 8;
             ctx.smem_store(rounds * 8, (T_TILE * T_TILE * 4) as u64, SmemScope::Block);
-            ctx.ld_global_trace_tiled(
-                BUF_A,
-                (r0 * self.cols + c0) as u64 * 4,
-                self.cols as u64 * 4,
-                h as u64,
-                w as u64 * 4,
-            );
+            for r in r0..r0 + h {
+                ctx.ld_global_trace(BUF_A, (r * self.cols + c0) as u64 * 4, w as u64 * 4);
+            }
             // The transposed readback crosses warps (each warp reads columns
             // the other warps staged), so the tile must be fully written
             // first.
             ctx.bar_sync();
             ctx.smem_load(rounds * 8, (T_TILE * T_TILE * 4) as u64, SmemScope::Block);
             ctx.cost.st_global_instrs += rounds * 8;
-            ctx.st_global_trace_tiled(
-                BUF_C,
-                (c0 * self.rows + r0) as u64 * 4,
-                self.rows as u64 * 4,
-                w as u64,
-                h as u64 * 4,
-            );
+            for c in c0..c0 + w {
+                ctx.st_global_trace(BUF_C, (c * self.rows + r0) as u64 * 4, h as u64 * 4);
+            }
             ctx.misc(12);
         }
 

@@ -366,21 +366,6 @@ impl<T: Scalar> Kernel for CusparseSpmmHalfFallbackKernel<'_, T> {
         CusparseSpmmKernel::<T>::for_profile(self.a, self.n).buffers()
     }
 
-    /// The degenerate path's cost is a pure function of each owned row's
-    /// nonzero count (all accesses are scalar, so no address classes matter).
-    fn block_signature(&self, block: Dim3) -> Option<u64> {
-        let mut fp = gpu_sim::Fingerprint::new();
-        for w in 0..2usize {
-            let row = block.x as usize * 2 + w;
-            if row >= self.a.rows() {
-                fp.write_u64(u64::MAX);
-            } else {
-                fp.write_u64(self.a.row_len(row) as u64);
-            }
-        }
-        Some(fp.finish())
-    }
-
     /// Static safety facts for the launch auditor: the degenerate path is
     /// modeled entirely as address-free sector traffic (one sector per
     /// scalar touch), so every bound is the buffer footprint by
@@ -565,31 +550,6 @@ impl<T: Scalar> Kernel for ConstrainedGemmKernel<'_, T> {
                 pattern: AccessPattern::Streaming,
             },
         ]
-    }
-
-    /// Structural cost signature: the live tile extents, the tile's masked
-    /// nonzero count (drives the epilogue gather/scatter and useful-flop
-    /// accounting), and the offsets-load base alignment class. The dense
-    /// mainloop cost depends only on `k`, a kernel constant.
-    fn block_signature(&self, block: Dim3) -> Option<u64> {
-        let row0 = block.y as usize * 64;
-        let col0 = block.x as usize * 64;
-        let tile_m = 64.min(self.mask.rows() - row0);
-        let tile_n = 64.min(self.mask.cols() - col0);
-        let mut masked = 0u64;
-        for r in row0..row0 + tile_m {
-            let (cols, _) = self.mask.row(r);
-            masked += cols
-                .iter()
-                .filter(|&&c| (c as usize) >= col0 && (c as usize) < col0 + tile_n)
-                .count() as u64;
-        }
-        let mut fp = gpu_sim::Fingerprint::new();
-        fp.write_u64(tile_m as u64);
-        fp.write_u64(tile_n as u64);
-        fp.write_u64(masked);
-        fp.write_u64(row0 as u64 * 4 % 32);
-        Some(fp.finish())
     }
 
     /// Static safety facts for the launch auditor.

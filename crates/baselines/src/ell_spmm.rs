@@ -225,16 +225,11 @@ impl Kernel for EllSpmmKernel<'_> {
                 }
             }
 
-            // Coalesced stores of the tile, batched per block (the row stride
-            // is a kernel constant, so this is bit-identical to a row loop).
+            // Coalesced stores of the tile, one trace per row.
             ctx.cost.st_global_instrs += (count as u64).div_ceil(32) * tile_n as u64 / 8;
-            ctx.st_global_trace_tiled(
-                BUF_C,
-                (r0 * self.n + n0) as u64 * 4,
-                self.n as u64 * 4,
-                count as u64,
-                tile_n as u64 * 4,
-            );
+            for r in r0..r0 + count {
+                ctx.st_global_trace(BUF_C, (r * self.n + n0) as u64 * 4, tile_n as u64 * 4);
+            }
         }
 
         if let (true, Some(b), Some(out)) = (ctx.functional(), self.b, self.out.as_ref()) {

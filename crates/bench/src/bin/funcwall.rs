@@ -1,7 +1,7 @@
 //! Wall-clock benchmark of the simulator's *functional* execution engine.
 //!
-//! `simwall` times the launch fast path (dedup + cache) on profile-only
-//! sweeps; this bin times the compute side — kernels actually producing
+//! `simwall` times the launch fast path (profile-mode block dedup + cache)
+//! on profile-only sweeps; this bin times the compute side — kernels actually producing
 //! numerical outputs — which dominates cold launches, sanitize passes, and
 //! every DNN forward pass. It runs a deterministic kernel grid covering the
 //! Sputnik kernels (SpMM, SDDMM, softmax, transpose) and the baselines

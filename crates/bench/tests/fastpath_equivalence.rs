@@ -10,10 +10,12 @@
 //!   as ground truth;
 //! * `Gpu::with_block_dedup(false).profile` — the streaming reduction
 //!   alone;
-//! * `Gpu::profile` — streaming + dedup (kernels with signatures).
+//! * `Gpu::profile` — streaming + dedup (the kernels with signatures; the
+//!   rest take the streaming path, and must still match).
 //!
 //! All three must produce equal [`LaunchStats`] (`PartialEq` covers every
-//! field, floats included — equality, not tolerance). A second gate checks
+//! field, floats included — equality, not tolerance). Two more gates check
+//! that functional launches ignore the dedup setting (they never dedup) and
 //! that profile launches never touch functional outputs.
 
 use baselines::aspt::AsptSpmmKernel;
@@ -174,9 +176,8 @@ fn all_kernels_fastpath_bit_identical() {
 
 #[test]
 fn functional_launch_unaffected_by_dedup_setting() {
-    // Functional dedup records cost for one representative per block
-    // signature and replays the rest functional-only; a functional launch
-    // must produce identical outputs and stats regardless of the flag.
+    // Functional launches execute every block and never consult a block
+    // signature, so outputs and stats must not depend on the dedup flag.
     let (m, k, n) = (96, 64, 48);
     let a = gen::uniform(m, k, 0.75, 77);
     let b = Matrix::<f32>::random(k, n, 78);
@@ -196,100 +197,6 @@ fn functional_launch_unaffected_by_dedup_setting() {
     let (out_off, stats_off) = run(false);
     assert_eq!(out_on.as_slice(), out_off.as_slice());
     assert_eq!(stats_on, stats_off);
-}
-
-#[test]
-fn functional_dedup_bit_identical_across_kernels() {
-    // The functional-mode dedup fast path, end to end over every
-    // functional-capable kernel: outputs AND stats must be bit-identical to
-    // the dedup-disabled engine (equal signatures ⇒ bit-identical BlockCost
-    // and block outputs independent of the record flag).
-    let gpu_on = Gpu::v100();
-    let gpu_off = Gpu::v100().with_block_dedup(false);
-    let bits =
-        |mat: &Matrix<f32>| -> Vec<u32> { mat.as_slice().iter().map(|v| v.to_bits()).collect() };
-
-    for (i, &(m, k, n, sparsity)) in SHAPES.iter().enumerate() {
-        let seed = 0xD3D0 + i as u64 * 41;
-        let label = |name: &str| format!("{name} {m}x{k}x{n} s={sparsity}");
-        let a = gen::uniform(m, k, sparsity, seed);
-        let b = Matrix::<f32>::random(k, n, seed + 1);
-        let b_col = b.to_layout(sparse::Layout::ColMajor);
-        let lhs = Matrix::<f32>::random(m, k, seed + 2);
-        let rhs = Matrix::<f32>::random(n, k, seed + 3);
-
-        let check = |label: String,
-                     out_on: Vec<u32>,
-                     stats_on: gpu_sim::LaunchStats,
-                     out_off: Vec<u32>,
-                     stats_off: gpu_sim::LaunchStats| {
-            assert_eq!(out_on, out_off, "{label}: functional dedup changed outputs");
-            assert_eq!(
-                stats_on, stats_off,
-                "{label}: functional dedup changed stats"
-            );
-        };
-
-        {
-            let cfg = SpmmConfig::heuristic::<f32>(n);
-            let (c_on, s_on) = sputnik::spmm(&gpu_on, &a, &b, cfg);
-            let (c_off, s_off) = sputnik::spmm(&gpu_off, &a, &b, cfg);
-            check(label("spmm"), bits(&c_on), s_on, bits(&c_off), s_off);
-        }
-        {
-            let mask = gen::uniform(m, n, sparsity, seed + 4);
-            let cfg = SddmmConfig::heuristic::<f32>(k);
-            let (d_on, s_on) = sputnik::sddmm(&gpu_on, &lhs, &rhs, &mask, cfg);
-            let (d_off, s_off) = sputnik::sddmm(&gpu_off, &lhs, &rhs, &mask, cfg);
-            let vb = |m: &sparse::CsrMatrix<f32>| -> Vec<u32> {
-                m.values().iter().map(|v| v.to_bits()).collect()
-            };
-            check(label("sddmm"), vb(&d_on), s_on, vb(&d_off), s_off);
-        }
-        {
-            let (c_on, s_on) = baselines::cusparse_spmm(&gpu_on, &a, &b_col);
-            let (c_off, s_off) = baselines::cusparse_spmm(&gpu_off, &a, &b_col);
-            check(label("cusparse"), bits(&c_on), s_on, bits(&c_off), s_off);
-        }
-        if n % 32 == 0 {
-            let (c_on, s_on) =
-                baselines::merge_spmm(&gpu_on, &a, &b).unwrap_or_else(|e| panic!("{e}"));
-            let (c_off, s_off) =
-                baselines::merge_spmm(&gpu_off, &a, &b).unwrap_or_else(|e| panic!("{e}"));
-            check(label("merge_spmm"), bits(&c_on), s_on, bits(&c_off), s_off);
-        }
-        {
-            let (c_on, s_on) = baselines::nnz_split_spmm(&gpu_on, &a, &b);
-            let (c_off, s_off) = baselines::nnz_split_spmm(&gpu_off, &a, &b);
-            check(label("nnz_split"), bits(&c_on), s_on, bits(&c_off), s_off);
-        }
-        {
-            let ell = EllMatrix::from_csr(&a);
-            let (c_on, s_on) = baselines::ell_spmm(&gpu_on, &ell, &b);
-            let (c_off, s_off) = baselines::ell_spmm(&gpu_off, &ell, &b);
-            check(label("ell_spmm"), bits(&c_on), s_on, bits(&c_off), s_off);
-        }
-        {
-            let (c_on, s_on) = baselines::gemm(&gpu_on, &lhs, &b);
-            let (c_off, s_off) = baselines::gemm(&gpu_off, &lhs, &b);
-            check(label("gemm"), bits(&c_on), s_on, bits(&c_off), s_off);
-
-            let (t_on, s_on) = baselines::transpose(&gpu_on, &b);
-            let (t_off, s_off) = baselines::transpose(&gpu_off, &b);
-            check(label("transpose"), bits(&t_on), s_on, bits(&t_off), s_off);
-        }
-    }
-
-    // Block-sparse (dense 32-divisible shape).
-    {
-        let dense = Matrix::<f32>::random(64, 64, 0xB25C);
-        let bsr = block::block_prune(&dense, 8, 0.5);
-        let b = Matrix::<f32>::random(64, 48, 0xB25D);
-        let (c_on, s_on) = baselines::block_spmm(&gpu_on, &bsr, &b);
-        let (c_off, s_off) = baselines::block_spmm(&gpu_off, &bsr, &b);
-        assert_eq!(c_on.as_slice(), c_off.as_slice(), "block_spmm outputs");
-        assert_eq!(s_on, s_off, "block_spmm stats");
-    }
 }
 
 #[test]

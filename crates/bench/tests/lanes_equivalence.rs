@@ -3,8 +3,7 @@
 //! The lane helpers in `gpu_sim::lanes` promise that the vectorized path
 //! regroups only *independent* output elements and never reassociates a
 //! per-element reduction, so flipping to the scalar fallback
-//! (`GPU_SIM_SCALAR=1` / `set_vectorized(false)`) must reproduce the exact
-//! same output bits. This suite runs every Sputnik kernel and every baseline
+//! (`set_vectorized(false)`) must reproduce the exact same output bits. This suite runs every Sputnik kernel and every baseline
 //! on the standard problem grid under both paths and compares outputs with
 //! `to_bits` equality — not tolerance.
 //!

@@ -37,8 +37,8 @@ use crate::spmm::{
 use gpu_sim::trace::{self, Entry};
 use gpu_sim::{
     AccessBound, AccessPattern, AlignmentFacts, BarrierFacts, BlockContext, BufferBound,
-    BufferSpec, Dim3, Fingerprint, Gpu, Kernel, LaunchCache, LaunchRequest, LaunchStats,
-    StageBound, StaticFacts, SyncUnsafeSlice,
+    BufferSpec, Dim3, Gpu, Kernel, LaunchCache, LaunchRequest, LaunchStats, StageBound,
+    StaticFacts, SyncUnsafeSlice,
 };
 use sparse::{CsrMatrix, Matrix, RowSwizzle, Scalar};
 
@@ -566,37 +566,6 @@ impl<T: Scalar> Kernel for FallbackSpmmKernel<'_, T> {
         ]
     }
 
-    /// Structural cost signature (see [`Kernel::block_signature`]): one row
-    /// per block, so the trace is fixed by the row's nonzero count and the
-    /// sector alignment (mod 32) of the row's offset, its output strip, and
-    /// each gathered B row. Chunked strip loads advance by multiples of the
-    /// sector size, so only the starting alignment class matters.
-    fn block_signature(&self, block: Dim3) -> Option<u64> {
-        let row = block.x as usize;
-        let mut fp = Fingerprint::new();
-        if row >= self.a.rows() {
-            fp.write_u64(u64::MAX);
-            return Some(fp.finish());
-        }
-        let eb = T::BYTES as u64;
-        let n = self.n as u64;
-        let offset = self.a.row_offsets()[row] as u64;
-        let nnz = self.a.row_len(row);
-        fp.write_u64(row as u64 * 4 % 32);
-        fp.write_u64(nnz as u64);
-        fp.write_u64(offset * eb % 32);
-        fp.write_u64(offset * 4 % 32);
-        fp.write_u64(row as u64 * n * eb % 32);
-        if (n * eb).is_multiple_of(32) {
-            fp.write_u64(0);
-        } else {
-            for &col in &self.a.col_indices()[offset as usize..offset as usize + nnz] {
-                fp.write_u64(col as u64 * n * eb % 32);
-            }
-        }
-        Some(fp.finish())
-    }
-
     /// Static facts (see [`gpu_sim::static_check`]): one row per block with
     /// purely scalar chunked loads, so every extent follows from the row
     /// walk — values/indices stay inside `[offset, offset + nnz)`, the
@@ -876,23 +845,6 @@ mod tests {
         let (plain_out, plain) = spmm(&gpu, None, &a, &b, SpmmConfig::default(), &policy).unwrap();
         assert_eq!(plain_out.as_slice(), warm_out.as_slice());
         assert_eq!(plain.stats, warm.stats);
-    }
-
-    #[test]
-    fn fallback_dedup_profile_is_bit_identical() {
-        let a = gen::with_cov(100, 76, 0.8, 1.0, 63);
-        let b = Matrix::<f32>::random(76, 40, 64);
-        let fast = {
-            let mut out = Matrix::<f32>::zeros(100, 40);
-            let kernel = FallbackSpmmKernel::new(&a, &b, &mut out);
-            Gpu::v100().profile(&kernel)
-        };
-        let brute = {
-            let mut out = Matrix::<f32>::zeros(100, 40);
-            let kernel = FallbackSpmmKernel::new(&a, &b, &mut out);
-            Gpu::v100().with_block_dedup(false).profile(&kernel)
-        };
-        assert_eq!(fast, brute);
     }
 
     #[test]

@@ -96,8 +96,8 @@ struct StripLiveness {
     probe_addrs: Vec<u64>,
 }
 
-/// Per-warp liveness summary shared by the cost trace and the structural
-/// signature, so both derive from identical inputs by construction.
+/// Per-warp liveness summary: what the skip model adds to one warp's cost
+/// trace.
 struct WarpLiveness {
     strips: Vec<StripLiveness>,
     /// Per subwarp: (live positions in `[0, total)`,
@@ -560,67 +560,6 @@ impl<T: Scalar> Kernel for JointSpmmKernel<'_, T> {
         bufs
     }
 
-    /// Structural cost signature: the dense kernel's inputs plus everything
-    /// the skip model adds — per-strip union-live counts and probe-gather
-    /// shapes, per-subwarp live totals. Both the signature and `cost_warp`
-    /// derive these from the same [`JointSpmmKernel::warp_liveness`] walk,
-    /// so signature equality implies bit-identical recorded costs.
-    fn block_signature(&self, block: Dim3) -> Option<u64> {
-        let cfg = &self.cfg;
-        let eb = T::BYTES as u64;
-        let ib = cfg.index_width.bytes() as u64;
-        let n_off = block.x as usize * cfg.block_items_x as usize;
-        let tile_w = cfg.block_items_x.min(self.n.saturating_sub(n_off) as u32) as usize;
-        let mut fp = Fingerprint::new();
-        fp.write_u64(tile_w as u64);
-        if tile_w == 0 {
-            return Some(fp.finish());
-        }
-        fp.write_u64(self.b_load_sectors(n_off, tile_w));
-        let store_vw = self.n.is_multiple_of(cfg.vector_width as usize)
-            && n_off.is_multiple_of(cfg.vector_width as usize)
-            && tile_w.is_multiple_of(cfg.vector_width as usize);
-        fp.write_u64(store_vw as u64);
-
-        let biy = cfg.block_items_y as usize;
-        let base_m = block.y as usize * biy;
-        let mut subs_buf = [SubwarpWork::EMPTY; MAX_BLOCK_SUBWARPS];
-        for (s, slot) in subs_buf.iter_mut().take(biy).enumerate() {
-            *slot = self.subwarp_work(base_m + s);
-        }
-        let subs = &subs_buf[..biy];
-        for chunk in subs.chunks(cfg.subwarps_per_warp() as usize) {
-            let mut gather = [0u64; MAX_BLOCK_SUBWARPS];
-            let n_gather = gather_row_addrs(chunk, 4, &mut gather);
-            fp.write_u64(gpu_sim::memory::sectors_gather(&gather[..n_gather], 8));
-            let lv = self.warp_liveness(chunk, n_off);
-            fp.write_u64(lv.strips.len() as u64);
-            for strip in &lv.strips {
-                fp.write_u64(strip.len as u64);
-                fp.write_u64(strip.union_live);
-                fp.write_u64(strip.probe_addrs.len() as u64);
-                for lanes in strip.probe_addrs.chunks(32) {
-                    fp.write_u64(gpu_sim::memory::sectors_gather(lanes, 8));
-                }
-            }
-            for (s, sub) in chunk.iter().enumerate() {
-                if sub.row == usize::MAX {
-                    fp.write_u64(u64::MAX);
-                    continue;
-                }
-                fp.write_u64(sub.total as u64);
-                fp.write_u64(sub.nnz as u64);
-                fp.write_u64(sub.aligned_offset as u64 * eb % 32);
-                fp.write_u64(sub.aligned_offset as u64 * ib % 32);
-                fp.write_u64((sub.row * self.n + n_off) as u64 * eb % 32);
-                let (live, live_nnz) = lv.per_sub[s];
-                fp.write_u64(live);
-                fp.write_u64(live_nnz);
-            }
-        }
-        Some(fp.finish())
-    }
-
     fn execute_block(&self, block: Dim3, ctx: &mut BlockContext) {
         let cfg = &self.cfg;
         let n_off = block.x as usize * cfg.block_items_x as usize;
@@ -1002,30 +941,6 @@ mod tests {
         let profile = joint_spmm_profile(&gpu, &a, 128, 64, &lut, cfg);
         assert_eq!(launch.instructions, profile.instructions);
         assert!((launch.time_us - profile.time_us).abs() < 1e-9);
-    }
-
-    #[test]
-    fn dedup_profile_is_bit_identical() {
-        for (m, k, n, zf) in [(64usize, 96usize, 32usize, 0.7), (128, 128, 128, 0.85)] {
-            let a = gen::with_cov(m, k, 0.8, 0.8, 21);
-            let b = gen::activations(k, n, zf, 9);
-            for g in [PatternGranularity::Fine, PatternGranularity::Coarse] {
-                let lut = PatternLut::build(&b, g);
-                let swizzle = RowSwizzle::by_length_desc(&a);
-                let cfg = SpmmConfig::default();
-                let fast = {
-                    let kernel = JointSpmmKernel::<f32>::for_profile(&a, n, &swizzle, &lut, cfg)
-                        .expect("valid profile kernel");
-                    Gpu::v100().profile(&kernel)
-                };
-                let brute = {
-                    let kernel = JointSpmmKernel::<f32>::for_profile(&a, n, &swizzle, &lut, cfg)
-                        .expect("valid profile kernel");
-                    Gpu::v100().with_block_dedup(false).profile(&kernel)
-                };
-                assert_eq!(fast, brute, "{m}x{k} n={n} {g:?}");
-            }
-        }
     }
 
     #[test]

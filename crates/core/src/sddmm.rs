@@ -231,53 +231,6 @@ impl<T: Scalar> Kernel for SddmmKernel<'_, T> {
         bufs
     }
 
-    /// Structural cost signature (see [`Kernel::block_signature`]).
-    ///
-    /// An SDDMM block's trace is determined by its strip length `s` and the
-    /// alignment class (mod 32, the sector size) of every address it touches:
-    /// the swizzle/offset lookups, the strip's index/value/output range, the
-    /// LHS row, and each RHS row in the strip. All dot products share the
-    /// same length `k`, so when the dense row stride `k * eb` is a multiple
-    /// of the sector size every RHS row lands in the same class and the
-    /// over-provisioned grid collapses to a handful of signatures.
-    fn block_signature(&self, block: Dim3) -> Option<u64> {
-        let cfg = &self.cfg;
-        let eb = T::BYTES as u64;
-        let k = self.k as u64;
-        let row = if cfg.row_swizzle {
-            self.swizzle.row(block.y as usize)
-        } else {
-            block.y as usize
-        };
-        let mut fp = Fingerprint::new();
-        if cfg.row_swizzle {
-            fp.write_u64(block.y as u64 * 4 % 32);
-        }
-        fp.write_u64(row as u64 * 4 % 32);
-        let row_start = self.mask.row_offsets()[row] as usize;
-        let row_nnz = self.mask.row_len(row);
-        let strip_start = block.x as usize * cfg.block_items_x as usize;
-        if strip_start >= row_nnz {
-            // Early-exit block: only the prelude was traced.
-            fp.write_u64(u64::MAX);
-            return Some(fp.finish());
-        }
-        let s = (cfg.block_items_x as usize).min(row_nnz - strip_start);
-        fp.write_u64(s as u64);
-        fp.write_u64((row_start + strip_start) as u64 * 4 % 32);
-        fp.write_u64((row_start + strip_start) as u64 * eb % 32);
-        fp.write_u64(row as u64 * k * eb % 32);
-        if (k * eb).is_multiple_of(32) {
-            fp.write_u64(0);
-        } else {
-            let (cols, _) = self.mask.row(row);
-            for &j in &cols[strip_start..strip_start + s] {
-                fp.write_u64(j as u64 * k * eb % 32);
-            }
-        }
-        Some(fp.finish())
-    }
-
     /// Static safety facts for the launch auditor.
     ///
     /// Soundness: every simulated access is scalar (`vector_width` only
@@ -404,9 +357,8 @@ impl<T: Scalar> Kernel for SddmmKernel<'_, T> {
 
             // RHS rows: one contiguous K-element read per output. When the
             // row stride is a whole number of sectors every row lands in the
-            // same alignment class (the fact the block signature already
-            // exploits), so one multiply replaces the per-row loop —
-            // bit-identical to summing `sectors_contiguous` per row.
+            // same alignment class, so one multiply replaces the per-row
+            // loop — bit-identical to summing `sectors_contiguous` per row.
             let row_bytes = k as u64 * eb as u64;
             if row_bytes.is_multiple_of(gpu_sim::memory::SECTOR_BYTES) {
                 ctx.cost.gmem[BUF_RHS.0 as usize].ld_sectors +=
@@ -730,31 +682,6 @@ mod tests {
         let plain = sddmm_profile::<f32>(&gpu, &mask, 32, SddmmConfig::default());
         let scaled = sddmm_profile::<f32>(&gpu, &mask, 32, cfg);
         assert!(scaled.instructions > plain.instructions);
-    }
-
-    #[test]
-    fn dedup_profile_is_bit_identical() {
-        for (m, n, k, sp, swiz) in [
-            (64usize, 96usize, 32usize, 0.7, false),
-            (128, 128, 128, 0.9, true),
-            (100, 76, 40, 0.8, false),
-        ] {
-            let mask = gen::uniform(m, n, sp, 51);
-            let cfg = SddmmConfig {
-                row_swizzle: swiz,
-                ..SddmmConfig::default()
-            };
-            let swizzle = RowSwizzle::for_config(&mask, swiz);
-            let fast = {
-                let kernel = SddmmKernel::<f32>::for_profile(&mask, k, &swizzle, cfg);
-                Gpu::v100().profile(&kernel)
-            };
-            let brute = {
-                let kernel = SddmmKernel::<f32>::for_profile(&mask, k, &swizzle, cfg);
-                Gpu::v100().with_block_dedup(false).profile(&kernel)
-            };
-            assert_eq!(fast, brute, "{m}x{n} k={k}");
-        }
     }
 
     #[test]

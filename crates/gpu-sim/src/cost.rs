@@ -461,61 +461,6 @@ impl BlockContext {
         }
     }
 
-    /// Batched form of [`Self::ld_global_trace`]: `count` rows of `bytes`
-    /// contiguous bytes each, row `i` starting at `base + i * stride_bytes`.
-    ///
-    /// Bit-identical to calling `ld_global_trace` once per row — the sector
-    /// count of a contiguous access depends only on `byte_addr %
-    /// SECTOR_BYTES` and its length, so when the stride is a whole number of
-    /// sectors every row costs the same and one multiply replaces the loop.
-    /// Ragged strides (or a sanitized launch, whose boundscheck must see
-    /// every row's address) fall back to the per-row loop.
-    #[inline]
-    pub fn ld_global_trace_tiled(
-        &mut self,
-        buf: BufferId,
-        base: u64,
-        stride_bytes: u64,
-        count: u64,
-        bytes: u64,
-    ) {
-        if !self.record {
-            return;
-        }
-        if self.san.is_none() && stride_bytes.is_multiple_of(memory::SECTOR_BYTES) {
-            self.cost.gmem[buf.0 as usize].ld_sectors +=
-                count * memory::sectors_contiguous(base, bytes);
-        } else {
-            for i in 0..count {
-                self.ld_global_trace(buf, base + i * stride_bytes, bytes);
-            }
-        }
-    }
-
-    /// Batched form of [`Self::st_global_trace`]; mirror of
-    /// [`Self::ld_global_trace_tiled`].
-    #[inline]
-    pub fn st_global_trace_tiled(
-        &mut self,
-        buf: BufferId,
-        base: u64,
-        stride_bytes: u64,
-        count: u64,
-        bytes: u64,
-    ) {
-        if !self.record {
-            return;
-        }
-        if self.san.is_none() && stride_bytes.is_multiple_of(memory::SECTOR_BYTES) {
-            self.cost.gmem[buf.0 as usize].st_sectors +=
-                count * memory::sectors_contiguous(base, bytes);
-        } else {
-            for i in 0..count {
-                self.st_global_trace(buf, base + i * stride_bytes, bytes);
-            }
-        }
-    }
-
     /// `warp_instrs` FMA warp instructions performing `scalar_fmas` useful
     /// scalar fused multiply-adds (2 FLOPs each).
     #[inline]
@@ -607,37 +552,11 @@ mod tests {
     }
 
     #[test]
-    fn tiled_trace_is_bit_identical_to_per_row_loop() {
-        // Aligned and misaligned bases, sector-multiple and ragged strides.
-        for &(base, stride, count, bytes) in &[
-            (0u64, 512u64, 16u64, 512u64),
-            (20, 512, 16, 128),
-            (0, 300, 7, 96),  // ragged stride: falls back to the loop
-            (13, 96, 33, 40), // misaligned base, sector-multiple stride
-            (64, 32, 1, 32),  // single row
-            (0, 128, 0, 64),  // empty tile
-        ] {
-            let mut tiled = BlockContext::new(false);
-            let mut looped = BlockContext::new(false);
-            tiled.ld_global_trace_tiled(BufferId(2), base, stride, count, bytes);
-            tiled.st_global_trace_tiled(BufferId(3), base, stride, count, bytes);
-            for i in 0..count {
-                looped.ld_global_trace(BufferId(2), base + i * stride, bytes);
-                looped.st_global_trace(BufferId(3), base + i * stride, bytes);
-            }
-            assert_eq!(
-                tiled.cost, looped.cost,
-                "tiled trace diverged at base={base} stride={stride} count={count} bytes={bytes}"
-            );
-        }
-    }
-
-    #[test]
     fn replay_context_skips_recording_and_reports_it() {
         let mut ctx = BlockContext::replay();
         assert!(ctx.functional());
         assert!(!ctx.recording());
-        ctx.ld_global_trace_tiled(BufferId(0), 0, 128, 8, 128);
+        ctx.ld_global_trace(BufferId(0), 0, 128);
         assert_eq!(ctx.cost, BlockCost::default());
     }
 

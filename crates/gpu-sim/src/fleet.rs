@@ -29,7 +29,7 @@
 //! Functional kernel execution (real numerical outputs) and per-launch cost
 //! simulation happen eagerly at submission on the owning [`Gpu`] — outputs
 //! are timing-independent, so there is nothing to defer (the same choice
-//! the block-dedup and cache-replay fast paths make). What *is* deferred is
+//! the cache-replay fast path makes). What *is* deferred is
 //! timeline placement: [`Fleet::sync`] replays the queued commands against
 //! the event graph to place every launch and transfer on each device's
 //! stream clock, applying the same pipelined-submission model as

@@ -27,7 +27,6 @@
 //! for an oversized topology, the static auditor refutes `SharedCapacity`
 //! and the launch is rejected before simulation.
 
-use crate::fingerprint::Fingerprint;
 use crate::util::SyncUnsafeSlice;
 use crate::{
     lanes, memory, AccessBound, AccessPattern, AlignmentFacts, BarrierFacts, BlockContext,
@@ -210,47 +209,6 @@ impl<T: Scalar> Kernel for SddmmSoftmaxSpmmKernel<'_, T> {
                 pattern: AccessPattern::Streaming,
             },
         ]
-    }
-
-    /// Per-row cost structure: the signature folds everything the trace
-    /// depends on — the row's nonzero count (strip structure, softmax and
-    /// accumulate passes), the mod-32 address classes of the index strip,
-    /// the Q and context rows, and (when row strides are not
-    /// sector-multiples) each gathered K/V row's class. Early-exit rows
-    /// hash a sentinel.
-    fn block_signature(&self, block: Dim3) -> Option<u64> {
-        let eb = T::BYTES as u64;
-        let row = block.x as usize;
-        let mut fp = Fingerprint::new();
-        fp.write_u64(row as u64 * 4 % 32);
-        let row_start = self.mask.row_offsets()[row] as u64;
-        let len = self.mask.row_len(row);
-        if len == 0 {
-            fp.write_u64(u64::MAX);
-            return Some(fp.finish());
-        }
-        fp.write_u64(len as u64);
-        fp.write_u64(row_start * 4 % 32);
-        fp.write_u64(row as u64 * self.k as u64 * eb % 32);
-        fp.write_u64(row as u64 * self.n as u64 * eb % 32);
-        let k_bytes = self.k as u64 * eb;
-        let n_bytes = self.n as u64 * eb;
-        if k_bytes.is_multiple_of(memory::SECTOR_BYTES)
-            && n_bytes.is_multiple_of(memory::SECTOR_BYTES)
-        {
-            fp.write_u64(0);
-        } else {
-            let (cols, _) = self.mask.row(row);
-            for &j in cols {
-                if !k_bytes.is_multiple_of(memory::SECTOR_BYTES) {
-                    fp.write_u64(j as u64 * k_bytes % 32);
-                }
-                if !n_bytes.is_multiple_of(memory::SECTOR_BYTES) {
-                    fp.write_u64(j as u64 * n_bytes % 32);
-                }
-            }
-        }
-        Some(fp.finish())
     }
 
     /// Static safety facts.

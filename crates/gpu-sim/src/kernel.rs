@@ -49,13 +49,18 @@ pub trait Kernel: Sync {
     /// functional output may of course differ). Profile-mode launches
     /// execute one representative per signature and replay its cost for the
     /// others, which is how dataset-scale sweeps skip the long tail of
-    /// structurally repeated blocks.
+    /// structurally repeated blocks. Only profile launches consult this:
+    /// functional and sanitized launches execute every block and never call
+    /// it.
     ///
     /// Soundness is the implementor's burden: the signature must cover every
     /// input the trace depends on, including address *alignment* classes
     /// (sector counts change with `addr % 32`). Return `None` (the default)
     /// for blocks whose cost cannot be cheaply summarized — those execute
-    /// normally. Functional and sanitized launches never consult this.
+    /// normally. Override it only where a measured profile sweep is faster
+    /// with dedup than without (`Gpu::with_block_dedup(false)` is the
+    /// comparison): hashing every block costs host time, and a kernel with
+    /// few repeated blocks pays it for nothing.
     ///
     /// [`BlockCost`]: crate::cost::BlockCost
     fn block_signature(&self, _block: Dim3) -> Option<u64> {

@@ -15,47 +15,30 @@
 //! plain scalar loop. Vectorization only regroups *independent* elements
 //! across lanes; it never reassociates the per-element reduction, and FMA
 //! rounds once regardless of vector width. The scalar fallback (selected by
-//! [`set_vectorized`] or the `GPU_SIM_SCALAR` environment variable) is
-//! therefore **bit-identical** to the vectorized path — the
-//! `lanes_equivalence` integration suite asserts exact output equality for
-//! every kernel on both paths.
+//! [`set_vectorized`]) is therefore **bit-identical** to the vectorized
+//! path — the `lanes_equivalence` integration suite asserts exact output
+//! equality for every kernel on both paths.
 
-use std::sync::atomic::{AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Lanes per chunk. Eight f32s = one AVX2 register; the compiler unrolls
 /// the fixed-size inner loop into packed FMAs.
 pub const LANES: usize = 8;
 
-const UNSET: u8 = 0;
-const SCALAR: u8 = 1;
-const VECTOR: u8 = 2;
+/// Process-wide path selector: vectorized unless [`set_vectorized`] turned
+/// it off.
+static VECTORIZED: AtomicBool = AtomicBool::new(true);
 
-/// Process-wide path selector. `UNSET` resolves from the environment on
-/// first use; tests flip it explicitly via [`set_vectorized`].
-static MODE: AtomicU8 = AtomicU8::new(UNSET);
-
-/// Whether the vectorized path is active. Defaults to vectorized unless the
-/// `GPU_SIM_SCALAR` environment variable is set to something other than `0`.
+/// Whether the vectorized path is active (the default).
 #[inline]
 pub fn vectorized() -> bool {
-    match MODE.load(Ordering::Relaxed) {
-        SCALAR => false,
-        VECTOR => true,
-        _ => {
-            let vec = !matches!(
-                std::env::var("GPU_SIM_SCALAR").as_deref(),
-                Ok(v) if !v.is_empty() && v != "0"
-            );
-            MODE.store(if vec { VECTOR } else { SCALAR }, Ordering::Relaxed);
-            vec
-        }
-    }
+    VECTORIZED.load(Ordering::Relaxed)
 }
 
-/// Force the scalar or vectorized path (overrides the environment). Used by
-/// the equivalence suite; affects the whole process.
+/// Force the scalar or vectorized path. Used by the equivalence suite;
+/// affects the whole process.
 pub fn set_vectorized(on: bool) {
-    MODE.store(if on { VECTOR } else { SCALAR }, Ordering::Relaxed);
+    VECTORIZED.store(on, Ordering::Relaxed);
 }
 
 /// `acc[i] = a.mul_add(to(b[i]), acc[i])` for every `i` — one sparse

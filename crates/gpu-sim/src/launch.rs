@@ -574,10 +574,11 @@ impl Gpu {
         let grid = kernel.grid();
         let n_blocks = grid.size();
 
-        // Sanitized launches always take the slow path (no dedup, no launch
-        // cache): the global shadow-map racecheck must observe every block's
-        // real accesses. The trace reduction itself still streams — only the
-        // per-block sanitizer findings are kept whole for the report.
+        // A sanitized simulation executes every block (no dedup): the global
+        // shadow-map racecheck must observe every block's real accesses. A
+        // cached sanitized launch never reaches here — `Gpu::run` serves it,
+        // report included, from the cache. The trace reduction itself still
+        // streams; only the per-block sanitizer findings are kept whole.
         let session = sanitizer::begin_session(!kernel.atomic_output());
         let (total, lites, sans) = (0..n_blocks)
             .into_par_iter()
@@ -652,17 +653,12 @@ impl Gpu {
         let grid = kernel.grid();
         let n_blocks = grid.size();
 
-        // Dedup fast paths: execute (or cost-record) one representative per
-        // structural block signature, replay its cost for the rest. In
-        // functional mode every block still executes for its outputs — only
-        // the cost recording is deduplicated.
-        if self.dedup {
-            let fast = if functional {
-                self.run_functional_dedup(kernel, occ)
-            } else {
-                self.run_profile_dedup(kernel, occ)
-            };
-            if let Some(stats) = fast {
+        // Profile-mode dedup: cost-record one representative per structural
+        // block signature and replay its cost for the rest. Functional
+        // launches execute every block for its outputs and never consult a
+        // signature (measured: the second pass cost more than it saved).
+        if self.dedup && !functional {
+            if let Some(stats) = self.run_profile_dedup(kernel, occ) {
                 return stats;
             }
         }
@@ -720,53 +716,14 @@ impl Gpu {
             })
             .collect();
 
-        Some(self.finish_dedup(kernel, occ, &costs, &member))
-    }
-
-    /// Functional-mode structural dedup: every block still executes for its
-    /// outputs, but only one representative per signature records a cost
-    /// trace — the rest run with recording disabled (their cost is replayed
-    /// from the representative, exactly as in profile mode). Sound for the
-    /// same reason [`Gpu::run_profile_dedup`] is (equal signatures must
-    /// record bit-identical [`BlockCost`]), plus the standing invariant that
-    /// a kernel's functional output cannot depend on whether cost recording
-    /// is on (cached functional replays already rely on it).
-    fn run_functional_dedup(&self, kernel: &dyn Kernel, occ: Occupancy) -> Option<LaunchStats> {
-        let grid = kernel.grid();
-        let n_blocks = grid.size();
-        let (unique, member) = self.dedup_plan(kernel)?;
-
-        metrics::global().incr_many(&[
-            ("dedup_blocks_total", n_blocks),
-            ("dedup_blocks_executed", unique.len() as u64),
-        ]);
-
-        // Pass A: representatives run functionally WITH cost recording.
-        let costs: Vec<BlockCost> = unique
-            .par_iter()
-            .map(|&lin| {
-                let mut ctx = BlockContext::new(true);
-                kernel.execute_block(grid.delinearize(lin), &mut ctx);
-                ctx.cost
-            })
-            .collect();
-
-        // Pass B: every other block runs functionally with recording off —
-        // the kernels' `ctx.recording()` gates skip the cost-only work, and
-        // staging goes through the warm scratch arena.
-        let mut is_rep = vec![false; n_blocks as usize];
-        for &lin in &unique {
-            is_rep[lin as usize] = true;
+        let mut total = BlockCost::default();
+        let mut lites = Vec::with_capacity(member.len());
+        for &slot in &member {
+            let c = &costs[slot];
+            total.merge(c);
+            lites.push(BlockCostLite::from(c));
         }
-        (0..n_blocks).into_par_iter().for_each(|lin| {
-            if is_rep[lin as usize] {
-                return;
-            }
-            let mut ctx = BlockContext::replay();
-            kernel.execute_block(grid.delinearize(lin), &mut ctx);
-        });
-
-        Some(self.finish_dedup(kernel, occ, &costs, &member))
+        Some(self.finish(kernel, occ, total, lites))
     }
 
     /// Group blocks by structural signature. Returns `(unique, member)`:
@@ -809,26 +766,6 @@ impl Gpu {
             return None;
         }
         Some((unique, member))
-    }
-
-    /// Shared tail of the dedup paths: replay each representative's cost for
-    /// its members (exact `u64` sums, landing at the original linear indices)
-    /// and hand the totals to the cache/timing/scheduling models.
-    fn finish_dedup(
-        &self,
-        kernel: &dyn Kernel,
-        occ: Occupancy,
-        costs: &[BlockCost],
-        member: &[usize],
-    ) -> LaunchStats {
-        let mut total = BlockCost::default();
-        let mut lites = Vec::with_capacity(member.len());
-        for &slot in member {
-            let c = &costs[slot];
-            total.merge(c);
-            lites.push(BlockCostLite::from(c));
-        }
-        self.finish(kernel, occ, total, lites)
     }
 
     /// The pre-fast-path launch engine: collect one full [`BlockCost`] per

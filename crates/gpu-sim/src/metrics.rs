@@ -26,7 +26,7 @@
 //! | `blocks` | thread blocks launched |
 //! | `cache_hits` / `cache_misses` | launch-cache lookups |
 //! | `cache_inserts` / `cache_evictions` | launch-cache population churn |
-//! | `dedup_blocks_total` / `dedup_blocks_executed` | structural block dedup (ratio = executed/total) |
+//! | `dedup_blocks_total` / `dedup_blocks_executed` | blocks of deduplicated profile launches, and how many of them executed (functional and sanitized launches never dedup) |
 //! | `faults_injected` | faults delivered by a [`crate::FaultPlan`] |
 //! | `sanitizer_runs` / `sanitizer_violations` | sanitized launches and findings |
 //! | `static_audits` / `static_checks_proven` | launches audited by [`crate::Gpu::run`] (every cache miss) and classes proven |
@@ -114,16 +114,6 @@ impl MetricsSnapshot {
         self.get("sim_time_ns") as f64 / 1e3
     }
 
-    /// Fraction of blocks the dedup engine actually executed (1.0 when the
-    /// dedup path never ran).
-    pub fn dedup_ratio(&self) -> f64 {
-        let total = self.get("dedup_blocks_total");
-        if total == 0 {
-            return 1.0;
-        }
-        self.get("dedup_blocks_executed") as f64 / total as f64
-    }
-
     /// Serialize as one flat JSON object, stable key order. (The vendored
     /// serde stub cannot serialize, so this is written by hand; parse it
     /// back with [`crate::trace::parse_json`].)
@@ -173,13 +163,6 @@ mod tests {
         let metrics = doc.get("metrics").expect("metrics object");
         assert_eq!(metrics.get("a_counter").and_then(|v| v.as_num()), Some(1.0));
         assert_eq!(metrics.get("b_counter").and_then(|v| v.as_num()), Some(2.0));
-    }
-
-    #[test]
-    fn dedup_ratio_defaults_to_one() {
-        assert_eq!(snapshot(&[]).dedup_ratio(), 1.0);
-        let snap = snapshot(&[("dedup_blocks_executed", 4), ("dedup_blocks_total", 10)]);
-        assert_eq!(snap.dedup_ratio(), 0.4);
     }
 
     #[test]

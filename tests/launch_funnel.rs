@@ -6,6 +6,9 @@
 //! message. Fallible entry points must return
 //! `LaunchError::StaticallyRefuted`; panicking wrappers must panic with the
 //! refutation, never with the probe's message.
+//!
+//! A second probe counts its `block_signature` calls: block dedup is a
+//! profile-mode fast path, so only a profile simulation may consult it.
 
 use gpu_sim::{
     AccessBound, AccessPattern, AlignmentFacts, BarrierFacts, BlockContext, BufferBound, BufferId,
@@ -13,6 +16,7 @@ use gpu_sim::{
     LaunchRequest, Mode, StageBound, StaticFacts, VectorClass,
 };
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 const FOOTPRINT: u64 = 4096;
 const PROBE_PANIC: &str = "refuted probe reached execute_block";
@@ -220,4 +224,75 @@ fn profile_hit_never_builds_the_kernel() {
     let warm = gpu.run(&req).expect("warm launch");
     assert!(warm.hit);
     assert_eq!(warm.stats, cold.stats);
+}
+
+/// The clean probe with a `block_signature` that counts its calls and puts
+/// every block in one class.
+struct SignatureCounter {
+    inner: Refutable,
+    calls: AtomicU64,
+}
+
+impl SignatureCounter {
+    fn new() -> Self {
+        SignatureCounter {
+            inner: Refutable::clean(),
+            calls: AtomicU64::new(0),
+        }
+    }
+
+    /// The calls made since the last `take`.
+    fn take(&self) -> u64 {
+        self.calls.swap(0, Ordering::Relaxed)
+    }
+}
+
+impl Kernel for SignatureCounter {
+    fn name(&self) -> String {
+        "signature_probe".into()
+    }
+    fn grid(&self) -> Dim3 {
+        self.inner.grid()
+    }
+    fn block_dim(&self) -> Dim3 {
+        self.inner.block_dim()
+    }
+    fn shared_mem_bytes(&self) -> u32 {
+        self.inner.shared_mem_bytes()
+    }
+    fn buffers(&self) -> Vec<BufferSpec> {
+        self.inner.buffers()
+    }
+    fn execute_block(&self, block: Dim3, ctx: &mut BlockContext) {
+        self.inner.execute_block(block, ctx);
+    }
+    fn static_facts(&self) -> StaticFacts {
+        self.inner.static_facts()
+    }
+    fn block_signature(&self, _block: Dim3) -> Option<u64> {
+        self.calls.fetch_add(1, Ordering::Relaxed);
+        Some(0)
+    }
+}
+
+#[test]
+fn only_profile_launches_consult_block_signatures() {
+    let gpu = Gpu::v100();
+    let probe = SignatureCounter::new();
+    let blocks = probe.grid().size();
+
+    gpu.launch(&probe);
+    assert_eq!(probe.take(), 0, "functional launch");
+    gpu.sanitize(&probe).expect("clean sanitize");
+    assert_eq!(probe.take(), 0, "sanitized launch");
+    let cache = LaunchCache::new();
+    let req = LaunchRequest::functional(&probe).cached((&cache, 3));
+    assert!(!gpu.run(&req).expect("functional miss").hit);
+    assert!(gpu.run(&req).expect("functional hit").hit);
+    assert_eq!(probe.take(), 0, "functional cache miss and hit replay");
+
+    let stats = gpu.profile(&probe);
+    assert_eq!(probe.take(), blocks, "profile launch: one call per block");
+    assert_eq!(stats, Gpu::v100().with_block_dedup(false).profile(&probe));
+    assert_eq!(probe.take(), 0, "dedup off never consults a signature");
 }

@@ -6,9 +6,9 @@
 //!
 //! - the **unfused** pipeline cost: SDDMM + scaled sparse softmax + SpMM,
 //!   three launches with their intermediates streamed through DRAM;
-//! - the **fused** pipeline cost through the planner: one launch staging
-//!   the scores row and index strips in shared memory, admitted through
-//!   the full static-audit → sanitizer → LaunchCache funnel;
+//! - the **fused** pipeline cost once the audit admits fusion: one launch
+//!   staging the scores row and index strips in shared memory, admitted
+//!   through the full static-audit → sanitizer → LaunchCache funnel;
 //! - a **bit-identity** check: the fused functional output must equal the
 //!   three-launch reference exactly (`fusion_equivalence` pins this across
 //!   grids; the bench re-verifies it at every swept point);
@@ -25,7 +25,7 @@
 //! - `speedup_seq4096` >= 1.30 (absolute: the fusion must pay for itself
 //!   at the paper's long-sequence regime) and >= 0.95x the committed
 //!   baseline;
-//! - `fused_seq<N>` == 1 at every point: the planner must prove and take
+//! - `fused_seq<N>` == 1 at every point: the audit must prove and take
 //!   the fused path on band masks;
 //! - `bit_identical_all` == 1: fusion is bit-invisible at every point;
 //! - `replay_cache_hits` nonzero: replayed fused layers hit the cache;
@@ -63,13 +63,13 @@ fn bench_point(gpu: &Gpu, cache: &LaunchCache, seq: usize) -> Point {
     let scale = 1.0 / (D_HEAD as f32).sqrt();
 
     // Unfused reference cost: three launches, heuristic configs (the same
-    // configs the planner's fallback would pick).
+    // configs the unfused fallback would pick).
     let configs = attention_configs(gpu, None, None, &mask, D_HEAD, D_HEAD);
     let unfused_us = sputnik::sddmm_profile::<f32>(gpu, &mask, D_HEAD, configs.sddmm).time_us
         + sputnik::sparse_softmax_scaled_profile::<f32>(gpu, &mask, scale).time_us
         + sputnik::spmm_profile::<f32>(gpu, &mask, mask.cols(), D_HEAD, configs.spmm).time_us;
 
-    // Fused cost through the planner + cache funnel.
+    // Fused cost through the audit + cache funnel.
     let (time, decision, _) =
         sparse_attention_fused_profile(gpu, &mask, D_HEAD, D_HEAD, scale, Some(cache), None)
             .unwrap_or_else(|e| panic!("seq {seq}: fused profile failed: {e}"));
@@ -195,7 +195,7 @@ fn main() {
         // a 5%-slack drift check vs the committed baseline.
         .gate("speedup_seq4096", Gate::AtLeast(1.30))
         .gate("speedup_seq4096", Gate::AtLeastBaseline(0.95))
-        // The planner must take the fused path at every band-mask point.
+        // Fusion must be taken at every band-mask point.
         .gate("all_fused", Gate::Exact(1))
         // Fusion is bit-invisible, at every point, or it does not ship.
         .gate("bit_identical_all", Gate::Exact(1))

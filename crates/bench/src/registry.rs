@@ -69,7 +69,7 @@ pub fn for_each_kernel(visit: &mut dyn FnMut(&dyn Kernel)) {
         let b = Matrix::<f32>::random(k, n, seed + 1);
 
         // Sputnik SpMM under the default config, the heuristic config, and
-        // with row swizzling (the same ladder `sputnik::sanitize` builds).
+        // the heuristic config with row swizzling.
         for cfg in [
             SpmmConfig::default(),
             SpmmConfig::heuristic::<f32>(n),
@@ -148,7 +148,7 @@ pub fn for_each_kernel(visit: &mut dyn FnMut(&dyn Kernel)) {
         }
 
         // Fused sparse attention (SDDMM + scaled softmax + SpMM over one
-        // mask), with the same stage tiles the fusion planner would pick.
+        // mask), with the same stage tiles the fusion decision would pick.
         {
             let mask = gen::uniform(m, n, sparsity, seed + 2);
             let q = Matrix::<f32>::random(m, k, seed + 3);

@@ -1,5 +1,5 @@
-//! Fusion equivalence gates (the `fastpath_equivalence` of the launch-plan
-//! IR).
+//! Fusion equivalence gates (the `fastpath_equivalence` of attention
+//! fusion).
 //!
 //! The fused `SddmmSoftmaxSpmmKernel` replaces three launches with one; the
 //! contract is that fusion is *bit-invisible*: the fused kernel's
@@ -9,14 +9,14 @@
 //! element type exactly where the unfused pipeline stores and reloads it.
 //! This suite pins that bit-identity across the registry shape grid,
 //! attention-style band masks, random topologies, and pathological ±inf
-//! logits — and pins the planner's legality rule: fuse exactly when the
-//! staging footprint fits the device's shared memory, never otherwise.
+//! logits — and pins the legality rule: fuse exactly when the staging
+//! footprint fits the device's shared memory, never otherwise.
 
 use gpu_sim::{Gpu, SddmmSoftmaxSpmmKernel, Verdict};
 use sparse::{gen, CsrMatrix, Matrix};
 use sputnik::{
-    attention_configs, sparse_attention_fused, sparse_attention_unfused, FusionPlanner, PlanOp,
-    SddmmConfig, SpmmConfig,
+    attention_configs, sparse_attention_fused, sparse_attention_fused_profile,
+    sparse_attention_unfused, FusionDecision, SddmmConfig, SpmmConfig,
 };
 
 /// The sanitize_all / registry shape grid.
@@ -27,8 +27,15 @@ fn bits(m: &Matrix<f32>) -> Vec<u32> {
     m.as_slice().iter().map(|v| v.to_bits()).collect()
 }
 
+/// The fusion decision for `mask`, as the cost-only path takes it.
+fn decide(gpu: &Gpu, mask: &CsrMatrix<f32>, d: usize, n: usize) -> FusionDecision {
+    sparse_attention_fused_profile(gpu, mask, d, n, 0.5, None, None)
+        .unwrap_or_else(|e| panic!("fused profile failed: {e}"))
+        .1
+}
+
 /// Run both paths and assert bitwise-equal contexts. Returns whether the
-/// planner fused.
+/// run fused.
 fn assert_fusion_bit_identical(
     gpu: &Gpu,
     q: &Matrix<f32>,
@@ -173,7 +180,7 @@ fn fused_bit_identical_on_inf_logits() {
     assert_fusion_bit_identical(&gpu, &q, &kmat, &v, &mask, 0.5, "inf logits");
 }
 
-/// The planner's legality rule, as a property over seeded random
+/// The legality rule, as a property over seeded random
 /// topologies: fuse exactly when the staging footprint (scores row + index
 /// strip) fits the device's per-block shared memory — and the unfused
 /// fallback still matches the reference bitwise on the oversized path.
@@ -195,19 +202,13 @@ fn planner_fuses_iff_staging_fits() {
         let configs = attention_configs(&gpu, None, None, &mask, d, n);
         let staging =
             gpu_sim::fused::staging_bytes(mask.max_row_len(), configs.sddmm.block_items_x as usize);
-        let ops = [
-            PlanOp::Sddmm { cfg: configs.sddmm },
-            PlanOp::Scale { factor: 0.5 },
-            PlanOp::SparseSoftmax,
-            PlanOp::Spmm { cfg: configs.spmm },
-        ];
-        let decision = FusionPlanner::plan(&gpu, &ops, &mask, d, n);
+        let decision = decide(&gpu, &mask, d, n);
         assert_eq!(decision.staging_bytes, staging);
         assert_eq!(
             decision.fused,
             staging <= cap,
             "seed {seed}: staging {staging} B vs capacity {cap} B, \
-             planner said fused={} ({})",
+             decision said fused={} ({})",
             decision.fused,
             decision.reason
         );
@@ -235,7 +236,7 @@ fn planner_fuses_iff_staging_fits() {
             0.5,
             &format!("boundary seed {seed} ({cols} cols)"),
         );
-        assert_eq!(fused, decision.fused, "plan must be deterministic");
+        assert_eq!(fused, decision.fused, "decision must be deterministic");
     }
     assert!(
         fused_seen > 0 && unfused_seen > 0,
@@ -243,8 +244,7 @@ fn planner_fuses_iff_staging_fits() {
     );
 }
 
-/// The planner must never fuse a chain that is not the canonical window,
-/// and a smaller-capacity device must refuse topologies a V100 accepts.
+/// A smaller-capacity device must refuse topologies a V100 accepts.
 #[test]
 fn planner_respects_device_capacity() {
     let v100 = Gpu::v100();
@@ -265,19 +265,8 @@ fn planner_respects_device_capacity() {
         "probe topology must land between the capacities"
     );
     let d = 4;
-    let configs_v = attention_configs(&v100, None, None, &mask, d, d);
-    let ops = [
-        PlanOp::Sddmm {
-            cfg: configs_v.sddmm,
-        },
-        PlanOp::Scale { factor: 0.5 },
-        PlanOp::SparseSoftmax,
-        PlanOp::Spmm {
-            cfg: configs_v.spmm,
-        },
-    ];
-    assert!(FusionPlanner::plan(&v100, &ops, &mask, d, d).fused);
-    assert!(!FusionPlanner::plan(&gtx, &ops, &mask, d, d).fused);
+    assert!(decide(&v100, &mask, d, d).fused);
+    assert!(!decide(&gtx, &mask, d, d).fused);
 }
 
 /// Registry sweep: the fused kernel's static audit must come back free of

@@ -31,8 +31,8 @@ pub use joint::{
 };
 pub use plan::{
     attention_configs, sparse_attention_fused, sparse_attention_fused_profile,
-    sparse_attention_unfused, try_sparse_attention_fused, AttentionConfigs, FusedAttention,
-    FusedAttentionTime, FusionDecision, FusionPlanner, PlanOp,
+    sparse_attention_unfused, try_sparse_attention_fused, AttentionConfigs, AttentionTime,
+    FusedAttention, FusionDecision,
 };
 pub use roma::MemoryAligner;
 pub use sddmm::{sddmm, sddmm_profile, sddmm_profile_cached, try_sddmm, SddmmKernel};

@@ -1,31 +1,29 @@
-//! Launch-plan IR and fusion planner for the sparse-attention pipeline.
+//! Attention fusion: the sparse-attention forward pass, fused when legal.
 //!
-//! The attention forward pass is a chain of launches over one shared CSR
-//! topology: SDDMM scores, a logit scale, the sparse softmax, and the
-//! context SpMM. This module represents that chain as data ([`PlanOp`]),
-//! lets the [`FusionPlanner`] merge adjacent ops into the fused
-//! [`SddmmSoftmaxSpmmKernel`] when the merge is provably legal, and falls
-//! back to the bit-identical three-launch pipeline otherwise.
+//! The paper's sparse attention (Section VII-C) is one fixed chain over one
+//! shared CSR topology: SDDMM scores, the scaled sparse softmax, and the
+//! context SpMM. When the merge is provably legal the chain runs as one
+//! [`SddmmSoftmaxSpmmKernel`] launch; otherwise it runs as the bit-identical
+//! three-launch pipeline, with the logit scale folded into the softmax.
 //!
 //! **Legality rule.** A merge is legal when the fused kernel's declared
 //! [`StaticFacts`](gpu_sim::StaticFacts) survive the static auditor on the
 //! target device — in particular the per-row staging footprint
 //! ([`gpu_sim::fused::staging_bytes`]: the scores row plus one index strip)
-//! must fit the device's shared-memory capacity. The planner audits a
-//! cost-only probe of the candidate kernel and fuses only on a
-//! refutation-free audit, so an oversized topology takes the unfused path
-//! without ever building a refutable launch.
+//! must fit the device's shared-memory capacity. [`FusionDecision`] comes
+//! from auditing a cost-only probe of the fused kernel, and the chain fuses
+//! only on a refutation-free audit, so an oversized topology takes the
+//! unfused path without ever building a refutable launch.
 //!
 //! **Bit-exactness.** The fused kernel's functional body replays the exact
 //! per-element `mul_add` chains of the three separate kernels (see
-//! `gpu_sim::fused`), so the planner's decision is invisible to the
-//! numbers: `fusion_equivalence` pins bitwise equality either way.
+//! `gpu_sim::fused`), so the decision is invisible to the numbers:
+//! `fusion_equivalence` pins bitwise equality either way.
 //!
 //! Fused launches flow through the [`Gpu::run`] funnel: statically audited
-//! and memoized in the [`LaunchCache`]. The cache key gains a plan-shape
-//! component: the op chain and stage tiles are baked into the kernel name,
-//! and the fingerprint mixes the mask topology with the problem shape, the
-//! scale bits, and the plan tag.
+//! and memoized in the [`LaunchCache`]. The stage tiles are baked into the
+//! kernel name, and the fingerprint mixes the mask topology with the
+//! problem shape, the scale bits, and the plan tag.
 
 use crate::config::{SddmmConfig, SpmmConfig};
 use crate::error::SputnikError;
@@ -35,22 +33,6 @@ use crate::spmm::{profile_spmm, require_finite, try_spmm};
 use crate::tune::AutoTuner;
 use gpu_sim::{trace, Gpu, Kernel, LaunchCache, LaunchRequest, SddmmSoftmaxSpmmKernel, Verdict};
 use sparse::{CsrMatrix, Matrix};
-
-/// One node of the launch-plan IR: an operation over the shared mask
-/// topology, in pipeline order.
-#[derive(Debug, Clone, PartialEq)]
-pub enum PlanOp {
-    /// Sampled dense-dense matmul producing the scores at the mask's
-    /// nonzero positions.
-    Sddmm { cfg: SddmmConfig },
-    /// Pointwise scale of the current intermediate (attention's
-    /// `1/sqrt(d)`).
-    Scale { factor: f32 },
-    /// Row-wise softmax over the nonzero values.
-    SparseSoftmax,
-    /// Sparse-matrix × dense-matrix context product.
-    Spmm { cfg: SpmmConfig },
-}
 
 /// Configs shared by the functional and profile attention paths — the one
 /// place both consult, so they can never diverge (previously the profile
@@ -86,7 +68,7 @@ pub fn attention_configs(
     AttentionConfigs { sddmm, spmm }
 }
 
-/// The planner's verdict for one op chain on one device.
+/// Whether the attention chain fuses on one device, and why.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FusionDecision {
     /// Whether the chain collapses to the fused kernel.
@@ -99,106 +81,64 @@ pub struct FusionDecision {
     pub smem_capacity: u32,
     /// Why the decision came out this way (audit detail on refusal).
     pub reason: String,
-    /// Plan-shape tag baked into the fused launch name — the cache-key
-    /// component distinguishing plan shapes.
+    /// Plan-shape tag baked into the fused launch name: the two stage tiles.
     pub plan_tag: String,
 }
 
-/// Greedy fusion planner over [`PlanOp`] chains.
-pub struct FusionPlanner;
+/// The plan-shape tag for `configs`: the two stage tiles.
+fn plan_tag(configs: &AttentionConfigs) -> String {
+    format!(
+        "s{}x{}",
+        configs.sddmm.block_items_x, configs.spmm.block_items_x
+    )
+}
 
-/// The canonical fusable window: SDDMM, optional scale folded into the
-/// softmax, softmax, SpMM.
-struct Window {
-    sddmm: SddmmConfig,
-    spmm: SpmmConfig,
+/// The cost-only fused kernel for `mask`: the audit probe of both paths,
+/// and the kernel the profile path launches.
+fn fused_probe<'a>(
+    mask: &'a CsrMatrix<f32>,
+    k: usize,
+    n: usize,
     scale: f32,
+    configs: &AttentionConfigs,
+) -> SddmmSoftmaxSpmmKernel<'a, f32> {
+    SddmmSoftmaxSpmmKernel::for_profile(
+        mask,
+        k,
+        n,
+        scale,
+        configs.sddmm.block_items_x as usize,
+        configs.spmm.block_items_x as usize,
+        plan_tag(configs),
+    )
 }
 
-fn fusable_window(ops: &[PlanOp]) -> Option<Window> {
-    match ops {
-        [PlanOp::Sddmm { cfg: sd }, PlanOp::Scale { factor }, PlanOp::SparseSoftmax, PlanOp::Spmm { cfg: sp }] => {
-            Some(Window {
-                sddmm: *sd,
-                spmm: *sp,
-                scale: *factor,
-            })
-        }
-        [PlanOp::Sddmm { cfg: sd }, PlanOp::SparseSoftmax, PlanOp::Spmm { cfg: sp }] => {
-            Some(Window {
-                sddmm: *sd,
-                spmm: *sp,
-                scale: 1.0,
-            })
-        }
-        _ => None,
-    }
-}
-
-/// The plan-shape tag for a fusable window: stage tiles + scale presence.
-fn plan_tag(w: &Window) -> String {
-    format!("s{}x{}", w.sddmm.block_items_x, w.spmm.block_items_x)
-}
-
-impl FusionPlanner {
-    /// Decide whether `ops` (in pipeline order over `mask`) fuse on `gpu`.
-    ///
-    /// The greedy merge folds a `Scale` into the adjacent softmax
-    /// unconditionally (it is a pointwise read transform), then merges the
-    /// `[Sddmm, SparseSoftmax, Spmm]` window into the fused kernel iff the
-    /// static audit of a cost-only probe proves every check class — which
-    /// on a single-warp block reduces to the staging footprint fitting the
-    /// device's shared memory. Anything else stays unfused.
-    pub fn plan(
-        gpu: &Gpu,
-        ops: &[PlanOp],
-        mask: &CsrMatrix<f32>,
-        k: usize,
-        n: usize,
-    ) -> FusionDecision {
-        let smem_capacity = gpu.device().smem_per_block_max;
-        let Some(w) = fusable_window(ops) else {
-            return FusionDecision {
-                fused: false,
-                staging_bytes: 0,
-                smem_capacity,
-                reason: "op chain is not the SDDMM/softmax/SpMM window".into(),
-                plan_tag: String::new(),
-            };
-        };
-        let tag = plan_tag(&w);
-        let staging =
-            gpu_sim::fused::staging_bytes(mask.max_row_len(), w.sddmm.block_items_x as usize);
-        let probe = SddmmSoftmaxSpmmKernel::<f32>::for_profile(
-            mask,
-            k,
-            n,
-            w.scale,
-            w.sddmm.block_items_x as usize,
-            w.spmm.block_items_x as usize,
-            tag.clone(),
-        );
-        let audit = gpu.audit(&probe);
-        match audit
-            .findings
-            .iter()
-            .find(|f| f.verdict == Verdict::Refuted)
-        {
-            Some(f) => FusionDecision {
-                fused: false,
-                staging_bytes: staging,
-                smem_capacity,
-                reason: format!("audit refuted {}: {}", f.class.name(), f.detail),
-                plan_tag: tag,
-            },
-            None => FusionDecision {
-                fused: true,
-                staging_bytes: staging,
-                smem_capacity,
-                reason: format!("staging {staging} B fits {smem_capacity} B shared memory"),
-                plan_tag: tag,
-            },
-        }
+/// Fuse iff the static audit of the cost-only `probe` refutes no check
+/// class — which on a single-warp block reduces to the staging footprint
+/// fitting the device's shared memory.
+fn decide(
+    gpu: &Gpu,
+    probe: &SddmmSoftmaxSpmmKernel<'_, f32>,
+    mask: &CsrMatrix<f32>,
+    configs: &AttentionConfigs,
+) -> FusionDecision {
+    let smem_capacity = gpu.device().smem_per_block_max;
+    let staging =
+        gpu_sim::fused::staging_bytes(mask.max_row_len(), configs.sddmm.block_items_x as usize);
+    let refuted = gpu
+        .audit(probe)
+        .findings
+        .into_iter()
+        .find(|f| f.verdict == Verdict::Refuted);
+    FusionDecision {
+        fused: refuted.is_none(),
+        staging_bytes: staging,
+        smem_capacity,
+        reason: match refuted {
+            Some(f) => format!("audit refuted {}: {}", f.class.name(), f.detail),
+            None => format!("staging {staging} B fits {smem_capacity} B shared memory"),
+        },
+        plan_tag: plan_tag(configs),
     }
 }
 
@@ -217,11 +157,10 @@ fn plan_fingerprint(mask: &CsrMatrix<f32>, k: usize, n: usize, scale: f32, tag: 
     fp.finish()
 }
 
-/// Timing of one planned attention run: either one fused launch
-/// (`fused_us`) or the three-launch breakdown.
+/// Timing of one attention run: either one fused launch (`fused_us`) or
+/// the three-launch breakdown. `total_us` sums whichever side is populated.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct FusedAttentionTime {
-    pub fused: bool,
+pub struct AttentionTime {
     pub scores_us: f64,
     pub softmax_us: f64,
     pub context_us: f64,
@@ -232,18 +171,18 @@ pub struct FusedAttentionTime {
     pub cache_hits: usize,
 }
 
-impl FusedAttentionTime {
+impl AttentionTime {
     pub fn total_us(&self) -> f64 {
         self.scores_us + self.softmax_us + self.context_us + self.fused_us
     }
 }
 
-/// The result of a planned (fused-when-legal) attention run.
+/// The result of a fused-when-legal attention run.
 #[derive(Debug)]
 pub struct FusedAttention {
     /// The `rows x n` context, bit-identical fused or unfused.
     pub context: Matrix<f32>,
-    pub time: FusedAttentionTime,
+    pub time: AttentionTime,
     pub decision: FusionDecision,
     pub configs: AttentionConfigs,
 }
@@ -254,14 +193,13 @@ fn run_fused(
     gpu: &Gpu,
     req: &LaunchRequest<'_>,
     name: &str,
-) -> Result<FusedAttentionTime, SputnikError> {
+) -> Result<AttentionTime, SputnikError> {
     let track = &gpu.device().name;
     trace::begin_span("fusion", track, || name.into());
     let result = gpu.run(req);
     trace::end_span(track);
     let launched = result?;
-    Ok(FusedAttentionTime {
-        fused: true,
+    Ok(AttentionTime {
         fused_us: launched.stats.time_us,
         launches: 1,
         cache_hits: usize::from(launched.hit),
@@ -269,12 +207,12 @@ fn run_fused(
     })
 }
 
-/// Planned sparse attention: plan the `[Sddmm, Scale, SparseSoftmax,
-/// Spmm]` chain, launch the fused kernel through the audited [`Gpu::run`]
-/// funnel (memoized in the [`LaunchCache`]) when the planner proves the
-/// merge, and fall back to the three-launch pipeline (scale folded into the
-/// softmax kernel) otherwise. `q` is `rows x k`, `kmat` is `cols x k`
-/// (the SDDMM's transposed-RHS form), `v` is `cols x n`.
+/// Sparse attention, fused when legal: launch the fused kernel through the
+/// audited [`Gpu::run`] funnel (memoized in the [`LaunchCache`]) when the
+/// audit proves the merge, and fall back to the three-launch pipeline
+/// (scale folded into the softmax kernel) otherwise. `q` is `rows x k`,
+/// `kmat` is `cols x k` (the SDDMM's transposed-RHS form), `v` is
+/// `cols x n`.
 #[allow(clippy::too_many_arguments)]
 pub fn try_sparse_attention_fused(
     gpu: &Gpu,
@@ -292,10 +230,14 @@ pub fn try_sparse_attention_fused(
     require_finite("v", v.as_slice())?;
     let (d, n) = (q.cols(), v.cols());
     let configs = attention_configs(gpu, cache, tuner, mask, d, n);
-    let ops = plan_ops(&configs, scale);
-    let decision = FusionPlanner::plan(gpu, &ops, mask, d, n);
+    let decision = decide(
+        gpu,
+        &fused_probe(mask, d, n, scale, &configs),
+        mask,
+        &configs,
+    );
 
-    if decision.fused {
+    let (context, time) = if decision.fused {
         let mut context = Matrix::<f32>::zeros(mask.rows(), n);
         let time = {
             let kernel = SddmmSoftmaxSpmmKernel::new(
@@ -314,21 +256,16 @@ pub fn try_sparse_attention_fused(
             let req = LaunchRequest::functional(&kernel).cached(cached);
             run_fused(gpu, &req, &kernel.name())?
         };
-        Ok(FusedAttention {
-            context,
-            time,
-            decision,
-            configs,
-        })
+        (context, time)
     } else {
-        let (context, time) = sparse_attention_unfused(gpu, q, kmat, v, mask, scale, &configs)?;
-        Ok(FusedAttention {
-            context,
-            time,
-            decision,
-            configs,
-        })
-    }
+        sparse_attention_unfused(gpu, q, kmat, v, mask, scale, &configs)?
+    };
+    Ok(FusedAttention {
+        context,
+        time,
+        decision,
+        configs,
+    })
 }
 
 /// Panicking wrapper over [`try_sparse_attention_fused`].
@@ -349,8 +286,8 @@ pub fn sparse_attention_fused(
 
 /// The three-launch reference pipeline with the scale folded into the
 /// softmax kernel: SDDMM → scaled softmax → SpMM. This is both the
-/// planner's fallback and the bit-exactness reference the fused kernel is
-/// pinned against.
+/// fallback of [`try_sparse_attention_fused`] and the bit-exactness
+/// reference the fused kernel is pinned against.
 pub fn sparse_attention_unfused(
     gpu: &Gpu,
     q: &Matrix<f32>,
@@ -359,15 +296,14 @@ pub fn sparse_attention_unfused(
     mask: &CsrMatrix<f32>,
     scale: f32,
     configs: &AttentionConfigs,
-) -> Result<(Matrix<f32>, FusedAttentionTime), SputnikError> {
+) -> Result<(Matrix<f32>, AttentionTime), SputnikError> {
     check_shapes(q, kmat, v, mask)?;
     let (scores, s1) = try_sddmm(gpu, q, kmat, mask, configs.sddmm)?;
     let (probs, s2) = sparse_softmax_scaled(gpu, &scores, scale);
     let (context, s3) = try_spmm(gpu, &probs, v, configs.spmm)?;
     Ok((
         context,
-        FusedAttentionTime {
-            fused: false,
+        AttentionTime {
             scores_us: s1.time_us,
             softmax_us: s2.time_us,
             context_us: s3.time_us,
@@ -378,8 +314,8 @@ pub fn sparse_attention_unfused(
 }
 
 /// Cost-only twin of [`try_sparse_attention_fused`]: same config
-/// selection, same planner, same audit gate and [`LaunchCache`], no
-/// functional work.
+/// selection, same decision, same audit gate and [`LaunchCache`], no
+/// functional work. The audited probe is the kernel it launches.
 pub fn sparse_attention_fused_profile(
     gpu: &Gpu,
     mask: &CsrMatrix<f32>,
@@ -388,53 +324,29 @@ pub fn sparse_attention_fused_profile(
     scale: f32,
     cache: Option<&LaunchCache>,
     tuner: Option<&mut AutoTuner>,
-) -> Result<(FusedAttentionTime, FusionDecision, AttentionConfigs), SputnikError> {
+) -> Result<(AttentionTime, FusionDecision, AttentionConfigs), SputnikError> {
     let configs = attention_configs(gpu, cache, tuner, mask, k, n);
-    let ops = plan_ops(&configs, scale);
-    let decision = FusionPlanner::plan(gpu, &ops, mask, k, n);
+    let kernel = fused_probe(mask, k, n, scale, &configs);
+    let decision = decide(gpu, &kernel, mask, &configs);
 
-    if decision.fused {
-        let kernel = SddmmSoftmaxSpmmKernel::<f32>::for_profile(
-            mask,
-            k,
-            n,
-            scale,
-            configs.sddmm.block_items_x as usize,
-            configs.spmm.block_items_x as usize,
-            decision.plan_tag.clone(),
-        );
+    let time = if decision.fused {
         let cached = cache.map(|c| (c, plan_fingerprint(mask, k, n, scale, &decision.plan_tag)));
         let req = LaunchRequest::profile(&kernel).cached(cached);
-        let time = run_fused(gpu, &req, &kernel.name())?;
-        Ok((time, decision, configs))
+        run_fused(gpu, &req, &kernel.name())?
     } else {
         let (s1, h1) = profile_sddmm(gpu, cache, mask, k, configs.sddmm);
         let s2 = sparse_softmax_scaled_profile(gpu, mask, scale);
         let (s3, h3) = profile_spmm(gpu, cache, mask, mask.cols(), n, configs.spmm);
-        Ok((
-            FusedAttentionTime {
-                fused: false,
-                scores_us: s1.time_us,
-                softmax_us: s2.time_us,
-                context_us: s3.time_us,
-                launches: 3,
-                cache_hits: usize::from(h1) + usize::from(h3),
-                ..Default::default()
-            },
-            decision,
-            configs,
-        ))
-    }
-}
-
-/// The attention pipeline's canonical op chain.
-fn plan_ops(configs: &AttentionConfigs, scale: f32) -> [PlanOp; 4] {
-    [
-        PlanOp::Sddmm { cfg: configs.sddmm },
-        PlanOp::Scale { factor: scale },
-        PlanOp::SparseSoftmax,
-        PlanOp::Spmm { cfg: configs.spmm },
-    ]
+        AttentionTime {
+            scores_us: s1.time_us,
+            softmax_us: s2.time_us,
+            context_us: s3.time_us,
+            launches: 3,
+            cache_hits: usize::from(h1) + usize::from(h3),
+            ..Default::default()
+        }
+    };
+    Ok((time, decision, configs))
 }
 
 fn check_shapes(
@@ -511,7 +423,7 @@ mod tests {
     #[test]
     fn oversized_staging_takes_unfused_path() {
         // One row with ~30k nonzeros: staging ~120 KB exceeds the V100's
-        // 96 KiB shared memory, so the planner must refuse the merge.
+        // 96 KiB shared memory, so the audit must refuse the merge.
         let mask = gen::uniform(4, 32 * 1024, 0.1, 902);
         assert!(
             gpu_sim::fused::staging_bytes(mask.max_row_len(), 32)
@@ -592,22 +504,23 @@ mod tests {
         assert_eq!(third.time.cache_hits, 0, "scale is part of the cache key");
     }
 
+    /// Both paths take the same audited decision: on a fusing mask and on
+    /// `oversized_staging_takes_unfused_path`'s mask alike.
     #[test]
-    fn non_canonical_chain_stays_unfused() {
-        let mask = gen::attention_mask(32, 4, 0.8, 908);
+    fn profile_and_functional_share_the_decision() {
         let gpu = Gpu::v100();
-        let decision = FusionPlanner::plan(
-            &gpu,
-            &[
-                PlanOp::SparseSoftmax,
-                PlanOp::Spmm {
-                    cfg: SpmmConfig::heuristic::<f32>(16),
-                },
-            ],
-            &mask,
-            16,
-            16,
-        );
-        assert!(!decision.fused);
+        for (mask, d, scale) in [
+            (gen::attention_mask(96, 8, 0.85, 900), 16, 0.25),
+            (gen::uniform(4, 32 * 1024, 0.1, 902), 8, 0.5),
+        ] {
+            let (q, k, v) = qkv(mask.rows(), mask.cols(), d, 909);
+            let run = sparse_attention_fused(&gpu, &q, &k, &v, &mask, scale, None, None);
+            let (_, profiled, _) =
+                sparse_attention_fused_profile(&gpu, &mask, d, d, scale, None, None).unwrap();
+            assert_eq!(
+                run.decision, profiled,
+                "functional and profile decisions diverged"
+            );
+        }
     }
 }

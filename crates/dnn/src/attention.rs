@@ -6,46 +6,17 @@
 //! sparsity, these operations correspond to an SDDMM followed by an SpMM",
 //! with the paper's custom sparse softmax in between.
 //!
-//! The sparse path routes through the fusion planner
-//! ([`sputnik::FusionPlanner`]): when the mask's staging footprint fits the
-//! device's shared memory, the whole SDDMM → scale → softmax → SpMM chain
-//! runs as one fused launch; otherwise it falls back to the bit-identical
-//! three-launch pipeline. Either way the logit scale is folded into a
-//! kernel (never applied by the host), so every simulated microsecond and
-//! every device-data mutation is attributed to a launch.
+//! The sparse path is [`sputnik::sparse_attention_fused`]: when the mask's
+//! staging footprint fits the device's shared memory, the whole SDDMM →
+//! scale → softmax → SpMM chain runs as one fused launch; otherwise it falls
+//! back to the bit-identical three-launch pipeline. Either way the logit
+//! scale is folded into a kernel (never applied by the host), so every
+//! simulated microsecond and every device-data mutation is attributed to a
+//! launch. Both paths report core's [`AttentionTime`].
 
-use gpu_sim::{Gpu, LaunchCache};
+use gpu_sim::Gpu;
 use sparse::{CsrMatrix, Matrix};
-use sputnik::AutoTuner;
-
-/// Timing breakdown of one attention head's forward pass. A fused run
-/// reports one launch in `fused_us`; an unfused run reports the
-/// three-kernel breakdown. `total_us` sums whichever side is populated.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct AttentionTime {
-    pub scores_us: f64,
-    pub softmax_us: f64,
-    pub context_us: f64,
-    /// Time of the single fused SDDMM+softmax+SpMM launch (0 when unfused).
-    pub fused_us: f64,
-}
-
-impl AttentionTime {
-    pub fn total_us(&self) -> f64 {
-        self.scores_us + self.softmax_us + self.context_us + self.fused_us
-    }
-}
-
-impl From<sputnik::FusedAttentionTime> for AttentionTime {
-    fn from(t: sputnik::FusedAttentionTime) -> Self {
-        AttentionTime {
-            scores_us: t.scores_us,
-            softmax_us: t.softmax_us,
-            context_us: t.context_us,
-            fused_us: t.fused_us,
-        }
-    }
-}
+pub use sputnik::AttentionTime;
 
 /// Functional dense attention for one head: `q`, `k`, `v` are `seq x d`.
 /// Returns the context and the simulated time of the three kernels (the
@@ -72,14 +43,15 @@ pub fn dense_attention(
             scores_us: s1.time_us,
             softmax_us: s2.time_us,
             context_us: s3.time_us,
-            fused_us: 0.0,
+            launches: 3,
+            ..Default::default()
         },
     )
 }
 
 /// Functional sparse attention for one head with the given connectivity
-/// mask, through the fusion planner: one fused launch when the staging
-/// footprint fits shared memory, the three-launch fallback otherwise.
+/// mask: one fused launch when the staging footprint fits shared memory,
+/// the three-launch fallback otherwise.
 pub fn sparse_attention(
     gpu: &Gpu,
     q: &Matrix<f32>,
@@ -87,42 +59,9 @@ pub fn sparse_attention(
     v: &Matrix<f32>,
     mask: &CsrMatrix<f32>,
 ) -> (Matrix<f32>, AttentionTime) {
-    sparse_attention_cached(gpu, q, k, v, mask, None, None)
-}
-
-/// [`sparse_attention`] with an optional [`LaunchCache`] and [`AutoTuner`]
-/// threaded through to the planner (replayed heads hit the cache).
-pub fn sparse_attention_cached(
-    gpu: &Gpu,
-    q: &Matrix<f32>,
-    k: &Matrix<f32>,
-    v: &Matrix<f32>,
-    mask: &CsrMatrix<f32>,
-    cache: Option<&LaunchCache>,
-    tuner: Option<&mut AutoTuner>,
-) -> (Matrix<f32>, AttentionTime) {
-    let d = q.cols();
-    let scale = 1.0 / (d as f32).sqrt();
-    let run = sputnik::sparse_attention_fused(gpu, q, k, v, mask, scale, cache, tuner);
-    (run.context, run.time.into())
-}
-
-/// The three-launch sparse attention reference (SDDMM → scaled softmax →
-/// SpMM), bypassing the planner. Kept as the bit-exactness baseline the
-/// fused path is pinned against.
-pub fn sparse_attention_unfused(
-    gpu: &Gpu,
-    q: &Matrix<f32>,
-    k: &Matrix<f32>,
-    v: &Matrix<f32>,
-    mask: &CsrMatrix<f32>,
-) -> (Matrix<f32>, AttentionTime) {
-    let d = q.cols();
-    let scale = 1.0 / (d as f32).sqrt();
-    let configs = sputnik::attention_configs(gpu, None, None, mask, d, v.cols());
-    let (context, time) = sputnik::sparse_attention_unfused(gpu, q, k, v, mask, scale, &configs)
-        .unwrap_or_else(|e| panic!("sparse_attention_unfused: {e}"));
-    (context, time.into())
+    let scale = 1.0 / (q.cols() as f32).sqrt();
+    let run = sputnik::sparse_attention_fused(gpu, q, k, v, mask, scale, None, None);
+    (run.context, run.time)
 }
 
 /// Cost-only dense attention for one `seq x d` head.
@@ -132,30 +71,18 @@ pub fn dense_attention_profile(gpu: &Gpu, seq: usize, d: usize) -> AttentionTime
         scores_us: baselines::gemm_profile(gpu, seq, d, seq).time_us,
         softmax_us: crate::layers::dense_softmax_scaled_profile(gpu, seq, seq, scale).time_us,
         context_us: baselines::gemm_profile(gpu, seq, seq, d).time_us,
-        fused_us: 0.0,
+        launches: 3,
+        ..Default::default()
     }
 }
 
 /// Cost-only sparse attention for one head with the given mask, through
-/// the same planner and config selection as the functional path.
+/// the same decision and config selection as the functional path.
 pub fn sparse_attention_profile(gpu: &Gpu, mask: &CsrMatrix<f32>, d: usize) -> AttentionTime {
-    sparse_attention_profile_cached(gpu, mask, d, None, None)
-}
-
-/// [`sparse_attention_profile`] with an optional cache/tuner, mirroring
-/// [`sparse_attention_cached`].
-pub fn sparse_attention_profile_cached(
-    gpu: &Gpu,
-    mask: &CsrMatrix<f32>,
-    d: usize,
-    cache: Option<&LaunchCache>,
-    tuner: Option<&mut AutoTuner>,
-) -> AttentionTime {
     let scale = 1.0 / (d as f32).sqrt();
-    let (time, _, _) =
-        sputnik::sparse_attention_fused_profile(gpu, mask, d, d, scale, cache, tuner)
-            .unwrap_or_else(|e| panic!("sparse_attention_profile: {e}"));
-    time.into()
+    let (time, _, _) = sputnik::sparse_attention_fused_profile(gpu, mask, d, d, scale, None, None)
+        .unwrap_or_else(|e| panic!("sparse_attention_profile: {e}"));
+    time
 }
 
 #[cfg(test)]
@@ -206,7 +133,7 @@ mod tests {
         }
     }
 
-    /// The planner-routed path and the three-launch reference must agree
+    /// The fused-when-legal path and the three-launch reference must agree
     /// bitwise — fusion is invisible to the numbers.
     #[test]
     fn fused_and_unfused_attention_agree_bitwise() {
@@ -218,7 +145,10 @@ mod tests {
         let mask = gen::attention_mask(seq, 8, 0.8, 113);
         let gpu = Gpu::v100();
         let (fused, tf) = sparse_attention(&gpu, &q, &k, &v, &mask);
-        let (unfused, tu) = sparse_attention_unfused(&gpu, &q, &k, &v, &mask);
+        let configs = sputnik::attention_configs(&gpu, None, None, &mask, d, d);
+        let scale = 1.0 / (d as f32).sqrt();
+        let (unfused, tu) =
+            sputnik::sparse_attention_unfused(&gpu, &q, &k, &v, &mask, scale, &configs).unwrap();
         assert!(tf.fused_us > 0.0 && tu.fused_us == 0.0);
         assert_eq!(fused.as_slice(), unfused.as_slice());
     }

@@ -59,11 +59,6 @@ impl JointSweepPoint {
         self.weight_spmm_us / self.joint_fine_us
     }
 
-    /// Joint-coarse speedup over the weight-only kernel.
-    pub fn coarse_speedup_vs_spmm(&self) -> f64 {
-        self.weight_spmm_us / self.joint_coarse_us
-    }
-
     /// Whether the fine joint kernel beats the dense GEMM baseline here.
     pub fn fine_beats_dense(&self) -> bool {
         self.joint_fine_us < self.dense_gemm_us

@@ -50,20 +50,6 @@ impl Linear {
         }
     }
 
-    pub fn out_features(&self) -> usize {
-        match self {
-            Linear::Dense { weights, .. } => weights.rows(),
-            Linear::Sparse { weights, .. } => weights.rows(),
-        }
-    }
-
-    pub fn in_features(&self) -> usize {
-        match self {
-            Linear::Dense { weights, .. } => weights.cols(),
-            Linear::Sparse { weights, .. } => weights.cols(),
-        }
-    }
-
     /// Weight memory in bytes (CSR for sparse, dense array otherwise).
     pub fn weight_bytes(&self) -> u64 {
         match self {
@@ -121,31 +107,6 @@ impl Linear {
                     }
                 };
                 (out, stats.time_us)
-            }
-        }
-    }
-
-    /// Cost-only forward at `n` output positions: the path the large model
-    /// benchmarks take.
-    pub fn forward_profile(&self, gpu: &Gpu, n: usize) -> f64 {
-        match self {
-            Linear::Dense { weights, bias, .. } => {
-                let t = baselines::gemm_profile(gpu, weights.rows(), weights.cols(), n).time_us;
-                if bias.is_some() {
-                    t + bias_relu_profile(gpu, weights.rows(), n).time_us
-                } else {
-                    t
-                }
-            }
-            Linear::Sparse {
-                weights,
-                bias,
-                relu,
-                ..
-            } => {
-                let mut cfg = SpmmConfig::heuristic::<f32>(n);
-                cfg.fused_bias_relu = bias.is_some() && *relu;
-                sputnik::spmm_profile::<f32>(gpu, weights, weights.cols(), n, cfg).time_us
             }
         }
     }
@@ -338,16 +299,6 @@ impl Chw {
     /// if the input data is stored in CHW format").
     pub fn as_matrix(&self) -> Matrix<f32> {
         Matrix::from_vec(self.channels, self.height * self.width, self.data.clone())
-    }
-
-    pub fn from_matrix(m: &Matrix<f32>, height: usize, width: usize) -> Self {
-        assert_eq!(m.cols(), height * width);
-        Self {
-            channels: m.rows(),
-            height,
-            width,
-            data: m.as_slice().to_vec(),
-        }
     }
 
     pub fn bytes(&self) -> u64 {
@@ -674,11 +625,6 @@ pub fn dense_softmax(gpu: &Gpu, x: &Matrix<f32>) -> (Matrix<f32>, LaunchStats) {
         gpu.launch(&kernel)
     };
     (out, stats)
-}
-
-/// Profile a dense softmax at the given shape.
-pub fn dense_softmax_profile(gpu: &Gpu, m: usize, n: usize) -> LaunchStats {
-    gpu.profile(&DenseSoftmaxKernel::for_profile(m, n))
 }
 
 /// Functional dense softmax with the logit scale folded into the kernel's

@@ -10,7 +10,7 @@
 
 use gpu_sim::Gpu;
 use serde::{Deserialize, Serialize};
-use sparse::{gen, CsrMatrix, IndexWidth};
+use sparse::{gen, IndexWidth};
 use sputnik::SpmmConfig;
 
 /// One depthwise-separable block of the architecture.
@@ -241,11 +241,6 @@ pub fn benchmark(
 /// of four to enable vector memory instructions" — same trick here).
 fn pad4(n: usize) -> usize {
     n.div_ceil(4) * 4
-}
-
-/// Prune a functional MobileNet pointwise layer (utility for the examples).
-pub fn prune_pointwise(weights: &sparse::Matrix<f32>, sparsity: f64) -> CsrMatrix<f32> {
-    crate::pruning::magnitude_prune(weights, sparsity)
 }
 
 #[cfg(test)]

@@ -88,7 +88,7 @@ fn dense_attention_attributes_every_microsecond_to_a_launch() {
     );
 }
 
-/// Sparse attention through the planner: one fused launch wrapped in a
+/// Sparse attention, fused when legal: one fused launch wrapped in a
 /// fusion span, and the same attribution invariant.
 #[test]
 fn fused_sparse_attention_is_one_attributed_launch() {
@@ -130,8 +130,11 @@ fn unfused_sparse_attention_scale_rides_in_the_softmax_kernel() {
     let k = Matrix::<f32>::random(48, 16, 9);
     let v = Matrix::<f32>::random(48, 16, 10);
     let mask = gen::attention_mask(48, 8, 0.8, 11);
+    let configs = sputnik::attention_configs(&gpu, None, None, &mask, 16, 16);
+    let scale = 1.0 / 4.0;
     let ((_, t), events) = traced(track, || {
-        attention::sparse_attention_unfused(&gpu, &q, &k, &v, &mask)
+        sputnik::sparse_attention_unfused(&gpu, &q, &k, &v, &mask, scale, &configs)
+            .unwrap_or_else(|e| panic!("unfused attention failed: {e}"))
     });
 
     let l = launches(&events);

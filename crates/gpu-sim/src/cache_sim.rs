@@ -34,15 +34,6 @@ impl CacheConfig {
         }
     }
 
-    /// One SM's 128 KiB L1 slice.
-    pub fn v100_l1() -> Self {
-        Self {
-            capacity_bytes: 128 * 1024,
-            line_bytes: SECTOR_BYTES,
-            ways: 4,
-        }
-    }
-
     fn num_lines(&self) -> usize {
         (self.capacity_bytes / self.line_bytes) as usize
     }
@@ -66,10 +57,6 @@ impl CacheStats {
             return 0.0;
         }
         self.hits as f64 / self.accesses as f64
-    }
-
-    pub fn miss_bytes(&self, line_bytes: u64) -> u64 {
-        self.misses * line_bytes
     }
 }
 
@@ -162,10 +149,6 @@ impl CacheSim {
 
     pub fn stats(&self) -> CacheStats {
         self.stats
-    }
-
-    pub fn reset_stats(&mut self) {
-        self.stats = CacheStats::default();
     }
 }
 

@@ -90,11 +90,6 @@ impl BlockCost {
             + self.misc_instrs
     }
 
-    /// Total global-memory sectors requested (loads + stores).
-    pub fn total_sectors(&self) -> u64 {
-        self.gmem.iter().map(|t| t.ld_sectors + t.st_sectors).sum()
-    }
-
     /// Accumulate another block's cost into this one (for aggregation).
     pub fn merge(&mut self, other: &BlockCost) {
         self.fma_instrs += other.fma_instrs;
@@ -301,33 +296,6 @@ impl BlockContext {
         if let Some(san) = self.san.as_deref_mut() {
             san.check_global(buf.0 as usize, byte_addr, bytes);
             san.check_align(buf.0 as usize, byte_addr, vec_width, elem_bytes);
-        }
-    }
-
-    /// A strided warp load (e.g. walking a column of a row-major matrix).
-    #[inline]
-    pub fn ld_global_strided(
-        &mut self,
-        buf: BufferId,
-        base: u64,
-        lanes: u32,
-        stride_bytes: u64,
-        elem_bytes: u32,
-    ) {
-        if !self.record {
-            return;
-        }
-        let sectors = memory::sectors_strided(base, lanes, stride_bytes, elem_bytes as u64);
-        self.cost.ld_global_instrs += 1;
-        self.cost.gmem[buf.0 as usize].ld_sectors += sectors;
-        if let Some(san) = self.san.as_deref_mut() {
-            if lanes > 0 {
-                let span = (lanes as u64 - 1) * stride_bytes + elem_bytes as u64;
-                san.check_global(buf.0 as usize, base, span);
-            }
-            if stride_bytes >= memory::SECTOR_BYTES {
-                san.note_uncoalesced(buf.0 as usize, lanes, sectors);
-            }
         }
     }
 

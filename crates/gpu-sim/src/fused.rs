@@ -22,7 +22,7 @@
 //! reloads them. The `fusion_equivalence` suite pins bitwise equality
 //! against the three-launch reference.
 //!
-//! The planner (`sputnik::plan`) only builds this kernel after proving the
+//! `sputnik::plan` only builds this kernel after proving the
 //! per-row staging footprint fits the device's shared memory; constructed
 //! for an oversized topology, the static auditor refutes `SharedCapacity`
 //! and the launch is rejected before simulation.
@@ -69,8 +69,8 @@ pub struct SddmmSoftmaxSpmmKernel<'a, T: Scalar> {
     /// Context-tile width (mirrors `SpmmConfig::block_items_x`).
     spmm_tile: usize,
     /// Plan-shape tag baked into the launch name (and therefore the
-    /// [`crate::LaunchKey`]): fusing a different op chain or different
-    /// stage tiles must never alias a cached launch.
+    /// [`crate::LaunchKey`]): different stage tiles must never alias a
+    /// cached launch.
     plan_tag: String,
     max_row_len: usize,
 }

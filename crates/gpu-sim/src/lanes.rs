@@ -179,23 +179,6 @@ pub fn fma_accumulate_pair<'a, T: Copy + 'a>(
     }
 }
 
-/// Strided variant: `acc[i] = a.mul_add(to(b[i * stride]), acc[i])` — for
-/// operands walked down a column of a row-major matrix. The gather defeats
-/// packed loads, but the FMA and the per-element order are identical to
-/// [`fma_axpy`].
-#[inline]
-pub fn fma_axpy_strided<T: Copy>(
-    acc: &mut [f32],
-    a: f32,
-    b: &[T],
-    stride: usize,
-    to: impl Fn(T) -> f32,
-) {
-    for (i, av) in acc.iter_mut().enumerate() {
-        *av = a.mul_add(to(b[i * stride]), *av);
-    }
-}
-
 /// Sequential dot product with per-step FMA: `sum_i to(a[i]) * to(b[i])`,
 /// accumulated left to right exactly like the scalar reference. Horizontal
 /// reductions are *not* lane-split (that would reassociate the sum and
@@ -304,14 +287,5 @@ mod tests {
             want = a[i].mul_add(b[i], want);
         }
         assert_eq!(fma_dot(&a, &b, |v| v), want);
-    }
-
-    #[test]
-    fn strided_walks_columns() {
-        // b is 3x4 row-major; stride 4 walks column 1.
-        let b: Vec<f32> = (0..12).map(|i| i as f32).collect();
-        let mut acc = vec![0.0f32; 3];
-        fma_axpy_strided(&mut acc, 1.0, &b[1..], 4, |v| v);
-        assert_eq!(acc, vec![1.0, 5.0, 9.0]);
     }
 }

@@ -286,13 +286,6 @@ pub struct LaunchStats {
     pub pipelines: PipelineBreakdown,
 }
 
-impl LaunchStats {
-    /// Convenience: simulated time in milliseconds.
-    pub fn time_ms(&self) -> f64 {
-        self.time_us / 1000.0
-    }
-}
-
 impl std::fmt::Display for LaunchStats {
     /// One-line human summary, e.g. for examples and logs:
     /// `sputnik_spmm_f32: 37.0 us, 3.15 TFLOP/s (20.1% peak), 35 MB DRAM, bound by dram`.

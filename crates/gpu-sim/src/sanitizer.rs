@@ -508,9 +508,11 @@ impl BlockSan {
 // ---------------------------------------------------------------------------
 // Session state: the cross-block shadow map behind the instrumented
 // SyncUnsafeSlice. One sanitized launch at a time holds the session lock, so
-// concurrent test threads serialize instead of cross-contaminating shadow
-// maps. Block executors (rayon workers) tag themselves with a thread-local
-// block id around `execute_block`.
+// concurrent sanitized launches serialize instead of cross-contaminating
+// shadow maps. Block executors (rayon workers) tag themselves with a
+// thread-local block id around `execute_block`; only tagged threads feed the
+// shadow map, so an unsanitized launch running beside a session keeps its
+// own semantics (an out-of-bounds slice access still panics).
 // ---------------------------------------------------------------------------
 
 /// Sentinel: the current thread is not executing a sanitized block (host
@@ -637,9 +639,10 @@ pub(crate) fn claim_write(base: usize, index: usize) -> bool {
 
 /// Memcheck: record a slice access beyond its length. Returns `true` when a
 /// sanitized launch absorbed the violation (the caller skips the access);
-/// `false` means no session is active and the caller should panic.
+/// `false` means the calling thread is not executing a sanitized block (no
+/// session, or another thread's session) and the caller should panic.
 pub(crate) fn report_slice_oob(index: usize, len: usize, is_write: bool) -> bool {
-    if !ACTIVE.load(Ordering::Relaxed) {
+    if !ACTIVE.load(Ordering::Relaxed) || CURRENT_BLOCK.with(|c| c.get()) == NO_BLOCK {
         return false;
     }
     let mut shadow = lock(&SHADOW);

@@ -7,6 +7,8 @@ use gpu_sim::{
     LaunchRequest, LaunchStats, LaunchSummary, SanitizerReport, SanitizerViolation,
     SanitizerWarning, SmemScope, SyncUnsafeSlice,
 };
+use std::panic::AssertUnwindSafe;
+use std::sync::Barrier;
 
 const BUF: BufferId = BufferId(0);
 
@@ -87,6 +89,65 @@ fn oob_slice_write_panics_outside_sanitize_mode() {
         out: SyncUnsafeSlice::new(&mut data),
     };
     let _ = gpu.launch(&kernel);
+}
+
+/// Writes one element past the end of its output slice, then parks its
+/// block on `gate` twice: once to signal that the sanitize session is
+/// live, once to wait for the other thread's launch to finish.
+struct ParkedOobKernel<'a> {
+    out: SyncUnsafeSlice<'a, f32>,
+    gate: &'a Barrier,
+}
+
+impl Kernel for ParkedOobKernel<'_> {
+    fn name(&self) -> String {
+        "seeded_parked_oob_write".into()
+    }
+    fn grid(&self) -> Dim3 {
+        Dim3::x(1)
+    }
+    fn block_dim(&self) -> Dim3 {
+        Dim3::x(32)
+    }
+    fn buffers(&self) -> Vec<BufferSpec> {
+        buffer(8 * 4)
+    }
+    fn execute_block(&self, _block: Dim3, ctx: &mut BlockContext) {
+        ctx.misc(1);
+        if ctx.functional() {
+            unsafe { self.out.write(8, 1.0) };
+            self.gate.wait();
+            self.gate.wait();
+        }
+    }
+}
+
+/// A sanitize session on one thread must not absorb an out-of-bounds write
+/// from an unsanitized launch on another: that launch still panics, and the
+/// session reports only its own violation.
+#[test]
+fn sanitize_session_does_not_absorb_another_threads_oob_write() {
+    let gpu = Gpu::v100();
+    let gate = Barrier::new(2);
+    let mut parked_data = vec![0.0f32; 8];
+    let mut plain_data = vec![0.0f32; 8];
+    let parked = ParkedOobKernel {
+        out: SyncUnsafeSlice::new(&mut parked_data),
+        gate: &gate,
+    };
+    let plain = OobWriteKernel {
+        out: SyncUnsafeSlice::new(&mut plain_data),
+    };
+    let (report, plain_panicked) = std::thread::scope(|s| {
+        let session = s.spawn(|| gpu.sanitize(&parked).unwrap());
+        gate.wait();
+        let plain_panicked =
+            std::panic::catch_unwind(AssertUnwindSafe(|| gpu.launch(&plain))).is_err();
+        gate.wait();
+        (session.join().unwrap().1, plain_panicked)
+    });
+    assert!(plain_panicked, "the unsanitized OOB write must panic");
+    assert_eq!(report.violation_count, 1);
 }
 
 /// Two blocks both write output index 0: a cross-block race unless the

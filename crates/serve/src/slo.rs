@@ -41,10 +41,6 @@ impl LatencyRecorder {
         self.percentile(50.0).unwrap_or(0.0)
     }
 
-    pub fn p95(&self) -> f64 {
-        self.percentile(95.0).unwrap_or(0.0)
-    }
-
     pub fn p99(&self) -> f64 {
         self.percentile(99.0).unwrap_or(0.0)
     }

@@ -18,13 +18,13 @@
 //!   contract). Everywhere else, kernels must write through it, so the
 //!   sanitizer's shadow map observes every store. Bench bins are exempt
 //!   (the counting allocator in `funcwall` implements `GlobalAlloc`).
-//! * `kernel-registry` — every type that overrides `Kernel::block_signature`
-//!   (i.e. opts into block-dedup'd cost modeling) must be constructed in
-//!   the shared kernel registry (`crates/bench/src/registry.rs`), so it is
-//!   swept by both `sanitize_all` and `static_audit`. A kernel missing
-//!   from the registry ships without any CI sanitizer or audit coverage —
-//!   exactly the gap this lint closes. "Constructed" means a
-//!   `TypeName::` path token in the registry's *code* (comments and
+//! * `kernel-registry` — every type with a non-test `impl Kernel for T`
+//!   under `crates/*/src` must be constructed in the shared kernel
+//!   registry (`crates/bench/src/registry.rs`), so it is swept by both
+//!   `sanitize_all` and `static_audit`. A kernel missing from the registry
+//!   ships without any CI sanitizer or audit coverage — exactly the gap
+//!   this lint closes. "Constructed" means a `TypeName::` path token or a
+//!   `TypeName {` struct literal in the registry's *code* (comments and
 //!   strings are stripped first): a doc-comment mention or an import
 //!   alone does not count as coverage.
 //!
@@ -258,50 +258,56 @@ fn lint_raw_ptr(path: &Path, stripped: &str, findings: &mut Findings) {
     }
 }
 
-/// Rule `kernel-registry`: collect types overriding `block_signature`
-/// outside test modules. Returns the implementing type names found in
-/// this file.
-fn signature_impl_types(stripped: &str) -> Vec<String> {
-    let lines: Vec<&str> = stripped.lines().collect();
+/// Rule `kernel-registry`: the types this file implements `Kernel` for,
+/// outside test modules.
+fn kernel_impl_types(stripped: &str) -> Vec<String> {
     let spans = test_spans(stripped);
     let mut types = Vec::new();
-    for (n, line) in lines.iter().enumerate() {
-        if !line.contains("fn block_signature") || in_spans(&spans, n) {
+    for (n, line) in stripped.lines().enumerate() {
+        let t = line.trim_start();
+        if !(t.starts_with("impl ") || t.starts_with("impl<")) || in_spans(&spans, n) {
             continue;
         }
-        // Nearest preceding `impl ... for Type` / `trait` header decides
-        // whether this is an override or the trait's own default body.
-        for m in (0..n).rev() {
-            let t = lines[m].trim_start();
-            let is_impl = t.starts_with("impl ") || t.starts_with("impl<");
-            let is_trait = t.starts_with("trait ") || t.starts_with("pub trait ");
-            if is_impl {
-                if let Some(pos) = t.find(" for ") {
-                    let rest = &t[pos + 5..];
-                    let name: String = rest
-                        .chars()
-                        .take_while(|c| c.is_alphanumeric() || *c == '_')
-                        .collect();
-                    if !name.is_empty() {
-                        types.push(name);
-                    }
-                }
-                break;
-            }
-            if is_trait {
-                break;
-            }
+        let Some(pos) = t.find(" for ") else {
+            continue;
+        };
+        let head = &t[..pos];
+        if !(head.ends_with(" Kernel") || head.ends_with("::Kernel")) {
+            continue;
+        }
+        let name: String = t[pos + 5..]
+            .chars()
+            .take_while(|c| c.is_alphanumeric() || *c == '_')
+            .collect();
+        if !name.is_empty() {
+            types.push(name);
         }
     }
     types
 }
 
 /// Whether the (stripped) registry source actually *constructs* `ty`: a
-/// `Type::` path token — `Type::new(..)`, `Type::try_new(..)` — in code.
+/// `Type::` path token (`Type::new(..)`, `Type::try_new(..)`) or a
+/// `Type {` struct literal in code, not as the tail of a longer name.
 /// A plain `contains(ty)` would be fooled by doc comments, error strings,
 /// or a `use` import of a type that is never instantiated.
 fn is_constructed(ty: &str, stripped_registry: &str) -> bool {
-    stripped_registry.contains(&format!("{ty}::"))
+    [format!("{ty}::"), format!("{ty} {{")].iter().any(|token| {
+        stripped_registry
+            .match_indices(token.as_str())
+            .any(|(i, _)| {
+                !stripped_registry[..i].ends_with(|c: char| c.is_alphanumeric() || c == '_')
+            })
+    })
+}
+
+/// The `Kernel` implementors in one (stripped) file that the registry
+/// never constructs.
+fn unregistered_kernels(stripped: &str, stripped_registry: &str) -> Vec<String> {
+    kernel_impl_types(stripped)
+        .into_iter()
+        .filter(|ty| !is_constructed(ty, stripped_registry))
+        .collect()
 }
 
 fn main() {
@@ -347,11 +353,9 @@ fn main() {
             lint_raw_ptr(path, &stripped, &mut findings);
         }
 
-        if !rel.contains("/tests/") && !is_bench {
-            for ty in signature_impl_types(&stripped) {
-                if !is_constructed(&ty, &registry_stripped) {
-                    unregistered.push((path.clone(), ty));
-                }
+        if rel.contains("/src/") {
+            for ty in unregistered_kernels(&stripped, &registry_stripped) {
+                unregistered.push((path.clone(), ty));
             }
         }
     }
@@ -360,9 +364,9 @@ fn main() {
         let mut msg = String::new();
         let _ = write!(
             msg,
-            "{}: [kernel-registry] `{ty}` overrides Kernel::block_signature \
-             but is never constructed in crates/bench/src/registry.rs — it \
-             ships without sanitize_all or static_audit coverage",
+            "{}: [kernel-registry] `{ty}` implements Kernel but is never \
+             constructed in crates/bench/src/registry.rs — it ships without \
+             sanitize_all or static_audit coverage",
             path.display()
         );
         findings.0.push(msg);
@@ -433,16 +437,31 @@ mod tests {
     }
 
     #[test]
-    fn signature_types_resolve_through_impl_headers() {
-        let src = "impl<T: Scalar> Kernel for MyKernel<'_, T> {\n    fn block_signature(&self, b: Dim3) -> Option<u64> { None }\n}\n";
-        assert_eq!(signature_impl_types(&strip(src)), vec!["MyKernel"]);
+    fn kernel_types_resolve_through_impl_headers() {
+        let src = "impl<T: Scalar> Kernel for MyKernel<'_, T> {\n    fn block_signature(&self, b: Dim3) -> Option<u64> { None }\n}\n\
+                   impl gpu_sim::Kernel for Plain {\n}\n\
+                   impl<T: Scalar> MyKernel<'_, T> {\n}\n\
+                   impl Default for NotAKernel {\n}\n";
+        assert_eq!(kernel_impl_types(&strip(src)), vec!["MyKernel", "Plain"]);
+    }
+
+    #[test]
+    fn unregistered_kernel_without_signature_is_flagged() {
+        // A kernel that never overrides `block_signature` still needs a
+        // registry entry.
+        let src = strip(
+            "impl Kernel for Orphan {\n    fn name(&self) -> String { String::new() }\n}\n\
+             impl Kernel for Listed {\n}\n",
+        );
+        let registry = strip("visit(&Listed { n: 4 });\n");
+        assert_eq!(unregistered_kernels(&src, &registry), vec!["Orphan"]);
     }
 
     #[test]
     fn registry_coverage_requires_a_construction_token() {
         // A doc-comment mention, an error string, or a bare `use` import of
-        // the type is not construction; only a `Type::` path token in code
-        // counts.
+        // the type is not construction; only a `Type::` path token or a
+        // `Type {` literal in code counts.
         let registry = strip(
             "use sputnik::{GhostKernel, RealKernel};\n\
              // GhostKernel is documented here but never built.\n\
@@ -451,12 +470,17 @@ mod tests {
         );
         assert!(!is_constructed("GhostKernel", &registry));
         assert!(is_constructed("RealKernel", &registry));
+        // Building `JointRealKernel` does not cover `RealKernel`.
+        let registry =
+            strip("let k = JointRealKernel::new();\nlet s = JointRealKernel { n: 1 };\n");
+        assert!(!is_constructed("RealKernel", &registry));
+        assert!(is_constructed("JointRealKernel", &registry));
     }
 
     #[test]
-    fn signature_types_skip_trait_defaults_and_test_modules() {
+    fn kernel_types_skip_trait_definition_and_test_modules() {
         let src = "pub trait Kernel {\n    fn block_signature(&self, _b: Dim3) -> Option<u64> { None }\n}\n\
                    #[cfg(test)]\nmod tests {\n    impl Kernel for Probe {\n        fn block_signature(&self, b: Dim3) -> Option<u64> { None }\n    }\n}\n";
-        assert!(signature_impl_types(&strip(src)).is_empty());
+        assert!(kernel_impl_types(&strip(src)).is_empty());
     }
 }

@@ -7,9 +7,9 @@
 //! list, so the "sanitized kernel set" and the "audited kernel set" cannot
 //! drift apart: a kernel added here is automatically both dynamically
 //! checked and statically audited. The workspace linter (`xlint`) closes
-//! the loop from the other side — any `impl Kernel` in the tree that
-//! defines `block_signature` but is never constructed in this file fails
-//! the `kernel-registry` lint, so new kernels cannot ship unaudited.
+//! the loop from the other side — any non-test `impl Kernel for T` under
+//! `crates/*/src` whose type is never constructed in this file fails the
+//! `kernel-registry` lint, so new kernels cannot ship unaudited.
 //!
 //! Operand lifetimes force the visitor shape: most kernels borrow their
 //! output matrix mutably, so the registry owns all operands on its stack
@@ -23,6 +23,10 @@ use baselines::{
     AsptDirection, AsptPlan, BlockSpmmKernel, EllSpmmKernel, GemmKernel, MergeSpmmKernel,
     NnzSplitSpmmKernel, TransposeKernel,
 };
+use dnn::layers::{BiasReluKernel, DenseSoftmaxKernel, DepthwiseConvKernel};
+use dnn::lstm::LstmElementwiseKernel;
+use dnn::Chw;
+use gpu_sim::microbench::{CopyKernel, FmaKernel, LatencyProbeKernel, SmemSweepKernel};
 use gpu_sim::{
     CheckLevel, Gpu, Kernel, LaunchCache, LaunchError, LaunchRequest, Launched,
     SddmmSoftmaxSpmmKernel,
@@ -235,6 +239,24 @@ pub fn for_each_kernel(visit: &mut dyn FnMut(&dyn Kernel)) {
             let kernel = ConstrainedGemmKernel::new(&lhs, &rhs_t, &mask, &mut values);
             visit(&kernel);
         }
+
+        // The dnn epilogues: fused bias + ReLU, dense softmax, and the LSTM
+        // gate update with hidden size m and batch n.
+        {
+            let x = Matrix::<f32>::random(m, n, seed + 11);
+            let bias = vec![0.25f32; 4 * m];
+            let mut out = Matrix::<f32>::zeros(m, n);
+            let kernel = BiasReluKernel::new(&x, &bias[..m], &mut out, true);
+            visit(&kernel);
+
+            let kernel = DenseSoftmaxKernel::new(&x, &mut out);
+            visit(&kernel);
+
+            let gates = Matrix::<f32>::random(4 * m, n, seed + 12);
+            let mut c_out = Matrix::<f32>::zeros(m, n);
+            let kernel = LstmElementwiseKernel::new(&gates, &bias, &x, &mut out, &mut c_out);
+            visit(&kernel);
+        }
     }
 
     // Shape-constrained baselines get dedicated launches.
@@ -257,35 +279,53 @@ pub fn for_each_kernel(visit: &mut dyn FnMut(&dyn Kernel)) {
         let kernel = BlockSpmmKernel::new(&bsr, &b, &mut out);
         visit(&kernel);
     }
-}
-
-/// Number of kernel/launch pairs [`for_each_kernel`] visits.
-pub fn pair_count() -> u64 {
-    let mut n = 0;
-    for_each_kernel(&mut |_| n += 1);
-    n
+    // Depthwise 3x3 convolution at both MobileNet strides, on an odd-sized
+    // image: stride 2 rounds the output up, and each channel's 256-pixel
+    // block is only partly full.
+    for stride in [1, 2] {
+        let input = Chw::random(6, 13, 11, 0xD3C0);
+        let filters = vec![0.1f32; 6 * 9];
+        let bias = vec![0.0f32; 6];
+        let (oh, ow) = DepthwiseConvKernel::out_dims(13, 11, stride);
+        let mut out = Chw::zeros(6, oh, ow);
+        let kernel = DepthwiseConvKernel::new(&input, &filters, &bias, &mut out, stride);
+        visit(&kernel);
+    }
+    // The device self-validation microbenchmarks, at small sizes.
+    visit(&CopyKernel { n: 16 * 1024 });
+    visit(&FmaKernel {
+        per_block: 64,
+        blocks: 8,
+    });
+    visit(&LatencyProbeKernel { accesses: 64 });
+    visit(&SmemSweepKernel {
+        rounds: 4,
+        blocks: 8,
+        conflict_ways: 1,
+    });
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// The registry is deterministic: 19 kernels per shape (three SpMM
+    /// The registry is deterministic: 22 kernels per shape (three SpMM
     /// configs, the accumulate variant, the two joint-sparsity LUT
-    /// granularities, the fused attention pipeline, and twelve other
-    /// kernels), merge-SpMM only where `n % 32 == 0` (shapes 0 and 1),
-    /// plus the two shape-constrained baselines.
+    /// granularities, the fused attention pipeline, the three dnn
+    /// epilogues, and twelve other kernels), merge-SpMM only where
+    /// `n % 32 == 0` (shapes 0 and 1), plus eight dedicated launches: the
+    /// two shape-constrained baselines, depthwise convolution at strides 1
+    /// and 2, and the four microbenchmarks.
     #[test]
     fn registry_enumerates_every_kernel() {
         let mut names = Vec::new();
         for_each_kernel(&mut |k| names.push(k.name().to_string()));
         let expected: usize = SHAPES
             .iter()
-            .map(|&(_, _, n, _)| 18 + usize::from(n % 32 == 0))
+            .map(|&(_, _, n, _)| 21 + usize::from(n % 32 == 0))
             .sum::<usize>()
-            + 2;
+            + 8;
         assert_eq!(names.len(), expected, "{names:?}");
-        assert_eq!(pair_count(), expected as u64);
         for expected in [
             "sputnik_spmm",
             "sputnik_joint_spmm",
@@ -303,6 +343,15 @@ mod tests {
             "cusparse_constrained_gemm",
             "aspt_spmm",
             "block_sparse_spmm",
+            "fused_bias_relu",
+            "dense_softmax",
+            "lstm_elementwise",
+            "depthwise_conv3x3_s1",
+            "depthwise_conv3x3_s2",
+            "microbench_copy",
+            "microbench_fma",
+            "microbench_latency",
+            "microbench_smem",
         ] {
             assert!(
                 names.iter().any(|n| n.starts_with(expected)),

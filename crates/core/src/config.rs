@@ -74,11 +74,6 @@ impl SpmmConfig {
         (self.block_items_x / self.vector_width).max(1)
     }
 
-    /// Threads per block.
-    pub fn block_threads(&self) -> u32 {
-        self.threads_x() * self.block_items_y
-    }
-
     /// Subwarps that share one 32-thread warp (1 when a subwarp spans a full
     /// warp or more).
     pub fn subwarps_per_warp(&self) -> u32 {
@@ -305,7 +300,6 @@ mod tests {
     fn thread_shapes() {
         let cfg = SpmmConfig::default();
         assert_eq!(cfg.threads_x(), 8); // 32 cols / vec4
-        assert_eq!(cfg.block_threads(), 32);
         assert_eq!(cfg.subwarps_per_warp(), 4);
     }
 

@@ -56,15 +56,15 @@ use crate::config::SpmmConfig;
 use crate::error::SputnikError;
 use crate::roma::{ROMA_MASK_INSTRS, ROMA_PRELUDE_INSTRS};
 use crate::spmm::{
-    dense_strip_sectors, effective_vw_a, gather_row_addrs, operand_fingerprint, require_finite,
-    resolve_subwarp, validate_spmm, SubwarpWork, BUF_A_INDICES, BUF_A_OFFSETS, BUF_A_VALUES, BUF_B,
-    BUF_C, BUF_SWIZZLE, MAX_BLOCK_SUBWARPS,
+    dense_strip_sectors, effective_vw_a, gather_row_addrs, require_finite, resolve_subwarp,
+    validate_spmm, SubwarpWork, BUF_A_INDICES, BUF_A_OFFSETS, BUF_A_VALUES, BUF_B, BUF_C,
+    BUF_SWIZZLE, MAX_BLOCK_SUBWARPS,
 };
 use gpu_sim::trace::{self, Entry};
 use gpu_sim::{
     AccessBound, AccessPattern, AlignmentFacts, BarrierFacts, BlockContext, BufferBound, BufferId,
-    BufferSpec, Dim3, Fingerprint, Gpu, Kernel, LaunchCache, LaunchRequest, LaunchStats, SmemScope,
-    StageBound, StaticFacts, SyncUnsafeSlice, VectorClass,
+    BufferSpec, Dim3, Gpu, Kernel, LaunchRequest, LaunchStats, SmemScope, StageBound, StaticFacts,
+    SyncUnsafeSlice, VectorClass,
 };
 use sparse::{CsrMatrix, Matrix, PatternLut, RowSwizzle, Scalar};
 
@@ -201,17 +201,6 @@ impl<'a, T: Scalar> JointSpmmKernel<'a, T> {
             cfg,
             n,
         })
-    }
-
-    /// The launch name for a configuration + granularity, without building a
-    /// kernel — lets cache lookups skip swizzle construction.
-    pub(crate) fn launch_name(cfg: &SpmmConfig, lut: &PatternLut) -> String {
-        format!(
-            "sputnik_joint_spmm_{}_{}_{}",
-            T::TAG,
-            cfg.tag(),
-            lut.granularity().tag()
-        )
     }
 
     fn vw_a(&self) -> u32 {
@@ -485,7 +474,12 @@ impl<'a, T: Scalar> JointSpmmKernel<'a, T> {
 
 impl<T: Scalar> Kernel for JointSpmmKernel<'_, T> {
     fn name(&self) -> String {
-        Self::launch_name(&self.cfg, self.lut)
+        format!(
+            "sputnik_joint_spmm_{}_{}_{}",
+            T::TAG,
+            self.cfg.tag(),
+            self.lut.granularity().tag()
+        )
     }
 
     fn grid(&self) -> Dim3 {
@@ -700,16 +694,6 @@ pub fn joint_heuristic<T: Scalar>(n: usize) -> SpmmConfig {
     cfg
 }
 
-/// The launch-cache fingerprint for a joint problem: the dense-kernel
-/// operand fingerprint (topology + `n`) mixed with the LUT's content
-/// fingerprint — two LUTs over different activations must never collide.
-fn joint_fingerprint<T: Scalar>(a: &CsrMatrix<T>, n: usize, lut: &PatternLut) -> u64 {
-    let mut fp = Fingerprint::new();
-    fp.write_u64(operand_fingerprint(a, n));
-    fp.write_u64(lut.fingerprint());
-    fp.finish()
-}
-
 /// Bump the joint-skip observability counters for one launch: LUT probes
 /// issued / probes that hit dead tiles: one counter-track sample each,
 /// bumping the counter of the same name.
@@ -766,51 +750,13 @@ pub fn joint_spmm_profile<T: Scalar>(
     lut: &PatternLut,
     cfg: SpmmConfig,
 ) -> LaunchStats {
-    profile_joint(gpu, None, a, b_rows, n, lut, cfg).0
-}
-
-/// [`joint_spmm_profile`] through a cross-launch [`LaunchCache`]: returns
-/// the stats plus whether they were served from the cache. The key mixes
-/// the sparse-topology fingerprint with the LUT fingerprint — the skip
-/// pattern is a first-class problem dimension.
-pub fn joint_spmm_profile_cached<T: Scalar>(
-    gpu: &Gpu,
-    cache: &LaunchCache,
-    a: &CsrMatrix<T>,
-    b_rows: usize,
-    n: usize,
-    lut: &PatternLut,
-    cfg: SpmmConfig,
-) -> (LaunchStats, bool) {
-    profile_joint(gpu, Some(cache), a, b_rows, n, lut, cfg)
-}
-
-/// The profile launch behind [`joint_spmm_profile`] and
-/// [`joint_spmm_profile_cached`]; a cache hit builds neither the swizzle
-/// nor the kernel, and only simulated launches count skip metrics.
-fn profile_joint<T: Scalar>(
-    gpu: &Gpu,
-    cache: Option<&LaunchCache>,
-    a: &CsrMatrix<T>,
-    b_rows: usize,
-    n: usize,
-    lut: &PatternLut,
-    cfg: SpmmConfig,
-) -> (LaunchStats, bool) {
     assert_eq!(a.cols(), b_rows, "inner dimensions must agree");
-    let build = |go: &mut dyn FnMut(&dyn Kernel)| {
-        let swizzle = RowSwizzle::for_config(a, cfg.row_swizzle);
-        let kernel = JointSpmmKernel::<T>::for_profile(a, n, &swizzle, lut, cfg)
-            .unwrap_or_else(|e| panic!("{e}"));
-        go(&kernel);
-    };
-    let req = LaunchRequest::profile_lazy(JointSpmmKernel::<T>::launch_name(&cfg, lut), &build)
-        .cached(cache.map(|c| (c, joint_fingerprint(a, n, lut))));
-    let launched = gpu.run(&req).unwrap_or_else(|e| panic!("{e}"));
-    if !launched.hit {
-        record_skip_metrics(a, lut);
-    }
-    (launched.stats, launched.hit)
+    let swizzle = RowSwizzle::for_config(a, cfg.row_swizzle);
+    let kernel = JointSpmmKernel::<T>::for_profile(a, n, &swizzle, lut, cfg)
+        .unwrap_or_else(|e| panic!("{e}"));
+    let stats = gpu.profile(&kernel);
+    record_skip_metrics(a, lut);
+    stats
 }
 
 #[cfg(test)]
@@ -941,25 +887,6 @@ mod tests {
         let profile = joint_spmm_profile(&gpu, &a, 128, 64, &lut, cfg);
         assert_eq!(launch.instructions, profile.instructions);
         assert!((launch.time_us - profile.time_us).abs() < 1e-9);
-    }
-
-    #[test]
-    fn cached_profile_replays_identical_stats() {
-        let (a, b) = problem(64, 128, 64, 0.7);
-        let lut = PatternLut::build(&b, PatternGranularity::Fine);
-        let gpu = Gpu::v100();
-        let cache = gpu_sim::LaunchCache::new();
-        let cfg = SpmmConfig::default();
-        let (first, hit1) = joint_spmm_profile_cached(&gpu, &cache, &a, 128, 64, &lut, cfg);
-        let (second, hit2) = joint_spmm_profile_cached(&gpu, &cache, &a, 128, 64, &lut, cfg);
-        assert!(!hit1);
-        assert!(hit2);
-        assert_eq!(first, second);
-        // A different LUT over the same topology is a different problem.
-        let b2 = gen::activations(128, 64, 0.3, 99);
-        let lut2 = PatternLut::build(&b2, PatternGranularity::Fine);
-        let (_, hit3) = joint_spmm_profile_cached(&gpu, &cache, &a, 128, 64, &lut2, cfg);
-        assert!(!hit3, "LUT content must be part of the cache key");
     }
 
     #[test]

@@ -26,8 +26,7 @@ pub use config::{SddmmConfig, SpmmConfig};
 pub use dispatch::{DispatchPolicy, DispatchReport, FallbackSpmmKernel, Rung};
 pub use error::SputnikError;
 pub use joint::{
-    joint_heuristic, joint_spmm, joint_spmm_profile, joint_spmm_profile_cached, try_joint_spmm,
-    JointSpmmKernel, BUF_LUT,
+    joint_heuristic, joint_spmm, joint_spmm_profile, try_joint_spmm, JointSpmmKernel, BUF_LUT,
 };
 pub use plan::{
     attention_configs, sparse_attention_fused, sparse_attention_fused_profile,

@@ -5,8 +5,7 @@
 //! are exactly matrix multiplications), depthwise convolutions with fused
 //! bias + ReLU ("for depthwise convolution, we wrote kernels that support
 //! fused bias and ReLU operations"), a standalone fused bias + ReLU kernel
-//! for the dense baselines, a dense row-softmax for dense attention, im2col
-//! for 3x3 convolutions, and batch-norm folding.
+//! for the dense baselines, and a dense row-softmax for dense attention.
 
 use gpu_sim::{
     AccessPattern, BlockContext, BufferId, BufferSpec, Dim3, Gpu, Kernel, LaunchStats,
@@ -643,62 +642,6 @@ pub fn dense_softmax_scaled_profile(gpu: &Gpu, m: usize, n: usize, scale: f32) -
     gpu.profile(&DenseSoftmaxKernel::for_profile(m, n).with_scale(scale))
 }
 
-// ---------------------------------------------------------------------------
-// Host-side helpers
-// ---------------------------------------------------------------------------
-
-/// im2col for 3x3 convolutions: lowers a CHW image to a `(C*9) x (Ho*Wo)`
-/// matrix so the convolution becomes a GEMM/SpMM. "We benchmark convolution
-/// operations found in ResNet-50 as an im2col transform on the input data
-/// followed by SpMM ... we do not include the time of the im2col transform"
-/// — matching that, this runs on the host and is not timed.
-pub fn im2col_3x3(input: &Chw, stride: usize) -> Matrix<f32> {
-    let (oh, ow) = DepthwiseConvKernel::out_dims(input.height, input.width, stride);
-    let mut out = Matrix::zeros(input.channels * 9, oh * ow);
-    for c in 0..input.channels {
-        for ky in 0..3i64 {
-            for kx in 0..3i64 {
-                let r = c * 9 + (ky * 3 + kx) as usize;
-                for oy in 0..oh {
-                    for ox in 0..ow {
-                        let iy = (oy * stride) as i64 + ky - 1;
-                        let ix = (ox * stride) as i64 + kx - 1;
-                        out.set(r, oy * ow + ox, input.get(c, iy, ix));
-                    }
-                }
-            }
-        }
-    }
-    out
-}
-
-/// Fold batch normalization into the preceding linear operation's weights
-/// and bias: `w' = w * gamma / sqrt(var + eps)`, `b' = (b - mean) * gamma /
-/// sqrt(var + eps) + beta`. "At inference time, batch normalization can be
-/// fused into the preceding linear operation."
-pub fn fold_batchnorm(
-    weights: &mut Matrix<f32>,
-    bias: &mut [f32],
-    gamma: &[f32],
-    beta: &[f32],
-    mean: &[f32],
-    var: &[f32],
-    eps: f32,
-) {
-    let m = weights.rows();
-    assert!(
-        bias.len() == m && gamma.len() == m && beta.len() == m && mean.len() == m && var.len() == m
-    );
-    for r in 0..m {
-        let scale = gamma[r] / (var[r] + eps).sqrt();
-        for c in 0..weights.cols() {
-            let w = weights.get(r, c);
-            weights.set(r, c, w * scale);
-        }
-        bias[r] = (bias[r] - mean[r]) * scale + beta[r];
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -793,58 +736,6 @@ mod tests {
         for r in 0..16 {
             let sum: f32 = (0..40).map(|c| y.get(r, c)).sum();
             assert!((sum - 1.0).abs() < 1e-5);
-        }
-    }
-
-    #[test]
-    fn im2col_matches_direct_convolution() {
-        // Full conv via im2col + GEMM equals the direct computation.
-        let input = Chw::random(3, 6, 6, 89);
-        let w = Matrix::<f32>::random(5, 27, 90); // 5 output channels, 3x3x3
-        let cols = im2col_3x3(&input, 1);
-        let y = w.matmul(&cols);
-        // Direct: out[o][y][x] = sum_c sum_k w[o][c*9+k] * in[c, y+ky-1, x+kx-1]
-        for o in 0..5 {
-            for oy in 0..6i64 {
-                for ox in 0..6i64 {
-                    let mut acc = 0.0f32;
-                    for c in 0..3 {
-                        for ky in 0..3i64 {
-                            for kx in 0..3i64 {
-                                acc += w.get(o, c * 9 + (ky * 3 + kx) as usize)
-                                    * input.get(c, oy + ky - 1, ox + kx - 1);
-                            }
-                        }
-                    }
-                    let got = y.get(o, (oy * 6 + ox) as usize);
-                    assert!((got - acc).abs() < 1e-4, "({o},{oy},{ox})");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn batchnorm_folding_preserves_output() {
-        let mut w = Matrix::<f32>::random(8, 8, 91);
-        let mut bias = vec![0.1f32; 8];
-        let orig_w = w.clone();
-        let orig_b = bias.clone();
-        let gamma = vec![1.5f32; 8];
-        let beta = vec![0.2f32; 8];
-        let mean = vec![0.3f32; 8];
-        let var = vec![0.8f32; 8];
-        fold_batchnorm(&mut w, &mut bias, &gamma, &beta, &mean, &var, 1e-5);
-        let x = Matrix::<f32>::random(8, 4, 92);
-        // Folded: w'x + b' must equal gamma*(wx + b - mean)/sqrt(var+eps) + beta.
-        let folded = w.matmul(&x);
-        let raw = orig_w.matmul(&x);
-        for r in 0..8 {
-            for c in 0..4 {
-                let scale = gamma[r] / (var[r] + 1e-5f32).sqrt();
-                let want = (raw.get(r, c) + orig_b[r] - mean[r]) * scale + beta[r];
-                let got = folded.get(r, c) + bias[r];
-                assert!((got - want).abs() < 1e-4);
-            }
         }
     }
 

@@ -277,48 +277,6 @@ impl Kernel for LstmElementwiseKernel<'_> {
     }
 }
 
-/// Run the cell over a `T`-step input sequence (cost-model-friendly: the
-/// per-step kernels are identical, so the first step is simulated and the
-/// rest reuse its cost; the sequence-level serialization — each step depends
-/// on the previous hidden state — means no cross-step overlap beyond launch
-/// pipelining).
-pub struct SequenceRun {
-    pub final_h: Matrix<f32>,
-    pub final_c: Matrix<f32>,
-    pub steps: usize,
-    pub total_us: f64,
-    pub per_step_us: f64,
-}
-
-impl SparseLstmCell {
-    /// Functionally run `xs` (each `I x batch`) through the cell.
-    pub fn run_sequence(&self, gpu: &Gpu, xs: &[Matrix<f32>]) -> SequenceRun {
-        assert!(!xs.is_empty());
-        let batch = xs[0].cols();
-        let mut h = Matrix::<f32>::zeros(self.hidden, batch);
-        let mut c = Matrix::<f32>::zeros(self.hidden, batch);
-        let mut total_us = 0.0;
-        let overhead = gpu.device().launch_overhead_us;
-        for (i, x) in xs.iter().enumerate() {
-            let step = self.step(gpu, x, &h, &c);
-            // Within a step the three kernels pipeline their launches; across
-            // steps the dependency chain allows the same overlap.
-            let pipelined =
-                step.total_us() - 2.0 * overhead * 0.7 - if i > 0 { overhead * 0.7 } else { 0.0 };
-            total_us += pipelined.max(overhead);
-            h = step.h;
-            c = step.c;
-        }
-        SequenceRun {
-            final_h: h,
-            final_c: c,
-            steps: xs.len(),
-            total_us,
-            per_step_us: total_us / xs.len() as f64,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -384,28 +342,6 @@ mod tests {
             c = step.c;
             assert!(h.as_slice().iter().all(|v| v.abs() <= 1.0 + 1e-6));
         }
-    }
-
-    #[test]
-    fn sequence_run_matches_stepping_manually() {
-        let cell = SparseLstmCell::random(12, 10, 0.6, 609);
-        let gpu = Gpu::v100();
-        let xs: Vec<Matrix<f32>> = (0..4).map(|i| Matrix::random(12, 3, 620 + i)).collect();
-        let run = cell.run_sequence(&gpu, &xs);
-
-        let mut h = Matrix::<f32>::zeros(10, 3);
-        let mut c = Matrix::<f32>::zeros(10, 3);
-        for x in &xs {
-            let s = cell.step(&gpu, x, &h, &c);
-            h = s.h;
-            c = s.c;
-        }
-        assert!(run.final_h.max_abs_diff(&h) < 1e-6);
-        assert!(run.final_c.max_abs_diff(&c) < 1e-6);
-        assert_eq!(run.steps, 4);
-        // Launch pipelining makes the sequence cheaper than naive stepping.
-        let naive: f64 = 4.0 * cell.step(&gpu, &xs[0], &h, &c).total_us();
-        assert!(run.total_us < naive);
     }
 
     #[test]

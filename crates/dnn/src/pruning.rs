@@ -72,21 +72,6 @@ pub fn threshold_activations(x: &mut Matrix<f32>, tau: f32) -> f64 {
     }
 }
 
-/// Gradual pruning schedule from Zhu & Gupta: the sparsity at training step
-/// `t` ramps cubically from `initial` to `final_sparsity` between steps
-/// `begin` and `end`. The paper trains its sparse models 10x longer "which
-/// helps the sparse models converge while being pruned".
-pub fn gradual_sparsity(t: u64, begin: u64, end: u64, initial: f64, final_sparsity: f64) -> f64 {
-    if t <= begin {
-        return initial;
-    }
-    if t >= end {
-        return final_sparsity;
-    }
-    let frac = 1.0 - (t - begin) as f64 / (end - begin) as f64;
-    final_sparsity + (initial - final_sparsity) * frac * frac * frac
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -152,23 +137,5 @@ mod tests {
         assert_eq!(zeros as f64 / 64.0, frac);
         // Idempotent: a second pass changes nothing.
         assert_eq!(threshold_activations(&mut x, 0.15), frac);
-    }
-
-    #[test]
-    fn gradual_schedule_ramps_cubically() {
-        assert_eq!(gradual_sparsity(0, 100, 1100, 0.0, 0.9), 0.0);
-        assert_eq!(gradual_sparsity(2000, 100, 1100, 0.0, 0.9), 0.9);
-        let mid = gradual_sparsity(600, 100, 1100, 0.0, 0.9);
-        assert!(
-            mid > 0.7 && mid < 0.9,
-            "cubic ramp is front-loaded, got {mid}"
-        );
-        // Monotone non-decreasing.
-        let mut prev = 0.0;
-        for t in (0..1200).step_by(50) {
-            let s = gradual_sparsity(t, 100, 1100, 0.0, 0.9);
-            assert!(s >= prev);
-            prev = s;
-        }
     }
 }

@@ -125,17 +125,6 @@ pub fn profile_problem(
 /// The paper's hidden-size list.
 pub const PAPER_HIDDEN_SIZES: [usize; 4] = [1024, 2048, 4096, 8192];
 
-/// The Figure 1 problem: "input size 8192, hidden size 2048, and batch size
-/// 128" — an LSTM recurrent matmul with M = 8192 = 4 x 2048.
-pub fn figure1_problem(sparsity: f64) -> RnnProblem {
-    RnnProblem {
-        cell: CellKind::Lstm,
-        hidden: 2048,
-        sparsity,
-        batch: 128,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -144,14 +133,6 @@ mod tests {
     fn suite_size_matches_paper() {
         // 3 cells x 4 sizes x 3 sparsities x 2 batches = 72 problems.
         assert_eq!(problem_suite(&PAPER_HIDDEN_SIZES).len(), 72);
-    }
-
-    #[test]
-    fn figure1_shape() {
-        let p = figure1_problem(0.9);
-        assert_eq!(p.m(), 8192);
-        assert_eq!(p.k(), 2048);
-        assert_eq!(p.n(), 128);
     }
 
     #[test]
@@ -191,7 +172,12 @@ mod tests {
 
     #[test]
     fn labels_are_figure10_format() {
-        let p = figure1_problem(0.9);
+        let p = RnnProblem {
+            cell: CellKind::Lstm,
+            hidden: 2048,
+            sparsity: 0.9,
+            batch: 128,
+        };
         assert_eq!(p.label(), "LSTM 8192/2048/128/90");
     }
 }

@@ -1,6 +1,6 @@
 //! Property-based tests for the DNN substrate.
 
-use dnn::{magnitude_prune, pruning, MobileNetV1};
+use dnn::{magnitude_prune, MobileNetV1};
 use proptest::prelude::*;
 use sparse::Matrix;
 
@@ -36,22 +36,6 @@ proptest! {
                 }
             }
         }
-    }
-
-    /// The gradual schedule is monotone and bounded for any ordering of its
-    /// parameters.
-    #[test]
-    fn gradual_schedule_contract(begin in 0u64..1000, span in 1u64..5000,
-                                 init in 0.0f64..0.5, fin in 0.5f64..1.0) {
-        let end = begin + span;
-        let mut prev = init;
-        for t in (0..end + 500).step_by(97) {
-            let s = pruning::gradual_sparsity(t, begin, end, init, fin);
-            prop_assert!((init..=fin).contains(&s));
-            prop_assert!(s >= prev - 1e-12);
-            prev = s;
-        }
-        prop_assert_eq!(pruning::gradual_sparsity(end + 1, begin, end, init, fin), fin);
     }
 
     /// MobileNet width scaling: channels are multiples of 8, monotone in

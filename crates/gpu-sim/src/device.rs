@@ -218,9 +218,8 @@ impl DeviceConfig {
 ///
 /// Transfers are charged `latency + bytes / bandwidth` on the simulated
 /// clock — the standard alpha-beta (latency/bandwidth) model used by
-/// collective-communication cost analyses. Two profiles bracket real
-/// machines: [`LinkProfile::nvlink`] for NVLink-class fabrics (DGX-style
-/// boxes) and [`LinkProfile::pcie`] for PCIe-attached fleets.
+/// collective-communication cost analyses. [`LinkProfile::nvlink`] models
+/// an NVLink-class fabric (DGX-style boxes).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct LinkProfile {
     /// Profile name, e.g. `"NVLink2"`.
@@ -240,16 +239,6 @@ impl LinkProfile {
             name: "NVLink2".to_string(),
             bandwidth_gbps: 150.0,
             latency_us: 1.3,
-        }
-    }
-
-    /// PCIe 3.0 x16-class link: ~12 GB/s sustained, with a heavier
-    /// initiation cost through the host stack.
-    pub fn pcie() -> Self {
-        Self {
-            name: "PCIe3-x16".to_string(),
-            bandwidth_gbps: 12.0,
-            latency_us: 5.0,
         }
     }
 
@@ -344,8 +333,12 @@ mod tests {
             (us - (nv.latency_us + 1000.0)).abs() < 1e-9,
             "150 MB over NVLink should cost ~1 ms, got {us} us"
         );
-        // PCIe is strictly slower for any nonzero payload.
-        let pcie = LinkProfile::pcie();
+        // A PCIe 3.0 x16-class link is strictly slower for any nonzero payload.
+        let pcie = LinkProfile {
+            name: "PCIe3-x16".to_string(),
+            bandwidth_gbps: 12.0,
+            latency_us: 5.0,
+        };
         assert!(pcie.transfer_us(1 << 20) > nv.transfer_us(1 << 20));
     }
 }

@@ -55,17 +55,6 @@ impl Fingerprint {
         self
     }
 
-    /// Absorb raw bytes (e.g. a kernel name), length-prefixed like
-    /// [`Fingerprint::write_slice`].
-    pub fn write_bytes(&mut self, bytes: &[u8]) -> &mut Self {
-        self.write_usize(bytes.len());
-        for &b in bytes {
-            self.state ^= b as u64;
-            self.state = self.state.wrapping_mul(FNV_PRIME);
-        }
-        self
-    }
-
     pub fn finish(&self) -> u64 {
         self.state
     }
@@ -111,12 +100,6 @@ mod tests {
         let mut b = Fingerprint::new();
         b.write_slice(&[1, 2, 3, 4]).write_slice(&[]);
         assert_ne!(a.finish(), b.finish());
-
-        let mut c = Fingerprint::new();
-        c.write_bytes(b"ab").write_bytes(b"c");
-        let mut d = Fingerprint::new();
-        d.write_bytes(b"abc").write_bytes(b"");
-        assert_ne!(c.finish(), d.finish());
 
         // Same split, same content: still deterministic.
         let mut e = Fingerprint::new();

@@ -172,22 +172,15 @@ impl Fleet {
     /// `link`. Each device gets a unique name (`"<base>[dev<i>]"`) so
     /// launch-cache keys and trace tracks separate naturally.
     pub fn homogeneous(base: &DeviceConfig, n: usize, link: LinkProfile) -> Self {
-        let devs = (0..n)
-            .map(|i| {
-                let mut dev = base.clone();
-                dev.name = format!("{}[dev{i}]", base.name);
-                dev
-            })
-            .collect();
-        Self::from_devices(devs, link)
-    }
-
-    /// A fleet over an explicit (possibly heterogeneous) device list.
-    pub fn from_devices(devs: Vec<DeviceConfig>, link: LinkProfile) -> Self {
-        assert!(!devs.is_empty(), "a fleet needs at least one device");
-        let n = devs.len();
+        assert!(n > 0, "a fleet needs at least one device");
         Self {
-            gpus: devs.into_iter().map(Gpu::new).collect(),
+            gpus: (0..n)
+                .map(|i| {
+                    let mut dev = base.clone();
+                    dev.name = format!("{}[dev{i}]", base.name);
+                    Gpu::new(dev)
+                })
+                .collect(),
             link,
             queues: (0..n).map(|_| VecDeque::new()).collect(),
             clocks: vec![0.0; n],

@@ -10,8 +10,8 @@
 //!
 //! * a memory-coalescing model (32-byte sectors, alignment effects — the
 //!   machinery behind the paper's ROMA technique),
-//! * an L2/L1 cross-block reuse model (the source of the dense/sparse
-//!   crossover in the paper's Figure 1),
+//! * an analytic L2/L1 cross-block reuse model (the source of the
+//!   dense/sparse crossover in the paper's Figure 1),
 //! * an occupancy calculator and latency-hiding penalty (why 1-D tiling wins
 //!   on small problems),
 //! * the reverse-engineered Volta thread-block scheduler from Section V-C1
@@ -22,7 +22,8 @@
 //!
 //! Absolute times are model outputs, not silicon measurements; the model is
 //! calibrated once against the paper's anchor points (see `DESIGN.md`) and
-//! every comparative result is then emergent.
+//! every comparative result is then emergent. [`microbench`] checks the
+//! model against each device's datasheet bandwidth and FP32 peak.
 //!
 //! ## Example
 //!
@@ -56,7 +57,6 @@
 
 pub mod arena;
 pub mod cache;
-pub mod cache_sim;
 pub mod cost;
 pub mod device;
 pub mod dim;
@@ -81,7 +81,6 @@ pub mod util;
 
 pub use arena::{ScratchF32, ScratchU64};
 pub use cache::{AccessPattern, BufferSpec, DramTraffic};
-pub use cache_sim::{CacheConfig, CacheSim, CacheStats};
 pub use cost::{BlockContext, BlockCost, BlockCostLite, BufferId, Traffic, MAX_BUFFERS};
 pub use device::{DeviceConfig, LinkProfile};
 pub use dim::Dim3;

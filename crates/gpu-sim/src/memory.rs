@@ -97,35 +97,6 @@ pub fn vector_instr_count(total_elems: u64, lanes: u32, vec_width: u32) -> u64 {
     total_elems.div_ceil(per_instr.max(1))
 }
 
-/// Shared-memory bank-conflict multiplier for a warp access where lane `i`
-/// accesses 4-byte word index `i * stride_words`. Nvidia shared memory has 32
-/// banks of 4-byte words; an N-way conflict serializes into N passes.
-pub fn bank_conflict_ways(stride_words: u32, lanes: u32) -> u32 {
-    if lanes <= 1 {
-        return 1;
-    }
-    if stride_words == 0 {
-        // All lanes read the same word: hardware broadcasts in one pass.
-        return 1;
-    }
-    let stride = stride_words % 32;
-    if stride == 0 {
-        // Same bank, different words: fully serialized.
-        return lanes.min(32);
-    }
-    // Number of lanes mapping to the same bank = 32 / gcd-cycle length.
-    let g = gcd(stride, 32);
-    g.min(lanes)
-}
-
-fn gcd(a: u32, b: u32) -> u32 {
-    if b == 0 {
-        a
-    } else {
-        gcd(b, a % b)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -175,22 +146,5 @@ mod tests {
         assert_eq!(vector_instr_count(128, 32, 4), 1);
         // 8 lanes (subwarp), vec4: 128/(8*4) = 4 instructions.
         assert_eq!(vector_instr_count(128, 8, 4), 4);
-    }
-
-    #[test]
-    fn bank_conflicts() {
-        assert_eq!(bank_conflict_ways(1, 32), 1, "unit stride is conflict-free");
-        assert_eq!(bank_conflict_ways(2, 32), 2, "stride 2 is a 2-way conflict");
-        assert_eq!(bank_conflict_ways(32, 32), 32, "stride 32 serializes fully");
-        assert_eq!(
-            bank_conflict_ways(0, 32),
-            1,
-            "same-word access is a broadcast"
-        );
-        assert_eq!(
-            bank_conflict_ways(5, 32),
-            1,
-            "odd strides are conflict-free"
-        );
     }
 }

@@ -11,7 +11,6 @@
 //! pruning retains relative to unstructured pruning at equal parameter
 //! count.
 
-use crate::csr::CsrMatrix;
 use crate::dense::Matrix;
 use crate::element::Scalar;
 use serde::{Deserialize, Serialize};
@@ -272,12 +271,6 @@ pub fn block_magnitude_retention(dense: &Matrix<f32>, block_size: usize, sparsit
     kept_block / kept_unstructured
 }
 
-/// Convert a BSR matrix to CSR (dropping explicit zeros), e.g. to run the
-/// unstructured kernels on a block topology.
-pub fn bsr_to_csr(m: &BsrMatrix<f32>) -> CsrMatrix<f32> {
-    CsrMatrix::from_dense(&m.to_dense())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -342,14 +335,6 @@ mod tests {
             "retention must degrade: {r1} > {r4} > {r16}"
         );
         assert!(r16 > 0.3, "retention should stay meaningful, got {r16}");
-    }
-
-    #[test]
-    fn bsr_to_csr_preserves_values() {
-        let d = checkerboard(8, 2);
-        let m = BsrMatrix::from_dense(&d, 2);
-        let csr = bsr_to_csr(&m);
-        assert_eq!(csr.to_dense(), d);
     }
 
     #[test]

@@ -346,26 +346,6 @@ pub fn activations(k: usize, n: usize, zero_frac: f64, seed: u64) -> crate::Matr
     m
 }
 
-/// A deterministic banded matrix (useful for exact-value tests).
-pub fn banded(rows: usize, cols: usize, bandwidth: usize) -> CsrMatrix<f32> {
-    let mut row_offsets = vec![0u32];
-    let mut col_indices = Vec::new();
-    let mut values = Vec::new();
-    for i in 0..rows {
-        let lo = i.saturating_sub(bandwidth);
-        let hi = (i + bandwidth + 1).min(cols);
-        for j in lo..hi {
-            col_indices.push(j as u32);
-            values.push((i + j) as f32 + 1.0);
-        }
-        row_offsets.push(col_indices.len() as u32);
-    }
-    // Invariant: the band construction emits sorted, in-bounds indices.
-    #[allow(clippy::unwrap_used)]
-    let csr = CsrMatrix::from_parts(rows, cols, row_offsets, col_indices, values).unwrap();
-    csr
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -491,16 +471,6 @@ mod tests {
             }
         }
         assert!(near > far, "near {near} should exceed far {far}");
-    }
-
-    #[test]
-    fn banded_is_exactly_banded() {
-        let m = banded(8, 8, 1);
-        assert_eq!(m.row_len(0), 2);
-        assert_eq!(m.row_len(4), 3);
-        let d = m.to_dense();
-        assert_eq!(d.get(4, 3), 8.0);
-        assert_eq!(d.get(4, 6), 0.0);
     }
 
     #[test]

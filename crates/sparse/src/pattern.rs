@@ -217,27 +217,6 @@ impl PatternLut {
         ((kt * self.ntiles + nt) / 64) as u64 * 8
     }
 
-    /// An order-independent content fingerprint (dims, granularity, bits) —
-    /// the LaunchCache key component that keeps runs with different
-    /// activation patterns from replaying each other's stats.
-    pub fn fingerprint(&self) -> u64 {
-        // FNV-1a over the words plus the geometry, matching the fingerprint
-        // discipline elsewhere: lengths are folded so prefixes cannot alias.
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut fold = |v: u64| {
-            h ^= v;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        };
-        fold(self.rows as u64);
-        fold(self.cols as u64);
-        fold(self.granularity.tile_k() as u64);
-        fold(self.words.len() as u64);
-        for &w in &self.words {
-            fold(w);
-        }
-        h
-    }
-
     /// Count the warp-uniform probes a joint kernel would issue for sparse
     /// topology `a` against every output tile, and how many hit dead tiles:
     /// `(probes_total, probes_dead)`. One probe covers one
@@ -414,25 +393,6 @@ mod tests {
         }
         // Fine finds at least as many dead tiles proportionally.
         assert!(fine.dead_fraction() >= coarse.dead_fraction());
-    }
-
-    #[test]
-    fn fingerprint_tracks_content_and_geometry() {
-        let b1 = gen::activations(64, 64, 0.5, 1);
-        let b2 = gen::activations(64, 64, 0.5, 2);
-        let f1 = lut_of(&b1, PatternGranularity::Fine);
-        assert_eq!(
-            f1.fingerprint(),
-            lut_of(&b1, PatternGranularity::Fine).fingerprint()
-        );
-        assert_ne!(
-            f1.fingerprint(),
-            lut_of(&b2, PatternGranularity::Fine).fingerprint()
-        );
-        assert_ne!(
-            f1.fingerprint(),
-            lut_of(&b1, PatternGranularity::Coarse).fingerprint()
-        );
     }
 
     #[test]

@@ -1,13 +1,12 @@
 //! A tour of the GPU simulator itself: device self-validation against
-//! datasheet numbers, per-pipeline breakdowns of a real kernel, the exact
-//! cache simulator vs the analytic reuse model, and the block scheduler's
-//! response to load imbalance.
+//! datasheet numbers, per-pipeline breakdowns of a real kernel, and the block
+//! scheduler's response to load imbalance.
 //!
 //! ```bash
 //! cargo run --release --example simulator_tour
 //! ```
 
-use gpu_sim::{microbench, simulate_schedule, CacheConfig, CacheSim, Gpu};
+use gpu_sim::{microbench, simulate_schedule, Gpu};
 use sparse::gen;
 use sputnik::SpmmConfig;
 
@@ -40,26 +39,7 @@ fn main() {
         println!("  {name:>8} |{bar:<40}| {:5.1}%", util * 100.0);
     }
 
-    // --- 3. Exact cache simulation vs the analytic model -------------------
-    println!("\n== L2 reuse: exact LRU simulation of the SpMM's B-row accesses ==");
-    let mut sim = CacheSim::new(CacheConfig::v100_l2());
-    let n = 128usize;
-    for row in 0..a.rows() {
-        let (cols, _) = a.row(row);
-        for &c in cols {
-            sim.access_range((c as usize * n) as u64 * 4, 64 * 4);
-        }
-    }
-    let cache_stats = sim.stats();
-    println!(
-        "  {} sector accesses, {:.1}% hit in a 6 MiB L2 (footprint {} KB)",
-        cache_stats.accesses,
-        cache_stats.hit_rate() * 100.0,
-        2048 * n * 4 / 1024
-    );
-    println!("  -> this reuse is what makes moderate sparsity profitable (Section II).");
-
-    // --- 4. The Volta scheduler under imbalance ----------------------------
+    // --- 3. The Volta scheduler under imbalance ----------------------------
     println!("\n== block scheduler: 800 uniform blocks vs one 10x outlier ==");
     let dev = gpu.device();
     let uniform = vec![1_000.0f64; 800];

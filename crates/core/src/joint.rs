@@ -275,22 +275,17 @@ impl<'a, T: Scalar> JointSpmmKernel<'a, T> {
             return;
         };
         let b = b.as_slice();
-        for j in 0..sub.total {
+        // ROMA masking skips the prefix (it belongs to the previous row); a
+        // dead tile is skipped because every fma it would run is
+        // fma(val, +0.0, acc) == acc.
+        let terms = (sub.prefix..sub.total).filter_map(|j| {
             let pos = sub.aligned_offset + j;
-            if j < sub.prefix {
-                continue; // ROMA masking: the prefix belongs to the previous row.
-            }
             let val = values[pos].to_f32();
-            if val == 0.0 {
-                continue;
-            }
             let col = indices[pos] as usize;
-            if !self.lut.live_for(col, n_off) {
-                continue; // dead tile: every skipped fma is fma(val, +0.0, acc) == acc
-            }
-            let brow = &b[col * self.n + n_off..col * self.n + n_off + tile_w];
-            gpu_sim::lanes::fma_axpy(&mut acc, val, brow, |bv| bv.to_f32());
-        }
+            (val != 0.0 && self.lut.live_for(col, n_off))
+                .then(|| (val, &b[col * self.n + n_off..][..tile_w]))
+        });
+        gpu_sim::lanes::fma_accumulate(&mut acc, terms, |bv| bv.to_f32());
         for (x, &v) in acc.iter().enumerate() {
             unsafe { out.write(sub.row * self.n + n_off + x, T::from_f32(v)) };
         }

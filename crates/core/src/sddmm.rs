@@ -295,9 +295,7 @@ impl<T: Scalar> Kernel for SddmmKernel<'_, T> {
         let cfg = &self.cfg;
         let bix = cfg.block_items_x as usize;
         let row = if cfg.row_swizzle {
-            if cfg.row_swizzle {
-                ctx.ld_global(BUF_SWIZZLE, block.y as u64 * 4, 1, 1, 4);
-            }
+            ctx.ld_global(BUF_SWIZZLE, block.y as u64 * 4, 1, 1, 4);
             self.swizzle.row(block.y as usize)
         } else {
             block.y as usize
@@ -405,21 +403,21 @@ impl<T: Scalar> Kernel for SddmmKernel<'_, T> {
             };
             // Left-to-right FMA chain per dot, same order as the reference
             // product (horizontal reductions are never lane-split). Batches
-            // of four run their independent chains interleaved for ILP.
-            let mut quads = strip_cols.chunks_exact(4);
+            // of eight run their independent chains side by side, one per
+            // vector lane.
+            let mut octets = strip_cols.chunks_exact(8);
             let mut t = 0;
-            for q in &mut quads {
-                let accs = gpu_sim::lanes::fma_dot4(
-                    lrow,
-                    [rrow(q[0]), rrow(q[1]), rrow(q[2]), rrow(q[3])],
-                    |v| v.to_f32(),
-                );
+            for o in &mut octets {
+                let accs =
+                    gpu_sim::lanes::fma_dot8(lrow, std::array::from_fn(|c| rrow(o[c])), |v| {
+                        v.to_f32()
+                    });
                 for acc in accs {
                     emit(t, acc);
                     t += 1;
                 }
             }
-            for &j in quads.remainder() {
+            for &j in octets.remainder() {
                 emit(t, gpu_sim::lanes::fma_dot(lrow, rrow(j), |v| v.to_f32()));
                 t += 1;
             }

@@ -366,20 +366,14 @@ impl<'a, T: Scalar> SpmmKernel<'a, T> {
                 *slot = unsafe { out.read(sub.row * self.n + n_off + x) }.to_f32();
             }
         }
-        for j in 0..sub.total {
+        // ROMA masking: the prefix belongs to the previous row.
+        let terms = (sub.prefix..sub.total).filter_map(|j| {
             let pos = sub.aligned_offset + j;
-            // ROMA masking: the prefix belongs to the previous row.
-            let (val, col) = if j < sub.prefix {
-                (0.0f32, 0usize)
-            } else {
-                (values[pos].to_f32(), indices[pos] as usize)
-            };
-            if val == 0.0 {
-                continue;
-            }
-            let brow = &b[col * self.n + n_off..col * self.n + n_off + tile_w];
-            gpu_sim::lanes::fma_axpy(&mut acc, val, brow, |bv| bv.to_f32());
-        }
+            let val = values[pos].to_f32();
+            let col = indices[pos] as usize;
+            (val != 0.0).then(|| (val, &b[col * self.n + n_off..][..tile_w]))
+        });
+        gpu_sim::lanes::fma_accumulate(&mut acc, terms, |bv| bv.to_f32());
         let bias = self.bias.map(|bias| bias[sub.row]).unwrap_or(0.0);
         for (x, &v) in acc.iter().enumerate() {
             let v = if self.cfg.fused_bias_relu {

@@ -14,12 +14,12 @@
 //!
 //! **Bit-exactness contract.** The functional body performs, per output
 //! element, the *identical* chain of `mul_add`s the three separate kernels
-//! perform (`lanes::fma_dot4`/`fma_dot` for the scores in SDDMM strip
+//! perform (`lanes::fma_dot8`/`fma_dot` for the scores in SDDMM strip
 //! order, the exact `SparseSoftmaxKernel` max/exp/normalize body including
-//! its ±inf branches and denominator clamp, `lanes::fma_axpy` over the V
-//! row tiles with the SpMM's zero-probability skip). Intermediate values
-//! round-trip through `T` exactly where the unfused pipeline stores and
-//! reloads them. The `fusion_equivalence` suite pins bitwise equality
+//! its ±inf branches and denominator clamp, `lanes::fma_accumulate` over
+//! the V row tiles with the SpMM's zero-probability skip). Intermediate
+//! values round-trip through `T` exactly where the unfused pipeline stores
+//! and reloads them. The `fusion_equivalence` suite pins bitwise equality
 //! against the three-launch reference.
 //!
 //! `sputnik::plan` only builds this kernel after proving the
@@ -380,26 +380,25 @@ impl<T: Scalar> Kernel for SddmmSoftmaxSpmmKernel<'_, T> {
             let rrow = |j: u32| &kd[j as usize * k..(j as usize + 1) * k];
 
             // Stage 1 — scores, in the unfused SDDMM's strip-chunked order
-            // (quad chains reset at strip boundaries exactly as there).
+            // (eight-chain batches reset at strip boundaries exactly as there).
             // Each score round-trips through T, as the unfused kernel's
             // global store/reload does.
             let mut staged = ctx.scratch_f32(len);
             for (strip, strip_cols) in cols.chunks(self.sddmm_tile).enumerate() {
                 let base = strip * self.sddmm_tile;
-                let mut quads = strip_cols.chunks_exact(4);
+                let mut octets = strip_cols.chunks_exact(8);
                 let mut t = 0;
-                for quad in &mut quads {
-                    let accs = lanes::fma_dot4(
-                        lrow,
-                        [rrow(quad[0]), rrow(quad[1]), rrow(quad[2]), rrow(quad[3])],
-                        |x| x.to_f32(),
-                    );
+                for octet in &mut octets {
+                    let accs =
+                        lanes::fma_dot8(lrow, std::array::from_fn(|c| rrow(octet[c])), |x| {
+                            x.to_f32()
+                        });
                     for acc in accs {
                         staged[base + t] = T::from_f32(acc).to_f32();
                         t += 1;
                     }
                 }
-                for &j in quads.remainder() {
+                for &j in octets.remainder() {
                     staged[base + t] =
                         T::from_f32(lanes::fma_dot(lrow, rrow(j), |x| x.to_f32())).to_f32();
                     t += 1;
@@ -452,14 +451,12 @@ impl<T: Scalar> Kernel for SddmmSoftmaxSpmmKernel<'_, T> {
             while n_off < n {
                 let tile_w = self.spmm_tile.min(n - n_off);
                 let mut acc = ctx.scratch_f32(tile_w);
-                for (t, &j) in cols.iter().enumerate() {
-                    let val = staged[t];
-                    if val == 0.0 {
-                        continue;
-                    }
-                    let brow = &vd[j as usize * n + n_off..j as usize * n + n_off + tile_w];
-                    lanes::fma_axpy(&mut acc, val, brow, |x| x.to_f32());
-                }
+                let terms = cols
+                    .iter()
+                    .zip(staged.iter())
+                    .filter(|&(_, &val)| val != 0.0)
+                    .map(|(&j, &val)| (val, &vd[j as usize * n + n_off..][..tile_w]));
+                lanes::fma_accumulate(&mut acc, terms, |x| x.to_f32());
                 for (x, &a) in acc.iter().enumerate() {
                     unsafe { out.write(row * n + n_off + x, T::from_f32(a)) };
                 }

@@ -3,10 +3,13 @@
 //! The paper's kernels win on hardware by keeping every lane of a vector
 //! unit busy on independent output columns (Section V-A: subwarp tiling,
 //! vector memory ops). The simulator's functional bodies reproduce the same
-//! structure on the CPU: the helpers here process independent output columns
-//! in fixed-width chunks of [`LANES`] with `f32::mul_add`, which the
-//! compiler lowers to packed FMA (`.cargo/config.toml` targets the host CPU
-//! so `mul_add` is a hardware instruction, not a libm call).
+//! structure on the CPU: [`fma_accumulate`] keeps a register group of 32
+//! independent output columns resident across a whole reduction, and
+//! [`fma_dot8`] runs eight independent dot-product chains side by side, so
+//! the host's FMA units always have independent work. Both use
+//! `f32::mul_add`, which the compiler lowers to FMA (`.cargo/config.toml`
+//! targets the host CPU so `mul_add` is a hardware instruction, not a libm
+//! call).
 //!
 //! ## The accumulation-order invariant
 //!
@@ -22,8 +25,15 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Lanes per chunk. Eight f32s = one AVX2 register; the compiler unrolls
-/// the fixed-size inner loop into packed FMAs.
+/// the fixed-size inner loop into packed FMAs. A chunk's accumulators form
+/// one dependent chain across the terms, so a chunk alone issues one packed
+/// FMA per FMA latency.
 pub const LANES: usize = 8;
+
+/// Columns per register group in [`fma_accumulate`]: four chunks, i.e. four
+/// independent FMA chains in four vector registers, enough to hide the FMA
+/// latency (a 64-column group measured slower; see EXPERIMENTS.md).
+const GROUP: usize = 4 * LANES;
 
 /// Process-wide path selector: vectorized unless [`set_vectorized`] turned
 /// it off.
@@ -41,51 +51,22 @@ pub fn set_vectorized(on: bool) {
     VECTORIZED.store(on, Ordering::Relaxed);
 }
 
-/// `acc[i] = a.mul_add(to(b[i]), acc[i])` for every `i` — one sparse
-/// nonzero scaled into a row tile of independent output columns. `to`
-/// converts the stored element type (e.g. half) to f32; for `f32` inputs it
-/// is the identity and the loop compiles to packed FMA.
-///
-/// Panics if the slices differ in length (a tile-shape bug, not a runtime
-/// condition).
-#[inline]
-pub fn fma_axpy<T: Copy>(acc: &mut [f32], a: f32, b: &[T], to: impl Fn(T) -> f32) {
-    assert_eq!(acc.len(), b.len(), "tile widths must agree");
-    if vectorized() {
-        let head = acc.len() - acc.len() % LANES;
-        let (acc_head, acc_tail) = acc.split_at_mut(head);
-        let (b_head, b_tail) = b.split_at(head);
-        for (ac, bc) in acc_head
-            .chunks_exact_mut(LANES)
-            .zip(b_head.chunks_exact(LANES))
-        {
-            for i in 0..LANES {
-                ac[i] = a.mul_add(to(bc[i]), ac[i]);
-            }
-        }
-        for (av, &bv) in acc_tail.iter_mut().zip(b_tail) {
-            *av = a.mul_add(to(bv), *av);
-        }
-    } else {
-        for (av, &bv) in acc.iter_mut().zip(b) {
-            *av = a.mul_add(to(bv), *av);
-        }
-    }
-}
-
 /// Full tile reduction with register-resident accumulators:
 /// `acc[i] = term_k.0.mul_add(to(term_k.1[i]), acc[i])` for every term, in
-/// term order. Equivalent to calling [`fma_axpy`] once per term, but the
-/// vectorized path walks the terms once per [`LANES`]-wide chunk so the
-/// chunk's accumulator lives in a vector register across the whole
-/// reduction instead of round-tripping the stack on every term — the same
+/// term order. `to` converts the stored element type (e.g. half) to f32; for
+/// `f32` inputs it is the identity and the loops compile to packed FMA.
+///
+/// The vectorized path walks the terms once per register group of 32
+/// columns, then once per leftover [`LANES`]-wide chunk, then once for the
+/// scalar tail. A group's accumulators live in vector registers across the
+/// whole reduction instead of round-tripping memory on every term — the
 /// trick the paper's kernels use to keep partial sums in registers across
-/// the K loop.
+/// the K loop — and its four chunks are independent FMA chains, enough to
+/// cover the FMA latency that a single chunk's chain exposes on every term.
 ///
 /// Each element still accumulates its terms in exactly the given order, so
-/// the result is bit-identical to the scalar path (and to a per-term
-/// [`fma_axpy`] loop). Every term's slice must be at least `acc.len()`
-/// long; extra elements are ignored.
+/// the result is bit-identical to the scalar path. Every term's slice must
+/// be at least `acc.len()` long; extra elements are ignored.
 #[inline]
 pub fn fma_accumulate<'a, T: Copy + 'a>(
     acc: &mut [f32],
@@ -94,19 +75,13 @@ pub fn fma_accumulate<'a, T: Copy + 'a>(
 ) {
     let n = acc.len();
     if vectorized() {
+        let grouped = n - n % GROUP;
         let head = n - n % LANES;
-        let mut c0 = 0;
-        while c0 < head {
-            let mut v = [0.0f32; LANES];
-            v.copy_from_slice(&acc[c0..c0 + LANES]);
-            for (a, row) in terms.clone() {
-                let chunk = &row[c0..c0 + LANES];
-                for (vi, &bv) in v.iter_mut().zip(chunk) {
-                    *vi = a.mul_add(to(bv), *vi);
-                }
-            }
-            acc[c0..c0 + LANES].copy_from_slice(&v);
-            c0 += LANES;
+        for c0 in (0..grouped).step_by(GROUP) {
+            accumulate_cols::<T, GROUP>(acc, c0, terms.clone(), to);
+        }
+        for c0 in (grouped..head).step_by(LANES) {
+            accumulate_cols::<T, LANES>(acc, c0, terms.clone(), to);
         }
         if head < n {
             for (a, row) in terms {
@@ -122,6 +97,25 @@ pub fn fma_accumulate<'a, T: Copy + 'a>(
             }
         }
     }
+}
+
+/// One `W`-column block of [`fma_accumulate`]: load the block's
+/// accumulators, fold every term into them, store them back once.
+#[inline(always)]
+fn accumulate_cols<'a, T: Copy + 'a, const W: usize>(
+    acc: &mut [f32],
+    c0: usize,
+    terms: impl Iterator<Item = (f32, &'a [T])>,
+    to: impl Fn(T) -> f32,
+) {
+    let mut v = [0.0f32; W];
+    v.copy_from_slice(&acc[c0..c0 + W]);
+    for (a, row) in terms {
+        for (vi, &bv) in v.iter_mut().zip(&row[c0..c0 + W]) {
+            *vi = a.mul_add(to(bv), *vi);
+        }
+    }
+    acc[c0..c0 + W].copy_from_slice(&v);
 }
 
 /// Two-row variant of [`fma_accumulate`]: both accumulator rows reduce the
@@ -192,21 +186,23 @@ pub fn fma_dot<T: Copy>(a: &[T], b: &[T], to: impl Fn(T) -> f32) -> f32 {
     acc
 }
 
-/// Four independent dot products against a shared left operand, with the
-/// chains interleaved step-by-step. Each chain accumulates left to right
-/// exactly like [`fma_dot`] — interleaving only overlaps the *independent*
-/// chains' FMA latencies (instruction-level parallelism), it never
-/// reassociates a sum, so every result is bit-identical to four separate
-/// [`fma_dot`] calls.
+/// Eight independent dot products against a shared left operand, with the
+/// chains interleaved step by step. Each chain accumulates left to right
+/// exactly like [`fma_dot`]; the chains are independent, so the compiler
+/// can run all eight as the lanes of one 8-wide FMA per step (the left
+/// element broadcast). That never reassociates a sum, so every result is
+/// bit-identical to eight separate [`fma_dot`] calls. The right operands
+/// are cut to `a.len()` up front, which moves their bounds checks out of
+/// the loop; each must be at least that long.
 #[inline]
-pub fn fma_dot4<T: Copy>(a: &[T], b: [&[T]; 4], to: impl Fn(T) -> f32 + Copy) -> [f32; 4] {
-    let mut acc = [0.0f32; 4];
+pub fn fma_dot8<T: Copy>(a: &[T], b: [&[T]; 8], to: impl Fn(T) -> f32 + Copy) -> [f32; 8] {
+    let b = b.map(|row| &row[..a.len()]);
+    let mut acc = [0.0f32; 8];
     for (i, &av) in a.iter().enumerate() {
         let av = to(av);
-        acc[0] = av.mul_add(to(b[0][i]), acc[0]);
-        acc[1] = av.mul_add(to(b[1][i]), acc[1]);
-        acc[2] = av.mul_add(to(b[2][i]), acc[2]);
-        acc[3] = av.mul_add(to(b[3][i]), acc[3]);
+        for (c, row) in acc.iter_mut().zip(&b) {
+            *c = av.mul_add(to(row[i]), *c);
+        }
     }
     acc
 }
@@ -215,55 +211,44 @@ pub fn fma_dot4<T: Copy>(a: &[T], b: [&[T]; 4], to: impl Fn(T) -> f32 + Copy) ->
 mod tests {
     use super::*;
 
-    #[test]
-    fn axpy_paths_are_bit_identical() {
-        let b: Vec<f32> = (0..37).map(|i| (i as f32) * 0.37 - 3.0).collect();
-        let mut vec_acc = vec![0.1f32; 37];
-        let mut sc_acc = vec![0.1f32; 37];
-        set_vectorized(true);
-        fma_axpy(&mut vec_acc, 1.7, &b, |v| v);
-        fma_axpy(&mut vec_acc, -0.3, &b, |v| v);
-        set_vectorized(false);
-        fma_axpy(&mut sc_acc, 1.7, &b, |v| v);
-        fma_axpy(&mut sc_acc, -0.3, &b, |v| v);
-        set_vectorized(true);
-        for (v, s) in vec_acc.iter().zip(&sc_acc) {
-            assert_eq!(v.to_bits(), s.to_bits());
+    /// The per-term scalar definition `fma_accumulate` must reproduce.
+    fn accumulate_by_term(acc: &mut [f32], terms: &[(f32, Vec<i32>)], to: impl Fn(i32) -> f32) {
+        for (a, row) in terms {
+            for (av, &bv) in acc.iter_mut().zip(row) {
+                *av = a.mul_add(to(bv), *av);
+            }
         }
     }
 
     #[test]
-    fn axpy_matches_explicit_mul_add() {
-        let b: Vec<f32> = (0..19).map(|i| i as f32).collect();
-        let mut acc = vec![0.0f32; 19];
-        set_vectorized(true);
-        fma_axpy(&mut acc, 2.0, &b, |v| v);
-        for (i, v) in acc.iter().enumerate() {
-            assert_eq!(*v, 2.0f32.mul_add(i as f32, 0.0));
-        }
-    }
-
-    #[test]
-    fn accumulate_matches_per_term_axpy_bitwise() {
-        let rows: Vec<Vec<f32>> = (0..5)
-            .map(|t| (0..37).map(|i| (t * 37 + i) as f32 * 0.13 - 2.0).collect())
-            .collect();
-        let coef = [1.5f32, -0.25, 3.0, 0.0, -1.125];
-        let mut want = vec![0.5f32; 37];
-        set_vectorized(true);
-        for (c, row) in coef.iter().zip(&rows) {
-            fma_axpy(&mut want, *c, row, |v| v);
-        }
-        for on in [true, false] {
-            set_vectorized(on);
-            let mut got = vec![0.5f32; 37];
-            fma_accumulate(
-                &mut got,
-                coef.iter().zip(&rows).map(|(&c, r)| (c, r.as_slice())),
-                |v| v,
-            );
-            for (g, w) in got.iter().zip(&want) {
-                assert_eq!(g.to_bits(), w.to_bits(), "path vectorized={on}");
+    fn accumulate_matches_per_term_mul_add_on_both_paths() {
+        // Widths 1..=80 reach the group walk, the chunk walk and the scalar
+        // tail in every combination; `to` is not the identity.
+        let to = |x: i32| x as f32 * 0.37 - 1.25;
+        let coef = [1.5f32, -0.25, 3.0, 0.0, -1.125, 0.7];
+        for n in 1..=80usize {
+            let terms: Vec<(f32, Vec<i32>)> = coef
+                .iter()
+                .enumerate()
+                .map(|(t, &c)| {
+                    (
+                        c,
+                        (0..n as i32 + 3)
+                            .map(|i| (i * 7 + t as i32 * 13) % 29 - 11)
+                            .collect(),
+                    )
+                })
+                .collect();
+            let seed: Vec<f32> = (0..n).map(|i| i as f32 * 0.11 - 2.0).collect();
+            let mut want = seed.clone();
+            accumulate_by_term(&mut want, &terms, to);
+            for on in [true, false] {
+                set_vectorized(on);
+                let mut got = seed.clone();
+                fma_accumulate(&mut got, terms.iter().map(|(c, r)| (*c, r.as_slice())), to);
+                for (g, w) in got.iter().zip(&want) {
+                    assert_eq!(g.to_bits(), w.to_bits(), "width {n}, vectorized={on}");
+                }
             }
         }
         set_vectorized(true);
@@ -287,5 +272,26 @@ mod tests {
             want = a[i].mul_add(b[i], want);
         }
         assert_eq!(fma_dot(&a, &b, |v| v), want);
+    }
+
+    #[test]
+    fn dot8_matches_eight_dots() {
+        let to = |x: f32| x * 0.5 + 0.125;
+        for len in 0..=40usize {
+            let a: Vec<f32> = (0..len).map(|i| i as f32 * 0.31 - 4.0).collect();
+            let rows: Vec<Vec<f32>> = (0..8)
+                .map(|c| {
+                    (0..len + c)
+                        .map(|i| ((i * 5 + c * 3) % 17) as f32 * 0.23 - 1.9)
+                        .collect()
+                })
+                .collect();
+            let b: [&[f32]; 8] = std::array::from_fn(|c| rows[c].as_slice());
+            let got = fma_dot8(&a, b, to);
+            for (c, g) in got.iter().enumerate() {
+                let want = fma_dot(&a, &rows[c][..len], to);
+                assert_eq!(g.to_bits(), want.to_bits(), "length {len}, chain {c}");
+            }
+        }
     }
 }

@@ -3,7 +3,7 @@
 //!
 //! No `syn` in the vendored dependency set, so this is a lexical pass: each
 //! source file is stripped of comments, string literals, and char literals
-//! by a small state machine, then scanned line by line. Three rules:
+//! by a small state machine, then scanned line by line. Four rules:
 //!
 //! * `sim-clock` — the simulated-clock crates (`gpu-sim`, `serve`) and
 //!   the fleet-facing modules that schedule against the simulated stream
@@ -27,6 +27,13 @@
 //!   `TypeName {` struct literal in the registry's *code* (comments and
 //!   strings are stripped first): a doc-comment mention or an import
 //!   alone does not count as coverage.
+//! * `global-state` — no interior-mutable `static` (`Atomic*`, `Mutex`,
+//!   `RwLock`, `OnceLock`, `LazyLock`) or `static mut` outside test code
+//!   under `crates/gpu-sim/src`, except the allowlisted few that an open
+//!   ROADMAP item removes. Process-global state couples every launch in
+//!   the process: it forces tests that need exact deltas into binaries of
+//!   their own and serialises work that could run side by side. A
+//!   `thread_local!` is per-thread and stays allowed.
 //!
 //! Exit status 1 with one line per finding; 0 on a clean tree. Run from
 //! the repo root (CI does).
@@ -171,11 +178,17 @@ fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
 /// registry lint must not demand registration for probe kernels that only
 /// exist inside unit tests.
 fn test_spans(stripped: &str) -> Vec<(usize, usize)> {
+    item_spans(stripped, "#[cfg(test)]")
+}
+
+/// Line spans of the brace-delimited items whose first line starts with
+/// `marker`, from that line through the matching close brace.
+fn item_spans(stripped: &str, marker: &str) -> Vec<(usize, usize)> {
     let lines: Vec<&str> = stripped.lines().collect();
     let mut spans = Vec::new();
     let mut i = 0;
     while i < lines.len() {
-        if lines[i].trim_start().starts_with("#[cfg(test)]") {
+        if lines[i].trim_start().starts_with(marker) {
             // Find the gated item's opening brace, then its matching close.
             let mut depth = 0i64;
             let mut opened = false;
@@ -255,6 +268,66 @@ fn lint_raw_ptr(path: &Path, stripped: &str, findings: &mut Findings) {
                 );
             }
         }
+    }
+}
+
+/// Rule `global-state`: the process-global statics that remain, as (file,
+/// name). Each goes when the ROADMAP item named beside it lands.
+const GLOBAL_STATE_ALLOWED: [(&str, &str); 5] = [
+    // ROADMAP item 3 (run-scoped state): the books and the trace switch
+    // move onto the `Run` handle.
+    ("trace.rs", "ENABLED"),
+    ("trace.rs", "BOOKS"),
+    // ROADMAP item 3: the arena counters move onto the `Run` handle.
+    ("arena.rs", "POOL_MISSES"),
+    ("arena.rs", "CHECKOUTS"),
+    // ROADMAP item 3: the lane selector becomes a builder option.
+    ("lanes.rs", "VECTORIZED"),
+];
+
+/// The name a `static` item declares on this (stripped) line, if it
+/// declares one.
+fn static_name(line: &str) -> Option<&str> {
+    let t = line.trim_start();
+    let t = if t.starts_with("pub") {
+        t.split_once(' ')?.1
+    } else {
+        t
+    };
+    let rest = t.strip_prefix("static ")?;
+    let rest = rest.strip_prefix("mut ").unwrap_or(rest);
+    let end = rest
+        .find(|c: char| !(c.is_alphanumeric() || c == '_'))
+        .unwrap_or(rest.len());
+    Some(&rest[..end]).filter(|name| !name.is_empty())
+}
+
+/// Rule `global-state`: interior-mutable statics outside test modules and
+/// `thread_local!` blocks, unless allowlisted.
+fn lint_global_state(path: &Path, stripped: &str, findings: &mut Findings) {
+    let file = path.file_name().and_then(|f| f.to_str()).unwrap_or("");
+    let mut exempt = test_spans(stripped);
+    exempt.extend(item_spans(stripped, "thread_local!"));
+    for (n, line) in stripped.lines().enumerate() {
+        let Some(name) = static_name(line) else {
+            continue;
+        };
+        let mutable = line.contains("static mut ")
+            || ["Atomic", "Mutex", "RwLock", "OnceLock", "LazyLock"]
+                .iter()
+                .any(|ty| line.contains(ty));
+        if !mutable || in_spans(&exempt, n) || GLOBAL_STATE_ALLOWED.contains(&(file, name)) {
+            continue;
+        }
+        findings.push(
+            path,
+            n,
+            "global-state",
+            &format!(
+                "`static {name}` is process-global mutable state: scope it to \
+                 the launch or run that owns it"
+            ),
+        );
     }
 }
 
@@ -346,6 +419,9 @@ fn main() {
         if in_gpu_sim || in_serve || in_fleet {
             lint_sim_clock(path, &stripped, &mut findings);
         }
+        if in_gpu_sim {
+            lint_global_state(path, &stripped, &mut findings);
+        }
 
         let is_util = rel.ends_with("crates/gpu-sim/src/util.rs");
         let is_bench = rel.contains("crates/bench/");
@@ -373,7 +449,7 @@ fn main() {
     }
 
     if findings.0.is_empty() {
-        println!("xlint: {checked} files clean (sim-clock, raw-ptr-write, kernel-registry)");
+        println!("xlint: {checked} files clean (sim-clock, raw-ptr-write, kernel-registry, global-state)");
         return;
     }
     for f in &findings.0 {
@@ -434,6 +510,39 @@ mod tests {
             &mut f,
         );
         assert_eq!(f.0.len(), 2, "{:?}", f.0);
+    }
+
+    #[test]
+    fn global_state_fires_on_mutable_statics() {
+        let src = strip(
+            "static HITS: AtomicU64 = AtomicU64::new(0);\n\
+             pub(crate) static CACHE: OnceLock<Vec<u8>> = OnceLock::new();\n\
+             static mut SCRATCH: u32 = 0;\n\
+             static NAME: &str = \"Mutex\";\n\
+             const LOCK: Mutex<()> = Mutex::new(());\n\
+             thread_local! {\n    static SLOT: Cell<u64> = const { Cell::new(0) };\n    static M: RefCell<Mutex<()>> = RefCell::new(Mutex::new(()));\n}\n\
+             #[cfg(test)]\nmod tests {\n    static TEST_LOCK: Mutex<()> = Mutex::new(());\n}\n",
+        );
+        let mut f = Findings(Vec::new());
+        lint_global_state(Path::new("crates/gpu-sim/src/x.rs"), &src, &mut f);
+        assert_eq!(f.0.len(), 3, "{:?}", f.0);
+        for name in ["HITS", "CACHE", "SCRATCH"] {
+            assert!(
+                f.0.iter().any(|m| m.contains(&format!("`static {name}`"))),
+                "{:?}",
+                f.0
+            );
+        }
+    }
+
+    #[test]
+    fn global_state_allowlist_is_per_file() {
+        let src = strip("static ENABLED: AtomicBool = AtomicBool::new(false);\n");
+        let mut f = Findings(Vec::new());
+        lint_global_state(Path::new("crates/gpu-sim/src/trace.rs"), &src, &mut f);
+        assert!(f.0.is_empty(), "{:?}", f.0);
+        lint_global_state(Path::new("crates/gpu-sim/src/sanitizer.rs"), &src, &mut f);
+        assert_eq!(f.0.len(), 1, "{:?}", f.0);
     }
 
     #[test]

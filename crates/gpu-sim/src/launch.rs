@@ -9,7 +9,7 @@ use crate::kernel::Kernel;
 use crate::launch_cache::{KeyRef, LaunchCache, LaunchKey};
 use crate::metrics;
 use crate::occupancy::{self, Occupancy};
-use crate::sanitizer::{self, BlockSan, CheckClass, SanitizerReport};
+use crate::sanitizer::{self, CheckClass, SanitizerReport, Session};
 use crate::scheduler;
 use crate::static_check::{self, StaticAudit};
 use crate::timing;
@@ -103,9 +103,10 @@ pub enum CheckLevel {
     /// The audit plus the dynamic sanitizer with every check armed (see
     /// [`crate::sanitizer`]), the simulator's analogue of
     /// `compute-sanitizer`. The fault plan is not consulted — the sanitizer
-    /// checks the kernel, not the device — and sanitized launches serialize
-    /// process-wide (a global shadow map backs the cross-block racecheck).
-    /// A cache hit replays the memoized report instead of re-sanitizing.
+    /// checks the kernel, not the device. Each sanitized launch owns its
+    /// racecheck shadow map, so sanitized launches on different threads run
+    /// side by side. A cache hit replays the memoized report instead of
+    /// re-sanitizing.
     Sanitize,
 }
 
@@ -516,7 +517,19 @@ impl Gpu {
         let occ = self.validate(kernel)?;
         let functional = mode == Mode::Functional;
         if sanitize {
-            let (stats, report) = self.sanitized(kernel, functional, occ);
+            let session = Session::new(kernel, self.dev.warp_size);
+            let stats = self.execute(kernel, functional, occ, Some(&session));
+            let report = session.finish();
+            let runs = [
+                ("sanitizer_runs", 1),
+                ("sanitizer_violations", report.violation_count),
+            ];
+            trace::record("sanitizer", &self.dev.name, Entry::Instant, &runs, || {
+                format!(
+                    "sanitize: {} ({} violations, {} warnings)",
+                    report.kernel, report.violation_count, report.warning_count
+                )
+            });
             return Ok(Launched {
                 stats,
                 report: Some(report),
@@ -538,7 +551,7 @@ impl Gpu {
             None => None,
         };
 
-        let stats = self.execute(kernel, functional, occ);
+        let stats = self.execute(kernel, functional, occ, None);
 
         // A poison fault corrupts the output *after* a successful-looking
         // launch: callers only notice by inspecting the results.
@@ -552,74 +565,6 @@ impl Gpu {
             report: None,
             hit: false,
         })
-    }
-
-    /// Execute every block with all sanitizer checks armed.
-    fn sanitized(
-        &self,
-        kernel: &dyn Kernel,
-        functional: bool,
-        occ: Occupancy,
-    ) -> (LaunchStats, SanitizerReport) {
-        let req = kernel.block_requirements();
-        let buffers = kernel.buffers();
-        let multi_warp = req.threads > self.dev.warp_size;
-        let grid = kernel.grid();
-        let n_blocks = grid.size();
-
-        // A sanitized simulation executes every block (no dedup): the global
-        // shadow-map racecheck must observe every block's real accesses. A
-        // cached sanitized launch never reaches here — `Gpu::run` serves it,
-        // report included, from the cache. The trace reduction itself still
-        // streams; only the per-block sanitizer findings are kept whole.
-        let session = sanitizer::begin_session(!kernel.atomic_output());
-        let (total, lites, sans) = (0..n_blocks)
-            .into_par_iter()
-            .fold_with(
-                (BlockCost::default(), Vec::new(), Vec::new()),
-                |(mut total, mut lites, mut sans), lin| {
-                    let idx = grid.delinearize(lin);
-                    let san = BlockSan::for_kernel(&buffers, req.smem_bytes, multi_warp);
-                    let mut ctx = BlockContext::sanitized(functional, san);
-                    sanitizer::enter_block(lin);
-                    kernel.execute_block(idx, &mut ctx);
-                    sanitizer::exit_block();
-                    if let Some(san) = ctx.take_sanitizer() {
-                        sans.push(san);
-                    }
-                    total.merge(&ctx.cost);
-                    lites.push(BlockCostLite::from(&ctx.cost));
-                    (total, lites, sans)
-                },
-            )
-            .reduce_with(|(mut ta, mut la, mut sa), (tb, lb, sb)| {
-                ta.merge(&tb);
-                la.extend(lb);
-                sa.extend(sb);
-                (ta, la, sa)
-            })
-            .unwrap_or_default();
-        let (race_count, race_examples) = sanitizer::drain_session();
-        drop(session);
-
-        let mut report = SanitizerReport::new(kernel.name(), n_blocks);
-        for san in sans {
-            report.absorb_block(san);
-        }
-        report.absorb_session(race_count, race_examples);
-
-        let stats = self.finish(kernel, occ, total, lites);
-        let runs = [
-            ("sanitizer_runs", 1),
-            ("sanitizer_violations", report.violation_count),
-        ];
-        trace::record("sanitizer", &self.dev.name, Entry::Instant, &runs, || {
-            format!(
-                "sanitize: {} ({} violations, {} warnings)",
-                report.kernel, report.violation_count, report.warning_count
-            )
-        });
-        (stats, report)
     }
 
     /// Resource validation shared by every launch path.
@@ -642,15 +587,24 @@ impl Gpu {
         Ok(occ)
     }
 
-    fn execute(&self, kernel: &dyn Kernel, functional: bool, occ: Occupancy) -> LaunchStats {
+    /// Execute every block, sanitized when a `session` is given.
+    fn execute(
+        &self,
+        kernel: &dyn Kernel,
+        functional: bool,
+        occ: Occupancy,
+        session: Option<&Session>,
+    ) -> LaunchStats {
         let grid = kernel.grid();
         let n_blocks = grid.size();
 
         // Profile-mode dedup: cost-record one representative per structural
         // block signature and replay its cost for the rest. Functional
         // launches execute every block for its outputs and never consult a
-        // signature (measured: the second pass cost more than it saved).
-        if self.dedup && !functional {
+        // signature (measured: the second pass cost more than it saved), and
+        // sanitized launches never dedup: the session's racecheck must observe
+        // every block's real accesses.
+        if self.dedup && !functional && session.is_none() {
             if let Some(stats) = self.run_profile_dedup(kernel, occ) {
                 return stats;
             }
@@ -665,8 +619,23 @@ impl Gpu {
                 (BlockCost::default(), Vec::new()),
                 |(mut total, mut lites), lin| {
                     let idx = grid.delinearize(lin);
-                    let mut ctx = BlockContext::new(functional);
-                    kernel.execute_block(idx, &mut ctx);
+                    let ctx = match session {
+                        None => {
+                            let mut ctx = BlockContext::new(functional);
+                            kernel.execute_block(idx, &mut ctx);
+                            ctx
+                        }
+                        Some(session) => {
+                            let mut ctx = BlockContext::sanitized(functional, session.block_san());
+                            sanitizer::in_block(session, lin, || {
+                                kernel.execute_block(idx, &mut ctx);
+                            });
+                            if let Some(san) = ctx.take_sanitizer() {
+                                session.absorb_block(san);
+                            }
+                            ctx
+                        }
+                    };
                     total.merge(&ctx.cost);
                     lites.push(BlockCostLite::from(&ctx.cost));
                     (total, lites)

@@ -31,11 +31,12 @@
 
 use crate::cache::BufferSpec;
 use crate::cost::MAX_BUFFERS;
+use crate::kernel::Kernel;
 use serde::{Deserialize, Serialize};
 use std::cell::Cell;
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Mutex, MutexGuard};
+use std::collections::hash_map::{Entry, HashMap};
+use std::ptr::NonNull;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Three-valued verdict of one static check class (see
 /// [`crate::static_check`]). The lattice is ordered by severity:
@@ -293,15 +294,6 @@ impl SanitizerReport {
         self.violation_count += extra_v;
         self.warning_count += extra_w;
     }
-
-    /// Fold the session-global (cross-block) findings into the report.
-    pub(crate) fn absorb_session(&mut self, count: u64, examples: Vec<SanitizerViolation>) {
-        let extra = count.saturating_sub(examples.len() as u64);
-        for v in examples {
-            self.push_violation(v);
-        }
-        self.violation_count += extra;
-    }
 }
 
 impl std::fmt::Display for SanitizerReport {
@@ -322,11 +314,11 @@ impl std::fmt::Display for SanitizerReport {
 }
 
 /// Per-block sanitizer state, carried inside a sanitized [`BlockContext`]
-/// (one per block, no cross-thread sharing — the cross-block shadow map is
-/// the only global state).
+/// (one per block, no cross-thread sharing — the launch's cross-block
+/// shadow map lives in its session).
 ///
 /// [`BlockContext`]: crate::cost::BlockContext
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct BlockSan {
     /// Declared footprint per buffer slot (name, bytes).
     footprints: [Option<(&'static str, u64)>; MAX_BUFFERS],
@@ -506,155 +498,154 @@ impl BlockSan {
 }
 
 // ---------------------------------------------------------------------------
-// Session state: the cross-block shadow map behind the instrumented
-// SyncUnsafeSlice. One sanitized launch at a time holds the session lock, so
-// concurrent sanitized launches serialize instead of cross-contaminating
-// shadow maps. Block executors (rayon workers) tag themselves with a
-// thread-local block id around `execute_block`; only tagged threads feed the
-// shadow map, so an unsanitized launch running beside a session keeps its
-// own semantics (an out-of-bounds slice access still panics).
+// Session state: the cross-block half of one sanitized launch. `Gpu::run`
+// builds one `Session` per sanitized launch and runs each block inside
+// `in_block`, which tags the executing thread through one thread-local slot.
+// The instrumented `SyncUnsafeSlice` consults only that slot, so sanitized
+// launches on different threads never share state or wait on each other,
+// and an untagged thread (host code, or an unsanitized launch) keeps plain
+// semantics: an out-of-bounds slice access still panics.
 // ---------------------------------------------------------------------------
 
-/// Sentinel: the current thread is not executing a sanitized block (host
-/// code, e.g. test setup writing initial values).
-const NO_BLOCK: u64 = u64::MAX;
-
-static ACTIVE: AtomicBool = AtomicBool::new(false);
-static RACECHECK: AtomicBool = AtomicBool::new(true);
-static SESSION: Mutex<()> = Mutex::new(());
-static SHADOW: Mutex<Option<ShadowState>> = Mutex::new(None);
-
-thread_local! {
-    static CURRENT_BLOCK: Cell<u64> = const { Cell::new(NO_BLOCK) };
+/// The launch-owned state of one sanitized launch: the racecheck switch, a
+/// fresh block's sanitizer state, and the shadow map and report that every
+/// block feeds.
+pub(crate) struct Session {
+    /// `false` for kernels that legitimately overlap (atomic accumulation).
+    racecheck: bool,
+    block: BlockSan,
+    shadow: Mutex<Shadow>,
 }
 
-#[derive(Default)]
-struct ShadowState {
+struct Shadow {
     /// (slice base pointer, index) -> first writer's linear block id.
     writers: HashMap<(usize, usize), u64>,
-    violation_count: u64,
-    violations: Vec<SanitizerViolation>,
+    report: SanitizerReport,
 }
 
-impl ShadowState {
-    fn record(&mut self, v: SanitizerViolation) {
-        self.violation_count += 1;
-        if self.violations.len() < MAX_REPORTED {
-            self.violations.push(v);
+impl Session {
+    /// The session for one sanitized launch of `kernel` on a device with
+    /// `warp_size`-thread warps.
+    pub(crate) fn new(kernel: &dyn Kernel, warp_size: u32) -> Self {
+        let req = kernel.block_requirements();
+        let block =
+            BlockSan::for_kernel(&kernel.buffers(), req.smem_bytes, req.threads > warp_size);
+        let report = SanitizerReport::new(kernel.name(), kernel.grid().size());
+        Self {
+            racecheck: !kernel.atomic_output(),
+            block,
+            shadow: Mutex::new(Shadow {
+                writers: HashMap::new(),
+                report,
+            }),
+        }
+    }
+
+    /// The sanitizer state a block starts from.
+    pub(crate) fn block_san(&self) -> BlockSan {
+        self.block.clone()
+    }
+
+    /// Fold one block's findings into the launch report.
+    pub(crate) fn absorb_block(&self, san: BlockSan) {
+        self.shadow().report.absorb_block(san);
+    }
+
+    /// The launch report, once every block has run.
+    pub(crate) fn finish(self) -> SanitizerReport {
+        self.shadow
+            .into_inner()
+            .unwrap_or_else(PoisonError::into_inner)
+            .report
+    }
+
+    fn shadow(&self) -> MutexGuard<'_, Shadow> {
+        // A panic inside a sanitized block may poison the lock; the data is
+        // plain bookkeeping, so recover rather than cascade.
+        self.shadow.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn claim(&self, base: usize, index: usize, me: u64) -> bool {
+        if !self.racecheck {
+            return true;
+        }
+        let shadow = &mut *self.shadow();
+        match shadow.writers.entry((base, index)) {
+            Entry::Vacant(slot) => {
+                slot.insert(me);
+                true
+            }
+            Entry::Occupied(slot) if *slot.get() == me => true,
+            Entry::Occupied(slot) => {
+                shadow
+                    .report
+                    .push_violation(SanitizerViolation::CrossBlockRace {
+                        index,
+                        first_writer: *slot.get(),
+                        second_writer: me,
+                    });
+                false
+            }
         }
     }
 }
 
-fn lock<T>(m: &'static Mutex<T>) -> MutexGuard<'static, T> {
-    // A panic inside a sanitized kernel poisons these mutexes; the data is
-    // plain bookkeeping, so recover rather than cascade.
-    match m.lock() {
-        Ok(g) => g,
-        Err(poisoned) => poisoned.into_inner(),
-    }
+thread_local! {
+    /// The session and linear block id of the sanitized block this thread
+    /// is executing; `None` outside [`in_block`].
+    static BLOCK: Cell<Option<(NonNull<Session>, u64)>> = const { Cell::new(None) };
 }
 
-/// Holds the session lock for the duration of one sanitized launch.
-pub(crate) struct SessionGuard {
-    _lock: MutexGuard<'static, ()>,
-}
+/// Restores the thread's previous block tag when dropped, also when the
+/// block panics.
+struct Tag(Option<(NonNull<Session>, u64)>);
 
-impl Drop for SessionGuard {
+impl Drop for Tag {
     fn drop(&mut self) {
-        ACTIVE.store(false, Ordering::SeqCst);
-        *lock(&SHADOW) = None;
+        BLOCK.set(self.0);
     }
 }
 
-/// Begin a sanitized launch: acquires the global session (serializing
-/// sanitized launches across threads) and arms the shadow map.
-/// `racecheck` disables the cross-block write check for kernels that
-/// legitimately overlap (atomic accumulation).
-pub(crate) fn begin_session(racecheck: bool) -> SessionGuard {
-    let guard = lock(&SESSION);
-    *lock(&SHADOW) = Some(ShadowState::default());
-    RACECHECK.store(racecheck, Ordering::SeqCst);
-    ACTIVE.store(true, Ordering::SeqCst);
-    SessionGuard { _lock: guard }
+/// Run `f` as block `lin` of `session`: slice accesses on this thread feed
+/// the session until `f` returns or unwinds.
+pub(crate) fn in_block<R>(session: &Session, lin: u64, f: impl FnOnce() -> R) -> R {
+    let _tag = Tag(BLOCK.replace(Some((NonNull::from(session), lin))));
+    f()
 }
 
-/// Drain the session's cross-block findings (called before the guard drops).
-pub(crate) fn drain_session() -> (u64, Vec<SanitizerViolation>) {
-    match lock(&SHADOW).take() {
-        Some(state) => (state.violation_count, state.violations),
-        None => (0, Vec::new()),
-    }
-}
-
-/// Whether a sanitized launch is currently in progress (fast path for the
-/// instrumented slice).
+/// Call `f` with the session and block id of the sanitized block this
+/// thread is executing; `None` when it executes none.
 #[inline]
-pub(crate) fn session_active() -> bool {
-    ACTIVE.load(Ordering::Relaxed)
-}
-
-/// Tag the current thread as executing block `id` of the sanitized launch.
-pub(crate) fn enter_block(id: u64) {
-    CURRENT_BLOCK.with(|c| c.set(id));
-}
-
-/// Untag the current thread.
-pub(crate) fn exit_block() {
-    CURRENT_BLOCK.with(|c| c.set(NO_BLOCK));
+fn with_block<R>(f: impl FnOnce(&Session, u64) -> R) -> Option<R> {
+    let (session, lin) = BLOCK.get()?;
+    // SAFETY: only `in_block` sets the slot, for the duration of its borrow
+    // of `session`, and its `Tag` restores the previous value before that
+    // borrow ends; a set slot therefore points at a live session.
+    Some(f(unsafe { session.as_ref() }, lin))
 }
 
 /// Racecheck: claim `(base, index)` for the current block. Returns `false`
 /// when another block already owns the index — the caller must then SKIP the
 /// raw write, because performing it would be the very data race being
 /// reported.
+#[inline]
 pub(crate) fn claim_write(base: usize, index: usize) -> bool {
-    if !ACTIVE.load(Ordering::Relaxed) || !RACECHECK.load(Ordering::Relaxed) {
-        return true;
-    }
-    let me = CURRENT_BLOCK.with(|c| c.get());
-    if me == NO_BLOCK {
-        // Host-side write (setup/teardown), not part of the kernel.
-        return true;
-    }
-    let mut shadow = lock(&SHADOW);
-    let Some(state) = shadow.as_mut() else {
-        return true;
-    };
-    match state.writers.get(&(base, index)).copied() {
-        None => {
-            state.writers.insert((base, index), me);
-            true
-        }
-        Some(first) if first == me => true,
-        Some(first) => {
-            state.record(SanitizerViolation::CrossBlockRace {
-                index,
-                first_writer: first,
-                second_writer: me,
-            });
-            false
-        }
-    }
+    with_block(|session, me| session.claim(base, index, me)).unwrap_or(true)
 }
 
 /// Memcheck: record a slice access beyond its length. Returns `true` when a
-/// sanitized launch absorbed the violation (the caller skips the access);
-/// `false` means the calling thread is not executing a sanitized block (no
-/// session, or another thread's session) and the caller should panic.
+/// sanitized block absorbed the violation (the caller skips the access);
+/// `false` means the calling thread is not executing a sanitized block and
+/// the caller should panic.
 pub(crate) fn report_slice_oob(index: usize, len: usize, is_write: bool) -> bool {
-    if !ACTIVE.load(Ordering::Relaxed) || CURRENT_BLOCK.with(|c| c.get()) == NO_BLOCK {
-        return false;
-    }
-    let mut shadow = lock(&SHADOW);
-    let Some(state) = shadow.as_mut() else {
-        return false;
-    };
-    state.record(if is_write {
-        SanitizerViolation::OutOfBoundsWrite { index, len }
-    } else {
-        SanitizerViolation::OutOfBoundsRead { index, len }
-    });
-    true
+    with_block(|session, _| {
+        session.shadow().report.push_violation(if is_write {
+            SanitizerViolation::OutOfBoundsWrite { index, len }
+        } else {
+            SanitizerViolation::OutOfBoundsRead { index, len }
+        })
+    })
+    .is_some()
 }
 
 #[cfg(test)]

@@ -50,10 +50,11 @@ impl<'a, T> SyncUnsafeSlice<'a, T> {
     /// The bounds check is always on (not `debug_assert!`): an out-of-bounds
     /// index panics in normal launches and becomes a recorded
     /// [`SanitizerViolation`](crate::sanitizer::SanitizerViolation) under
-    /// [`Gpu::sanitize`](crate::Gpu::sanitize), never UB. Under a sanitized
-    /// launch the write also claims `index` in the cross-block shadow map;
-    /// a write that would race an earlier block's is recorded and skipped
-    /// (performing it would be the very race being reported).
+    /// [`Gpu::sanitize`](crate::Gpu::sanitize), never UB. A write from a
+    /// thread executing a sanitized block also claims `index` in that
+    /// launch's cross-block shadow map; a write that would race an earlier
+    /// block's is recorded and skipped (performing it would be the very race
+    /// being reported). Any other write costs one thread-local read.
     ///
     /// # Safety
     /// The caller must guarantee no other executor reads or writes `index`
@@ -70,7 +71,7 @@ impl<'a, T> SyncUnsafeSlice<'a, T> {
                 self.len
             );
         }
-        if !sanitizer::session_active() || sanitizer::claim_write(self.ptr as usize, index) {
+        if sanitizer::claim_write(self.ptr as usize, index) {
             unsafe { *(*self.ptr.add(index)).get() = value };
         }
     }

@@ -8,7 +8,10 @@ use gpu_sim::{
     SanitizerWarning, SmemScope, SyncUnsafeSlice,
 };
 use std::panic::AssertUnwindSafe;
-use std::sync::Barrier;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{self, Receiver, Sender};
+use std::sync::{Barrier, Mutex, PoisonError};
+use std::time::Duration;
 
 const BUF: BufferId = BufferId(0);
 
@@ -148,6 +151,125 @@ fn sanitize_session_does_not_absorb_another_threads_oob_write() {
     });
     assert!(plain_panicked, "the unsanitized OOB write must panic");
     assert_eq!(report.violation_count, 1);
+}
+
+/// Writes one element past the end of its output slice, tells the test its
+/// block is running, then waits up to 2 s for `done`.
+struct WaitingOobKernel<'a> {
+    out: SyncUnsafeSlice<'a, f32>,
+    running: Sender<()>,
+    done: Mutex<Receiver<()>>,
+    /// Whether `done` arrived before the timeout.
+    saw_done: AtomicBool,
+}
+
+impl Kernel for WaitingOobKernel<'_> {
+    fn name(&self) -> String {
+        "seeded_waiting_oob_write".into()
+    }
+    fn grid(&self) -> Dim3 {
+        Dim3::x(1)
+    }
+    fn block_dim(&self) -> Dim3 {
+        Dim3::x(32)
+    }
+    fn buffers(&self) -> Vec<BufferSpec> {
+        buffer(8 * 4)
+    }
+    fn execute_block(&self, _block: Dim3, ctx: &mut BlockContext) {
+        ctx.misc(1);
+        if ctx.functional() {
+            unsafe { self.out.write(8, 1.0) };
+            let _ = self.running.send(());
+            let done = self.done.lock().unwrap_or_else(PoisonError::into_inner);
+            let saw_done = done.recv_timeout(Duration::from_secs(2)).is_ok();
+            self.saw_done.store(saw_done, Ordering::Relaxed);
+        }
+    }
+}
+
+/// Sanitized launches on two threads run side by side: the second finishes
+/// while the first is still inside its block, and each report holds
+/// exactly its own violation.
+#[test]
+fn sanitized_launches_overlap() {
+    let gpu = Gpu::v100();
+    let (running_tx, running_rx) = mpsc::channel();
+    let (done_tx, done_rx) = mpsc::channel();
+    let mut waiting_data = vec![0.0f32; 8];
+    let mut plain_data = vec![0.0f32; 8];
+    let waiting = WaitingOobKernel {
+        out: SyncUnsafeSlice::new(&mut waiting_data),
+        running: running_tx,
+        done: Mutex::new(done_rx),
+        saw_done: AtomicBool::new(false),
+    };
+    let plain = OobWriteKernel {
+        out: SyncUnsafeSlice::new(&mut plain_data),
+    };
+    let (a, b) = std::thread::scope(|s| {
+        let a = s.spawn(|| gpu.sanitize(&waiting).unwrap().1);
+        running_rx.recv().unwrap();
+        let b = s.spawn(|| {
+            let report = gpu.sanitize(&plain).unwrap().1;
+            done_tx.send(()).unwrap();
+            report
+        });
+        (a.join().unwrap(), b.join().unwrap())
+    });
+    assert!(
+        waiting.saw_done.load(Ordering::Relaxed),
+        "the second sanitized launch waited for the first to finish"
+    );
+    for (report, kernel) in [(&a, "seeded_waiting_oob_write"), (&b, "seeded_oob_write")] {
+        assert_eq!(report.kernel, kernel);
+        assert_eq!(report.violation_count, 1, "{report}");
+        assert_eq!(
+            report.violations,
+            vec![SanitizerViolation::OutOfBoundsWrite { index: 8, len: 8 }]
+        );
+    }
+}
+
+/// Panics inside its block.
+struct PanickingKernel;
+
+impl Kernel for PanickingKernel {
+    fn name(&self) -> String {
+        "seeded_panic".into()
+    }
+    fn grid(&self) -> Dim3 {
+        Dim3::x(1)
+    }
+    fn block_dim(&self) -> Dim3 {
+        Dim3::x(32)
+    }
+    fn buffers(&self) -> Vec<BufferSpec> {
+        buffer(8 * 4)
+    }
+    fn execute_block(&self, _block: Dim3, ctx: &mut BlockContext) {
+        ctx.misc(1);
+        if ctx.functional() {
+            panic!("seeded block panic");
+        }
+    }
+}
+
+/// A block that panics under the sanitizer leaves its thread untagged: a
+/// later unsanitized out-of-bounds write on the same thread still panics
+/// instead of feeding the dead session.
+#[test]
+fn panicking_sanitized_block_leaves_its_thread_untagged() {
+    let gpu = Gpu::v100();
+    let sanitized = std::panic::catch_unwind(AssertUnwindSafe(|| gpu.sanitize(&PanickingKernel)));
+    assert!(sanitized.is_err(), "the seeded panic must propagate");
+
+    let mut data = vec![0.0f32; 8];
+    let kernel = OobWriteKernel {
+        out: SyncUnsafeSlice::new(&mut data),
+    };
+    let plain = std::panic::catch_unwind(AssertUnwindSafe(|| gpu.launch(&kernel)));
+    assert!(plain.is_err(), "the unsanitized OOB write must panic");
 }
 
 /// Two blocks both write output index 0: a cross-block race unless the

@@ -32,8 +32,14 @@
 //!   swept point, both granularities;
 //! - `statically_refuted` == 0: the auditor proves, never rejects, the
 //!   joint launch descriptors;
-//! - `joint_tiles_total` / `joint_tiles_skipped` nonzero: the skip
-//!   counters actually reached the metrics registry;
+//! - `gemm_us_*`, `spmm_us_*`, `fine_us_*` and `coarse_us_*` equal the
+//!   baseline's text at every swept point, so a cost drift of any size in
+//!   the SpMM body (which the joint kernel shares) fails the check until
+//!   the file is re-recorded; run `--full` without `--check`, since the
+//!   committed file holds only the default grid's points;
+//! - `joint_tiles_total` / `joint_tiles_skipped` nonzero and equal to the
+//!   baseline: the skip counters reached the metrics registry and count
+//!   exactly the committed probes;
 //! - `trace_ok` == 1: the traced run exports valid Chrome JSON including
 //!   the joint counter samples.
 
@@ -178,6 +184,11 @@ fn main() {
             .float(format!("coarse_us_{key}"), p.joint_coarse_us, 3)
             .float(format!("speedup_fine_{key}"), p.fine_speedup_vs_spmm(), 6)
             .int(format!("bit_identical_{key}"), u64::from(p.bit_identical));
+        // Simulated kernel times are deterministic: any cost-model drift,
+        // however small, must show up as a re-recorded baseline.
+        for contender in ["gemm", "spmm", "fine", "coarse"] {
+            rec.gate(format!("{contender}_us_{key}"), Gate::MatchBaseline);
+        }
     }
     rec.int("bit_identical_all", u64::from(sweep.all_bit_identical()))
         .int("statically_refuted", statically_refuted)
@@ -198,9 +209,12 @@ fn main() {
         .gate("bit_identical_all", Gate::Exact(1))
         // The static auditor never refutes a joint launch descriptor.
         .gate("statically_refuted", Gate::Exact(0))
-        // The observability counters reached the metrics registry.
+        // The observability counters reached the metrics registry, and
+        // count exactly the committed probes.
         .gate("joint_tiles_total", Gate::Nonzero)
         .gate("joint_tiles_skipped", Gate::Nonzero)
+        .gate("joint_tiles_total", Gate::MatchBaseline)
+        .gate("joint_tiles_skipped", Gate::MatchBaseline)
         // The traced run exports the joint counter track as valid Chrome
         // JSON.
         .gate("trace_ok", Gate::Exact(1))

@@ -38,13 +38,14 @@ impl fmt::Display for Value {
 }
 
 /// A `--check` requirement on one recorded key. Gates compare the run's
-/// full-precision value, not its rounded JSON rendering.
+/// full-precision value, not its rounded JSON rendering, except
+/// [`Gate::MatchBaseline`], which compares the rendering.
 #[derive(Debug, Clone, Copy)]
 pub enum Gate {
-    /// The integer must equal this value exactly.
+    /// The value must be this integer exactly.
     Exact(u64),
-    /// The integer must equal the baseline's value exactly (deterministic
-    /// counters).
+    /// The rendered value must equal the baseline's raw text exactly:
+    /// deterministic counters, and floats at a fixed number of decimals.
     MatchBaseline,
     /// Must stay at or above this absolute floor.
     AtLeast(f64),
@@ -56,7 +57,7 @@ pub enum Gate {
     /// the baseline, with the baseline first raised to `baseline_floor` (so
     /// a committed near-zero rate still leaves room for one more event).
     AtMostBaseline(f64, f64),
-    /// The integer must be nonzero (liveness counters, e.g. cache hits).
+    /// Must be nonzero (liveness counters, e.g. cache hits).
     Nonzero,
 }
 
@@ -172,13 +173,6 @@ impl BenchRecord {
             .ok_or_else(|| format!("gate on {key}, which the record does not hold"))
     }
 
-    fn int_value(&self, key: &str) -> Result<u64, String> {
-        match self.value(key)? {
-            Value::Int(v) => Ok(*v),
-            _ => Err(format!("gate on {key} needs an integer field")),
-        }
-    }
-
     fn num_value(&self, key: &str) -> Result<f64, String> {
         match self.value(key)? {
             Value::Int(v) => Ok(*v as f64),
@@ -189,10 +183,11 @@ impl BenchRecord {
 
     fn evaluate(&self, key: &str, gate: Gate, base: &str, path: &str) -> Result<(), String> {
         match gate {
-            Gate::Exact(want) => require_exact(key, want, self.int_value(key)?),
-            Gate::MatchBaseline => {
-                require_exact(key, metric_u64(base, key, path)?, self.int_value(key)?)
-            }
+            Gate::Exact(want) => require_exact(key, &want.to_string(), self.value(key)?),
+            Gate::MatchBaseline => match json_raw(base, key) {
+                Some(raw) => require_exact(key, raw, self.value(key)?),
+                None => Err(format!("no {key} in baseline {path}")),
+            },
             Gate::AtLeast(floor) => require_not_below(key, floor, self.num_value(key)?, 1.0),
             Gate::AtMost(ceiling) => require_not_above(key, ceiling, self.num_value(key)?, 1.0),
             Gate::AtLeastBaseline(frac) => require_not_below(
@@ -207,7 +202,7 @@ impl BenchRecord {
                 self.num_value(key)?,
                 headroom,
             ),
-            Gate::Nonzero => require_nonzero(key, self.int_value(key)?),
+            Gate::Nonzero => require_nonzero(key, self.num_value(key)?),
         }
     }
 }
@@ -228,13 +223,6 @@ fn json_raw<'a>(text: &'a str, key: &str) -> Option<&'a str> {
 
 /// A named metric parsed from the baseline, or an error naming the file.
 fn metric_f64(text: &str, key: &str, path: &str) -> Result<f64, String> {
-    json_raw(text, key)
-        .and_then(|raw| raw.parse().ok())
-        .ok_or_else(|| format!("no {key} in baseline {path}"))
-}
-
-/// Integer variant of [`metric_f64`].
-fn metric_u64(text: &str, key: &str, path: &str) -> Result<u64, String> {
     json_raw(text, key)
         .and_then(|raw| raw.parse().ok())
         .ok_or_else(|| format!("no {key} in baseline {path}"))
@@ -291,22 +279,26 @@ fn require_not_below(
     Ok(())
 }
 
-/// Gate: `observed` must equal `baseline` exactly (deterministic counters).
-fn require_exact(metric: &str, baseline: u64, observed: u64) -> Result<(), String> {
-    if observed != baseline {
-        return Err(describe(
-            metric,
-            baseline as f64,
-            observed as f64,
-            "must match the committed baseline exactly (regenerate it if this change is intended)",
-        ));
+/// Gate: the run's rendered value must equal `baseline` as written
+/// (deterministic counters, fixed-decimal floats).
+fn require_exact(metric: &str, baseline: &str, observed: &Value) -> Result<(), String> {
+    let observed = observed.to_string();
+    if observed == baseline {
+        return Ok(());
     }
-    Ok(())
+    let delta = match (baseline.parse::<f64>(), observed.parse::<f64>()) {
+        (Ok(b), Ok(o)) if b != 0.0 => format!(", delta {:+.1}%", (o - b) / b * 100.0),
+        _ => String::new(),
+    };
+    Err(format!(
+        "metric {metric}: baseline {baseline}, observed {observed}{delta} — must match the \
+         committed baseline exactly (regenerate it if this change is intended)"
+    ))
 }
 
 /// Gate: `observed` must be nonzero (liveness counters, e.g. cache hits).
-fn require_nonzero(metric: &str, observed: u64) -> Result<(), String> {
-    if observed == 0 {
+fn require_nonzero(metric: &str, observed: f64) -> Result<(), String> {
+    if observed == 0.0 {
         return Err(describe(
             metric,
             1.0,
@@ -334,13 +326,13 @@ mod tests {
     fn gates_pass_within_headroom() {
         assert!(require_not_above("m", 10.0, 12.0, 1.25).is_ok());
         assert!(require_not_below("m", 10.0, 6.0, 0.5).is_ok());
-        assert!(require_exact("m", 5, 5).is_ok());
-        assert!(require_nonzero("m", 1).is_ok());
+        assert!(require_exact("m", "5", &Value::Int(5)).is_ok());
+        assert!(require_nonzero("m", 1.0).is_ok());
     }
 
     #[test]
     fn exact_gate_reports_drift() {
-        let err = require_exact("launches", 100, 101).unwrap_err();
+        let err = require_exact("launches", "100", &Value::Int(101)).unwrap_err();
         assert!(err.contains("launches"), "{err}");
         assert!(err.contains("regenerate"), "{err}");
     }
@@ -349,7 +341,7 @@ mod tests {
     fn json_scanner_reads_flat_objects() {
         let text = "{\n  \"a\": 1.5,\n  \"b\": 7\n}\n";
         assert_eq!(metric_f64(text, "a", "p").ok(), Some(1.5));
-        assert_eq!(metric_u64(text, "b", "p").ok(), Some(7));
+        assert_eq!(json_raw(text, "b"), Some("7"));
         assert!(metric_f64(text, "missing", "p").is_err());
     }
 
@@ -371,11 +363,43 @@ mod tests {
         let text = r.render();
         assert!(text.starts_with("{\n  \"bench\": \"t\",\n"), "{text}");
         assert!(text.ends_with("  \"grid\": \"quick\"\n}\n"), "{text}");
-        assert_eq!(metric_u64(&text, "n", "p").ok(), Some(30_666_496));
+        assert_eq!(json_raw(&text, "n"), Some("30666496"));
         assert_eq!(metric_f64(&text, "ms", "p").ok(), Some(91.206));
         assert_eq!(json_raw(&text, "rate"), Some("20000"));
         assert_eq!(metric_f64(&text, "sparsity", "p").ok(), Some(0.95));
         assert_eq!(json_raw(&text, "grid"), Some("\"quick\""));
+    }
+
+    #[test]
+    fn match_baseline_compares_the_rendering() {
+        let out = scratch("match", "BENCH_t.json");
+        let mut base = BenchRecord::new("t");
+        base.int("launches", 46).float("us", 301.338, 3);
+        std::fs::write(&out, base.render()).unwrap();
+
+        let mut same = BenchRecord::new("t");
+        same.int("launches", 46)
+            .float("us", 301.3384, 3)
+            .gate("launches", Gate::MatchBaseline)
+            .gate("us", Gate::MatchBaseline);
+        assert!(same.write_and_check(&out, Some(&out)).is_ok());
+
+        std::fs::write(&out, base.render()).unwrap();
+        let mut drifted = BenchRecord::new("t");
+        drifted
+            .int("launches", 47)
+            .float("us", 301.339, 3)
+            .gate("launches", Gate::MatchBaseline)
+            .gate("us", Gate::MatchBaseline);
+        let err = drifted.write_and_check(&out, Some(&out)).unwrap_err();
+        assert!(
+            err.contains("metric launches: baseline 46, observed 47"),
+            "{err}"
+        );
+        assert!(
+            err.contains("metric us: baseline 301.338, observed 301.339"),
+            "{err}"
+        );
     }
 
     #[test]

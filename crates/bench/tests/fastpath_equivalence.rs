@@ -28,9 +28,10 @@ use baselines::{
 };
 use gpu_sim::{Gpu, Kernel};
 use sparse::ell::EllMatrix;
-use sparse::{block, gen, Matrix, RowSwizzle};
+use sparse::{block, gen, Matrix, PatternGranularity, PatternLut, RowSwizzle};
 use sputnik::{
-    FallbackSpmmKernel, PermuteKernel, SddmmConfig, SddmmKernel, SparseSoftmaxKernel, SpmmConfig,
+    joint_heuristic, FallbackSpmmKernel, JointSpmmKernel, PermuteKernel, SddmmConfig, SddmmKernel,
+    SparseSoftmaxKernel, SpmmConfig,
 };
 use std::sync::atomic::{AtomicU32, Ordering};
 
@@ -71,6 +72,20 @@ fn all_kernels_fastpath_bit_identical() {
             let swizzle = RowSwizzle::for_config(&a, cfg.row_swizzle);
             let kernel = sputnik::SpmmKernel::<f32>::for_profile(&a, n, &swizzle, cfg);
             assert_fastpath_identical(&kernel, &label("spmm"));
+        }
+
+        // Joint SpMM at both LUT granularities: the SpMM body probing a LUT
+        // over seeded activations, so dead tiles are really skipped.
+        {
+            let acts = gen::activations(k, n, 0.7, seed + 7);
+            let cfg = joint_heuristic::<f32>(n);
+            let swizzle = RowSwizzle::for_config(&a, cfg.row_swizzle);
+            for granularity in [PatternGranularity::Fine, PatternGranularity::Coarse] {
+                let lut = PatternLut::build(&acts, granularity);
+                let kernel = JointSpmmKernel::<f32>::for_profile(&a, n, &swizzle, &lut, cfg)
+                    .unwrap_or_else(|e| panic!("joint construction: {e}"));
+                assert_fastpath_identical(&kernel, &label(&format!("joint_spmm {granularity:?}")));
+            }
         }
 
         // Scalar fallback SpMM.

@@ -12,8 +12,8 @@
 //! body keeps the flips serial).
 
 use gpu_sim::{lanes, Gpu};
-use sparse::{block, ell::EllMatrix, gen, Layout, Matrix};
-use sputnik::{SddmmConfig, SpmmConfig};
+use sparse::{block, ell::EllMatrix, gen, Layout, Matrix, PatternGranularity, PatternLut};
+use sputnik::{joint_heuristic, SddmmConfig, SpmmConfig};
 
 /// The last shape's N = 44 is not a multiple of 8, so the SpMM-family
 /// kernels reach `fma_accumulate`'s scalar tail.
@@ -70,6 +70,11 @@ fn every_kernel_bit_identical_on_both_lane_paths() {
                 ..SpmmConfig::heuristic::<f32>(n)
             };
             bits(&sputnik::spmm(&gpu, &a, &b, cfg).0)
+        });
+        assert_paths_match(&label("joint_spmm"), || {
+            let acts = gen::activations(k, n, 0.7, seed + 5);
+            let lut = PatternLut::build(&acts, PatternGranularity::Fine);
+            bits(&sputnik::joint_spmm(&gpu, &a, &acts, &lut, joint_heuristic::<f32>(n)).0)
         });
         assert_paths_match(&label("sddmm"), || {
             let cfg = SddmmConfig::heuristic::<f32>(k);

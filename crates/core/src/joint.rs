@@ -8,9 +8,12 @@
 //! all-zero contributes nothing — but the dense kernel still pays its load
 //! and FMA.
 //!
-//! [`JointSpmmKernel`] consults a precomputed [`sparse::PatternLut`] — a
-//! bitmap of 8x32 (fine) or 64x32 (coarse) zero blocks of B — and skips the
-//! B-load + FMA for any stored nonzero whose target tile the LUT marks
+//! [`JointSpmmKernel`] is [`SpmmKernel`] with a precomputed
+//! [`sparse::PatternLut`] attached — a bitmap of 8x32 (fine) or 64x32
+//! (coarse) zero blocks of B. There is one SpMM body: this module adds the
+//! LUT checks to construction, its own launch name and the probe's two
+//! registers, and forwards everything else to [`SpmmKernel`], which skips
+//! the B load + FMA of any stored nonzero whose target tile the LUT marks
 //! dead. The skip is *warp-uniform*: the kernel's column strip is
 //! constrained to lie inside one 32-column LUT tile (`block_items_x` must
 //! divide 32), so every lane of a subwarp probes the same LUT bit and the
@@ -29,9 +32,9 @@
 //!   seeded at `+0.0` can never produce `-0.0` (a round-to-nearest sum is
 //!   `-0.0` only when both addends are `-0.0`), so for a dead tile every
 //!   skipped `fma(val, +0.0, acc)` would have returned `acc` bit-for-bit.
-//! * Surviving elements replay the *exact* per-element `mul_add` order of
-//!   [`crate::spmm::SpmmKernel`]: both kernels resolve their iteration
-//!   space through the shared [`crate::spmm::resolve_subwarp`].
+//! * Surviving elements run the *exact* per-element `mul_add` order of the
+//!   weight-only kernel: it is the same functional body, with the LUT as
+//!   one more filter term on its element stream.
 //!
 //! Therefore `joint_spmm` output is bit-identical to `spmm` output on the
 //! same operands — asserted per-element in the tests and in the `jointwall`
@@ -39,70 +42,38 @@
 //!
 //! ## Cost model
 //!
-//! The A-side of the kernel is unchanged: values and indices are staged to
-//! shared memory in full (the indices must be *read* to be probed), and the
-//! warp-divergence model is the dense kernel's. Per strip the model adds
-//! one gather of the distinct LUT words touched plus one bit-test
-//! instruction per position, and then scales the inner-loop body — B-load
-//! instructions, index-scaling, FMAs — by the strip's *union-live* count:
-//! a position is executed iff at least one subwarp in the warp is live
-//! there (dead positions are skipped warp-uniformly; a position where any
-//! subwarp survives costs the whole warp an instruction slot, which is
+//! The cost trace is [`SpmmKernel`]'s. The A-side is unchanged: values and
+//! indices are staged to shared memory in full (the indices must be *read*
+//! to be probed), and the warp-divergence model is the dense one. Per strip
+//! the LUT adds one gather of the distinct LUT words touched plus one
+//! bit-test instruction per position, and then scales the inner-loop body —
+//! B-load instructions, index-scaling, FMAs — by the strip's *union-live*
+//! count: a position is executed iff at least one subwarp in the warp is
+//! live there (dead positions are skipped warp-uniformly; a position where
+//! any subwarp survives costs the whole warp an instruction slot, which is
 //! exactly the lockstep-execution price the warp-uniform design accepts).
 //! Per-subwarp B traffic and useful FLOPs count only that subwarp's own
-//! live positions — a predicated-off lane moves no sectors.
+//! live positions — a predicated-off lane moves no sectors. With every
+//! position live the charges are exactly the weight-only kernel's, so any
+//! change to the SpMM cost model moves the joint numbers with it.
 
 use crate::config::SpmmConfig;
 use crate::error::SputnikError;
-use crate::roma::{ROMA_MASK_INSTRS, ROMA_PRELUDE_INSTRS};
-use crate::spmm::{
-    dense_strip_sectors, effective_vw_a, gather_row_addrs, require_finite, resolve_subwarp,
-    validate_spmm, SubwarpWork, BUF_A_INDICES, BUF_A_OFFSETS, BUF_A_VALUES, BUF_B, BUF_C,
-    BUF_SWIZZLE, MAX_BLOCK_SUBWARPS,
-};
+use crate::spmm::{require_finite, validate_spmm, SpmmKernel};
 use gpu_sim::trace::{self, Entry};
 use gpu_sim::{
-    AccessBound, AccessPattern, AlignmentFacts, BarrierFacts, BlockContext, BufferBound, BufferId,
-    BufferSpec, Dim3, Gpu, Kernel, LaunchRequest, LaunchStats, SmemScope, StageBound, StaticFacts,
-    SyncUnsafeSlice, VectorClass,
+    BlockContext, BufferSpec, Dim3, Gpu, Kernel, LaunchRequest, LaunchStats, StaticFacts,
 };
 use sparse::{CsrMatrix, Matrix, PatternLut, RowSwizzle, Scalar};
-
-/// Buffer identity of the pattern LUT (the dense-kernel slots 0..=6 keep
-/// their meanings).
-pub const BUF_LUT: BufferId = BufferId(7);
 
 /// The joint-sparsity SpMM kernel. Construct via [`JointSpmmKernel::try_new`]
 /// (functional) or [`JointSpmmKernel::for_profile`] (cost model only), or
 /// use the [`joint_spmm`] / [`joint_spmm_profile`] wrappers.
 pub struct JointSpmmKernel<'a, T: Scalar> {
-    a: &'a CsrMatrix<T>,
-    b: Option<&'a Matrix<T>>,
-    out: Option<SyncUnsafeSlice<'a, T>>,
-    swizzle: &'a RowSwizzle,
-    lut: &'a PatternLut,
-    cfg: SpmmConfig,
-    n: usize,
-}
-
-/// Liveness of one strip of the main loop, for one warp.
-struct StripLiveness {
-    /// Strip length (`block_items_k`, or the residue).
-    len: usize,
-    /// Positions where at least one in-range subwarp is LUT-live — the
-    /// warp-uniform execution count for the strip's inner body.
-    union_live: u64,
-    /// Distinct LUT word byte-addresses probed this strip (sorted).
-    probe_addrs: Vec<u64>,
-}
-
-/// Per-warp liveness summary: what the skip model adds to one warp's cost
-/// trace.
-struct WarpLiveness {
-    strips: Vec<StripLiveness>,
-    /// Per subwarp: (live positions in `[0, total)`,
-    /// live positions in `[prefix, total)` = useful nonzeros).
-    per_sub: Vec<(u64, u64)>,
+    /// The SpMM kernel, probing the LUT.
+    spmm: SpmmKernel<'a, T>,
+    /// `sputnik_joint_spmm_{T}_{cfg}_{granularity}`.
+    name: String,
 }
 
 impl<'a, T: Scalar> JointSpmmKernel<'a, T> {
@@ -149,37 +120,9 @@ impl<'a, T: Scalar> JointSpmmKernel<'a, T> {
         lut: &'a PatternLut,
         cfg: SpmmConfig,
     ) -> Result<Self, SputnikError> {
-        if a.cols() != b.rows() {
-            return Err(SputnikError::ShapeMismatch {
-                expected: format!("B with {} rows", a.cols()),
-                found: format!("{}x{}", b.rows(), b.cols()),
-                context: "joint spmm inner dimension",
-            });
-        }
-        if out.rows() != a.rows() || out.cols() != b.cols() {
-            return Err(SputnikError::ShapeMismatch {
-                expected: format!("{}x{}", a.rows(), b.cols()),
-                found: format!("{}x{}", out.rows(), out.cols()),
-                context: "joint spmm output",
-            });
-        }
-        if b.layout() != sparse::Layout::RowMajor {
-            return Err(SputnikError::IllegalConfig {
-                reason: "Sputnik uses row-major dense operands".into(),
-            });
-        }
-        let n = b.cols();
-        Self::validate_joint(a, swizzle, lut, &cfg, n)?;
-        let out = SyncUnsafeSlice::new(out.as_mut_slice());
-        Ok(Self {
-            a,
-            b: Some(b),
-            out: Some(out),
-            swizzle,
-            lut,
-            cfg,
-            n,
-        })
+        let spmm = SpmmKernel::try_new(a, b, out, swizzle, cfg)?;
+        Self::validate_joint(a, swizzle, lut, &cfg, b.cols())?;
+        Ok(Self::probing(spmm, lut, &cfg))
     }
 
     /// A cost-model-only kernel: needs only the sparse topology and the LUT,
@@ -192,488 +135,63 @@ impl<'a, T: Scalar> JointSpmmKernel<'a, T> {
         cfg: SpmmConfig,
     ) -> Result<Self, SputnikError> {
         Self::validate_joint(a, swizzle, lut, &cfg, n)?;
-        Ok(Self {
-            a,
-            b: None,
-            out: None,
-            swizzle,
-            lut,
-            cfg,
-            n,
-        })
+        let spmm = SpmmKernel::for_profile(a, n, swizzle, cfg);
+        Ok(Self::probing(spmm, lut, &cfg))
     }
 
-    fn vw_a(&self) -> u32 {
-        effective_vw_a(&self.cfg)
-    }
-
-    fn b_load_sectors(&self, n_off: usize, tile_w: usize) -> u64 {
-        dense_strip_sectors(T::BYTES, self.n, n_off, tile_w)
-    }
-
-    fn subwarp_work(&self, m_idx: usize) -> SubwarpWork {
-        resolve_subwarp(self.a, self.swizzle, &self.cfg, m_idx)
-    }
-
-    /// Liveness of every strip and subwarp of one warp, for the column strip
-    /// at `n_off`. Liveness is a function of the *stored indices* and the
-    /// LUT only — never of values — so ROMA prefix positions (whose values
-    /// the functional path masks to zero) probe like any other position and
-    /// the result is identical between functional and profile kernels.
-    fn warp_liveness(&self, subs: &[SubwarpWork], n_off: usize) -> WarpLiveness {
-        let bik = self.cfg.block_items_k as usize;
-        let nt = self.lut.ntile_of(n_off);
-        let indices = self.a.col_indices();
-        let max_total = subs.iter().map(|s| s.total).max().unwrap_or(0);
-        let mut per_sub = vec![(0u64, 0u64); subs.len()];
-        let mut strips = Vec::with_capacity(max_total.div_ceil(bik.max(1)));
-        let mut base = 0usize;
-        while base < max_total {
-            let len = bik.min(max_total - base);
-            let mut union_live = 0u64;
-            let mut probe_addrs = Vec::new();
-            for p in base..base + len {
-                let mut any_live = false;
-                for (s, sub) in subs.iter().enumerate() {
-                    if sub.row == usize::MAX || p >= sub.total {
-                        continue;
-                    }
-                    let col = indices[sub.aligned_offset + p] as usize;
-                    let kt = self.lut.ktile_of(col);
-                    probe_addrs.push(self.lut.word_addr(kt, nt));
-                    if self.lut.is_live(kt, nt) {
-                        any_live = true;
-                        per_sub[s].0 += 1;
-                        if p >= sub.prefix {
-                            per_sub[s].1 += 1;
-                        }
-                    }
-                }
-                union_live += u64::from(any_live);
-            }
-            probe_addrs.sort_unstable();
-            probe_addrs.dedup();
-            strips.push(StripLiveness {
-                len,
-                union_live,
-                probe_addrs,
-            });
-            base += len;
-        }
-        WarpLiveness { strips, per_sub }
-    }
-
-    /// Functional computation for one subwarp: the dense kernel's numerics
-    /// and control flow, minus the elements whose B tile the LUT proves
-    /// dead. Skipped fmas multiply by exact `+0.0`, so the surviving chain
-    /// is bit-identical to the dense kernel's (see the module docs).
-    fn compute_subwarp(&self, sub: &SubwarpWork, n_off: usize, tile_w: usize) {
-        let mut acc = gpu_sim::arena::ScratchF32::take(tile_w);
-        let values = self.a.values();
-        let indices = self.a.col_indices();
-        let (Some(b), Some(out)) = (self.b, self.out.as_ref()) else {
-            return;
-        };
-        let b = b.as_slice();
-        // ROMA masking skips the prefix (it belongs to the previous row); a
-        // dead tile is skipped because every fma it would run is
-        // fma(val, +0.0, acc) == acc.
-        let terms = (sub.prefix..sub.total).filter_map(|j| {
-            let pos = sub.aligned_offset + j;
-            let val = values[pos].to_f32();
-            let col = indices[pos] as usize;
-            (val != 0.0 && self.lut.live_for(col, n_off))
-                .then(|| (val, &b[col * self.n + n_off..][..tile_w]))
-        });
-        gpu_sim::lanes::fma_accumulate(&mut acc, terms, |bv| bv.to_f32());
-        for (x, &v) in acc.iter().enumerate() {
-            unsafe { out.write(sub.row * self.n + n_off + x, T::from_f32(v)) };
-        }
-    }
-
-    /// Cost of one warp's execution: the dense kernel's trace with the
-    /// inner-loop body scaled by each strip's union-live count, plus the
-    /// per-strip LUT probe.
-    fn cost_warp(&self, ctx: &mut BlockContext, subs: &[SubwarpWork], n_off: usize, tile_w: usize) {
-        let cfg = &self.cfg;
-        let bik = cfg.block_items_k as usize;
-        let threads_x = cfg.threads_x();
-        let vw = cfg.vector_width;
-        let vw_a = self.vw_a();
-        let eb = T::BYTES;
-        let ib = cfg.index_width.bytes();
-
-        // ---- Prelude (identical to the dense kernel) ----------------------
-        ctx.misc(6);
-        if cfg.row_swizzle {
-            let live = subs.len().min(self.a.rows()) as u32;
-            if live > 0 {
-                ctx.ld_global(BUF_SWIZZLE, 0, live, 1, 4);
-            }
-        }
-        let mut offset_addrs = [0u64; MAX_BLOCK_SUBWARPS];
-        let n_offset_addrs = gather_row_addrs(subs, 4, &mut offset_addrs);
-        if n_offset_addrs > 0 {
-            ctx.ld_global_gather(BUF_A_OFFSETS, &offset_addrs[..n_offset_addrs], 8);
-        }
-        ctx.misc(2);
-        if cfg.roma && vw > 1 {
-            ctx.misc(ROMA_PRELUDE_INSTRS);
-        }
-
-        // ---- Warp divergence stall (identical: skipping is warp-uniform,
-        // so it changes which positions execute, never which lanes) --------
-        const DIVERGENCE_STALL_CYCLES_PER_SLOT: u64 = 14;
-        let max_total = subs.iter().map(|s| s.total).max().unwrap_or(0);
-        if subs.len() > 1 {
-            let wasted: u64 = subs
-                .iter()
-                .filter(|s| s.row != usize::MAX)
-                .map(|s| (max_total - s.total) as u64)
-                .sum();
-            ctx.cost.stall_cycles += wasted * DIVERGENCE_STALL_CYCLES_PER_SLOT / subs.len() as u64;
-        }
-
-        // ---- Main loop ----------------------------------------------------
-        let lv = self.warp_liveness(subs, n_off);
-        let smem_broadcast_loads = 2 * (bik as u64).div_ceil(4);
-        for (si, strip) in lv.strips.iter().enumerate() {
-            if strip.len == bik {
-                // A staging: full strip of values + indices, unconditionally
-                // (the indices must be staged to be probed).
-                let a_load_instrs =
-                    gpu_sim::memory::vector_instr_count(bik as u64, threads_x, vw_a);
-                for _ in 0..a_load_instrs {
-                    ctx.cost.ld_global_instrs += 2;
-                    ctx.smem_store(2, 0, SmemScope::Warp);
-                }
-                ctx.cost.shared_bytes += bik as u64 * (eb + ib) as u64;
-                if cfg.index_prescale {
-                    ctx.misc((bik as u64).div_ceil(threads_x as u64));
-                }
-                // Broadcast readback is also full-strip: probing consumes
-                // every staged index even when the element is then skipped.
-                for _ in 0..smem_broadcast_loads {
-                    ctx.ld_shared(1, 4, eb.max(ib), 1);
-                }
-                // The warp-uniform probe: gather the strip's distinct LUT
-                // words (32 lanes per gather instruction), one bit-test +
-                // skip predicate per position.
-                for lanes in strip.probe_addrs.chunks(32) {
-                    ctx.ld_global_gather(BUF_LUT, lanes, 8);
-                }
-                ctx.misc(strip.len as u64);
-                // Inner body only for union-live positions.
-                ctx.cost.ld_global_instrs += strip.union_live;
-                if !cfg.index_prescale {
-                    ctx.misc(strip.union_live);
-                }
-                ctx.cost.fma_instrs += strip.union_live * vw as u64;
-                ctx.misc(4);
-                if si == 0 && cfg.roma && vw > 1 {
-                    ctx.misc(1);
-                    ctx.smem_store(2, 0, SmemScope::Warp);
-                    let _ = ROMA_MASK_INSTRS;
-                }
-            } else {
-                // ---- Residue strip ---------------------------------------
-                let residue = strip.len;
-                for lanes in strip.probe_addrs.chunks(32) {
-                    ctx.ld_global_gather(BUF_LUT, lanes, 8);
-                }
-                ctx.misc(residue as u64);
-                if cfg.residue_unroll {
-                    // The unrolled path works in 4-wide chunks, so surviving
-                    // work rounds up to a multiple of 4.
-                    ctx.smem_store(2, 0, SmemScope::Warp);
-                    let rounded = strip.union_live.div_ceil(4) * 4;
-                    let a_instrs =
-                        gpu_sim::memory::vector_instr_count(residue as u64, threads_x, vw_a);
-                    ctx.cost.ld_global_instrs += 2 * a_instrs;
-                    ctx.smem_store(2 * a_instrs, 0, SmemScope::Warp);
-                    ctx.cost.shared_bytes += residue as u64 * (eb + ib) as u64;
-                    for _ in 0..(2 * (residue as u64).div_ceil(4)) {
-                        ctx.ld_shared(1, 4, eb.max(ib), 1);
-                    }
-                    ctx.cost.ld_global_instrs += rounded;
-                    ctx.cost.fma_instrs += rounded * vw as u64;
-                    if cfg.index_prescale {
-                        ctx.misc((residue as u64).div_ceil(threads_x as u64));
-                    } else {
-                        ctx.misc(rounded);
-                    }
-                    ctx.misc(4);
-                } else {
-                    let a_instrs =
-                        gpu_sim::memory::vector_instr_count(residue as u64, threads_x, 1);
-                    ctx.cost.ld_global_instrs += 2 * a_instrs;
-                    ctx.smem_store(2 * a_instrs, 0, SmemScope::Warp);
-                    ctx.cost.shared_bytes += residue as u64 * (eb + ib) as u64;
-                    for _ in 0..(2 * residue as u64) {
-                        ctx.ld_shared(1, 1, eb.max(ib), 1);
-                    }
-                    ctx.cost.ld_global_instrs += strip.union_live;
-                    ctx.cost.fma_instrs += strip.union_live * vw as u64;
-                    ctx.misc(5 * residue as u64);
-                    ctx.cost.stall_cycles += 4 * residue as u64;
-                }
-            }
-        }
-
-        // ---- Per-subwarp memory traffic ----------------------------------
-        let b_sectors_per_load = self.b_load_sectors(n_off, tile_w);
-        for (s, sub) in subs.iter().enumerate() {
-            if sub.row == usize::MAX || sub.total == 0 {
-                continue;
-            }
-            // A values + indices: the full strip is always staged.
-            ctx.ld_global_trace(
-                BUF_A_VALUES,
-                sub.aligned_offset as u64 * eb as u64,
-                sub.total as u64 * eb as u64,
-            );
-            ctx.ld_global_trace(
-                BUF_A_INDICES,
-                sub.aligned_offset as u64 * ib as u64,
-                sub.total as u64 * ib as u64,
-            );
-            // B strips: only this subwarp's live positions move sectors — a
-            // predicated-off lane issues no memory transaction.
-            let (live, live_nnz) = lv.per_sub[s];
-            ctx.cost.gmem[BUF_B.0 as usize].ld_sectors += live * b_sectors_per_load;
-            // Useful FLOPs: live true nonzeros only (skipped elements would
-            // have contributed exact zeros).
-            ctx.cost.flops += 2 * live_nnz * tile_w as u64;
-        }
-
-        // ---- Output store (identical: every tile is written) --------------
-        let store_vw = if self.n.is_multiple_of(vw as usize)
-            && n_off.is_multiple_of(vw as usize)
-            && tile_w.is_multiple_of(vw as usize)
-        {
-            vw
-        } else {
-            1
-        };
-        let store_instrs = gpu_sim::memory::vector_instr_count(tile_w as u64, threads_x, store_vw);
-        ctx.cost.st_global_instrs += store_instrs;
-        for sub in subs {
-            if sub.row == usize::MAX {
-                continue;
-            }
-            let addr = (sub.row * self.n + n_off) as u64 * eb as u64;
-            ctx.st_global_trace(BUF_C, addr, tile_w as u64 * eb as u64);
+    fn probing(spmm: SpmmKernel<'a, T>, lut: &'a PatternLut, cfg: &SpmmConfig) -> Self {
+        Self {
+            spmm: spmm.with_lut(lut),
+            name: format!(
+                "sputnik_joint_spmm_{}_{}_{}",
+                T::TAG,
+                cfg.tag(),
+                lut.granularity().tag()
+            ),
         }
     }
 }
 
 impl<T: Scalar> Kernel for JointSpmmKernel<'_, T> {
     fn name(&self) -> String {
-        format!(
-            "sputnik_joint_spmm_{}_{}_{}",
-            T::TAG,
-            self.cfg.tag(),
-            self.lut.granularity().tag()
-        )
+        self.name.clone()
     }
 
     fn grid(&self) -> Dim3 {
-        Dim3::xy(
-            (self.n as u32).div_ceil(self.cfg.block_items_x),
-            (self.a.rows() as u32).div_ceil(self.cfg.block_items_y),
-        )
+        self.spmm.grid()
     }
 
     fn block_dim(&self) -> Dim3 {
-        Dim3::xy(self.cfg.threads_x(), self.cfg.block_items_y)
+        self.spmm.block_dim()
     }
 
     fn shared_mem_bytes(&self) -> u32 {
-        // A staging is unchanged; LUT probes read through global/L1.
-        self.cfg.smem_bytes::<T>()
+        self.spmm.shared_mem_bytes()
     }
 
     fn regs_per_thread(&self) -> u32 {
         // One extra register pair holds the strip's probe word + predicate.
-        self.cfg.regs_per_thread() + 2
+        self.spmm.regs_per_thread() + 2
     }
 
     fn buffers(&self) -> Vec<BufferSpec> {
-        let nnz = self.a.nnz() as u64;
-        let mut bufs = vec![
-            BufferSpec {
-                id: BUF_A_VALUES,
-                name: "a_values",
-                footprint_bytes: nnz * T::BYTES as u64,
-                pattern: AccessPattern::Streaming,
-            },
-            BufferSpec {
-                id: BUF_A_INDICES,
-                name: "a_indices",
-                footprint_bytes: nnz * self.cfg.index_width.bytes() as u64,
-                pattern: AccessPattern::Streaming,
-            },
-            BufferSpec {
-                id: BUF_A_OFFSETS,
-                name: "a_row_offsets",
-                footprint_bytes: (self.a.rows() as u64 + 1) * 4,
-                pattern: AccessPattern::SharedReuse,
-            },
-            BufferSpec {
-                id: BUF_B,
-                name: "b",
-                footprint_bytes: (self.a.cols() * self.n) as u64 * T::BYTES as u64,
-                pattern: AccessPattern::SharedReuse,
-            },
-            BufferSpec {
-                id: BUF_C,
-                name: "c",
-                footprint_bytes: (self.a.rows() * self.n) as u64 * T::BYTES as u64,
-                pattern: AccessPattern::Streaming,
-            },
-            BufferSpec {
-                id: BUF_LUT,
-                name: "pattern_lut",
-                footprint_bytes: self.lut.words().len() as u64 * 8,
-                pattern: AccessPattern::SharedReuse,
-            },
-        ];
-        if self.cfg.row_swizzle {
-            bufs.push(BufferSpec {
-                id: BUF_SWIZZLE,
-                name: "row_indices",
-                footprint_bytes: self.a.rows() as u64 * 4,
-                pattern: AccessPattern::SharedReuse,
-            });
-        }
-        bufs
+        self.spmm.buffers()
+    }
+
+    fn block_signature(&self, block: Dim3) -> Option<u64> {
+        self.spmm.block_signature(block)
     }
 
     fn execute_block(&self, block: Dim3, ctx: &mut BlockContext) {
-        let cfg = &self.cfg;
-        let n_off = block.x as usize * cfg.block_items_x as usize;
-        let tile_w = cfg.block_items_x.min((self.n - n_off) as u32) as usize;
-        if tile_w == 0 {
-            return;
-        }
-        let biy = cfg.block_items_y as usize;
-        let base_m = block.y as usize * biy;
-        let mut subs_buf = [SubwarpWork::EMPTY; MAX_BLOCK_SUBWARPS];
-        for (s, slot) in subs_buf.iter_mut().take(biy).enumerate() {
-            *slot = self.subwarp_work(base_m + s);
-        }
-        let subs = &subs_buf[..biy];
-
-        if ctx.recording() {
-            let spw = cfg.subwarps_per_warp() as usize;
-            for chunk in subs.chunks(spw) {
-                self.cost_warp(ctx, chunk, n_off, tile_w);
-            }
-        }
-
-        if ctx.functional() && self.b.is_some() {
-            for sub in subs {
-                if sub.row != usize::MAX {
-                    self.compute_subwarp(sub, n_off, tile_w);
-                }
-            }
-        }
+        self.spmm.execute_block(block, ctx);
     }
 
-    /// Static facts: the dense kernel's bounds (minus bias) plus the LUT.
-    ///
-    /// LUT soundness: a probe reads the 8-byte word at
-    /// `((kt * ntiles + nt) / 64) * 8`. Validated CSR indices give
-    /// `kt < ktiles` and in-range strips give `nt < ntiles`, so the furthest
-    /// byte is at most `words.len() * 8` — the exact allocation.
     fn static_facts(&self) -> StaticFacts {
-        let cfg = &self.cfg;
-        let eb = T::BYTES as u64;
-        let ib = cfg.index_width.bytes() as u64;
-        let rows = self.a.rows() as u64;
-        let cols = self.a.cols() as u64;
-        let nnz = self.a.nnz() as u64;
-        let n = self.n as u64;
-
-        let mut bounds = vec![
-            BufferBound {
-                slot: BUF_A_VALUES.0,
-                bound: AccessBound::Extent(nnz * eb),
-            },
-            BufferBound {
-                slot: BUF_A_INDICES.0,
-                bound: AccessBound::Extent(nnz * ib),
-            },
-            BufferBound {
-                slot: BUF_A_OFFSETS.0,
-                bound: AccessBound::Extent((rows + 1) * 4),
-            },
-            BufferBound {
-                slot: BUF_B.0,
-                bound: AccessBound::Extent(cols * n * eb),
-            },
-            BufferBound {
-                slot: BUF_C.0,
-                bound: AccessBound::Extent(rows * n * eb),
-            },
-            BufferBound {
-                slot: BUF_LUT.0,
-                bound: AccessBound::Extent(self.lut.words().len() as u64 * 8),
-            },
-        ];
-        if cfg.row_swizzle {
-            let chunk = u64::from(cfg.subwarps_per_warp().min(cfg.block_items_y)).min(rows);
-            bounds.push(BufferBound {
-                slot: BUF_SWIZZLE.0,
-                bound: AccessBound::Extent(chunk * 4),
-            });
-        }
-
-        let vw = cfg.vector_width;
-        let alignment = if vw <= 1 || self.vw_a() == 1 {
-            AlignmentFacts::ScalarOnly
-        } else if cfg.assume_aligned {
-            let worst = (0..self.a.rows())
-                .filter(|&r| self.a.row_len(r) > 0)
-                .map(|r| (self.a.row_offsets()[r] as u64 % u64::from(vw)) * eb)
-                .max()
-                .unwrap_or(0);
-            AlignmentFacts::Residues(vec![VectorClass {
-                slot: BUF_A_VALUES.0,
-                vec_width: vw,
-                elem_bytes: T::BYTES,
-                worst_residue: worst,
-            }])
-        } else {
-            AlignmentFacts::Residues(vec![VectorClass {
-                slot: BUF_A_VALUES.0,
-                vec_width: vw,
-                elem_bytes: T::BYTES,
-                worst_residue: 0,
-            }])
-        };
-
-        StaticFacts {
-            bounds: Some(bounds),
-            alignment,
-            barrier: BarrierFacts::WarpSynchronous,
-            stage: StageBound::Bytes(0),
-        }
+        self.spmm.static_facts()
     }
 
     fn poison_output(&self, seed: u64) {
-        if let Some(out) = self.out.as_ref() {
-            let len = out.len();
-            if len == 0 {
-                return;
-            }
-            for i in 0..3u64 {
-                let mut z = seed ^ i.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-                z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-                z ^= z >> 31;
-                unsafe { out.write(z as usize % len, T::from_f32(f32::NAN)) };
-            }
-        }
+        self.spmm.poison_output(seed);
     }
 }
 

@@ -25,9 +25,7 @@ pub use batched::{sddmm_batched_dispatch, spmm_batched_dispatch, DispatchedBatch
 pub use config::{SddmmConfig, SpmmConfig};
 pub use dispatch::{DispatchPolicy, DispatchReport, FallbackSpmmKernel, Rung};
 pub use error::SputnikError;
-pub use joint::{
-    joint_heuristic, joint_spmm, joint_spmm_profile, try_joint_spmm, JointSpmmKernel, BUF_LUT,
-};
+pub use joint::{joint_heuristic, joint_spmm, joint_spmm_profile, try_joint_spmm, JointSpmmKernel};
 pub use plan::{
     attention_configs, sparse_attention_fused, sparse_attention_fused_profile,
     sparse_attention_unfused, try_sparse_attention_fused, AttentionConfigs, AttentionTime,
@@ -43,6 +41,6 @@ pub use softmax::{
     sparse_softmax, sparse_softmax_profile, sparse_softmax_scaled, sparse_softmax_scaled_profile,
     SparseSoftmaxKernel,
 };
-pub use spmm::{spmm, spmm_profile, spmm_profile_cached, try_spmm, SpmmKernel};
+pub use spmm::{spmm, spmm_profile, spmm_profile_cached, try_spmm, SpmmKernel, BUF_LUT};
 pub use transpose::{CachedTranspose, PermuteKernel};
 pub use tune::{AutoTuner, ProblemClass, TuneResult};

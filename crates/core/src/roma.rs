@@ -12,10 +12,6 @@
 /// 1 `setp`, 2 `selp` (Section V-B2).
 pub const ROMA_PRELUDE_INSTRS: u64 = 6;
 
-/// PTX instructions the masking adds to the first main-loop iteration:
-/// 1 `setp` and 2 `st.shared`.
-pub const ROMA_MASK_INSTRS: u64 = 3;
-
 /// The aligner a thread block runs in its prelude.
 ///
 /// Offsets are in **elements** (not bytes); `vector_width` is in elements.

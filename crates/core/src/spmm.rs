@@ -13,16 +13,22 @@
 //! execute in lockstep for as many strips as the *longest* row among them
 //! needs — the warp-divergence cost of unbalanced rows that the row swizzle's
 //! bundling removes.
+//!
+//! The same body runs the joint activation x weight variant
+//! ([`crate::joint`]): with a pattern LUT over B attached, every strip of
+//! the main loop probes the LUT and skips the B loads and FMAs of positions
+//! whose B tile is all zero. Without a LUT every position is live, which is
+//! the paper's kernel.
 
 use crate::config::SpmmConfig;
 use crate::error::SputnikError;
-use crate::roma::{MemoryAligner, ROMA_MASK_INSTRS, ROMA_PRELUDE_INSTRS};
+use crate::roma::{MemoryAligner, ROMA_PRELUDE_INSTRS};
 use gpu_sim::{
     AccessBound, AccessPattern, AlignmentFacts, BarrierFacts, BlockContext, BufferBound, BufferId,
     BufferSpec, Dim3, Fingerprint, Gpu, Kernel, LaunchCache, LaunchRequest, LaunchStats, SmemScope,
     StageBound, StaticFacts, SyncUnsafeSlice, VectorClass,
 };
-use sparse::{CsrMatrix, Matrix, RowSwizzle, Scalar};
+use sparse::{CsrMatrix, Matrix, PatternLut, RowSwizzle, Scalar};
 
 /// Validate shapes/config shared by the functional and profile constructors
 /// (and by the joint-sparsity kernel, which layers its own LUT checks on
@@ -77,6 +83,8 @@ pub const BUF_B: BufferId = BufferId(3);
 pub const BUF_C: BufferId = BufferId(4);
 pub const BUF_SWIZZLE: BufferId = BufferId(5);
 pub const BUF_BIAS: BufferId = BufferId(6);
+/// The pattern LUT, declared only by joint-sparsity launches.
+pub const BUF_LUT: BufferId = BufferId(7);
 
 /// The simulated SpMM kernel. Construct via [`SpmmKernel::new`] (functional)
 /// or [`SpmmKernel::for_profile`] (cost model only — no dense allocations),
@@ -93,32 +101,33 @@ pub struct SpmmKernel<'a, T: Scalar> {
     /// Accumulate into the existing output (`C += A·B`) instead of
     /// overwriting it. See [`SpmmKernel::with_accumulate`].
     accumulate: bool,
+    /// Zero-tile bitmap of B; set only by [`crate::joint::JointSpmmKernel`].
+    lut: Option<&'a PatternLut>,
 }
 
-/// Per-subwarp state computed in the prelude. Shared with the joint-sparsity
-/// kernel ([`crate::joint`]), which resolves subwarps identically.
+/// Per-subwarp state computed in the prelude.
 #[derive(Clone, Copy)]
-pub(crate) struct SubwarpWork {
+struct SubwarpWork {
     /// Output row this subwarp produces, or `usize::MAX` when out of range.
-    pub(crate) row: usize,
+    row: usize,
     /// True row length.
-    pub(crate) nnz: usize,
+    nnz: usize,
     /// ROMA-aligned start.
-    pub(crate) aligned_offset: usize,
+    aligned_offset: usize,
     /// Masked prefix length.
-    pub(crate) prefix: usize,
+    prefix: usize,
     /// Values to process including the prefix.
-    pub(crate) total: usize,
+    total: usize,
 }
 
 /// Upper bound on subwarps per block (`block_items_y <= 32`, enforced by
 /// [`SpmmConfig::validate`]). Lets the prelude resolve descriptors into a
 /// stack buffer instead of a per-block heap allocation.
-pub(crate) const MAX_BLOCK_SUBWARPS: usize = 32;
+const MAX_BLOCK_SUBWARPS: usize = 32;
 
 impl SubwarpWork {
-    /// Placeholder for unresolved stack-buffer slots.
-    pub(crate) const EMPTY: SubwarpWork = SubwarpWork {
+    /// An out-of-range subwarp; also fills unresolved stack-buffer slots.
+    const EMPTY: SubwarpWork = SubwarpWork {
         row: usize::MAX,
         nnz: 0,
         aligned_offset: 0,
@@ -129,7 +138,7 @@ impl SubwarpWork {
 
 /// Collect `row * scale` for every in-range subwarp into a stack buffer;
 /// returns the count. Shared by the offset/bias gathers and the signature.
-pub(crate) fn gather_row_addrs(
+fn gather_row_addrs(
     subs: &[SubwarpWork],
     scale: u64,
     out: &mut [u64; MAX_BLOCK_SUBWARPS],
@@ -142,80 +151,6 @@ pub(crate) fn gather_row_addrs(
         }
     }
     n
-}
-
-/// Effective vector width for loads from the sparse matrix (see
-/// [`SpmmKernel`]'s `vw_a`); shared with [`crate::joint`].
-pub(crate) fn effective_vw_a(cfg: &SpmmConfig) -> u32 {
-    if cfg.roma || cfg.assume_aligned || cfg.vector_width == 1 {
-        cfg.vector_width
-    } else {
-        1
-    }
-}
-
-/// Sectors touched by one subwarp's load of a `tile_w`-element strip of a
-/// dense row-major `k x n` operand at column offset `n_off`; shared with
-/// [`crate::joint`].
-pub(crate) fn dense_strip_sectors(elem_bytes: u32, n: usize, n_off: usize, tile_w: usize) -> u64 {
-    let eb = elem_bytes as u64;
-    let row_bytes = n as u64 * eb;
-    let off_bytes = n_off as u64 * eb;
-    if row_bytes.is_multiple_of(32) && off_bytes.is_multiple_of(32) {
-        gpu_sim::memory::sectors_contiguous(0, tile_w as u64 * eb)
-    } else {
-        gpu_sim::memory::sectors_contiguous(eb, tile_w as u64 * eb)
-    }
-}
-
-/// Resolve one subwarp's work descriptor: swizzled row id, true length, and
-/// the ROMA / assume-aligned start adjustment. The dense-activation
-/// [`SpmmKernel`] and the joint-sparsity kernel ([`crate::joint`]) resolve
-/// subwarps through this one function, so their per-element iteration spaces
-/// are identical by construction — the foundation of the joint kernel's
-/// bit-identity claim.
-pub(crate) fn resolve_subwarp<T: Scalar>(
-    a: &CsrMatrix<T>,
-    swizzle: &RowSwizzle,
-    cfg: &SpmmConfig,
-    m_idx: usize,
-) -> SubwarpWork {
-    if m_idx >= a.rows() {
-        return SubwarpWork {
-            row: usize::MAX,
-            nnz: 0,
-            aligned_offset: 0,
-            prefix: 0,
-            total: 0,
-        };
-    }
-    let row = if cfg.row_swizzle {
-        swizzle.row(m_idx)
-    } else {
-        m_idx
-    };
-    let offset = a.row_offsets()[row] as usize;
-    let nnz = a.row_len(row);
-    let (aligned_offset, prefix, total) = if cfg.assume_aligned {
-        debug_assert_eq!(
-            offset % cfg.vector_width as usize,
-            0,
-            "assume_aligned requires padded rows (CsrMatrix::padded_to_multiple)"
-        );
-        (offset, 0, nnz)
-    } else if cfg.roma && cfg.vector_width > 1 {
-        let al = MemoryAligner::new(offset, nnz, cfg.vector_width);
-        (al.aligned_offset(), al.prefix(), al.aligned_nonzeros())
-    } else {
-        (offset, 0, nnz)
-    };
-    SubwarpWork {
-        row,
-        nnz,
-        aligned_offset,
-        prefix,
-        total,
-    }
 }
 
 impl<'a, T: Scalar> SpmmKernel<'a, T> {
@@ -269,6 +204,7 @@ impl<'a, T: Scalar> SpmmKernel<'a, T> {
             cfg,
             n,
             accumulate: false,
+            lut: None,
         })
     }
 
@@ -291,6 +227,7 @@ impl<'a, T: Scalar> SpmmKernel<'a, T> {
             cfg,
             n,
             accumulate: false,
+            lut: None,
         }
     }
 
@@ -323,12 +260,24 @@ impl<'a, T: Scalar> SpmmKernel<'a, T> {
         self
     }
 
+    /// Probe `lut` to skip dead B tiles; [`crate::joint`] validates the
+    /// pairing first.
+    pub(crate) fn with_lut(mut self, lut: &'a PatternLut) -> Self {
+        self.lut = Some(lut);
+        self
+    }
+
     /// Effective vector width for loads from the sparse matrix: without ROMA
     /// the row start has no alignment guarantee, so vector loads are illegal
     /// and the kernel falls back to scalar accesses (the padding alternative
     /// the paper rejects as "limiting the generality of the kernel").
     fn vw_a(&self) -> u32 {
-        effective_vw_a(&self.cfg)
+        let cfg = &self.cfg;
+        if cfg.roma || cfg.assume_aligned || cfg.vector_width == 1 {
+            cfg.vector_width
+        } else {
+            1
+        }
     }
 
     /// Sectors touched by one subwarp's load of a `tile_w`-element strip of a
@@ -336,12 +285,51 @@ impl<'a, T: Scalar> SpmmKernel<'a, T> {
     /// are sector-aligned this is the same for every row of B; otherwise the
     /// strip straddles one extra sector (the representative misaligned case).
     fn b_load_sectors(&self, n_off: usize, tile_w: usize) -> u64 {
-        dense_strip_sectors(T::BYTES, self.n, n_off, tile_w)
+        let eb = T::BYTES as u64;
+        if (self.n as u64 * eb).is_multiple_of(32) && (n_off as u64 * eb).is_multiple_of(32) {
+            gpu_sim::memory::sectors_contiguous(0, tile_w as u64 * eb)
+        } else {
+            gpu_sim::memory::sectors_contiguous(eb, tile_w as u64 * eb)
+        }
     }
 
-    /// Prepare one subwarp's work descriptor.
+    /// Prepare one subwarp's work descriptor: swizzled row id, true length,
+    /// and the ROMA / assume-aligned start adjustment. Forced inline: the
+    /// per-block resolve loops in `block_signature` and `execute_block`
+    /// measured up to a third slower with it out of line.
+    #[inline(always)]
     fn subwarp_work(&self, m_idx: usize) -> SubwarpWork {
-        resolve_subwarp(self.a, self.swizzle, &self.cfg, m_idx)
+        let cfg = &self.cfg;
+        if m_idx >= self.a.rows() {
+            return SubwarpWork::EMPTY;
+        }
+        let row = if cfg.row_swizzle {
+            self.swizzle.row(m_idx)
+        } else {
+            m_idx
+        };
+        let offset = self.a.row_offsets()[row] as usize;
+        let nnz = self.a.row_len(row);
+        let (aligned_offset, prefix, total) = if cfg.assume_aligned {
+            debug_assert_eq!(
+                offset % cfg.vector_width as usize,
+                0,
+                "assume_aligned requires padded rows (CsrMatrix::padded_to_multiple)"
+            );
+            (offset, 0, nnz)
+        } else if cfg.roma && cfg.vector_width > 1 {
+            let al = MemoryAligner::new(offset, nnz, cfg.vector_width);
+            (al.aligned_offset(), al.prefix(), al.aligned_nonzeros())
+        } else {
+            (offset, 0, nnz)
+        };
+        SubwarpWork {
+            row,
+            nnz,
+            aligned_offset,
+            prefix,
+            total,
+        }
     }
 
     /// Functional computation for one subwarp: the real numerics, walked
@@ -366,12 +354,15 @@ impl<'a, T: Scalar> SpmmKernel<'a, T> {
                 *slot = unsafe { out.read(sub.row * self.n + n_off + x) }.to_f32();
             }
         }
-        // ROMA masking: the prefix belongs to the previous row.
+        // ROMA masking: the prefix belongs to the previous row. A B tile the
+        // LUT proves dead is skipped: every fma it would run is
+        // fma(val, +0.0, acc) == acc (see `crate::joint`).
         let terms = (sub.prefix..sub.total).filter_map(|j| {
             let pos = sub.aligned_offset + j;
             let val = values[pos].to_f32();
             let col = indices[pos] as usize;
-            (val != 0.0).then(|| (val, &b[col * self.n + n_off..][..tile_w]))
+            (val != 0.0 && self.lut.is_none_or(|lut| lut.live_for(col, n_off)))
+                .then(|| (val, &b[col * self.n + n_off..][..tile_w]))
         });
         gpu_sim::lanes::fma_accumulate(&mut acc, terms, |bv| bv.to_f32());
         let bias = self.bias.map(|bias| bias[sub.row]).unwrap_or(0.0);
@@ -388,7 +379,13 @@ impl<'a, T: Scalar> SpmmKernel<'a, T> {
     }
 
     /// Cost of one warp's execution over its subwarps.
-    #[allow(clippy::too_many_arguments)]
+    ///
+    /// With a LUT, each strip of the main loop also pays the warp-uniform
+    /// probe, and its inner body (B loads, index scaling, FMAs) runs only
+    /// for *union-live* positions, where at least one subwarp's B tile is
+    /// live: a position any subwarp needs costs the whole warp its
+    /// instruction slot (lockstep execution). Without a LUT every position
+    /// is live.
     fn cost_warp(&self, ctx: &mut BlockContext, subs: &[SubwarpWork], n_off: usize, tile_w: usize) {
         let cfg = &self.cfg;
         let bik = cfg.block_items_k as usize;
@@ -397,7 +394,6 @@ impl<'a, T: Scalar> SpmmKernel<'a, T> {
         let vw_a = self.vw_a();
         let eb = T::BYTES;
         let ib = cfg.index_width.bytes();
-        let lanes = (threads_x * subs.len() as u32).min(32);
 
         // ---- Prelude (per warp) -------------------------------------------
         // Tile index math: ~6 integer ops.
@@ -433,7 +429,9 @@ impl<'a, T: Scalar> SpmmKernel<'a, T> {
         // memory-bound kernel sees exposed latency proportional to the idle
         // slots. Calibrated against Figure 7's anchor points (standard
         // ordering degrades to ~50% of balanced throughput at the feasible
-        // CoV maximum; row swizzle retains >95%).
+        // CoV maximum; row swizzle retains >95%). LUT skipping is
+        // warp-uniform: it changes which positions execute, never which
+        // lanes, so it leaves this term alone.
         const DIVERGENCE_STALL_CYCLES_PER_SLOT: u64 = 14;
         let max_total = subs.iter().map(|s| s.total).max().unwrap_or(0);
         if subs.len() > 1 {
@@ -445,109 +443,132 @@ impl<'a, T: Scalar> SpmmKernel<'a, T> {
             ctx.cost.stall_cycles += wasted * DIVERGENCE_STALL_CYCLES_PER_SLOT / subs.len() as u64;
         }
 
-        // ---- Main loop ----------------------------------------------------
-        if max_total > 0 {
-            let full_iters = (max_total / bik) as u64;
-            let residue = max_total % bik;
-
-            // Instruction cost of one full strip, per warp.
-            let a_load_instrs = gpu_sim::memory::vector_instr_count(bik as u64, threads_x, vw_a);
-            let smem_broadcast_loads = if cfg.residue_unroll {
-                // 128-bit shared loads: 4 values (+ their indices) per access.
-                2 * (bik as u64).div_ceil(4)
-            } else {
-                2 * (bik as u64).div_ceil(4)
-            };
-            let full_strip_instrs = |ctx: &mut BlockContext| {
-                // Stage A values + indices to shared memory.
-                for _ in 0..a_load_instrs {
-                    // Sector counts are added per-subwarp below; these calls
-                    // only count the instruction + a placeholder address.
-                    // Warp scope: Sputnik's staging is warp-synchronous (the
-                    // warp that stores the strip is its only consumer).
-                    ctx.cost.ld_global_instrs += 2; // values + indices
-                    ctx.smem_store(2, 0, SmemScope::Warp);
+        // ---- Main loop: one pass per strip --------------------------------
+        let a_load_instrs = gpu_sim::memory::vector_instr_count(bik as u64, threads_x, vw_a);
+        // 128-bit shared loads: 4 values (+ their indices) per access, one
+        // lane's worth of the wider element.
+        let smem_broadcast_loads = 2 * (bik as u64).div_ceil(4);
+        let w = u64::from(eb.max(ib));
+        // Under a LUT: per subwarp, live positions in `[0, total)` (B loads)
+        // and in `[prefix, total)` (useful nonzeros); per strip, the LUT
+        // word addresses probed. Both stay unallocated without one.
+        let mut live = match self.lut {
+            Some(_) => vec![(0u64, 0u64); subs.len()],
+            None => Vec::new(),
+        };
+        let mut probes = Vec::new();
+        let indices = self.a.col_indices();
+        let mut base = 0;
+        while base < max_total {
+            let len = bik.min(max_total - base);
+            let mut union_live = len as u64;
+            if let Some(lut) = self.lut {
+                // Liveness reads the stored indices and the LUT, never the
+                // values, so ROMA prefix positions probe like any other and
+                // profile and functional launches cost the same.
+                let nt = lut.ntile_of(n_off);
+                probes.clear();
+                union_live = 0;
+                for p in base..base + len {
+                    let mut any_live = false;
+                    for (s, sub) in subs.iter().enumerate() {
+                        if sub.row == usize::MAX || p >= sub.total {
+                            continue;
+                        }
+                        let kt = lut.ktile_of(indices[sub.aligned_offset + p] as usize);
+                        probes.push(lut.word_addr(kt, nt));
+                        if lut.is_live(kt, nt) {
+                            any_live = true;
+                            live[s].0 += 1;
+                            live[s].1 += u64::from(p >= sub.prefix);
+                        }
+                    }
+                    union_live += u64::from(any_live);
                 }
+                // The probe: gather the strip's distinct LUT words (32 lanes
+                // per gather instruction), one bit test + skip predicate per
+                // position.
+                probes.sort_unstable();
+                probes.dedup();
+                for lanes in probes.chunks(32) {
+                    ctx.ld_global_gather(BUF_LUT, lanes, 8);
+                }
+                ctx.misc(len as u64);
+            }
+
+            if len == bik {
+                // Stage A values + indices to shared memory, in full even
+                // under a LUT (the indices must be read to be probed). Warp
+                // scope: Sputnik's staging is warp-synchronous (the warp
+                // that stores the strip is its only consumer).
+                ctx.cost.ld_global_instrs += 2 * a_load_instrs;
+                ctx.smem_store(2 * a_load_instrs, 0, SmemScope::Warp);
                 ctx.cost.shared_bytes += bik as u64 * (eb + ib) as u64;
                 if cfg.index_prescale {
                     ctx.misc((bik as u64).div_ceil(threads_x as u64));
                 }
-                // Inner loop over the strip's nonzeros.
-                for _ in 0..1 {
-                    // Broadcast loads of values and indices from shared memory.
-                    for _ in 0..smem_broadcast_loads {
-                        ctx.ld_shared(1, 4, eb.max(ib), 1);
-                    }
-                    // One B-row strip load per nonzero (all subwarps issue in
-                    // the same warp instruction).
-                    ctx.cost.ld_global_instrs += bik as u64;
-                    if !cfg.index_prescale {
-                        ctx.misc(bik as u64); // scale index at every use
-                    }
-                    // vector_width FMAs per thread per nonzero.
-                    ctx.cost.fma_instrs += bik as u64 * vw as u64;
-                    ctx.misc(4); // loop bookkeeping
+                // Broadcast loads of values and indices from shared memory,
+                // read back by the warp that staged them.
+                ctx.smem_load(
+                    smem_broadcast_loads,
+                    smem_broadcast_loads * 4 * w,
+                    SmemScope::Warp,
+                );
+                // One B-row strip load per live position (all subwarps issue
+                // in the same warp instruction), vector_width FMAs each.
+                ctx.cost.ld_global_instrs += union_live;
+                if !cfg.index_prescale {
+                    ctx.misc(union_live); // scale index at every use
                 }
-            };
-
-            for it in 0..full_iters {
-                full_strip_instrs(ctx);
-                if it == 0 && cfg.roma && vw > 1 {
+                ctx.cost.fma_instrs += union_live * vw as u64;
+                ctx.misc(4); // loop bookkeeping
+                if base == 0 && cfg.roma && vw > 1 {
                     // Mask the prefix: 1 setp + 2 st.shared.
                     ctx.misc(1);
                     ctx.smem_store(2, 0, SmemScope::Warp);
-                    let _ = ROMA_MASK_INSTRS;
                 }
-            }
-
-            // ---- Residue strip -------------------------------------------
-            if residue > 0 {
-                if cfg.residue_unroll {
-                    // Zero the shared buffers, then run the unrolled path
-                    // without bounds checks (Section V-D2).
-                    ctx.smem_store(2, 0, SmemScope::Warp);
-                    let rounded = residue.div_ceil(4) * 4;
-                    let a_instrs =
-                        gpu_sim::memory::vector_instr_count(residue as u64, threads_x, vw_a);
-                    ctx.cost.ld_global_instrs += 2 * a_instrs;
-                    ctx.smem_store(2 * a_instrs, 0, SmemScope::Warp);
-                    ctx.cost.shared_bytes += residue as u64 * (eb + ib) as u64;
-                    for _ in 0..(2 * (rounded as u64).div_ceil(4)) {
-                        ctx.ld_shared(1, 4, eb.max(ib), 1);
-                    }
-                    ctx.cost.ld_global_instrs += rounded as u64; // B loads incl. padding
-                    ctx.cost.fma_instrs += rounded as u64 * vw as u64;
-                    if cfg.index_prescale {
-                        ctx.misc((residue as u64).div_ceil(threads_x as u64));
-                    } else {
-                        ctx.misc(rounded as u64);
-                    }
-                    ctx.misc(4);
+            } else if cfg.residue_unroll {
+                // Residue strip: zero the shared buffers, then run the
+                // unrolled path without bounds checks (Section V-D2). It
+                // works in 4-wide chunks, so live work rounds up to 4.
+                ctx.smem_store(2, 0, SmemScope::Warp);
+                let rounded = union_live.div_ceil(4) * 4;
+                let a_instrs = gpu_sim::memory::vector_instr_count(len as u64, threads_x, vw_a);
+                ctx.cost.ld_global_instrs += 2 * a_instrs;
+                ctx.smem_store(2 * a_instrs, 0, SmemScope::Warp);
+                ctx.cost.shared_bytes += len as u64 * (eb + ib) as u64;
+                let loads = 2 * (len as u64).div_ceil(4);
+                ctx.smem_load(loads, loads * 4 * w, SmemScope::Warp);
+                ctx.cost.ld_global_instrs += rounded; // B loads incl. padding
+                ctx.cost.fma_instrs += rounded * vw as u64;
+                if cfg.index_prescale {
+                    ctx.misc((len as u64).div_ceil(threads_x as u64));
                 } else {
-                    // Scalar loop with a bounds check per nonzero: a
-                    // predicated branch, scalar shared loads, and the
-                    // data-dependent trip count defeating unrolling (no
-                    // static offsets, no dual-issue) — the inefficiency
-                    // Section V-D2's loop splitting removes.
-                    let a_instrs =
-                        gpu_sim::memory::vector_instr_count(residue as u64, threads_x, 1);
-                    ctx.cost.ld_global_instrs += 2 * a_instrs;
-                    ctx.smem_store(2 * a_instrs, 0, SmemScope::Warp);
-                    ctx.cost.shared_bytes += residue as u64 * (eb + ib) as u64;
-                    for _ in 0..(2 * residue as u64) {
-                        ctx.ld_shared(1, 1, eb.max(ib), 1);
-                    }
-                    ctx.cost.ld_global_instrs += residue as u64;
-                    ctx.cost.fma_instrs += residue as u64 * vw as u64;
-                    ctx.misc(5 * residue as u64);
-                    ctx.cost.stall_cycles += 4 * residue as u64;
+                    ctx.misc(rounded);
                 }
+                ctx.misc(4);
+            } else {
+                // Residue strip as a scalar loop with a bounds check per
+                // nonzero: a predicated branch, scalar shared loads, and the
+                // data-dependent trip count defeating unrolling (no static
+                // offsets, no dual-issue) — the inefficiency Section V-D2's
+                // loop splitting removes.
+                let a_instrs = gpu_sim::memory::vector_instr_count(len as u64, threads_x, 1);
+                ctx.cost.ld_global_instrs += 2 * a_instrs;
+                ctx.smem_store(2 * a_instrs, 0, SmemScope::Warp);
+                ctx.cost.shared_bytes += len as u64 * (eb + ib) as u64;
+                ctx.smem_load(2 * len as u64, 2 * len as u64 * w, SmemScope::Warp);
+                ctx.cost.ld_global_instrs += union_live;
+                ctx.cost.fma_instrs += union_live * vw as u64;
+                ctx.misc(5 * len as u64);
+                ctx.cost.stall_cycles += 4 * len as u64;
             }
+            base += len;
         }
 
         // ---- Per-subwarp memory traffic ----------------------------------
         let b_sectors_per_load = self.b_load_sectors(n_off, tile_w);
-        for sub in subs {
+        for (s, sub) in subs.iter().enumerate() {
             if sub.row == usize::MAX || sub.total == 0 {
                 continue;
             }
@@ -562,15 +583,19 @@ impl<'a, T: Scalar> SpmmKernel<'a, T> {
                 sub.aligned_offset as u64 * ib as u64,
                 sub.total as u64 * ib as u64,
             );
-            // B strips: one per processed value (residue padding loads row 0,
-            // which is still a real memory access).
-            // The unrolled residue path issues padded loads of B row 0, but
-            // every padding access hits the same cached row; only true
-            // nonzeros generate memory traffic either way.
-            let loads = sub.total as u64;
+            // B strips: one per processed value. The unrolled residue path
+            // issues padded loads of B row 0, but every padding access hits
+            // the same cached row, so only processed values move sectors.
+            // Useful FLOPs count true nonzeros only. Under a LUT both count
+            // this subwarp's own live positions: a predicated-off lane moves
+            // no sectors, and a skipped element would have added exact zeros.
+            let (loads, useful) = if self.lut.is_some() {
+                live[s]
+            } else {
+                (sub.total as u64, sub.nnz as u64)
+            };
             ctx.cost.gmem[BUF_B.0 as usize].ld_sectors += loads * b_sectors_per_load;
-            // Useful FLOPs: true nonzeros only.
-            ctx.cost.flops += 2 * sub.nnz as u64 * tile_w as u64;
+            ctx.cost.flops += 2 * useful * tile_w as u64;
         }
 
         // ---- Output store -------------------------------------------------
@@ -613,7 +638,6 @@ impl<'a, T: Scalar> SpmmKernel<'a, T> {
             let addr = (sub.row * self.n + n_off) as u64 * eb as u64;
             ctx.st_global_trace(BUF_C, addr, tile_w as u64 * eb as u64);
         }
-        let _ = lanes;
     }
 }
 
@@ -649,6 +673,7 @@ impl<T: Scalar> Kernel for SpmmKernel<'_, T> {
     }
 
     fn shared_mem_bytes(&self) -> u32 {
+        // LUT probes read through global/L1, so only A staging counts.
         self.cfg.smem_bytes::<T>()
     }
 
@@ -690,6 +715,14 @@ impl<T: Scalar> Kernel for SpmmKernel<'_, T> {
                 pattern: AccessPattern::Streaming,
             },
         ];
+        if let Some(lut) = self.lut {
+            bufs.push(BufferSpec {
+                id: BUF_LUT,
+                name: "pattern_lut",
+                footprint_bytes: lut.words().len() as u64 * 8,
+                pattern: AccessPattern::SharedReuse,
+            });
+        }
         if self.cfg.row_swizzle {
             bufs.push(BufferSpec {
                 id: BUF_SWIZZLE,
@@ -723,7 +756,14 @@ impl<T: Scalar> Kernel for SpmmKernel<'_, T> {
     /// execute one representative per signature — notably collapsing the
     /// grid's x extent, where the same row strip repeats across column tiles
     /// in the same alignment class.
+    ///
+    /// A kernel with a LUT has no signature: its liveness depends on the
+    /// column indices and on the LUT tile of `n_off`, neither of which is
+    /// hashed here.
     fn block_signature(&self, block: Dim3) -> Option<u64> {
+        if self.lut.is_some() {
+            return None;
+        }
         let cfg = &self.cfg;
         let eb = T::BYTES as u64;
         let ib = cfg.index_width.bytes() as u64;
@@ -833,6 +873,10 @@ impl<T: Scalar> Kernel for SpmmKernel<'_, T> {
     ///   bounds guarantee B gets.)
     /// * `c` / `bias` / `row_indices`: indexed by real row ids `< rows`
     ///   (the swizzle is a permutation of `0..rows`).
+    /// * `pattern_lut`: a probe reads the 8-byte word at
+    ///   `((kt * ntiles + nt) / 64) * 8`. Validated CSR indices give
+    ///   `kt < ktiles` and in-range strips give `nt < ntiles`, so the
+    ///   furthest byte is at most `words.len() * 8` — the exact allocation.
     fn static_facts(&self) -> StaticFacts {
         let cfg = &self.cfg;
         let eb = T::BYTES as u64;
@@ -864,6 +908,12 @@ impl<T: Scalar> Kernel for SpmmKernel<'_, T> {
                 bound: AccessBound::Extent(rows * n * eb),
             },
         ];
+        if let Some(lut) = self.lut {
+            bounds.push(BufferBound {
+                slot: BUF_LUT.0,
+                bound: AccessBound::Extent(lut.words().len() as u64 * 8),
+            });
+        }
         if cfg.row_swizzle {
             // The prelude loads one swizzled row id per *live* subwarp in
             // the warp, starting at address 0 — the worst chunk is

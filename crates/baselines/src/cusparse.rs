@@ -17,17 +17,12 @@
 //!   (see [`crate::cublas::TransposeKernel`]); the harness includes it.
 
 use gpu_sim::{
-    AccessBound, AccessPattern, AlignmentFacts, BarrierFacts, BlockContext, BufferBound, BufferId,
+    AccessBound, AccessPattern, AlignmentFacts, BarrierFacts, BlockContext, BufferBound,
     BufferSpec, Dim3, Gpu, Kernel, LaunchStats, SmemScope, StageBound, StaticFacts,
     SyncUnsafeSlice,
 };
-use sparse::{CsrMatrix, Matrix, Scalar};
-
-pub const BUF_A_VALUES: BufferId = BufferId(0);
-pub const BUF_A_INDICES: BufferId = BufferId(1);
-pub const BUF_A_OFFSETS: BufferId = BufferId(2);
-pub const BUF_B: BufferId = BufferId(3);
-pub const BUF_C: BufferId = BufferId(4);
+use sparse::{CsrMatrix, IndexWidth, Matrix, Scalar};
+use sputnik::spmm::{csr_spmm_buffers, BUF_A_INDICES, BUF_A_OFFSETS, BUF_A_VALUES, BUF_B, BUF_C};
 
 /// cuSPARSE-style SpMM: one warp per sparse row, output columns tiled 32 at
 /// a time across the warp's lanes, column-major dense operands.
@@ -110,40 +105,8 @@ impl<T: Scalar> Kernel for CusparseSpmmKernel<'_, T> {
     }
 
     fn buffers(&self) -> Vec<BufferSpec> {
-        let nnz = self.a.nnz() as u64;
-        vec![
-            BufferSpec {
-                id: BUF_A_VALUES,
-                name: "a_values",
-                footprint_bytes: nnz * T::BYTES as u64,
-                pattern: AccessPattern::Streaming,
-            },
-            BufferSpec {
-                id: BUF_A_INDICES,
-                name: "a_indices",
-                // cuSPARSE only supports 32-bit indices, even in fp16 mode.
-                footprint_bytes: nnz * 4,
-                pattern: AccessPattern::Streaming,
-            },
-            BufferSpec {
-                id: BUF_A_OFFSETS,
-                name: "a_row_offsets",
-                footprint_bytes: (self.a.rows() as u64 + 1) * 4,
-                pattern: AccessPattern::SharedReuse,
-            },
-            BufferSpec {
-                id: BUF_B,
-                name: "b",
-                footprint_bytes: (self.a.cols() * self.n) as u64 * T::BYTES as u64,
-                pattern: AccessPattern::SharedReuse,
-            },
-            BufferSpec {
-                id: BUF_C,
-                name: "c",
-                footprint_bytes: (self.a.rows() * self.n) as u64 * T::BYTES as u64,
-                pattern: AccessPattern::Streaming,
-            },
-        ]
+        // cuSPARSE only supports 32-bit indices, even in fp16 mode.
+        csr_spmm_buffers(self.a, self.n, IndexWidth::U32)
     }
 
     /// Structural cost signature: the live column-tile width plus, per warp
@@ -363,7 +326,7 @@ impl<T: Scalar> Kernel for CusparseSpmmHalfFallbackKernel<'_, T> {
     }
 
     fn buffers(&self) -> Vec<BufferSpec> {
-        CusparseSpmmKernel::<T>::for_profile(self.a, self.n).buffers()
+        csr_spmm_buffers(self.a, self.n, IndexWidth::U32)
     }
 
     /// Static safety facts for the launch auditor: the degenerate path is

@@ -12,17 +12,12 @@
 //! (`ext_load_balancing`).
 
 use gpu_sim::{
-    AccessBound, AccessPattern, AlignmentFacts, BarrierFacts, BlockContext, BufferBound, BufferId,
-    BufferSpec, Dim3, Gpu, Kernel, LaunchStats, StageBound, StaticFacts,
+    AccessBound, AlignmentFacts, BarrierFacts, BlockContext, BufferBound, BufferSpec, Dim3, Gpu,
+    Kernel, LaunchStats, StageBound, StaticFacts,
 };
-use sparse::{CsrMatrix, Matrix, Scalar};
+use sparse::{CsrMatrix, IndexWidth, Matrix, Scalar};
+use sputnik::spmm::{csr_spmm_buffers, BUF_A_INDICES, BUF_A_OFFSETS, BUF_A_VALUES, BUF_B, BUF_C};
 use std::sync::atomic::{AtomicU32, Ordering};
-
-pub const BUF_A_VALUES: BufferId = BufferId(0);
-pub const BUF_A_INDICES: BufferId = BufferId(1);
-pub const BUF_A_OFFSETS: BufferId = BufferId(2);
-pub const BUF_B: BufferId = BufferId(3);
-pub const BUF_C: BufferId = BufferId(4);
 
 /// Nonzeros per strip (per thread block).
 const STRIP: usize = 256;
@@ -111,40 +106,7 @@ impl<T: Scalar> Kernel for NnzSplitSpmmKernel<'_, T> {
     }
 
     fn buffers(&self) -> Vec<BufferSpec> {
-        let nnz = self.a.nnz() as u64;
-        let eb = T::BYTES as u64;
-        vec![
-            BufferSpec {
-                id: BUF_A_VALUES,
-                name: "a_values",
-                footprint_bytes: nnz * eb,
-                pattern: AccessPattern::Streaming,
-            },
-            BufferSpec {
-                id: BUF_A_INDICES,
-                name: "a_indices",
-                footprint_bytes: nnz * 4,
-                pattern: AccessPattern::Streaming,
-            },
-            BufferSpec {
-                id: BUF_A_OFFSETS,
-                name: "a_row_offsets",
-                footprint_bytes: (self.a.rows() as u64 + 1) * 4,
-                pattern: AccessPattern::SharedReuse,
-            },
-            BufferSpec {
-                id: BUF_B,
-                name: "b",
-                footprint_bytes: (self.a.cols() * self.n) as u64 * eb,
-                pattern: AccessPattern::SharedReuse,
-            },
-            BufferSpec {
-                id: BUF_C,
-                name: "c",
-                footprint_bytes: (self.a.rows() * self.n) as u64 * eb,
-                pattern: AccessPattern::Streaming,
-            },
-        ]
+        csr_spmm_buffers(self.a, self.n, IndexWidth::U32)
     }
 
     /// Structural cost signature: strip length, live column-tile width, the

@@ -31,16 +31,15 @@ use crate::error::{is_transient, SputnikError};
 use crate::reference;
 use crate::sddmm::{mask_fingerprint, SddmmKernel};
 use crate::spmm::{
-    operand_fingerprint, require_finite, SpmmKernel, BUF_A_INDICES, BUF_A_OFFSETS, BUF_A_VALUES,
-    BUF_B, BUF_C,
+    csr_spmm_buffers, operand_fingerprint, require_finite, SpmmKernel, BUF_A_INDICES,
+    BUF_A_OFFSETS, BUF_A_VALUES, BUF_B, BUF_C,
 };
 use gpu_sim::trace::{self, Entry};
 use gpu_sim::{
-    AccessBound, AccessPattern, AlignmentFacts, BarrierFacts, BlockContext, BufferBound,
-    BufferSpec, Dim3, Gpu, Kernel, LaunchCache, LaunchRequest, LaunchStats, StageBound,
-    StaticFacts, SyncUnsafeSlice,
+    AccessBound, AlignmentFacts, BarrierFacts, BlockContext, BufferBound, BufferSpec, Dim3, Gpu,
+    Kernel, LaunchCache, LaunchRequest, LaunchStats, StageBound, StaticFacts, SyncUnsafeSlice,
 };
-use sparse::{CsrMatrix, Matrix, RowSwizzle, Scalar};
+use sparse::{CsrMatrix, IndexWidth, Matrix, RowSwizzle, Scalar};
 
 /// One rung of the degradation ladder, from fastest to most conservative.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -530,40 +529,7 @@ impl<T: Scalar> Kernel for FallbackSpmmKernel<'_, T> {
     }
 
     fn buffers(&self) -> Vec<BufferSpec> {
-        let nnz = self.a.nnz() as u64;
-        let eb = T::BYTES as u64;
-        vec![
-            BufferSpec {
-                id: BUF_A_VALUES,
-                name: "a_values",
-                footprint_bytes: nnz * eb,
-                pattern: AccessPattern::Streaming,
-            },
-            BufferSpec {
-                id: BUF_A_INDICES,
-                name: "a_indices",
-                footprint_bytes: nnz * 4,
-                pattern: AccessPattern::Streaming,
-            },
-            BufferSpec {
-                id: BUF_A_OFFSETS,
-                name: "a_row_offsets",
-                footprint_bytes: (self.a.rows() as u64 + 1) * 4,
-                pattern: AccessPattern::SharedReuse,
-            },
-            BufferSpec {
-                id: BUF_B,
-                name: "b",
-                footprint_bytes: (self.a.cols() * self.n) as u64 * eb,
-                pattern: AccessPattern::SharedReuse,
-            },
-            BufferSpec {
-                id: BUF_C,
-                name: "c",
-                footprint_bytes: (self.a.rows() * self.n) as u64 * eb,
-                pattern: AccessPattern::Streaming,
-            },
-        ]
+        csr_spmm_buffers(self.a, self.n, IndexWidth::U32)
     }
 
     /// Static facts (see [`gpu_sim::static_check`]): one row per block with

@@ -402,41 +402,14 @@ impl<T: Scalar> Kernel for SddmmKernel<'_, T> {
                 unsafe { out.write(row_start + strip_start + t, T::from_f32(acc)) };
             };
             // Left-to-right FMA chain per dot, same order as the reference
-            // product (horizontal reductions are never lane-split). Batches
-            // of eight run their independent chains side by side, one per
-            // vector lane.
-            let mut octets = strip_cols.chunks_exact(8);
-            let mut t = 0;
-            for o in &mut octets {
-                let accs =
-                    gpu_sim::lanes::fma_dot8(lrow, std::array::from_fn(|c| rrow(o[c])), |v| {
-                        v.to_f32()
-                    });
-                for acc in accs {
-                    emit(t, acc);
-                    t += 1;
-                }
-            }
-            for &j in octets.remainder() {
-                emit(t, gpu_sim::lanes::fma_dot(lrow, rrow(j), |v| v.to_f32()));
-                t += 1;
-            }
+            // product (horizontal reductions are never lane-split).
+            gpu_sim::lanes::fma_dot_strip(lrow, strip_cols, rrow, |v| v.to_f32(), emit);
         }
     }
 
     fn poison_output(&self, seed: u64) {
-        // Simulated silent data corruption (see SpmmKernel::poison_output).
         if let Some(out) = self.out_values.as_ref() {
-            let len = out.len();
-            if len == 0 {
-                return;
-            }
-            for i in 0..3u64 {
-                let mut z = seed ^ i.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-                z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-                z ^= z >> 31;
-                unsafe { out.write(z as usize % len, T::from_f32(f32::NAN)) };
-            }
+            out.poison(seed, T::from_f32(f32::NAN));
         }
     }
 }

@@ -36,7 +36,7 @@ use crate::config::{SddmmConfig, SpmmConfig};
 use crate::error::SputnikError;
 use crate::sddmm::{mask_fingerprint, SddmmKernel};
 use crate::spmm::{operand_fingerprint, require_finite, SpmmKernel};
-use gpu_sim::{Fleet, FleetSync, LaunchCache, LaunchRequest, LaunchStats};
+use gpu_sim::{Fleet, FleetSync, Gpu, LaunchCache, LaunchRequest, LaunchStats, Launched};
 use sparse::{CsrMatrix, Matrix, RowSwizzle, Scalar};
 
 /// The result of a sharded kernel run: the assembled output plus the
@@ -149,6 +149,44 @@ pub fn k_slice<T: Scalar>(
     )?)
 }
 
+/// The row-shard loop behind [`spmm_row_sharded`] and
+/// [`sddmm_row_sharded`]. It plans nnz-balanced row blocks of `rows`, skips
+/// empty shards, and for each other shard calls `launch(gpu, r0, r1)`,
+/// which runs the shard on its device and returns the launch with the
+/// shard's gather size in bytes (`None` when the op gathers nothing for
+/// it). The loop submits each launch's time to its device. A shard off
+/// device 0 with a gather size sends that many bytes to device 0 over the
+/// interconnect, labelled `gather`. Device 0 waits for every gather before
+/// the fleet syncs. Returns the launch stats in device order, the cache-hit
+/// count and the fleet timeline.
+fn run_row_shards<T: Scalar>(
+    fleet: &mut Fleet,
+    rows: &CsrMatrix<T>,
+    gather: &str,
+    mut launch: impl FnMut(&Gpu, usize, usize) -> Result<(Launched, Option<u64>), SputnikError>,
+) -> Result<(Vec<LaunchStats>, usize, FleetSync), SputnikError> {
+    let plan = plan_row_shards(rows, fleet.num_devices());
+    let mut shard_stats = Vec::new();
+    let mut cache_hits = 0usize;
+    let mut gathers = Vec::new();
+    for (dev, &(r0, r1)) in plan.iter().enumerate() {
+        if r0 == r1 {
+            continue;
+        }
+        let (launched, bytes) = launch(fleet.gpu(dev), r0, r1)?;
+        cache_hits += usize::from(launched.hit);
+        fleet.submit(dev, launched.stats.time_us);
+        shard_stats.push(launched.stats);
+        if let (true, Some(bytes)) = (dev != 0, bytes) {
+            gathers.push(fleet.transfer(dev, 0, bytes, gather));
+        }
+    }
+    for ev in gathers {
+        fleet.wait_event(0, ev);
+    }
+    Ok((shard_stats, cache_hits, fleet.sync()?))
+}
+
 /// Row-sharded (data-parallel) SpMM across a fleet: `A (m x k) * B (k x n)`
 /// with contiguous nnz-balanced row blocks, one per device. Each shard is
 /// audited and launched through the [`LaunchCache`]; shards on
@@ -165,37 +203,22 @@ pub fn spmm_row_sharded<T: Scalar>(
     require_finite("a", a.values())?;
     require_finite("b", b.as_slice())?;
     let n = b.cols();
-    let plan = plan_row_shards(a, fleet.num_devices());
     let mut output = Matrix::<T>::zeros(a.rows(), n);
-    let mut shard_stats = Vec::new();
-    let mut cache_hits = 0usize;
-    let mut gathers = Vec::new();
-    for (dev, &(r0, r1)) in plan.iter().enumerate() {
-        if r0 == r1 {
-            continue;
-        }
-        let shard = row_slice(a, r0, r1)?;
-        let swizzle = RowSwizzle::for_config(&shard, cfg.row_swizzle);
-        let mut out_d = Matrix::<T>::zeros(shard.rows(), n);
-        let launched = {
-            let kernel = SpmmKernel::try_new(&shard, b, &mut out_d, &swizzle, cfg)?;
-            let req =
-                LaunchRequest::functional(&kernel).cached((cache, operand_fingerprint(&shard, n)));
-            fleet.gpu(dev).run(&req)?
-        };
-        cache_hits += usize::from(launched.hit);
-        fleet.submit(dev, launched.stats.time_us);
-        shard_stats.push(launched.stats);
-        if dev != 0 {
+    let (shard_stats, cache_hits, sync) =
+        run_row_shards(fleet, a, "gather C row-shard", |gpu, r0, r1| {
+            let shard = row_slice(a, r0, r1)?;
+            let swizzle = RowSwizzle::for_config(&shard, cfg.row_swizzle);
+            let mut out_d = Matrix::<T>::zeros(shard.rows(), n);
+            let launched = {
+                let kernel = SpmmKernel::try_new(&shard, b, &mut out_d, &swizzle, cfg)?;
+                let req = LaunchRequest::functional(&kernel)
+                    .cached((cache, operand_fingerprint(&shard, n)));
+                gpu.run(&req)?
+            };
+            output.as_mut_slice()[r0 * n..r1 * n].copy_from_slice(out_d.as_slice());
             let bytes = (out_d.rows() * n) as u64 * u64::from(T::BYTES);
-            gathers.push(fleet.transfer(dev, 0, bytes, "gather C row-shard"));
-        }
-        output.as_mut_slice()[r0 * n..r1 * n].copy_from_slice(out_d.as_slice());
-    }
-    for ev in gathers {
-        fleet.wait_event(0, ev);
-    }
-    let sync = fleet.sync()?;
+            Ok((launched, Some(bytes)))
+        })?;
     Ok(ShardedRun {
         output,
         shard_stats,
@@ -222,40 +245,25 @@ pub fn sddmm_row_sharded<T: Scalar>(
     require_finite("rhs", rhs.as_slice())?;
     require_finite("mask", mask.values())?;
     let k = lhs.cols();
-    let plan = plan_row_shards(mask, fleet.num_devices());
     let mut values = vec![T::zero(); mask.nnz()];
-    let mut shard_stats = Vec::new();
-    let mut cache_hits = 0usize;
-    let mut gathers = Vec::new();
-    for (dev, &(r0, r1)) in plan.iter().enumerate() {
-        if r0 == r1 {
-            continue;
-        }
-        let shard_mask = row_slice(mask, r0, r1)?;
-        let lhs_shard = Matrix::from_vec(r1 - r0, k, lhs.as_slice()[r0 * k..r1 * k].to_vec());
-        let swizzle = RowSwizzle::for_config(&shard_mask, cfg.row_swizzle);
-        let mut vals_d = vec![T::zero(); shard_mask.nnz()];
-        let launched = {
-            let kernel =
-                SddmmKernel::try_new(&lhs_shard, rhs, &shard_mask, &mut vals_d, &swizzle, cfg)?;
-            let req = LaunchRequest::functional(&kernel)
-                .cached((cache, mask_fingerprint(&shard_mask, k)));
-            fleet.gpu(dev).run(&req)?
-        };
-        cache_hits += usize::from(launched.hit);
-        fleet.submit(dev, launched.stats.time_us);
-        shard_stats.push(launched.stats);
-        if dev != 0 && !vals_d.is_empty() {
+    let (shard_stats, cache_hits, sync) =
+        run_row_shards(fleet, mask, "gather SDDMM value shard", |gpu, r0, r1| {
+            let shard_mask = row_slice(mask, r0, r1)?;
+            let lhs_shard = Matrix::from_vec(r1 - r0, k, lhs.as_slice()[r0 * k..r1 * k].to_vec());
+            let swizzle = RowSwizzle::for_config(&shard_mask, cfg.row_swizzle);
+            let mut vals_d = vec![T::zero(); shard_mask.nnz()];
+            let launched = {
+                let kernel =
+                    SddmmKernel::try_new(&lhs_shard, rhs, &shard_mask, &mut vals_d, &swizzle, cfg)?;
+                let req = LaunchRequest::functional(&kernel)
+                    .cached((cache, mask_fingerprint(&shard_mask, k)));
+                gpu.run(&req)?
+            };
+            let base = mask.row_offsets()[r0] as usize;
+            values[base..base + vals_d.len()].copy_from_slice(&vals_d);
             let bytes = vals_d.len() as u64 * u64::from(T::BYTES);
-            gathers.push(fleet.transfer(dev, 0, bytes, "gather SDDMM value shard"));
-        }
-        let base = mask.row_offsets()[r0] as usize;
-        values[base..base + vals_d.len()].copy_from_slice(&vals_d);
-    }
-    for ev in gathers {
-        fleet.wait_event(0, ev);
-    }
-    let sync = fleet.sync()?;
+            Ok((launched, (!vals_d.is_empty()).then_some(bytes)))
+        })?;
     Ok(ShardedRun {
         output: mask.with_values(values),
         shard_stats,

@@ -183,56 +183,21 @@ impl<T: Scalar> Kernel for SparseSoftmaxKernel<'_, T> {
             }
 
             if let (true, Some(out)) = (ctx.functional(), self.out_values.as_ref()) {
-                let vals = &self.m.values()[start..start + len];
-                // The logit transform: stored value times the folded scale
-                // (identity when unscaled — the closure leaves the plain
-                // path bit-for-bit untouched).
-                let logit = |v: &T| match self.scale {
-                    Some(s) => v.to_f32() * s,
-                    None => v.to_f32(),
-                };
-                let max = vals.iter().map(logit).fold(f32::NEG_INFINITY, f32::max);
-                if max == f32::INFINITY {
-                    // Softmax limit with +inf logits: the mass splits evenly
-                    // over the +inf entries, everything else gets zero.
-                    // (exp(inf - inf) would be NaN.)
-                    let top = vals
-                        .iter()
-                        .filter(|v| logit(v) == f32::INFINITY)
-                        .count()
-                        .max(1) as f32;
-                    for (i, v) in vals.iter().enumerate() {
-                        let p = if logit(v) == f32::INFINITY {
-                            1.0 / top
-                        } else {
-                            0.0
-                        };
-                        unsafe { out.write(start + i, T::from_f32(p)) };
-                    }
-                } else if max == f32::NEG_INFINITY {
-                    // Every logit is -inf (or NaN, which `f32::max` skips):
-                    // no anchor to normalize against, and exp(-inf - -inf)
-                    // is NaN — which the dispatch NaN-guard would misread
-                    // as a kernel fault. Emit the uniform distribution, the
-                    // limit of equally unlikely logits.
-                    let p = 1.0 / len as f32;
-                    for i in 0..len {
-                        unsafe { out.write(start + i, T::from_f32(p)) };
-                    }
-                } else {
-                    // Arena-staged exponentials (the row's shared-memory
-                    // tile in the CUDA kernel).
-                    let mut exps = ctx.scratch_f32(len);
-                    for (e, v) in exps.iter_mut().zip(vals) {
-                        *e = (logit(v) - max).exp();
-                    }
-                    // The max element contributes exp(0) = 1, so a finite
-                    // row cannot underflow the sum to zero; the clamp keeps
-                    // the division NaN-free even at the denormal edge.
-                    let sum: f32 = exps.iter().sum::<f32>().max(f32::MIN_POSITIVE);
-                    for (i, &e) in exps.iter().enumerate() {
-                        unsafe { out.write(start + i, T::from_f32(e / sum)) };
-                    }
+                // Arena-staged logits (the row's shared-memory tile in the
+                // CUDA kernel): stored value times the folded scale, or the
+                // stored value untouched when unscaled.
+                let mut row_p = ctx.scratch_f32(len);
+                for (p, v) in row_p.iter_mut().zip(&self.m.values()[start..start + len]) {
+                    *p = match self.scale {
+                        Some(s) => v.to_f32() * s,
+                        None => v.to_f32(),
+                    };
+                }
+                gpu_sim::lanes::softmax_in_place(&mut row_p);
+                for (i, &p) in row_p.iter().enumerate() {
+                    // SAFETY: each row belongs to one warp of one block, so
+                    // no other executor writes `start..start + len`.
+                    unsafe { out.write(start + i, T::from_f32(p)) };
                 }
             }
         }

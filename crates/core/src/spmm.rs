@@ -28,7 +28,7 @@ use gpu_sim::{
     BufferSpec, Dim3, Fingerprint, Gpu, Kernel, LaunchCache, LaunchRequest, LaunchStats, SmemScope,
     StageBound, StaticFacts, SyncUnsafeSlice, VectorClass,
 };
-use sparse::{CsrMatrix, Matrix, PatternLut, RowSwizzle, Scalar};
+use sparse::{CsrMatrix, IndexWidth, Matrix, PatternLut, RowSwizzle, Scalar};
 
 /// Validate shapes/config shared by the functional and profile constructors
 /// (and by the joint-sparsity kernel, which layers its own LUT checks on
@@ -85,6 +85,52 @@ pub const BUF_SWIZZLE: BufferId = BufferId(5);
 pub const BUF_BIAS: BufferId = BufferId(6);
 /// The pattern LUT, declared only by joint-sparsity launches.
 pub const BUF_LUT: BufferId = BufferId(7);
+
+/// The operand list of a CSR SpMM, `A (CSR, m x k) * B (k x n) => C`, in
+/// slots [`BUF_A_VALUES`] through [`BUF_C`]: the values, the column indices
+/// (`index_width` bytes each) and the row offsets of `A`, then `B` and `C`.
+/// Every CSR-SpMM kernel declares this list; [`SpmmKernel`] appends its
+/// optional slots to it.
+pub fn csr_spmm_buffers<T: Scalar>(
+    a: &CsrMatrix<T>,
+    n: usize,
+    index_width: IndexWidth,
+) -> Vec<BufferSpec> {
+    let nnz = a.nnz() as u64;
+    let eb = T::BYTES as u64;
+    vec![
+        BufferSpec {
+            id: BUF_A_VALUES,
+            name: "a_values",
+            footprint_bytes: nnz * eb,
+            pattern: AccessPattern::Streaming,
+        },
+        BufferSpec {
+            id: BUF_A_INDICES,
+            name: "a_indices",
+            footprint_bytes: nnz * index_width.bytes() as u64,
+            pattern: AccessPattern::Streaming,
+        },
+        BufferSpec {
+            id: BUF_A_OFFSETS,
+            name: "a_row_offsets",
+            footprint_bytes: (a.rows() as u64 + 1) * 4,
+            pattern: AccessPattern::SharedReuse,
+        },
+        BufferSpec {
+            id: BUF_B,
+            name: "b",
+            footprint_bytes: (a.cols() * n) as u64 * eb,
+            pattern: AccessPattern::SharedReuse,
+        },
+        BufferSpec {
+            id: BUF_C,
+            name: "c",
+            footprint_bytes: (a.rows() * n) as u64 * eb,
+            pattern: AccessPattern::Streaming,
+        },
+    ]
+}
 
 /// The simulated SpMM kernel. Construct via [`SpmmKernel::new`] (functional)
 /// or [`SpmmKernel::for_profile`] (cost model only — no dense allocations),
@@ -682,39 +728,7 @@ impl<T: Scalar> Kernel for SpmmKernel<'_, T> {
     }
 
     fn buffers(&self) -> Vec<BufferSpec> {
-        let nnz = self.a.nnz() as u64;
-        let mut bufs = vec![
-            BufferSpec {
-                id: BUF_A_VALUES,
-                name: "a_values",
-                footprint_bytes: nnz * T::BYTES as u64,
-                pattern: AccessPattern::Streaming,
-            },
-            BufferSpec {
-                id: BUF_A_INDICES,
-                name: "a_indices",
-                footprint_bytes: nnz * self.cfg.index_width.bytes() as u64,
-                pattern: AccessPattern::Streaming,
-            },
-            BufferSpec {
-                id: BUF_A_OFFSETS,
-                name: "a_row_offsets",
-                footprint_bytes: (self.a.rows() as u64 + 1) * 4,
-                pattern: AccessPattern::SharedReuse,
-            },
-            BufferSpec {
-                id: BUF_B,
-                name: "b",
-                footprint_bytes: (self.a.cols() * self.n) as u64 * T::BYTES as u64,
-                pattern: AccessPattern::SharedReuse,
-            },
-            BufferSpec {
-                id: BUF_C,
-                name: "c",
-                footprint_bytes: (self.a.rows() * self.n) as u64 * T::BYTES as u64,
-                pattern: AccessPattern::Streaming,
-            },
-        ];
+        let mut bufs = csr_spmm_buffers(self.a, self.n, self.cfg.index_width);
         if let Some(lut) = self.lut {
             bufs.push(BufferSpec {
                 id: BUF_LUT,
@@ -978,20 +992,8 @@ impl<T: Scalar> Kernel for SpmmKernel<'_, T> {
     }
 
     fn poison_output(&self, seed: u64) {
-        // Simulated silent data corruption: scatter a few NaNs across the
-        // output at seed-derived positions. Disjoint from block execution —
-        // the launcher calls this only after all blocks complete.
         if let Some(out) = self.out.as_ref() {
-            let len = out.len();
-            if len == 0 {
-                return;
-            }
-            for i in 0..3u64 {
-                let mut z = seed ^ i.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-                z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-                z ^= z >> 31;
-                unsafe { out.write(z as usize % len, T::from_f32(f32::NAN)) };
-            }
+            out.poison(seed, T::from_f32(f32::NAN));
         }
     }
 }

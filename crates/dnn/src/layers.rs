@@ -597,19 +597,18 @@ impl Kernel for DenseSoftmaxKernel<'_> {
             ctx.cost.flops += 3 * n;
 
             if let (true, Some(x), Some(out)) = (ctx.functional(), self.x, self.out.as_ref()) {
-                let x = x.as_slice();
-                let rowv = &x[row * self.n..(row + 1) * self.n];
-                let logit = |v: f32| match self.scale {
-                    Some(s) => v * s,
-                    None => v,
-                };
-                let max = rowv
-                    .iter()
-                    .map(|&v| logit(v))
-                    .fold(f32::NEG_INFINITY, f32::max);
-                let sum: f32 = rowv.iter().map(|&v| (logit(v) - max).exp()).sum();
-                for (i, &v) in rowv.iter().enumerate() {
-                    unsafe { out.write(row * self.n + i, (logit(v) - max).exp() / sum) };
+                let mut row_p = ctx.scratch_f32(self.n);
+                row_p.copy_from_slice(&x.as_slice()[row * self.n..(row + 1) * self.n]);
+                if let Some(s) = self.scale {
+                    for p in row_p.iter_mut() {
+                        *p *= s;
+                    }
+                }
+                gpu_sim::lanes::softmax_in_place(&mut row_p);
+                for (i, &p) in row_p.iter().enumerate() {
+                    // SAFETY: each row belongs to one warp of one block, so
+                    // no other executor writes this output row.
+                    unsafe { out.write(row * self.n + i, p) };
                 }
             }
         }
@@ -737,6 +736,32 @@ mod tests {
             let sum: f32 = (0..40).map(|c| y.get(r, c)).sum();
             assert!((sum - 1.0).abs() < 1e-5);
         }
+    }
+
+    #[test]
+    fn dense_softmax_takes_the_sparse_limits_on_infinite_rows() {
+        // Row 0 holds +inf logits (and a -inf one), row 1 only -inf, row 2
+        // is finite. Over a mask that keeps every position, the sparse
+        // softmax is the reference, bit for bit, and neither returns NaN.
+        let (inf, n) = (f32::INFINITY, 5usize);
+        let logits = [
+            [1.0, inf, -inf, inf, 0.5],
+            [-inf; 5],
+            [0.25, -1.5, 3.0, 0.0, -0.75],
+        ]
+        .concat();
+        let x = Matrix::from_vec(3, n, logits.clone());
+        let gpu = Gpu::v100();
+        let (y, _) = dense_softmax(&gpu, &x);
+        let offsets = (0..=3).map(|r| (r * n) as u32).collect();
+        let indices = (0..3).flat_map(|_| 0..n as u32).collect();
+        let full = CsrMatrix::from_parts(3, n, offsets, indices, logits).unwrap();
+        let (want, _) = sputnik::sparse_softmax(&gpu, &full);
+        assert!(y.as_slice().iter().all(|p| !p.is_nan()), "{y:?}");
+        let bits = |v: &[f32]| v.iter().map(|p| p.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(y.as_slice()), bits(want.values()));
+        assert_eq!(&y.as_slice()[..n], &[0.0, 0.5, 0.0, 0.5, 0.0]);
+        assert_eq!(&y.as_slice()[n..2 * n], &[0.2; 5]);
     }
 
     use sparse::CsrMatrix;

@@ -27,7 +27,7 @@ pub use jointsweep::{joint_crossover_sweep, JointSweep, JointSweepPoint};
 pub use layers::{bias_relu, depthwise_conv, Chw, Linear};
 pub use lstm::{LstmStep, SparseLstmCell};
 pub use mobilenet::MobileNetV1;
-pub use pruning::{magnitude_prune, threshold_activations};
+pub use pruning::magnitude_prune;
 pub use resnet::resnet50_convs;
 pub use rnn::{problem_suite, CellKind, RnnProblem};
 pub use transformer::{AttentionMode, TransformerConfig};

@@ -43,35 +43,6 @@ pub fn magnitude_prune(weights: &Matrix<f32>, sparsity: f64) -> CsrMatrix<f32> {
     CsrMatrix::from_dense(&pruned)
 }
 
-/// Threshold *activations* in place: every entry with `|v| <= tau` becomes
-/// an exact `+0.0` (bit pattern zero). Returns the realized zero fraction.
-///
-/// This is the inference-time analogue of magnitude pruning: ReLU networks
-/// already emit exact zeros, and thresholding extends the dead region to
-/// near-zero activations. Writing `+0.0` specifically (never `-0.0`) is
-/// what makes the result eligible for [`sparse::PatternLut`] dead-tile
-/// detection — the joint-sparsity kernel's skip proof only covers bits that
-/// are exactly zero, so a sloppy `-0.0` here would silently disable skips
-/// for its whole tile.
-pub fn threshold_activations(x: &mut Matrix<f32>, tau: f32) -> f64 {
-    assert!(tau >= 0.0, "threshold must be non-negative");
-    let mut zeros = 0usize;
-    let total = x.as_slice().len();
-    for v in x.as_mut_slice() {
-        if v.abs() <= tau {
-            *v = 0.0;
-        }
-        if v.to_bits() == 0 {
-            zeros += 1;
-        }
-    }
-    if total == 0 {
-        0.0
-    } else {
-        zeros as f64 / total as f64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -111,31 +82,5 @@ mod tests {
     fn full_sparsity_keeps_nothing() {
         let w = Matrix::<f32>::random(8, 8, 7);
         assert_eq!(magnitude_prune(&w, 1.0).nnz(), 0);
-    }
-
-    #[test]
-    fn thresholding_writes_exact_positive_zeros() {
-        let mut x = Matrix::<f32>::from_fn(8, 8, |r, c| {
-            let v = (r as f32 - 4.0) * 0.1 + c as f32 * 0.01;
-            if (r + c) % 2 == 0 {
-                -v
-            } else {
-                v
-            }
-        });
-        let frac = threshold_activations(&mut x, 0.15);
-        assert!(frac > 0.0 && frac < 1.0, "realized fraction {frac}");
-        let mut zeros = 0;
-        for v in x.as_slice() {
-            if *v == 0.0 {
-                assert_eq!(v.to_bits(), 0, "thresholded zero must be +0.0");
-                zeros += 1;
-            } else {
-                assert!(v.abs() > 0.15, "survivor {v} under threshold");
-            }
-        }
-        assert_eq!(zeros as f64 / 64.0, frac);
-        // Idempotent: a second pass changes nothing.
-        assert_eq!(threshold_activations(&mut x, 0.15), frac);
     }
 }

@@ -12,15 +12,16 @@
 //! existing in global memory. The mask indices are read once instead of
 //! twice, and two launch overheads disappear.
 //!
-//! **Bit-exactness contract.** The functional body performs, per output
-//! element, the *identical* chain of `mul_add`s the three separate kernels
-//! perform (`lanes::fma_dot8`/`fma_dot` for the scores in SDDMM strip
-//! order, the exact `SparseSoftmaxKernel` max/exp/normalize body including
-//! its ±inf branches and denominator clamp, `lanes::fma_accumulate` over
-//! the V row tiles with the SpMM's zero-probability skip). Intermediate
-//! values round-trip through `T` exactly where the unfused pipeline stores
-//! and reloads them. The `fusion_equivalence` suite pins bitwise equality
-//! against the three-launch reference.
+//! **Bit-exactness contract.** Each stage calls the same helper as the
+//! kernel it replaces, so the fused and unfused pipelines share one body
+//! per decision: `lanes::fma_dot_strip` for the scores strip by strip (as
+//! `SddmmKernel`), `lanes::softmax_in_place` for the softmax row with its
+//! ±inf limits and denominator clamp (as `SparseSoftmaxKernel`), and
+//! `lanes::fma_accumulate` over the V row tiles with the SpMM's
+//! zero-probability skip. Intermediate values round-trip through `T`
+//! exactly where the unfused pipeline stores and reloads them. The
+//! `fusion_equivalence` suite pins bitwise equality against the
+//! three-launch reference.
 //!
 //! `sputnik::plan` only builds this kernel after proving the
 //! per-row staging footprint fits the device's shared memory; constructed
@@ -379,68 +380,32 @@ impl<T: Scalar> Kernel for SddmmSoftmaxSpmmKernel<'_, T> {
             let kd = kmat.as_slice();
             let rrow = |j: u32| &kd[j as usize * k..(j as usize + 1) * k];
 
-            // Stage 1 — scores, in the unfused SDDMM's strip-chunked order
-            // (eight-chain batches reset at strip boundaries exactly as there).
-            // Each score round-trips through T, as the unfused kernel's
-            // global store/reload does.
+            // Stage 1 — scores, strip by strip through the unfused SDDMM's
+            // strip loop. Each score round-trips through T, as the unfused
+            // kernel's global store/reload does.
             let mut staged = ctx.scratch_f32(len);
             for (strip, strip_cols) in cols.chunks(self.sddmm_tile).enumerate() {
                 let base = strip * self.sddmm_tile;
-                let mut octets = strip_cols.chunks_exact(8);
-                let mut t = 0;
-                for octet in &mut octets {
-                    let accs =
-                        lanes::fma_dot8(lrow, std::array::from_fn(|c| rrow(octet[c])), |x| {
-                            x.to_f32()
-                        });
-                    for acc in accs {
+                lanes::fma_dot_strip(
+                    lrow,
+                    strip_cols,
+                    rrow,
+                    |x| x.to_f32(),
+                    |t, acc| {
                         staged[base + t] = T::from_f32(acc).to_f32();
-                        t += 1;
-                    }
-                }
-                for &j in octets.remainder() {
-                    staged[base + t] =
-                        T::from_f32(lanes::fma_dot(lrow, rrow(j), |x| x.to_f32())).to_f32();
-                    t += 1;
-                }
+                    },
+                );
             }
 
-            // Stage 2 — the SparseSoftmaxKernel body with the logit scale,
+            // Stage 2 — the unfused softmax row with the logit scale,
             // normalizing the staged row in place. Probabilities round-trip
             // through T, as the unfused softmax's store + SpMM reload does.
-            let scale = self.scale;
-            let max = staged
-                .iter()
-                .map(|&s| s * scale)
-                .fold(f32::NEG_INFINITY, f32::max);
-            if max == f32::INFINITY {
-                let top = staged
-                    .iter()
-                    .filter(|&&s| s * scale == f32::INFINITY)
-                    .count()
-                    .max(1) as f32;
-                for s in staged.iter_mut() {
-                    let p = if *s * scale == f32::INFINITY {
-                        1.0 / top
-                    } else {
-                        0.0
-                    };
-                    *s = T::from_f32(p).to_f32();
-                }
-            } else if max == f32::NEG_INFINITY {
-                let p = T::from_f32(1.0 / len as f32).to_f32();
-                for s in staged.iter_mut() {
-                    *s = p;
-                }
-            } else {
-                let mut exps = ctx.scratch_f32(len);
-                for (e, &s) in exps.iter_mut().zip(staged.iter()) {
-                    *e = (s * scale - max).exp();
-                }
-                let sum: f32 = exps.iter().sum::<f32>().max(f32::MIN_POSITIVE);
-                for (s, &e) in staged.iter_mut().zip(exps.iter()) {
-                    *s = T::from_f32(e / sum).to_f32();
-                }
+            for s in staged.iter_mut() {
+                *s *= self.scale;
+            }
+            lanes::softmax_in_place(&mut staged);
+            for s in staged.iter_mut() {
+                *s = T::from_f32(*s).to_f32();
             }
 
             // Stage 3 — the SpmmKernel accumulate body over V row tiles:
@@ -467,16 +432,7 @@ impl<T: Scalar> Kernel for SddmmSoftmaxSpmmKernel<'_, T> {
 
     fn poison_output(&self, seed: u64) {
         if let Some(out) = self.out.as_ref() {
-            let len = out.len();
-            if len == 0 {
-                return;
-            }
-            for i in 0..3u64 {
-                let mut z = seed ^ i.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-                z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-                z ^= z >> 31;
-                unsafe { out.write(z as usize % len, T::from_f32(f32::NAN)) };
-            }
+            out.poison(seed, T::from_f32(f32::NAN));
         }
     }
 }

@@ -773,16 +773,7 @@ impl Gpu {
                 for (slot, t) in c.gmem.iter().enumerate() {
                     bytes += t.ld_bytes() as f64 * dram.ld_miss_rate[slot] + t.st_bytes() as f64;
                 }
-                timing::block_cycles(
-                    dev,
-                    c,
-                    warps_per_block,
-                    eff_warps,
-                    bytes,
-                    bw_per_sm,
-                    concurrency,
-                )
-                .total_cycles
+                timing::block_cycles(dev, c, eff_warps, bytes, bw_per_sm, concurrency).total_cycles
             })
             .collect();
 
@@ -827,16 +818,8 @@ impl Gpu {
                 for (slot, t) in c.gmem.iter().enumerate() {
                     bytes += t.ld_bytes() as f64 * dram.ld_miss_rate[slot] + t.st_bytes() as f64;
                 }
-                timing::block_cycles_lite(
-                    dev,
-                    c,
-                    warps_per_block,
-                    eff_warps,
-                    bytes,
-                    bw_per_sm,
-                    concurrency,
-                )
-                .total_cycles
+                timing::block_cycles_lite(dev, c, eff_warps, bytes, bw_per_sm, concurrency)
+                    .total_cycles
             })
             .collect();
 

@@ -53,7 +53,6 @@ pub fn latency_penalty(dev: &DeviceConfig, eff_warps: f64) -> f64 {
 pub fn block_cycles(
     dev: &DeviceConfig,
     cost: &BlockCost,
-    warps_per_block: u32,
     eff_warps: f64,
     dram_bytes: f64,
     dram_bytes_per_cycle_per_sm: f64,
@@ -62,7 +61,6 @@ pub fn block_cycles(
     block_cycles_lite(
         dev,
         &BlockCostLite::from(cost),
-        warps_per_block,
         eff_warps,
         dram_bytes,
         dram_bytes_per_cycle_per_sm,
@@ -78,7 +76,6 @@ pub fn block_cycles(
 pub fn block_cycles_lite(
     dev: &DeviceConfig,
     cost: &BlockCostLite,
-    warps_per_block: u32,
     eff_warps: f64,
     dram_bytes: f64,
     dram_bytes_per_cycle_per_sm: f64,
@@ -88,7 +85,6 @@ pub fn block_cycles_lite(
     // blocks interleave on the schedulers, so a block's cost to the SM is its
     // instruction count at the aggregate rate (a lone small block that cannot
     // reach this rate is covered by the latency penalty instead).
-    let _ = warps_per_block;
     let issue_cycles = cost.instrs as f64 / dev.issue_slots_per_sm as f64;
 
     // FP32 pipeline: fp32 lanes / warp_size warp-FMAs per cycle (2.0 on Volta).
@@ -160,7 +156,6 @@ mod tests {
         let t = block_cycles(
             &dev,
             &ctx.cost,
-            8,
             16.0,
             0.0,
             dev.dram_bytes_per_cycle() / 80.0,
@@ -178,8 +173,8 @@ mod tests {
         let mut ctx = BlockContext::new(false);
         ctx.ld_global(BufferId(0), 0, 32, 4, 4);
         let bw = dev.dram_bytes_per_cycle() / dev.num_sms as f64;
-        let fast = block_cycles(&dev, &ctx.cost, 8, 32.0, 1_000_000.0, bw, 2.0);
-        let slow = block_cycles(&dev, &ctx.cost, 8, 1.0, 1_000_000.0, bw, 2.0);
+        let fast = block_cycles(&dev, &ctx.cost, 32.0, 1_000_000.0, bw, 2.0);
+        let slow = block_cycles(&dev, &ctx.cost, 1.0, 1_000_000.0, bw, 2.0);
         assert!(
             slow.total_cycles > fast.total_cycles * 2.0,
             "low occupancy must expose latency: fast={} slow={}",
@@ -210,8 +205,8 @@ mod tests {
         }
         assert_eq!(scalar.cost.gmem[0].ld_sectors, vec4.cost.gmem[0].ld_sectors);
         let bw = dev.dram_bytes_per_cycle() / dev.num_sms as f64;
-        let ts = block_cycles(&dev, &scalar.cost, 1, 32.0, 0.0, bw, 2.0);
-        let tv = block_cycles(&dev, &vec4.cost, 1, 32.0, 0.0, bw, 2.0);
+        let ts = block_cycles(&dev, &scalar.cost, 32.0, 0.0, bw, 2.0);
+        let tv = block_cycles(&dev, &vec4.cost, 32.0, 0.0, bw, 2.0);
         assert!(tv.lsu_cycles < ts.lsu_cycles / 3.0);
     }
 }

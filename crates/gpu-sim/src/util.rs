@@ -101,6 +101,30 @@ impl<'a, T> SyncUnsafeSlice<'a, T> {
         }
         unsafe { *(*self.ptr.add(index)).get() }
     }
+
+    /// Simulated silent data corruption: write `value` (a NaN, for the
+    /// kernels that opt in) at three positions drawn from `seed` by
+    /// splitmix64. Does nothing on an empty slice.
+    ///
+    /// The launcher calls [`Kernel::poison_output`](crate::Kernel), the only
+    /// caller, after every block of the launch has finished, so no block
+    /// executor can touch the slice while this writes.
+    pub fn poison(&self, seed: u64, value: T)
+    where
+        T: Copy,
+    {
+        if self.len == 0 {
+            return;
+        }
+        for i in 0..3u64 {
+            let mut z = seed ^ i.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z ^= z >> 31;
+            // SAFETY: the index is reduced into bounds, and the block
+            // executors that write this slice have all returned (see above).
+            unsafe { self.write(z as usize % self.len, value) };
+        }
+    }
 }
 
 #[cfg(test)]

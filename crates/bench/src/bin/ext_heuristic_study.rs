@@ -3,12 +3,12 @@
 //! Section VII-B closes with "these results indicate that better kernel
 //! selection heuristics could greatly improve performance", and the
 //! MobileNet experiment needed an oracle for four layers. This study
-//! quantifies the gap on the corpus: for each problem, exhaustively profile
-//! a grid of SpMM variants (the oracle) and compare the heuristic's pick.
+//! quantifies the gap on the corpus: for each problem, the [`AutoTuner`]'s
+//! exhaustive variant search (the oracle) runs against the heuristic's pick.
 
 use gpu_sim::Gpu;
 use sparse::dataset;
-use sputnik::SpmmConfig;
+use sputnik::AutoTuner;
 use sputnik_bench::{geo_mean, has_flag, Table};
 
 struct Entry {
@@ -24,32 +24,6 @@ struct Entry {
     oracle_tag: String,
 }
 
-/// The variant grid the oracle searches.
-fn variants(k: usize, n: usize) -> Vec<SpmmConfig> {
-    let mut out = Vec::new();
-    for block_items_y in [1u32, 2, 4, 8] {
-        for block_items_x in [16u32, 32, 64] {
-            for vector_width in [1u32, 2, 4] {
-                let cfg = SpmmConfig {
-                    block_items_y,
-                    block_items_x,
-                    vector_width,
-                    roma: vector_width > 1,
-                    ..SpmmConfig::default()
-                };
-                if cfg.validate(k).is_err() || cfg.threads_x() > 32 {
-                    continue;
-                }
-                if vector_width as usize > 1 && !n.is_multiple_of(vector_width as usize) {
-                    continue;
-                }
-                out.push(cfg);
-            }
-        }
-    }
-    out
-}
-
 fn main() {
     let gpu = Gpu::v100();
     let count = if has_flag("--quick") { 12 } else { 40 };
@@ -61,28 +35,17 @@ fn main() {
         let (inference, training) = spec.batch_sizes();
         for batch in [inference, training] {
             let n = spec.n(batch);
-            let heuristic = SpmmConfig::heuristic::<f32>(n);
-            let heuristic_us =
-                sputnik::spmm_profile::<f32>(&gpu, &a, spec.cols, n, heuristic).time_us;
-            let mut oracle_us = heuristic_us;
-            let mut oracle_tag = heuristic.tag();
-            for cfg in variants(spec.cols, n) {
-                let t = sputnik::spmm_profile::<f32>(&gpu, &a, spec.cols, n, cfg).time_us;
-                if t < oracle_us {
-                    oracle_us = t;
-                    oracle_tag = cfg.tag();
-                }
-            }
+            let tuned = AutoTuner::new().tune(&gpu, None, &a, n);
             entries.push(Entry {
                 layer: spec.layer.to_string(),
                 m: spec.rows,
                 k: spec.cols,
                 n,
                 sparsity: spec.sparsity,
-                heuristic_us,
-                oracle_us,
-                gap: heuristic_us / oracle_us,
-                oracle_tag,
+                heuristic_us: tuned.heuristic_us,
+                oracle_us: tuned.best_us,
+                gap: tuned.speedup_over_heuristic(),
+                oracle_tag: tuned.config.tag(),
             });
         }
     }

@@ -89,7 +89,7 @@ fn main() {
     for n in [8usize, 32, 128, 512] {
         let h = SpmmConfig::heuristic::<f32>(n);
         let th = sputnik::spmm_profile::<f32>(&gpu, &m, m.cols(), n, h).time_us;
-        let tuned = tuner.tune_cached(&gpu, &launch_cache, &m, n);
+        let tuned = tuner.tune(&gpu, Some(&launch_cache), &m, n);
         println!(
             "  {:>6}  {:>22}  {:>8.1}us  {:>22}  {:>8.1}us  {:>5.2}x",
             n,

@@ -111,7 +111,6 @@ fn main() {
             "warm sweep missed the cache"
         );
     }
-    warm.absorb_cache(&cache);
     assert_eq!(slow.time_us, cold.time_us, "dedup changed results");
 
     let cold_warm = cold_ms / warm_ms.max(1e-9);
@@ -153,7 +152,6 @@ fn main() {
         .float("slowpath_cold_speedup", slow_cold, 3)
         .int("cache_hits_warm", warm.cache_hits)
         .int("cache_misses_cold", cold.cache_misses)
-        .int("cache_evictions", warm.cache_evictions)
         .gate("cold_warm_speedup", Gate::AtLeastBaseline(0.5))
         .gate("slowpath_cold_speedup", Gate::AtLeast(1.0))
         .finish();

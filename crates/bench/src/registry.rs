@@ -41,9 +41,15 @@ use std::sync::atomic::AtomicU32;
 
 /// The shape grid: one square power-of-two shape, one ragged shape
 /// exercising partial tiles, and one high-sparsity shape with empty rows.
-/// `(m, k, n, sparsity)`; the seed for shape `i` is `0x5A17 + i * 101`.
+/// `(m, k, n, sparsity)`; shape `i` draws its operands from [`seed`]`(i)`.
 pub const SHAPES: [(usize, usize, usize, f64); 3] =
     [(64, 96, 32, 0.7), (128, 128, 128, 0.9), (100, 76, 40, 0.8)];
+
+/// The base seed of shape `i` in [`SHAPES`]; each operand of the shape
+/// adds a small offset to it.
+pub fn seed(i: usize) -> u64 {
+    0x5A17 + i as u64 * 101
+}
 
 /// Sanitize one registered launch through `cache` under the pair index
 /// `fp`: the registry is deterministic, so the index is a sound operand
@@ -68,7 +74,7 @@ pub fn sanitize_cached(
 /// iterate the registry just as loudly as a sanitizer violation would.
 pub fn for_each_kernel(visit: &mut dyn FnMut(&dyn Kernel)) {
     for (i, &(m, k, n, sparsity)) in SHAPES.iter().enumerate() {
-        let seed = 0x5A17 + i as u64 * 101;
+        let seed = seed(i);
         let a = gen::uniform(m, k, sparsity, seed);
         let b = Matrix::<f32>::random(k, n, seed + 1);
 

@@ -3,8 +3,10 @@
 //! The launch engine has three result-affecting-if-wrong optimizations: the
 //! streaming trace reduction, structural block dedup in profile mode, and
 //! the cross-launch cache. Each must be *bit-identical* to the pre-fast-path
-//! engine. This suite pins that across the same kernel/shape grid
-//! `sanitize_all` exercises:
+//! engine. This suite pins that on every kernel/launch pair of the shared
+//! registry (`sputnik_bench::registry`, the grid `sanitize_all` and
+//! `static_audit` sweep), plus the extras the registry does not hold. On
+//! each launch, three paths must agree:
 //!
 //! * `Gpu::profile_reference` — the old collect-every-`BlockCost` path, kept
 //!   as ground truth;
@@ -18,27 +20,12 @@
 //! that functional launches ignore the dedup setting (they never dedup) and
 //! that profile launches never touch functional outputs.
 
-use baselines::aspt::AsptSpmmKernel;
-use baselines::cusparse::{
-    ConstrainedGemmKernel, CusparseSpmmHalfFallbackKernel, CusparseSpmmKernel,
-};
-use baselines::{
-    AsptDirection, AsptPlan, BlockSpmmKernel, EllSpmmKernel, GemmKernel, MergeSpmmKernel,
-    NnzSplitSpmmKernel, TransposeKernel,
-};
+use baselines::NnzSplitSpmmKernel;
 use gpu_sim::{Gpu, Kernel};
-use sparse::ell::EllMatrix;
-use sparse::{block, gen, Matrix, PatternGranularity, PatternLut, RowSwizzle};
-use sputnik::{
-    joint_heuristic, FallbackSpmmKernel, JointSpmmKernel, PermuteKernel, SddmmConfig, SddmmKernel,
-    SparseSoftmaxKernel, SpmmConfig,
-};
+use sparse::{gen, Matrix, PatternGranularity, PatternLut, RowSwizzle};
+use sputnik::{joint_heuristic, FallbackSpmmKernel, JointSpmmKernel, SddmmConfig, SpmmConfig};
+use sputnik_bench::registry;
 use std::sync::atomic::{AtomicU32, Ordering};
-
-/// The sanitize_all shape grid: square pow2, ragged partial tiles, high
-/// sparsity with empty rows.
-const SHAPES: &[(usize, usize, usize, f64)] =
-    &[(64, 96, 32, 0.7), (128, 128, 128, 0.9), (100, 76, 40, 0.8)];
 
 /// Assert the streamed and dedup'd profile paths match the reference
 /// collect path bit-for-bit.
@@ -54,138 +41,28 @@ fn assert_fastpath_identical(kernel: &dyn Kernel, label: &str) {
 
 #[test]
 fn all_kernels_fastpath_bit_identical() {
-    for (i, &(m, k, n, sparsity)) in SHAPES.iter().enumerate() {
-        let seed = 0x5A17 + i as u64 * 101;
-        let label = |name: &str| format!("{name} {m}x{k}x{n} s={sparsity}");
+    let mut pair = 0;
+    registry::for_each_kernel(&mut |kernel| {
+        assert_fastpath_identical(kernel, &format!("registry pair {pair} ({})", kernel.name()));
+        pair += 1;
+    });
+
+    // An extra the registry does not hold: joint SpMM with the row swizzle
+    // its heuristic asks for (the registry's joint launches run unswizzled),
+    // at both LUT granularities.
+    for (i, &(m, k, n, sparsity)) in registry::SHAPES.iter().enumerate() {
+        let seed = registry::seed(i);
         let a = gen::uniform(m, k, sparsity, seed);
-        let b = Matrix::<f32>::random(k, n, seed + 1);
-
-        // Sputnik SpMM: default, heuristic, and swizzled configs.
-        for cfg in [
-            SpmmConfig::default(),
-            SpmmConfig::heuristic::<f32>(n),
-            SpmmConfig {
-                row_swizzle: true,
-                ..SpmmConfig::heuristic::<f32>(n)
-            },
-        ] {
-            let swizzle = RowSwizzle::for_config(&a, cfg.row_swizzle);
-            let kernel = sputnik::SpmmKernel::<f32>::for_profile(&a, n, &swizzle, cfg);
-            assert_fastpath_identical(&kernel, &label("spmm"));
+        let acts = gen::activations(k, n, 0.7, seed + 7);
+        let cfg = joint_heuristic::<f32>(n);
+        let swizzle = RowSwizzle::for_config(&a, cfg.row_swizzle);
+        for granularity in [PatternGranularity::Fine, PatternGranularity::Coarse] {
+            let lut = PatternLut::build(&acts, granularity);
+            let kernel = JointSpmmKernel::<f32>::for_profile(&a, n, &swizzle, &lut, cfg)
+                .unwrap_or_else(|e| panic!("joint construction: {e}"));
+            let label = format!("swizzled joint_spmm {granularity:?} {m}x{k}x{n} s={sparsity}");
+            assert_fastpath_identical(&kernel, &label);
         }
-
-        // Joint SpMM at both LUT granularities: the SpMM body probing a LUT
-        // over seeded activations, so dead tiles are really skipped.
-        {
-            let acts = gen::activations(k, n, 0.7, seed + 7);
-            let cfg = joint_heuristic::<f32>(n);
-            let swizzle = RowSwizzle::for_config(&a, cfg.row_swizzle);
-            for granularity in [PatternGranularity::Fine, PatternGranularity::Coarse] {
-                let lut = PatternLut::build(&acts, granularity);
-                let kernel = JointSpmmKernel::<f32>::for_profile(&a, n, &swizzle, &lut, cfg)
-                    .unwrap_or_else(|e| panic!("joint construction: {e}"));
-                assert_fastpath_identical(&kernel, &label(&format!("joint_spmm {granularity:?}")));
-            }
-        }
-
-        // Scalar fallback SpMM.
-        {
-            let mut out = Matrix::<f32>::zeros(m, n);
-            let kernel = FallbackSpmmKernel::new(&a, &b, &mut out);
-            assert_fastpath_identical(&kernel, &label("fallback_spmm"));
-        }
-
-        // SDDMM (swizzled heuristic).
-        {
-            let mask = gen::uniform(m, n, sparsity, seed + 2);
-            let swizzle = RowSwizzle::by_length_desc(&mask);
-            let kernel = SddmmKernel::<f32>::for_profile(
-                &mask,
-                k,
-                &swizzle,
-                SddmmConfig::heuristic::<f32>(k),
-            );
-            assert_fastpath_identical(&kernel, &label("sddmm"));
-        }
-
-        // Sparse softmax.
-        {
-            let mut values = vec![0.0f32; a.nnz()];
-            let kernel = SparseSoftmaxKernel::new(&a, &mut values);
-            assert_fastpath_identical(&kernel, &label("softmax"));
-        }
-
-        // Value permute.
-        {
-            let src = a.values().to_vec();
-            let perm: Vec<u32> = (0..a.nnz() as u32).rev().collect();
-            let mut dst = vec![0.0f32; a.nnz()];
-            let kernel = PermuteKernel::new(&src, &perm, &mut dst);
-            assert_fastpath_identical(&kernel, &label("permute"));
-        }
-
-        // Dense GEMM + transpose.
-        {
-            let da = Matrix::<f32>::random(m, k, seed + 5);
-            let mut out = Matrix::<f32>::zeros(m, n);
-            let kernel = GemmKernel::new(&da, &b, &mut out);
-            assert_fastpath_identical(&kernel, &label("gemm"));
-
-            let mut t = Matrix::<f32>::zeros(k, m);
-            let kernel = TransposeKernel::new(&da, &mut t);
-            assert_fastpath_identical(&kernel, &label("transpose"));
-        }
-
-        // ELLR-T SpMM.
-        {
-            let ell = EllMatrix::from_csr(&a);
-            let kernel = EllSpmmKernel::for_profile(&ell, n);
-            assert_fastpath_identical(&kernel, &label("ell_spmm"));
-        }
-
-        // Merge SpMM (N % 32 == 0 only).
-        if n % 32 == 0 {
-            let kernel = MergeSpmmKernel::<f32>::for_profile(&a, n)
-                .unwrap_or_else(|e| panic!("merge construction: {e}"));
-            assert_fastpath_identical(&kernel, &label("merge_spmm"));
-        }
-
-        // Nonzero-split SpMM.
-        {
-            let kernel = NnzSplitSpmmKernel::<f32>::for_profile(&a, n);
-            assert_fastpath_identical(&kernel, &label("nnz_split"));
-        }
-
-        // cuSPARSE SpMM + the half fallback.
-        {
-            let kernel = CusparseSpmmKernel::<f32>::for_profile(&a, n);
-            assert_fastpath_identical(&kernel, &label("cusparse_spmm"));
-
-            let kernel = CusparseSpmmHalfFallbackKernel::new(&a, n);
-            assert_fastpath_identical(&kernel, &label("cusparse_half_fallback"));
-        }
-
-        // Constrained GEMM SDDMM.
-        {
-            let mask = gen::uniform(m, n, sparsity, seed + 6);
-            let kernel = ConstrainedGemmKernel::for_profile(&mask, k);
-            assert_fastpath_identical(&kernel, &label("constrained_gemm"));
-        }
-    }
-
-    // Shape-constrained baselines.
-    {
-        let a = gen::uniform(256, 128, 0.8, 0xA597);
-        let plan = AsptPlan::build(&a, AsptDirection::Spmm);
-        let kernel = AsptSpmmKernel::<f32>::for_profile(&a, &plan, 32)
-            .unwrap_or_else(|e| panic!("aspt construction: {e}"));
-        assert_fastpath_identical(&kernel, "aspt 256x128x32");
-    }
-    {
-        let dense = Matrix::<f32>::random(64, 64, 0xB10C);
-        let bsr = block::block_prune(&dense, 8, 0.5);
-        let kernel = BlockSpmmKernel::for_profile(&bsr, 32);
-        assert_fastpath_identical(&kernel, "block_spmm 64x64x32");
     }
 }
 
@@ -273,7 +150,7 @@ fn cached_profile_equals_uncached_across_kernels() {
     // for both SpMM and SDDMM entry points, across the shape grid.
     let cache = gpu_sim::LaunchCache::new();
     let gpu = Gpu::v100();
-    for (i, &(m, k, n, sparsity)) in SHAPES.iter().enumerate() {
+    for (i, &(m, k, n, sparsity)) in registry::SHAPES.iter().enumerate() {
         let seed = 0xCAC4E + i as u64 * 31;
         let a = gen::uniform(m, k, sparsity, seed);
         let spmm_cfg = SpmmConfig::heuristic::<f32>(n);

@@ -18,10 +18,7 @@ use sputnik::{
     attention_configs, sparse_attention_fused, sparse_attention_fused_profile,
     sparse_attention_unfused, FusionDecision, SddmmConfig, SpmmConfig,
 };
-
-/// The sanitize_all / registry shape grid.
-const SHAPES: &[(usize, usize, usize, f64)] =
-    &[(64, 96, 32, 0.7), (128, 128, 128, 0.9), (100, 76, 40, 0.8)];
+use sputnik_bench::registry;
 
 fn bits(m: &Matrix<f32>) -> Vec<u32> {
     m.as_slice().iter().map(|v| v.to_bits()).collect()
@@ -90,8 +87,8 @@ fn assert_fusion_bit_identical(
 #[test]
 fn fused_bit_identical_across_registry_grid() {
     let gpu = Gpu::v100();
-    for (i, &(m, k, n, sparsity)) in SHAPES.iter().enumerate() {
-        let seed = 0x5A17 + i as u64 * 101;
+    for (i, &(m, k, n, sparsity)) in registry::SHAPES.iter().enumerate() {
+        let seed = registry::seed(i);
         let mask = gen::uniform(m, n, sparsity, seed + 2);
         let q = Matrix::<f32>::random(m, k, seed + 3);
         let kmat = Matrix::<f32>::random(n, k, seed + 4);
@@ -275,8 +272,8 @@ fn planner_respects_device_capacity() {
 #[test]
 fn fused_kernel_never_refuted_on_registry_shapes() {
     let gpu = Gpu::v100();
-    for (i, &(m, k, n, sparsity)) in SHAPES.iter().enumerate() {
-        let seed = 0x5A17 + i as u64 * 101;
+    for (i, &(m, k, n, sparsity)) in registry::SHAPES.iter().enumerate() {
+        let seed = registry::seed(i);
         let mask = gen::uniform(m, n, sparsity, seed + 2);
         let sddmm_tile = SddmmConfig::heuristic::<f32>(k).block_items_x as usize;
         let spmm_tile = SpmmConfig::heuristic::<f32>(k).block_items_x as usize;

@@ -59,10 +59,7 @@ pub fn attention_configs(
 ) -> AttentionConfigs {
     let sddmm = SddmmConfig::heuristic::<f32>(k);
     let spmm = match tuner {
-        Some(t) => match cache {
-            Some(c) => t.tune_cached(gpu, c, mask, n).config,
-            None => t.tune(gpu, mask, n).config,
-        },
+        Some(t) => t.tune(gpu, cache, mask, n).config,
         None => SpmmConfig::heuristic::<f32>(n),
     };
     AttentionConfigs { sddmm, spmm }

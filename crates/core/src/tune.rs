@@ -72,10 +72,13 @@ impl AutoTuner {
         Self::default()
     }
 
-    /// Configurations the search covers for a given N.
+    /// The variants the search profiles against the heuristic's pick for a
+    /// given N: every legal tiling and vector width on the grid, with the
+    /// heuristic's other fields. The heuristic itself is left out, since the
+    /// search profiles it first.
     fn candidates<T: Scalar>(k: usize, n: usize) -> Vec<SpmmConfig> {
         let heuristic = SpmmConfig::heuristic::<T>(n);
-        let mut out = vec![heuristic];
+        let mut out = Vec::new();
         for block_items_y in [1u32, 2, 4, 8] {
             for block_items_x in [16u32, 32, 64] {
                 for vector_width in [1u32, 2, 4] {
@@ -102,30 +105,18 @@ impl AutoTuner {
     }
 
     /// The tuned configuration for this problem, searching at most once per
-    /// problem class.
-    pub fn tune<T: Scalar>(&mut self, gpu: &Gpu, a: &CsrMatrix<T>, n: usize) -> TuneResult {
-        self.tune_impl(gpu, None, a, n)
-    }
-
-    /// [`Self::tune`] with every probe launch going through a cross-launch
+    /// problem class. The search keeps the first variant strictly faster
+    /// than every one before it, starting from the heuristic's pick.
+    ///
+    /// With a `cache`, every probe launch goes through that cross-launch
     /// [`LaunchCache`]. The tuner's own memo works at problem-*class*
-    /// granularity; the launch cache works at exact-(kernel, operand, device)
-    /// granularity, so repeated tuning sessions over overlapping corpora skip
-    /// re-simulating every variant they have seen before.
-    pub fn tune_cached<T: Scalar>(
+    /// granularity; the launch cache works at exact-(kernel, operand,
+    /// device) granularity, so repeated tuning sessions over overlapping
+    /// corpora skip re-simulating every variant they have seen before.
+    pub fn tune<T: Scalar>(
         &mut self,
         gpu: &Gpu,
-        launch_cache: &LaunchCache,
-        a: &CsrMatrix<T>,
-        n: usize,
-    ) -> TuneResult {
-        self.tune_impl(gpu, Some(launch_cache), a, n)
-    }
-
-    fn tune_impl<T: Scalar>(
-        &mut self,
-        gpu: &Gpu,
-        launch_cache: Option<&LaunchCache>,
+        cache: Option<&LaunchCache>,
         a: &CsrMatrix<T>,
         n: usize,
     ) -> TuneResult {
@@ -142,19 +133,20 @@ impl AutoTuner {
                 class.m_pow2, class.k_pow2, class.n_pow2
             )
         });
-        let profile = |cfg: SpmmConfig| match launch_cache {
-            Some(lc) => spmm::spmm_profile_cached::<T>(gpu, lc, a, a.cols(), n, cfg).0,
-            None => spmm::spmm_profile::<T>(gpu, a, a.cols(), n, cfg),
+        let profile = |cfg| {
+            spmm::profile_spmm::<T>(gpu, cache, a, a.cols(), n, cfg)
+                .0
+                .time_us
         };
         let heuristic = SpmmConfig::heuristic::<T>(n);
-        let heuristic_us = profile(heuristic).time_us;
+        let heuristic_us = profile(heuristic);
         let mut best = TuneResult {
             config: heuristic,
             best_us: heuristic_us,
             heuristic_us,
         };
         for cfg in Self::candidates::<T>(a.cols(), n) {
-            let t = profile(cfg).time_us;
+            let t = profile(cfg);
             if t < best.best_us {
                 best.best_us = t;
                 best.config = cfg;
@@ -344,7 +336,7 @@ mod tests {
             (512, 128, 52, 0.7),
         ] {
             let a = gen::uniform(m, k, s, (m + n) as u64);
-            let result = tuner.tune(&gpu, &a, n);
+            let result = tuner.tune(&gpu, None, &a, n);
             assert!(result.best_us <= result.heuristic_us + 1e-9, "{m}x{k}x{n}");
             assert!(result.speedup_over_heuristic() >= 1.0);
         }
@@ -356,13 +348,13 @@ mod tests {
         let mut tuner = AutoTuner::new();
         let a1 = gen::uniform(256, 256, 0.8, 1);
         let a2 = gen::uniform(250, 250, 0.81, 2); // same buckets
-        let r1 = tuner.tune(&gpu, &a1, 64);
+        let r1 = tuner.tune(&gpu, None, &a1, 64);
         assert_eq!(tuner.len(), 1);
-        let r2 = tuner.tune(&gpu, &a2, 64);
+        let r2 = tuner.tune(&gpu, None, &a2, 64);
         assert_eq!(tuner.len(), 1, "same class must hit the cache");
         assert_eq!(r1.config, r2.config);
         // A different N lands in a new class.
-        tuner.tune(&gpu, &a1, 128);
+        tuner.tune(&gpu, None, &a1, 128);
         assert_eq!(tuner.len(), 2);
     }
 
@@ -373,7 +365,7 @@ mod tests {
         let gpu = Gpu::v100();
         let mut tuner = AutoTuner::new();
         let a = gen::uniform(1000, 1024, 0.9, 3);
-        let result = tuner.tune(&gpu, &a, 4);
+        let result = tuner.tune(&gpu, None, &a, 4);
         assert!(
             result.speedup_over_heuristic() > 1.05,
             "expected a tuning win on N=4, got {:.3}x",
@@ -386,8 +378,8 @@ mod tests {
         let gpu = Gpu::v100();
         let mut tuner = AutoTuner::new();
         let a = gen::uniform(256, 256, 0.8, 5);
-        let r1 = tuner.tune(&gpu, &a, 64);
-        tuner.tune(&gpu, &a, 4);
+        let r1 = tuner.tune(&gpu, None, &a, 64);
+        tuner.tune(&gpu, None, &a, 4);
         let dir = std::env::temp_dir().join("sputnik_tune_cache_test");
         let path = dir.join("autotune.json");
         tuner.save_to(&path).unwrap();
@@ -395,7 +387,7 @@ mod tests {
         assert_eq!(loaded.len(), tuner.len());
         // A reloaded tuner serves the persisted decision without searching.
         let mut loaded = loaded;
-        let r2 = loaded.tune(&gpu, &a, 64);
+        let r2 = loaded.tune(&gpu, None, &a, 64);
         assert_eq!(r1.config, r2.config);
         assert_eq!(r1.best_us, r2.best_us);
         assert_eq!(r1.heuristic_us, r2.heuristic_us);
@@ -420,21 +412,20 @@ mod tests {
     }
 
     #[test]
-    fn tune_cached_reuses_probe_launches() {
+    fn cached_tune_reuses_probe_launches() {
         let gpu = Gpu::v100();
         let cache = gpu_sim::LaunchCache::new();
         let a = gen::uniform(256, 256, 0.8, 6);
-        let cold = AutoTuner::new().tune_cached(&gpu, &cache, &a, 64);
+        let cold = AutoTuner::new().tune(&gpu, Some(&cache), &a, 64);
         let cold_misses = cache.misses();
         assert!(cold_misses > 0, "first search simulates every variant");
-        // Within one search the heuristic is probed twice (baseline + first
-        // candidate); the second probe is already a hit.
-        assert_eq!(cache.hits(), 1);
+        // One search profiles each variant once.
+        assert_eq!(cache.hits(), 0);
         // A fresh tuner (empty class memo) re-probes the same variants; the
         // launch cache serves all of them.
-        let warm = AutoTuner::new().tune_cached(&gpu, &cache, &a, 64);
+        let warm = AutoTuner::new().tune(&gpu, Some(&cache), &a, 64);
         assert_eq!(cache.misses(), cold_misses, "no new simulations");
-        assert_eq!(cache.hits(), 1 + cold_misses + 1);
+        assert_eq!(cache.hits(), cold_misses);
         assert_eq!(cold.config, warm.config);
         assert_eq!(cold.best_us, warm.best_us);
     }

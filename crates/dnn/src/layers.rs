@@ -14,38 +14,34 @@ use gpu_sim::{
 use sparse::{CsrMatrix, Matrix, RowSwizzle};
 use sputnik::{SpmmConfig, SpmmKernel};
 
-/// A linear operator `y = act(W x + b)` with dense or sparse weights.
-/// Activations are `K x N` (features x positions), weights `M x K`.
+/// A linear operator `y = W x`, or `y = relu(W x + b)` with the epilogue,
+/// with dense or sparse weights. Activations are `K x N` (features x
+/// positions), weights `M x K`, and the epilogue's bias has one entry per
+/// output row. The dense variant launches a separate bias + ReLU kernel;
+/// the sparse variant fuses it into the SpMM.
 pub enum Linear {
     Dense {
         weights: Matrix<f32>,
-        bias: Option<Vec<f32>>,
-        relu: bool,
+        bias_relu: Option<Vec<f32>>,
     },
     Sparse {
         weights: CsrMatrix<f32>,
         swizzle: RowSwizzle,
-        bias: Option<Vec<f32>>,
-        relu: bool,
+        bias_relu: Option<Vec<f32>>,
     },
 }
 
 impl Linear {
-    pub fn dense(weights: Matrix<f32>, bias: Option<Vec<f32>>, relu: bool) -> Self {
-        Linear::Dense {
-            weights,
-            bias,
-            relu,
-        }
+    pub fn dense(weights: Matrix<f32>, bias_relu: Option<Vec<f32>>) -> Self {
+        Linear::Dense { weights, bias_relu }
     }
 
-    pub fn sparse(weights: CsrMatrix<f32>, bias: Option<Vec<f32>>, relu: bool) -> Self {
+    pub fn sparse(weights: CsrMatrix<f32>, bias_relu: Option<Vec<f32>>) -> Self {
         let swizzle = RowSwizzle::by_length_desc(&weights);
         Linear::Sparse {
             weights,
             swizzle,
-            bias,
-            relu,
+            bias_relu,
         }
     }
 
@@ -65,44 +61,30 @@ impl Linear {
         match self {
             Linear::Dense {
                 weights,
-                bias,
-                relu,
+                bias_relu: epilogue,
             } => {
                 let (y, s1) = baselines::gemm(gpu, weights, x);
-                match bias {
+                match epilogue {
                     Some(b) => {
-                        let (y, s2) = bias_relu(gpu, &y, b, *relu);
+                        let (y, s2) = bias_relu(gpu, &y, b, true);
                         (y, s1.time_us + s2.time_us)
                     }
-                    None => {
-                        if *relu {
-                            let zeros = vec![0.0f32; y.rows()];
-                            let (y, s2) = bias_relu(gpu, &y, &zeros, true);
-                            (y, s1.time_us + s2.time_us)
-                        } else {
-                            (y, s1.time_us)
-                        }
-                    }
+                    None => (y, s1.time_us),
                 }
             }
             Linear::Sparse {
                 weights,
                 swizzle,
-                bias,
-                relu,
+                bias_relu,
             } => {
                 let mut cfg = SpmmConfig::heuristic::<f32>(x.cols());
+                cfg.fused_bias_relu = bias_relu.is_some();
                 let mut out = Matrix::<f32>::zeros(weights.rows(), x.cols());
-                let stats = match (bias, relu) {
-                    (Some(b), true) => {
-                        cfg.fused_bias_relu = true;
-                        let kernel =
-                            SpmmKernel::new(weights, x, &mut out, swizzle, cfg).with_bias_relu(b);
-                        gpu.launch(&kernel)
-                    }
-                    _ => {
-                        let kernel = SpmmKernel::new(weights, x, &mut out, swizzle, cfg);
-                        gpu.launch(&kernel)
+                let stats = {
+                    let kernel = SpmmKernel::new(weights, x, &mut out, swizzle, cfg);
+                    match bias_relu {
+                        Some(b) => gpu.launch(&kernel.with_bias_relu(b)),
+                        None => gpu.launch(&kernel),
                     }
                 };
                 (out, stats.time_us)
@@ -653,23 +635,39 @@ mod tests {
         let w = Matrix::<f32>::random(32, 48, 81);
         let x = Matrix::<f32>::random(48, 16, 82);
         let gpu = Gpu::v100();
-        let dense = Linear::dense(w.clone(), None, false);
-        let sp = Linear::sparse(CsrMatrix::from_dense(&w), None, false);
+        let dense = Linear::dense(w.clone(), None);
+        let sp = Linear::sparse(CsrMatrix::from_dense(&w), None);
         let (yd, _) = dense.forward(&gpu, &x);
         let (ys, _) = sp.forward(&gpu, &x);
         assert!(yd.max_abs_diff(&ys) < 1e-3);
     }
 
+    /// Both variants compute the same function over the same pruned
+    /// weights, with and without the epilogue, and match the reference.
     #[test]
-    fn linear_fused_bias_relu_matches_reference() {
+    fn linear_variants_agree_with_and_without_epilogue() {
         let w = gen::uniform(24, 32, 0.8, 83);
         let x = Matrix::<f32>::random(32, 20, 84);
         let bias: Vec<f32> = (0..24).map(|i| i as f32 * 0.1 - 1.0).collect();
         let gpu = Gpu::v100();
-        let layer = Linear::sparse(w.clone(), Some(bias.clone()), true);
-        let (y, _) = layer.forward(&gpu, &x);
-        let expect = sputnik::reference::bias_relu(&sputnik::reference::spmm(&w, &x), &bias);
-        assert!(y.max_abs_diff(&expect) < 1e-3);
+        let plain = sputnik::reference::spmm(&w, &x);
+        for epilogue in [None, Some(bias.clone())] {
+            let expect = match &epilogue {
+                Some(b) => sputnik::reference::bias_relu(&plain, b),
+                None => plain.clone(),
+            };
+            let dense = Linear::dense(w.to_dense(), epilogue.clone());
+            let sparse = Linear::sparse(w.clone(), epilogue.clone());
+            let (yd, _) = dense.forward(&gpu, &x);
+            let (ys, _) = sparse.forward(&gpu, &x);
+            let with = epilogue.is_some();
+            assert!(yd.max_abs_diff(&expect) < 1e-3, "dense, epilogue {with}");
+            assert!(ys.max_abs_diff(&expect) < 1e-3, "sparse, epilogue {with}");
+            assert!(
+                yd.max_abs_diff(&ys) < 1e-3,
+                "dense vs sparse, epilogue {with}"
+            );
+        }
     }
 
     #[test]

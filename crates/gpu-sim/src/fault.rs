@@ -16,6 +16,7 @@
 
 use crate::trace::{self, Entry};
 use serde::{Deserialize, Serialize};
+use sparse::rng;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -153,11 +154,7 @@ impl FaultPlan {
 
     /// Deterministic per-launch hash in [0, 1).
     fn launch_hash(&self, index: u64) -> f64 {
-        let mut z = self.seed ^ index.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^= z >> 31;
-        (z >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+        rng::unit_f64(rng::mix64(self.seed ^ index.wrapping_mul(rng::GAMMA)))
     }
 
     /// Record one launch of `kernel` and decide whether it faults.

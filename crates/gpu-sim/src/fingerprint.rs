@@ -60,33 +60,25 @@ impl Fingerprint {
     }
 }
 
-/// One-shot hash of a word sequence.
-pub fn hash_words(words: &[u64]) -> u64 {
-    let mut f = Fingerprint::new();
-    for &w in words {
-        f.write_u64(w);
-    }
-    f.finish()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[test]
-    fn deterministic_and_sensitive() {
-        assert_eq!(hash_words(&[1, 2, 3]), hash_words(&[1, 2, 3]));
-        assert_ne!(hash_words(&[1, 2, 3]), hash_words(&[3, 2, 1]));
-        assert_ne!(hash_words(&[0]), hash_words(&[]));
-        // Known FNV-1a property: empty input hashes to the offset basis.
-        assert_eq!(hash_words(&[]), 0xcbf2_9ce4_8422_2325);
+    fn hash(words: &[u64]) -> u64 {
+        let mut f = Fingerprint::new();
+        for &w in words {
+            f.write_u64(w);
+        }
+        f.finish()
     }
 
     #[test]
-    fn incremental_matches_one_shot() {
-        let mut f = Fingerprint::new();
-        f.write_u64(7).write_u64(11);
-        assert_eq!(f.finish(), hash_words(&[7, 11]));
+    fn deterministic_and_sensitive() {
+        assert_eq!(hash(&[1, 2, 3]), hash(&[1, 2, 3]));
+        assert_ne!(hash(&[1, 2, 3]), hash(&[3, 2, 1]));
+        assert_ne!(hash(&[0]), hash(&[]));
+        // Known FNV-1a property: empty input hashes to the offset basis.
+        assert_eq!(Fingerprint::new().finish(), 0xcbf2_9ce4_8422_2325);
     }
 
     #[test]

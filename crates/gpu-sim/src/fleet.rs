@@ -13,12 +13,13 @@
 //!
 //! * **Per-stream FIFO**: commands on one device's stream resolve strictly
 //!   in submission order, like a CUDA stream.
-//! * **Events**: [`Fleet::record_event`] enqueues a marker that completes
-//!   when every earlier command on its stream has completed, at that
-//!   stream's clock. [`Fleet::wait_event`] blocks a stream until the event
-//!   completes, advancing the waiter's clock to the event's completion time
-//!   (never backwards) — so an event can never be observed before its
-//!   dependencies.
+//! * **Events**: every [`Fleet::transfer`] enqueues a marker after itself
+//!   on the sending stream and returns its [`EventId`]; the marker
+//!   completes when every earlier command on its stream has completed, at
+//!   that stream's clock. [`Fleet::wait_event`] blocks a stream until the
+//!   event completes, advancing the waiter's clock to the event's
+//!   completion time (never backwards) — so an event can never be observed
+//!   before its dependencies.
 //! * **Deadlock is a typed error**: a cross-stream wait cycle (or a wait on
 //!   an event nobody records) makes [`Fleet::sync`] return a
 //!   [`FleetError`] instead of hanging; the simulated machine has no
@@ -32,9 +33,14 @@
 //! the cache-replay fast path makes). What *is* deferred is
 //! timeline placement: [`Fleet::sync`] replays the queued commands against
 //! the event graph to place every launch and transfer on each device's
-//! stream clock, applying the same pipelined-submission model as
-//! [`crate::pipelined_us`] (one full launch overhead up front, later launches on
-//! a busy stream hide theirs behind executing work).
+//! stream clock with a pipelined-submission model: a stream's first launch
+//! pays its full time, and every later one hides its launch overhead behind
+//! executing work, floored at 0.3 × the overhead. [`crate::pipelined_us`]
+//! floors every launch but the *last* instead, the first included. The two
+//! disagree when a stream's first or last launch is shorter than 1.3 × the
+//! overhead (3.9 µs on the V100): for launches of [3.5, 10] µs,
+//! `pipelined_us` gives 10.9 and the fleet 10.5, and the reverse order
+//! swaps the two.
 //!
 //! ## Interconnect
 //!
@@ -54,9 +60,8 @@ use crate::launch::{Gpu, LaunchError, LaunchRequest, LaunchStats};
 use crate::trace::{self, Entry};
 use std::collections::{HashMap, VecDeque};
 
-/// A cross-stream synchronization marker, created by
-/// [`Fleet::record_event`]. Opaque; compare and pass to
-/// [`Fleet::wait_event`].
+/// A cross-stream synchronization marker, returned by
+/// [`Fleet::transfer`]. Opaque; compare and pass to [`Fleet::wait_event`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct EventId(u64);
 
@@ -251,7 +256,7 @@ impl Fleet {
 
     /// Enqueue an event marker on `device`'s stream. The event completes
     /// when everything submitted to the stream before it has completed.
-    pub fn record_event(&mut self, device: usize) -> EventId {
+    fn record_event(&mut self, device: usize) -> EventId {
         let id = EventId(self.next_event);
         self.next_event += 1;
         self.queues[device].push_back(StreamOp::Record(id));
@@ -322,10 +327,11 @@ impl Fleet {
                         }
                         StreamOp::Launch { time_us } => {
                             let overhead = self.gpus[d].device().launch_overhead_us;
-                            // Pipelined submission, mirroring `pipelined_us`: the
-                            // first launch pays its full overhead; later
-                            // ones hide it behind executing work, floored
-                            // at the same driver-gap cost it charges.
+                            // Pipelined submission: the first launch pays
+                            // its full time; later ones hide the overhead
+                            // behind executing work, floored at 0.3 × the
+                            // overhead. `pipelined_us` floors every launch
+                            // but the last instead (see the module doc).
                             let exec = if self.launches_resolved[d] == 0 {
                                 *time_us
                             } else {
@@ -409,27 +415,15 @@ impl Fleet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sparse::rng::SplitMix64;
 
     fn fleet(n: usize) -> Fleet {
         Fleet::v100(n)
     }
 
-    /// A tiny deterministic generator for the property-style sweeps
-    /// (splitmix64; the vendored rand stub has no distributions).
-    struct Rng(u64);
-
-    impl Rng {
-        fn next(&mut self) -> u64 {
-            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-            let mut z = self.0;
-            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-            z ^ (z >> 31)
-        }
-
-        fn below(&mut self, n: u64) -> u64 {
-            self.next() % n
-        }
+    /// A draw below `n` from the frozen stream, for the property sweeps.
+    fn below(rng: &mut SplitMix64, n: u64) -> u64 {
+        rng.next_u64() % n
     }
 
     #[test]
@@ -465,21 +459,21 @@ mod tests {
     #[test]
     fn events_never_complete_before_dependencies() {
         for seed in 0..20u64 {
-            let mut rng = Rng(seed);
+            let mut rng = SplitMix64::new(seed);
             let n = 2 + (seed as usize % 3); // 2..=4 devices
             let mut f = fleet(n);
             // (upstream, downstream) pairs to check after sync.
             let mut edges: Vec<(EventId, EventId)> = Vec::new();
             let mut last_event: Vec<Option<EventId>> = vec![None; n];
             for _ in 0..40 {
-                let d = rng.below(n as u64) as usize;
-                match rng.below(3) {
-                    0 => f.submit(d, 1.0 + rng.below(50) as f64),
+                let d = below(&mut rng, n as u64) as usize;
+                match below(&mut rng, 3) {
+                    0 => f.submit(d, 1.0 + below(&mut rng, 50) as f64),
                     1 => last_event[d] = Some(f.record_event(d)),
                     _ => {
                         // Wait on some other stream's latest event (if any),
                         // then mark this stream so we can compare times.
-                        let src = rng.below(n as u64) as usize;
+                        let src = below(&mut rng, n as u64) as usize;
                         if src != d {
                             if let Some(upstream) = last_event[src] {
                                 f.wait_event(d, upstream);
@@ -499,6 +493,24 @@ mod tests {
                     "seed {seed}: event completed {down_t} before its dependency {up_t}"
                 );
             }
+        }
+    }
+
+    /// The fleet's own pipelining rule, on both orders of a short and a
+    /// long launch: the first launch pays its full time, every later one is
+    /// floored at 0.3 × the 3 µs overhead. `pipelined_us` floors every
+    /// launch but the last, so it gives the two orders swapped.
+    #[test]
+    fn stream_floors_every_launch_but_the_first() {
+        for (times, fleet_us, pipelined) in [([3.5, 10.0], 10.5, 10.9), ([10.0, 3.5], 10.9, 10.5)] {
+            let mut f = fleet(1);
+            for t in times {
+                f.submit(0, t);
+            }
+            let sync = f.sync().expect("no waits");
+            assert!((sync.makespan_us - fleet_us).abs() < 1e-9, "{times:?}");
+            let overhead = f.gpu(0).device().launch_overhead_us;
+            assert!((crate::pipelined_us(overhead, times) - pipelined).abs() < 1e-9);
         }
     }
 

@@ -979,9 +979,6 @@ pub struct LaunchSummary {
     pub cache_hits: u64,
     /// Launches that missed the cache and simulated in full.
     pub cache_misses: u64,
-    /// Entries the cache evicted under capacity pressure (0 unless
-    /// [`LaunchSummary::absorb_cache`] was used).
-    pub cache_evictions: u64,
 }
 
 impl LaunchSummary {
@@ -1001,11 +998,6 @@ impl LaunchSummary {
         } else {
             self.cache_misses += 1;
         }
-    }
-
-    /// Fold in a cache's eviction count (call once per sweep, after it).
-    pub fn absorb_cache(&mut self, cache: &LaunchCache) {
-        self.cache_evictions = cache.evictions();
     }
 
     /// Accumulate a sanitized launch: the stats plus its sanitizer findings.

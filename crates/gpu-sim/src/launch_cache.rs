@@ -27,16 +27,14 @@
 //! values are mutable). A new-values-same-topology operand built with
 //! `with_values` carries the memo, so it hits without rehashing.
 //!
-//! ## Capacity and eviction
+//! ## Size
 //!
-//! Dataset sweeps can touch tens of thousands of distinct keys; an unbounded
-//! memo table would grow with the corpus. The cache holds at most
-//! `capacity` entries ([`LaunchCache::with_capacity`]; the default is
-//! [`DEFAULT_CAPACITY`]). When an insert would exceed it, the
-//! least-recently-used *half* of the entries is evicted in one generation
-//! sweep — amortized O(1) per insert, no per-lookup bookkeeping beyond a
-//! recency tick — and the [`LaunchCache::evictions`] counter records the
-//! drops (also surfaced on [`crate::LaunchSummary`]).
+//! The table is unbounded: it holds one entry per distinct key it has
+//! seen, and the traffic it serves keeps that small. The largest sweep in
+//! the repository, fig09 `--full`, inserts at most 1,800 keys (300 problems ×
+//! 2 batch sizes × 3 cached launches), and a perfbench corpus run inserts
+//! 192. A caller that sweeps an open-ended key space should hold one cache
+//! per sweep and drop it, or [`LaunchCache::clear`] it between sweeps.
 //!
 //! ## Functional launches
 //!
@@ -62,11 +60,6 @@ use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
-
-/// Default entry capacity: comfortably above any single sweep's working set
-/// (the full-grid `simwall` run populates a few hundred keys) while bounding
-/// a corpus-scale sweep's memory.
-pub const DEFAULT_CAPACITY: usize = 8192;
 
 /// Cache key: (kernel name incl. config tag, operand fingerprint, device
 /// name, device architecture).
@@ -183,11 +176,9 @@ struct Entry {
     /// checks the cost trace, which the key fully determines — so a
     /// fingerprint-identical launch needs no re-sanitizing.
     sanitized: Option<SanitizerReport>,
-    /// Recency tick of the last lookup hit or insert.
-    last_used: u64,
 }
 
-/// A thread-safe, capacity-bounded memo table of simulated launch statistics.
+/// A thread-safe memo table of simulated launch statistics.
 ///
 /// Shared by `&` reference (interior mutability), so one cache can serve an
 /// entire benchmark sweep or a whole dispatch ladder without plumbing `&mut`
@@ -197,9 +188,6 @@ pub struct LaunchCache {
     entries: Mutex<HashMap<LaunchKey, Entry>>,
     hits: AtomicU64,
     misses: AtomicU64,
-    evictions: AtomicU64,
-    tick: AtomicU64,
-    capacity: usize,
 }
 
 impl Default for LaunchCache {
@@ -209,20 +197,11 @@ impl Default for LaunchCache {
 }
 
 impl LaunchCache {
-    /// A cache with the [`DEFAULT_CAPACITY`] entry bound.
     pub fn new() -> Self {
-        Self::with_capacity(DEFAULT_CAPACITY)
-    }
-
-    /// A cache bounded to `capacity` entries (min 1).
-    pub fn with_capacity(capacity: usize) -> Self {
         Self {
             entries: Mutex::new(HashMap::new()),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-            tick: AtomicU64::new(0),
-            capacity: capacity.max(1),
         }
     }
 
@@ -235,12 +214,7 @@ impl LaunchCache {
         }
     }
 
-    fn next_tick(&self) -> u64 {
-        self.tick.fetch_add(1, Ordering::Relaxed)
-    }
-
-    /// Look up a key, counting the hit or miss and refreshing the entry's
-    /// recency on a hit.
+    /// Look up a key, counting the hit or miss.
     pub fn lookup(&self, key: &LaunchKey) -> Option<LaunchStats> {
         self.find(key.parts(), false).map(|(stats, _)| stats)
     }
@@ -254,17 +228,14 @@ impl LaunchCache {
         key: KeyRef<'_>,
         sanitized: bool,
     ) -> Option<(LaunchStats, Option<SanitizerReport>)> {
-        let tick = self.next_tick();
-        let found = {
-            let mut map = self.entries();
-            map.get_mut(&key as &dyn Parts)
-                .filter(|e| !sanitized || e.sanitized.is_some())
-                .map(|e| {
-                    e.last_used = tick;
-                    let report = if sanitized { e.sanitized.clone() } else { None };
-                    (e.stats.clone(), report)
-                })
-        };
+        let found = self
+            .entries()
+            .get(&key as &dyn Parts)
+            .filter(|e| !sanitized || e.sanitized.is_some())
+            .map(|e| {
+                let report = if sanitized { e.sanitized.clone() } else { None };
+                (e.stats.clone(), report)
+            });
         let (counter, outcome) = match found {
             Some(_) => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
@@ -289,45 +260,26 @@ impl LaunchCache {
     }
 
     /// Record freshly simulated statistics (plus the sanitizer report of a
-    /// sanitized launch) under a key, evicting the least-recently-used half
-    /// of the table first when it is full. A prior report stored under the
-    /// same key survives a report-less overwrite (the key determines the
-    /// trace, so the report stays valid).
+    /// sanitized launch) under a key. A prior report stored under the same
+    /// key survives a report-less overwrite (the key determines the trace,
+    /// so the report stays valid).
     pub(crate) fn insert(
         &self,
         key: LaunchKey,
         stats: LaunchStats,
         sanitized: Option<SanitizerReport>,
     ) {
-        let tick = self.next_tick();
         let mut map = self.entries();
-        if map.len() >= self.capacity && !map.contains_key(&key) {
-            let mut ticks: Vec<u64> = map.values().map(|e| e.last_used).collect();
-            ticks.sort_unstable();
-            // Ticks are unique (fetch_add), so retaining strictly-newer
-            // than the median drops ceil(len/2) entries in one sweep.
-            let cutoff = ticks[(ticks.len() - 1) / 2];
-            let before = map.len();
-            map.retain(|_, e| e.last_used > cutoff);
-            let evicted = (before - map.len()) as u64;
-            self.evictions.fetch_add(evicted, Ordering::Relaxed);
-            metrics::global().incr("cache_evictions", evicted);
-        }
         match map.entry(key) {
             std::collections::hash_map::Entry::Occupied(mut slot) => {
                 let entry = slot.get_mut();
                 entry.stats = stats;
-                entry.last_used = tick;
                 if sanitized.is_some() {
                     entry.sanitized = sanitized;
                 }
             }
             std::collections::hash_map::Entry::Vacant(slot) => {
-                slot.insert(Entry {
-                    stats,
-                    sanitized,
-                    last_used: tick,
-                });
+                slot.insert(Entry { stats, sanitized });
             }
         }
         metrics::global().incr("cache_inserts", 1);
@@ -339,17 +291,6 @@ impl LaunchCache {
 
     pub fn misses(&self) -> u64 {
         self.misses.load(Ordering::Relaxed)
-    }
-
-    /// Entries dropped by capacity eviction since creation (or the last
-    /// [`LaunchCache::clear`]).
-    pub fn evictions(&self) -> u64 {
-        self.evictions.load(Ordering::Relaxed)
-    }
-
-    /// The entry bound this cache evicts down to.
-    pub fn capacity(&self) -> usize {
-        self.capacity
     }
 
     pub fn len(&self) -> usize {
@@ -365,7 +306,6 @@ impl LaunchCache {
         self.entries().clear();
         self.hits.store(0, Ordering::Relaxed);
         self.misses.store(0, Ordering::Relaxed);
-        self.evictions.store(0, Ordering::Relaxed);
     }
 }
 
@@ -469,65 +409,14 @@ mod tests {
 
     #[test]
     fn clear_resets_everything() {
-        let cache = LaunchCache::with_capacity(1);
+        let cache = LaunchCache::new();
         cache.insert(key(1), dummy_stats(1.0), None);
-        cache.insert(key(2), dummy_stats(1.0), None); // evicts key 1
+        cache.insert(key(2), dummy_stats(1.0), None);
         let _ = cache.lookup(&key(2));
+        let _ = cache.lookup(&key(3));
         cache.clear();
         assert!(cache.is_empty());
         assert_eq!(cache.hits(), 0);
         assert_eq!(cache.misses(), 0);
-        assert_eq!(cache.evictions(), 0);
-    }
-
-    /// Regression (unbounded growth): a 10k-distinct-key sweep must hold the
-    /// table at its capacity, counting every drop.
-    #[test]
-    fn ten_thousand_key_sweep_is_capacity_bounded() {
-        let cache = LaunchCache::with_capacity(256);
-        for fp in 0..10_000 {
-            cache.insert(key(fp), dummy_stats(fp as f64), None);
-        }
-        assert!(
-            cache.len() <= 256,
-            "cache grew past capacity: {} entries",
-            cache.len()
-        );
-        assert!(!cache.is_empty());
-        // Everything inserted beyond what the table retains was evicted.
-        assert_eq!(cache.evictions(), 10_000 - cache.len() as u64);
-        // The survivors are the most recent generation.
-        assert!(cache.lookup(&key(9_999)).is_some());
-        assert!(cache.lookup(&key(0)).is_none());
-    }
-
-    #[test]
-    fn eviction_prefers_least_recently_used() {
-        let cache = LaunchCache::with_capacity(4);
-        for fp in 0..4 {
-            cache.insert(key(fp), dummy_stats(1.0), None);
-        }
-        // Touch 0 and 1 so 2 and 3 become the LRU half.
-        assert!(cache.lookup(&key(0)).is_some());
-        assert!(cache.lookup(&key(1)).is_some());
-        cache.insert(key(4), dummy_stats(1.0), None);
-        assert_eq!(cache.evictions(), 2);
-        assert!(cache.lookup(&key(0)).is_some(), "recently used survives");
-        assert!(cache.lookup(&key(1)).is_some(), "recently used survives");
-        assert!(cache.lookup(&key(2)).is_none(), "LRU half evicted");
-        assert!(cache.lookup(&key(3)).is_none(), "LRU half evicted");
-        assert!(cache.lookup(&key(4)).is_some(), "new entry present");
-    }
-
-    #[test]
-    fn reinserting_existing_key_never_evicts() {
-        let cache = LaunchCache::with_capacity(2);
-        cache.insert(key(1), dummy_stats(1.0), None);
-        cache.insert(key(2), dummy_stats(2.0), None);
-        cache.insert(key(1), dummy_stats(3.0), None); // overwrite, table full
-        assert_eq!(cache.evictions(), 0);
-        assert_eq!(cache.len(), 2);
-        let got = cache.lookup(&key(1)).expect("overwritten entry");
-        assert_eq!(got.time_us, 3.0);
     }
 }

@@ -25,7 +25,7 @@
 //! | `dram_bytes` | DRAM bytes moved across launches |
 //! | `blocks` | thread blocks launched |
 //! | `cache_hits` / `cache_misses` | launch-cache lookups |
-//! | `cache_inserts` / `cache_evictions` | launch-cache population churn |
+//! | `cache_inserts` | launch-cache entries written (the cache never evicts) |
 //! | `dedup_blocks_total` / `dedup_blocks_executed` | blocks of deduplicated profile launches, and how many of them executed (functional and sanitized launches never dedup) |
 //! | `faults_injected` | faults delivered by a [`crate::FaultPlan`] |
 //! | `sanitizer_runs` / `sanitizer_violations` | sanitized launches and findings |

@@ -103,8 +103,10 @@ impl<'a, T> SyncUnsafeSlice<'a, T> {
     }
 
     /// Simulated silent data corruption: write `value` (a NaN, for the
-    /// kernels that opt in) at three positions drawn from `seed` by
-    /// splitmix64. Does nothing on an empty slice.
+    /// kernels that opt in) at three positions drawn from `seed` by a
+    /// two-round cut of splitmix64's finalizer. It is not
+    /// [`sparse::rng::mix64`]: the pinned degradation-ladder windows depend
+    /// on these exact positions. Does nothing on an empty slice.
     ///
     /// The launcher calls [`Kernel::poison_output`](crate::Kernel), the only
     /// caller, after every block of the launch has finished, so no block
@@ -117,7 +119,7 @@ impl<'a, T> SyncUnsafeSlice<'a, T> {
             return;
         }
         for i in 0..3u64 {
-            let mut z = seed ^ i.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            let mut z = seed ^ i.wrapping_mul(sparse::rng::GAMMA);
             z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
             z ^= z >> 31;
             // SAFETY: the index is reduced into bounds, and the block

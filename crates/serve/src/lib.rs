@@ -28,5 +28,5 @@ pub mod workload;
 pub use queue::{Admission, AdmissionQueue};
 pub use server::{run, run_fleet, ServePolicy, ServeReport};
 pub use slo::LatencyRecorder;
-pub use traffic::{generate, ArrivalProcess, OpKind, Request, Rng64, TrafficConfig};
+pub use traffic::{generate, ArrivalProcess, OpKind, Request, TrafficConfig};
 pub use workload::{attention_topologies, Topology};

@@ -2,10 +2,10 @@
 //!
 //! Serving experiments are only comparable if the traffic is: every run at a
 //! given seed must offer the *same* requests at the *same* simulated
-//! instants, bit for bit, on every platform. So this module uses its own
-//! splitmix64 generator (the same construction the fault plan uses for its
-//! per-launch hash) rather than any external RNG, and derives arrivals from
-//! pure `f64` arithmetic on its output — both are IEEE-deterministic.
+//! instants, bit for bit, on every platform. So this module draws from the
+//! workspace's frozen [`sparse::rng::SplitMix64`] stream rather than any
+//! external RNG, and derives arrivals from pure `f64` arithmetic on its
+//! output — both are IEEE-deterministic.
 //!
 //! Two arrival processes cover the interesting load shapes:
 //!
@@ -17,38 +17,13 @@
 //!   admission queue: the mean rate can be modest while instantaneous rate
 //!   overwhelms a batch window.
 
-/// Tiny splitmix64 PRNG — seedable, allocation-free, bit-stable across
-/// platforms. Good enough statistical quality for traffic generation and
-/// operand fills; *not* a cryptographic generator.
-#[derive(Clone, Debug)]
-pub struct Rng64 {
-    state: u64,
-}
+use sparse::rng::SplitMix64;
 
-impl Rng64 {
-    pub fn new(seed: u64) -> Self {
-        Self { state: seed }
-    }
-
-    pub fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-
-    /// Uniform in `[0, 1)` with 53 bits of mantissa.
-    pub fn next_f64(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-    }
-
-    /// Exponential variate with the given rate (events per microsecond) —
-    /// the inter-arrival distribution of a Poisson process.
-    pub fn exp_us(&mut self, rate_per_us: f64) -> f64 {
-        let u = self.next_f64();
-        -(1.0 - u).ln() / rate_per_us
-    }
+/// Exponential variate with the given rate (events per microsecond) — the
+/// inter-arrival distribution of a Poisson process.
+fn exp_us(rng: &mut SplitMix64, rate_per_us: f64) -> f64 {
+    let u = rng.next_f64();
+    -(1.0 - u).ln() / rate_per_us
 }
 
 /// What a request asks the front door to compute.
@@ -116,7 +91,7 @@ pub struct TrafficConfig {
 /// Generate a trace. Arrivals are monotone non-decreasing; bursty traces
 /// advance a phase clock so arrivals only accrue during on-windows.
 pub fn generate(cfg: &TrafficConfig) -> Vec<Request> {
-    let mut rng = Rng64::new(cfg.seed);
+    let mut rng = SplitMix64::new(cfg.seed);
     let (rate_per_us, on_us, off_us) = match cfg.process {
         ArrivalProcess::Poisson { rate_per_s } => (rate_per_s / 1e6, f64::INFINITY, 0.0),
         ArrivalProcess::Bursty {
@@ -133,7 +108,7 @@ pub fn generate(cfg: &TrafficConfig) -> Vec<Request> {
     for id in 0..cfg.requests as u64 {
         // Sample the gap in *on-time*, then map to wall time by inserting
         // off-gaps every time the gap crosses an on-window boundary.
-        let mut gap = rng.exp_us(rate_per_us);
+        let mut gap = exp_us(&mut rng, rate_per_us);
         while phase_elapsed + gap >= on_us {
             let burn = on_us - phase_elapsed;
             gap -= burn;

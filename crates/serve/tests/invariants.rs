@@ -44,7 +44,7 @@ fn admission_bound_is_never_exceeded() {
     for seed in 0..20u64 {
         let cap = 1 + (seed as usize % 7);
         let mut q = AdmissionQueue::new(cap);
-        let mut rng = serve::Rng64::new(seed ^ 0xA11CE);
+        let mut rng = sparse::rng::SplitMix64::new(seed ^ 0xA11CE);
         let mut admitted = 0u64;
         let mut rejected = 0u64;
         for id in 0..200u64 {

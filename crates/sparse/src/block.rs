@@ -108,15 +108,6 @@ impl<T: Scalar> BsrMatrix<T> {
         self.blocks.len()
     }
 
-    /// Fraction of *blocks* that are zero.
-    pub fn block_sparsity(&self) -> f64 {
-        let total = (self.rows / self.block_size) * (self.cols / self.block_size);
-        if total == 0 {
-            return 0.0;
-        }
-        1.0 - self.nnz_blocks() as f64 / total as f64
-    }
-
     /// Blocks in block-row `br`: `(block_col, payload)` pairs.
     pub fn block_row(&self, br: usize) -> impl Iterator<Item = (usize, &[T])> + Clone + '_ {
         let s = self.block_row_offsets[br] as usize;
@@ -291,7 +282,6 @@ mod tests {
         let m = BsrMatrix::from_dense(&d, 4);
         assert_eq!(m.to_dense(), d);
         assert_eq!(m.nnz_blocks(), 8); // half of 16 blocks
-        assert!((m.block_sparsity() - 0.5).abs() < 1e-12);
     }
 
     #[test]

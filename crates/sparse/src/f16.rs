@@ -112,10 +112,6 @@ impl Half {
     pub fn is_nan(self) -> bool {
         (self.0 & 0x7C00) == 0x7C00 && (self.0 & 0x03FF) != 0
     }
-
-    pub fn is_infinite(self) -> bool {
-        (self.0 & 0x7FFF) == 0x7C00
-    }
 }
 
 impl fmt::Display for Half {
@@ -159,8 +155,9 @@ mod tests {
         assert_eq!(Half::from_f32(1e6), Half::INFINITY);
         assert_eq!(Half::from_f32(-1e6), Half::NEG_INFINITY);
         assert_eq!(Half::from_f32(65504.0), Half::MAX, "max finite half");
-        assert!(
-            Half::from_f32(65520.0).is_infinite(),
+        assert_eq!(
+            Half::from_f32(65520.0),
+            Half::INFINITY,
             "just past max rounds to inf"
         );
     }

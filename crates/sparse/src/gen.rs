@@ -9,6 +9,7 @@
 //! the Figure 2 corpus comparison.
 
 use crate::csr::CsrMatrix;
+use crate::rng::SplitMix64;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
@@ -231,38 +232,6 @@ pub fn attention_mask(
     csr
 }
 
-/// splitmix64: the minimal bit-stable generator for the activation path.
-///
-/// `StdRng` is the vendored stub's chacha-ish stream and is already pinned,
-/// but the activation generator is part of the *reproducibility contract* of
-/// the joint-sparsity benches (committed baselines replay its exact bit
-/// patterns), so it uses its own frozen splitmix64 stream — the same
-/// constants as `serve`'s traffic generator — rather than inheriting
-/// whatever `StdRng` happens to be.
-struct SplitMix64 {
-    state: u64,
-}
-
-impl SplitMix64 {
-    fn new(seed: u64) -> Self {
-        Self { state: seed }
-    }
-
-    fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-
-    /// Uniform in [0, 1) with 53 bits of mantissa — bit-exact across
-    /// platforms (pure integer ops plus one exact int→float conversion).
-    fn next_f64(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-    }
-}
-
 /// Fraction of element-level zeros that is spent on aligned dead 8-row
 /// blocks (the skippable structure) vs unstructured ReLU noise. At target
 /// zero fraction `z`, the fine 8×32 dead-tile fraction lands near
@@ -292,8 +261,9 @@ const BURST_EXIT: f64 = 0.25;
 ///
 /// All zeros are exactly `+0.0` (the only bit pattern [`crate::PatternLut`]
 /// treats as dead); nonzeros are positive, ReLU-style. The stream is
-/// splitmix64 with a fixed draw order, so equal `(k, n, zero_frac, seed)`
-/// produce bit-identical matrices on every platform and build.
+/// [`crate::rng::SplitMix64`] with a fixed draw order, so equal
+/// `(k, n, zero_frac, seed)` produce bit-identical matrices on every
+/// platform and build: committed joint-sparsity baselines replay them.
 pub fn activations(k: usize, n: usize, zero_frac: f64, seed: u64) -> crate::Matrix<f32> {
     assert!(
         (0.0..1.0).contains(&zero_frac),

@@ -30,6 +30,7 @@ pub mod gen;
 pub mod io;
 pub mod mtx;
 pub mod pattern;
+pub mod rng;
 pub mod stats;
 pub mod swizzle;
 

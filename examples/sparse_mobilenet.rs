@@ -44,8 +44,8 @@ fn main() {
 
     let bias: Vec<f32> = (0..c_out).map(|i| (i as f32 - 64.0) / 256.0).collect();
     let act = dw_out.as_matrix();
-    let dense_layer = Linear::dense(dense_w, Some(bias.clone()), true);
-    let sparse_layer = Linear::sparse(sparse_w.clone(), Some(bias), true);
+    let dense_layer = Linear::dense(dense_w, Some(bias.clone()));
+    let sparse_layer = Linear::sparse(sparse_w.clone(), Some(bias));
     let (dense_out, dense_us) = dense_layer.forward(&gpu, &act);
     let (sparse_out, sparse_us) = sparse_layer.forward(&gpu, &act);
     println!("dense pointwise:  {dense_us:.1} us");

@@ -15,7 +15,7 @@ fn tuned_batched_backward_pass() {
     let mut tuner = AutoTuner::new();
 
     // Tune for the gradient problem's N.
-    let tuned = tuner.tune(&gpu, &w.transpose(), 16);
+    let tuned = tuner.tune(&gpu, None, &w.transpose(), 16);
     let cache = CachedTranspose::new(&w);
 
     // dX = W^T dY for a batch of output gradients.

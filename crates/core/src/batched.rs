@@ -17,7 +17,7 @@
 //! never the window. The serving front door runs on them.
 
 use crate::config::{SddmmConfig, SpmmConfig};
-use crate::dispatch::{self, DispatchPolicy, DispatchReport, Rung, SwizzledMask};
+use crate::dispatch::{self, DispatchPolicy, DispatchReport, Rung, SwizzledRows};
 use crate::error::SputnikError;
 use gpu_sim::trace::{self, Entry};
 use gpu_sim::{pipelined_us, Gpu, LaunchCache};
@@ -126,6 +126,8 @@ fn dispatch_window<T>(
 /// batch. Clean items consult `cache` (fault-plan GPUs bypass it, and each
 /// bypassed item leaves a trace instant for auditability).
 ///
+/// The row swizzles of `a` are built once for the whole window.
+///
 /// Errors are returned only for deterministic input violations; transient
 /// device faults always land on a rung.
 pub fn spmm_batched_dispatch<T: Scalar>(
@@ -136,8 +138,9 @@ pub fn spmm_batched_dispatch<T: Scalar>(
     cfg: SpmmConfig,
     policy: &DispatchPolicy,
 ) -> Result<DispatchedBatch<Matrix<T>>, SputnikError> {
+    let rows = SwizzledRows::new(a);
     dispatch_window(gpu, cache, "spmm-dispatch", bs.len(), |i| {
-        dispatch::spmm(gpu, Some(cache), a, bs[i], cfg, policy)
+        dispatch::spmm_swizzled(gpu, Some(cache), &rows, bs[i], cfg, policy)
     })
 }
 
@@ -153,7 +156,7 @@ pub fn sddmm_batched_dispatch<T: Scalar>(
     cfg: SddmmConfig,
     policy: &DispatchPolicy,
 ) -> Result<DispatchedBatch<CsrMatrix<T>>, SputnikError> {
-    let mask = SwizzledMask::new(mask);
+    let mask = SwizzledRows::new(mask);
     dispatch_window(gpu, cache, "sddmm-dispatch", pairs.len(), |i| {
         let (lhs, rhs) = pairs[i];
         dispatch::sddmm_swizzled(gpu, Some(cache), lhs, rhs, &mask, cfg, policy)

@@ -31,8 +31,8 @@ use crate::error::{is_transient, SputnikError};
 use crate::reference;
 use crate::sddmm::{mask_fingerprint, SddmmKernel};
 use crate::spmm::{
-    csr_spmm_buffers, operand_fingerprint, require_finite, SpmmKernel, BUF_A_INDICES,
-    BUF_A_OFFSETS, BUF_A_VALUES, BUF_B, BUF_C,
+    csr_spmm_buffers, first_non_finite, operand_fingerprint, require_finite, SpmmKernel,
+    BUF_A_INDICES, BUF_A_OFFSETS, BUF_A_VALUES, BUF_B, BUF_C,
 };
 use gpu_sim::trace::{self, Entry};
 use gpu_sim::{
@@ -241,6 +241,19 @@ pub fn spmm<T: Scalar>(
     cfg: SpmmConfig,
     policy: &DispatchPolicy,
 ) -> Result<(Matrix<T>, DispatchReport), SputnikError> {
+    spmm_swizzled(gpu, cache, &SwizzledRows::new(a), b, cfg, policy)
+}
+
+/// [`spmm`] over a sparse operand whose row swizzles are already built.
+pub(crate) fn spmm_swizzled<T: Scalar>(
+    gpu: &Gpu,
+    cache: Option<&LaunchCache>,
+    rows: &SwizzledRows<'_, T>,
+    b: &Matrix<T>,
+    cfg: SpmmConfig,
+    policy: &DispatchPolicy,
+) -> Result<(Matrix<T>, DispatchReport), SputnikError> {
+    let a = rows.matrix;
     if a.cols() != b.rows() {
         return Err(SputnikError::ShapeMismatch {
             expected: format!("B with {} rows", a.cols()),
@@ -282,8 +295,8 @@ pub fn spmm<T: Scalar>(
             } else {
                 heuristic
             };
-            let swizzle = RowSwizzle::for_config(a, c.row_swizzle);
-            let kernel = SpmmKernel::try_new(a, b, &mut out, &swizzle, c)?;
+            let swizzle = rows.for_config(c.row_swizzle);
+            let kernel = SpmmKernel::try_new(a, b, &mut out, swizzle, c)?;
             run_rung(gpu, key, &kernel)?
         };
         Ok((out, stats))
@@ -299,25 +312,27 @@ pub fn spmm<T: Scalar>(
     }))
 }
 
-/// An SDDMM mask with both row orderings an SDDMM rung may ask for, built
-/// once so a batched window does not rebuild them per item.
-pub(crate) struct SwizzledMask<'a, T: Scalar> {
-    mask: &'a CsrMatrix<T>,
+/// A sparse operand (SpMM's `A`, SDDMM's mask) with both row orderings a
+/// rung may ask for, built once so a batched window does not rebuild them
+/// per item.
+pub(crate) struct SwizzledRows<'a, T: Scalar> {
+    matrix: &'a CsrMatrix<T>,
     by_length: RowSwizzle,
     identity: RowSwizzle,
 }
 
-impl<'a, T: Scalar> SwizzledMask<'a, T> {
-    pub(crate) fn new(mask: &'a CsrMatrix<T>) -> Self {
+impl<'a, T: Scalar> SwizzledRows<'a, T> {
+    pub(crate) fn new(matrix: &'a CsrMatrix<T>) -> Self {
         Self {
-            mask,
-            by_length: RowSwizzle::by_length_desc(mask),
-            identity: RowSwizzle::identity(mask.rows()),
+            matrix,
+            by_length: RowSwizzle::by_length_desc(matrix),
+            identity: RowSwizzle::identity(matrix.rows()),
         }
     }
 
-    fn for_config(&self, cfg: SddmmConfig) -> &RowSwizzle {
-        if cfg.row_swizzle {
+    /// The ordering [`RowSwizzle::for_config`] would build.
+    fn for_config(&self, row_swizzle: bool) -> &RowSwizzle {
+        if row_swizzle {
             &self.by_length
         } else {
             &self.identity
@@ -344,7 +359,7 @@ pub fn sddmm<T: Scalar>(
     cfg: SddmmConfig,
     policy: &DispatchPolicy,
 ) -> Result<(CsrMatrix<T>, DispatchReport), SputnikError> {
-    sddmm_swizzled(gpu, cache, lhs, rhs, &SwizzledMask::new(mask), cfg, policy)
+    sddmm_swizzled(gpu, cache, lhs, rhs, &SwizzledRows::new(mask), cfg, policy)
 }
 
 /// [`sddmm`] over a mask whose row swizzles are already built.
@@ -353,11 +368,11 @@ pub(crate) fn sddmm_swizzled<T: Scalar>(
     cache: Option<&LaunchCache>,
     lhs: &Matrix<T>,
     rhs: &Matrix<T>,
-    mask: &SwizzledMask<'_, T>,
+    mask: &SwizzledRows<'_, T>,
     cfg: SddmmConfig,
     policy: &DispatchPolicy,
 ) -> Result<(CsrMatrix<T>, DispatchReport), SputnikError> {
-    let m = mask.mask;
+    let m = mask.matrix;
     // Checked here, not only in the kernel, because the CPU rung asserts it.
     if lhs.cols() != rhs.cols() || m.rows() != lhs.rows() || m.cols() != rhs.rows() {
         return Err(SputnikError::ShapeMismatch {
@@ -397,7 +412,8 @@ pub(crate) fn sddmm_swizzled<T: Scalar>(
         };
         let mut values = vec![T::zero(); m.nnz()];
         let stats = {
-            let kernel = SddmmKernel::try_new(lhs, rhs, m, &mut values, mask.for_config(c), c)?;
+            let kernel =
+                SddmmKernel::try_new(lhs, rhs, m, &mut values, mask.for_config(c.row_swizzle), c)?;
             run_rung(gpu, key, &kernel)?
         };
         Ok((m.with_values(values), stats))
@@ -419,23 +435,63 @@ fn reference_as_t<T: Scalar>(a: &CsrMatrix<T>, b: &Matrix<T>) -> Matrix<T> {
     out
 }
 
-/// Per-row sums of B in f64, the checksum's precomputed ingredient.
+/// Rows of B summed side by side in [`checksum_b_rowsums`]: independent
+/// f64 add chains, enough to cover the add latency.
+const ROWSUM_LANES: usize = 8;
+
+/// Per-row sums of B in f64, the checksum's precomputed ingredient. Each
+/// row is summed left to right; [`ROWSUM_LANES`] rows advance side by
+/// side, which changes no row's order and so no bit of its sum.
 fn checksum_b_rowsums<T: Scalar>(b: &Matrix<T>) -> Vec<f64> {
     let n = b.cols();
-    let data = b.as_slice();
-    (0..b.rows())
-        .map(|r| {
-            data[r * n..(r + 1) * n]
-                .iter()
-                .map(|v| f64::from(v.to_f32()))
-                .sum()
-        })
-        .collect()
+    if n == 0 {
+        // The empty sum, as `Iterator::sum` gives it.
+        return vec![-0.0; b.rows()];
+    }
+    let mut sums = Vec::with_capacity(b.rows());
+    let mut groups = b.as_slice().chunks_exact(ROWSUM_LANES * n);
+    for group in &mut groups {
+        let rows: [&[T]; ROWSUM_LANES] = std::array::from_fn(|r| &group[r * n..][..n]);
+        // -0.0 is where `Iterator::sum` starts: an all-zero row keeps its
+        // sign bit too.
+        let mut acc = [-0.0f64; ROWSUM_LANES];
+        for j in 0..n {
+            for (s, row) in acc.iter_mut().zip(&rows) {
+                *s += f64::from(row[j].to_f32());
+            }
+        }
+        sums.extend(acc);
+    }
+    sums.extend(groups.remainder().chunks_exact(n).map(sum_f64));
+    sums
+}
+
+/// `sum(values)` in f64, left to right.
+fn sum_f64<T: Scalar>(values: &[T]) -> f64 {
+    values.iter().map(|v| f64::from(v.to_f32())).sum()
+}
+
+/// Partial sums in [`sum_f64_lanes`]: independent add chains over
+/// interleaved elements.
+const SUM_LANES: usize = 16;
+
+/// `sum(values)` in f64, accumulated in [`SUM_LANES`] interleaved partial
+/// sums. The order differs from a left-to-right sum, so only the last bits
+/// of the total move; the checksum guard's tolerance absorbs them.
+fn sum_f64_lanes<T: Scalar>(values: &[T]) -> f64 {
+    let mut lanes = [-0.0f64; SUM_LANES];
+    let mut chunks = values.chunks_exact(SUM_LANES);
+    for chunk in &mut chunks {
+        for (l, v) in lanes.iter_mut().zip(chunk) {
+            *l += f64::from(v.to_f32());
+        }
+    }
+    lanes.iter().sum::<f64>() + sum_f64(chunks.remainder())
 }
 
 /// Detection guard shared by every op: a NaN/Inf scan of the output.
 fn check_finite<T: Scalar>(values: &[T], kernel: &str) -> Result<(), SputnikError> {
-    if values.iter().all(|v| v.to_f32().is_finite()) {
+    if first_non_finite(values).is_none() {
         return Ok(());
     }
     Err(SputnikError::CorruptOutput {
@@ -452,21 +508,17 @@ fn check_checksum<T: Scalar>(
     b_rowsums: &[f64],
     kernel: &str,
 ) -> Result<(), SputnikError> {
-    let expected: f64 = a
-        .col_indices()
-        .iter()
-        .zip(a.values())
-        .map(|(&col, v)| f64::from(v.to_f32()) * b_rowsums[col as usize])
-        .sum();
-    let actual: f64 = out.as_slice().iter().map(|v| f64::from(v.to_f32())).sum();
-    // Scale-aware tolerance: rounding grows with the mass being summed.
-    let scale: f64 = a
-        .col_indices()
-        .iter()
-        .zip(a.values())
-        .map(|(&col, v)| (f64::from(v.to_f32()) * b_rowsums[col as usize]).abs())
-        .sum::<f64>()
-        .max(1.0);
+    // One walk over the nonzeros feeds the expected sum and the scale of
+    // the tolerance: rounding grows with the mass being summed.
+    let (expected, scale) = a.col_indices().iter().zip(a.values()).fold(
+        (-0.0f64, -0.0f64),
+        |(expected, scale), (&col, v)| {
+            let term = f64::from(v.to_f32()) * b_rowsums[col as usize];
+            (expected + term, scale + term.abs())
+        },
+    );
+    let scale = scale.max(1.0);
+    let actual = sum_f64_lanes(out.as_slice());
     // `within` is false for a NaN sum (NaN fails every comparison), so
     // corruption is flagged rather than slipping through.
     let within = (actual - expected).abs() <= CHECKSUM_REL_TOL * scale;
@@ -631,9 +683,8 @@ impl<T: Scalar> Kernel for FallbackSpmmKernel<'_, T> {
                     .map(|pos| (values[pos].to_f32(), &bdata[indices[pos] as usize * n..])),
                 |bv| bv.to_f32(),
             );
-            for (x, &v) in acc.iter().enumerate() {
-                unsafe { self.out.write(row * n + x, T::from_f32(v)) };
-            }
+            let tile = acc.iter().map(|&v| T::from_f32(v));
+            unsafe { self.out.write_run(row * n, tile) };
         }
     }
 }
@@ -641,7 +692,7 @@ impl<T: Scalar> Kernel for FallbackSpmmKernel<'_, T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sparse::gen;
+    use sparse::{gen, Half};
 
     #[test]
     fn fallback_kernel_matches_reference_bitwise() {
@@ -829,5 +880,160 @@ mod tests {
         assert!(stats.time_us > 0.0);
         let expect = reference::spmm(&a, &b);
         assert!(out.max_abs_diff(&expect) < 1e-3);
+    }
+
+    /// The guards' scalar definitions before they became single passes,
+    /// kept as the reference the passes must agree with.
+    mod scalar {
+        use super::*;
+
+        pub(super) fn first_non_finite<T: Scalar>(values: &[T]) -> Option<usize> {
+            values.iter().position(|v| !v.to_f32().is_finite())
+        }
+
+        pub(super) fn b_rowsums<T: Scalar>(b: &Matrix<T>) -> Vec<f64> {
+            let n = b.cols();
+            let data = b.as_slice();
+            (0..b.rows())
+                .map(|r| {
+                    data[r * n..(r + 1) * n]
+                        .iter()
+                        .map(|v| f64::from(v.to_f32()))
+                        .sum()
+                })
+                .collect()
+        }
+
+        pub(super) fn checksum_ok<T: Scalar>(
+            out: &Matrix<T>,
+            a: &CsrMatrix<T>,
+            b_rowsums: &[f64],
+        ) -> bool {
+            let terms = || {
+                a.col_indices()
+                    .iter()
+                    .zip(a.values())
+                    .map(|(&col, v)| f64::from(v.to_f32()) * b_rowsums[col as usize])
+            };
+            let expected: f64 = terms().sum();
+            let actual: f64 = out.as_slice().iter().map(|v| f64::from(v.to_f32())).sum();
+            let scale = terms().map(f64::abs).sum::<f64>().max(1.0);
+            (actual - expected).abs() <= CHECKSUM_REL_TOL * scale
+        }
+    }
+
+    fn halves(values: &[f32]) -> Vec<Half> {
+        values.iter().map(|&v| Half::from_f32(v)).collect()
+    }
+
+    /// `require_finite` names the same first index as the scalar scan for
+    /// NaN, +inf and -inf planted first, last and around a chunk boundary,
+    /// alone or ahead of a second bad value, in `f32` and `Half`.
+    #[test]
+    fn require_finite_names_the_scalar_first_index() {
+        for len in [1, 63, 64, 65, 130, 200] {
+            let clean: Vec<f32> = (0..len).map(|i| (i as f32 * 0.37).sin()).collect();
+            assert!(require_finite("b", &clean).is_ok());
+            assert!(require_finite("b", &halves(&clean)).is_ok());
+            let spots = [0, len - 1, 63, 64, 127, 128];
+            for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+                for &at in spots.iter().filter(|&&at| at < len) {
+                    for second in [None, Some(len - 1)] {
+                        let mut values = clean.clone();
+                        values[at] = bad;
+                        if let Some(j) = second {
+                            values[j] = bad;
+                        }
+                        let want = scalar::first_non_finite(&values);
+                        assert_eq!(want, Some(at));
+                        let got = |r: Result<(), SputnikError>| match r {
+                            Err(SputnikError::NonFiniteOperand {
+                                operand: "b",
+                                index,
+                            }) => Some(index),
+                            other => panic!("expected NonFiniteOperand, got {other:?}"),
+                        };
+                        assert_eq!(got(require_finite("b", &values)), want, "f32 {bad} at {at}");
+                        let values = halves(&values);
+                        assert_eq!(scalar::first_non_finite(&values), want);
+                        assert_eq!(got(require_finite("b", &values)), want, "f16 {bad} at {at}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// The B row sums are bit-identical to one left-to-right sum per row,
+    /// for row counts on and off the side-by-side group, and for no columns.
+    #[test]
+    fn b_rowsums_match_the_scalar_sums_bit_for_bit() {
+        for (rows, cols) in [(1, 5), (8, 16), (13, 33), (64, 7), (5, 0), (0, 4)] {
+            let b = Matrix::<f32>::random(rows, cols, 90 + rows as u64);
+            let bits = |v: Vec<f64>| v.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+            assert_eq!(bits(checksum_b_rowsums(&b)), bits(scalar::b_rowsums(&b)));
+            let h = Matrix::from_vec(rows, cols, halves(b.as_slice()));
+            assert_eq!(bits(checksum_b_rowsums(&h)), bits(scalar::b_rowsums(&h)));
+        }
+    }
+
+    /// The lane sum of `C` differs from a left-to-right sum only in
+    /// rounding, for lengths on and off the lane count.
+    #[test]
+    fn lane_sum_matches_the_scalar_sum() {
+        for len in [0, 1, 15, 16, 17, 40, 1000] {
+            let values: Vec<f32> = (0..len).map(|i| (i as f32 * 0.61).cos() * 3.0).collect();
+            let scalar: f64 = values.iter().map(|&v| f64::from(v)).sum();
+            let mass: f64 = values.iter().map(|&v| f64::from(v).abs()).sum();
+            let lanes = sum_f64_lanes(&values);
+            assert!(
+                (lanes - scalar).abs() <= 1e-12 * mass,
+                "len {len}: {lanes} vs {scalar}"
+            );
+        }
+    }
+
+    /// `check_finite` and the checksum verdict agree with the scalar guards
+    /// on clean outputs and on outputs with a planted NaN or inf, a 1e-2
+    /// relative corruption of every element, and one element off by 1e-2 of
+    /// the output's mass.
+    #[test]
+    fn output_guard_verdicts_match_the_scalar_guards() {
+        for seed in 0..12u64 {
+            let s = seed as usize;
+            let (m, k, n) = (24 + s, 40 + 3 * s, 9 + 5 * s);
+            let a = gen::uniform(m, k, 0.7, 700 + seed);
+            let b = Matrix::<f32>::random(k, n, 800 + seed);
+            let rowsums = checksum_b_rowsums(&b);
+            let clean = reference::spmm(&a, &b);
+            let mass: f32 = clean.as_slice().iter().map(|v| v.abs()).sum();
+            let at = (s * 37) % (m * n);
+            let corrupt = |f: &dyn Fn(&mut [f32])| {
+                let mut out = clean.clone();
+                f(out.as_mut_slice());
+                out
+            };
+            // Each output with the verdict it must get, where one is known.
+            let cases = [
+                (clean.clone(), Some(true)),
+                (corrupt(&|o| o[at] = f32::NAN), Some(false)),
+                (corrupt(&|o| o[at] = f32::INFINITY), Some(false)),
+                (corrupt(&|o| o[at] = f32::NEG_INFINITY), Some(false)),
+                (
+                    corrupt(&|o| o.iter_mut().for_each(|v| *v *= 1.0 + 1e-2)),
+                    None,
+                ),
+                (corrupt(&|o| o[at] += 1e-2 * mass), Some(false)),
+            ];
+            for (case, (out, want)) in cases.iter().enumerate() {
+                let finite = check_finite(out.as_slice(), "k").is_ok();
+                assert_eq!(finite, scalar::first_non_finite(out.as_slice()).is_none());
+                let ok = check_checksum(out, &a, &rowsums, "k").is_ok();
+                let scalar_ok = scalar::checksum_ok(out, &a, &rowsums);
+                assert_eq!(ok, scalar_ok, "seed {seed} case {case}");
+                if let Some(want) = want {
+                    assert_eq!(finite && ok, *want, "seed {seed} case {case}");
+                }
+            }
+        }
     }
 }

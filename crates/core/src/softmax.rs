@@ -194,11 +194,9 @@ impl<T: Scalar> Kernel for SparseSoftmaxKernel<'_, T> {
                     };
                 }
                 gpu_sim::lanes::softmax_in_place(&mut row_p);
-                for (i, &p) in row_p.iter().enumerate() {
-                    // SAFETY: each row belongs to one warp of one block, so
-                    // no other executor writes `start..start + len`.
-                    unsafe { out.write(start + i, T::from_f32(p)) };
-                }
+                // SAFETY: each row belongs to one warp of one block, so
+                // no other executor writes `start..start + len`.
+                unsafe { out.write_run(start, row_p.iter().map(|&p| T::from_f32(p))) };
             }
         }
     }

@@ -67,12 +67,26 @@ pub(crate) fn require_finite<T: Scalar>(
     operand: &'static str,
     values: &[T],
 ) -> Result<(), SputnikError> {
-    for (index, v) in values.iter().enumerate() {
-        if !v.to_f32().is_finite() {
-            return Err(SputnikError::NonFiniteOperand { operand, index });
+    match first_non_finite(values) {
+        Some(index) => Err(SputnikError::NonFiniteOperand { operand, index }),
+        None => Ok(()),
+    }
+}
+
+/// Elements per branch-free step of [`first_non_finite`].
+const FINITE_CHUNK: usize = 64;
+
+/// The index of the first NaN or infinity in `values`. Each chunk is
+/// tested without an early exit, so the test vectorizes; only a chunk that
+/// holds a non-finite value is walked again to find its first one.
+pub(crate) fn first_non_finite<T: Scalar>(values: &[T]) -> Option<usize> {
+    for (c, chunk) in values.chunks(FINITE_CHUNK).enumerate() {
+        if !chunk.iter().fold(true, |ok, v| ok & v.to_f32().is_finite()) {
+            let i = chunk.iter().position(|v| !v.to_f32().is_finite());
+            return i.map(|i| c * FINITE_CHUNK + i);
         }
     }
-    Ok(())
+    None
 }
 
 /// Buffer identities for the cache model.
@@ -412,16 +426,13 @@ impl<'a, T: Scalar> SpmmKernel<'a, T> {
         });
         gpu_sim::lanes::fma_accumulate(&mut acc, terms, |bv| bv.to_f32());
         let bias = self.bias.map(|bias| bias[sub.row]).unwrap_or(0.0);
-        for (x, &v) in acc.iter().enumerate() {
-            let v = if self.cfg.fused_bias_relu {
-                (v + bias).max(0.0)
-            } else {
-                v
-            };
-            // Disjointness: each (row, column-tile) pair is owned by exactly
-            // one subwarp of one block.
-            unsafe { out.write(sub.row * self.n + n_off + x, T::from_f32(v)) };
-        }
+        let relu = self.cfg.fused_bias_relu;
+        let tile = acc
+            .iter()
+            .map(|&v| T::from_f32(if relu { (v + bias).max(0.0) } else { v }));
+        // Disjointness: each (row, column-tile) pair is owned by exactly
+        // one subwarp of one block.
+        unsafe { out.write_run(sub.row * self.n + n_off, tile) };
     }
 
     /// Cost of one warp's execution over its subwarps.

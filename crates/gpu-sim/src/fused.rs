@@ -422,9 +422,7 @@ impl<T: Scalar> Kernel for SddmmSoftmaxSpmmKernel<'_, T> {
                     .filter(|&(_, &val)| val != 0.0)
                     .map(|(&j, &val)| (val, &vd[j as usize * n + n_off..][..tile_w]));
                 lanes::fma_accumulate(&mut acc, terms, |x| x.to_f32());
-                for (x, &a) in acc.iter().enumerate() {
-                    unsafe { out.write(row * n + n_off + x, T::from_f32(a)) };
-                }
+                unsafe { out.write_run(row * n + n_off, acc.iter().map(|&a| T::from_f32(a))) };
                 n_off += tile_w;
             }
         }

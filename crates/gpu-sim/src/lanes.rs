@@ -199,21 +199,34 @@ pub fn fma_dot<T: Copy>(a: &[T], b: &[T], to: impl Fn(T) -> f32) -> f32 {
 
 /// Eight independent dot products against a shared left operand, with the
 /// chains interleaved step by step. Each chain accumulates left to right
-/// exactly like [`fma_dot`]; the chains are independent, so the compiler
-/// can run all eight as the lanes of one 8-wide FMA per step (the left
-/// element broadcast). That never reassociates a sum, so every result is
-/// bit-identical to eight separate [`fma_dot`] calls. The right operands
-/// are cut to `a.len()` up front, which moves their bounds checks out of
-/// the loop; each must be at least that long.
+/// exactly like [`fma_dot`], so every result is bit-identical to eight
+/// separate [`fma_dot`] calls. The right elements of one step sit in eight
+/// unrelated rows, so the compiler issues eight scalar FMAs per step (each
+/// with its right element as a memory operand), not one 8-wide FMA; what
+/// the interleaving buys is eight independent chains in flight.
+///
+/// The right operands are destructured into eight named slices, each cut
+/// to `a.len()` before the loop (each must be at least that long), so the
+/// loop carries no bounds check. Kept as an array of slices, the cut did
+/// not survive inlining into `SddmmKernel::execute_block`: the loop there
+/// kept a bounds check per step.
 #[inline(always)]
 pub fn fma_dot8<T: Copy>(a: &[T], b: [&[T]; 8], to: impl Fn(T) -> f32 + Copy) -> [f32; 8] {
-    let b = b.map(|row| &row[..a.len()]);
+    let n = a.len();
+    let [b0, b1, b2, b3, b4, b5, b6, b7] = b;
+    let (b0, b1, b2, b3) = (&b0[..n], &b1[..n], &b2[..n], &b3[..n]);
+    let (b4, b5, b6, b7) = (&b4[..n], &b5[..n], &b6[..n], &b7[..n]);
     let mut acc = [0.0f32; 8];
     for (i, &av) in a.iter().enumerate() {
         let av = to(av);
-        for (c, row) in acc.iter_mut().zip(&b) {
-            *c = av.mul_add(to(row[i]), *c);
-        }
+        acc[0] = av.mul_add(to(b0[i]), acc[0]);
+        acc[1] = av.mul_add(to(b1[i]), acc[1]);
+        acc[2] = av.mul_add(to(b2[i]), acc[2]);
+        acc[3] = av.mul_add(to(b3[i]), acc[3]);
+        acc[4] = av.mul_add(to(b4[i]), acc[4]);
+        acc[5] = av.mul_add(to(b5[i]), acc[5]);
+        acc[6] = av.mul_add(to(b6[i]), acc[6]);
+        acc[7] = av.mul_add(to(b7[i]), acc[7]);
     }
     acc
 }

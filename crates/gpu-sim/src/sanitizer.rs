@@ -624,6 +624,14 @@ fn with_block<R>(f: impl FnOnce(&Session, u64) -> R) -> Option<R> {
     Some(f(unsafe { session.as_ref() }, lin))
 }
 
+/// Whether this thread is executing a sanitized block: the one slot read
+/// [`SyncUnsafeSlice::write_run`](crate::SyncUnsafeSlice::write_run) pays
+/// per run instead of per element.
+#[inline]
+pub(crate) fn in_sanitized_block() -> bool {
+    BLOCK.get().is_some()
+}
+
 /// Racecheck: claim `(base, index)` for the current block. Returns `false`
 /// when another block already owns the index — the caller must then SKIP the
 /// raw write, because performing it would be the very data race being

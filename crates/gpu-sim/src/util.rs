@@ -76,6 +76,48 @@ impl<'a, T> SyncUnsafeSlice<'a, T> {
         }
     }
 
+    /// Write a contiguous run of values at `start..start + values.len()`:
+    /// a row tile's write-back.
+    ///
+    /// One bounds test and one sanitizer-slot read cover the whole run, and
+    /// the stores compile to vector moves. A run that is not wholly in
+    /// bounds, or one written from a thread executing a sanitized block,
+    /// goes through [`Self::write`] element by element instead, so it
+    /// claims, reports or panics at exactly the indices a per-element loop
+    /// would, after writing the same in-bounds prefix.
+    ///
+    /// # Safety
+    /// Same disjointness requirement as [`Self::write`], for every index
+    /// of the run.
+    #[inline]
+    #[allow(clippy::disallowed_methods)]
+    pub unsafe fn write_run<I>(&self, start: usize, values: I)
+    where
+        I: IntoIterator<Item = T>,
+        I::IntoIter: ExactSizeIterator,
+    {
+        let values = values.into_iter();
+        let len = values.len();
+        let in_bounds = start.checked_add(len).is_some_and(|end| end <= self.len);
+        if in_bounds && !sanitizer::in_sanitized_block() {
+            // SAFETY: `start..start + len` lies inside the slice (tested
+            // above), and the caller guarantees that no other executor
+            // touches it. The zip stops at `len` even if the iterator
+            // misreports its length.
+            let run = unsafe {
+                std::slice::from_raw_parts_mut(UnsafeCell::raw_get(self.ptr.add(start)), len)
+            };
+            for (slot, v) in run.iter_mut().zip(values) {
+                *slot = v;
+            }
+            return;
+        }
+        for (i, v) in values.enumerate() {
+            // SAFETY: forwarded from this function's contract.
+            unsafe { self.write(start + i, v) };
+        }
+    }
+
     /// Read the value at `index`.
     ///
     /// Bounds-checked like [`Self::write`]; an out-of-bounds read under the

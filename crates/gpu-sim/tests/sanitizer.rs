@@ -323,6 +323,152 @@ fn cross_block_race_is_reported() {
     );
 }
 
+/// Block `b` stores the run `[10 b + 1, 10 b + 2, ..]` of `len` values at
+/// `starts[b]`: through one `write_run`, or through a per-element `write`
+/// loop (its twin).
+struct RunKernel<'a> {
+    out: SyncUnsafeSlice<'a, f32>,
+    starts: Vec<usize>,
+    len: usize,
+    per_element: bool,
+}
+
+impl RunKernel<'_> {
+    fn value(block: usize, x: usize) -> f32 {
+        (10 * block + x + 1) as f32
+    }
+}
+
+impl Kernel for RunKernel<'_> {
+    fn name(&self) -> String {
+        "seeded_runs".into()
+    }
+    fn grid(&self) -> Dim3 {
+        Dim3::x(self.starts.len() as u32)
+    }
+    fn block_dim(&self) -> Dim3 {
+        Dim3::x(32)
+    }
+    fn buffers(&self) -> Vec<BufferSpec> {
+        buffer(self.out.len() as u64 * 4)
+    }
+    fn execute_block(&self, block: Dim3, ctx: &mut BlockContext) {
+        ctx.misc(1);
+        if ctx.functional() {
+            let b = block.x as usize;
+            let start = self.starts[b];
+            if self.per_element {
+                for x in 0..self.len {
+                    unsafe { self.out.write(start + x, RunKernel::value(b, x)) };
+                }
+            } else {
+                let run = (0..self.len).map(|x| RunKernel::value(b, x));
+                unsafe { self.out.write_run(start, run) };
+            }
+        }
+    }
+}
+
+/// Launch a `RunKernel` over a fresh zeroed buffer of `buf_len`, sanitized
+/// or not: the report (`None` unsanitized), whether the launch panicked
+/// (and its message), and the buffer afterwards.
+fn run_kernel(
+    buf_len: usize,
+    starts: &[usize],
+    len: usize,
+    per_element: bool,
+    sanitized: bool,
+) -> (Option<SanitizerReport>, Option<String>, Vec<f32>) {
+    let gpu = Gpu::v100();
+    let mut data = vec![0.0f32; buf_len];
+    let kernel = RunKernel {
+        out: SyncUnsafeSlice::new(&mut data),
+        starts: starts.to_vec(),
+        len,
+        per_element,
+    };
+    let launched = std::panic::catch_unwind(AssertUnwindSafe(|| {
+        if sanitized {
+            Some(gpu.sanitize(&kernel).unwrap_or_else(|e| panic!("{e}")).1)
+        } else {
+            gpu.launch(&kernel);
+            None
+        }
+    }));
+    drop(kernel);
+    match launched {
+        Ok(report) => (report, None, data),
+        Err(payload) => {
+            let message = payload
+                .downcast_ref::<String>()
+                .cloned()
+                .unwrap_or_default();
+            (None, Some(message), data)
+        }
+    }
+}
+
+/// Blocks whose runs overlap race on the shared indices: `write_run`
+/// under the sanitizer claims, reports and skips exactly what its
+/// per-element twin does.
+#[test]
+fn overlapping_runs_report_the_same_races_as_per_element_writes() {
+    let (starts, len) = ([0, 5, 2], 6);
+    let (run_report, run_panic, run_data) = run_kernel(16, &starts, len, false, true);
+    let (twin_report, twin_panic, twin_data) = run_kernel(16, &starts, len, true, true);
+    assert!(run_panic.is_none() && twin_panic.is_none());
+    let (run_report, twin_report) = (run_report.unwrap(), twin_report.unwrap());
+    assert!(run_report.violation_count > 0, "{run_report}");
+    assert!(run_report
+        .violations
+        .iter()
+        .all(|v| matches!(v, SanitizerViolation::CrossBlockRace { .. })));
+    assert_eq!(run_report.violation_count, twin_report.violation_count);
+    assert_eq!(run_report.violations, twin_report.violations);
+    assert_eq!(run_data, twin_data);
+}
+
+/// A run past the end of the slice: under the sanitizer it reports one
+/// `OutOfBoundsWrite` per index past the end and writes the in-bounds
+/// prefix, like its twin; unsanitized it panics at the first index past
+/// the end after writing the same prefix.
+#[test]
+fn a_run_past_the_end_matches_per_element_writes() {
+    let (starts, len) = ([6], 4);
+    let (run_report, _, run_data) = run_kernel(8, &starts, len, false, true);
+    let (twin_report, _, twin_data) = run_kernel(8, &starts, len, true, true);
+    let (run_report, twin_report) = (run_report.unwrap(), twin_report.unwrap());
+    assert_eq!(
+        run_report.violations,
+        vec![
+            SanitizerViolation::OutOfBoundsWrite { index: 8, len: 8 },
+            SanitizerViolation::OutOfBoundsWrite { index: 9, len: 8 },
+        ]
+    );
+    assert_eq!(run_report.violations, twin_report.violations);
+    assert_eq!(run_data, twin_data);
+    assert_eq!(&run_data[6..], &[1.0, 2.0]);
+
+    let (_, run_panic, run_data) = run_kernel(8, &starts, len, false, false);
+    let (_, twin_panic, twin_data) = run_kernel(8, &starts, len, true, false);
+    let run_panic = run_panic.expect("an unsanitized run past the end panics");
+    assert!(run_panic.contains("index 8 >= len 8"), "{run_panic}");
+    assert_eq!(Some(run_panic), twin_panic);
+    assert_eq!(run_data, twin_data);
+    assert_eq!(&run_data[6..], &[1.0, 2.0]);
+}
+
+/// In bounds and unsanitized, a run stores every value in place.
+#[test]
+fn an_in_bounds_run_stores_every_value() {
+    let (report, panic, data) = run_kernel(12, &[0, 4, 8], 4, false, false);
+    assert!(report.is_none() && panic.is_none());
+    let want: Vec<f32> = (0..3)
+        .flat_map(|b| (0..4).map(move |x| RunKernel::value(b, x)))
+        .collect();
+    assert_eq!(data, want);
+}
+
 #[test]
 fn atomic_kernels_are_exempt_from_racecheck() {
     let gpu = Gpu::v100();
@@ -592,8 +738,15 @@ fn launch_summary_accumulates_sanitizer_counts() {
     assert_eq!(summary.warnings, 1);
 }
 
+/// Held by every test here that serves a sanitized launch from the cache:
+/// each hit bumps the process-global `sanitizer_skips` counter, and
+/// `sanitize_cached_skips_resanitizing_identical_fingerprints` asserts its
+/// exact delta while the test harness runs the others on parallel threads.
+static SKIP_COUNTER: Mutex<()> = Mutex::new(());
+
 #[test]
 fn sanitize_cached_skips_resanitizing_identical_fingerprints() {
+    let _skips = SKIP_COUNTER.lock().unwrap_or_else(PoisonError::into_inner);
     let gpu = Gpu::v100();
     let cache = LaunchCache::new();
     let fingerprint = 0xF00D;
@@ -639,6 +792,7 @@ fn sanitize_cached_skips_resanitizing_identical_fingerprints() {
 
 #[test]
 fn sanitize_cached_distinguishes_fingerprints() {
+    let _skips = SKIP_COUNTER.lock().unwrap_or_else(PoisonError::into_inner);
     let gpu = Gpu::v100();
     let cache = LaunchCache::new();
 
@@ -664,6 +818,7 @@ fn sanitize_cached_replays_violations_from_the_cache() {
     // violation on hits — the cache cannot launder a bad kernel.
     // (GlobalOobKernel violates through its cost trace, so the hit's
     // functional replay is safe to run.)
+    let _skips = SKIP_COUNTER.lock().unwrap_or_else(PoisonError::into_inner);
     let gpu = Gpu::v100();
     let cache = LaunchCache::new();
 

@@ -10,7 +10,7 @@
 
 use gpu_sim::Gpu;
 use sparse::{gen, Matrix, RowSwizzle};
-use sputnik::SpmmConfig;
+use sputnik::{SddmmConfig, SpmmConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -81,6 +81,31 @@ fn warm_functional_replay_never_allocates() {
         )
         .unwrap_or_else(|e| panic!("{e}"));
         assert_becomes_alloc_free("spmm replay", || gpu.replay_functional(&kernel));
+    }
+
+    // Sputnik SDDMM on a uniform mask, a fresh kernel per launch: every
+    // launch decides afresh whether its runs pay for a transposed RHS, and
+    // a mask whose runs never pay must decide without allocating.
+    {
+        let (m, n, k) = (128, 128, 64);
+        let mask = gen::uniform(m, n, 0.7, 0x2E44);
+        let lhs = Matrix::<f32>::random(m, k, 0x2E45);
+        let rhs = Matrix::<f32>::random(n, k, 0x2E46);
+        let mut out = vec![0.0f32; mask.nnz()];
+        let swizzle = RowSwizzle::identity(m);
+        assert_becomes_alloc_free("sddmm replay", || {
+            let kernel = sputnik::SddmmKernel::try_new(
+                &lhs,
+                &rhs,
+                &mask,
+                &mut out,
+                &swizzle,
+                SddmmConfig::heuristic::<f32>(k),
+            )
+            .unwrap_or_else(|e| panic!("{e}"));
+            gpu.replay_functional(&kernel);
+            assert!(!kernel.transposed_rhs());
+        });
     }
 
     // Dense GEMM: the arena-checkout-per-block path.

@@ -992,6 +992,30 @@ mod tests {
         }
     }
 
+    /// Over every `Half` bit pattern, `require_finite` and `check_finite`
+    /// agree with the scalar scan through `to_f32`: alone, and planted in an
+    /// otherwise finite run across a chunk boundary.
+    #[test]
+    fn half_guards_match_to_f32_on_every_bit_pattern() {
+        let mut values = vec![Half::ONE; 100];
+        for bits in 0..=u16::MAX {
+            let h = Half(bits);
+            let want = scalar::first_non_finite(&[h]);
+            assert_eq!(
+                require_finite("b", &[h]).is_ok(),
+                want.is_none(),
+                "{bits:#06x}"
+            );
+            assert_eq!(
+                check_finite(&[h], "k").is_ok(),
+                want.is_none(),
+                "{bits:#06x}"
+            );
+            values[70] = h;
+            assert_eq!(first_non_finite(&values), scalar::first_non_finite(&values));
+        }
+    }
+
     /// `check_finite` and the checksum verdict agree with the scalar guards
     /// on clean outputs and on outputs with a planted NaN or inf, a 1e-2
     /// relative corruption of every element, and one element off by 1e-2 of

@@ -12,16 +12,26 @@
 //! shuffle reduction at the end — avoiding both uncoalesced accesses to the
 //! transposed operand and a shared-memory transpose (which would steal L1
 //! capacity on Volta, where L1 and shared memory are the same storage).
+//!
+//! The host engine's functional body may still compute a strip's runs of
+//! consecutive columns from a transposed f32 copy of the RHS
+//! (`gpu_sim::lanes::fma_dot_strip`), built once per launch when the mask's
+//! runs pay for it. That is a detail of how the simulator produces the
+//! outputs, bit-identical to the per-dot chains. The simulated kernel keeps
+//! the §VI-A mapping above: it reads the row-major RHS, and its cost trace
+//! is the same whether or not the host transposed.
 
 use crate::config::SddmmConfig;
 use crate::error::SputnikError;
 use crate::spmm::require_finite;
+use gpu_sim::lanes::{self, Transposed};
 use gpu_sim::{
     AccessBound, AccessPattern, AlignmentFacts, BarrierFacts, BlockContext, BufferBound, BufferId,
     BufferSpec, Dim3, Fingerprint, Gpu, Kernel, LaunchCache, LaunchRequest, LaunchStats,
     StageBound, StaticFacts, SyncUnsafeSlice,
 };
 use sparse::{CsrMatrix, Matrix, RowSwizzle, Scalar};
+use std::sync::OnceLock;
 
 pub const BUF_LHS: BufferId = BufferId(0);
 pub const BUF_RHS: BufferId = BufferId(1);
@@ -43,6 +53,9 @@ pub struct SddmmKernel<'a, T: Scalar> {
     k: usize,
     /// Strips per row in the over-provisioned grid.
     max_strips: u32,
+    /// The RHS transposed for the run path, decided and built by the first
+    /// functional block (`None` when the mask's long runs do not pay).
+    rhs_t: OnceLock<Option<Transposed>>,
 }
 
 impl<'a, T: Scalar> SddmmKernel<'a, T> {
@@ -108,6 +121,7 @@ impl<'a, T: Scalar> SddmmKernel<'a, T> {
             cfg,
             k,
             max_strips,
+            rhs_t: OnceLock::new(),
         })
     }
 
@@ -131,6 +145,7 @@ impl<'a, T: Scalar> SddmmKernel<'a, T> {
             cfg,
             k,
             max_strips,
+            rhs_t: OnceLock::new(),
         }
     }
 
@@ -151,6 +166,12 @@ impl<'a, T: Scalar> SddmmKernel<'a, T> {
             vw /= 2;
         }
         vw
+    }
+
+    /// Whether the functional launch built a transposed RHS for its runs of
+    /// consecutive columns (false before the first functional block).
+    pub fn transposed_rhs(&self) -> bool {
+        self.rhs_t.get().is_some_and(Option::is_some)
     }
 }
 
@@ -394,16 +415,22 @@ impl<T: Scalar> Kernel for SddmmKernel<'_, T> {
             let (_, mask_vals) = self.mask.row(row);
             let r = rhs.as_slice();
             let rrow = |j: u32| &r[j as usize * k..(j as usize + 1) * k];
-            let emit = |t: usize, mut acc: f32| {
+            let rt = self
+                .rhs_t
+                .get_or_init(|| Transposed::for_sddmm(self.mask, bix, rhs));
+            let store = |first: usize, dots: &mut [f32]| {
                 if cfg.scale_by_mask {
-                    acc *= mask_vals[strip_start + t].to_f32();
+                    for (d, m) in dots.iter_mut().zip(&mask_vals[strip_start + first..]) {
+                        *d *= m.to_f32();
+                    }
                 }
+                let at = row_start + strip_start + first;
                 // Disjoint: each nonzero belongs to exactly one strip.
-                unsafe { out.write(row_start + strip_start + t, T::from_f32(acc)) };
+                unsafe { out.write_run(at, dots.iter().map(|&d| T::from_f32(d))) };
             };
             // Left-to-right FMA chain per dot, same order as the reference
             // product (horizontal reductions are never lane-split).
-            gpu_sim::lanes::fma_dot_strip(lrow, strip_cols, rrow, |v| v.to_f32(), emit);
+            lanes::fma_dot_strip(lrow, strip_cols, rrow, rt.as_ref(), |v| v.to_f32(), store);
         }
     }
 

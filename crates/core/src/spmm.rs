@@ -81,8 +81,8 @@ const FINITE_CHUNK: usize = 64;
 /// holds a non-finite value is walked again to find its first one.
 pub(crate) fn first_non_finite<T: Scalar>(values: &[T]) -> Option<usize> {
     for (c, chunk) in values.chunks(FINITE_CHUNK).enumerate() {
-        if !chunk.iter().fold(true, |ok, v| ok & v.to_f32().is_finite()) {
-            let i = chunk.iter().position(|v| !v.to_f32().is_finite());
+        if !chunk.iter().fold(true, |ok, v| ok & v.is_finite()) {
+            let i = chunk.iter().position(|v| !v.is_finite());
             return i.map(|i| c * FINITE_CHUNK + i);
         }
     }

@@ -28,12 +28,14 @@
 //! for an oversized topology, the static auditor refutes `SharedCapacity`
 //! and the launch is rejected before simulation.
 
+use crate::lanes::Transposed;
 use crate::util::SyncUnsafeSlice;
 use crate::{
     lanes, memory, AccessBound, AccessPattern, AlignmentFacts, BarrierFacts, BlockContext,
     BufferBound, BufferId, BufferSpec, Dim3, Kernel, StageBound, StaticFacts,
 };
 use sparse::{CsrMatrix, Matrix, Scalar};
+use std::sync::OnceLock;
 
 pub const BUF_Q: BufferId = BufferId(0);
 pub const BUF_K: BufferId = BufferId(1);
@@ -74,6 +76,9 @@ pub struct SddmmSoftmaxSpmmKernel<'a, T: Scalar> {
     /// cached launch.
     plan_tag: String,
     max_row_len: usize,
+    /// K transposed for the score stage's run path, decided and built by
+    /// the first functional block, as `SddmmKernel` does for its RHS.
+    k_t: OnceLock<Option<Transposed>>,
 }
 
 impl<'a, T: Scalar> SddmmSoftmaxSpmmKernel<'a, T> {
@@ -110,6 +115,7 @@ impl<'a, T: Scalar> SddmmSoftmaxSpmmKernel<'a, T> {
             spmm_tile: spmm_tile.max(1),
             plan_tag,
             max_row_len: mask.max_row_len(),
+            k_t: OnceLock::new(),
         }
     }
 
@@ -136,6 +142,7 @@ impl<'a, T: Scalar> SddmmSoftmaxSpmmKernel<'a, T> {
             spmm_tile: spmm_tile.max(1),
             plan_tag,
             max_row_len: mask.max_row_len(),
+            k_t: OnceLock::new(),
         }
     }
 
@@ -146,6 +153,12 @@ impl<'a, T: Scalar> SddmmSoftmaxSpmmKernel<'a, T> {
             vw /= 2;
         }
         vw
+    }
+
+    /// Whether the functional launch built a transposed K for the score
+    /// stage's runs (false before the first functional block).
+    pub fn transposed_k(&self) -> bool {
+        self.k_t.get().is_some_and(Option::is_some)
     }
 }
 
@@ -381,8 +394,12 @@ impl<T: Scalar> Kernel for SddmmSoftmaxSpmmKernel<'_, T> {
             let rrow = |j: u32| &kd[j as usize * k..(j as usize + 1) * k];
 
             // Stage 1 — scores, strip by strip through the unfused SDDMM's
-            // strip loop. Each score round-trips through T, as the unfused
-            // kernel's global store/reload does.
+            // strip loop and its transposed-K decision. Each score
+            // round-trips through T, as the unfused kernel's global
+            // store/reload does.
+            let kt = self
+                .k_t
+                .get_or_init(|| Transposed::for_sddmm(self.mask, self.sddmm_tile, kmat));
             let mut staged = ctx.scratch_f32(len);
             for (strip, strip_cols) in cols.chunks(self.sddmm_tile).enumerate() {
                 let base = strip * self.sddmm_tile;
@@ -390,9 +407,12 @@ impl<T: Scalar> Kernel for SddmmSoftmaxSpmmKernel<'_, T> {
                     lrow,
                     strip_cols,
                     rrow,
+                    kt.as_ref(),
                     |x| x.to_f32(),
-                    |t, acc| {
-                        staged[base + t] = T::from_f32(acc).to_f32();
+                    |first, dots| {
+                        for (s, &d) in staged[base + first..].iter_mut().zip(dots.iter()) {
+                            *s = T::from_f32(d).to_f32();
+                        }
                     },
                 );
             }

@@ -22,6 +22,19 @@
 //! loop written out in `SddmmKernel` (6 of 6 alternating pairs on a 2-core
 //! x86-64 host); with all four forced inline it reads the same.
 //!
+//! ## The transposed run path
+//!
+//! An SDDMM dot reads one right row per output, so [`fma_dot8`]'s eight
+//! chains take their right elements from eight unrelated rows: eight scalar
+//! FMAs per step. Band masks (attention) hold long runs of consecutive
+//! columns, and for a run `c0 .. c0 + w` the dots `sum_t a[t] *
+//! rhs[c0 + l][t]` are one [`fma_accumulate`] over the terms `(a[t],
+//! rhsᵀ[t][c0 ..])`: packed FMAs over a [`Transposed`] copy of the right
+//! operand. [`fma_dot_strip`] sends each run of at least `GROUP` columns
+//! that way, one `GROUP` at a time, and leaves every other column (a
+//! run's last `w % GROUP` too) on the chains. A launch builds the copy
+//! once, and only when its runs pay for it ([`Transposed::for_sddmm`]).
+//!
 //! ## The accumulation-order invariant
 //!
 //! Every helper performs, for each output element `i`, exactly the sequence
@@ -31,8 +44,14 @@
 //! rounds once regardless of vector width. The scalar fallback (selected by
 //! [`set_vectorized`]) is therefore **bit-identical** to the vectorized
 //! path — the `lanes_equivalence` integration suite asserts exact output
-//! equality for every kernel on both paths.
+//! equality for every kernel on both paths. The run path keeps the same
+//! invariant across the two layouts: each run output starts at zero and
+//! takes `a[t] * rhs[c0 + l][t]` for `t` in order, which is [`fma_dot`]'s
+//! chain, and the copy holds `to(rhs)` exactly. So a dot's bits do not
+//! depend on whether its column sat in a run (pinned by the unit tests
+//! below and by `sddmm_runs` under release codegen).
 
+use sparse::{CsrMatrix, Matrix, Scalar};
 use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Lanes per chunk. Eight f32s = one AVX2 register; the compiler unrolls
@@ -43,7 +62,9 @@ pub const LANES: usize = 8;
 
 /// Columns per register group in [`fma_accumulate`]: four chunks, i.e. four
 /// independent FMA chains in four vector registers, enough to hide the FMA
-/// latency (a 64-column group measured slower; see EXPERIMENTS.md).
+/// latency (a 64-column group measured slower; see EXPERIMENTS.md). Also
+/// the shortest run of consecutive SDDMM columns [`fma_dot_strip`] sends
+/// through `fma_dot_run`: below it the run path is no faster.
 const GROUP: usize = 4 * LANES;
 
 /// Process-wide path selector: vectorized unless [`set_vectorized`] turned
@@ -231,31 +252,221 @@ pub fn fma_dot8<T: Copy>(a: &[T], b: [&[T]; 8], to: impl Fn(T) -> f32 + Copy) ->
     acc
 }
 
+/// Dots per staged piece of [`fma_dot_strip`]: two register groups, so a
+/// 32-wide SDDMM strip is one piece.
+const STAGE: usize = 2 * GROUP;
+
 /// The dot products of `a` against `row(j)` for every `j` in `cols`, in
-/// order: [`fma_dot8`] over each group of eight, then [`fma_dot`] for the
-/// remainder. `emit(t, dot)` receives the `t`-th result. This is one
-/// strip of the SDDMM: the SDDMM kernel and the fused attention kernel's
-/// score stage both call it, so their batching, and with it every score
-/// bit, is one decision.
+/// order. They are staged on the stack in pieces of at most `STAGE`
+/// columns, and `store(first, dots)` receives each piece with the position
+/// of its first dot. This is one strip of the SDDMM: the SDDMM kernel and
+/// the fused attention kernel's score stage both call it, so their
+/// batching, and with it every score bit, is one decision.
+///
+/// With a transposed copy `rt` of the right operand, each run of at least
+/// `GROUP` consecutive columns in a piece goes through `fma_dot_run`,
+/// one group of `GROUP` columns at a time. Every other column goes
+/// through [`fma_dot8`] in groups of eight and [`fma_dot`] for the
+/// remainder. `cols` must be strictly increasing, as a CSR row is.
 #[inline(always)]
 pub fn fma_dot_strip<'a, T: Copy + 'a>(
     a: &[T],
     cols: &[u32],
+    row: impl Fn(u32) -> &'a [T] + Copy,
+    rt: Option<&Transposed>,
+    to: impl Fn(T) -> f32 + Copy,
+    mut store: impl FnMut(usize, &mut [f32]),
+) {
+    for (p, piece) in cols.chunks(STAGE).enumerate() {
+        // A stack array, not a pooled scratch row: the pool's checkout
+        // cost short strips more than the staged store saves.
+        let mut stage = [0.0f32; STAGE];
+        let stage = &mut stage[..piece.len()];
+        let mut done = 0;
+        if let Some(rt) = rt {
+            for (start, len) in LongRuns::new(piece) {
+                fma_dot_cols(a, &piece[done..start], row, to, &mut stage[done..start]);
+                done = start + len - len % GROUP;
+                for g0 in (start..done).step_by(GROUP) {
+                    let c0 = piece[g0] as usize;
+                    fma_dot_run(a, rt, c0, to, &mut stage[g0..g0 + GROUP]);
+                }
+            }
+        }
+        fma_dot_cols(a, &piece[done..], row, to, &mut stage[done..]);
+        store(p * STAGE, stage);
+    }
+}
+
+/// [`fma_dot8`] over each group of eight columns, then [`fma_dot`] for the
+/// remainder, one dot per element of `out`.
+#[inline(always)]
+fn fma_dot_cols<'a, T: Copy + 'a>(
+    a: &[T],
+    cols: &[u32],
     row: impl Fn(u32) -> &'a [T],
     to: impl Fn(T) -> f32 + Copy,
-    mut emit: impl FnMut(usize, f32),
+    out: &mut [f32],
 ) {
     let mut octets = cols.chunks_exact(8);
     let mut t = 0;
     for octet in &mut octets {
-        for acc in fma_dot8(a, std::array::from_fn(|c| row(octet[c])), to) {
-            emit(t, acc);
+        for dot in fma_dot8(a, std::array::from_fn(|c| row(octet[c])), to) {
+            out[t] = dot;
             t += 1;
         }
     }
     for &j in octets.remainder() {
-        emit(t, fma_dot(a, row(j), to));
+        out[t] = fma_dot(a, row(j), to);
         t += 1;
+    }
+}
+
+/// The dots of `a` against the consecutive right rows `c0 .. c0 +
+/// out.len()`, read from their transposed copy `rt`: one
+/// [`fma_accumulate`] whose `t`-th term is `(a[t], rt column t from c0)`.
+/// Each output still accumulates `a[t] * rhs[c0 + l][t]` for `t` in order
+/// from zero, the [`fma_dot`] sequence, so every bit is [`fma_dot`]'s; but a
+/// 32-wide run issues four packed FMA chains instead of 32 scalar ones.
+#[inline(always)]
+fn fma_dot_run<T: Copy>(
+    a: &[T],
+    rt: &Transposed,
+    c0: usize,
+    to: impl Fn(T) -> f32 + Copy,
+    out: &mut [f32],
+) {
+    debug_assert_eq!(
+        a.len() * rt.stride,
+        rt.data.len(),
+        "one term per transposed row"
+    );
+    let w = out.len();
+    out.fill(0.0);
+    let terms = a
+        .iter()
+        .zip(rt.data.chunks_exact(rt.stride))
+        .map(|(&av, col)| (to(av), &col[c0..c0 + w]));
+    fma_accumulate(out, terms, |v| v);
+}
+
+/// The maximal runs of at least `GROUP` consecutive values in a strictly
+/// increasing column list, as `(start, len)` positions in the list.
+struct LongRuns<'c> {
+    cols: &'c [u32],
+    next: usize,
+}
+
+impl<'c> LongRuns<'c> {
+    fn new(cols: &'c [u32]) -> Self {
+        Self { cols, next: 0 }
+    }
+}
+
+impl Iterator for LongRuns<'_> {
+    type Item = (usize, usize);
+
+    fn next(&mut self) -> Option<(usize, usize)> {
+        let cols = self.cols;
+        let mut i = self.next;
+        while i + GROUP <= cols.len() {
+            // Strictly increasing values are consecutive over a window
+            // exactly when its ends differ by its width less one, so one
+            // test decides a whole window.
+            if cols[i + GROUP - 1] - cols[i] == (GROUP - 1) as u32 {
+                let mut end = i + GROUP;
+                while end < cols.len() && cols[end] == cols[end - 1] + 1 {
+                    end += 1;
+                }
+                self.next = end;
+                return Some((i, end - i));
+            }
+            if i + GROUP == cols.len() {
+                break;
+            }
+            // No run of GROUP starts before the window's last step larger
+            // than one, since it would have to contain that step.
+            i = (i + 1..i + GROUP)
+                .rev()
+                .find(|&g| cols[g] != cols[g - 1] + 1)
+                .unwrap_or(i + 1);
+        }
+        self.next = cols.len();
+        None
+    }
+}
+
+/// Run dots per transposed row at which a launch builds its [`Transposed`]
+/// copy. Building costs one strided pass over the right operand; each run
+/// dot then saves most of a scalar chain. Below this share the copy does
+/// not pay: perfbench `serve`'s seq-256 band masks have 0 and about 5 run
+/// dots per row, attention's row shards about 70 and its fused mask 96.
+const RUN_DOTS_PER_ROW: usize = 16;
+
+/// A right operand transposed to f32, for `fma_dot_run`: element `t` of
+/// right row `j` sits at `data[t * stride + j]`. The stride is the row
+/// count padded to an odd number of 64-byte lines, so a walk down one
+/// column spreads over every cache set instead of aliasing into one (a
+/// power-of-two stride would map every term of a run to the same set).
+pub struct Transposed {
+    data: Vec<f32>,
+    stride: usize,
+}
+
+/// f32 lanes per 64-byte cache line.
+const LINE: usize = 16;
+
+impl Transposed {
+    /// The transposed copy of the row-major `rows x k` operand `src`,
+    /// converted through `to`.
+    fn new<T: Copy>(src: &[T], rows: usize, k: usize, to: impl Fn(T) -> f32) -> Self {
+        let stride = LINE * (rows.div_ceil(LINE) | 1);
+        let mut data = vec![0.0f32; k * stride];
+        // A block of LINE source rows fills one line of each output row.
+        for (b, block) in src[..rows * k].chunks((LINE * k).max(1)).enumerate() {
+            let j0 = b * LINE;
+            for (t, line) in data.chunks_exact_mut(stride).enumerate() {
+                for (jj, out) in line[j0..j0 + block.len() / k].iter_mut().enumerate() {
+                    *out = to(block[jj * k + t]);
+                }
+            }
+        }
+        Self { data, stride }
+    }
+
+    /// The copy of an SDDMM's right operand `rhs` for the strips of
+    /// `strip` nonzeros that `mask` is cut into, if their long runs pay
+    /// for it; `None` otherwise. Runs are counted in the pieces
+    /// [`fma_dot_strip`] computes. Counting stops as soon as they pay, and
+    /// a piece shorter than `GROUP` costs one comparison, so a launch
+    /// that never pays (short strips, or few long runs) spends O(strips)
+    /// here.
+    /// The copy stops at the highest right row the mask reads: a causal
+    /// shard reads only the rows up to its own.
+    pub fn for_sddmm<T: Scalar>(
+        mask: &CsrMatrix<T>,
+        strip: usize,
+        rhs: &Matrix<T>,
+    ) -> Option<Self> {
+        let k = rhs.cols();
+        if k == 0 {
+            return None;
+        }
+        let need = (RUN_DOTS_PER_ROW * rhs.rows()).max(1);
+        let rows = || (0..mask.rows()).map(|i| mask.row(i).0);
+        let mut dots = 0;
+        let pieces = rows().flat_map(|cols| cols.chunks(strip).flat_map(|s| s.chunks(STAGE)));
+        for cols in pieces {
+            dots += LongRuns::new(cols).map(|(_, len)| len).sum::<usize>();
+            if dots >= need {
+                let used = rows()
+                    .filter_map(|cols| cols.last())
+                    .max()
+                    .map_or(0, |&j| j as usize + 1);
+                return Some(Self::new(rhs.as_slice(), used, k, |v| v.to_f32()));
+            }
+        }
+        None
     }
 }
 
@@ -380,5 +591,124 @@ mod tests {
                 assert_eq!(g.to_bits(), want.to_bits(), "length {len}, chain {c}");
             }
         }
+    }
+
+    /// A `rows x k` operand of small integers, each row distinct.
+    fn int_rows(rows: usize, k: usize) -> Vec<i32> {
+        (0..rows * k)
+            .map(|i| (i as i32 * 7 + i as i32 / k as i32 * 3) % 23 - 9)
+            .collect()
+    }
+
+    #[test]
+    fn run_matches_per_column_dots_on_both_paths() {
+        // 90 rows pad to a stride of 112; c0 = 5 is off every lane boundary.
+        let to = |x: i32| x as f32 * 0.37 - 1.25;
+        let (rows, k, c0) = (90usize, 13usize, 5usize);
+        let src = int_rows(rows, k);
+        let a: Vec<i32> = (0..k as i32).map(|t| (t * 5) % 11 - 4).collect();
+        let rt = Transposed::new(&src, rows, k, to);
+        assert_eq!(rt.stride, 112);
+        for w in 1..=80usize {
+            for on in [true, false] {
+                set_vectorized(on);
+                let mut got = vec![f32::NAN; w];
+                fma_dot_run(&a, &rt, c0, to, &mut got);
+                for (l, g) in got.iter().enumerate() {
+                    let j = c0 + l;
+                    let want = fma_dot(&a, &src[j * k..(j + 1) * k], to);
+                    assert_eq!(
+                        g.to_bits(),
+                        want.to_bits(),
+                        "width {w}, column {j}, vectorized={on}"
+                    );
+                }
+            }
+        }
+        set_vectorized(true);
+    }
+
+    #[test]
+    fn long_runs_are_the_maximal_runs_of_at_least_a_group() {
+        let runs = |cols: &[u32]| LongRuns::new(cols).collect::<Vec<_>>();
+        let span = |lo: u32, n: u32| (lo..lo + n).collect::<Vec<u32>>();
+        assert_eq!(runs(&span(3, 31)), vec![]);
+        assert_eq!(runs(&span(3, 32)), vec![(0, 32)]);
+        assert_eq!(runs(&span(0, 80)), vec![(0, 80)]);
+        // An off-diagonal prefix, then a band: the run starts after the gap.
+        let mut cols = vec![0, 4, 9];
+        cols.extend(span(20, 40));
+        assert_eq!(runs(&cols), vec![(3, 40)]);
+        // Two runs split by one skipped column; a 31-run after a 33-run.
+        let mut cols = span(0, 33);
+        cols.extend(span(34, 31));
+        assert_eq!(runs(&cols), vec![(0, 33)]);
+        let mut cols = span(0, 32);
+        cols.extend(span(33, 32));
+        cols.push(100);
+        assert_eq!(runs(&cols), vec![(0, 32), (32, 32)]);
+        // Gaps every 20 columns leave no run.
+        let cols: Vec<u32> = (0..100).map(|i| i + i / 20).collect();
+        assert_eq!(runs(&cols), vec![]);
+    }
+
+    #[test]
+    fn strip_with_a_transposed_operand_matches_the_scalar_chains() {
+        let to = |x: i32| x as f32 * 0.5 - 0.75;
+        let (rows, k) = (130usize, 9usize);
+        let src = int_rows(rows, k);
+        let a: Vec<i32> = (0..k as i32).map(|t| 3 - t).collect();
+        let rt = Transposed::new(&src, rows, k, to);
+        let row = |j: u32| &src[j as usize * k..(j as usize + 1) * k];
+        // Every prefix below is a strip of its own, so the last run ends a
+        // strip on every tail length from 0 to 13.
+        let mut cols: Vec<u32> = vec![1, 2, 7];
+        cols.extend(10..42); // a run of exactly 32
+        cols.extend(43..74); // 31: stays on the chains
+        cols.extend(80..125); // 45, in the second staged piece
+        for on in [true, false] {
+            set_vectorized(on);
+            for len in 0..=cols.len() {
+                let strip = &cols[..len];
+                let collect = |rt| {
+                    let mut dots = vec![f32::NAN; len];
+                    fma_dot_strip(&a, strip, row, rt, to, |first, piece| {
+                        dots[first..first + piece.len()].copy_from_slice(piece)
+                    });
+                    dots
+                };
+                let (got, want) = (collect(Some(&rt)), collect(None));
+                for (t, (g, w)) in got.iter().zip(&want).enumerate() {
+                    assert_eq!(
+                        g.to_bits(),
+                        w.to_bits(),
+                        "len {len}, dot {t}, vectorized={on}"
+                    );
+                    assert_eq!(w.to_bits(), fma_dot(&a, row(strip[t]), to).to_bits());
+                }
+            }
+        }
+        set_vectorized(true);
+    }
+
+    #[test]
+    fn transposes_only_when_long_runs_pay() {
+        // A 64-row right operand needs 16 * 64 run dots.
+        let rhs = Matrix::<f32>::zeros(64, 4);
+        let mask = |rows: usize, row_len: u32| {
+            let cols: Vec<u32> = (0..rows).flat_map(|_| 0..row_len).collect();
+            let offsets = (0..=rows as u32).map(|r| r * row_len).collect();
+            let values = vec![1.0f32; cols.len()];
+            CsrMatrix::from_parts(rows, 64, offsets, cols, values).unwrap_or_else(|e| panic!("{e}"))
+        };
+        let pays = |m: &CsrMatrix<f32>, strip| Transposed::for_sddmm(m, strip, &rhs);
+        let copy = pays(&mask(32, 32), 32).unwrap_or_else(|| panic!("32 runs of 32 pay"));
+        // Only the 32 right rows the mask reads are copied.
+        assert_eq!(copy.stride, 48);
+        assert!(pays(&mask(31, 32), 32).is_none());
+        assert!(pays(&mask(64, 31), 32).is_none());
+        // 64 rows of 64 in strips of 16 hold no run of 32.
+        assert!(pays(&mask(64, 64), 16).is_none());
+        assert!(pays(&mask(0, 0), 32).is_none());
     }
 }

@@ -21,6 +21,10 @@ pub trait Scalar: Copy + Clone + Debug + Default + Send + Sync + PartialEq + 'st
     fn to_f32(self) -> f32;
     fn from_f32(v: f32) -> Self;
 
+    /// Neither infinite nor NaN: `to_f32().is_finite()`, read from the
+    /// stored bits where that needs no conversion.
+    fn is_finite(self) -> bool;
+
     fn zero() -> Self {
         Self::from_f32(0.0)
     }
@@ -39,6 +43,11 @@ impl Scalar for f32 {
     fn from_f32(v: f32) -> Self {
         v
     }
+
+    #[inline]
+    fn is_finite(self) -> bool {
+        f32::is_finite(self)
+    }
 }
 
 impl Scalar for Half {
@@ -53,6 +62,13 @@ impl Scalar for Half {
     #[inline]
     fn from_f32(v: f32) -> Self {
         Half::from_f32(v)
+    }
+
+    /// The exponent field is all ones exactly for the infinities and NaNs.
+    /// One mask and compare, where `to_f32` branches on the exponent.
+    #[inline]
+    fn is_finite(self) -> bool {
+        self.0 & 0x7C00 != 0x7C00
     }
 }
 
@@ -101,6 +117,18 @@ mod tests {
         let h = <Half as Scalar>::from_f32(0.5);
         assert_eq!(Scalar::to_f32(h), 0.5);
         assert_eq!(<Half as Scalar>::BYTES, 2);
+    }
+
+    #[test]
+    fn half_finiteness_reads_the_exponent_field_for_every_bit_pattern() {
+        for bits in 0..=u16::MAX {
+            let h = Half(bits);
+            assert_eq!(
+                Scalar::is_finite(h),
+                h.to_f32().is_finite(),
+                "bits {bits:#06x}"
+            );
+        }
     }
 
     #[test]

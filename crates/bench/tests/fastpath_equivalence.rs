@@ -25,6 +25,7 @@ use gpu_sim::{Gpu, Kernel};
 use sparse::{gen, Matrix, PatternGranularity, PatternLut, RowSwizzle};
 use sputnik::{joint_heuristic, FallbackSpmmKernel, JointSpmmKernel, SddmmConfig, SpmmConfig};
 use sputnik_bench::registry;
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU32, Ordering};
 
 /// Assert the streamed and dedup'd profile paths match the reference
@@ -62,6 +63,40 @@ fn all_kernels_fastpath_bit_identical() {
                 .unwrap_or_else(|e| panic!("joint construction: {e}"));
             let label = format!("swizzled joint_spmm {granularity:?} {m}x{k}x{n} s={sparsity}");
             assert_fastpath_identical(&kernel, &label);
+        }
+    }
+}
+
+#[test]
+fn large_grid_fastpath_bit_identical() {
+    // The registry's shapes are at most 128x128, so its grids stay small.
+    // A wide N gives grids of thousands of blocks, so the scheduler's heap
+    // runs thousands of steps past the first wave. On the balanced matrix
+    // every row strip looks alike and dedup groups hold thousands of
+    // members; on the uniform one, groups are many and smaller.
+    let (m, k, n) = (256, 64, 8192);
+    let matrices = [
+        ("balanced", gen::balanced(m, k, 16, 0xB16_9E1D), 1000),
+        ("uniform", gen::uniform(m, k, 0.7, 0xB16_9E1E), 100),
+    ];
+    for (shape, a, min_group) in &matrices {
+        let cfg = SpmmConfig::heuristic::<f32>(n);
+        let swizzle = RowSwizzle::for_config(a, cfg.row_swizzle);
+        let spmm = sputnik::SpmmKernel::<f32>::for_profile(a, n, &swizzle, cfg);
+        let cusparse = baselines::cusparse::CusparseSpmmKernel::<f32>::for_profile(a, n);
+        for kernel in [&spmm as &dyn Kernel, &cusparse] {
+            let label = format!("{} {shape} {m}x{k}x{n}", kernel.name());
+            let grid = kernel.grid();
+            let mut groups: HashMap<Option<u64>, u64> = HashMap::new();
+            for lin in 0..grid.size() {
+                *groups
+                    .entry(kernel.block_signature(grid.delinearize(lin)))
+                    .or_default() += 1;
+            }
+            let largest = groups.values().copied().max().unwrap_or(0);
+            assert!(grid.size() >= 8192, "{label}: only {} blocks", grid.size());
+            assert!(largest >= *min_group, "{label}: largest group {largest}");
+            assert_fastpath_identical(kernel, &label);
         }
     }
 }

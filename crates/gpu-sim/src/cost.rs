@@ -110,6 +110,29 @@ impl BlockCost {
             a.st_sectors += b.st_sectors;
         }
     }
+
+    /// Accumulate `k` copies of `other`: the same exact `u64` sums as `k`
+    /// calls to [`Self::merge`], in one pass. Profile dedup weights each
+    /// representative's cost by its group's member count with this.
+    pub fn merge_times(&mut self, other: &BlockCost, k: u64) {
+        self.fma_instrs += other.fma_instrs * k;
+        self.fp_instrs += other.fp_instrs * k;
+        self.flops += other.flops * k;
+        self.ld_global_instrs += other.ld_global_instrs * k;
+        self.st_global_instrs += other.st_global_instrs * k;
+        self.ld_shared_instrs += other.ld_shared_instrs * k;
+        self.st_shared_instrs += other.st_shared_instrs * k;
+        self.shared_bytes += other.shared_bytes * k;
+        self.bank_conflict_passes += other.bank_conflict_passes * k;
+        self.shfl_instrs += other.shfl_instrs * k;
+        self.misc_instrs += other.misc_instrs * k;
+        self.barriers += other.barriers * k;
+        self.stall_cycles += other.stall_cycles * k;
+        for (a, b) in self.gmem.iter_mut().zip(other.gmem.iter()) {
+            a.ld_sectors += b.ld_sectors * k;
+            a.st_sectors += b.st_sectors * k;
+        }
+    }
 }
 
 /// The compact per-block record the launcher's timing model actually needs.
@@ -118,7 +141,9 @@ impl BlockCost {
 /// a [`BlockCost`] plus the per-buffer traffic; on large grids, keeping one
 /// full `BlockCost` per block alive until the cache model has run wastes
 /// memory and bandwidth. The streaming launch path folds each block's cost
-/// into a running total immediately and retains only this struct per block.
+/// into a running total immediately and retains only this struct per block;
+/// the profile-dedup path retains one per signature group (its
+/// representative) and a 4-byte group index per block.
 ///
 /// Every field is an exact integer pre-sum of `BlockCost` counters, so
 /// cycles computed from a `BlockCostLite` are bit-identical to cycles
@@ -517,6 +542,33 @@ mod tests {
         assert_eq!(total.fma_instrs, 20);
         assert_eq!(total.flops, 2 * 320 * 2);
         assert_eq!(total.gmem[1].ld_sectors, 8);
+    }
+
+    #[test]
+    fn merge_times_equals_repeated_merge() {
+        let mut ctx = BlockContext::new(false);
+        ctx.fma(3, 70);
+        ctx.fp(2, 9);
+        ctx.misc(5);
+        ctx.shfl(1);
+        ctx.bar_sync();
+        ctx.ld_shared(32, 2, 4, 3);
+        ctx.st_shared(16, 1, 4, 2);
+        ctx.ld_global(BufferId(2), 20, 32, 4, 4);
+        ctx.st_global(BufferId(7), 4, 32, 1, 4);
+        ctx.cost.stall_cycles = 11;
+        let c = ctx.cost;
+        let mut base = BlockCost::default();
+        base.merge(&c);
+        for k in [0u64, 1, 2, 4099, 1 << 20] {
+            let mut repeated = base.clone();
+            for _ in 0..k {
+                repeated.merge(&c);
+            }
+            let mut weighted = base.clone();
+            weighted.merge_times(&c, k);
+            assert_eq!(weighted, repeated, "k = {k}");
+        }
     }
 
     #[test]

@@ -18,6 +18,7 @@ use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Why a launch could not run (or did not complete).
 #[derive(Debug, Clone, PartialEq)]
@@ -303,6 +304,28 @@ impl std::fmt::Display for LaunchStats {
             self.waves,
             self.bound_by
         )
+    }
+}
+
+/// Hasher for keys that already are well-mixed 64-bit hashes (block
+/// signatures are FNV outputs): the key is its own hash, so the dedup group
+/// map pays no SipHash rounds per block.
+#[derive(Default)]
+struct PassThrough(u64);
+
+impl Hasher for PassThrough {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+    fn write(&mut self, bytes: &[u8]) {
+        // Only `write_u64` is reached for `u64` keys; fold anything else in
+        // so the hasher stays total.
+        for &b in bytes {
+            self.0 = self.0.rotate_left(8) ^ u64::from(b);
+        }
+    }
+    fn write_u64(&mut self, word: u64) {
+        self.0 = word;
     }
 }
 
@@ -648,17 +671,20 @@ impl Gpu {
             })
             .unwrap_or_default();
 
-        self.finish(kernel, occ, total, lites)
+        self.finish(kernel, occ, total, lites, None)
     }
 
     /// Profile-mode structural dedup: group blocks by
     /// [`Kernel::block_signature`], execute one representative per group, and
     /// replay its cost for the other members. Returns `None` when the kernel
     /// offers no signatures or no two blocks share one (the plain streaming
-    /// path is then cheaper). Bit-identity with brute force holds because
-    /// totals are exact `u64` sums (merging a representative's cost once per
-    /// member is the same arithmetic) and per-block records land back at
-    /// their original linear indices, so the scheduler sees the same order.
+    /// path is then cheaper). Everything after execution is paid per group:
+    /// the total weights each representative's cost by its member count
+    /// (exact `u64` arithmetic, so equal to merging it once per member), one
+    /// [`BlockCostLite`] is kept per representative, and only the 4-byte
+    /// `member` index is per block. [`Self::finish`] maps the per-group
+    /// cycles back to every block's original linear index, so the scheduler
+    /// sees the same order as brute force.
     fn run_profile_dedup(&self, kernel: &dyn Kernel, occ: Occupancy) -> Option<LaunchStats> {
         let grid = kernel.grid();
         let n_blocks = grid.size();
@@ -678,51 +704,47 @@ impl Gpu {
             })
             .collect();
 
-        let mut total = BlockCost::default();
-        let mut lites = Vec::with_capacity(member.len());
+        let mut count = vec![0u64; costs.len()];
         for &slot in &member {
-            let c = &costs[slot];
-            total.merge(c);
-            lites.push(BlockCostLite::from(c));
+            count[slot as usize] += 1;
         }
-        Some(self.finish(kernel, occ, total, lites))
+        let mut total = BlockCost::default();
+        for (c, &k) in costs.iter().zip(&count) {
+            total.merge_times(c, k);
+        }
+        let lites = costs.iter().map(BlockCostLite::from).collect();
+        Some(self.finish(kernel, occ, total, lites, Some(&member)))
     }
 
-    /// Group blocks by structural signature. Returns `(unique, member)`:
-    /// `unique` lists the blocks that really execute (signature-less blocks
-    /// and first occurrences); `member[i]` is the slot in `unique` whose cost
-    /// block `i` replays. Signatures are computed in parallel (they can walk
-    /// per-row metadata); only the grouping is serial. Returns `None` when no
-    /// two blocks share a signature (the plain streaming path is cheaper).
-    fn dedup_plan(&self, kernel: &dyn Kernel) -> Option<(Vec<u64>, Vec<usize>)> {
+    /// Group blocks by structural signature in one serial pass. Returns
+    /// `(unique, member)`: `unique` lists the blocks that really execute
+    /// (signature-less blocks and first occurrences); `member[i]` is the slot
+    /// in `unique` whose cost block `i` replays. No per-block signature is
+    /// kept: each is looked up as soon as it is computed. Signatures are
+    /// already FNV hashes, so the group map uses them as their own hash.
+    /// Returns `None` when no two blocks share a signature (the plain
+    /// streaming path is cheaper) or when the grid could overflow a `u32`
+    /// slot index.
+    fn dedup_plan(&self, kernel: &dyn Kernel) -> Option<(Vec<u64>, Vec<u32>)> {
         let grid = kernel.grid();
         let n_blocks = grid.size();
-        if n_blocks == 0 {
+        if n_blocks == 0 || n_blocks > u64::from(u32::MAX) {
             return None;
         }
-        let sigs: Vec<Option<u64>> = (0..n_blocks)
-            .into_par_iter()
-            .map(|lin| kernel.block_signature(grid.delinearize(lin)))
-            .collect();
-        let mut slot_of: HashMap<u64, usize> = HashMap::new();
+        let mut slot_of: HashMap<u64, u32, BuildHasherDefault<PassThrough>> = HashMap::default();
         let mut unique: Vec<u64> = Vec::new();
-        let mut member: Vec<usize> = Vec::with_capacity(n_blocks as usize);
-        for (lin, sig) in sigs.into_iter().enumerate() {
-            let lin = lin as u64;
-            match sig {
-                Some(sig) => {
-                    let next = unique.len();
-                    let slot = *slot_of.entry(sig).or_insert(next);
-                    if slot == next {
-                        unique.push(lin);
-                    }
-                    member.push(slot);
-                }
-                None => {
-                    member.push(unique.len());
-                    unique.push(lin);
-                }
+        let mut member: Vec<u32> = Vec::with_capacity(n_blocks as usize);
+        for lin in 0..n_blocks {
+            // `unique` never outgrows the grid, which fits in `u32`.
+            let next = unique.len() as u32;
+            let slot = match kernel.block_signature(grid.delinearize(lin)) {
+                Some(sig) => *slot_of.entry(sig).or_insert(next),
+                None => next,
+            };
+            if slot == next {
+                unique.push(lin);
             }
+            member.push(slot);
         }
         if unique.len() as u64 == n_blocks {
             return None;
@@ -780,17 +802,21 @@ impl Gpu {
         Ok(self.assemble(kernel, occ, &total, dram.total_bytes(), &block_cycles))
     }
 
-    /// Turn the aggregated trace plus compact per-block records into launch
-    /// statistics (cache model, per-block timing, scheduling, rooflines).
+    /// Turn the aggregated trace plus compact records into launch statistics
+    /// (cache model, per-block timing, scheduling, rooflines). Without a
+    /// `member` map, `lites` holds one record per block (the streaming path);
+    /// with one, `lites` holds one record per dedup group and block `i`
+    /// takes the cycles of group `member[i]`.
     fn finish(
         &self,
         kernel: &dyn Kernel,
         occ: Occupancy,
         total: BlockCost,
         lites: Vec<BlockCostLite>,
+        member: Option<&[u32]>,
     ) -> LaunchStats {
         let dev = &self.dev;
-        let n_blocks = lites.len() as u64;
+        let n_blocks = member.map_or(lites.len(), <[u32]>::len) as u64;
         let req = kernel.block_requirements();
 
         // 2. Apply the cache model to the aggregate traffic.
@@ -811,7 +837,7 @@ impl Gpu {
             .min(occ.blocks_per_sm as u64)
             .max(1) as f64;
 
-        let block_cycles: Vec<f64> = lites
+        let record_cycles: Vec<f64> = lites
             .par_iter()
             .map(|c| {
                 let mut bytes = 0.0f64;
@@ -822,6 +848,13 @@ impl Gpu {
                     .total_cycles
             })
             .collect();
+        let block_cycles = match member {
+            None => record_cycles,
+            Some(member) => member
+                .iter()
+                .map(|&slot| record_cycles[slot as usize])
+                .collect(),
+        };
 
         let stats = self.assemble(kernel, occ, &total, dram_bytes, &block_cycles);
         // Every simulated launch path funnels through here (the reference

@@ -99,22 +99,26 @@ pub fn simulate_schedule(
 
     // Remaining blocks issue in block_idx order as SMs free up. Heap entry:
     // (finish_time_bits, sm) — f64 ordered via to_bits, monotone for
-    // non-negative floats.
-    let mut heap: BinaryHeap<Reverse<(u64, u32)>> = BinaryHeap::with_capacity(num_sms);
-    for (sm, &t) in sm_finish.iter().enumerate() {
-        heap.push(Reverse((t.to_bits(), sm as u32)));
-    }
-    for &cycles in block_cycles.iter().take(n).skip(first_wave) {
-        // The heap always holds `num_sms` entries (each pop is followed by a
-        // push), so this never breaks; the guard only satisfies panic-freedom.
-        let Some(Reverse((free_bits, sm))) = heap.pop() else {
+    // non-negative floats; the SM index makes every key unique, so the
+    // minimum (and with it the schedule) is fully determined.
+    let mut heap: BinaryHeap<Reverse<(u64, u32)>> = sm_finish
+        .iter()
+        .enumerate()
+        .map(|(sm, &t)| Reverse((t.to_bits(), sm as u32)))
+        .collect();
+    for &cycles in block_cycles.iter().skip(first_wave) {
+        // The earliest-free SM takes the block, and its entry is replaced
+        // in place (one sift-down). The heap always holds `num_sms`
+        // entries, so this never breaks; the guard only satisfies
+        // panic-freedom.
+        let Some(mut top) = heap.peek_mut() else {
             break;
         };
-        let free = f64::from_bits(free_bits);
-        let end = free + cycles;
+        let Reverse((free_bits, sm)) = *top;
+        let end = f64::from_bits(free_bits) + cycles;
         per_sm_busy[sm as usize] += cycles;
         sm_finish[sm as usize] = end;
-        heap.push(Reverse((end.to_bits(), sm)));
+        *top = Reverse((end.to_bits(), sm));
     }
 
     let makespan = sm_finish.iter().cloned().fold(0.0f64, f64::max);

@@ -73,6 +73,40 @@ proptest! {
         prop_assert!(res.balance > 0.0 && res.balance <= 1.0 + 1e-9);
     }
 
+    /// The heap scheduler makes the same choices as a linear scan for the
+    /// earliest-free SM, ties broken by the lower SM index: makespan and
+    /// per-SM busy time agree bit for bit. Grids fall below, at and above
+    /// the first wave; durations are all equal (every choice is a tie), drawn
+    /// from a few values (frequent ties), or all distinct.
+    #[test]
+    fn schedule_matches_linear_scan(bps in 1u32..=8,
+                                    region in 0u32..3,
+                                    frac in 0.0f64..1.0,
+                                    edge in -1i64..=1,
+                                    durations in 0u32..3,
+                                    values in proptest::collection::vec(1.0f64..1000.0, 1..6)) {
+        let dev = DeviceConfig::v100();
+        let first_wave = (dev.num_sms * bps) as i64;
+        let n = match region {
+            0 => (frac * first_wave as f64) as i64,
+            1 => first_wave + edge,
+            _ => first_wave + 1 + (frac * 6.0 * first_wave as f64) as i64,
+        } as usize;
+        let blocks: Vec<f64> = (0..n)
+            .map(|i| match durations {
+                0 => values[0],
+                1 => values[i % values.len()],
+                _ => values[i % values.len()] + i as f64 / 7.0,
+            })
+            .collect();
+        let res = simulate_schedule(&dev, bps, &blocks);
+        let (makespan, busy) = linear_scan_schedule(&dev, bps, &blocks);
+        prop_assert_eq!(res.makespan_cycles.to_bits(), makespan.to_bits());
+        let res_bits: Vec<u64> = res.per_sm_busy.iter().map(|b| b.to_bits()).collect();
+        let ref_bits: Vec<u64> = busy.iter().map(|b| b.to_bits()).collect();
+        prop_assert_eq!(res_bits, ref_bits);
+    }
+
     /// The Volta first-wave mapping covers SMs without gaps over any full
     /// cycle of indices.
     #[test]
@@ -85,4 +119,26 @@ proptest! {
         }
         prop_assert!(seen.iter().all(|&s| s));
     }
+}
+
+/// Reference list schedule: the first wave placed by the Volta mapping, then
+/// each block on the SM that frees first, found by a linear scan for the
+/// least `(finish bits, SM)`. Returns the makespan and per-SM busy cycles.
+fn linear_scan_schedule(dev: &DeviceConfig, bps: u32, blocks: &[f64]) -> (f64, Vec<f64>) {
+    let sms = dev.num_sms as usize;
+    let first_wave = sms * bps.max(1) as usize;
+    let mut finish = vec![0.0f64; sms];
+    let mut busy = vec![0.0f64; sms];
+    for (b, &cycles) in blocks.iter().enumerate() {
+        let sm = if b < first_wave {
+            gpu_sim::volta_first_wave_sm(dev, b as u64) as usize
+        } else {
+            (0..sms)
+                .min_by_key(|&sm| (finish[sm].to_bits(), sm))
+                .unwrap_or(0)
+        };
+        finish[sm] += cycles;
+        busy[sm] += cycles;
+    }
+    (finish.iter().copied().fold(0.0, f64::max), busy)
 }

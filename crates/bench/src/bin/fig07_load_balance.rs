@@ -1,85 +1,14 @@
-//! Figure 7: SpMM throughput with varying levels of load imbalance
-//! (M=8192, K=2048, N=128, 75% sparse, FP32, V100), with and without row
-//! swizzle load balancing, as a percentage of the throughput achieved on a
-//! perfectly balanced matrix.
+//! Figure 7: row-swizzle load balancing across row-length CoV.
 //!
-//! Paper anchors: at the right edge of the CoV sweep, the standard row
-//! ordering degrades to 47.5% of balanced throughput while row swizzling
-//! retains 96.5%; the average CoV of DNN matrices (~0.3) is marked.
+//! Prints the experiment's tables and writes nothing; `reproduce_all`
+//! records and gates its headline fields in `BENCH_paper.json`.
+//!
+//! ```bash
+//! cargo run -p sputnik-bench --release --bin fig07_load_balance [-- --quick|--full]
+//! ```
 
-use gpu_sim::Gpu;
-use sparse::{gen, stats};
-use sputnik::SpmmConfig;
-use sputnik_bench::{has_flag, Table};
-
-struct Point {
-    swizzle_pct: f64,
-    standard_pct: f64,
-}
+use sputnik_bench::{gate::BenchRecord, paper};
 
 fn main() {
-    let gpu = Gpu::v100();
-    let (m, k, n) = (8192usize, 2048usize, 128usize);
-    let sparsity = 0.75;
-
-    // The balanced reference: every row has exactly the same nonzero count.
-    let nnz_per_row = (k as f64 * (1.0 - sparsity)) as usize;
-    let balanced = gen::balanced(m, k, nnz_per_row, 0x7fb);
-    let cfg = SpmmConfig::heuristic::<f32>(n);
-    let base = sputnik::spmm_profile::<f32>(&gpu, &balanced, k, n, cfg);
-    // Normalize per useful FLOP so that small nnz drift in the generator
-    // does not masquerade as a throughput change.
-    let base_eff = base.flops as f64 / base.time_us;
-
-    let covs: Vec<f64> = if has_flag("--quick") {
-        vec![0.0, 0.3, 0.8, 1.5]
-    } else {
-        vec![0.0, 0.1, 0.2, 0.3, 0.5, 0.7, 0.9, 1.1, 1.3, 1.5, 1.7]
-    };
-
-    let mut table = Table::new(
-        "Figure 7 — throughput vs row-length CoV (8192/2048/128, 75% sparse)",
-        &[
-            "target CoV",
-            "achieved CoV",
-            "row swizzle",
-            "standard order",
-        ],
-    );
-    let mut points = Vec::new();
-    for &cov in &covs {
-        let a = gen::with_cov(m, k, sparsity, cov, 0x7fb1 + (cov * 100.0) as u64);
-        let achieved = stats::matrix_stats(&a).row_cov;
-        let with = sputnik::spmm_profile::<f32>(&gpu, &a, k, n, cfg);
-        let without = sputnik::spmm_profile::<f32>(
-            &gpu,
-            &a,
-            k,
-            n,
-            SpmmConfig {
-                row_swizzle: false,
-                ..cfg
-            },
-        );
-        let swizzle_pct = 100.0 * (with.flops as f64 / with.time_us) / base_eff;
-        let standard_pct = 100.0 * (without.flops as f64 / without.time_us) / base_eff;
-        table.row(&[
-            format!("{cov:.1}"),
-            format!("{achieved:.2}"),
-            format!("{swizzle_pct:.1}%"),
-            format!("{standard_pct:.1}%"),
-        ]);
-        points.push(Point {
-            swizzle_pct,
-            standard_pct,
-        });
-    }
-    table.print();
-    println!("(100% = throughput on a perfectly balanced matrix; DNN average CoV ~0.3)");
-    if let Some(last) = points.last() {
-        println!(
-            "At the highest imbalance: swizzle retains {:.1}% (paper: 96.5%), standard {:.1}% (paper: 47.5%)",
-            last.swizzle_pct, last.standard_pct
-        );
-    }
+    paper::fig07_load_balance(&mut BenchRecord::new("paper"));
 }

@@ -1,97 +1,83 @@
-//! Run every experiment of the paper in sequence (the full reproduction).
+//! Run every experiment of the paper in paper order and record their
+//! headline fields, each beside the paper's value, in `BENCH_paper.json`.
 //!
 //! ```bash
 //! cargo run -p sputnik-bench --release --bin reproduce_all            # default scale
 //! cargo run -p sputnik-bench --release --bin reproduce_all -- --quick # smoke test
+//! cargo run -p sputnik-bench --release --bin reproduce_all -- --check BENCH_paper.json
 //! ```
 //!
-//! Each experiment binary can also be run individually; this driver simply
-//! executes them in paper order, forwarding `--quick`/`--full`.
+//! The committed record is the default grid's, and the record carries the
+//! grid it ran on, so `--check` fails on any other grid. `--check` reads the
+//! baseline before overwriting it and fails on any gate: a simulated field
+//! that no longer matches the baseline, or a paper shape claim out of its
+//! bounds (see `sputnik_bench::paper`).
 
-use std::process::Command;
+use sputnik_bench::gate::{BenchRecord, Gate};
+use sputnik_bench::{grid_label, paper};
 
 fn main() {
-    let forward: Vec<String> = std::env::args()
-        .skip(1)
-        .filter(|a| a == "--quick" || a == "--full")
-        .collect();
-    let experiments = [
+    let experiments: [(&str, paper::Experiment); 14] = [
         (
-            "fig01_lstm_crossover",
             "Figure 1: LSTM sparse/dense crossover",
+            paper::fig01_lstm_crossover,
         ),
         (
-            "fig02_matrix_stats",
             "Figure 2: DL vs scientific matrix statistics",
+            paper::fig02_matrix_stats,
         ),
-        ("fig07_load_balance", "Figure 7: row-swizzle load balancing"),
         (
-            "fig09_dataset_benchmark",
+            "Figure 7: row-swizzle load balancing",
+            paper::fig07_load_balance,
+        ),
+        (
             "Figure 9 + Table I: corpus benchmark",
+            paper::fig09_dataset_benchmark,
         ),
         (
-            "fig10_rnn_comparison",
             "Figure 10: RNN suite vs MergeSpmm/ASpT/cuSPARSE",
+            paper::fig10_rnn_comparison,
         ),
-        ("table02_ablation", "Table II: optimization ablations"),
+        ("Table II: optimization ablations", paper::table02_ablation),
         (
-            "fig11_attention_mask",
             "Figure 11: sparse attention connectivity",
+            paper::fig11_attention_mask,
         ),
-        ("table03_transformer", "Table III: sparse Transformer"),
+        ("Table III: sparse Transformer", paper::table03_transformer),
         (
-            "table04_mobilenet",
             "Table IV + Figure 12: sparse MobileNetV1",
+            paper::table04_mobilenet,
         ),
         (
-            "ext_block_sparse",
             "Extension: structured vs unstructured sparsity",
+            paper::ext_block_sparse,
         ),
         (
-            "ext_heuristic_study",
             "Extension: kernel-selection heuristic quality",
+            paper::ext_heuristic_study,
         ),
-        ("ext_roma_study", "Extension: ROMA vs explicit padding"),
-        ("ext_resnet", "Extension: end-to-end sparse ResNet-50"),
+        ("Extension: ROMA vs explicit padding", paper::ext_roma_study),
         (
-            "ext_devices",
-            "Extension: device transport (1080/V100/A100)",
-        ),
-        (
-            "ext_load_balancing",
             "Extension: load-balancing approaches head to head",
+            paper::ext_load_balancing,
         ),
         (
-            "ext_training",
             "Extension: training-step cost on compressed weights",
+            paper::ext_training,
         ),
     ];
 
-    let exe_dir = std::env::current_exe()
-        .ok()
-        .and_then(|p| p.parent().map(|d| d.to_path_buf()))
-        .unwrap_or_else(|| panic!("cannot resolve the benchmark executable directory"));
-
-    let mut failures = Vec::new();
-    for (bin, title) in experiments {
+    let mut record = BenchRecord::new("paper");
+    record
+        .text("grid", grid_label())
+        .gate("grid", Gate::MatchBaseline);
+    for (title, run) in experiments {
         println!("\n############################################################");
         println!("## {title}");
         println!("############################################################");
-        let status = Command::new(exe_dir.join(bin))
-            .args(&forward)
-            .status()
-            .unwrap_or_else(|e| panic!("failed to spawn {bin}: {e}"));
-        if !status.success() {
-            eprintln!("!! {bin} exited with {status}");
-            failures.push(bin);
-        }
+        run(&mut record);
     }
-
     println!("\n############################################################");
-    if failures.is_empty() {
-        println!("## All {} experiments completed", experiments.len());
-    } else {
-        println!("## FAILED: {failures:?}");
-        std::process::exit(1);
-    }
+    println!("## All {} experiments completed", experiments.len());
+    record.finish();
 }

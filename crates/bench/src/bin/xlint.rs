@@ -3,7 +3,7 @@
 //!
 //! No `syn` in the vendored dependency set, so this is a lexical pass: each
 //! source file is stripped of comments, string literals, and char literals
-//! by a small state machine, then scanned line by line. Four rules:
+//! by a small state machine, then scanned line by line. Five rules:
 //!
 //! * `sim-clock` — the simulated-clock crates (`gpu-sim`, `serve`) and
 //!   the fleet-facing modules that schedule against the simulated stream
@@ -34,6 +34,11 @@
 //!   the process: it forces tests that need exact deltas into binaries of
 //!   their own and serialises work that could run side by side. A
 //!   `thread_local!` is per-thread and stays allowed.
+//! * `experiment-record` — every experiment bin
+//!   (`crates/bench/src/bin/{fig,table,ext}*.rs`) must call the
+//!   `sputnik_bench::paper` function of its own name, and `reproduce_all`
+//!   must list that function. An experiment that bypasses either prints
+//!   numbers no gate in `BENCH_paper.json` protects.
 //!
 //! Exit status 1 with one line per finding; 0 on a clean tree. Run from
 //! the repo root (CI does).
@@ -383,6 +388,36 @@ fn unregistered_kernels(stripped: &str, stripped_registry: &str) -> Vec<String> 
         .collect()
 }
 
+/// Rule `experiment-record`: whether the (stripped) source names
+/// `paper::<name>` as a whole token, so `paper::fig01` does not count as
+/// `paper::fig01_lstm_crossover` nor the reverse.
+fn names_paper_fn(stripped: &str, name: &str) -> bool {
+    let token = format!("paper::{name}");
+    let is_ident = |c: char| c.is_alphanumeric() || c == '_';
+    stripped.match_indices(token.as_str()).any(|(i, _)| {
+        !stripped[..i].ends_with(is_ident) && !stripped[i + token.len()..].starts_with(is_ident)
+    })
+}
+
+/// Rule `experiment-record`: the findings for the experiment bin `stem`,
+/// given its (stripped) source and `reproduce_all`'s.
+fn experiment_record_gaps(stem: &str, stripped_bin: &str, stripped_listing: &str) -> Vec<String> {
+    let mut gaps = Vec::new();
+    if !names_paper_fn(stripped_bin, stem) {
+        gaps.push(format!(
+            "does not call `sputnik_bench::paper::{stem}`: the experiment bypasses \
+             the library function reproduce_all records and gates"
+        ));
+    }
+    if !names_paper_fn(stripped_listing, stem) {
+        gaps.push(format!(
+            "`paper::{stem}` is not in reproduce_all's list: its headline fields \
+             never reach BENCH_paper.json"
+        ));
+    }
+    gaps
+}
+
 fn main() {
     let root = Path::new(".");
     if !root.join("crates").is_dir() {
@@ -397,6 +432,10 @@ fn main() {
     let registry_text = std::fs::read_to_string(&registry_path)
         .unwrap_or_else(|e| panic!("xlint: cannot read {}: {e}", registry_path.display()));
     let registry_stripped = strip(&registry_text);
+    let listing_path = root.join("crates/bench/src/bin/reproduce_all.rs");
+    let listing_text = std::fs::read_to_string(&listing_path)
+        .unwrap_or_else(|e| panic!("xlint: cannot read {}: {e}", listing_path.display()));
+    let listing_stripped = strip(&listing_text);
 
     let mut findings = Findings(Vec::new());
     let mut unregistered: Vec<(PathBuf, String)> = Vec::new();
@@ -429,6 +468,15 @@ fn main() {
             lint_raw_ptr(path, &stripped, &mut findings);
         }
 
+        if rel.contains("crates/bench/src/bin/") {
+            let stem = path.file_stem().and_then(|f| f.to_str()).unwrap_or("");
+            if ["fig", "table", "ext"].iter().any(|p| stem.starts_with(p)) {
+                for gap in experiment_record_gaps(stem, &stripped, &listing_stripped) {
+                    findings.push(path, 0, "experiment-record", &gap);
+                }
+            }
+        }
+
         if rel.contains("/src/") {
             for ty in unregistered_kernels(&stripped, &registry_stripped) {
                 unregistered.push((path.clone(), ty));
@@ -449,7 +497,10 @@ fn main() {
     }
 
     if findings.0.is_empty() {
-        println!("xlint: {checked} files clean (sim-clock, raw-ptr-write, kernel-registry, global-state)");
+        println!(
+            "xlint: {checked} files clean (sim-clock, raw-ptr-write, kernel-registry, \
+             global-state, experiment-record)"
+        );
         return;
     }
     for f in &findings.0 {
@@ -591,5 +642,35 @@ mod tests {
         let src = "pub trait Kernel {\n    fn block_signature(&self, _b: Dim3) -> Option<u64> { None }\n}\n\
                    #[cfg(test)]\nmod tests {\n    impl Kernel for Probe {\n        fn block_signature(&self, b: Dim3) -> Option<u64> { None }\n    }\n}\n";
         assert!(kernel_impl_types(&strip(src)).is_empty());
+    }
+
+    #[test]
+    fn experiment_bins_must_call_the_library_and_be_listed() {
+        let listing = strip(
+            "let experiments = [(\"Figure 1\", paper::fig01_lstm_crossover)];\n\
+             // paper::ext_unlisted is only mentioned in a comment.\n",
+        );
+        let listed = strip(
+            "use sputnik_bench::{gate::BenchRecord, paper};\n\
+             fn main() { paper::fig01_lstm_crossover(&mut BenchRecord::new(\"paper\")); }\n",
+        );
+        assert!(experiment_record_gaps("fig01_lstm_crossover", &listed, &listing).is_empty());
+
+        // An unlisted bin: it calls its function, but reproduce_all names it
+        // only in a comment.
+        let unlisted = strip("fn main() { paper::ext_unlisted(&mut record()); }\n");
+        let gaps = experiment_record_gaps("ext_unlisted", &unlisted, &listing);
+        assert_eq!(gaps.len(), 1, "{gaps:?}");
+        assert!(gaps[0].contains("not in reproduce_all's list"), "{gaps:?}");
+
+        // A bin that bypasses the library: it prints its own numbers, and a
+        // longer function name sharing the prefix does not count.
+        let bypass = strip(
+            "fn main() { println!(\"paper::fig01_lstm_crossover\"); \
+             paper::fig01_lstm_crossover_v2(&mut record()); }\n",
+        );
+        let gaps = experiment_record_gaps("fig01_lstm_crossover", &bypass, &listing);
+        assert_eq!(gaps.len(), 1, "{gaps:?}");
+        assert!(gaps[0].contains("bypasses"), "{gaps:?}");
     }
 }

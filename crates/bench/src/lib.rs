@@ -1,11 +1,14 @@
 //! # sputnik-bench — the experiment harness
 //!
-//! One binary per table/figure of the paper (see DESIGN.md's per-experiment
-//! index), plus shared reporting helpers. Each binary prints the same rows
-//! or series the paper reports. The bench-gate bins also write
-//! `BENCH_*.json` through [`gate::BenchRecord`], which needs no serializer.
+//! One function per table/figure of the paper in [`paper`] (see DESIGN.md's
+//! per-experiment index), each with a thin binary, plus shared reporting
+//! helpers. Each experiment prints the same rows or series the paper
+//! reports; `reproduce_all` records their headlines in `BENCH_paper.json`.
+//! The bench-gate bins write their `BENCH_*.json` through the same
+//! [`gate::BenchRecord`], which needs no serializer.
 
 pub mod gate;
+pub mod paper;
 pub mod registry;
 pub mod report;
 

@@ -10,6 +10,7 @@
 
 use crate::config::SpmmConfig;
 use crate::spmm;
+use gpu_sim::trace::{parse_json, Json};
 use gpu_sim::{Gpu, LaunchCache};
 use serde::{Deserialize, Serialize};
 use sparse::{CsrMatrix, IndexWidth, Scalar};
@@ -178,8 +179,8 @@ impl AutoTuner {
 
     /// Persist the memo table as JSON lines: a versioned header object
     /// followed by one flat entry object per problem class, sorted for
-    /// deterministic output. (Hand-rolled writer/reader — the flat format
-    /// needs no general JSON machinery.)
+    /// deterministic output. (Hand-rolled writer; [`Self::load_from`] reads
+    /// it back with the simulator's JSON parser.)
     pub fn save_to(&self, path: impl AsRef<Path>) -> io::Result<()> {
         let path = path.as_ref();
         if let Some(dir) = path.parent() {
@@ -240,11 +241,13 @@ impl AutoTuner {
         let header = lines
             .next()
             .ok_or_else(|| bad("empty autotune cache file".into()))??;
-        let version = json_u64(&header, "version")
+        let fields = parse_json(&header).ok();
+        let version = fields
+            .as_ref()
+            .and_then(|h| count::<u32>(h, "version"))
             .ok_or_else(|| bad("autotune cache header missing version".into()))?;
-        if version != u64::from(Self::CACHE_FORMAT_VERSION)
-            || json_raw(&header, "kind") != Some(&format!("\"{}\"", Self::CACHE_KIND))
-        {
+        let kind = fields.as_ref().and_then(|h| h.get("kind")?.as_str());
+        if version != Self::CACHE_FORMAT_VERSION || kind != Some(Self::CACHE_KIND) {
             return Err(bad(format!(
                 "autotune cache header {header:?} does not match version {} kind {}",
                 Self::CACHE_FORMAT_VERSION,
@@ -265,58 +268,56 @@ impl AutoTuner {
     }
 }
 
-/// The raw text of `"key":<value>` in a flat one-line JSON object.
-fn json_raw<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let pat = format!("\"{key}\":");
-    let start = line.find(&pat)? + pat.len();
-    let rest = &line[start..];
-    let end = rest.find([',', '}'])?;
-    Some(rest[..end].trim())
+/// The non-negative integer at `key` of a parsed cache line, as `T`: a
+/// missing key, a non-number, or a negative, fractional or out-of-range
+/// count reads as `None`.
+fn count<T: TryFrom<u64>>(line: &Json, key: &str) -> Option<T> {
+    let v = line.get(key)?.as_num()?;
+    if v < 0.0 || v.fract() != 0.0 || v > u64::MAX as f64 {
+        return None;
+    }
+    T::try_from(v as u64).ok()
 }
 
-fn json_u64(line: &str, key: &str) -> Option<u64> {
-    json_raw(line, key)?.parse().ok()
+fn flag(line: &Json, key: &str) -> Option<bool> {
+    match line.get(key)? {
+        Json::Bool(b) => Some(*b),
+        _ => None,
+    }
 }
 
-fn json_f64(line: &str, key: &str) -> Option<f64> {
-    json_raw(line, key)?.parse().ok()
-}
-
-fn json_bool(line: &str, key: &str) -> Option<bool> {
-    json_raw(line, key)?.parse().ok()
-}
-
-fn parse_entry(line: &str) -> Option<(ProblemClass, TuneResult)> {
+fn parse_entry(text: &str) -> Option<(ProblemClass, TuneResult)> {
+    let line = parse_json(text).ok()?;
     let class = ProblemClass {
-        m_pow2: json_u64(line, "m_pow2")? as u32,
-        k_pow2: json_u64(line, "k_pow2")? as u32,
-        n_pow2: json_u64(line, "n_pow2")? as u32,
-        sparsity_bucket: u8::try_from(json_u64(line, "sparsity_bucket")?).ok()?,
+        m_pow2: count(&line, "m_pow2")?,
+        k_pow2: count(&line, "k_pow2")?,
+        n_pow2: count(&line, "n_pow2")?,
+        sparsity_bucket: count(&line, "sparsity_bucket")?,
     };
-    let index_width = match json_u64(line, "index_bytes")? {
+    let index_width = match count::<u64>(&line, "index_bytes")? {
         2 => IndexWidth::U16,
         4 => IndexWidth::U32,
         _ => return None,
     };
     let config = SpmmConfig {
-        block_items_y: json_u64(line, "block_items_y")? as u32,
-        block_items_k: json_u64(line, "block_items_k")? as u32,
-        block_items_x: json_u64(line, "block_items_x")? as u32,
-        vector_width: json_u64(line, "vector_width")? as u32,
-        row_swizzle: json_bool(line, "row_swizzle")?,
-        roma: json_bool(line, "roma")?,
-        index_prescale: json_bool(line, "index_prescale")?,
-        residue_unroll: json_bool(line, "residue_unroll")?,
+        block_items_y: count(&line, "block_items_y")?,
+        block_items_k: count(&line, "block_items_k")?,
+        block_items_x: count(&line, "block_items_x")?,
+        vector_width: count(&line, "vector_width")?,
+        row_swizzle: flag(&line, "row_swizzle")?,
+        roma: flag(&line, "roma")?,
+        index_prescale: flag(&line, "index_prescale")?,
+        residue_unroll: flag(&line, "residue_unroll")?,
         index_width,
-        fused_bias_relu: json_bool(line, "fused_bias_relu")?,
-        assume_aligned: json_bool(line, "assume_aligned")?,
+        fused_bias_relu: flag(&line, "fused_bias_relu")?,
+        assume_aligned: flag(&line, "assume_aligned")?,
     };
     Some((
         class,
         TuneResult {
             config,
-            best_us: json_f64(line, "best_us")?,
-            heuristic_us: json_f64(line, "heuristic_us")?,
+            best_us: line.get("best_us")?.as_num()?,
+            heuristic_us: line.get("heuristic_us")?.as_num()?,
         },
     ))
 }
@@ -391,6 +392,27 @@ mod tests {
         assert_eq!(r1.config, r2.config);
         assert_eq!(r1.best_us, r2.best_us);
         assert_eq!(r1.heuristic_us, r2.heuristic_us);
+
+        // A fractional, negative, out-of-range or mistyped value, or a
+        // missing key, makes the entry malformed.
+        let text = std::fs::read_to_string(&path).unwrap();
+        let set = |key: &str, value: &str| {
+            let start = text.find(&format!("\"{key}\":")).unwrap();
+            let end = start + text[start..].find(',').unwrap();
+            format!("{}\"{key}\":{value}{}", &text[..start], &text[end..])
+        };
+        for corrupt in [
+            set("block_items_y", "1.5"),
+            set("sparsity_bucket", "-3"),
+            set("m_pow2", "4294967296"),
+            set("roma", "1"),
+            text.replacen("\"roma\":", "\"romb\":", 1),
+        ] {
+            std::fs::write(&path, &corrupt).unwrap();
+            let err = AutoTuner::load_from(&path).unwrap_err();
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{corrupt}");
+            assert!(err.to_string().contains("line 2"), "{err}");
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -408,6 +430,12 @@ mod tests {
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
         std::fs::write(&path, "{\"version\":1,\"kind\":\"something_else\"}\n").unwrap();
         assert!(AutoTuner::load_from(&path).is_err());
+        for version in ["1.5", "-1", "\"1\""] {
+            let header = format!("{{\"version\":{version},\"kind\":\"sputnik_autotune_cache\"}}\n");
+            std::fs::write(&path, header).unwrap();
+            let err = AutoTuner::load_from(&path).unwrap_err();
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{version}");
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

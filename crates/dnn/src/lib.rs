@@ -14,7 +14,6 @@ pub mod layers;
 pub mod lstm;
 pub mod mobilenet;
 pub mod pruning;
-pub mod resnet;
 pub mod rnn;
 pub mod transformer;
 
@@ -28,6 +27,5 @@ pub use layers::{bias_relu, depthwise_conv, Chw, Linear};
 pub use lstm::{LstmStep, SparseLstmCell};
 pub use mobilenet::MobileNetV1;
 pub use pruning::magnitude_prune;
-pub use resnet::resnet50_convs;
 pub use rnn::{problem_suite, CellKind, RnnProblem};
 pub use transformer::{AttentionMode, TransformerConfig};

@@ -50,18 +50,4 @@ proptest! {
         }
         prop_assert!(b.macs() >= a.macs());
     }
-
-    /// ResNet-50 conv inventory is internally consistent under the matmul
-    /// lowering: positive dims, spatial monotone non-increasing.
-    #[test]
-    fn resnet_inventory_consistent(_x in 0u8..1) {
-        let convs = dnn::resnet50_convs();
-        let mut prev_spatial = usize::MAX;
-        for c in &convs {
-            prop_assert!(c.out_channels > 0 && c.k > 0 && c.spatial > 0);
-            // Spatial never grows through the network (stem aside).
-            prop_assert!(c.spatial <= prev_spatial || prev_spatial == usize::MAX);
-            prev_spatial = prev_spatial.min(c.spatial);
-        }
-    }
 }

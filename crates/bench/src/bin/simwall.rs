@@ -19,10 +19,11 @@
 //! times are machine-dependent, so the gates are on ratios — the
 //! quantities the fast path actually controls. The cold/warm speedup fails
 //! when it drops below half the committed baseline's, and the
-//! slowpath/cold speedup fails below 1.0, which guards `SpmmKernel`'s
-//! profile dedup on this corpus sweep: SDDMM carries no block signature, so
-//! its time is the same in both passes. The other signatures are not gated
-//! here.
+//! slowpath/cold speedup fails below 1.0. The sweep's two halves are also
+//! timed apart: `spmm_dedup_speedup` and `sddmm_dedup_speedup` (each
+//! family's slowpath over cold wall time) fail below 1.0, so each of
+//! `SpmmKernel`'s and `SddmmKernel`'s profile dedup must pay on its own.
+//! The other signatures are not gated here.
 
 // Wall-timing bin: reading the host clock is the whole point here, and is
 // exactly what `clippy.toml` bans inside simulated-clock code.
@@ -39,37 +40,50 @@ use std::time::Instant;
 /// sink `cold_warm_speedup`.
 const WARM_SWEEPS: usize = 5;
 
-/// One full sweep over the corpus; returns the accumulated summary.
+/// Wall milliseconds since `t`.
+fn ms_since(t: Instant) -> f64 {
+    t.elapsed().as_secs_f64() * 1e3
+}
+
+/// One full sweep over the corpus: the accumulated summary, plus the wall
+/// milliseconds spent in its SpMM and in its SDDMM launches.
 fn sweep(
     gpu: &Gpu,
     cache: Option<&LaunchCache>,
     problems: &[(ProblemSpec, sparse::CsrMatrix<f32>)],
-) -> LaunchSummary {
+) -> (LaunchSummary, [f64; 2]) {
     let mut summary = LaunchSummary::default();
+    let mut family_ms = [0.0; 2];
     for (spec, a) in problems {
         let (inference, training) = spec.batch_sizes();
         for batch in [inference, training] {
             let n = spec.n(batch);
             let spmm_cfg = SpmmConfig::heuristic::<f32>(n);
             let sddmm_cfg = SddmmConfig::heuristic::<f32>(n);
+            let t = Instant::now();
             match cache {
                 Some(lc) => {
                     let (s, hit) =
                         sputnik::spmm_profile_cached::<f32>(gpu, lc, a, spec.cols, n, spmm_cfg);
                     summary.add_cached(&s, hit);
+                }
+                None => summary.add(&sputnik::spmm_profile::<f32>(
+                    gpu, a, spec.cols, n, spmm_cfg,
+                )),
+            }
+            family_ms[0] += ms_since(t);
+            let t = Instant::now();
+            match cache {
+                Some(lc) => {
                     let (s, hit) = sputnik::sddmm_profile_cached::<f32>(gpu, lc, a, n, sddmm_cfg);
                     summary.add_cached(&s, hit);
                 }
-                None => {
-                    summary.add(&sputnik::spmm_profile::<f32>(
-                        gpu, a, spec.cols, n, spmm_cfg,
-                    ));
-                    summary.add(&sputnik::sddmm_profile::<f32>(gpu, a, n, sddmm_cfg));
-                }
+                None => summary.add(&sputnik::sddmm_profile::<f32>(gpu, a, n, sddmm_cfg)),
             }
+            family_ms[1] += ms_since(t);
         }
     }
-    summary
+    (summary, family_ms)
 }
 
 fn main() {
@@ -88,21 +102,21 @@ fn main() {
     // Pass 1: the pre-fast-path engine (no dedup, no cache).
     let slow_gpu = Gpu::v100().with_block_dedup(false);
     let t = Instant::now();
-    let slow = sweep(&slow_gpu, None, &problems);
-    let slowpath_ms = t.elapsed().as_secs_f64() * 1e3;
+    let (slow, slow_family_ms) = sweep(&slow_gpu, None, &problems);
+    let slowpath_ms = ms_since(t);
 
     // Pass 2 + 3: fast path, cold then warm.
     let gpu = Gpu::v100();
     let cache = LaunchCache::new();
     let t = Instant::now();
-    let cold = sweep(&gpu, Some(&cache), &problems);
-    let cold_ms = t.elapsed().as_secs_f64() * 1e3;
+    let (cold, cold_family_ms) = sweep(&gpu, Some(&cache), &problems);
+    let cold_ms = ms_since(t);
     let mut warm_ms = f64::INFINITY;
     let mut warm = LaunchSummary::default();
     for _ in 0..WARM_SWEEPS {
         let t = Instant::now();
-        warm = sweep(&gpu, Some(&cache), &problems);
-        warm_ms = warm_ms.min(t.elapsed().as_secs_f64() * 1e3);
+        warm = sweep(&gpu, Some(&cache), &problems).0;
+        warm_ms = warm_ms.min(ms_since(t));
         // The fast path must not change simulated results: every warm sweep
         // replays exactly the cold pass's stats.
         assert_eq!(cold.time_us, warm.time_us, "cache replay changed results");
@@ -115,6 +129,7 @@ fn main() {
 
     let cold_warm = cold_ms / warm_ms.max(1e-9);
     let slow_cold = slowpath_ms / cold_ms.max(1e-9);
+    let [spmm_dedup, sddmm_dedup] = [0, 1].map(|f| slow_family_ms[f] / cold_family_ms[f].max(1e-9));
 
     let mut t = Table::new(
         "simwall — simulator wall-clock (fig09-style sweep)",
@@ -140,6 +155,7 @@ fn main() {
     ]);
     t.print();
     println!("cold -> warm speedup: {cold_warm:.1}x   slowpath -> cold: {slow_cold:.2}x");
+    println!("dedup speedup per family: spmm {spmm_dedup:.2}x   sddmm {sddmm_dedup:.2}x");
 
     BenchRecord::new("simwall")
         .text("grid", grid)
@@ -150,9 +166,13 @@ fn main() {
         .float("warm_ms", warm_ms, 3)
         .float("cold_warm_speedup", cold_warm, 3)
         .float("slowpath_cold_speedup", slow_cold, 3)
+        .float("spmm_dedup_speedup", spmm_dedup, 3)
+        .float("sddmm_dedup_speedup", sddmm_dedup, 3)
         .int("cache_hits_warm", warm.cache_hits)
         .int("cache_misses_cold", cold.cache_misses)
         .gate("cold_warm_speedup", Gate::AtLeastBaseline(0.5))
         .gate("slowpath_cold_speedup", Gate::AtLeast(1.0))
+        .gate("spmm_dedup_speedup", Gate::AtLeast(1.0))
+        .gate("sddmm_dedup_speedup", Gate::AtLeast(1.0))
         .finish();
 }

@@ -183,22 +183,37 @@ impl BenchRecord {
 
     fn evaluate(&self, key: &str, gate: Gate, base: &str, path: &str) -> Result<(), String> {
         match gate {
-            Gate::Exact(want) => require_exact(key, &want.to_string(), self.value(key)?),
+            Gate::Exact(want) => require_exact(
+                key,
+                ("required", &want.to_string()),
+                self.value(key)?,
+                "must equal the value the bench fixes in code",
+            ),
             Gate::MatchBaseline => match json_raw(base, key) {
-                Some(raw) => require_exact(key, raw, self.value(key)?),
+                Some(raw) => require_exact(
+                    key,
+                    ("baseline", raw),
+                    self.value(key)?,
+                    "must match the committed baseline exactly (regenerate it if this change \
+                     is intended)",
+                ),
                 None => Err(format!("no {key} in baseline {path}")),
             },
-            Gate::AtLeast(floor) => require_not_below(key, floor, self.num_value(key)?, 1.0),
-            Gate::AtMost(ceiling) => require_not_above(key, ceiling, self.num_value(key)?, 1.0),
+            Gate::AtLeast(floor) => {
+                require_not_below(key, ("floor", floor), self.num_value(key)?, 1.0)
+            }
+            Gate::AtMost(ceiling) => {
+                require_not_above(key, ("ceiling", ceiling), self.num_value(key)?, 1.0)
+            }
             Gate::AtLeastBaseline(frac) => require_not_below(
                 key,
-                metric_f64(base, key, path)?,
+                ("baseline", metric_f64(base, key, path)?),
                 self.num_value(key)?,
                 frac,
             ),
             Gate::AtMostBaseline(headroom, baseline_floor) => require_not_above(
                 key,
-                metric_f64(base, key, path)?.max(baseline_floor),
+                ("baseline", metric_f64(base, key, path)?.max(baseline_floor)),
                 self.num_value(key)?,
                 headroom,
             ),
@@ -228,82 +243,82 @@ fn metric_f64(text: &str, key: &str, path: &str) -> Result<f64, String> {
         .ok_or_else(|| format!("no {key} in baseline {path}"))
 }
 
-/// Render the standard failure line: metric, baseline, observed, delta.
-fn describe(metric: &str, baseline: f64, observed: f64, requirement: &str) -> String {
-    let delta = if baseline != 0.0 {
-        format!("{:+.1}%", (observed - baseline) / baseline * 100.0)
+/// Render the standard failure line: metric, the named reference value
+/// (the baseline, or a floor or ceiling fixed in code), observed, delta.
+fn describe(
+    metric: &str,
+    (label, reference): (&str, f64),
+    observed: f64,
+    requirement: &str,
+) -> String {
+    let delta = if reference != 0.0 {
+        format!("{:+.1}%", (observed - reference) / reference * 100.0)
     } else if observed == 0.0 {
         "+0.0%".to_string()
     } else {
         "+inf%".to_string()
     };
     format!(
-        "metric {metric}: baseline {baseline:.4}, observed {observed:.4}, \
+        "metric {metric}: {label} {reference:.4}, observed {observed:.4}, \
          delta {delta} — {requirement}"
     )
 }
 
-/// Gate: `observed` may not exceed `baseline * headroom`.
+/// Gate: `observed` may not exceed `headroom` times the reference.
 fn require_not_above(
     metric: &str,
-    baseline: f64,
+    reference: (&str, f64),
     observed: f64,
     headroom: f64,
 ) -> Result<(), String> {
-    if observed > baseline * headroom {
-        return Err(describe(
-            metric,
-            baseline,
-            observed,
-            &format!("must stay <= {:.1}x the baseline", headroom),
-        ));
+    if observed > reference.1 * headroom {
+        let requirement = format!("must stay <= {headroom:.1}x the {}", reference.0);
+        return Err(describe(metric, reference, observed, &requirement));
     }
     Ok(())
 }
 
-/// Gate: `observed` may not fall below `baseline * floor_frac`.
+/// Gate: `observed` may not fall below `floor_frac` times the reference.
 fn require_not_below(
     metric: &str,
-    baseline: f64,
+    reference: (&str, f64),
     observed: f64,
     floor_frac: f64,
 ) -> Result<(), String> {
-    if observed < baseline * floor_frac {
-        return Err(describe(
-            metric,
-            baseline,
-            observed,
-            &format!("must stay >= {:.2}x the baseline", floor_frac),
-        ));
+    if observed < reference.1 * floor_frac {
+        let requirement = format!("must stay >= {floor_frac:.2}x the {}", reference.0);
+        return Err(describe(metric, reference, observed, &requirement));
     }
     Ok(())
 }
 
-/// Gate: the run's rendered value must equal `baseline` as written
-/// (deterministic counters, fixed-decimal floats).
-fn require_exact(metric: &str, baseline: &str, observed: &Value) -> Result<(), String> {
+/// Gate: the run's rendered value must equal the reference's text as
+/// written (deterministic counters, fixed-decimal floats).
+fn require_exact(
+    metric: &str,
+    (label, want): (&str, &str),
+    observed: &Value,
+    requirement: &str,
+) -> Result<(), String> {
     let observed = observed.to_string();
-    if observed == baseline {
+    if observed == want {
         return Ok(());
     }
-    let delta = match (baseline.parse::<f64>(), observed.parse::<f64>()) {
+    let delta = match (want.parse::<f64>(), observed.parse::<f64>()) {
         (Ok(b), Ok(o)) if b != 0.0 => format!(", delta {:+.1}%", (o - b) / b * 100.0),
         _ => String::new(),
     };
     Err(format!(
-        "metric {metric}: baseline {baseline}, observed {observed}{delta} — must match the \
-         committed baseline exactly (regenerate it if this change is intended)"
+        "metric {metric}: {label} {want}, observed {observed}{delta} — {requirement}"
     ))
 }
 
 /// Gate: `observed` must be nonzero (liveness counters, e.g. cache hits).
 fn require_nonzero(metric: &str, observed: f64) -> Result<(), String> {
     if observed == 0.0 {
-        return Err(describe(
-            metric,
-            1.0,
-            0.0,
-            "must stay nonzero (the mechanism it counts stopped firing)",
+        return Err(format!(
+            "metric {metric}: observed 0 — must stay nonzero (the mechanism it counts \
+             stopped firing)"
         ));
     }
     Ok(())
@@ -315,7 +330,8 @@ mod tests {
 
     #[test]
     fn failure_names_metric_and_delta() {
-        let err = require_not_above("allocs_per_launch", 10.0, 26.0, 1.25).unwrap_err();
+        let err =
+            require_not_above("allocs_per_launch", ("baseline", 10.0), 26.0, 1.25).unwrap_err();
         assert!(err.contains("allocs_per_launch"), "{err}");
         assert!(err.contains("10.0000"), "{err}");
         assert!(err.contains("26.0000"), "{err}");
@@ -324,17 +340,72 @@ mod tests {
 
     #[test]
     fn gates_pass_within_headroom() {
-        assert!(require_not_above("m", 10.0, 12.0, 1.25).is_ok());
-        assert!(require_not_below("m", 10.0, 6.0, 0.5).is_ok());
-        assert!(require_exact("m", "5", &Value::Int(5)).is_ok());
+        assert!(require_not_above("m", ("baseline", 10.0), 12.0, 1.25).is_ok());
+        assert!(require_not_below("m", ("baseline", 10.0), 6.0, 0.5).is_ok());
+        assert!(require_exact("m", ("baseline", "5"), &Value::Int(5), "").is_ok());
         assert!(require_nonzero("m", 1.0).is_ok());
     }
 
     #[test]
     fn exact_gate_reports_drift() {
-        let err = require_exact("launches", "100", &Value::Int(101)).unwrap_err();
+        let err = require_exact(
+            "launches",
+            ("baseline", "100"),
+            &Value::Int(101),
+            "must match",
+        )
+        .unwrap_err();
         assert!(err.contains("launches"), "{err}");
-        assert!(err.contains("regenerate"), "{err}");
+        assert!(
+            err.contains("baseline 100, observed 101, delta +1.0%"),
+            "{err}"
+        );
+    }
+
+    /// Each gate's failure text names what it compares against, and only
+    /// `MatchBaseline`, whose reference is the committed file, advises
+    /// regenerating that file.
+    #[test]
+    fn each_gate_names_its_reference() {
+        let base = "{\n  \"m\": 10\n}\n";
+        let mut r = BenchRecord::new("t");
+        r.int("m", 4);
+        let text = |gate| r.evaluate("m", gate, base, "p").unwrap_err();
+        assert_eq!(
+            text(Gate::Exact(5)),
+            "metric m: required 5, observed 4, delta -20.0% — must equal the value the bench \
+             fixes in code"
+        );
+        assert_eq!(
+            text(Gate::MatchBaseline),
+            "metric m: baseline 10, observed 4, delta -60.0% — must match the committed \
+             baseline exactly (regenerate it if this change is intended)"
+        );
+        assert_eq!(
+            text(Gate::AtLeast(5.0)),
+            "metric m: floor 5.0000, observed 4.0000, delta -20.0% — must stay >= 1.00x the floor"
+        );
+        assert_eq!(
+            text(Gate::AtMost(2.0)),
+            "metric m: ceiling 2.0000, observed 4.0000, delta +100.0% — must stay <= 1.0x the \
+             ceiling"
+        );
+        assert_eq!(
+            text(Gate::AtLeastBaseline(0.5)),
+            "metric m: baseline 10.0000, observed 4.0000, delta -60.0% — must stay >= 0.50x the \
+             baseline"
+        );
+        assert_eq!(
+            text(Gate::AtMostBaseline(0.2, 15.0)),
+            "metric m: baseline 15.0000, observed 4.0000, delta -73.3% — must stay <= 0.2x the \
+             baseline"
+        );
+        let mut zero = BenchRecord::new("t");
+        zero.int("m", 0);
+        assert_eq!(
+            zero.evaluate("m", Gate::Nonzero, base, "p").unwrap_err(),
+            "metric m: observed 0 — must stay nonzero (the mechanism it counts stopped firing)"
+        );
     }
 
     #[test]

@@ -22,8 +22,11 @@
 
 use baselines::NnzSplitSpmmKernel;
 use gpu_sim::{Gpu, Kernel};
-use sparse::{gen, Matrix, PatternGranularity, PatternLut, RowSwizzle};
-use sputnik::{joint_heuristic, FallbackSpmmKernel, JointSpmmKernel, SddmmConfig, SpmmConfig};
+use sparse::rng::SplitMix64;
+use sparse::{gen, CsrMatrix, Matrix, PatternGranularity, PatternLut, RowSwizzle};
+use sputnik::{
+    joint_heuristic, FallbackSpmmKernel, JointSpmmKernel, SddmmConfig, SddmmKernel, SpmmConfig,
+};
 use sputnik_bench::registry;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -98,6 +101,53 @@ fn large_grid_fastpath_bit_identical() {
             assert!(largest >= *min_group, "{label}: largest group {largest}");
             assert_fastpath_identical(kernel, &label);
         }
+    }
+}
+
+/// A 1250 x 2048 mask whose row 0 holds 1,024 nonzeros and every other row
+/// at most 40, at random sorted columns: the SDDMM grid is 32 strips x
+/// 1250 rows = 40,000 blocks, and most of them exit early.
+fn early_exit_mask() -> CsrMatrix<f32> {
+    let (rows, cols) = (1250, 2048);
+    let mut rng = SplitMix64::new(0xE4E7);
+    let mut offsets = vec![0u32];
+    let mut indices = Vec::new();
+    for r in 0..rows {
+        let len = if r == 0 {
+            1024
+        } else {
+            (rng.next_u64() % 41) as usize
+        };
+        let stride = cols / len.max(1);
+        indices.extend((0..len).map(|i| (i * stride + rng.next_u64() as usize % stride) as u32));
+        offsets.push(indices.len() as u32);
+    }
+    let values = vec![1.0; indices.len()];
+    CsrMatrix::from_parts(rows, cols, offsets, indices, values)
+        .unwrap_or_else(|e| panic!("invalid mask: {e}"))
+}
+
+#[test]
+fn large_grid_sddmm_fastpath_bit_identical() {
+    // The SDDMM grid is (most strips in any row) x rows, so one long row
+    // makes nearly every other block an early exit (paper §VI-A). Dedup
+    // collapses those into a couple of groups; it must still match the
+    // reference and the streaming path bit for bit, with row bytes both a
+    // whole number of sectors (k = 64) and not (k = 37).
+    let mask = early_exit_mask();
+    let working: usize = (0..mask.rows()).map(|r| mask.row_len(r).div_ceil(32)).sum();
+    for (k, swizzle_and_scale) in [(64, false), (37, true)] {
+        let cfg = SddmmConfig {
+            row_swizzle: swizzle_and_scale,
+            scale_by_mask: swizzle_and_scale,
+            ..SddmmConfig::heuristic::<f32>(k)
+        };
+        let swizzle = RowSwizzle::for_config(&mask, cfg.row_swizzle);
+        let kernel = SddmmKernel::<f32>::for_profile(&mask, k, &swizzle, cfg);
+        let blocks = kernel.grid().size() as usize;
+        assert!(blocks >= 40_000, "grid of {blocks} blocks is too small");
+        assert!(working * 2 < blocks, "{working} of {blocks} blocks work");
+        assert_fastpath_identical(&kernel, &format!("{} early-exit k={k}", kernel.name()));
     }
 }
 

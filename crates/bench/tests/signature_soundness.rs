@@ -5,15 +5,16 @@
 //! every dataset-scale sweep.
 //!
 //! Coverage comes from two directions: the shared kernel registry (every
-//! shipped kernel on the deterministic shape grid) and a randomized
-//! Sputnik SpMM sweep (ragged topologies, empty rows, swizzled and
+//! shipped kernel on the deterministic shape grid) and randomized Sputnik
+//! SpMM and SDDMM sweeps (ragged topologies, empty rows, swizzled and
 //! ROMA'd configs — the kernels whose signatures encode the most state).
 
 use gpu_sim::{BlockContext, Kernel};
-use sparse::{gen, Matrix, RowSwizzle};
-use sputnik::{SpmmConfig, SpmmKernel};
+use sparse::rng::SplitMix64;
+use sparse::{gen, CsrMatrix, Half, Matrix, RowSwizzle, Scalar};
+use sputnik::{SddmmConfig, SddmmKernel, SpmmConfig, SpmmKernel};
 use sputnik_bench::registry;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 /// Execute every block of `kernel`, grouping cost traces by signature;
 /// any signature collision with differing costs is a soundness bug.
@@ -86,6 +87,109 @@ fn spmm_signatures_sound_on_random_topologies() {
     }
 }
 
+#[test]
+fn spmm_signatures_sound_on_unaligned_tiles() {
+    // Balanced rows repeat every subwarp's work sizes, so only the address
+    // classes of the 16-byte C tiles tell blocks apart: the strip's
+    // `row * n * eb % 32` (n = 98 at f32: 0, 8, 16 or 24) and the tile's
+    // `n_off * eb % 32` (4-column tiles: 0 or 16). A tile straddles two
+    // sectors when the two sum to 24. One row per block, so no other row's
+    // tile evens out a block's sector count.
+    let (m, k, n) = (64, 64, 98);
+    let a = gen::balanced(m, k, 12, 11);
+    let b = Matrix::<f32>::random(k, n, 12);
+    for accumulate in [false, true] {
+        let cfg = SpmmConfig {
+            block_items_x: 4,
+            block_items_y: 1,
+            ..SpmmConfig::default()
+        };
+        let swizzle = RowSwizzle::for_config(&a, cfg.row_swizzle);
+        let mut out = Matrix::<f32>::zeros(m, n);
+        let kernel = SpmmKernel::try_new(&a, &b, &mut out, &swizzle, cfg)
+            .unwrap_or_else(|e| panic!("spmm construction: {e}"));
+        let kernel = if accumulate {
+            kernel.with_accumulate()
+        } else {
+            kernel
+        };
+        assert_signature_sound(&kernel, &format!("4-column tiles, accumulate {accumulate}"));
+    }
+}
+
+/// A mask whose rows mix empty rows, rows shorter than one 32-wide SDDMM
+/// strip and rows spanning several strips, with random sorted columns.
+fn ragged_mask(rows: usize, cols: usize, seed: u64) -> CsrMatrix<f32> {
+    let mut rng = SplitMix64::new(seed);
+    let mut offsets = vec![0u32];
+    let (mut indices, mut values) = (Vec::new(), Vec::new());
+    for _ in 0..rows {
+        let density = match rng.next_u64() % 4 {
+            0 => 0.0,
+            1 => 0.1 * rng.next_f64(),
+            _ => rng.next_f64(),
+        };
+        for c in 0..cols as u32 {
+            if rng.next_f64() < density {
+                indices.push(c);
+                values.push(1.0 + rng.next_f64() as f32);
+            }
+        }
+        offsets.push(indices.len() as u32);
+    }
+    CsrMatrix::from_parts(rows, cols, offsets, indices, values)
+        .unwrap_or_else(|e| panic!("invalid ragged mask: {e}"))
+}
+
+/// Every SDDMM config of the sweep: the default, the row swizzle, the
+/// general (mask-scaled) form and a narrower strip.
+fn sddmm_configs<T: Scalar>(k: usize) -> [SddmmConfig; 4] {
+    let base = SddmmConfig::heuristic::<T>(k);
+    [
+        base,
+        SddmmConfig {
+            row_swizzle: true,
+            ..base
+        },
+        SddmmConfig {
+            scale_by_mask: true,
+            ..base
+        },
+        SddmmConfig {
+            block_items_x: 16,
+            row_swizzle: true,
+            scale_by_mask: true,
+            ..base
+        },
+    ]
+}
+
+fn assert_sddmm_sound<T: Scalar>(mask: &CsrMatrix<T>, k: usize, context: &str) {
+    for cfg in sddmm_configs::<T>(k) {
+        let swizzle = RowSwizzle::for_config(mask, cfg.row_swizzle);
+        let kernel = SddmmKernel::for_profile(mask, k, &swizzle, cfg);
+        assert_signature_sound(&kernel, &format!("{context} {cfg:?}"));
+    }
+}
+
+#[test]
+fn sddmm_signatures_sound_on_ragged_masks() {
+    // Row bytes `k * eb`: 148 and 48 are not whole sectors, so each RHS row
+    // lands in its own alignment class; 256 and 128 are.
+    for (i, &(rows, cols)) in [(61, 150), (40, 333), (128, 100)].iter().enumerate() {
+        let mask = ragged_mask(rows, cols, 0x5DD + i as u64);
+        assert!((0..rows).any(|r| mask.row_len(r) == 0), "no empty row");
+        assert!(mask.max_row_len() > 64, "no row spans several strips");
+        for k in [37, 64] {
+            assert_sddmm_sound(&mask, k, &format!("f32 ragged {rows}x{cols} k={k}"));
+        }
+        let half = mask.convert::<Half>();
+        for k in [24, 64] {
+            assert_sddmm_sound(&half, k, &format!("f16 ragged {rows}x{cols} k={k}"));
+        }
+    }
+}
+
 /// The replay contract holds end to end: a signature that collides across
 /// blocks must exist somewhere in the sweep, otherwise the test above
 /// never exercised the replay path it protects.
@@ -111,5 +215,43 @@ fn signature_collisions_actually_occur() {
         collisions > 0,
         "no two blocks ever shared a signature — the replay fast path is dead \
          and the soundness sweep is vacuous"
+    );
+}
+
+/// The same for SDDMM, on both sides of its early exit: the surplus blocks
+/// of the over-provisioned grid share signatures, and so do working strips
+/// of equal length in equal alignment classes.
+#[test]
+fn sddmm_signature_collisions_actually_occur() {
+    let mask = ragged_mask(96, 200, 9);
+    let cfg = SddmmConfig::heuristic::<f32>(37);
+    let swizzle = RowSwizzle::for_config(&mask, cfg.row_swizzle);
+    let kernel = SddmmKernel::for_profile(&mask, 37, &swizzle, cfg);
+    let grid = kernel.grid();
+    let mut seen = HashSet::new();
+    let (mut exit_collisions, mut work_collisions) = (0u64, 0u64);
+    for lin in 0..grid.size() {
+        let block = grid.delinearize(lin);
+        let sig = kernel
+            .block_signature(block)
+            .expect("every SDDMM block signs");
+        let mut ctx = BlockContext::new(false);
+        kernel.execute_block(block, &mut ctx);
+        // Only a working block stores outputs.
+        let exits = ctx.cost.st_global_instrs == 0;
+        let repeats = !seen.insert(sig);
+        match (exits, repeats) {
+            (true, true) => exit_collisions += 1,
+            (false, true) => work_collisions += 1,
+            _ => {}
+        }
+    }
+    assert!(
+        exit_collisions > 0,
+        "no two early-exit blocks shared a signature"
+    );
+    assert!(
+        work_collisions > 0,
+        "no two working blocks shared a signature"
     );
 }

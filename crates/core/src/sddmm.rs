@@ -13,6 +13,11 @@
 //! transposed operand and a shared-memory transpose (which would steal L1
 //! capacity on Volta, where L1 and shared memory are the same storage).
 //!
+//! The over-provisioned grid costs the simulator little: a profile launch
+//! deduplicates blocks by [`Kernel::block_signature`], and the early-exit
+//! blocks, about half of a corpus SDDMM's, collapse into at most two
+//! groups (their one row-offset load spans one sector or two).
+//!
 //! The host engine's functional body may still compute a strip's runs of
 //! consecutive columns from a transposed f32 copy of the RHS
 //! (`gpu_sim::lanes::fma_dot_strip`), built once per launch when the mask's
@@ -25,6 +30,7 @@ use crate::config::SddmmConfig;
 use crate::error::SputnikError;
 use crate::spmm::require_finite;
 use gpu_sim::lanes::{self, Transposed};
+use gpu_sim::memory::{sectors_contiguous, SECTOR_BYTES};
 use gpu_sim::{
     AccessBound, AccessPattern, AlignmentFacts, BarrierFacts, BlockContext, BufferBound, BufferId,
     BufferSpec, Dim3, Fingerprint, Gpu, Kernel, LaunchCache, LaunchRequest, LaunchStats,
@@ -166,6 +172,36 @@ impl<'a, T: Scalar> SddmmKernel<'a, T> {
             vw /= 2;
         }
         vw
+    }
+
+    /// The block's mask row, the index of its strip's first nonzero, and
+    /// the strip length (0 for an over-provisioned block).
+    fn strip_of(&self, block: Dim3) -> (usize, usize, usize) {
+        let row = if self.cfg.row_swizzle {
+            self.swizzle.row(block.y as usize)
+        } else {
+            block.y as usize
+        };
+        let bix = self.cfg.block_items_x as usize;
+        let strip_start = block.x as usize * bix;
+        let s = bix.min(self.mask.row_len(row).saturating_sub(strip_start));
+        (row, self.mask.row_offsets()[row] as usize + strip_start, s)
+    }
+
+    /// Sectors of the strip's RHS row loads, one contiguous `k`-element
+    /// row per column. When the row stride is a whole number of sectors
+    /// every row lands in the same alignment class, so one multiply
+    /// replaces the per-row sum.
+    fn rhs_sectors(&self, strip_cols: &[u32]) -> u64 {
+        let row_bytes = self.k as u64 * T::BYTES as u64;
+        if row_bytes.is_multiple_of(SECTOR_BYTES) {
+            strip_cols.len() as u64 * sectors_contiguous(0, row_bytes)
+        } else {
+            strip_cols
+                .iter()
+                .map(|&j| sectors_contiguous(u64::from(j) * row_bytes, row_bytes))
+                .sum()
+        }
     }
 
     /// Whether the functional launch built a transposed RHS for its runs of
@@ -312,42 +348,65 @@ impl<T: Scalar> Kernel for SddmmKernel<'_, T> {
         }
     }
 
+    /// Structural cost signature (see [`Kernel::block_signature`]): the
+    /// block keys on exactly what its cost trace reads.
+    ///
+    /// Every block loads its row's 8-byte offset pair at `row * 4` (one or
+    /// two sectors); the swizzle id load is one aligned 4-byte sector in
+    /// every block. An over-provisioned block records nothing more, so it
+    /// keys on an exit marker plus the offset pair's sector count, and the
+    /// grid's surplus blocks collapse into at most two groups. A working
+    /// block keys on its strip length `s`, which fixes every instruction
+    /// count, and on the sector counts of its mask-index load, its LHS row
+    /// load, its output store and its RHS row loads. The `scale_by_mask`
+    /// value load reads the output store's address range, so the store's
+    /// count covers it. The RHS count is `s` times one row's when a row is
+    /// a whole number of sectors, and a per-column sum otherwise.
+    fn block_signature(&self, block: Dim3) -> Option<u64> {
+        let (row, first, s) = self.strip_of(block);
+        let mut fp = Fingerprint::new();
+        fp.write_u64(sectors_contiguous(row as u64 * 4, 8));
+        if s == 0 {
+            fp.write_u64(u64::MAX);
+            return Some(fp.finish());
+        }
+        let eb = T::BYTES as u64;
+        let lhs_bytes = self.k as u64 * eb;
+        fp.write_u64(s as u64);
+        // Index load, LHS row, output store, RHS rows.
+        fp.write_u64(sectors_contiguous(first as u64 * 4, s as u64 * 4));
+        fp.write_u64(sectors_contiguous(row as u64 * lhs_bytes, lhs_bytes));
+        fp.write_u64(sectors_contiguous(first as u64 * eb, s as u64 * eb));
+        fp.write_u64(self.rhs_sectors(&self.mask.col_indices()[first..first + s]));
+        Some(fp.finish())
+    }
+
     fn execute_block(&self, block: Dim3, ctx: &mut BlockContext) {
         let cfg = &self.cfg;
-        let bix = cfg.block_items_x as usize;
-        let row = if cfg.row_swizzle {
+        let (row, first, s) = self.strip_of(block);
+        if cfg.row_swizzle {
             ctx.ld_global(BUF_SWIZZLE, block.y as u64 * 4, 1, 1, 4);
-            self.swizzle.row(block.y as usize)
-        } else {
-            block.y as usize
-        };
-        let strip = block.x as usize;
+        }
 
         // Prelude: row extent lookup + early-exit check.
         ctx.misc(5);
         ctx.ld_global(BUF_MASK_OFFSETS, row as u64 * 4, 2, 1, 4);
-        let row_start = self.mask.row_offsets()[row] as usize;
-        let row_nnz = self.mask.row_len(row);
-        let strip_start = strip * bix;
-        if strip_start >= row_nnz {
+        if s == 0 {
             // Over-provisioned block: "each thread block calculates if it has
             // work to do and returns early if it is not needed."
             return;
         }
-        let s = bix.min(row_nnz - strip_start);
         let k = self.k;
         let eb = T::BYTES;
         let vw = self.vw();
         let tpo = cfg.threads_per_output_tile;
-
-        let (cols, _) = self.mask.row(row);
-        let strip_cols = &cols[strip_start..strip_start + s];
+        let strip_cols = &self.mask.col_indices()[first..first + s];
 
         // ---- Cost trace (skipped wholesale on cache-hit replays) -----------
         if ctx.recording() {
             // Scalar loads of the strip's column indices (sparse-matrix
             // accesses are scalar per Section VI-B).
-            let idx_addr = (row_start + strip_start) as u64 * 4;
+            let idx_addr = first as u64 * 4;
             ctx.ld_global(BUF_MASK_INDICES, idx_addr, s as u32, 1, 4);
             ctx.st_shared(s as u32, 1, 4, 1);
             ctx.misc(3);
@@ -355,10 +414,8 @@ impl<T: Scalar> Kernel for SddmmKernel<'_, T> {
             // LHS row: loaded once per block, spread over all 32 lanes.
             let lhs_instrs = gpu_sim::memory::vector_instr_count(k as u64, 32, vw);
             ctx.cost.ld_global_instrs += lhs_instrs;
-            ctx.cost.gmem[BUF_LHS.0 as usize].ld_sectors += gpu_sim::memory::sectors_contiguous(
-                (row * k) as u64 * eb as u64,
-                k as u64 * eb as u64,
-            );
+            ctx.cost.gmem[BUF_LHS.0 as usize].ld_sectors +=
+                sectors_contiguous((row * k) as u64 * eb as u64, k as u64 * eb as u64);
 
             // Output groups: 32/tpo outputs processed concurrently per group.
             let outputs_per_group = (32 / tpo).max(1) as usize;
@@ -374,33 +431,21 @@ impl<T: Scalar> Kernel for SddmmKernel<'_, T> {
             ctx.fp(groups * reduce_steps, 0);
             ctx.misc(groups * 3);
 
-            // RHS rows: one contiguous K-element read per output. When the
-            // row stride is a whole number of sectors every row lands in the
-            // same alignment class, so one multiply replaces the per-row
-            // loop — bit-identical to summing `sectors_contiguous` per row.
-            let row_bytes = k as u64 * eb as u64;
-            if row_bytes.is_multiple_of(gpu_sim::memory::SECTOR_BYTES) {
-                ctx.cost.gmem[BUF_RHS.0 as usize].ld_sectors +=
-                    s as u64 * gpu_sim::memory::sectors_contiguous(0, row_bytes);
-            } else {
-                for &j in strip_cols {
-                    ctx.cost.gmem[BUF_RHS.0 as usize].ld_sectors +=
-                        gpu_sim::memory::sectors_contiguous(j as u64 * row_bytes, row_bytes);
-                }
-            }
+            // RHS rows: one contiguous K-element read per output.
+            ctx.cost.gmem[BUF_RHS.0 as usize].ld_sectors += self.rhs_sectors(strip_cols);
             ctx.cost.flops += 2 * (s * k) as u64;
 
             // General SDDMM: scale each output by the mask's stored value —
             // "1 load and 1 multiply instruction prior to storing the output".
             if cfg.scale_by_mask {
-                let val_addr = (row_start + strip_start) as u64 * eb as u64;
+                let val_addr = first as u64 * eb as u64;
                 ctx.ld_global(BUF_MASK_INDICES, val_addr, s as u32, 1, eb);
                 ctx.fp((s as u64).div_ceil(32), s as u64);
                 ctx.cost.flops += s as u64;
             }
 
             // Scalar stores of the strip's outputs.
-            let out_addr = (row_start + strip_start) as u64 * eb as u64;
+            let out_addr = first as u64 * eb as u64;
             ctx.st_global(BUF_OUT, out_addr, s as u32, 1, eb);
         }
 
@@ -412,21 +457,20 @@ impl<T: Scalar> Kernel for SddmmKernel<'_, T> {
             self.out_values.as_ref(),
         ) {
             let lrow = &lhs.as_slice()[row * k..(row + 1) * k];
-            let (_, mask_vals) = self.mask.row(row);
+            let mask_vals = &self.mask.values()[first..first + s];
             let r = rhs.as_slice();
             let rrow = |j: u32| &r[j as usize * k..(j as usize + 1) * k];
             let rt = self
                 .rhs_t
-                .get_or_init(|| Transposed::for_sddmm(self.mask, bix, rhs));
-            let store = |first: usize, dots: &mut [f32]| {
+                .get_or_init(|| Transposed::for_sddmm(self.mask, cfg.block_items_x as usize, rhs));
+            let store = |i: usize, dots: &mut [f32]| {
                 if cfg.scale_by_mask {
-                    for (d, m) in dots.iter_mut().zip(&mask_vals[strip_start + first..]) {
+                    for (d, m) in dots.iter_mut().zip(&mask_vals[i..]) {
                         *d *= m.to_f32();
                     }
                 }
-                let at = row_start + strip_start + first;
                 // Disjoint: each nonzero belongs to exactly one strip.
-                unsafe { out.write_run(at, dots.iter().map(|&d| T::from_f32(d))) };
+                unsafe { out.write_run(first + i, dots.iter().map(|&d| T::from_f32(d))) };
             };
             // Left-to-right FMA chain per dot, same order as the reference
             // product (horizontal reductions are never lane-split).

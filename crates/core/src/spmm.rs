@@ -29,6 +29,7 @@ use gpu_sim::{
     StageBound, StaticFacts, SyncUnsafeSlice, VectorClass,
 };
 use sparse::{CsrMatrix, IndexWidth, Matrix, PatternLut, RowSwizzle, Scalar};
+use std::sync::OnceLock;
 
 /// Validate shapes/config shared by the functional and profile constructors
 /// (and by the joint-sparsity kernel, which layers its own LUT checks on
@@ -163,6 +164,9 @@ pub struct SpmmKernel<'a, T: Scalar> {
     accumulate: bool,
     /// Zero-tile bitmap of B; set only by [`crate::joint::JointSpmmKernel`].
     lut: Option<&'a PatternLut>,
+    /// Each row strip's part of the block signature, filled by the first
+    /// `block_signature` call of a launch.
+    strip_sigs: OnceLock<Vec<u64>>,
 }
 
 /// Per-subwarp state computed in the prelude.
@@ -265,6 +269,7 @@ impl<'a, T: Scalar> SpmmKernel<'a, T> {
             n,
             accumulate: false,
             lut: None,
+            strip_sigs: OnceLock::new(),
         })
     }
 
@@ -288,6 +293,7 @@ impl<'a, T: Scalar> SpmmKernel<'a, T> {
             n,
             accumulate: false,
             lut: None,
+            strip_sigs: OnceLock::new(),
         }
     }
 
@@ -355,8 +361,8 @@ impl<'a, T: Scalar> SpmmKernel<'a, T> {
 
     /// Prepare one subwarp's work descriptor: swizzled row id, true length,
     /// and the ROMA / assume-aligned start adjustment. Forced inline: the
-    /// per-block resolve loops in `block_signature` and `execute_block`
-    /// measured up to a third slower with it out of line.
+    /// resolve loops in `strip_signature` and `execute_block` measured up
+    /// to a third slower with it out of line.
     #[inline(always)]
     fn subwarp_work(&self, m_idx: usize) -> SubwarpWork {
         let cfg = &self.cfg;
@@ -390,6 +396,45 @@ impl<'a, T: Scalar> SpmmKernel<'a, T> {
             prefix,
             total,
         }
+    }
+
+    /// The row strip's part of the block signature: per warp, the gathered
+    /// sector counts, and per subwarp the work sizes, both alignment
+    /// classes of its A reads and the class of its C row start
+    /// `row * n * eb % 32`.
+    fn strip_signature(&self, strip: usize) -> u64 {
+        let cfg = &self.cfg;
+        let eb = T::BYTES as u64;
+        let ib = cfg.index_width.bytes() as u64;
+        let biy = cfg.block_items_y as usize;
+        let mut subs_buf = [SubwarpWork::EMPTY; MAX_BLOCK_SUBWARPS];
+        for (s, slot) in subs_buf.iter_mut().take(biy).enumerate() {
+            *slot = self.subwarp_work(strip * biy + s);
+        }
+        let subs = &subs_buf[..biy];
+        let mut fp = Fingerprint::new();
+        // Chunk boundaries are fixed per kernel, so hashing subwarps in order
+        // preserves the per-warp grouping the divergence model depends on.
+        for chunk in subs.chunks(cfg.subwarps_per_warp() as usize) {
+            let mut gather = [0u64; MAX_BLOCK_SUBWARPS];
+            let n_gather = gather_row_addrs(chunk, 4, &mut gather);
+            fp.write_u64(gpu_sim::memory::sectors_gather(&gather[..n_gather], 8));
+            if cfg.fused_bias_relu {
+                fp.write_u64(gpu_sim::memory::sectors_gather(&gather[..n_gather], 4));
+            }
+            for sub in chunk {
+                if sub.row == usize::MAX {
+                    fp.write_u64(u64::MAX);
+                    continue;
+                }
+                fp.write_u64(sub.total as u64);
+                fp.write_u64(sub.nnz as u64);
+                fp.write_u64(sub.aligned_offset as u64 * eb % 32);
+                fp.write_u64(sub.aligned_offset as u64 * ib % 32);
+                fp.write_u64((sub.row * self.n) as u64 * eb % 32);
+            }
+        }
+        fp.finish()
     }
 
     /// Functional computation for one subwarp: the real numerics, walked
@@ -771,16 +816,20 @@ impl<T: Scalar> Kernel for SpmmKernel<'_, T> {
     ///
     /// Everything `cost_warp` records is a function of the per-subwarp work
     /// descriptors plus a handful of *alignment classes* — never of raw row
-    /// ids or float values — so the signature hashes exactly those inputs:
-    /// the tile width, the B-strip sector count, the store vector-width
-    /// legality, and per subwarp the work sizes plus each traced address
-    /// mod 32 (the sector granularity). Gathered addresses (row offsets,
-    /// bias) contribute their exact deduplicated sector counts, computed with
-    /// the same `sectors_gather` the trace itself uses. Blocks agreeing on
-    /// all of this record bit-identical costs, which lets dataset sweeps
+    /// ids or float values — so the signature hashes exactly those inputs.
+    /// The row strip's part (`strip_signature`: per subwarp the work sizes
+    /// and address classes, per warp the exact gathered sector counts of
+    /// the row offsets and bias, computed with the trace's own
+    /// `sectors_gather`) is the same for every column tile, so it is
+    /// computed once per strip on the launch's first call. The column
+    /// tile's part is the tile width, the B-strip sector count, the store
+    /// vector-width legality and `n_off * eb % 32`. A C tile starts at
+    /// `(row * n + n_off) * eb`, whose class mod 32 is fixed by the strip's
+    /// `row * n * eb % 32` and the tile's `n_off * eb % 32`. Blocks agreeing
+    /// on all of this record bit-identical costs, which lets dataset sweeps
     /// execute one representative per signature — notably collapsing the
-    /// grid's x extent, where the same row strip repeats across column tiles
-    /// in the same alignment class.
+    /// grid's x extent, where the same row strip repeats across column
+    /// tiles in the same alignment class.
     ///
     /// A kernel with a LUT has no signature: its liveness depends on the
     /// column indices and on the LUT tile of `n_off`, neither of which is
@@ -791,7 +840,6 @@ impl<T: Scalar> Kernel for SpmmKernel<'_, T> {
         }
         let cfg = &self.cfg;
         let eb = T::BYTES as u64;
-        let ib = cfg.index_width.bytes() as u64;
         let n_off = block.x as usize * cfg.block_items_x as usize;
         let tile_w = cfg.block_items_x.min(self.n.saturating_sub(n_off) as u32) as usize;
         let mut fp = Fingerprint::new();
@@ -807,35 +855,13 @@ impl<T: Scalar> Kernel for SpmmKernel<'_, T> {
         // Kernel-wide constant, but the signature is also compared across
         // dedup representatives in equivalence suites — keep it explicit.
         fp.write_u64(self.accumulate as u64);
-
-        let biy = cfg.block_items_y as usize;
-        let base_m = block.y as usize * biy;
-        let mut subs_buf = [SubwarpWork::EMPTY; MAX_BLOCK_SUBWARPS];
-        for (s, slot) in subs_buf.iter_mut().take(biy).enumerate() {
-            *slot = self.subwarp_work(base_m + s);
-        }
-        let subs = &subs_buf[..biy];
-        // Chunk boundaries are fixed per kernel, so hashing subwarps in order
-        // preserves the per-warp grouping the divergence model depends on.
-        for chunk in subs.chunks(cfg.subwarps_per_warp() as usize) {
-            let mut gather = [0u64; MAX_BLOCK_SUBWARPS];
-            let n_gather = gather_row_addrs(chunk, 4, &mut gather);
-            fp.write_u64(gpu_sim::memory::sectors_gather(&gather[..n_gather], 8));
-            if cfg.fused_bias_relu {
-                fp.write_u64(gpu_sim::memory::sectors_gather(&gather[..n_gather], 4));
-            }
-            for sub in chunk {
-                if sub.row == usize::MAX {
-                    fp.write_u64(u64::MAX);
-                    continue;
-                }
-                fp.write_u64(sub.total as u64);
-                fp.write_u64(sub.nnz as u64);
-                fp.write_u64(sub.aligned_offset as u64 * eb % 32);
-                fp.write_u64(sub.aligned_offset as u64 * ib % 32);
-                fp.write_u64((sub.row * self.n + n_off) as u64 * eb % 32);
-            }
-        }
+        fp.write_u64(n_off as u64 * eb % 32);
+        let strips = self.strip_sigs.get_or_init(|| {
+            (0..self.grid().y as usize)
+                .map(|strip| self.strip_signature(strip))
+                .collect()
+        });
+        fp.write_u64(strips[block.y as usize]);
         Some(fp.finish())
     }
 

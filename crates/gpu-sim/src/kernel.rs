@@ -62,6 +62,12 @@ pub trait Kernel: Sync {
     /// comparison): hashing every block costs host time, and a kernel with
     /// few repeated blocks pays it for nothing.
     ///
+    /// The launcher calls this once per block of a profile launch. An
+    /// implementation may precompute per-launch state on its first call
+    /// (e.g. one hash per row strip in a `OnceLock`, shared by every block
+    /// of that strip), so a signature costs O(distinct work) rather than a
+    /// full recomputation per block; it is still one call per block.
+    ///
     /// [`BlockCost`]: crate::cost::BlockCost
     fn block_signature(&self, _block: Dim3) -> Option<u64> {
         None

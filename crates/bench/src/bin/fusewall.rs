@@ -98,7 +98,10 @@ fn bench_point(gpu: &Gpu, cache: &LaunchCache, seq: usize) -> Point {
     Point {
         seq,
         nnz: mask.nnz(),
-        staging_bytes: decision.staging_bytes,
+        staging_bytes: gpu_sim::fused::staging_bytes(
+            mask.max_row_len(),
+            configs.sddmm.block_items_x as usize,
+        ),
         fused: decision.fused && run.decision.fused,
         unfused_us,
         fused_us: time.fused_us,

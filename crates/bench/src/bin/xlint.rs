@@ -3,7 +3,7 @@
 //!
 //! No `syn` in the vendored dependency set, so this is a lexical pass: each
 //! source file is stripped of comments, string literals, and char literals
-//! by a small state machine, then scanned line by line. Five rules:
+//! by a small state machine, then scanned line by line. Six rules:
 //!
 //! * `sim-clock` — the simulated-clock crates (`gpu-sim`, `serve`) and
 //!   the fleet-facing modules that schedule against the simulated stream
@@ -39,6 +39,11 @@
 //!   `sputnik_bench::paper` function of its own name, and `reproduce_all`
 //!   must list that function. An experiment that bypasses either prints
 //!   numbers no gate in `BENCH_paper.json` protects.
+//! * `launch-gate` — non-test code under `crates/{core,baselines,dnn,serve}/src`
+//!   must not call `.audit(`. The gate of the one launch funnel
+//!   (`Gpu::run`) is the legality check: a planner sends its kernel
+//!   through it and reads a `StaticallyRefuted` result, rather than
+//!   auditing a probe of its own that could drift from the gate.
 //!
 //! Exit status 1 with one line per finding; 0 on a clean tree. Run from
 //! the repo root (CI does).
@@ -276,6 +281,22 @@ fn lint_raw_ptr(path: &Path, stripped: &str, findings: &mut Findings) {
     }
 }
 
+/// Rule `launch-gate`: no `.audit(` call outside test modules.
+fn lint_launch_gate(path: &Path, stripped: &str, findings: &mut Findings) {
+    let tests = test_spans(stripped);
+    for (n, line) in stripped.lines().enumerate() {
+        if line.contains(".audit(") && !in_spans(&tests, n) {
+            findings.push(
+                path,
+                n,
+                "launch-gate",
+                "`.audit(` in library code: legality is decided by the gate \
+                 of `Gpu::run`; launch the kernel and match `StaticallyRefuted`",
+            );
+        }
+    }
+}
+
 /// Rule `global-state`: the process-global statics that remain, as (file,
 /// name). Each goes when the ROADMAP item named beside it lands.
 const GLOBAL_STATE_ALLOWED: [(&str, &str); 5] = [
@@ -462,6 +483,13 @@ fn main() {
             lint_global_state(path, &stripped, &mut findings);
         }
 
+        if ["core", "baselines", "dnn", "serve"]
+            .iter()
+            .any(|c| rel.contains(&format!("crates/{c}/src/")))
+        {
+            lint_launch_gate(path, &stripped, &mut findings);
+        }
+
         let is_util = rel.ends_with("crates/gpu-sim/src/util.rs");
         let is_bench = rel.contains("crates/bench/");
         if !is_util && !is_bench {
@@ -499,7 +527,7 @@ fn main() {
     if findings.0.is_empty() {
         println!(
             "xlint: {checked} files clean (sim-clock, raw-ptr-write, kernel-registry, \
-             global-state, experiment-record)"
+             global-state, experiment-record, launch-gate)"
         );
         return;
     }
@@ -561,6 +589,24 @@ mod tests {
             &mut f,
         );
         assert_eq!(f.0.len(), 2, "{:?}", f.0);
+    }
+
+    #[test]
+    fn launch_gate_fires_on_library_audits_only() {
+        let src = strip(
+            "let refuted = gpu.audit(&probe).refutation();\n\
+             // gpu.audit(&probe) in a comment\n\
+             let s = \"gpu.audit(&k)\";\n\
+             #[cfg(test)]\nmod tests {\n    fn t() { let a = gpu.audit(&k); }\n}\n",
+        );
+        let mut f = Findings(Vec::new());
+        lint_launch_gate(Path::new("crates/core/src/plan.rs"), &src, &mut f);
+        assert_eq!(f.0.len(), 1, "{:?}", f.0);
+        assert!(
+            f.0[0].starts_with("crates/core/src/plan.rs:1:"),
+            "{:?}",
+            f.0
+        );
     }
 
     #[test]

@@ -719,8 +719,7 @@ impl Cell {
 /// Each proposed optimization is disabled in turn and performance is
 /// reported as a percentage of the complete kernel's, averaged over corpus
 /// problems split by model family and batch size — the same cells the paper
-/// reports. Outside `--quick`, also reports the scalar-vs-vector geo-mean on
-/// the RNN suite (Section VII-B: 2.45x).
+/// reports.
 ///
 /// Paper anchors (SpMM): -LoadBalancing 78.5-96.1%, -VectorInst 64.8-100.1%,
 /// -ResidueUnroll 87.8-94.1%, -IndexPreScale 98.2-100.6%. (SDDMM):
@@ -880,44 +879,6 @@ pub fn table02_ablation(rec: &mut BenchRecord) {
         .count();
     matched_count(rec, "table2.sddmm.scalar_wins", scalar_wins);
     rec.int("table2.sddmm.scalar_wins.paper", 3);
-
-    if grid != "quick" {
-        let problems = rnn::problem_suite(&[1024, 2048, 4096]);
-        let ratios: Vec<f64> = problems
-            .iter()
-            .enumerate()
-            .map(|(i, p)| {
-                let a = p.weights(0xab1a + i as u64);
-                let cfg = SpmmConfig::heuristic::<f32>(p.n());
-                let full = sputnik::spmm_profile::<f32>(&gpu, &a, p.k(), p.n(), cfg).time_us;
-                let scalar = sputnik::spmm_profile::<f32>(
-                    &gpu,
-                    &a,
-                    p.k(),
-                    p.n(),
-                    SpmmConfig {
-                        vector_width: 1,
-                        roma: false,
-                        block_items_x: 32,
-                        ..cfg
-                    },
-                )
-                .time_us;
-                scalar / full
-            })
-            .collect();
-        println!(
-            "RNN suite: vector kernels {:.2}x geo-mean over scalar (paper: 2.45x)",
-            geo_mean(&ratios)
-        );
-        vs_paper(
-            rec,
-            "table2.rnn_vector_vs_scalar",
-            geo_mean(&ratios),
-            3,
-            2.45,
-        );
-    }
 }
 
 /// Figure 11: the sparse Transformer's attention connectivity — a dense

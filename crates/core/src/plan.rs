@@ -2,28 +2,33 @@
 //!
 //! The paper's sparse attention (Section VII-C) is one fixed chain over one
 //! shared CSR topology: SDDMM scores, the scaled sparse softmax, and the
-//! context SpMM. When the merge is provably legal the chain runs as one
+//! context SpMM. When the merge is legal the chain runs as one
 //! [`SddmmSoftmaxSpmmKernel`] launch; otherwise it runs as the bit-identical
 //! three-launch pipeline, with the logit scale folded into the softmax.
 //!
-//! **Legality rule.** A merge is legal when the fused kernel's declared
-//! [`StaticFacts`](gpu_sim::StaticFacts) survive the static auditor on the
-//! target device — in particular the per-row staging footprint
+//! **Legality is the funnel's gate.** Both entry points build the fused
+//! kernel and send it through [`Gpu::run`]; there is no separate probe. The
+//! gate's static audit is the one legality check: the kernel's declared
+//! [`StaticFacts`](gpu_sim::StaticFacts) must survive it on the target
+//! device, in particular the per-row staging footprint
 //! ([`gpu_sim::fused::staging_bytes`]: the scores row plus one index strip)
-//! must fit the device's shared-memory capacity. [`FusionDecision`] comes
-//! from auditing a cost-only probe of the fused kernel, and the chain fuses
-//! only on a refutation-free audit, so an oversized topology takes the
-//! unfused path without ever building a refutable launch.
+//! must fit the device's shared memory. A
+//! [`SputnikError::StaticallyRefuted`] result selects the three-launch
+//! chain and becomes [`FusionDecision::reason`]; the refusal reaches the
+//! books like any other (`dispatch_static_refuted` and the gate's trace
+//! instant). The gate rejects before validation and before the fault plan
+//! is consulted, so a refused fusion consumes no fault-schedule index, and
+//! a [`LaunchCache`] hit skips it because only admitted launches are
+//! cached.
 //!
 //! **Bit-exactness.** The fused kernel's functional body replays the exact
 //! per-element `mul_add` chains of the three separate kernels (see
 //! `gpu_sim::fused`), so the decision is invisible to the numbers:
 //! `fusion_equivalence` pins bitwise equality either way.
 //!
-//! Fused launches flow through the [`Gpu::run`] funnel: statically audited
-//! and memoized in the [`LaunchCache`]. The stage tiles are baked into the
-//! kernel name, and the fingerprint mixes the mask topology with the
-//! problem shape, the scale bits, and the plan tag.
+//! The stage tiles are baked into the kernel name, and the cache
+//! fingerprint mixes the mask topology with the problem shape, the scale
+//! bits, and the plan tag.
 
 use crate::config::{SddmmConfig, SpmmConfig};
 use crate::error::SputnikError;
@@ -31,7 +36,7 @@ use crate::sddmm::{mask_fingerprint, profile_sddmm, try_sddmm};
 use crate::softmax::{sparse_softmax_scaled, sparse_softmax_scaled_profile};
 use crate::spmm::{profile_spmm, require_finite, try_spmm};
 use crate::tune::AutoTuner;
-use gpu_sim::{trace, Gpu, Kernel, LaunchCache, LaunchRequest, SddmmSoftmaxSpmmKernel, Verdict};
+use gpu_sim::{trace, Gpu, Kernel, LaunchCache, LaunchRequest, Mode, SddmmSoftmaxSpmmKernel};
 use sparse::{CsrMatrix, Matrix};
 
 /// Configs shared by the functional and profile attention paths — the one
@@ -65,18 +70,13 @@ pub fn attention_configs(
     AttentionConfigs { sddmm, spmm }
 }
 
-/// Whether the attention chain fuses on one device, and why.
+/// Whether the attention chain fused on one device, and why.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FusionDecision {
-    /// Whether the chain collapses to the fused kernel.
+    /// Whether the chain collapsed to the fused kernel.
     pub fused: bool,
-    /// The fused kernel's per-row staging footprint (scores row + index
-    /// strip), fused or not.
-    pub staging_bytes: u64,
-    /// The device's per-block shared-memory capacity the footprint was
-    /// checked against.
-    pub smem_capacity: u32,
-    /// Why the decision came out this way (audit detail on refusal).
+    /// Why the decision came out this way (the gate's refutation on
+    /// refusal).
     pub reason: String,
     /// Plan-shape tag baked into the fused launch name: the two stage tiles.
     pub plan_tag: String,
@@ -88,55 +88,6 @@ fn plan_tag(configs: &AttentionConfigs) -> String {
         "s{}x{}",
         configs.sddmm.block_items_x, configs.spmm.block_items_x
     )
-}
-
-/// The cost-only fused kernel for `mask`: the audit probe of both paths,
-/// and the kernel the profile path launches.
-fn fused_probe<'a>(
-    mask: &'a CsrMatrix<f32>,
-    k: usize,
-    n: usize,
-    scale: f32,
-    configs: &AttentionConfigs,
-) -> SddmmSoftmaxSpmmKernel<'a, f32> {
-    SddmmSoftmaxSpmmKernel::for_profile(
-        mask,
-        k,
-        n,
-        scale,
-        configs.sddmm.block_items_x as usize,
-        configs.spmm.block_items_x as usize,
-        plan_tag(configs),
-    )
-}
-
-/// Fuse iff the static audit of the cost-only `probe` refutes no check
-/// class — which on a single-warp block reduces to the staging footprint
-/// fitting the device's shared memory.
-fn decide(
-    gpu: &Gpu,
-    probe: &SddmmSoftmaxSpmmKernel<'_, f32>,
-    mask: &CsrMatrix<f32>,
-    configs: &AttentionConfigs,
-) -> FusionDecision {
-    let smem_capacity = gpu.device().smem_per_block_max;
-    let staging =
-        gpu_sim::fused::staging_bytes(mask.max_row_len(), configs.sddmm.block_items_x as usize);
-    let refuted = gpu
-        .audit(probe)
-        .findings
-        .into_iter()
-        .find(|f| f.verdict == Verdict::Refuted);
-    FusionDecision {
-        fused: refuted.is_none(),
-        staging_bytes: staging,
-        smem_capacity,
-        reason: match refuted {
-            Some(f) => format!("audit refuted {}: {}", f.class.name(), f.detail),
-            None => format!("staging {staging} B fits {smem_capacity} B shared memory"),
-        },
-        plan_tag: plan_tag(configs),
-    }
 }
 
 /// Cache-key fingerprint for a fused attention launch: mask topology,
@@ -184,32 +135,56 @@ pub struct FusedAttention {
     pub configs: AttentionConfigs,
 }
 
-/// Launch the fused kernel through [`Gpu::run`] inside a `fusion` trace
-/// span.
-fn run_fused(
+/// The one planner body of both entry points: launch the fused `kernel`
+/// through [`Gpu::run`] inside a `fusion` trace span, under `cached`. A
+/// static refutation from the funnel's gate runs the three-launch `chain`
+/// instead, whose output comes back as `Some`; any other error propagates.
+fn fuse_or_chain<C>(
     gpu: &Gpu,
-    req: &LaunchRequest<'_>,
-    name: &str,
-) -> Result<AttentionTime, SputnikError> {
+    mode: Mode,
+    kernel: SddmmSoftmaxSpmmKernel<'_, f32>,
+    cached: Option<(&LaunchCache, u64)>,
+    plan_tag: String,
+    chain: impl FnOnce() -> Result<(C, AttentionTime), SputnikError>,
+) -> Result<(Option<C>, AttentionTime, FusionDecision), SputnikError> {
     let track = &gpu.device().name;
-    trace::begin_span("fusion", track, || name.into());
-    let result = gpu.run(req);
+    trace::begin_span("fusion", track, || kernel.name());
+    let result = gpu.run(&LaunchRequest::new(mode, &kernel).cached(cached));
     trace::end_span(track);
-    let launched = result?;
-    Ok(AttentionTime {
-        fused_us: launched.stats.time_us,
-        launches: 1,
-        cache_hits: usize::from(launched.hit),
-        ..Default::default()
-    })
+    let (chained, time, reason) = match result.map_err(SputnikError::from) {
+        Ok(launched) => {
+            let time = AttentionTime {
+                fused_us: launched.stats.time_us,
+                launches: 1,
+                cache_hits: usize::from(launched.hit),
+                ..Default::default()
+            };
+            let (staging, capacity) = (kernel.shared_mem_bytes(), gpu.device().smem_per_block_max);
+            (
+                None,
+                time,
+                format!("staging {staging} B fits {capacity} B shared memory"),
+            )
+        }
+        Err(SputnikError::StaticallyRefuted { class, detail, .. }) => {
+            let (out, time) = chain()?;
+            (Some(out), time, format!("audit refuted {class}: {detail}"))
+        }
+        Err(e) => return Err(e),
+    };
+    let decision = FusionDecision {
+        fused: chained.is_none(),
+        reason,
+        plan_tag,
+    };
+    Ok((chained, time, decision))
 }
 
 /// Sparse attention, fused when legal: launch the fused kernel through the
-/// audited [`Gpu::run`] funnel (memoized in the [`LaunchCache`]) when the
-/// audit proves the merge, and fall back to the three-launch pipeline
-/// (scale folded into the softmax kernel) otherwise. `q` is `rows x k`,
-/// `kmat` is `cols x k` (the SDDMM's transposed-RHS form), `v` is
-/// `cols x n`.
+/// audited [`Gpu::run`] funnel (memoized in the [`LaunchCache`]) and fall
+/// back to the three-launch pipeline (scale folded into the softmax
+/// kernel) when the funnel's gate refutes it. `q` is `rows x k`, `kmat` is
+/// `cols x k` (the SDDMM's transposed-RHS form), `v` is `cols x n`.
 #[allow(clippy::too_many_arguments)]
 pub fn try_sparse_attention_fused(
     gpu: &Gpu,
@@ -227,38 +202,26 @@ pub fn try_sparse_attention_fused(
     require_finite("v", v.as_slice())?;
     let (d, n) = (q.cols(), v.cols());
     let configs = attention_configs(gpu, cache, tuner, mask, d, n);
-    let decision = decide(
-        gpu,
-        &fused_probe(mask, d, n, scale, &configs),
+    let tag = plan_tag(&configs);
+    let mut context = Matrix::<f32>::zeros(mask.rows(), n);
+    let kernel = SddmmSoftmaxSpmmKernel::new(
+        q,
+        kmat,
+        v,
         mask,
-        &configs,
+        context.as_mut_slice(),
+        scale,
+        configs.sddmm.block_items_x as usize,
+        configs.spmm.block_items_x as usize,
+        tag.clone(),
     );
-
-    let (context, time) = if decision.fused {
-        let mut context = Matrix::<f32>::zeros(mask.rows(), n);
-        let time = {
-            let kernel = SddmmSoftmaxSpmmKernel::new(
-                q,
-                kmat,
-                v,
-                mask,
-                context.as_mut_slice(),
-                scale,
-                configs.sddmm.block_items_x as usize,
-                configs.spmm.block_items_x as usize,
-                decision.plan_tag.clone(),
-            );
-            let cached =
-                cache.map(|c| (c, plan_fingerprint(mask, d, n, scale, &decision.plan_tag)));
-            let req = LaunchRequest::functional(&kernel).cached(cached);
-            run_fused(gpu, &req, &kernel.name())?
-        };
-        (context, time)
-    } else {
-        sparse_attention_unfused(gpu, q, kmat, v, mask, scale, &configs)?
-    };
+    let cached = cache.map(|c| (c, plan_fingerprint(mask, d, n, scale, &tag)));
+    let (chained, time, decision) =
+        fuse_or_chain(gpu, Mode::Functional, kernel, cached, tag, || {
+            sparse_attention_unfused(gpu, q, kmat, v, mask, scale, &configs)
+        })?;
     Ok(FusedAttention {
-        context,
+        context: chained.unwrap_or(context),
         time,
         decision,
         configs,
@@ -310,9 +273,9 @@ pub fn sparse_attention_unfused(
     ))
 }
 
-/// Cost-only twin of [`try_sparse_attention_fused`]: same config
-/// selection, same decision, same audit gate and [`LaunchCache`], no
-/// functional work. The audited probe is the kernel it launches.
+/// Cost-only twin of [`try_sparse_attention_fused`]: the same config
+/// selection and planner body over the `for_profile` kernel, no
+/// functional work.
 pub fn sparse_attention_fused_profile(
     gpu: &Gpu,
     mask: &CsrMatrix<f32>,
@@ -323,26 +286,31 @@ pub fn sparse_attention_fused_profile(
     tuner: Option<&mut AutoTuner>,
 ) -> Result<(AttentionTime, FusionDecision, AttentionConfigs), SputnikError> {
     let configs = attention_configs(gpu, cache, tuner, mask, k, n);
-    let kernel = fused_probe(mask, k, n, scale, &configs);
-    let decision = decide(gpu, &kernel, mask, &configs);
-
-    let time = if decision.fused {
-        let cached = cache.map(|c| (c, plan_fingerprint(mask, k, n, scale, &decision.plan_tag)));
-        let req = LaunchRequest::profile(&kernel).cached(cached);
-        run_fused(gpu, &req, &kernel.name())?
-    } else {
+    let tag = plan_tag(&configs);
+    let kernel = SddmmSoftmaxSpmmKernel::for_profile(
+        mask,
+        k,
+        n,
+        scale,
+        configs.sddmm.block_items_x as usize,
+        configs.spmm.block_items_x as usize,
+        tag.clone(),
+    );
+    let cached = cache.map(|c| (c, plan_fingerprint(mask, k, n, scale, &tag)));
+    let (_, time, decision) = fuse_or_chain(gpu, Mode::Profile, kernel, cached, tag, || {
         let (s1, h1) = profile_sddmm(gpu, cache, mask, k, configs.sddmm);
         let s2 = sparse_softmax_scaled_profile(gpu, mask, scale);
         let (s3, h3) = profile_spmm(gpu, cache, mask, mask.cols(), n, configs.spmm);
-        AttentionTime {
+        let time = AttentionTime {
             scores_us: s1.time_us,
             softmax_us: s2.time_us,
             context_us: s3.time_us,
             launches: 3,
             cache_hits: usize::from(h1) + usize::from(h3),
             ..Default::default()
-        }
-    };
+        };
+        Ok(((), time))
+    })?;
     Ok((time, decision, configs))
 }
 

@@ -218,12 +218,13 @@ impl<T: Scalar> Kernel for PermuteKernel<'_, T> {
                 count as u64 * eb as u64,
             );
             // Source values: a gather — count real sectors from the
-            // permutation, staged through the arena (32 lanes per warp).
-            let mut addrs = ctx.scratch_u64(32);
+            // permutation, staged on the stack (32 lanes per warp).
+            let mut addrs = [0u64; 32];
             for chunk in self.perm[start..start + count].chunks(32) {
-                addrs.clear();
-                addrs.extend(chunk.iter().map(|&p| p as u64 * eb as u64));
-                ctx.ld_global_gather(BUF_SRC, &addrs, eb);
+                for (a, &p) in addrs.iter_mut().zip(chunk) {
+                    *a = p as u64 * eb as u64;
+                }
+                ctx.ld_global_gather(BUF_SRC, &addrs[..chunk.len()], eb);
             }
             ctx.misc(2 * warps);
         }

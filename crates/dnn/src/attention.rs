@@ -6,10 +6,11 @@
 //! sparsity, these operations correspond to an SDDMM followed by an SpMM",
 //! with the paper's custom sparse softmax in between.
 //!
-//! The sparse path is [`sputnik::sparse_attention_fused`]: when the mask's
-//! staging footprint fits the device's shared memory, the whole SDDMM →
-//! scale → softmax → SpMM chain runs as one fused launch; otherwise it falls
-//! back to the bit-identical three-launch pipeline. Either way the logit
+//! The sparse path is [`sputnik::sparse_attention_fused`]: the whole SDDMM →
+//! scale → softmax → SpMM chain goes to the launch funnel as one fused
+//! kernel, and when the funnel's static audit refutes it (the mask's staging
+//! footprint exceeds the device's shared memory) it falls back to the
+//! bit-identical three-launch pipeline. Either way the logit
 //! scale is folded into a kernel (never applied by the host), so every
 //! simulated microsecond and every device-data mutation is attributed to a
 //! launch. Both paths report core's [`AttentionTime`].

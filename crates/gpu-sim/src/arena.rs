@@ -21,19 +21,21 @@
 //! 1. A checkout is block-scoped: guards must not outlive `execute_block`
 //!    (they cannot — the guard borrows nothing, but storing one would defeat
 //!    the pool, so don't).
-//! 2. A fresh checkout is zero-initialized (`scratch_f32`) or empty with
-//!    retained capacity (`scratch_u64`): no data leaks between blocks, just
-//!    as `__shared__` contents are undefined across blocks and must be
+//! 2. A fresh checkout is zero-initialized: no data leaks between blocks,
+//!    just as `__shared__` contents are undefined across blocks and must be
 //!    written before being read.
-//! 3. Checkouts nest: a block may hold several buffers at once (accumulator
-//!    tile + gather-address list); they return to the pool LIFO.
+//! 3. Checkouts nest: a block may hold several buffers at once (the fused
+//!    kernel's staged scores row + an accumulator tile); they return to the
+//!    pool LIFO.
+//! 4. Only `f32` staging is pooled. A short fixed-size list, such as one
+//!    warp's 32 gather addresses, lives in a stack array instead.
 
 use std::cell::RefCell;
 use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Pool size cap per thread and element type. Blocks hold at most a few
-/// buffers at a time; anything beyond this would be a leak of the pattern.
+/// Pool size cap per thread. Blocks hold at most a few buffers at a time;
+/// anything beyond this would be a leak of the pattern.
 const MAX_POOLED: usize = 16;
 
 /// Count of heap-backed checkouts that could not be served from the pool
@@ -46,7 +48,6 @@ static CHECKOUTS: AtomicU64 = AtomicU64::new(0);
 
 thread_local! {
     static F32_POOL: RefCell<Vec<Vec<f32>>> = const { RefCell::new(Vec::new()) };
-    static U64_POOL: RefCell<Vec<Vec<u64>>> = const { RefCell::new(Vec::new()) };
 }
 
 /// Checkouts served since process start (pool hits + misses).
@@ -105,54 +106,6 @@ impl Drop for ScratchF32 {
     }
 }
 
-/// A pooled `u64` list (gather-address staging). Checked out **empty** with
-/// retained capacity; callers `push` into it. Derefs to `Vec<u64>`.
-#[derive(Debug)]
-pub struct ScratchU64 {
-    buf: Vec<u64>,
-}
-
-impl ScratchU64 {
-    /// Check out an empty list with at least `cap` reserved elements.
-    pub fn take(cap: usize) -> Self {
-        CHECKOUTS.fetch_add(1, Ordering::Relaxed);
-        let mut buf = U64_POOL.with(|p| p.borrow_mut().pop()).unwrap_or_else(|| {
-            POOL_MISSES.fetch_add(1, Ordering::Relaxed);
-            Vec::new()
-        });
-        buf.clear();
-        if buf.capacity() < cap {
-            buf.reserve(cap - buf.capacity());
-        }
-        Self { buf }
-    }
-}
-
-impl Deref for ScratchU64 {
-    type Target = Vec<u64>;
-    fn deref(&self) -> &Vec<u64> {
-        &self.buf
-    }
-}
-
-impl DerefMut for ScratchU64 {
-    fn deref_mut(&mut self) -> &mut Vec<u64> {
-        &mut self.buf
-    }
-}
-
-impl Drop for ScratchU64 {
-    fn drop(&mut self) {
-        let buf = std::mem::take(&mut self.buf);
-        U64_POOL.with(|p| {
-            let mut pool = p.borrow_mut();
-            if pool.len() < MAX_POOLED {
-                pool.push(buf);
-            }
-        });
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -183,18 +136,6 @@ mod tests {
             misses_before,
             "second checkout on the same thread must hit the pool"
         );
-    }
-
-    #[test]
-    fn scratch_u64_starts_empty_with_capacity() {
-        {
-            let mut s = ScratchU64::take(4);
-            s.push(1);
-            s.push(2);
-        }
-        let s = ScratchU64::take(4);
-        assert!(s.is_empty(), "reused list must be cleared");
-        assert!(s.capacity() >= 4);
     }
 
     #[test]

@@ -269,13 +269,6 @@ impl BlockContext {
         crate::arena::ScratchF32::take(len)
     }
 
-    /// Check out an empty per-block `u64` list (gather-address staging) with
-    /// at least `cap` reserved elements; mirror of [`Self::scratch_f32`].
-    #[inline]
-    pub fn scratch_u64(&self, cap: usize) -> crate::arena::ScratchU64 {
-        crate::arena::ScratchU64::take(cap)
-    }
-
     /// A contiguous warp-wide global load: `lanes` active lanes, lane `i`
     /// reading `vec_width` consecutive elements of `elem_bytes` starting at
     /// `byte_addr + i * vec_width * elem_bytes`. One warp instruction.

@@ -23,10 +23,9 @@
 //! `fusion_equivalence` suite pins bitwise equality against the
 //! three-launch reference.
 //!
-//! `sputnik::plan` only builds this kernel after proving the
-//! per-row staging footprint fits the device's shared memory; constructed
-//! for an oversized topology, the static auditor refutes `SharedCapacity`
-//! and the launch is rejected before simulation.
+//! On an oversized topology the static auditor refutes `SharedCapacity`:
+//! `Gpu::run` rejects the launch before simulation, and `sputnik::plan`
+//! runs the three-launch chain instead.
 
 use crate::lanes::Transposed;
 use crate::util::SyncUnsafeSlice;
@@ -106,16 +105,16 @@ impl<'a, T: Scalar> SddmmSoftmaxSpmmKernel<'a, T> {
             q: Some(q),
             kmat: Some(kmat),
             v: Some(v),
-            mask,
             out: Some(SyncUnsafeSlice::new(out)),
-            scale,
-            k: q.cols(),
-            n: v.cols(),
-            sddmm_tile: sddmm_tile.max(1),
-            spmm_tile: spmm_tile.max(1),
-            plan_tag,
-            max_row_len: mask.max_row_len(),
-            k_t: OnceLock::new(),
+            ..Self::for_profile(
+                mask,
+                q.cols(),
+                v.cols(),
+                scale,
+                sddmm_tile,
+                spmm_tile,
+                plan_tag,
+            )
         }
     }
 

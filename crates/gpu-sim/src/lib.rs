@@ -79,7 +79,7 @@ pub mod timing;
 pub mod trace;
 pub mod util;
 
-pub use arena::{ScratchF32, ScratchU64};
+pub use arena::ScratchF32;
 pub use cache::{AccessPattern, BufferSpec, DramTraffic};
 pub use cost::{BlockContext, BlockCost, BlockCostLite, BufferId, Traffic, MAX_BUFFERS};
 pub use device::{DeviceConfig, LinkProfile};

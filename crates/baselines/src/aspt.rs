@@ -17,8 +17,7 @@
 
 use gpu_sim::{
     AccessBound, AccessPattern, AlignmentFacts, BarrierFacts, BlockContext, BufferBound, BufferId,
-    BufferSpec, Dim3, Gpu, Kernel, LaunchStats, SmemScope, StageBound, StaticFacts,
-    SyncUnsafeSlice,
+    BufferSpec, Dim3, Gpu, Kernel, LaunchStats, OutputSlice, SmemScope, StageBound, StaticFacts,
 };
 use sparse::{CsrMatrix, IndexWidth, Matrix, Scalar};
 
@@ -151,7 +150,7 @@ pub struct AsptSpmmKernel<'a, T: Scalar> {
     a: &'a CsrMatrix<T>,
     plan: &'a AsptPlan,
     b: Option<&'a Matrix<T>>,
-    out: Option<SyncUnsafeSlice<'a, T>>,
+    out: Option<OutputSlice<'a, T>>,
     n: usize,
 }
 
@@ -171,7 +170,7 @@ impl<'a, T: Scalar> AsptSpmmKernel<'a, T> {
             a,
             plan,
             b: Some(b),
-            out: Some(SyncUnsafeSlice::new(out.as_mut_slice())),
+            out: Some(OutputSlice::new(out.as_mut_slice())),
             n,
         })
     }
@@ -383,7 +382,7 @@ impl<T: Scalar> Kernel for AsptSpmmKernel<'_, T> {
                     |bv| bv.to_f32(),
                 );
                 for (x, &v) in acc.iter().enumerate() {
-                    unsafe { out.write(r * self.n + n0 + x, T::from_f32(v)) };
+                    out.write(r * self.n + n0 + x, T::from_f32(v));
                 }
             }
         }

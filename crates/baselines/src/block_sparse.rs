@@ -12,8 +12,7 @@
 
 use gpu_sim::{
     AccessBound, AccessPattern, AlignmentFacts, BarrierFacts, BlockContext, BufferBound, BufferId,
-    BufferSpec, Dim3, Gpu, Kernel, LaunchStats, SmemScope, StageBound, StaticFacts,
-    SyncUnsafeSlice,
+    BufferSpec, Dim3, Gpu, Kernel, LaunchStats, OutputSlice, SmemScope, StageBound, StaticFacts,
 };
 use sparse::block::BsrMatrix;
 use sparse::Matrix;
@@ -34,7 +33,7 @@ const THREADS: u32 = 128;
 pub struct BlockSpmmKernel<'a> {
     a: &'a BsrMatrix<f32>,
     b: Option<&'a Matrix<f32>>,
-    out: Option<SyncUnsafeSlice<'a, f32>>,
+    out: Option<OutputSlice<'a, f32>>,
     n: usize,
 }
 
@@ -47,7 +46,7 @@ impl<'a> BlockSpmmKernel<'a> {
         Self {
             a,
             b: Some(b),
-            out: Some(SyncUnsafeSlice::new(out.as_mut_slice())),
+            out: Some(OutputSlice::new(out.as_mut_slice())),
             n,
         }
     }
@@ -259,7 +258,7 @@ impl Kernel for BlockSpmmKernel<'_> {
             }
             for r in 0..bs {
                 for x in 0..tile_n {
-                    unsafe { out.write((br * bs + r) * self.n + n0 + x, acc[r * tile_n + x]) };
+                    out.write((br * bs + r) * self.n + n0 + x, acc[r * tile_n + x]);
                 }
             }
         }

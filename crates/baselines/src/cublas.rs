@@ -10,8 +10,7 @@
 
 use gpu_sim::{
     AccessBound, AccessPattern, AlignmentFacts, BarrierFacts, BlockContext, BufferBound, BufferId,
-    BufferSpec, Dim3, Gpu, Kernel, LaunchStats, SmemScope, StageBound, StaticFacts,
-    SyncUnsafeSlice,
+    BufferSpec, Dim3, Gpu, Kernel, LaunchStats, OutputSlice, SmemScope, StageBound, StaticFacts,
 };
 use sparse::Matrix;
 
@@ -38,7 +37,7 @@ const TILE_VARIANTS: [(usize, usize, u32); 5] = [
 pub struct GemmKernel<'a> {
     a: Option<&'a Matrix<f32>>,
     b: Option<&'a Matrix<f32>>,
-    out: Option<SyncUnsafeSlice<'a, f32>>,
+    out: Option<OutputSlice<'a, f32>>,
     m: usize,
     k: usize,
     n: usize,
@@ -57,7 +56,7 @@ impl<'a> GemmKernel<'a> {
         Self {
             a: Some(a),
             b: Some(b),
-            out: Some(SyncUnsafeSlice::new(out.as_mut_slice())),
+            out: Some(OutputSlice::new(out.as_mut_slice())),
             m,
             k,
             n,
@@ -261,10 +260,8 @@ impl Kernel for GemmKernel<'_> {
                     |bv| bv,
                 );
                 for (ci, (&v0, &v1)) in acc.iter().zip(acc1.iter()).enumerate() {
-                    unsafe {
-                        out.write(r * n + col0 + ci, v0);
-                        out.write((r + 1) * n + col0 + ci, v1);
-                    }
+                    out.write(r * n + col0 + ci, v0);
+                    out.write((r + 1) * n + col0 + ci, v1);
                 }
                 r += 2;
             }
@@ -276,7 +273,7 @@ impl Kernel for GemmKernel<'_> {
                     |bv| bv,
                 );
                 for (ci, &v) in acc.iter().enumerate() {
-                    unsafe { out.write(r * n + col0 + ci, v) };
+                    out.write(r * n + col0 + ci, v);
                 }
             }
         }
@@ -305,7 +302,7 @@ pub fn gemm_profile(gpu: &Gpu, m: usize, k: usize, n: usize) -> LaunchStats {
 /// matrix using cuBLAS and include the transposition in our timing."
 pub struct TransposeKernel<'a> {
     src: Option<&'a Matrix<f32>>,
-    out: Option<SyncUnsafeSlice<'a, f32>>,
+    out: Option<OutputSlice<'a, f32>>,
     rows: usize,
     cols: usize,
 }
@@ -319,7 +316,7 @@ impl<'a> TransposeKernel<'a> {
         let (rows, cols) = (src.rows(), src.cols());
         Self {
             src: Some(src),
-            out: Some(SyncUnsafeSlice::new(out.as_mut_slice())),
+            out: Some(OutputSlice::new(out.as_mut_slice())),
             rows,
             cols,
         }
@@ -444,7 +441,7 @@ impl Kernel for TransposeKernel<'_> {
             let src = src.as_slice();
             for r in r0..r0 + h {
                 for c in c0..c0 + w {
-                    unsafe { out.write(c * self.rows + r, src[r * self.cols + c]) };
+                    out.write(c * self.rows + r, src[r * self.cols + c]);
                 }
             }
         }

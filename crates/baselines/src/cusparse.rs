@@ -18,8 +18,7 @@
 
 use gpu_sim::{
     AccessBound, AccessPattern, AlignmentFacts, BarrierFacts, BlockContext, BufferBound,
-    BufferSpec, Dim3, Gpu, Kernel, LaunchStats, SmemScope, StageBound, StaticFacts,
-    SyncUnsafeSlice,
+    BufferSpec, Dim3, Gpu, Kernel, LaunchStats, OutputSlice, SmemScope, StageBound, StaticFacts,
 };
 use sparse::{CsrMatrix, IndexWidth, Matrix, Scalar};
 use sputnik::spmm::{csr_spmm_buffers, BUF_A_INDICES, BUF_A_OFFSETS, BUF_A_VALUES, BUF_B, BUF_C};
@@ -36,7 +35,7 @@ pub struct CusparseSpmmKernel<'a, T: Scalar> {
     /// per-output accumulation order are unchanged, so results are
     /// bit-identical to gathering straight from the column-major operand.
     bt: Option<Vec<f32>>,
-    out: Option<SyncUnsafeSlice<'a, T>>,
+    out: Option<OutputSlice<'a, T>>,
     n: usize,
 }
 
@@ -64,7 +63,7 @@ impl<'a, T: Scalar> CusparseSpmmKernel<'a, T> {
         Self {
             a,
             bt: Some(bt),
-            out: Some(SyncUnsafeSlice::new(out.as_mut_slice())),
+            out: Some(OutputSlice::new(out.as_mut_slice())),
             n,
         }
     }
@@ -208,7 +207,7 @@ impl<T: Scalar> Kernel for CusparseSpmmKernel<'_, T> {
                 }
                 if let (true, Some(out)) = (ctx.functional(), self.out.as_ref()) {
                     for c in n0..n0 + tile_n {
-                        unsafe { out.write(c * self.a.rows() + row, T::zero()) };
+                        out.write(c * self.a.rows() + row, T::zero());
                     }
                 }
                 continue;
@@ -269,7 +268,7 @@ impl<T: Scalar> Kernel for CusparseSpmmKernel<'_, T> {
                     |bv| bv,
                 );
                 for (lane, &v) in acc[..tile_n].iter().enumerate() {
-                    unsafe { out.write((n0 + lane) * m_rows + row, T::from_f32(v)) };
+                    out.write((n0 + lane) * m_rows + row, T::from_f32(v));
                 }
             }
         }
@@ -418,7 +417,7 @@ pub struct ConstrainedGemmKernel<'a, T: Scalar> {
     /// K x N dense operand (already transposed by the caller!).
     rhs_t: Option<&'a Matrix<T>>,
     mask: &'a CsrMatrix<T>,
-    out_values: Option<SyncUnsafeSlice<'a, T>>,
+    out_values: Option<OutputSlice<'a, T>>,
     k: usize,
 }
 
@@ -439,7 +438,7 @@ impl<'a, T: Scalar> ConstrainedGemmKernel<'a, T> {
             lhs: Some(lhs),
             rhs_t: Some(rhs_t),
             mask,
-            out_values: Some(SyncUnsafeSlice::new(out_values)),
+            out_values: Some(OutputSlice::new(out_values)),
             k,
         }
     }
@@ -639,7 +638,7 @@ impl<T: Scalar> Kernel for ConstrainedGemmKernel<'_, T> {
                             .to_f32()
                             .mul_add(rhs_t.get(l, j).to_f32(), acc);
                     }
-                    unsafe { out.write(row_start + t, T::from_f32(acc)) };
+                    out.write(row_start + t, T::from_f32(acc));
                 }
             }
         }

@@ -10,7 +10,7 @@
 
 use gpu_sim::{
     AccessBound, AccessPattern, AlignmentFacts, BarrierFacts, BlockContext, BufferBound, BufferId,
-    BufferSpec, Dim3, Gpu, Kernel, LaunchStats, StageBound, StaticFacts, SyncUnsafeSlice,
+    BufferSpec, Dim3, Gpu, Kernel, LaunchStats, OutputSlice, StageBound, StaticFacts,
 };
 use sparse::ell::EllMatrix;
 use sparse::Matrix;
@@ -26,7 +26,7 @@ pub const BUF_C: BufferId = BufferId(4);
 pub struct EllSpmmKernel<'a> {
     a: &'a EllMatrix<f32>,
     b: Option<&'a Matrix<f32>>,
-    out: Option<SyncUnsafeSlice<'a, f32>>,
+    out: Option<OutputSlice<'a, f32>>,
     n: usize,
 }
 
@@ -39,7 +39,7 @@ impl<'a> EllSpmmKernel<'a> {
         Self {
             a,
             b: Some(b),
-            out: Some(SyncUnsafeSlice::new(out.as_mut_slice())),
+            out: Some(OutputSlice::new(out.as_mut_slice())),
             n,
         }
     }
@@ -249,7 +249,7 @@ impl Kernel for EllSpmmKernel<'_> {
                     |bv| bv,
                 );
                 for (x, &v) in acc.iter().enumerate() {
-                    unsafe { out.write(r * self.n + n0 + x, v) };
+                    out.write(r * self.n + n0 + x, v);
                 }
             }
         }

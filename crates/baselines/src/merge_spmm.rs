@@ -16,7 +16,7 @@
 
 use gpu_sim::{
     AccessBound, AlignmentFacts, BarrierFacts, BlockContext, BufferBound, BufferSpec, Dim3, Gpu,
-    Kernel, LaunchStats, StageBound, StaticFacts, SyncUnsafeSlice,
+    Kernel, LaunchStats, OutputSlice, StageBound, StaticFacts,
 };
 use sparse::{CsrMatrix, IndexWidth, Matrix, Scalar};
 use sputnik::spmm::{csr_spmm_buffers, BUF_A_INDICES, BUF_A_OFFSETS, BUF_A_VALUES, BUF_B, BUF_C};
@@ -25,7 +25,7 @@ use sputnik::spmm::{csr_spmm_buffers, BUF_A_INDICES, BUF_A_OFFSETS, BUF_A_VALUES
 pub struct MergeSpmmKernel<'a, T: Scalar> {
     a: &'a CsrMatrix<T>,
     b: Option<&'a Matrix<T>>,
-    out: Option<SyncUnsafeSlice<'a, T>>,
+    out: Option<OutputSlice<'a, T>>,
     n: usize,
 }
 
@@ -51,7 +51,7 @@ impl<'a, T: Scalar> MergeSpmmKernel<'a, T> {
         Ok(Self {
             a,
             b: Some(b),
-            out: Some(SyncUnsafeSlice::new(out.as_mut_slice())),
+            out: Some(OutputSlice::new(out.as_mut_slice())),
             n,
         })
     }
@@ -235,7 +235,7 @@ impl<T: Scalar> Kernel for MergeSpmmKernel<'_, T> {
                     |bv| bv.to_f32(),
                 );
                 for (x, &v) in acc.iter().enumerate() {
-                    unsafe { out.write(row * self.n + n0 + x, T::from_f32(v)) };
+                    out.write(row * self.n + n0 + x, T::from_f32(v));
                 }
             }
         }

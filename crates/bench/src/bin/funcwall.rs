@@ -273,7 +273,7 @@ fn main() {
     let problems = build_problems();
     let gpu = Gpu::v100();
 
-    // Warm up once: rayon worker pool, scratch arenas, allocator high-water.
+    // Warm up once: this thread's scratch arenas, allocator high-water.
     sweep(&gpu, &problems);
 
     if has_flag("--breakdown") {

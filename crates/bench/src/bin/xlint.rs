@@ -3,7 +3,7 @@
 //!
 //! No `syn` in the vendored dependency set, so this is a lexical pass: each
 //! source file is stripped of comments, string literals, and char literals
-//! by a small state machine, then scanned line by line. Six rules:
+//! by a small state machine, then scanned line by line. Seven rules:
 //!
 //! * `sim-clock` — the simulated-clock crates (`gpu-sim`, `serve`) and
 //!   the fleet-facing modules that schedule against the simulated stream
@@ -13,9 +13,8 @@
 //!   construction. (Bench bins, which measure real wall time on purpose,
 //!   live in their own crate and are exempt.)
 //! * `raw-ptr-write` — raw-pointer writes are confined to
-//!   `gpu-sim/src/util.rs` (the `SyncUnsafeSlice` shared-output
-//!   abstraction, whose safety argument is the grid's disjoint-write
-//!   contract). Everywhere else, kernels must write through it, so the
+//!   `gpu-sim/src/util.rs` (the `OutputSlice` output write path).
+//!   Everywhere else, kernels must write through it, so the
 //!   sanitizer's shadow map observes every store. Bench bins are exempt
 //!   (the counting allocator in `funcwall` implements `GlobalAlloc`).
 //! * `kernel-registry` — every type with a non-test `impl Kernel for T`
@@ -44,6 +43,12 @@
 //!   (`Gpu::run`) is the legality check: a planner sends its kernel
 //!   through it and reads a `StaticallyRefuted` result, rather than
 //!   auditing a probe of its own that could drift from the gate.
+//! * `no-unsafe` — no `unsafe` token in non-test code under
+//!   `crates/{core,baselines,dnn,serve,sparse}/src`, and under
+//!   `crates/gpu-sim/src` only at the allowlisted sites. Kernel
+//!   bodies store through `OutputSlice`'s safe methods; an `unsafe` block
+//!   there would bring back a contract the sequential launcher does not
+//!   need.
 //!
 //! Exit status 1 with one line per finding; 0 on a clean tree. Run from
 //! the repo root (CI does).
@@ -123,6 +128,10 @@ fn strip(source: &str) -> String {
             i += 1;
             while i < b.len() {
                 if b[i] == '\\' {
+                    // A `\` line continuation still ends a source line.
+                    if b.get(i + 1) == Some(&'\n') {
+                        out.push('\n');
+                    }
                     i += 2;
                     continue;
                 }
@@ -272,7 +281,7 @@ fn lint_raw_ptr(path: &Path, stripped: &str, findings: &mut Findings) {
                     "raw-ptr-write",
                     &format!(
                         "`{needle}` outside gpu-sim/src/util.rs: kernel stores \
-                         must go through SyncUnsafeSlice so the sanitizer's \
+                         must go through OutputSlice so the sanitizer's \
                          shadow map observes them"
                     ),
                 );
@@ -297,17 +306,42 @@ fn lint_launch_gate(path: &Path, stripped: &str, findings: &mut Findings) {
     }
 }
 
+/// Rule `no-unsafe`: the `unsafe` sites allowed, as (file name, stripped
+/// and trimmed code line), so editing one means editing this list.
+const UNSAFE_ALLOWED: [(&str, &str); 1] = [
+    // The sanitizer's deref of the live session its thread-local slot holds.
+    ("sanitizer.rs", "Some(f(unsafe { session.as_ref() }, lin))"),
+];
+
+/// Rule `no-unsafe`: an `unsafe` token outside test modules and
+/// [`UNSAFE_ALLOWED`].
+fn lint_no_unsafe(path: &Path, stripped: &str, findings: &mut Findings) {
+    let tests = test_spans(stripped);
+    for (n, line) in stripped.lines().enumerate() {
+        let mut words = line.split(|c: char| !(c.is_alphanumeric() || c == '_'));
+        let allowed = UNSAFE_ALLOWED
+            .iter()
+            .any(|&(file, site)| path.ends_with(file) && line.trim() == site);
+        if words.any(|w| w == "unsafe") && !allowed && !in_spans(&tests, n) {
+            findings.push(
+                path,
+                n,
+                "no-unsafe",
+                "`unsafe` in a kernel or simulator crate: kernel outputs are \
+                 `OutputSlice`s, whose stores are safe",
+            );
+        }
+    }
+}
+
 /// Rule `global-state`: the process-global statics that remain, as (file,
 /// name). Each goes when the ROADMAP item named beside it lands.
-const GLOBAL_STATE_ALLOWED: [(&str, &str); 5] = [
-    // ROADMAP item 3 (run-scoped state): the books and the trace switch
+const GLOBAL_STATE_ALLOWED: [(&str, &str); 3] = [
+    // ROADMAP item 6 (run-scoped state): the books and the trace switch
     // move onto the `Run` handle.
     ("trace.rs", "ENABLED"),
     ("trace.rs", "BOOKS"),
-    // ROADMAP item 3: the arena counters move onto the `Run` handle.
-    ("arena.rs", "POOL_MISSES"),
-    ("arena.rs", "CHECKOUTS"),
-    // ROADMAP item 3: the lane selector becomes a builder option.
+    // ROADMAP item 6: the lane selector becomes a builder option.
     ("lanes.rs", "VECTORIZED"),
 ];
 
@@ -489,6 +523,12 @@ fn main() {
         {
             lint_launch_gate(path, &stripped, &mut findings);
         }
+        if ["core", "baselines", "dnn", "serve", "sparse", "gpu-sim"]
+            .iter()
+            .any(|c| rel.contains(&format!("crates/{c}/src/")))
+        {
+            lint_no_unsafe(path, &stripped, &mut findings);
+        }
 
         let is_util = rel.ends_with("crates/gpu-sim/src/util.rs");
         let is_bench = rel.contains("crates/bench/");
@@ -527,7 +567,7 @@ fn main() {
     if findings.0.is_empty() {
         println!(
             "xlint: {checked} files clean (sim-clock, raw-ptr-write, kernel-registry, \
-             global-state, experiment-record, launch-gate)"
+             global-state, experiment-record, launch-gate, no-unsafe)"
         );
         return;
     }
@@ -544,10 +584,10 @@ mod tests {
 
     #[test]
     fn strip_removes_comments_and_strings() {
-        let src = "let a = \"std::time\"; // std::time\n/* std::time */ let b = 1;\n";
+        let src = "let a = \"std::time\"; // std::time\n/* std::time */ let b = \"x\\\n y\";\n";
         let s = strip(src);
         assert!(!s.contains("std::time"), "{s}");
-        assert_eq!(s.lines().count(), 2, "newlines preserved: {s}");
+        assert_eq!(s.lines().count(), 3, "newlines preserved: {s}");
     }
 
     #[test]
@@ -607,6 +647,29 @@ mod tests {
             "{:?}",
             f.0
         );
+    }
+
+    #[test]
+    fn no_unsafe_fires_outside_the_allowlisted_sites() {
+        let src = strip(
+            "fn store(out: &OutputSlice<'_, f32>) {\n    unsafe { out.write(0, 1.0) };\n}\n\
+             unsafe impl Sync for Shared {}\n\
+             // an unsafe block in a comment\n\
+             fn quoted() { let s = \"unsafe\"; let unsafe_count = 0; }\n\
+             fn with_block() {\n    Some(f(unsafe { session.as_ref() }, lin))\n}\n\
+             #[cfg(test)]\nmod tests {\n    fn t() { unsafe { f() } }\n}\n",
+        );
+        let lines = |path: &str| {
+            let mut f = Findings(Vec::new());
+            lint_no_unsafe(Path::new(path), &src, &mut f);
+            f.0.iter()
+                .filter_map(|m| m.split(':').nth(1).map(str::to_owned))
+                .collect::<Vec<_>>()
+        };
+        // The sanitizer's deref is allowed only in the sanitizer.
+        assert_eq!(lines("crates/gpu-sim/src/sanitizer.rs"), ["2", "4"]);
+        assert_eq!(lines("crates/core/src/spmm.rs"), ["2", "4", "8"]);
+        assert_eq!(lines("crates/gpu-sim/src/util.rs"), ["2", "4", "8"]);
     }
 
     #[test]

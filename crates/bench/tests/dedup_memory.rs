@@ -6,7 +6,9 @@
 //! test wraps the system allocator with live- and peak-byte counters and
 //! requires an SpMM launch of over 100 k blocks and an SDDMM launch of
 //! 40,000 to peak under 48 B per block above the bytes live when they
-//! started; a full cost record per block (about 200 B) fails it.
+//! started; a full cost record per block (about 200 B) fails it. A launch
+//! runs its blocks one at a time on the calling thread, so the peak is that
+//! of one block's execution plus the launch's own records.
 
 use gpu_sim::{Gpu, Kernel};
 use sparse::rng::SplitMix64;
@@ -68,8 +70,8 @@ const BYTES_PER_BLOCK: usize = 48;
 static SERIAL: Mutex<()> = Mutex::new(());
 
 /// Profile `kernel` twice and require the second launch to peak under
-/// [`BYTES_PER_BLOCK`] per block; the first warms the rayon pool and the
-/// metrics registry.
+/// [`BYTES_PER_BLOCK`] per block; the first warms the thread's scratch
+/// arena and the metrics registry.
 fn assert_profile_peak_bounded(kernel: &dyn Kernel, min_blocks: usize) {
     let blocks = kernel.grid().size() as usize;
     assert!(blocks >= min_blocks, "grid of {blocks} blocks is too small");

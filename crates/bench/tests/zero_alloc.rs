@@ -5,8 +5,9 @@
 //! come from the thread-local scratch arenas, accumulators live on the
 //! stack, and cost recording is skipped entirely. This test wraps the system
 //! allocator with a counter and requires a run of consecutive replay
-//! launches with zero `alloc`/`realloc` calls once the arenas and the rayon
-//! worker pool have warmed up.
+//! launches with zero `alloc`/`realloc` calls once the calling thread's
+//! arenas have warmed up (a launch runs every block on its caller's
+//! thread).
 
 use gpu_sim::Gpu;
 use sparse::{gen, Matrix, RowSwizzle};
@@ -41,8 +42,7 @@ fn allocs() -> u64 {
 
 /// Replay `launch` repeatedly until it stops allocating, then demand a
 /// streak of allocation-free launches. The warm-up bound is generous: the
-/// first launches fill arena pools on every rayon worker and the pool's own
-/// task-queue high-water marks.
+/// first launches grow the thread's arena pool to the largest block.
 fn assert_becomes_alloc_free(label: &str, mut launch: impl FnMut()) {
     const STREAK: u32 = 16;
     let mut streak = 0;

@@ -37,7 +37,7 @@ use crate::spmm::{
 use gpu_sim::trace::{self, Entry};
 use gpu_sim::{
     AccessBound, AlignmentFacts, BarrierFacts, BlockContext, BufferBound, BufferSpec, Dim3, Gpu,
-    Kernel, LaunchCache, LaunchRequest, LaunchStats, StageBound, StaticFacts, SyncUnsafeSlice,
+    Kernel, LaunchCache, LaunchRequest, LaunchStats, OutputSlice, StageBound, StaticFacts,
 };
 use sparse::{CsrMatrix, IndexWidth, Matrix, RowSwizzle, Scalar};
 
@@ -544,7 +544,7 @@ fn check_checksum<T: Scalar>(
 pub struct FallbackSpmmKernel<'a, T: Scalar> {
     a: &'a CsrMatrix<T>,
     b: &'a Matrix<T>,
-    out: SyncUnsafeSlice<'a, T>,
+    out: OutputSlice<'a, T>,
     n: usize,
 }
 
@@ -557,7 +557,7 @@ impl<'a, T: Scalar> FallbackSpmmKernel<'a, T> {
         Self {
             a,
             b,
-            out: SyncUnsafeSlice::new(out.as_mut_slice()),
+            out: OutputSlice::new(out.as_mut_slice()),
             n,
         }
     }
@@ -684,7 +684,7 @@ impl<T: Scalar> Kernel for FallbackSpmmKernel<'_, T> {
                 |bv| bv.to_f32(),
             );
             let tile = acc.iter().map(|&v| T::from_f32(v));
-            unsafe { self.out.write_run(row * n, tile) };
+            self.out.write_run(row * n, tile);
         }
     }
 }

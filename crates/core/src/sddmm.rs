@@ -34,7 +34,7 @@ use gpu_sim::memory::{sectors_contiguous, SECTOR_BYTES};
 use gpu_sim::{
     AccessBound, AccessPattern, AlignmentFacts, BarrierFacts, BlockContext, BufferBound, BufferId,
     BufferSpec, Dim3, Fingerprint, Gpu, Kernel, LaunchCache, LaunchRequest, LaunchStats,
-    StageBound, StaticFacts, SyncUnsafeSlice,
+    OutputSlice, StageBound, StaticFacts,
 };
 use sparse::{CsrMatrix, Matrix, RowSwizzle, Scalar};
 use std::sync::OnceLock;
@@ -52,7 +52,7 @@ pub struct SddmmKernel<'a, T: Scalar> {
     lhs: Option<&'a Matrix<T>>,
     rhs: Option<&'a Matrix<T>>,
     mask: &'a CsrMatrix<T>,
-    out_values: Option<SyncUnsafeSlice<'a, T>>,
+    out_values: Option<OutputSlice<'a, T>>,
     swizzle: &'a RowSwizzle,
     cfg: SddmmConfig,
     /// Dot-product length (columns of both dense operands).
@@ -122,7 +122,7 @@ impl<'a, T: Scalar> SddmmKernel<'a, T> {
             lhs: Some(lhs),
             rhs: Some(rhs),
             mask,
-            out_values: Some(SyncUnsafeSlice::new(out_values)),
+            out_values: Some(OutputSlice::new(out_values)),
             swizzle,
             cfg,
             k,
@@ -470,7 +470,7 @@ impl<T: Scalar> Kernel for SddmmKernel<'_, T> {
                     }
                 }
                 // Disjoint: each nonzero belongs to exactly one strip.
-                unsafe { out.write_run(first + i, dots.iter().map(|&d| T::from_f32(d))) };
+                out.write_run(first + i, dots.iter().map(|&d| T::from_f32(d)));
             };
             // Left-to-right FMA chain per dot, same order as the reference
             // product (horizontal reductions are never lane-split).

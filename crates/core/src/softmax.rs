@@ -9,7 +9,7 @@
 
 use gpu_sim::{
     AccessBound, AccessPattern, AlignmentFacts, BarrierFacts, BlockContext, BufferBound, BufferId,
-    BufferSpec, Dim3, Gpu, Kernel, LaunchStats, StageBound, StaticFacts, SyncUnsafeSlice,
+    BufferSpec, Dim3, Gpu, Kernel, LaunchStats, OutputSlice, StageBound, StaticFacts,
 };
 use sparse::{CsrMatrix, Scalar};
 
@@ -23,7 +23,7 @@ const ROWS_PER_BLOCK: u32 = 4;
 /// The simulated sparse-softmax kernel.
 pub struct SparseSoftmaxKernel<'a, T: Scalar> {
     m: &'a CsrMatrix<T>,
-    out_values: Option<SyncUnsafeSlice<'a, T>>,
+    out_values: Option<OutputSlice<'a, T>>,
     vector_width: u32,
     /// Logit scale folded into the read passes (attention's `1/sqrt(d)`).
     /// `None` is the plain softmax; `Some` meters one extra multiply pass
@@ -37,7 +37,7 @@ impl<'a, T: Scalar> SparseSoftmaxKernel<'a, T> {
         assert_eq!(out_values.len(), m.nnz());
         Self {
             m,
-            out_values: Some(SyncUnsafeSlice::new(out_values)),
+            out_values: Some(OutputSlice::new(out_values)),
             vector_width: 16 / T::BYTES,
             scale: None,
         }
@@ -194,9 +194,7 @@ impl<T: Scalar> Kernel for SparseSoftmaxKernel<'_, T> {
                     };
                 }
                 gpu_sim::lanes::softmax_in_place(&mut row_p);
-                // SAFETY: each row belongs to one warp of one block, so
-                // no other executor writes `start..start + len`.
-                unsafe { out.write_run(start, row_p.iter().map(|&p| T::from_f32(p))) };
+                out.write_run(start, row_p.iter().map(|&p| T::from_f32(p)));
             }
         }
     }

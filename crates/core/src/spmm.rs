@@ -25,8 +25,8 @@ use crate::error::SputnikError;
 use crate::roma::{MemoryAligner, ROMA_PRELUDE_INSTRS};
 use gpu_sim::{
     AccessBound, AccessPattern, AlignmentFacts, BarrierFacts, BlockContext, BufferBound, BufferId,
-    BufferSpec, Dim3, Fingerprint, Gpu, Kernel, LaunchCache, LaunchRequest, LaunchStats, SmemScope,
-    StageBound, StaticFacts, SyncUnsafeSlice, VectorClass,
+    BufferSpec, Dim3, Fingerprint, Gpu, Kernel, LaunchCache, LaunchRequest, LaunchStats,
+    OutputSlice, SmemScope, StageBound, StaticFacts, VectorClass,
 };
 use sparse::{CsrMatrix, IndexWidth, Matrix, PatternLut, RowSwizzle, Scalar};
 use std::sync::OnceLock;
@@ -150,11 +150,28 @@ pub fn csr_spmm_buffers<T: Scalar>(
 /// The simulated SpMM kernel. Construct via [`SpmmKernel::new`] (functional)
 /// or [`SpmmKernel::for_profile`] (cost model only — no dense allocations),
 /// launch via [`gpu_sim::Gpu::launch`], or use the [`spmm`] wrapper.
+///
+/// Its output is a [`gpu_sim::OutputSlice`], so no other thread can reach a
+/// kernel while one launch runs its blocks:
+///
+/// ```compile_fail,E0277
+/// use sparse::{gen, Matrix, RowSwizzle};
+/// use sputnik::{SpmmConfig, SpmmKernel};
+///
+/// let a = gen::uniform(32, 64, 0.7, 9);
+/// let b = Matrix::<f32>::random(64, 32, 10);
+/// let mut out = Matrix::<f32>::zeros(32, 32);
+/// let swizzle = RowSwizzle::identity(32);
+/// let kernel = SpmmKernel::new(&a, &b, &mut out, &swizzle, SpmmConfig::default());
+/// std::thread::scope(|s| {
+///     s.spawn(|| gpu_sim::Gpu::v100().launch(&kernel));
+/// });
+/// ```
 pub struct SpmmKernel<'a, T: Scalar> {
     a: &'a CsrMatrix<T>,
     /// Dense operand data; absent in profile-only kernels.
     b: Option<&'a Matrix<T>>,
-    out: Option<SyncUnsafeSlice<'a, T>>,
+    out: Option<OutputSlice<'a, T>>,
     swizzle: &'a RowSwizzle,
     bias: Option<&'a [f32]>,
     cfg: SpmmConfig,
@@ -258,7 +275,7 @@ impl<'a, T: Scalar> SpmmKernel<'a, T> {
         }
         validate_spmm(a, swizzle, &cfg)?;
         let n = b.cols();
-        let out = SyncUnsafeSlice::new(out.as_mut_slice());
+        let out = OutputSlice::new(out.as_mut_slice());
         Ok(Self {
             a,
             b: Some(b),
@@ -456,7 +473,7 @@ impl<'a, T: Scalar> SpmmKernel<'a, T> {
             // Seed the accumulator tile with the output's current values so
             // the fma chain continues where the previous K-chunk stopped.
             for (x, slot) in acc.iter_mut().enumerate() {
-                *slot = unsafe { out.read(sub.row * self.n + n_off + x) }.to_f32();
+                *slot = out.read(sub.row * self.n + n_off + x).to_f32();
             }
         }
         // ROMA masking: the prefix belongs to the previous row. A B tile the
@@ -477,7 +494,7 @@ impl<'a, T: Scalar> SpmmKernel<'a, T> {
             .map(|&v| T::from_f32(if relu { (v + bias).max(0.0) } else { v }));
         // Disjointness: each (row, column-tile) pair is owned by exactly
         // one subwarp of one block.
-        unsafe { out.write_run(sub.row * self.n + n_off, tile) };
+        out.write_run(sub.row * self.n + n_off, tile);
     }
 
     /// Cost of one warp's execution over its subwarps.

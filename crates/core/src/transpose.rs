@@ -16,7 +16,7 @@ use crate::config::SpmmConfig;
 use crate::spmm::SpmmKernel;
 use gpu_sim::{
     AccessBound, AccessPattern, AlignmentFacts, BarrierFacts, BlockContext, BufferBound, BufferId,
-    BufferSpec, Dim3, Gpu, Kernel, LaunchStats, StageBound, StaticFacts, SyncUnsafeSlice,
+    BufferSpec, Dim3, Gpu, Kernel, LaunchStats, OutputSlice, StageBound, StaticFacts,
 };
 use sparse::{CsrMatrix, Matrix, RowSwizzle, Scalar};
 
@@ -102,7 +102,7 @@ pub const BUF_DST: BufferId = BufferId(2);
 pub struct PermuteKernel<'a, T: Scalar> {
     src: &'a [T],
     perm: &'a [u32],
-    dst: SyncUnsafeSlice<'a, T>,
+    dst: OutputSlice<'a, T>,
 }
 
 const PERMUTE_BLOCK: usize = 256;
@@ -114,7 +114,7 @@ impl<'a, T: Scalar> PermuteKernel<'a, T> {
         Self {
             src,
             perm,
-            dst: SyncUnsafeSlice::new(dst),
+            dst: OutputSlice::new(dst),
         }
     }
 }
@@ -231,7 +231,7 @@ impl<T: Scalar> Kernel for PermuteKernel<'_, T> {
 
         if ctx.functional() {
             for i in start..start + count {
-                unsafe { self.dst.write(i, self.src[self.perm[i] as usize]) };
+                self.dst.write(i, self.src[self.perm[i] as usize]);
             }
         }
     }

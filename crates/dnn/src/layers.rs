@@ -8,8 +8,7 @@
 //! for the dense baselines, and a dense row-softmax for dense attention.
 
 use gpu_sim::{
-    AccessPattern, BlockContext, BufferId, BufferSpec, Dim3, Gpu, Kernel, LaunchStats,
-    SyncUnsafeSlice,
+    AccessPattern, BlockContext, BufferId, BufferSpec, Dim3, Gpu, Kernel, LaunchStats, OutputSlice,
 };
 use sparse::{CsrMatrix, Matrix, RowSwizzle};
 use sputnik::{SpmmConfig, SpmmKernel};
@@ -106,7 +105,7 @@ pub const BUF_Y: BufferId = BufferId(2);
 pub struct BiasReluKernel<'a> {
     x: Option<&'a Matrix<f32>>,
     bias: Option<&'a [f32]>,
-    out: Option<SyncUnsafeSlice<'a, f32>>,
+    out: Option<OutputSlice<'a, f32>>,
     relu: bool,
     m: usize,
     n: usize,
@@ -120,7 +119,7 @@ impl<'a> BiasReluKernel<'a> {
         Self {
             x: Some(x),
             bias: Some(bias),
-            out: Some(SyncUnsafeSlice::new(out.as_mut_slice())),
+            out: Some(OutputSlice::new(out.as_mut_slice())),
             relu,
             m,
             n,
@@ -202,7 +201,7 @@ impl Kernel for BiasReluKernel<'_> {
                 if self.relu {
                     v = v.max(0.0);
                 }
-                unsafe { out.write(row * self.n + c, v) };
+                out.write(row * self.n + c, v);
             }
         }
     }
@@ -294,7 +293,7 @@ pub struct DepthwiseConvKernel<'a> {
     /// 3x3 filter per channel, flattened `[c][ky*3+kx]`.
     filters: Option<&'a [f32]>,
     bias: Option<&'a [f32]>,
-    out: Option<SyncUnsafeSlice<'a, f32>>,
+    out: Option<OutputSlice<'a, f32>>,
     channels: usize,
     in_h: usize,
     in_w: usize,
@@ -326,7 +325,7 @@ impl<'a> DepthwiseConvKernel<'a> {
             input: Some(input),
             filters: Some(filters),
             bias: Some(bias),
-            out: Some(SyncUnsafeSlice::new(&mut out.data)),
+            out: Some(OutputSlice::new(&mut out.data)),
             channels,
             in_h,
             in_w,
@@ -437,7 +436,7 @@ impl Kernel for DepthwiseConvKernel<'_> {
                         acc += filters[c * 9 + (ky * 3 + kx) as usize] * input.get(c, iy, ix);
                     }
                 }
-                unsafe { out.write(c * oh * ow + p, acc.max(0.0)) };
+                out.write(c * oh * ow + p, acc.max(0.0));
             }
         }
     }
@@ -481,7 +480,7 @@ pub fn depthwise_conv_profile(
 /// time at long sequence lengths.
 pub struct DenseSoftmaxKernel<'a> {
     x: Option<&'a Matrix<f32>>,
-    out: Option<SyncUnsafeSlice<'a, f32>>,
+    out: Option<OutputSlice<'a, f32>>,
     m: usize,
     n: usize,
     /// Logit scale applied on the fly while reading `x` (attention's
@@ -496,7 +495,7 @@ impl<'a> DenseSoftmaxKernel<'a> {
         let (m, n) = (x.rows(), x.cols());
         Self {
             x: Some(x),
-            out: Some(SyncUnsafeSlice::new(out.as_mut_slice())),
+            out: Some(OutputSlice::new(out.as_mut_slice())),
             m,
             n,
             scale: None,
@@ -588,9 +587,7 @@ impl Kernel for DenseSoftmaxKernel<'_> {
                 }
                 gpu_sim::lanes::softmax_in_place(&mut row_p);
                 for (i, &p) in row_p.iter().enumerate() {
-                    // SAFETY: each row belongs to one warp of one block, so
-                    // no other executor writes this output row.
-                    unsafe { out.write(row * self.n + i, p) };
+                    out.write(row * self.n + i, p);
                 }
             }
         }

@@ -11,9 +11,7 @@
 //! h' = sigmoid(o) * tanh(c')
 //! ```
 
-use gpu_sim::{
-    AccessPattern, BlockContext, BufferId, BufferSpec, Dim3, Gpu, Kernel, SyncUnsafeSlice,
-};
+use gpu_sim::{AccessPattern, BlockContext, BufferId, BufferSpec, Dim3, Gpu, Kernel, OutputSlice};
 use sparse::{CsrMatrix, Matrix, RowSwizzle};
 use sputnik::{SpmmConfig, SpmmKernel};
 
@@ -138,8 +136,8 @@ pub struct LstmElementwiseKernel<'a> {
     gates: &'a Matrix<f32>,
     bias: &'a [f32],
     c_in: &'a Matrix<f32>,
-    h_out: SyncUnsafeSlice<'a, f32>,
-    c_out: SyncUnsafeSlice<'a, f32>,
+    h_out: OutputSlice<'a, f32>,
+    c_out: OutputSlice<'a, f32>,
     hidden: usize,
     batch: usize,
 }
@@ -167,8 +165,8 @@ impl<'a> LstmElementwiseKernel<'a> {
             gates,
             bias,
             c_in,
-            h_out: SyncUnsafeSlice::new(h_out.as_mut_slice()),
-            c_out: SyncUnsafeSlice::new(c_out.as_mut_slice()),
+            h_out: OutputSlice::new(h_out.as_mut_slice()),
+            c_out: OutputSlice::new(c_out.as_mut_slice()),
             hidden,
             batch,
         }
@@ -268,10 +266,8 @@ impl Kernel for LstmElementwiseKernel<'_> {
                 let gg = gate(2).tanh();
                 let o = sigmoid(gate(3));
                 let c_new = f * c_prev + i * gg;
-                unsafe {
-                    self.c_out.write(idx, c_new);
-                    self.h_out.write(idx, o * c_new.tanh());
-                }
+                self.c_out.write(idx, c_new);
+                self.h_out.write(idx, o * c_new.tanh());
             }
         }
     }

@@ -7,12 +7,14 @@
 //! round-trip on every simulated block, and the functional path executes
 //! millions of blocks per sweep.
 //!
-//! This module gives each rayon worker thread a small pool of reusable
-//! buffers. A kernel checks a buffer out for the duration of one block
-//! (through [`BlockContext::scratch_f32`](crate::BlockContext::scratch_f32)
-//! or the free functions here) and the buffer returns to the pool when the
-//! guard drops — exactly the shared-memory lifetime. After a short warm-up
-//! (each worker growing its pooled buffers to the largest block it has
+//! This module gives each thread a small pool of reusable buffers; a
+//! launch runs all its blocks on its caller's thread, so that thread's
+//! pool serves the whole launch. A kernel checks a buffer out for the
+//! duration of one block (through
+//! [`BlockContext::scratch_f32`](crate::BlockContext::scratch_f32) or the
+//! free functions here) and the buffer returns to the pool when the guard
+//! drops — exactly the shared-memory lifetime. After a short warm-up
+//! (the thread growing its pooled buffers to the largest block it has
 //! seen), block execution performs **zero heap allocations**; the
 //! `zero_alloc` integration test enforces this.
 //!
@@ -30,34 +32,34 @@
 //! 4. Only `f32` staging is pooled. A short fixed-size list, such as one
 //!    warp's 32 gather addresses, lives in a stack array instead.
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::ops::{Deref, DerefMut};
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Pool size cap per thread. Blocks hold at most a few buffers at a time;
 /// anything beyond this would be a leak of the pattern.
 const MAX_POOLED: usize = 16;
 
-/// Count of heap-backed checkouts that could not be served from the pool
-/// (pool empty — the buffer had to be freshly allocated). Strictly
-/// monotonic; the zero-alloc test and `funcwall` read deltas of it.
-static POOL_MISSES: AtomicU64 = AtomicU64::new(0);
-
-/// Total checkouts served (hits + misses), for the `funcwall` report.
-static CHECKOUTS: AtomicU64 = AtomicU64::new(0);
-
 thread_local! {
     static F32_POOL: RefCell<Vec<Vec<f32>>> = const { RefCell::new(Vec::new()) };
+    /// Total checkouts served on this thread (hits + misses), for the
+    /// `funcwall` report.
+    static CHECKOUTS: Cell<u64> = const { Cell::new(0) };
+    /// Checkouts on this thread that could not be served from the pool
+    /// (pool empty — the buffer had to be freshly allocated). Strictly
+    /// monotonic; `funcwall` reads deltas of it.
+    static POOL_MISSES: Cell<u64> = const { Cell::new(0) };
 }
 
-/// Checkouts served since process start (pool hits + misses).
+/// Checkouts served on the calling thread since it started (pool hits +
+/// misses): every checkout of every launch it ran.
 pub fn checkouts() -> u64 {
-    CHECKOUTS.load(Ordering::Relaxed)
+    CHECKOUTS.get()
 }
 
-/// Checkouts that required a fresh heap allocation (empty pool).
+/// Checkouts on the calling thread that required a fresh heap allocation
+/// (empty pool).
 pub fn pool_misses() -> u64 {
-    POOL_MISSES.load(Ordering::Relaxed)
+    POOL_MISSES.get()
 }
 
 /// A pooled `f32` staging buffer, zeroed to `len` on checkout. Derefs to
@@ -70,9 +72,9 @@ pub struct ScratchF32 {
 impl ScratchF32 {
     /// Check out a zero-initialized buffer of exactly `len` elements.
     pub fn take(len: usize) -> Self {
-        CHECKOUTS.fetch_add(1, Ordering::Relaxed);
+        CHECKOUTS.set(CHECKOUTS.get() + 1);
         let mut buf = F32_POOL.with(|p| p.borrow_mut().pop()).unwrap_or_else(|| {
-            POOL_MISSES.fetch_add(1, Ordering::Relaxed);
+            POOL_MISSES.set(POOL_MISSES.get() + 1);
             Vec::new()
         });
         buf.clear();

@@ -28,7 +28,7 @@
 //! runs the three-launch chain instead.
 
 use crate::lanes::Transposed;
-use crate::util::SyncUnsafeSlice;
+use crate::util::OutputSlice;
 use crate::{
     lanes, memory, AccessBound, AccessPattern, AlignmentFacts, BarrierFacts, BlockContext,
     BufferBound, BufferId, BufferSpec, Dim3, Kernel, StageBound, StaticFacts,
@@ -57,7 +57,7 @@ pub struct SddmmSoftmaxSpmmKernel<'a, T: Scalar> {
     kmat: Option<&'a Matrix<T>>,
     v: Option<&'a Matrix<T>>,
     mask: &'a CsrMatrix<T>,
-    out: Option<SyncUnsafeSlice<'a, T>>,
+    out: Option<OutputSlice<'a, T>>,
     /// Logit scale applied inside the softmax stage (attention's
     /// `1/sqrt(d)`), metered as an explicit multiply pass.
     scale: f32,
@@ -105,7 +105,7 @@ impl<'a, T: Scalar> SddmmSoftmaxSpmmKernel<'a, T> {
             q: Some(q),
             kmat: Some(kmat),
             v: Some(v),
-            out: Some(SyncUnsafeSlice::new(out)),
+            out: Some(OutputSlice::new(out)),
             ..Self::for_profile(
                 mask,
                 q.cols(),
@@ -441,7 +441,7 @@ impl<T: Scalar> Kernel for SddmmSoftmaxSpmmKernel<'_, T> {
                     .filter(|&(_, &val)| val != 0.0)
                     .map(|(&j, &val)| (val, &vd[j as usize * n + n_off..][..tile_w]));
                 lanes::fma_accumulate(&mut acc, terms, |x| x.to_f32());
-                unsafe { out.write_run(row * n + n_off, acc.iter().map(|&a| T::from_f32(a))) };
+                out.write_run(row * n + n_off, acc.iter().map(|&a| T::from_f32(a)));
                 n_off += tile_w;
             }
         }

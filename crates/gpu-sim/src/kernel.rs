@@ -14,9 +14,11 @@ use crate::static_check::StaticFacts;
 /// outputs (when the launch is functional) and recording the block's
 /// instruction/memory cost trace through the [`BlockContext`].
 ///
-/// Blocks must be independent: the launcher may execute them in any order
-/// and in parallel, exactly as the hardware would.
-pub trait Kernel: Sync {
+/// Blocks must be independent, as on the hardware: the launcher runs a
+/// launch's blocks one at a time on the calling thread, in any order. A
+/// kernel's outputs are [`OutputSlice`](crate::OutputSlice)s, so a kernel
+/// that holds one cannot be shared between threads.
+pub trait Kernel {
     /// Kernel name for reports (e.g. `"sputnik_spmm_f32_n32_v4"`).
     fn name(&self) -> String;
 

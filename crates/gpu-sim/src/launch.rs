@@ -14,7 +14,6 @@ use crate::scheduler;
 use crate::static_check::{self, StaticAudit};
 use crate::timing;
 use crate::trace::{self, Entry};
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
 use std::collections::HashMap;
@@ -497,15 +496,15 @@ impl Gpu {
     /// Execute every block functionally with cost recording disabled: the
     /// output-producing half of a cached functional launch (see
     /// [`Gpu::run`]). This is the warm hot path: kernel bodies stage through
-    /// the scratch arena ([`crate::arena`]) and skip cost-only work, so after
-    /// each rayon worker's pools are warm a replay performs **zero heap
+    /// the scratch arena ([`crate::arena`]) and skip cost-only work, so once
+    /// the calling thread's pools are warm a replay performs **zero heap
     /// allocations** (enforced by the `zero_alloc` integration test).
     pub fn replay_functional(&self, kernel: &dyn Kernel) {
         let grid = kernel.grid();
-        (0..grid.size()).into_par_iter().for_each(|lin| {
+        for lin in 0..grid.size() {
             let mut ctx = BlockContext::replay();
             kernel.execute_block(grid.delinearize(lin), &mut ctx);
-        });
+        }
     }
 
     /// The rejection gate: audit the launch and turn the first `Refuted`
@@ -636,40 +635,30 @@ impl Gpu {
         // 1. Execute all blocks, streaming each cost trace into the running
         // total and a compact per-block record — no `Vec<BlockCost>` of full
         // `MAX_BUFFERS`-wide traces is ever materialized.
-        let (total, lites) = (0..n_blocks)
-            .into_par_iter()
-            .fold_with(
-                (BlockCost::default(), Vec::new()),
-                |(mut total, mut lites), lin| {
-                    let idx = grid.delinearize(lin);
-                    let ctx = match session {
-                        None => {
-                            let mut ctx = BlockContext::new(functional);
-                            kernel.execute_block(idx, &mut ctx);
-                            ctx
-                        }
-                        Some(session) => {
-                            let mut ctx = BlockContext::sanitized(functional, session.block_san());
-                            sanitizer::in_block(session, lin, || {
-                                kernel.execute_block(idx, &mut ctx);
-                            });
-                            if let Some(san) = ctx.take_sanitizer() {
-                                session.absorb_block(san);
-                            }
-                            ctx
-                        }
-                    };
-                    total.merge(&ctx.cost);
-                    lites.push(BlockCostLite::from(&ctx.cost));
-                    (total, lites)
-                },
-            )
-            .reduce_with(|(mut ta, mut la), (tb, lb)| {
-                ta.merge(&tb);
-                la.extend(lb);
-                (ta, la)
-            })
-            .unwrap_or_default();
+        let mut total = BlockCost::default();
+        let mut lites = Vec::new();
+        for lin in 0..n_blocks {
+            let idx = grid.delinearize(lin);
+            let ctx = match session {
+                None => {
+                    let mut ctx = BlockContext::new(functional);
+                    kernel.execute_block(idx, &mut ctx);
+                    ctx
+                }
+                Some(session) => {
+                    let mut ctx = BlockContext::sanitized(functional, session.block_san());
+                    sanitizer::in_block(session, lin, || {
+                        kernel.execute_block(idx, &mut ctx);
+                    });
+                    if let Some(san) = ctx.take_sanitizer() {
+                        session.absorb_block(san);
+                    }
+                    ctx
+                }
+            };
+            total.merge(&ctx.cost);
+            lites.push(BlockCostLite::from(&ctx.cost));
+        }
 
         self.finish(kernel, occ, total, lites, None)
     }
@@ -696,7 +685,7 @@ impl Gpu {
         ]);
 
         let costs: Vec<BlockCost> = unique
-            .par_iter()
+            .iter()
             .map(|&lin| {
                 let mut ctx = BlockContext::new(false);
                 kernel.execute_block(grid.delinearize(lin), &mut ctx);
@@ -765,7 +754,6 @@ impl Gpu {
         let req = kernel.block_requirements();
 
         let costs: Vec<BlockCost> = (0..n_blocks)
-            .into_par_iter()
             .map(|lin| {
                 let idx = grid.delinearize(lin);
                 let mut ctx = BlockContext::new(false);
@@ -789,7 +777,7 @@ impl Gpu {
             .min(occ.blocks_per_sm as u64)
             .max(1) as f64;
         let block_cycles: Vec<f64> = costs
-            .par_iter()
+            .iter()
             .map(|c| {
                 let mut bytes = 0.0f64;
                 for (slot, t) in c.gmem.iter().enumerate() {
@@ -838,7 +826,7 @@ impl Gpu {
             .max(1) as f64;
 
         let record_cycles: Vec<f64> = lites
-            .par_iter()
+            .iter()
             .map(|c| {
                 let mut bytes = 0.0f64;
                 for (slot, t) in c.gmem.iter().enumerate() {

@@ -106,4 +106,4 @@ pub use static_check::{
     StaticFacts, StaticFinding, VectorClass,
 };
 pub use trace::{chrome_trace_json, validate_chrome_trace, ProfileReport, TraceEvent};
-pub use util::SyncUnsafeSlice;
+pub use util::OutputSlice;

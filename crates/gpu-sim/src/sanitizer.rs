@@ -1,17 +1,19 @@
 //! Kernel sanitizer: the simulator's analogue of CUDA `compute-sanitizer`.
 //!
 //! Kernels in this repo execute against two unchecked contracts: thread
-//! blocks write a shared output buffer through [`SyncUnsafeSlice`] on a
-//! disjoint-tiling promise, and the cost recorder ([`BlockContext`]) trusts
-//! that traced addresses are in-bounds and that vector accesses respect the
-//! alignment legality that ROMA (§III-B of Gale et al., SC 2020) exists to
-//! guarantee. A launch run through [`Gpu::sanitize`] turns violations of
-//! those contracts into typed, testable diagnostics instead of silent UB or
-//! silent mismodeling:
+//! blocks write a shared output buffer through [`OutputSlice`] on a
+//! disjoint-tiling promise (the simulator runs blocks one at a time, but
+//! on the GPU overlapping tiles race), and the cost recorder
+//! ([`BlockContext`]) trusts that traced addresses are in-bounds and that
+//! vector accesses respect the alignment legality that ROMA (§III-B of
+//! Gale et al., SC 2020) exists to guarantee. A launch run through
+//! [`Gpu::sanitize`] turns violations of those contracts into typed,
+//! testable diagnostics instead of silently wrong outputs or silent
+//! mismodeling:
 //!
 //! * **racecheck** — two different thread blocks writing the same output
 //!   index (via a per-index writer-ID shadow map under the instrumented
-//!   [`SyncUnsafeSlice`]), plus intra-block shared-memory read-after-write
+//!   [`OutputSlice`]), plus intra-block shared-memory read-after-write
 //!   hazards across `bar_sync` epochs (a block-scope staging store followed
 //!   by a block-scope load with no intervening barrier, in a multi-warp
 //!   block).
@@ -24,7 +26,7 @@
 //! * **lints** — warnings (not failures) for fully-uncoalesced global loads
 //!   and ≥8-way shared-memory bank conflicts.
 //!
-//! [`SyncUnsafeSlice`]: crate::util::SyncUnsafeSlice
+//! [`OutputSlice`]: crate::util::OutputSlice
 //! [`BlockContext`]: crate::cost::BlockContext
 //! [`Gpu::sanitize`]: crate::launch::Gpu::sanitize
 //! [`BufferSpec::footprint_bytes`]: crate::cache::BufferSpec
@@ -33,10 +35,9 @@ use crate::cache::BufferSpec;
 use crate::cost::MAX_BUFFERS;
 use crate::kernel::Kernel;
 use serde::{Deserialize, Serialize};
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 use std::collections::hash_map::{Entry, HashMap};
 use std::ptr::NonNull;
-use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Three-valued verdict of one static check class (see
 /// [`crate::static_check`]). The lattice is ordered by severity:
@@ -501,7 +502,7 @@ impl BlockSan {
 // Session state: the cross-block half of one sanitized launch. `Gpu::run`
 // builds one `Session` per sanitized launch and runs each block inside
 // `in_block`, which tags the executing thread through one thread-local slot.
-// The instrumented `SyncUnsafeSlice` consults only that slot, so sanitized
+// The instrumented `OutputSlice` consults only that slot, so sanitized
 // launches on different threads never share state or wait on each other,
 // and an untagged thread (host code, or an unsanitized launch) keeps plain
 // semantics: an out-of-bounds slice access still panics.
@@ -509,12 +510,13 @@ impl BlockSan {
 
 /// The launch-owned state of one sanitized launch: the racecheck switch, a
 /// fresh block's sanitizer state, and the shadow map and report that every
-/// block feeds.
+/// block feeds. The launch runs its blocks one at a time on the thread
+/// that owns the session.
 pub(crate) struct Session {
     /// `false` for kernels that legitimately overlap (atomic accumulation).
     racecheck: bool,
     block: BlockSan,
-    shadow: Mutex<Shadow>,
+    shadow: RefCell<Shadow>,
 }
 
 struct Shadow {
@@ -534,7 +536,7 @@ impl Session {
         Self {
             racecheck: !kernel.atomic_output(),
             block,
-            shadow: Mutex::new(Shadow {
+            shadow: RefCell::new(Shadow {
                 writers: HashMap::new(),
                 report,
             }),
@@ -548,28 +550,19 @@ impl Session {
 
     /// Fold one block's findings into the launch report.
     pub(crate) fn absorb_block(&self, san: BlockSan) {
-        self.shadow().report.absorb_block(san);
+        self.shadow.borrow_mut().report.absorb_block(san);
     }
 
     /// The launch report, once every block has run.
     pub(crate) fn finish(self) -> SanitizerReport {
-        self.shadow
-            .into_inner()
-            .unwrap_or_else(PoisonError::into_inner)
-            .report
-    }
-
-    fn shadow(&self) -> MutexGuard<'_, Shadow> {
-        // A panic inside a sanitized block may poison the lock; the data is
-        // plain bookkeeping, so recover rather than cascade.
-        self.shadow.lock().unwrap_or_else(PoisonError::into_inner)
+        self.shadow.into_inner().report
     }
 
     fn claim(&self, base: usize, index: usize, me: u64) -> bool {
         if !self.racecheck {
             return true;
         }
-        let shadow = &mut *self.shadow();
+        let shadow = &mut *self.shadow.borrow_mut();
         match shadow.writers.entry((base, index)) {
             Entry::Vacant(slot) => {
                 slot.insert(me);
@@ -625,7 +618,7 @@ fn with_block<R>(f: impl FnOnce(&Session, u64) -> R) -> Option<R> {
 }
 
 /// Whether this thread is executing a sanitized block: the one slot read
-/// [`SyncUnsafeSlice::write_run`](crate::SyncUnsafeSlice::write_run) pays
+/// [`OutputSlice::write_run`](crate::OutputSlice::write_run) pays
 /// per run instead of per element.
 #[inline]
 pub(crate) fn in_sanitized_block() -> bool {
@@ -647,11 +640,15 @@ pub(crate) fn claim_write(base: usize, index: usize) -> bool {
 /// the caller should panic.
 pub(crate) fn report_slice_oob(index: usize, len: usize, is_write: bool) -> bool {
     with_block(|session, _| {
-        session.shadow().report.push_violation(if is_write {
-            SanitizerViolation::OutOfBoundsWrite { index, len }
-        } else {
-            SanitizerViolation::OutOfBoundsRead { index, len }
-        })
+        session
+            .shadow
+            .borrow_mut()
+            .report
+            .push_violation(if is_write {
+                SanitizerViolation::OutOfBoundsWrite { index, len }
+            } else {
+                SanitizerViolation::OutOfBoundsRead { index, len }
+            })
     })
     .is_some()
 }

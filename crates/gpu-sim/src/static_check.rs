@@ -37,7 +37,7 @@
 //!
 //! The cross-block racecheck has no static counterpart here (disjointness
 //! of output tiles is data-independent for these kernels but lives behind
-//! `SyncUnsafeSlice`, whose shadow map the sanitizer keeps).
+//! `OutputSlice`, whose shadow map the sanitizer keeps).
 //!
 //! [`Gpu::run`]: crate::launch::Gpu::run
 //! [`Kernel::static_facts`]: crate::kernel::Kernel::static_facts

@@ -1,48 +1,49 @@
-//! Shared-output utilities for parallel functional execution.
+//! The kernel output write path.
 //!
-//! This module is the single audited unsafe write path to shared output
-//! buffers (enforced by `clippy.toml`'s `disallowed-methods`); keep raw
-//! pointer writes here so the sanitizer instrumentation covers them all.
+//! Every functional kernel store goes through [`OutputSlice`] (enforced by
+//! `clippy.toml`'s `disallowed-methods` and xlint's `raw-ptr-write` rule),
+//! so the sanitizer's bounds checks and cross-block racecheck see them all.
 
 use crate::sanitizer;
-use std::cell::UnsafeCell;
-use std::marker::PhantomData;
+use std::cell::Cell;
 
-/// A slice that multiple thread-block executors may write concurrently, on
-/// the caller's guarantee that blocks write **disjoint** index sets — the
-/// same guarantee a CUDA kernel gives when thread blocks own disjoint output
-/// tiles.
+/// A kernel's output buffer, shared by every thread block of a launch.
 ///
-/// This mirrors how GPU kernels share a device buffer: no synchronization,
-/// correctness by construction of the tiling.
-pub struct SyncUnsafeSlice<'a, T> {
-    ptr: *const UnsafeCell<T>,
-    len: usize,
-    _marker: PhantomData<&'a mut [T]>,
+/// CUDA blocks write one device buffer with no synchronization, correct by
+/// construction of the tiling: each block owns a disjoint output tile. The
+/// launcher runs a launch's blocks one at a time on the calling thread, so
+/// the slice is a run of [`Cell`]s: any block may store into it through a
+/// shared reference, and no `unsafe` contract is needed. It is neither
+/// `Send` nor `Sync`, so no two threads can ever share one, and neither can
+/// they share a kernel that holds one.
+///
+/// ```compile_fail,E0277
+/// fn shared_between_threads<T: Sync>() {}
+/// shared_between_threads::<gpu_sim::OutputSlice<'static, f32>>();
+/// ```
+///
+/// A block writing another block's tile is a race on the hardware even
+/// though it is not one here; [`Gpu::sanitize`](crate::Gpu::sanitize)
+/// reports it.
+pub struct OutputSlice<'a, T> {
+    cells: &'a [Cell<T>],
 }
 
-unsafe impl<T: Send + Sync> Send for SyncUnsafeSlice<'_, T> {}
-unsafe impl<T: Send + Sync> Sync for SyncUnsafeSlice<'_, T> {}
-
-impl<'a, T> SyncUnsafeSlice<'a, T> {
+impl<'a, T> OutputSlice<'a, T> {
     pub fn new(slice: &'a mut [T]) -> Self {
-        let len = slice.len();
-        let ptr = slice.as_mut_ptr() as *const UnsafeCell<T>;
         Self {
-            ptr,
-            len,
-            _marker: PhantomData,
+            cells: Cell::from_mut(slice).as_slice_of_cells(),
         }
     }
 
     #[inline]
     pub fn len(&self) -> usize {
-        self.len
+        self.cells.len()
     }
 
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.cells.is_empty()
     }
 
     /// Write `value` at `index`.
@@ -50,29 +51,25 @@ impl<'a, T> SyncUnsafeSlice<'a, T> {
     /// The bounds check is always on (not `debug_assert!`): an out-of-bounds
     /// index panics in normal launches and becomes a recorded
     /// [`SanitizerViolation`](crate::sanitizer::SanitizerViolation) under
-    /// [`Gpu::sanitize`](crate::Gpu::sanitize), never UB. A write from a
-    /// thread executing a sanitized block also claims `index` in that
-    /// launch's cross-block shadow map; a write that would race an earlier
-    /// block's is recorded and skipped (performing it would be the very race
+    /// [`Gpu::sanitize`](crate::Gpu::sanitize). A write from a thread
+    /// executing a sanitized block also claims `index` in that launch's
+    /// cross-block shadow map; a write that would race an earlier block's
+    /// is recorded and skipped (on the hardware it would be the very race
     /// being reported). Any other write costs one thread-local read.
-    ///
-    /// # Safety
-    /// The caller must guarantee no other executor reads or writes `index`
-    /// concurrently (disjoint output tiles).
     #[inline]
-    #[allow(clippy::disallowed_methods)]
-    pub unsafe fn write(&self, index: usize, value: T) {
-        if index >= self.len {
-            if sanitizer::report_slice_oob(index, self.len, true) {
+    pub fn write(&self, index: usize, value: T) {
+        let Some(cell) = self.cells.get(index) else {
+            if sanitizer::report_slice_oob(index, self.len(), true) {
                 return;
             }
             panic!(
-                "SyncUnsafeSlice::write out of bounds: index {index} >= len {}",
-                self.len
+                "OutputSlice::write out of bounds: index {index} >= len {}",
+                self.len()
             );
-        }
-        if sanitizer::claim_write(self.ptr as usize, index) {
-            unsafe { *(*self.ptr.add(index)).get() = value };
+        };
+        // The slice's base address is its identity in the shadow map.
+        if sanitizer::claim_write(self.cells.as_ptr() as usize, index) {
+            cell.set(value);
         }
     }
 
@@ -85,36 +82,29 @@ impl<'a, T> SyncUnsafeSlice<'a, T> {
     /// goes through [`Self::write`] element by element instead, so it
     /// claims, reports or panics at exactly the indices a per-element loop
     /// would, after writing the same in-bounds prefix.
-    ///
-    /// # Safety
-    /// Same disjointness requirement as [`Self::write`], for every index
-    /// of the run.
     #[inline]
-    #[allow(clippy::disallowed_methods)]
-    pub unsafe fn write_run<I>(&self, start: usize, values: I)
+    pub fn write_run<I>(&self, start: usize, values: I)
     where
         I: IntoIterator<Item = T>,
         I::IntoIter: ExactSizeIterator,
     {
         let values = values.into_iter();
-        let len = values.len();
-        let in_bounds = start.checked_add(len).is_some_and(|end| end <= self.len);
-        if in_bounds && !sanitizer::in_sanitized_block() {
-            // SAFETY: `start..start + len` lies inside the slice (tested
-            // above), and the caller guarantees that no other executor
-            // touches it. The zip stops at `len` even if the iterator
+        let run = start
+            .checked_add(values.len())
+            .and_then(|end| self.cells.get(start..end));
+        match run {
+            // The zip stops at the run's end even if the iterator
             // misreports its length.
-            let run = unsafe {
-                std::slice::from_raw_parts_mut(UnsafeCell::raw_get(self.ptr.add(start)), len)
-            };
-            for (slot, v) in run.iter_mut().zip(values) {
-                *slot = v;
+            Some(run) if !sanitizer::in_sanitized_block() => {
+                for (cell, v) in run.iter().zip(values) {
+                    cell.set(v);
+                }
             }
-            return;
-        }
-        for (i, v) in values.enumerate() {
-            // SAFETY: forwarded from this function's contract.
-            unsafe { self.write(start + i, v) };
+            _ => {
+                for (i, v) in values.enumerate() {
+                    self.write(start + i, v);
+                }
+            }
         }
     }
 
@@ -123,25 +113,21 @@ impl<'a, T> SyncUnsafeSlice<'a, T> {
     /// Bounds-checked like [`Self::write`]; an out-of-bounds read under the
     /// sanitizer is recorded and returns the element at index 0 (the slice
     /// is never empty when kernels hold one).
-    ///
-    /// # Safety
-    /// Same disjointness requirement as [`Self::write`].
     #[inline]
-    #[allow(clippy::disallowed_methods)]
-    pub unsafe fn read(&self, index: usize) -> T
+    pub fn read(&self, index: usize) -> T
     where
         T: Copy,
     {
-        if index >= self.len {
-            if self.len > 0 && sanitizer::report_slice_oob(index, self.len, false) {
-                return unsafe { *(*self.ptr).get() };
-            }
-            panic!(
-                "SyncUnsafeSlice::read out of bounds: index {index} >= len {}",
-                self.len
-            );
+        if let Some(cell) = self.cells.get(index) {
+            return cell.get();
         }
-        unsafe { *(*self.ptr.add(index)).get() }
+        match self.cells.first() {
+            Some(first) if sanitizer::report_slice_oob(index, self.len(), false) => first.get(),
+            _ => panic!(
+                "OutputSlice::read out of bounds: index {index} >= len {}",
+                self.len()
+            ),
+        }
     }
 
     /// Simulated silent data corruption: write `value` (a NaN, for the
@@ -149,24 +135,18 @@ impl<'a, T> SyncUnsafeSlice<'a, T> {
     /// two-round cut of splitmix64's finalizer. It is not
     /// [`sparse::rng::mix64`]: the pinned degradation-ladder windows depend
     /// on these exact positions. Does nothing on an empty slice.
-    ///
-    /// The launcher calls [`Kernel::poison_output`](crate::Kernel), the only
-    /// caller, after every block of the launch has finished, so no block
-    /// executor can touch the slice while this writes.
     pub fn poison(&self, seed: u64, value: T)
     where
         T: Copy,
     {
-        if self.len == 0 {
+        if self.is_empty() {
             return;
         }
         for i in 0..3u64 {
             let mut z = seed ^ i.wrapping_mul(sparse::rng::GAMMA);
             z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
             z ^= z >> 31;
-            // SAFETY: the index is reduced into bounds, and the block
-            // executors that write this slice have all returned (see above).
-            unsafe { self.write(z as usize % self.len, value) };
+            self.write(z as usize % self.len(), value);
         }
     }
 }
@@ -176,14 +156,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn disjoint_parallel_writes() {
-        use rayon::prelude::*;
+    fn disjoint_writes() {
         let mut data = vec![0u32; 1024];
         {
-            let s = SyncUnsafeSlice::new(&mut data);
-            (0..1024usize)
-                .into_par_iter()
-                .for_each(|i| unsafe { s.write(i, i as u32 * 2) });
+            let s = OutputSlice::new(&mut data);
+            (0..1024usize).for_each(|i| s.write(i, i as u32 * 2));
         }
         assert!(data.iter().enumerate().all(|(i, &v)| v == i as u32 * 2));
     }
@@ -191,11 +168,9 @@ mod tests {
     #[test]
     fn read_back() {
         let mut data = vec![1.5f32; 8];
-        let s = SyncUnsafeSlice::new(&mut data);
-        unsafe {
-            s.write(3, 7.25);
-            assert_eq!(s.read(3), 7.25);
-            assert_eq!(s.read(0), 1.5);
-        }
+        let s = OutputSlice::new(&mut data);
+        s.write(3, 7.25);
+        assert_eq!(s.read(3), 7.25);
+        assert_eq!(s.read(0), 1.5);
     }
 }

@@ -4,8 +4,8 @@
 
 use gpu_sim::{
     AccessPattern, BlockContext, BufferId, BufferSpec, CheckLevel, Dim3, Gpu, Kernel, LaunchCache,
-    LaunchRequest, LaunchStats, LaunchSummary, SanitizerReport, SanitizerViolation,
-    SanitizerWarning, SmemScope, SyncUnsafeSlice,
+    LaunchRequest, LaunchStats, LaunchSummary, OutputSlice, SanitizerReport, SanitizerViolation,
+    SanitizerWarning, SmemScope,
 };
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -42,7 +42,7 @@ fn buffer(footprint_bytes: u64) -> Vec<BufferSpec> {
 
 /// Writes one element past the end of its output slice.
 struct OobWriteKernel<'a> {
-    out: SyncUnsafeSlice<'a, f32>,
+    out: OutputSlice<'a, f32>,
 }
 
 impl Kernel for OobWriteKernel<'_> {
@@ -61,7 +61,7 @@ impl Kernel for OobWriteKernel<'_> {
     fn execute_block(&self, _block: Dim3, ctx: &mut BlockContext) {
         ctx.misc(1);
         if ctx.functional() {
-            unsafe { self.out.write(8, 1.0) }; // one past the end
+            self.out.write(8, 1.0); // one past the end
         }
     }
 }
@@ -71,7 +71,7 @@ fn oob_slice_write_is_reported() {
     let gpu = Gpu::v100();
     let mut data = vec![0.0f32; 8];
     let kernel = OobWriteKernel {
-        out: SyncUnsafeSlice::new(&mut data),
+        out: OutputSlice::new(&mut data),
     };
     let (_, report) = gpu.sanitize(&kernel).unwrap();
     assert_eq!(report.violation_count, 1);
@@ -89,7 +89,7 @@ fn oob_slice_write_panics_outside_sanitize_mode() {
     let gpu = Gpu::v100();
     let mut data = vec![0.0f32; 8];
     let kernel = OobWriteKernel {
-        out: SyncUnsafeSlice::new(&mut data),
+        out: OutputSlice::new(&mut data),
     };
     let _ = gpu.launch(&kernel);
 }
@@ -98,7 +98,7 @@ fn oob_slice_write_panics_outside_sanitize_mode() {
 /// block on `gate` twice: once to signal that the sanitize session is
 /// live, once to wait for the other thread's launch to finish.
 struct ParkedOobKernel<'a> {
-    out: SyncUnsafeSlice<'a, f32>,
+    out: OutputSlice<'a, f32>,
     gate: &'a Barrier,
 }
 
@@ -118,7 +118,7 @@ impl Kernel for ParkedOobKernel<'_> {
     fn execute_block(&self, _block: Dim3, ctx: &mut BlockContext) {
         ctx.misc(1);
         if ctx.functional() {
-            unsafe { self.out.write(8, 1.0) };
+            self.out.write(8, 1.0);
             self.gate.wait();
             self.gate.wait();
         }
@@ -134,15 +134,19 @@ fn sanitize_session_does_not_absorb_another_threads_oob_write() {
     let gate = Barrier::new(2);
     let mut parked_data = vec![0.0f32; 8];
     let mut plain_data = vec![0.0f32; 8];
-    let parked = ParkedOobKernel {
-        out: SyncUnsafeSlice::new(&mut parked_data),
-        gate: &gate,
-    };
     let plain = OobWriteKernel {
-        out: SyncUnsafeSlice::new(&mut plain_data),
+        out: OutputSlice::new(&mut plain_data),
     };
     let (report, plain_panicked) = std::thread::scope(|s| {
-        let session = s.spawn(|| gpu.sanitize(&parked).unwrap());
+        // A kernel holds `OutputSlice`s, which are not `Sync`: each thread
+        // builds its own.
+        let session = s.spawn(|| {
+            let parked = ParkedOobKernel {
+                out: OutputSlice::new(&mut parked_data),
+                gate: &gate,
+            };
+            gpu.sanitize(&parked).unwrap()
+        });
         gate.wait();
         let plain_panicked =
             std::panic::catch_unwind(AssertUnwindSafe(|| gpu.launch(&plain))).is_err();
@@ -156,9 +160,9 @@ fn sanitize_session_does_not_absorb_another_threads_oob_write() {
 /// Writes one element past the end of its output slice, tells the test its
 /// block is running, then waits up to 2 s for `done`.
 struct WaitingOobKernel<'a> {
-    out: SyncUnsafeSlice<'a, f32>,
+    out: OutputSlice<'a, f32>,
     running: Sender<()>,
-    done: Mutex<Receiver<()>>,
+    done: Receiver<()>,
     /// Whether `done` arrived before the timeout.
     saw_done: AtomicBool,
 }
@@ -179,10 +183,9 @@ impl Kernel for WaitingOobKernel<'_> {
     fn execute_block(&self, _block: Dim3, ctx: &mut BlockContext) {
         ctx.misc(1);
         if ctx.functional() {
-            unsafe { self.out.write(8, 1.0) };
+            self.out.write(8, 1.0);
             let _ = self.running.send(());
-            let done = self.done.lock().unwrap_or_else(PoisonError::into_inner);
-            let saw_done = done.recv_timeout(Duration::from_secs(2)).is_ok();
+            let saw_done = self.done.recv_timeout(Duration::from_secs(2)).is_ok();
             self.saw_done.store(saw_done, Ordering::Relaxed);
         }
     }
@@ -198,19 +201,22 @@ fn sanitized_launches_overlap() {
     let (done_tx, done_rx) = mpsc::channel();
     let mut waiting_data = vec![0.0f32; 8];
     let mut plain_data = vec![0.0f32; 8];
-    let waiting = WaitingOobKernel {
-        out: SyncUnsafeSlice::new(&mut waiting_data),
-        running: running_tx,
-        done: Mutex::new(done_rx),
-        saw_done: AtomicBool::new(false),
-    };
-    let plain = OobWriteKernel {
-        out: SyncUnsafeSlice::new(&mut plain_data),
-    };
-    let (a, b) = std::thread::scope(|s| {
-        let a = s.spawn(|| gpu.sanitize(&waiting).unwrap().1);
+    let ((a, saw_done), b) = std::thread::scope(|s| {
+        let a = s.spawn(|| {
+            let waiting = WaitingOobKernel {
+                out: OutputSlice::new(&mut waiting_data),
+                running: running_tx,
+                done: done_rx,
+                saw_done: AtomicBool::new(false),
+            };
+            let report = gpu.sanitize(&waiting).unwrap().1;
+            (report, waiting.saw_done)
+        });
         running_rx.recv().unwrap();
         let b = s.spawn(|| {
+            let plain = OobWriteKernel {
+                out: OutputSlice::new(&mut plain_data),
+            };
             let report = gpu.sanitize(&plain).unwrap().1;
             done_tx.send(()).unwrap();
             report
@@ -218,7 +224,7 @@ fn sanitized_launches_overlap() {
         (a.join().unwrap(), b.join().unwrap())
     });
     assert!(
-        waiting.saw_done.load(Ordering::Relaxed),
+        saw_done.load(Ordering::Relaxed),
         "the second sanitized launch waited for the first to finish"
     );
     for (report, kernel) in [(&a, "seeded_waiting_oob_write"), (&b, "seeded_oob_write")] {
@@ -266,7 +272,7 @@ fn panicking_sanitized_block_leaves_its_thread_untagged() {
 
     let mut data = vec![0.0f32; 8];
     let kernel = OobWriteKernel {
-        out: SyncUnsafeSlice::new(&mut data),
+        out: OutputSlice::new(&mut data),
     };
     let plain = std::panic::catch_unwind(AssertUnwindSafe(|| gpu.launch(&kernel)));
     assert!(plain.is_err(), "the unsanitized OOB write must panic");
@@ -275,7 +281,7 @@ fn panicking_sanitized_block_leaves_its_thread_untagged() {
 /// Two blocks both write output index 0: a cross-block race unless the
 /// kernel declares atomic accumulation.
 struct OverlapKernel<'a> {
-    out: SyncUnsafeSlice<'a, f32>,
+    out: OutputSlice<'a, f32>,
     atomic: bool,
 }
 
@@ -298,7 +304,7 @@ impl Kernel for OverlapKernel<'_> {
     fn execute_block(&self, block: Dim3, ctx: &mut BlockContext) {
         ctx.st_global_trace(BUF, 0, 4);
         if ctx.functional() {
-            unsafe { self.out.write(0, block.x as f32) };
+            self.out.write(0, block.x as f32);
         }
     }
 }
@@ -308,7 +314,7 @@ fn cross_block_race_is_reported() {
     let gpu = Gpu::v100();
     let mut data = vec![0.0f32; 4];
     let kernel = OverlapKernel {
-        out: SyncUnsafeSlice::new(&mut data),
+        out: OutputSlice::new(&mut data),
         atomic: false,
     };
     let (_, report) = gpu.sanitize(&kernel).unwrap();
@@ -327,7 +333,7 @@ fn cross_block_race_is_reported() {
 /// `starts[b]`: through one `write_run`, or through a per-element `write`
 /// loop (its twin).
 struct RunKernel<'a> {
-    out: SyncUnsafeSlice<'a, f32>,
+    out: OutputSlice<'a, f32>,
     starts: Vec<usize>,
     len: usize,
     per_element: bool,
@@ -359,11 +365,11 @@ impl Kernel for RunKernel<'_> {
             let start = self.starts[b];
             if self.per_element {
                 for x in 0..self.len {
-                    unsafe { self.out.write(start + x, RunKernel::value(b, x)) };
+                    self.out.write(start + x, RunKernel::value(b, x));
                 }
             } else {
                 let run = (0..self.len).map(|x| RunKernel::value(b, x));
-                unsafe { self.out.write_run(start, run) };
+                self.out.write_run(start, run);
             }
         }
     }
@@ -382,7 +388,7 @@ fn run_kernel(
     let gpu = Gpu::v100();
     let mut data = vec![0.0f32; buf_len];
     let kernel = RunKernel {
-        out: SyncUnsafeSlice::new(&mut data),
+        out: OutputSlice::new(&mut data),
         starts: starts.to_vec(),
         len,
         per_element,
@@ -474,7 +480,7 @@ fn atomic_kernels_are_exempt_from_racecheck() {
     let gpu = Gpu::v100();
     let mut data = vec![0.0f32; 4];
     let kernel = OverlapKernel {
-        out: SyncUnsafeSlice::new(&mut data),
+        out: OutputSlice::new(&mut data),
         atomic: true,
     };
     let (_, report) = gpu.sanitize(&kernel).unwrap();
@@ -648,7 +654,7 @@ fn bank_conflicts_warn_but_do_not_fail() {
 /// A well-behaved kernel: coalesced IO, barriers where needed, in-bounds
 /// writes partitioned across blocks.
 struct CleanKernel<'a> {
-    out: SyncUnsafeSlice<'a, f32>,
+    out: OutputSlice<'a, f32>,
 }
 
 impl Kernel for CleanKernel<'_> {
@@ -675,7 +681,7 @@ impl Kernel for CleanKernel<'_> {
         ctx.st_global_trace(BUF, base as u64 * 4, 64 * 4);
         if ctx.functional() {
             for i in 0..64 {
-                unsafe { self.out.write(base + i, i as f32) };
+                self.out.write(base + i, i as f32);
             }
         }
     }
@@ -686,7 +692,7 @@ fn clean_kernel_reports_nothing_and_still_computes() {
     let gpu = Gpu::v100();
     let mut data = vec![0.0f32; 256];
     let kernel = CleanKernel {
-        out: SyncUnsafeSlice::new(&mut data),
+        out: OutputSlice::new(&mut data),
     };
     let (stats, report) = gpu.sanitize(&kernel).unwrap();
     assert_eq!(report.violation_count, 0, "{report}");
@@ -703,13 +709,13 @@ fn sanitized_stats_match_plain_launch() {
     let mut a = vec![0.0f32; 256];
     let plain = {
         let kernel = CleanKernel {
-            out: SyncUnsafeSlice::new(&mut a),
+            out: OutputSlice::new(&mut a),
         };
         gpu.launch(&kernel)
     };
     let mut b = vec![0.0f32; 256];
     let kernel = CleanKernel {
-        out: SyncUnsafeSlice::new(&mut b),
+        out: OutputSlice::new(&mut b),
     };
     let (sanitized, _) = gpu.sanitize(&kernel).unwrap();
     assert_eq!(plain.time_us, sanitized.time_us);
@@ -724,7 +730,7 @@ fn launch_summary_accumulates_sanitizer_counts() {
 
     let mut data = vec![0.0f32; 4];
     let kernel = OverlapKernel {
-        out: SyncUnsafeSlice::new(&mut data),
+        out: OutputSlice::new(&mut data),
         atomic: false,
     };
     let (stats, report) = gpu.sanitize(&kernel).unwrap();
@@ -754,7 +760,7 @@ fn sanitize_cached_skips_resanitizing_identical_fingerprints() {
     let mut a = vec![0.0f32; 256];
     let (cold_stats, cold_report, hit) = {
         let kernel = CleanKernel {
-            out: SyncUnsafeSlice::new(&mut a),
+            out: OutputSlice::new(&mut a),
         };
         sanitize_cached(&gpu, &cache, fingerprint, &kernel)
     };
@@ -768,7 +774,7 @@ fn sanitize_cached_skips_resanitizing_identical_fingerprints() {
     let mut b = vec![0.0f32; 256];
     let (warm_stats, warm_report, hit) = {
         let kernel = CleanKernel {
-            out: SyncUnsafeSlice::new(&mut b),
+            out: OutputSlice::new(&mut b),
         };
         sanitize_cached(&gpu, &cache, fingerprint, &kernel)
     };
@@ -798,7 +804,7 @@ fn sanitize_cached_distinguishes_fingerprints() {
 
     let mut a = vec![0.0f32; 256];
     let kernel = CleanKernel {
-        out: SyncUnsafeSlice::new(&mut a),
+        out: OutputSlice::new(&mut a),
     };
     let (_, _, hit) = sanitize_cached(&gpu, &cache, 1, &kernel);
     assert!(!hit);

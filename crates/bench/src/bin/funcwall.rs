@@ -31,25 +31,28 @@ use sputnik::{SddmmConfig, SpmmConfig};
 use sputnik_bench::gate::{BenchRecord, Gate};
 use sputnik_bench::{grid_label, has_flag, Table};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 use std::time::Instant;
 
 /// Heap-allocation counter wrapped around the system allocator. Counts
-/// every `alloc`/`realloc` call; frees are not interesting here.
+/// every `alloc`/`realloc` call of the calling thread, which runs every
+/// launch here; frees are not interesting.
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        ALLOCS.set(ALLOCS.get() + 1);
         System.alloc(layout)
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         System.dealloc(ptr, layout)
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        ALLOCS.set(ALLOCS.get() + 1);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -58,7 +61,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static GLOBAL: CountingAlloc = CountingAlloc;
 
 fn allocs() -> u64 {
-    ALLOCS.load(Ordering::Relaxed)
+    ALLOCS.get()
 }
 
 /// One deterministic problem: a sparse matrix plus the dense operands the

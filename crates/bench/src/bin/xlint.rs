@@ -12,11 +12,11 @@
 //!   queue; a wall-clock read there is a nondeterminism bug by
 //!   construction. (Bench bins, which measure real wall time on purpose,
 //!   live in their own crate and are exempt.)
-//! * `raw-ptr-write` — raw-pointer writes are confined to
-//!   `gpu-sim/src/util.rs` (the `OutputSlice` output write path).
-//!   Everywhere else, kernels must write through it, so the
-//!   sanitizer's shadow map observes every store. Bench bins are exempt
-//!   (the counting allocator in `funcwall` implements `GlobalAlloc`).
+//! * `raw-ptr-write` — no raw-pointer writes outside the bench crate:
+//!   kernels write through the safe `OutputSlice` (`gpu-sim/src/util.rs`),
+//!   so the sanitizer's shadow map observes every store. Bench bins are
+//!   exempt (the counting allocator in `funcwall` implements
+//!   `GlobalAlloc`).
 //! * `kernel-registry` — every type with a non-test `impl Kernel for T`
 //!   under `crates/*/src` must be constructed in the shared kernel
 //!   registry (`crates/bench/src/registry.rs`), so it is swept by both
@@ -28,11 +28,12 @@
 //!   alone does not count as coverage.
 //! * `global-state` — no interior-mutable `static` (`Atomic*`, `Mutex`,
 //!   `RwLock`, `OnceLock`, `LazyLock`) or `static mut` outside test code
-//!   under `crates/gpu-sim/src`, except the allowlisted few that an open
-//!   ROADMAP item removes. Process-global state couples every launch in
-//!   the process: it forces tests that need exact deltas into binaries of
-//!   their own and serialises work that could run side by side. A
-//!   `thread_local!` is per-thread and stays allowed.
+//!   under `crates/*/src`, with no exceptions. A run is the thread that
+//!   launches it, so its state (the books, the trace switch, the lane
+//!   selector, the sanitizer session) is a `thread_local!`, which stays
+//!   allowed. Process-global state would couple every launch in the
+//!   process and force tests that need exact deltas into locks or binaries
+//!   of their own.
 //! * `experiment-record` — every experiment bin
 //!   (`crates/bench/src/bin/{fig,table,ext}*.rs`) must call the
 //!   `sputnik_bench::paper` function of its own name, and `reproduce_all`
@@ -44,11 +45,11 @@
 //!   through it and reads a `StaticallyRefuted` result, rather than
 //!   auditing a probe of its own that could drift from the gate.
 //! * `no-unsafe` — no `unsafe` token in non-test code under
-//!   `crates/{core,baselines,dnn,serve,sparse}/src`, and under
-//!   `crates/gpu-sim/src` only at the allowlisted sites. Kernel
-//!   bodies store through `OutputSlice`'s safe methods; an `unsafe` block
-//!   there would bring back a contract the sequential launcher does not
-//!   need.
+//!   `crates/{core,baselines,dnn,serve,sparse,gpu-sim}/src`, with no
+//!   exceptions. Kernel bodies store through `OutputSlice`'s safe methods
+//!   and the sanitizer tags a block through thread-locals; an `unsafe`
+//!   block there would bring back a contract the sequential launcher does
+//!   not need.
 //!
 //! Exit status 1 with one line per finding; 0 on a clean tree. Run from
 //! the repo root (CI does).
@@ -270,7 +271,7 @@ fn lint_sim_clock(path: &Path, stripped: &str, findings: &mut Findings) {
     }
 }
 
-/// Rule `raw-ptr-write`: raw-pointer machinery outside util.rs.
+/// Rule `raw-ptr-write`: raw-pointer machinery.
 fn lint_raw_ptr(path: &Path, stripped: &str, findings: &mut Findings) {
     for (n, line) in stripped.lines().enumerate() {
         for needle in ["*mut ", "ptr::write", "write_volatile"] {
@@ -280,7 +281,7 @@ fn lint_raw_ptr(path: &Path, stripped: &str, findings: &mut Findings) {
                     n,
                     "raw-ptr-write",
                     &format!(
-                        "`{needle}` outside gpu-sim/src/util.rs: kernel stores \
+                        "`{needle}` outside the bench crate: kernel stores \
                          must go through OutputSlice so the sanitizer's \
                          shadow map observes them"
                     ),
@@ -306,23 +307,12 @@ fn lint_launch_gate(path: &Path, stripped: &str, findings: &mut Findings) {
     }
 }
 
-/// Rule `no-unsafe`: the `unsafe` sites allowed, as (file name, stripped
-/// and trimmed code line), so editing one means editing this list.
-const UNSAFE_ALLOWED: [(&str, &str); 1] = [
-    // The sanitizer's deref of the live session its thread-local slot holds.
-    ("sanitizer.rs", "Some(f(unsafe { session.as_ref() }, lin))"),
-];
-
-/// Rule `no-unsafe`: an `unsafe` token outside test modules and
-/// [`UNSAFE_ALLOWED`].
+/// Rule `no-unsafe`: an `unsafe` token outside test modules.
 fn lint_no_unsafe(path: &Path, stripped: &str, findings: &mut Findings) {
     let tests = test_spans(stripped);
     for (n, line) in stripped.lines().enumerate() {
         let mut words = line.split(|c: char| !(c.is_alphanumeric() || c == '_'));
-        let allowed = UNSAFE_ALLOWED
-            .iter()
-            .any(|&(file, site)| path.ends_with(file) && line.trim() == site);
-        if words.any(|w| w == "unsafe") && !allowed && !in_spans(&tests, n) {
+        if words.any(|w| w == "unsafe") && !in_spans(&tests, n) {
             findings.push(
                 path,
                 n,
@@ -333,17 +323,6 @@ fn lint_no_unsafe(path: &Path, stripped: &str, findings: &mut Findings) {
         }
     }
 }
-
-/// Rule `global-state`: the process-global statics that remain, as (file,
-/// name). Each goes when the ROADMAP item named beside it lands.
-const GLOBAL_STATE_ALLOWED: [(&str, &str); 3] = [
-    // ROADMAP item 6 (run-scoped state): the books and the trace switch
-    // move onto the `Run` handle.
-    ("trace.rs", "ENABLED"),
-    ("trace.rs", "BOOKS"),
-    // ROADMAP item 6: the lane selector becomes a builder option.
-    ("lanes.rs", "VECTORIZED"),
-];
 
 /// The name a `static` item declares on this (stripped) line, if it
 /// declares one.
@@ -363,9 +342,8 @@ fn static_name(line: &str) -> Option<&str> {
 }
 
 /// Rule `global-state`: interior-mutable statics outside test modules and
-/// `thread_local!` blocks, unless allowlisted.
+/// `thread_local!` blocks.
 fn lint_global_state(path: &Path, stripped: &str, findings: &mut Findings) {
-    let file = path.file_name().and_then(|f| f.to_str()).unwrap_or("");
     let mut exempt = test_spans(stripped);
     exempt.extend(item_spans(stripped, "thread_local!"));
     for (n, line) in stripped.lines().enumerate() {
@@ -376,7 +354,7 @@ fn lint_global_state(path: &Path, stripped: &str, findings: &mut Findings) {
             || ["Atomic", "Mutex", "RwLock", "OnceLock", "LazyLock"]
                 .iter()
                 .any(|ty| line.contains(ty));
-        if !mutable || in_spans(&exempt, n) || GLOBAL_STATE_ALLOWED.contains(&(file, name)) {
+        if !mutable || in_spans(&exempt, n) {
             continue;
         }
         findings.push(
@@ -513,7 +491,7 @@ fn main() {
         if in_gpu_sim || in_serve || in_fleet {
             lint_sim_clock(path, &stripped, &mut findings);
         }
-        if in_gpu_sim {
+        if rel.contains("/src/") {
             lint_global_state(path, &stripped, &mut findings);
         }
 
@@ -530,9 +508,7 @@ fn main() {
             lint_no_unsafe(path, &stripped, &mut findings);
         }
 
-        let is_util = rel.ends_with("crates/gpu-sim/src/util.rs");
-        let is_bench = rel.contains("crates/bench/");
-        if !is_util && !is_bench {
+        if !rel.contains("crates/bench/") {
             lint_raw_ptr(path, &stripped, &mut findings);
         }
 
@@ -650,7 +626,7 @@ mod tests {
     }
 
     #[test]
-    fn no_unsafe_fires_outside_the_allowlisted_sites() {
+    fn no_unsafe_fires_in_every_kernel_crate_file() {
         let src = strip(
             "fn store(out: &OutputSlice<'_, f32>) {\n    unsafe { out.write(0, 1.0) };\n}\n\
              unsafe impl Sync for Shared {}\n\
@@ -666,8 +642,8 @@ mod tests {
                 .filter_map(|m| m.split(':').nth(1).map(str::to_owned))
                 .collect::<Vec<_>>()
         };
-        // The sanitizer's deref is allowed only in the sanitizer.
-        assert_eq!(lines("crates/gpu-sim/src/sanitizer.rs"), ["2", "4"]);
+        // No file is exempt.
+        assert_eq!(lines("crates/gpu-sim/src/sanitizer.rs"), ["2", "4", "8"]);
         assert_eq!(lines("crates/core/src/spmm.rs"), ["2", "4", "8"]);
         assert_eq!(lines("crates/gpu-sim/src/util.rs"), ["2", "4", "8"]);
     }
@@ -696,13 +672,17 @@ mod tests {
     }
 
     #[test]
-    fn global_state_allowlist_is_per_file() {
+    fn global_state_fires_in_every_file() {
         let src = strip("static ENABLED: AtomicBool = AtomicBool::new(false);\n");
         let mut f = Findings(Vec::new());
-        lint_global_state(Path::new("crates/gpu-sim/src/trace.rs"), &src, &mut f);
-        assert!(f.0.is_empty(), "{:?}", f.0);
-        lint_global_state(Path::new("crates/gpu-sim/src/sanitizer.rs"), &src, &mut f);
-        assert_eq!(f.0.len(), 1, "{:?}", f.0);
+        for file in ["trace.rs", "lanes.rs", "sanitizer.rs"] {
+            lint_global_state(
+                Path::new(&format!("crates/gpu-sim/src/{file}")),
+                &src,
+                &mut f,
+            );
+        }
+        assert_eq!(f.0.len(), 3, "{:?}", f.0);
     }
 
     #[test]

@@ -7,9 +7,9 @@
 //! on the standard problem grid under both paths and compares outputs with
 //! `to_bits` equality — not tolerance.
 //!
-//! The path selector is process-global, so everything lives in a single
-//! `#[test]` (integration tests are their own process; within it one test
-//! body keeps the flips serial).
+//! The path selector belongs to the calling thread, so a flip here reaches
+//! only the launches this test runs; one `#[test]` keeps the suite's
+//! flips in one place.
 
 use gpu_sim::{lanes, Gpu};
 use sparse::{block, ell::EllMatrix, gen, Layout, Matrix, PatternGranularity, PatternLut};

@@ -3,20 +3,18 @@
 //! report built from the same events must account for every simulated
 //! microsecond in its per-layer rows.
 //!
-//! The recorder is process-global, so the tests in this binary serialize on
-//! one mutex and use distinct device names as track isolation.
+//! The books and the trace switch are the calling thread's, so the tests in
+//! this binary run side by side without a lock; each names its device so
+//! its launches sit on one track of their own.
 
 use dnn::lstm::SparseLstmCell;
 use dnn::rnn::{CellKind, RnnProblem};
 use dnn::{mobilenet, rnn};
 use gpu_sim::{trace, DeviceConfig, Gpu};
 use sparse::Matrix;
-use std::sync::Mutex;
 
-static TEST_LOCK: Mutex<()> = Mutex::new(());
-
-/// A V100 renamed so this test's events land on their own track, away from
-/// launches other concurrently running tests might record.
+/// A V100 renamed so this test's launches land on a track of their own,
+/// apart from the synthetic tracks (`dispatch`, `faults`, ...).
 fn test_gpu(name: &str) -> Gpu {
     let mut dev = DeviceConfig::v100();
     dev.name = name.to_string();
@@ -25,7 +23,6 @@ fn test_gpu(name: &str) -> Gpu {
 
 #[test]
 fn traced_model_run_exports_valid_chrome_trace() {
-    let _guard = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     trace::enable();
     let track = "trace-schema-mobilenet";
     let gpu = test_gpu(track);
@@ -55,7 +52,6 @@ fn traced_model_run_exports_valid_chrome_trace() {
 
 #[test]
 fn profile_report_accounts_for_every_simulated_microsecond() {
-    let _guard = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     trace::enable();
     let track = "trace-schema-report";
     let gpu = test_gpu(track);

@@ -377,23 +377,21 @@ mod tests {
         sddmm_batched_dispatch(&gpu, &cache, &pairs, &mask, cfg, &policy).unwrap();
         let events = trace::disable();
 
-        // The recorder is process-global (other tests may append events
-        // concurrently), so assert on the presence of our items rather than
-        // exact counts.
+        // The books are this thread's, so the window's instants are exactly
+        // these, in order.
         let bypasses: Vec<&str> = events
             .iter()
             .filter(|e| e.cat == "batched")
             .map(|e| e.name.as_str())
             .collect();
-        for (op, items) in [("spmm-dispatch", 4), ("sddmm-dispatch", 2)] {
-            for i in 0..items {
-                let want = format!("fault-plan bypass: {op} item {i} simulated in full");
-                assert!(
-                    bypasses.iter().any(|n| **n == want),
-                    "missing instant '{want}' in {bypasses:?}"
-                );
-            }
-        }
+        let want: Vec<String> = [("spmm-dispatch", 4), ("sddmm-dispatch", 2)]
+            .into_iter()
+            .flat_map(|(op, items)| {
+                (0..items)
+                    .map(move |i| format!("fault-plan bypass: {op} item {i} simulated in full"))
+            })
+            .collect();
+        assert_eq!(bypasses, want);
     }
 
     /// Fault-plan GPUs must bypass the window's cache (fault schedules

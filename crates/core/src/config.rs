@@ -8,12 +8,11 @@
 //! a power of 2, up to a maximum of 64 ... for both kernels we use the
 //! widest vector memory operations possible."
 
-use serde::{Deserialize, Serialize};
 use sparse::{IndexWidth, Scalar};
 
 /// Configuration of the SpMM kernel (Figure 8's template parameters plus the
 /// optimization toggles ablated in Table II).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SpmmConfig {
     /// `kBlockItemsY`: rows of the output processed per thread block, each
     /// by an independent subwarp (Section V-B1).
@@ -169,7 +168,7 @@ impl SpmmConfig {
 }
 
 /// Configuration of the SDDMM kernel.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SddmmConfig {
     /// Nonzero outputs per 1-D tile (the paper uses 32).
     pub block_items_x: u32,

@@ -461,8 +461,14 @@ mod tests {
         let before_skip = gpu_sim::metrics::global().get("joint_tiles_skipped");
         let gpu = Gpu::v100();
         let _ = joint_spmm(&gpu, &a, &b, &lut, SpmmConfig::default());
-        assert!(gpu_sim::metrics::global().get("joint_tiles_total") >= before_total + probes);
-        assert!(gpu_sim::metrics::global().get("joint_tiles_skipped") >= before_skip + dead);
+        assert_eq!(
+            gpu_sim::metrics::global().get("joint_tiles_total"),
+            before_total + probes
+        );
+        assert_eq!(
+            gpu_sim::metrics::global().get("joint_tiles_skipped"),
+            before_skip + dead
+        );
     }
 
     #[test]

@@ -12,7 +12,6 @@ use crate::config::SpmmConfig;
 use crate::spmm;
 use gpu_sim::trace::{parse_json, Json};
 use gpu_sim::{Gpu, LaunchCache};
-use serde::{Deserialize, Serialize};
 use sparse::{CsrMatrix, IndexWidth, Scalar};
 use std::collections::HashMap;
 use std::io::{self, BufRead, Write};
@@ -21,7 +20,7 @@ use std::path::Path;
 /// A bucketized problem identity: problems in the same bucket share a tuned
 /// configuration. Shapes are bucketed to the nearest power of two and
 /// sparsity to 5% steps, so the cache stays small while staying relevant.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ProblemClass {
     pub m_pow2: u32,
     pub k_pow2: u32,
@@ -46,7 +45,7 @@ impl ProblemClass {
 }
 
 /// Result of one tuning search.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct TuneResult {
     pub config: SpmmConfig,
     /// Simulated time of the winning variant on the probe problem.

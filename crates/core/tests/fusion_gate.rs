@@ -3,8 +3,8 @@
 //! reaches the books like any other refused launch, and a cached fused
 //! launch is not audited again.
 //!
-//! The counters are process-global, so the exact deltas below need a
-//! binary of their own with a single test.
+//! The counters are the calling thread's, so the deltas below are exact
+//! while other tests run beside them.
 
 use gpu_sim::trace::{self, EventKind};
 use gpu_sim::{metrics, Gpu, LaunchCache};

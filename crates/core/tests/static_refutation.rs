@@ -107,9 +107,10 @@ fn expect_refuted(probe: &Refutable, expected_class: &str) {
         Ok(_) => panic!("a seeded {expected_class} violation launched successfully"),
     }
     let after = gpu_sim::metrics::global().get("dispatch_static_refuted");
-    assert!(
-        after > before,
-        "dispatch_static_refuted did not count the rejection"
+    assert_eq!(
+        after,
+        before + 1,
+        "dispatch_static_refuted did not count the rejection once"
     );
 }
 

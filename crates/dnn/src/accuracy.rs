@@ -7,10 +7,8 @@
 //! paper in EXPERIMENTS.md; the *throughput* axis is measured from our
 //! simulator.
 
-use serde::{Deserialize, Serialize};
-
 /// A (width multiplier, top-1 accuracy %) measurement from Table IV.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AccuracyPoint {
     pub width: f64,
     pub top1: f64,

@@ -9,12 +9,11 @@
 //! layers where the heuristic picks a sub-optimal variant.
 
 use gpu_sim::Gpu;
-use serde::{Deserialize, Serialize};
 use sparse::{gen, IndexWidth};
 use sputnik::SpmmConfig;
 
 /// One depthwise-separable block of the architecture.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Block {
     pub in_channels: usize,
     pub out_channels: usize,
@@ -25,7 +24,7 @@ pub struct Block {
 }
 
 /// The MobileNetV1 architecture at a given width multiplier.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct MobileNetV1 {
     pub width: f64,
     /// First full 3x3 convolution: 3 -> c(32), stride 2, on 224x224 input.
@@ -92,7 +91,7 @@ impl MobileNetV1 {
 }
 
 /// Per-layer timing of one inference pass.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct MobileNetBench {
     pub width: f64,
     pub sparse: bool,

@@ -7,11 +7,10 @@
 //! matmul has M = gates x hidden (4x for LSTM, 3x for GRU, 1x for vanilla
 //! RNN), K = hidden, N = batch.
 
-use serde::{Deserialize, Serialize};
 use sparse::{gen, CsrMatrix};
 
 /// Recurrent cell family.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CellKind {
     Rnn,
     Gru,
@@ -38,7 +37,7 @@ impl CellKind {
 }
 
 /// One benchmark problem from the Figure 10 suite.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RnnProblem {
     pub cell: CellKind,
     pub hidden: usize,

@@ -10,11 +10,10 @@
 use crate::attention;
 use gpu_sim::trace::{self, Entry};
 use gpu_sim::Gpu;
-use serde::{Deserialize, Serialize};
 use sparse::{gen, CsrMatrix, IndexWidth};
 
 /// Transformer architecture hyper-parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TransformerConfig {
     pub layers: usize,
     pub heads: usize,
@@ -99,7 +98,7 @@ impl AttentionMode {
 }
 
 /// Table III row: the forward-pass benchmark of one model on one device.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TransformerBench {
     pub model: String,
     pub device: String,

@@ -15,17 +15,15 @@
 //!    changes launch counts ([`ProfileReport::check`]), across the
 //!    transformer's span/replay accounting.
 //!
-//! The trace recorder is process-global, so these tests serialize on one
-//! lock and isolate themselves with uniquely-named device tracks.
+//! The trace recorder is the calling thread's, so these tests run side by
+//! side without a lock; each reads its launches off a uniquely-named device
+//! track.
 
 use dnn::attention;
 use dnn::transformer::{benchmark, AttentionMode, TransformerConfig};
 use gpu_sim::trace::{self, EventKind, TraceEvent};
 use gpu_sim::{DeviceConfig, Gpu, ProfileReport};
 use sparse::{gen, Matrix};
-use std::sync::Mutex;
-
-static TEST_LOCK: Mutex<()> = Mutex::new(());
 
 fn test_gpu(track: &str) -> Gpu {
     let mut dev = DeviceConfig::v100();
@@ -57,7 +55,6 @@ fn launches(events: &[TraceEvent]) -> Vec<(&str, f64)> {
 /// every timing component backed by exactly one launch.
 #[test]
 fn dense_attention_attributes_every_microsecond_to_a_launch() {
-    let _guard = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let track = "attr-dense";
     let gpu = test_gpu(track);
     let q = Matrix::<f32>::random(48, 16, 1);
@@ -92,7 +89,6 @@ fn dense_attention_attributes_every_microsecond_to_a_launch() {
 /// fusion span, and the same attribution invariant.
 #[test]
 fn fused_sparse_attention_is_one_attributed_launch() {
-    let _guard = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let track = "attr-fused";
     let gpu = test_gpu(track);
     let q = Matrix::<f32>::random(64, 16, 4);
@@ -123,7 +119,6 @@ fn fused_sparse_attention_is_one_attributed_launch() {
 /// softmax kernel (scaled variant), nothing host-side.
 #[test]
 fn unfused_sparse_attention_scale_rides_in_the_softmax_kernel() {
-    let _guard = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let track = "attr-unfused";
     let gpu = test_gpu(track);
     let q = Matrix::<f32>::random(48, 16, 8);
@@ -159,7 +154,6 @@ fn unfused_sparse_attention_scale_rides_in_the_softmax_kernel() {
 /// launch count inside each layer span.
 #[test]
 fn transformer_layer_rows_sum_to_total_with_fusion() {
-    let _guard = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let track = "attr-transformer";
     let gpu = test_gpu(track);
     let cfg = TransformerConfig {

@@ -19,10 +19,9 @@
 
 use crate::cost::{Traffic, MAX_BUFFERS};
 use crate::device::DeviceConfig;
-use serde::{Deserialize, Serialize};
 
 /// How a kernel accesses a buffer — guides the reuse estimator.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AccessPattern {
     /// Each byte is touched approximately once (e.g. CSR values/indices in
     /// SpMM, the output matrix). Reuse volume is assumed zero beyond
@@ -34,7 +33,7 @@ pub enum AccessPattern {
 }
 
 /// Declares one device buffer to the launcher.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct BufferSpec {
     /// Slot in the kernel's traffic table.
     pub id: crate::cost::BufferId,
@@ -53,7 +52,7 @@ pub struct BufferSpec {
 const REUSE_EFFICIENCY: f64 = 0.92;
 
 /// Per-buffer DRAM traffic after cache filtering.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct DramTraffic {
     /// DRAM bytes loaded per buffer.
     pub ld_bytes: [u64; MAX_BUFFERS],

@@ -7,19 +7,18 @@
 
 use crate::memory;
 use crate::sanitizer::{BlockSan, SmemScope};
-use serde::{Deserialize, Serialize};
 
 /// Identifies one logical device buffer (e.g. the sparse matrix values, the
 /// dense operand, the output). Buffer identities let the cache model reason
 /// about cross-block reuse per buffer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct BufferId(pub u8);
 
 /// Maximum number of distinct buffers a single kernel may declare.
 pub const MAX_BUFFERS: usize = 8;
 
 /// Global-memory traffic against a single buffer.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Traffic {
     /// 32-byte sectors requested by loads (after intra-warp coalescing).
     pub ld_sectors: u64,
@@ -41,7 +40,7 @@ impl Traffic {
 /// "Warp-level" means one FFMA entry covers up to 32 lanes; this matches how
 /// the hardware issues and how the paper counts the 6-PTX-instruction cost of
 /// ROMA or the instruction savings of vector loads.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct BlockCost {
     /// FP32 FMA warp instructions issued.
     pub fma_instrs: u64,

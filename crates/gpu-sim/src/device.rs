@@ -7,14 +7,13 @@
 //! runs out of the 1080's 8 GiB of device memory.
 
 use crate::fingerprint::Fingerprint;
-use serde::{Deserialize, Serialize};
 
 /// Static description of a simulated GPU.
 ///
 /// All throughputs are per-SM per-cycle unless otherwise noted. The timing
 /// model in [`crate::timing`] combines these with per-block cost traces to
 /// produce simulated runtimes.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DeviceConfig {
     /// Marketing name, e.g. `"V100-SXM2-16GB"`.
     pub name: String,
@@ -220,7 +219,7 @@ impl DeviceConfig {
 /// clock — the standard alpha-beta (latency/bandwidth) model used by
 /// collective-communication cost analyses. [`LinkProfile::nvlink`] models
 /// an NVLink-class fabric (DGX-style boxes).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct LinkProfile {
     /// Profile name, e.g. `"NVLink2"`.
     pub name: String,

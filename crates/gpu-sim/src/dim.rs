@@ -1,12 +1,10 @@
 //! CUDA-style 3-dimensional index types for grids and thread blocks.
 
-use serde::{Deserialize, Serialize};
-
 /// A 3-dimensional extent or index, mirroring CUDA's `dim3`.
 ///
 /// Used both for grid dimensions (number of thread blocks along each axis)
 /// and block dimensions (number of threads along each axis).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Dim3 {
     pub x: u32,
     pub y: u32,

@@ -15,13 +15,12 @@
 //! schedule can be replayed exactly.
 
 use crate::trace::{self, Entry};
-use serde::{Deserialize, Serialize};
 use sparse::rng;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// The kind of injected fault.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultKind {
     /// An uncorrectable memory error: the launch aborts with an error.
     EccError,
@@ -43,7 +42,7 @@ impl fmt::Display for FaultKind {
 }
 
 /// A fault that fired on a specific launch.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DeviceFault {
     pub kind: FaultKind,
     /// Name of the kernel whose launch faulted.

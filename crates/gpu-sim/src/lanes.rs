@@ -41,10 +41,11 @@
 //! `acc[i] = a.mul_add(b[i], acc[i])` in the same per-element order as a
 //! plain scalar loop. Vectorization only regroups *independent* elements
 //! across lanes; it never reassociates the per-element reduction, and FMA
-//! rounds once regardless of vector width. The scalar fallback (selected by
-//! [`set_vectorized`]) is therefore **bit-identical** to the vectorized
-//! path — the `lanes_equivalence` integration suite asserts exact output
-//! equality for every kernel on both paths. The run path keeps the same
+//! rounds once regardless of vector width. The scalar fallback (selected for
+//! the calling thread's launches by [`set_vectorized`]) is therefore
+//! **bit-identical** to the vectorized path — the `lanes_equivalence`
+//! integration suite asserts exact output equality for every kernel on both
+//! paths. The run path keeps the same
 //! invariant across the two layouts: each run output starts at zero and
 //! takes `a[t] * rhs[c0 + l][t]` for `t` in order, which is [`fma_dot`]'s
 //! chain, and the copy holds `to(rhs)` exactly. So a dot's bits do not
@@ -52,7 +53,7 @@
 //! below and by `sddmm_runs` under release codegen).
 
 use sparse::{CsrMatrix, Matrix, Scalar};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::cell::Cell;
 
 /// Lanes per chunk. Eight f32s = one AVX2 register; the compiler unrolls
 /// the fixed-size inner loop into packed FMAs. A chunk's accumulators form
@@ -67,20 +68,22 @@ pub const LANES: usize = 8;
 /// through `fma_dot_run`: below it the run path is no faster.
 const GROUP: usize = 4 * LANES;
 
-/// Process-wide path selector: vectorized unless [`set_vectorized`] turned
-/// it off.
-static VECTORIZED: AtomicBool = AtomicBool::new(true);
-
-/// Whether the vectorized path is active (the default).
-#[inline]
-pub fn vectorized() -> bool {
-    VECTORIZED.load(Ordering::Relaxed)
+thread_local! {
+    /// The calling thread's path selector: vectorized unless
+    /// [`set_vectorized`] turned it off.
+    static VECTORIZED: Cell<bool> = const { Cell::new(true) };
 }
 
-/// Force the scalar or vectorized path. Used by the equivalence suite;
-/// affects the whole process.
+/// Whether the vectorized path is active on this thread (the default).
+#[inline]
+pub fn vectorized() -> bool {
+    VECTORIZED.get()
+}
+
+/// Force the scalar or vectorized path for the launches this thread runs.
+/// Used by the equivalence suite.
 pub fn set_vectorized(on: bool) {
-    VECTORIZED.store(on, Ordering::Relaxed);
+    VECTORIZED.set(on);
 }
 
 /// Full tile reduction with register-resident accumulators:

@@ -14,10 +14,10 @@ use crate::scheduler;
 use crate::static_check::{self, StaticAudit};
 use crate::timing;
 use crate::trace::{self, Entry};
-use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
+use std::rc::Rc;
 
 /// Why a launch could not run (or did not complete).
 #[derive(Debug, Clone, PartialEq)]
@@ -216,7 +216,7 @@ pub struct Launched {
 
 /// Device-wide roofline times (cycles) per pipeline — the denominator view
 /// of where a kernel's time goes.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct PipelineBreakdown {
     pub fma_cycles: f64,
     pub issue_cycles: f64,
@@ -252,7 +252,7 @@ impl PipelineBreakdown {
 /// `PartialEq` compares every field (f64s bitwise-as-values): the fast-path
 /// equivalence suite relies on exact equality between the streaming/dedup
 /// launch engine and the brute-force reference path.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LaunchStats {
     /// Kernel name.
     pub kernel: String,
@@ -539,7 +539,7 @@ impl Gpu {
         let occ = self.validate(kernel)?;
         let functional = mode == Mode::Functional;
         if sanitize {
-            let session = Session::new(kernel, self.dev.warp_size);
+            let session = Rc::new(Session::new(kernel, self.dev.warp_size));
             let stats = self.execute(kernel, functional, occ, Some(&session));
             let report = session.finish();
             let runs = [
@@ -615,7 +615,7 @@ impl Gpu {
         kernel: &dyn Kernel,
         functional: bool,
         occ: Occupancy,
-        session: Option<&Session>,
+        session: Option<&Rc<Session>>,
     ) -> LaunchStats {
         let grid = kernel.grid();
         let n_blocks = grid.size();
@@ -984,7 +984,7 @@ pub fn pipelined_us(overhead_us: f64, times_us: impl IntoIterator<Item = f64>) -
 }
 
 /// Aggregate of several launches (e.g. the layers of a network forward pass).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct LaunchSummary {
     pub launches: u64,
     pub time_us: f64,

@@ -1,6 +1,6 @@
 //! The profiler counters: monotonic running totals, snapshot-able as JSON.
 //!
-//! The counters are one of two views of the process-global books kept by
+//! The counters are one of two views of the calling thread's books kept by
 //! [`crate::trace`] (the other is the event log). Every event that bumps a
 //! counter goes through the one recording call, [`crate::trace::record`],
 //! which always bumps the counters and appends the event only while tracing
@@ -9,10 +9,11 @@
 //! serve totals). A [`MetricsSnapshot`] freezes the totals for reports and
 //! for the `trace_model` CI regression gate.
 //!
-//! Counters are process-wide and monotonic (only [`MetricsRegistry::reset`]
-//! zeroes them), so concurrent sweeps simply sum. Tests that need exact
-//! counts run in a binary of their own (`tests/one_books.rs`) or in a
-//! single-process bin (`trace_model`) — parallel tests share the books.
+//! Counters belong to the thread that runs the launches (the simulator runs
+//! a whole run on its caller's thread) and are monotonic: only
+//! [`MetricsRegistry::reset`] zeroes them. Launches on another thread, such
+//! as a parallel test, land in that thread's books, so a test reads exact
+//! deltas of its own work.
 //!
 //! ## Counter vocabulary
 //!
@@ -48,7 +49,7 @@ pub fn sim_ns(us: f64) -> u64 {
     (us * 1e3).round().max(0.0) as u64
 }
 
-/// The counter view of the process-global books: reads, resets and
+/// The counter view of the calling thread's books: reads, resets and
 /// event-less bumps.
 #[derive(Debug)]
 pub struct MetricsRegistry;
@@ -56,40 +57,43 @@ pub struct MetricsRegistry;
 impl MetricsRegistry {
     /// Add `delta` to a counter, creating it at zero first if needed.
     pub fn incr(&self, name: &'static str, delta: u64) {
-        trace::books().bump(name, delta);
+        trace::with_books(|books| books.bump(name, delta));
     }
 
-    /// Bump several counters under one lock acquisition.
+    /// Bump several counters under one borrow of the books.
     pub fn incr_many(&self, deltas: &[(&'static str, u64)]) {
-        let mut books = trace::books();
-        for &(name, delta) in deltas {
-            books.bump(name, delta);
-        }
+        trace::with_books(|books| {
+            for &(name, delta) in deltas {
+                books.bump(name, delta);
+            }
+        });
     }
 
     /// Current value of a counter (0 if never incremented).
     pub fn get(&self, name: &str) -> u64 {
-        trace::books().counters.get(name).copied().unwrap_or(0)
+        trace::with_books(|books| books.counters.get(name).copied().unwrap_or(0))
     }
 
     /// Zero every counter (the event log is untouched).
     pub fn reset(&self) {
-        trace::books().counters.clear();
+        trace::with_books(|books| books.counters.clear());
     }
 
     /// Freeze the current totals.
     pub fn snapshot(&self) -> MetricsSnapshot {
         MetricsSnapshot {
-            counters: trace::books()
-                .counters
-                .iter()
-                .map(|(&k, &v)| (k.to_string(), v))
-                .collect(),
+            counters: trace::with_books(|books| {
+                books
+                    .counters
+                    .iter()
+                    .map(|(&k, &v)| (k.to_string(), v))
+                    .collect()
+            }),
         }
     }
 }
 
-/// The process-wide counters every launch path reports into.
+/// The calling thread's books, read and bumped through the counter view.
 pub fn global() -> &'static MetricsRegistry {
     &MetricsRegistry
 }
@@ -132,8 +136,8 @@ impl MetricsSnapshot {
 mod tests {
     use super::*;
 
-    /// The books are process-global and the crate's tests run in parallel,
-    /// so this test owns its counter names and never resets.
+    /// Other tests' launches land in their own threads' books, so this
+    /// test's counts are exact.
     #[test]
     fn counters_accumulate_and_snapshot() {
         let m = global();

@@ -8,10 +8,9 @@
 //! achieve higher occupancy").
 
 use crate::device::DeviceConfig;
-use serde::{Deserialize, Serialize};
 
 /// Per-block resource requirements, the inputs to the occupancy calculator.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BlockRequirements {
     /// Threads per block (product of the block dims).
     pub threads: u32,
@@ -22,7 +21,7 @@ pub struct BlockRequirements {
 }
 
 /// Which resource capped the number of resident blocks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OccupancyLimit {
     Threads,
     Warps,
@@ -34,7 +33,7 @@ pub enum OccupancyLimit {
 }
 
 /// Result of the occupancy calculation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Occupancy {
     /// Resident blocks per SM permitted by hardware resources.
     pub blocks_per_sm: u32,

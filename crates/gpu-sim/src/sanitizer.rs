@@ -26,6 +26,13 @@
 //! * **lints** — warnings (not failures) for fully-uncoalesced global loads
 //!   and ≥8-way shared-memory bank conflicts.
 //!
+//! The cross-block state belongs to the launch: each sanitized launch
+//! builds one `Session` (the shadow map and the report) and runs every
+//! block inside `in_block`, which tags the launching thread with the block
+//! id and the session in two thread-locals and restores both when the
+//! block returns or panics. The output store reads the block id alone, so
+//! an unsanitized store pays one thread-local read.
+//!
 //! [`OutputSlice`]: crate::util::OutputSlice
 //! [`BlockContext`]: crate::cost::BlockContext
 //! [`Gpu::sanitize`]: crate::launch::Gpu::sanitize
@@ -34,10 +41,9 @@
 use crate::cache::BufferSpec;
 use crate::cost::MAX_BUFFERS;
 use crate::kernel::Kernel;
-use serde::{Deserialize, Serialize};
 use std::cell::{Cell, RefCell};
 use std::collections::hash_map::{Entry, HashMap};
-use std::ptr::NonNull;
+use std::rc::Rc;
 
 /// Three-valued verdict of one static check class (see
 /// [`crate::static_check`]). The lattice is ordered by severity:
@@ -49,7 +55,7 @@ use std::ptr::NonNull;
 ///   the launch would only rediscover it.
 /// * `NeedsDynamic` — the property depends on runtime data (gathered
 ///   indices, barrier interleavings); fall back to the dynamic sanitizer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Verdict {
     Proven,
     NeedsDynamic,
@@ -68,7 +74,7 @@ impl Verdict {
 
 /// The check classes the static auditor can rule on. Each maps onto the
 /// dynamic check the sanitizer would otherwise run for every block.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CheckClass {
     /// Traced global accesses vs declared buffer footprints (memcheck).
     Bounds,
@@ -109,7 +115,7 @@ impl CheckClass {
 /// loads, where the warp that stores is the only consumer — legal without a
 /// barrier). `Block` marks staging consumed by other warps of the block,
 /// which requires a `bar_sync` between the store and the load.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SmemScope {
     /// Producer and consumer are the same warp; no barrier required.
     Warp,
@@ -119,7 +125,7 @@ pub enum SmemScope {
 }
 
 /// A hard sanitizer finding: the kernel (or its cost model) broke a contract.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SanitizerViolation {
     /// Two different thread blocks wrote the same output-slice index.
     CrossBlockRace {
@@ -196,7 +202,7 @@ impl std::fmt::Display for SanitizerViolation {
 }
 
 /// A soft sanitizer finding: legal, but a performance smell worth knowing.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SanitizerWarning {
     /// A gather or long-stride load whose lanes each touched their own
     /// sector — zero intra-warp coalescing.
@@ -236,7 +242,7 @@ pub const MAX_REPORTED: usize = 64;
 const MAX_PER_BLOCK: usize = 16;
 
 /// The outcome of one sanitized launch.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct SanitizerReport {
     /// Kernel name.
     pub kernel: String,
@@ -499,13 +505,11 @@ impl BlockSan {
 }
 
 // ---------------------------------------------------------------------------
-// Session state: the cross-block half of one sanitized launch. `Gpu::run`
-// builds one `Session` per sanitized launch and runs each block inside
-// `in_block`, which tags the executing thread through one thread-local slot.
-// The instrumented `OutputSlice` consults only that slot, so sanitized
-// launches on different threads never share state or wait on each other,
-// and an untagged thread (host code, or an unsanitized launch) keeps plain
-// semantics: an out-of-bounds slice access still panics.
+// Session state: the cross-block half of one sanitized launch (see the
+// module docs). The instrumented `OutputSlice` consults only the thread's
+// two tags, so sanitized launches on different threads never share state or
+// wait on each other, and an untagged thread (host code, or an unsanitized
+// launch) keeps plain semantics: an out-of-bounds slice access still panics.
 // ---------------------------------------------------------------------------
 
 /// The launch-owned state of one sanitized launch: the racecheck switch, a
@@ -553,9 +557,9 @@ impl Session {
         self.shadow.borrow_mut().report.absorb_block(san);
     }
 
-    /// The launch report, once every block has run.
-    pub(crate) fn finish(self) -> SanitizerReport {
-        self.shadow.into_inner().report
+    /// Take the launch report, once every block has run.
+    pub(crate) fn finish(&self) -> SanitizerReport {
+        std::mem::take(&mut self.shadow.borrow_mut().report)
     }
 
     fn claim(&self, base: usize, index: usize, me: u64) -> bool {
@@ -584,25 +588,34 @@ impl Session {
 }
 
 thread_local! {
-    /// The session and linear block id of the sanitized block this thread
-    /// is executing; `None` outside [`in_block`].
-    static BLOCK: Cell<Option<(NonNull<Session>, u64)>> = const { Cell::new(None) };
+    /// The linear id of the sanitized block this thread is executing;
+    /// `None` outside [`in_block`].
+    static BLOCK: Cell<Option<u64>> = const { Cell::new(None) };
+    /// The session that block belongs to.
+    static SESSION: RefCell<Option<Rc<Session>>> = const { RefCell::new(None) };
 }
 
-/// Restores the thread's previous block tag when dropped, also when the
-/// block panics.
-struct Tag(Option<(NonNull<Session>, u64)>);
+/// Restores the thread's previous block tag and session when dropped, also
+/// when the block panics.
+struct Tag {
+    block: Option<u64>,
+    session: Option<Rc<Session>>,
+}
 
 impl Drop for Tag {
     fn drop(&mut self) {
-        BLOCK.set(self.0);
+        BLOCK.set(self.block);
+        SESSION.set(self.session.take());
     }
 }
 
 /// Run `f` as block `lin` of `session`: slice accesses on this thread feed
 /// the session until `f` returns or unwinds.
-pub(crate) fn in_block<R>(session: &Session, lin: u64, f: impl FnOnce() -> R) -> R {
-    let _tag = Tag(BLOCK.replace(Some((NonNull::from(session), lin))));
+pub(crate) fn in_block<R>(session: &Rc<Session>, lin: u64, f: impl FnOnce() -> R) -> R {
+    let _tag = Tag {
+        block: BLOCK.replace(Some(lin)),
+        session: SESSION.replace(Some(Rc::clone(session))),
+    };
     f()
 }
 
@@ -610,11 +623,8 @@ pub(crate) fn in_block<R>(session: &Session, lin: u64, f: impl FnOnce() -> R) ->
 /// thread is executing; `None` when it executes none.
 #[inline]
 fn with_block<R>(f: impl FnOnce(&Session, u64) -> R) -> Option<R> {
-    let (session, lin) = BLOCK.get()?;
-    // SAFETY: only `in_block` sets the slot, for the duration of its borrow
-    // of `session`, and its `Tag` restores the previous value before that
-    // borrow ends; a set slot therefore points at a live session.
-    Some(f(unsafe { session.as_ref() }, lin))
+    let lin = BLOCK.get()?;
+    SESSION.with_borrow(|session| session.as_deref().map(|session| f(session, lin)))
 }
 
 /// Whether this thread is executing a sanitized block: the one slot read

@@ -17,7 +17,6 @@
 //! `H = num_sms / 2`, repeating for subsequent residency slots.
 
 use crate::device::DeviceConfig;
-use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -38,7 +37,7 @@ pub fn volta_first_wave_sm(dev: &DeviceConfig, block_idx: u64) -> u32 {
 }
 
 /// Result of simulating the block schedule.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ScheduleResult {
     /// Time (in cycles) at which the last block finishes.
     pub makespan_cycles: f64,

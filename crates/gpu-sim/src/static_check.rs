@@ -47,7 +47,6 @@ use crate::device::DeviceConfig;
 use crate::kernel::Kernel;
 use crate::occupancy;
 use crate::sanitizer::{CheckClass, Verdict};
-use serde::{Deserialize, Serialize};
 
 /// CUDA architectural limit on threads per block (not a [`DeviceConfig`]
 /// field because it has been 1024 on every generation the simulator models).
@@ -58,7 +57,7 @@ pub const MAX_BLOCK_DIM: (u32, u32, u32) = (1024, 1024, 64);
 pub const MAX_GRID_DIM: (u32, u32, u32) = (0x7FFF_FFFF, 65_535, 65_535);
 
 /// A sound bound on the byte extent a launch accesses within one buffer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AccessBound {
     /// No access reaches byte `max_end` or beyond: every traced access
     /// `[addr, addr + bytes)` satisfies `addr + bytes <= max_end`. Derived
@@ -71,7 +70,7 @@ pub enum AccessBound {
 }
 
 /// One buffer's declared access bound.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BufferBound {
     /// Buffer slot ([`crate::cost::BufferId`] index).
     pub slot: u8,
@@ -81,7 +80,7 @@ pub struct BufferBound {
 /// The worst-case address class of one vector-access site: the maximum of
 /// `addr % (vec_width * elem_bytes)` over every address the site can issue.
 /// Zero means every access is naturally aligned.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct VectorClass {
     pub slot: u8,
     pub vec_width: u32,
@@ -91,7 +90,7 @@ pub struct VectorClass {
 }
 
 /// What the kernel can say about its vector-access alignment.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum AlignmentFacts {
     /// The kernel issues no vector accesses (`vec_width > 1`): nothing to
     /// misalign.
@@ -105,7 +104,7 @@ pub enum AlignmentFacts {
 }
 
 /// What the kernel can say about its shared-memory barrier discipline.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BarrierFacts {
     /// All staging is warp-synchronous ([`crate::SmemScope::Warp`], or no
     /// shared staging at all): producer and consumer are the same warp, no
@@ -124,7 +123,7 @@ pub enum BarrierFacts {
 }
 
 /// A sound per-barrier-epoch bound on block-scope staged bytes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StageBound {
     /// No epoch stages more than this many block-scope bytes.
     Bytes(u64),
@@ -135,7 +134,7 @@ pub enum StageBound {
 /// Declarative facts a kernel asserts about its own launch, consumed by
 /// [`audit`]. Every field defaults to "unknown", which audits to
 /// `NeedsDynamic` — conservative, never wrong.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StaticFacts {
     /// Per-buffer access-extent bounds; `None` means undeclared.
     pub bounds: Option<Vec<BufferBound>>,
@@ -164,7 +163,7 @@ impl Default for StaticFacts {
 }
 
 /// One check class's audited outcome.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StaticFinding {
     pub class: CheckClass,
     pub verdict: Verdict,
@@ -173,7 +172,7 @@ pub struct StaticFinding {
 }
 
 /// The full static audit of one launch: one finding per [`CheckClass`].
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StaticAudit {
     pub kernel: String,
     pub findings: Vec<StaticFinding>,

@@ -10,11 +10,10 @@
 
 use crate::cost::{BlockCost, BlockCostLite};
 use crate::device::DeviceConfig;
-use serde::{Deserialize, Serialize};
 
 /// Decomposition of one block's pipeline cycles — retained for reports and
 /// ablation analysis.
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct BlockTiming {
     pub issue_cycles: f64,
     pub fma_cycles: f64,

@@ -1,6 +1,6 @@
-//! One set of books: the process-global recorder behind both the
-//! [`crate::metrics`] counters and the launch trace, plus a Chrome
-//! `trace_event` exporter and a profile report.
+//! One set of books: the recorder behind both the [`crate::metrics`]
+//! counters and the launch trace, plus a Chrome `trace_event` exporter and
+//! a profile report.
 //!
 //! The simulator's value over hardware counters is visibility (cf. Lew et
 //! al., "Analyzing Machine Learning Workloads Using a Detailed GPU
@@ -14,7 +14,7 @@
 //! Every event goes through one call, [`record`]. It always bumps the
 //! event's counters; only while tracing is on does it build the event's
 //! name (through a closure) and append the event to the log. Counters and
-//! log sit behind one lock, so the two views are two readings of the same
+//! log are one `Books` value, so the two views are two readings of the same
 //! books:
 //!
 //! * [`Entry::Launch`] — a kernel launch, carrying the full [`LaunchStats`].
@@ -39,9 +39,19 @@
 //! track carries a simulated clock, in microseconds, starting at zero when
 //! tracing is enabled.
 //!
+//! ## One thread, one run
+//!
+//! The simulator runs every launch, every [`crate::Fleet`] device and every
+//! serve window on its caller's thread, so a run is its thread: the books
+//! and the trace switch are thread-locals, reached through one
+//! `#[inline]` borrow (`with_books`). A launch's counters and events land in
+//! the books of the thread that ran it, and two threads never see each
+//! other's. A test therefore gets exact deltas with no lock and no binary
+//! of its own.
+//!
 //! ## Cost when tracing is off
 //!
-//! Tracing is **off by default**. Then [`record`] takes the lock, bumps
+//! Tracing is **off by default**. Then [`record`] borrows the books, bumps
 //! its counters and returns: it never runs the name closure, allocates, or
 //! clones the [`LaunchStats`] — the same cost as the counters alone, so the
 //! launch fast path (`simwall`) pays nothing measurable for the trace.
@@ -60,9 +70,8 @@
 
 use crate::launch::LaunchStats;
 use crate::metrics::{sim_ns, MetricsSnapshot};
+use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, HashMap};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Mutex, MutexGuard};
 
 /// What a [`TraceEvent`] records.
 #[derive(Debug, Clone)]
@@ -210,62 +219,65 @@ impl Books {
     }
 }
 
-static ENABLED: AtomicBool = AtomicBool::new(false);
-static BOOKS: Mutex<Books> = Mutex::new(Books {
-    counters: BTreeMap::new(),
-    events: Vec::new(),
-    clocks: Vec::new(),
-    open: Vec::new(),
-});
-
-/// Lock the process-global books.
-pub(crate) fn books() -> MutexGuard<'static, Books> {
-    // A poisoned mutex only means another thread panicked mid-record; the
-    // counters and the event list are still valid.
-    match BOOKS.lock() {
-        Ok(guard) => guard,
-        Err(poisoned) => poisoned.into_inner(),
-    }
+thread_local! {
+    /// The trace switch of the calling thread's run.
+    static ENABLED: Cell<bool> = const { Cell::new(false) };
+    /// The calling thread's books.
+    static BOOKS: RefCell<Books> = const {
+        RefCell::new(Books {
+            counters: BTreeMap::new(),
+            events: Vec::new(),
+            clocks: Vec::new(),
+            open: Vec::new(),
+        })
+    };
 }
 
-/// Is the event log on? One relaxed atomic load.
+/// Run `f` on the calling thread's books.
+#[inline]
+pub(crate) fn with_books<R>(f: impl FnOnce(&mut Books) -> R) -> R {
+    BOOKS.with_borrow_mut(f)
+}
+
+/// Is this thread's event log on? One thread-local read.
 #[inline]
 pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
+    ENABLED.get()
 }
 
-/// Turn the event log on, clearing any previous events, clocks, and open
-/// spans. Track clocks restart at zero; the counters keep running.
+/// Turn this thread's event log on, clearing any previous events, clocks,
+/// and open spans. Track clocks restart at zero; the counters keep running.
 pub fn enable() {
-    books().clear_log();
-    ENABLED.store(true, Ordering::SeqCst);
+    with_books(Books::clear_log);
+    ENABLED.set(true);
 }
 
-/// Turn the event log off and return everything it captured.
+/// Turn this thread's event log off and return everything it captured.
 pub fn disable() -> Vec<TraceEvent> {
-    ENABLED.store(false, Ordering::SeqCst);
-    let mut books = books();
-    let events = std::mem::take(&mut books.events);
-    books.clear_log();
-    events
+    ENABLED.set(false);
+    with_books(|books| {
+        let events = std::mem::take(&mut books.events);
+        books.clear_log();
+        events
+    })
 }
 
 /// Take the captured events without disabling (clocks keep running).
 pub fn drain() -> Vec<TraceEvent> {
-    std::mem::take(&mut books().events)
+    with_books(|books| std::mem::take(&mut books.events))
 }
 
 /// Current simulated clock of a track, in microseconds.
 pub fn clock(track: &str) -> f64 {
-    books().clock(track)
+    with_books(|books| books.clock(track))
 }
 
 /// Record one event: the one call every counter-bearing event goes through.
 ///
 /// Always bumps `counters`, plus the work counters a launch or replay
 /// implies (see the module docs). Only while tracing is on does it run
-/// `name` (before taking the books' lock) and append the event to `track` at the track's clock, advancing
-/// the clock by the event's duration.
+/// `name` (before borrowing the books) and append the event to `track` at
+/// the track's clock, advancing the clock by the event's duration.
 pub fn record(
     cat: &'static str,
     track: &str,
@@ -273,38 +285,38 @@ pub fn record(
     counters: &[(&'static str, u64)],
     name: impl FnOnce() -> String,
 ) {
-    // Build the name before taking the lock, so a closure that reads the
-    // books cannot deadlock and `format!` never lengthens the critical
-    // section.
+    // Build the name before borrowing the books, so a closure that reads
+    // them does not find them already borrowed.
     let name = enabled().then(name);
-    let mut books = books();
-    match entry {
-        Entry::Launch { stats, cached } => {
-            books.bump("launches", 1);
-            books.bump("launches_replayed", u64::from(cached == Some(true)));
-            books.bump("sim_time_ns", sim_ns(stats.time_us));
-            books.bump("flops", stats.flops);
-            books.bump("dram_bytes", stats.dram_bytes);
-            books.bump("blocks", stats.blocks);
+    with_books(|books| {
+        match entry {
+            Entry::Launch { stats, cached } => {
+                books.bump("launches", 1);
+                books.bump("launches_replayed", u64::from(cached == Some(true)));
+                books.bump("sim_time_ns", sim_ns(stats.time_us));
+                books.bump("flops", stats.flops);
+                books.bump("dram_bytes", stats.dram_bytes);
+                books.bump("blocks", stats.blocks);
+            }
+            Entry::Replay { dur_us, .. } => books.bump("sim_time_ns", sim_ns(dur_us)),
+            Entry::Instant | Entry::Counter(_) | Entry::Transfer { .. } => {}
         }
-        Entry::Replay { dur_us, .. } => books.bump("sim_time_ns", sim_ns(dur_us)),
-        Entry::Instant | Entry::Counter(_) | Entry::Transfer { .. } => {}
-    }
-    for &(counter, delta) in counters {
-        books.bump(counter, delta);
-    }
-    let Some(name) = name else {
-        return;
-    };
-    let event = TraceEvent {
-        name,
-        cat,
-        track: track.to_string(),
-        ts_us: books.clock(track),
-        kind: entry.into_kind(),
-    };
-    books.advance(track, event.dur_us());
-    books.events.push(event);
+        for &(counter, delta) in counters {
+            books.bump(counter, delta);
+        }
+        let Some(name) = name else {
+            return;
+        };
+        let event = TraceEvent {
+            name,
+            cat,
+            track: track.to_string(),
+            ts_us: books.clock(track),
+            kind: entry.into_kind(),
+        };
+        books.advance(track, event.dur_us());
+        books.events.push(event);
+    });
 }
 
 /// Open a named region on `track`. Close it with [`end_span`]; its duration
@@ -316,13 +328,14 @@ pub fn begin_span(cat: &'static str, track: &str, name: impl FnOnce() -> String)
         return;
     }
     let name = name();
-    let mut books = books();
-    let start_us = books.clock(track);
-    books.open.push(OpenSpan {
-        name,
-        cat,
-        track: track.to_string(),
-        start_us,
+    with_books(|books| {
+        let start_us = books.clock(track);
+        books.open.push(OpenSpan {
+            name,
+            cat,
+            track: track.to_string(),
+            start_us,
+        });
     });
 }
 
@@ -333,20 +346,21 @@ pub fn end_span(track: &str) -> f64 {
     if !enabled() {
         return 0.0;
     }
-    let mut books = books();
-    let Some(pos) = books.open.iter().rposition(|s| s.track == track) else {
-        return 0.0;
-    };
-    let span = books.open.remove(pos);
-    let dur_us = books.clock(track) - span.start_us;
-    books.events.push(TraceEvent {
-        name: span.name,
-        cat: span.cat,
-        track: span.track,
-        ts_us: span.start_us,
-        kind: EventKind::Span { dur_us },
-    });
-    dur_us
+    with_books(|books| {
+        let Some(pos) = books.open.iter().rposition(|s| s.track == track) else {
+            return 0.0;
+        };
+        let span = books.open.remove(pos);
+        let dur_us = books.clock(track) - span.start_us;
+        books.events.push(TraceEvent {
+            name: span.name,
+            cat: span.cat,
+            track: span.track,
+            ts_us: span.start_us,
+            kind: EventKind::Span { dur_us },
+        });
+        dur_us
+    })
 }
 
 /// The counters a drained event list re-derives, in the order
@@ -1172,12 +1186,6 @@ mod tests {
     use crate::dim::Dim3;
     use crate::kernel::Kernel;
     use crate::launch::Gpu;
-    use std::sync::Mutex as TestMutex;
-
-    /// The recorder is process-global; tests that enable/disable it must not
-    /// overlap each other (launches from *other* tests land on other tracks
-    /// and are filtered out, but a concurrent disable would drop events).
-    static TEST_LOCK: TestMutex<()> = TestMutex::new(());
 
     struct Tiny;
 
@@ -1213,7 +1221,6 @@ mod tests {
 
     #[test]
     fn records_launches_and_spans_with_advancing_clock() {
-        let _guard = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         enable();
         let track = "trace-test-clock";
         let gpu = test_gpu(track);
@@ -1256,7 +1263,6 @@ mod tests {
 
     #[test]
     fn disabled_recorder_captures_nothing() {
-        let _guard = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let _ = disable();
         assert!(!enabled());
         let track = "trace-test-disabled";
@@ -1272,11 +1278,10 @@ mod tests {
         );
     }
 
-    /// Names are built outside the books' lock, so a name closure may read
-    /// the books (here, the track clock) without deadlocking.
+    /// Names are built before the books are borrowed, so a name closure may
+    /// read the books (here, the track clock).
     #[test]
     fn name_closures_may_read_the_books() {
-        let _guard = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         enable();
         let track = "trace-test-reentrant";
         record("test", track, Entry::Instant, &[], || {
@@ -1291,7 +1296,6 @@ mod tests {
 
     #[test]
     fn chrome_export_is_schema_valid_and_monotonic() {
-        let _guard = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         enable();
         let track = "trace-test-chrome";
         let gpu = test_gpu(track);
@@ -1313,7 +1317,6 @@ mod tests {
 
     #[test]
     fn transfer_events_advance_clock_and_export_counters() {
-        let _guard = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         enable();
         let track = "trace-test-xfer";
         let gpu = test_gpu(track);
@@ -1358,7 +1361,6 @@ mod tests {
 
     #[test]
     fn counter_events_export_as_counter_phase() {
-        let _guard = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         enable();
         let track = "trace-test-counter";
         let gpu = test_gpu(track);
@@ -1417,7 +1419,6 @@ mod tests {
     /// as synthetic rows — the invariant the dnn profile report rides on.
     #[test]
     fn profile_report_layers_sum_to_total() {
-        let _guard = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         enable();
         let track = "trace-test-report";
         let gpu = test_gpu(track);

@@ -10,7 +10,7 @@ use gpu_sim::{
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, Receiver, Sender};
-use std::sync::{Barrier, Mutex, PoisonError};
+use std::sync::Barrier;
 use std::time::Duration;
 
 const BUF: BufferId = BufferId(0);
@@ -744,15 +744,8 @@ fn launch_summary_accumulates_sanitizer_counts() {
     assert_eq!(summary.warnings, 1);
 }
 
-/// Held by every test here that serves a sanitized launch from the cache:
-/// each hit bumps the process-global `sanitizer_skips` counter, and
-/// `sanitize_cached_skips_resanitizing_identical_fingerprints` asserts its
-/// exact delta while the test harness runs the others on parallel threads.
-static SKIP_COUNTER: Mutex<()> = Mutex::new(());
-
 #[test]
 fn sanitize_cached_skips_resanitizing_identical_fingerprints() {
-    let _skips = SKIP_COUNTER.lock().unwrap_or_else(PoisonError::into_inner);
     let gpu = Gpu::v100();
     let cache = LaunchCache::new();
     let fingerprint = 0xF00D;
@@ -798,7 +791,6 @@ fn sanitize_cached_skips_resanitizing_identical_fingerprints() {
 
 #[test]
 fn sanitize_cached_distinguishes_fingerprints() {
-    let _skips = SKIP_COUNTER.lock().unwrap_or_else(PoisonError::into_inner);
     let gpu = Gpu::v100();
     let cache = LaunchCache::new();
 
@@ -824,7 +816,6 @@ fn sanitize_cached_replays_violations_from_the_cache() {
     // violation on hits — the cache cannot launder a bad kernel.
     // (GlobalOobKernel violates through its cost trace, so the hit's
     // functional replay is safe to run.)
-    let _skips = SKIP_COUNTER.lock().unwrap_or_else(PoisonError::into_inner);
     let gpu = Gpu::v100();
     let cache = LaunchCache::new();
 

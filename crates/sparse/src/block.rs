@@ -13,11 +13,10 @@
 
 use crate::dense::Matrix;
 use crate::element::Scalar;
-use serde::{Deserialize, Serialize};
 
 /// A block compressed sparse row matrix: square `block_size` x `block_size`
 /// dense blocks at block-granular CSR coordinates.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BsrMatrix<T> {
     rows: usize,
     cols: usize,

@@ -8,10 +8,9 @@
 
 use crate::csr::CsrMatrix;
 use crate::element::Scalar;
-use serde::{Deserialize, Serialize};
 
 /// What to do when the same (row, col) appears more than once.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DuplicatePolicy {
     /// Sum the values (the linear-algebra convention).
     Sum,
@@ -22,7 +21,7 @@ pub enum DuplicatePolicy {
 }
 
 /// A mutable triplet-list sparse matrix.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CooMatrix<T> {
     rows: usize,
     cols: usize,

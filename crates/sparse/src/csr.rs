@@ -7,7 +7,6 @@
 
 use crate::dense::Matrix;
 use crate::element::{IndexWidth, Scalar};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::OnceLock;
 
@@ -58,7 +57,7 @@ impl std::error::Error for CsrError {}
 /// The mixed-precision kernels model 16-bit column indices; the width used
 /// on "device" is a kernel-configuration concern (`IndexWidth`), while host
 /// storage is always u32.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CsrMatrix<T> {
     rows: usize,
     cols: usize,
@@ -72,7 +71,6 @@ pub struct CsrMatrix<T> {
     /// `with_values`, `convert`) carry the memo over; constructors that
     /// build a new topology start empty. Any future topology mutator must
     /// reset this field.
-    #[serde(skip)]
     fingerprint: OnceLock<u64>,
 }
 

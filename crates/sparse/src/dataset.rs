@@ -17,10 +17,9 @@ use crate::csr::CsrMatrix;
 use crate::gen;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Model family a weight matrix came from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ModelFamily {
     Transformer,
     ResNet50,
@@ -28,7 +27,7 @@ pub enum ModelFamily {
 
 /// The four sparsification algorithms of the source study; each leaves a
 /// characteristic amount of row-length variation in the pruned matrix.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PruningMethod {
     MagnitudePruning,
     VariationalDropout,
@@ -59,7 +58,7 @@ impl PruningMethod {
 
 /// One benchmark problem: a sparse weight matrix plus the N dimension its
 /// SpMM/SDDMM sees per batch element.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ProblemSpec {
     pub model: ModelFamily,
     /// Layer name, e.g. `"block3/conv1x1_expand"`.
@@ -218,7 +217,7 @@ pub fn dl_corpus_sample(count: usize, seed: u64) -> Vec<ProblemSpec> {
 }
 
 /// Shape parameters of one synthetic "scientific computing" matrix.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScientificSpec {
     pub rows: usize,
     pub cols: usize,

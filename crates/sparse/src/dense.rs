@@ -5,10 +5,9 @@
 //! are supported so the baselines' strided-access penalties are real.
 
 use crate::element::Scalar;
-use serde::{Deserialize, Serialize};
 
 /// Storage order of a dense matrix.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Layout {
     /// C order: element (r, c) at `r * cols + c`. Used by our kernels.
     RowMajor,
@@ -17,7 +16,7 @@ pub enum Layout {
 }
 
 /// A dense matrix of `Scalar` elements.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Matrix<T> {
     rows: usize,
     cols: usize,

@@ -5,7 +5,6 @@
 //! (16-bit storage, 32-bit accumulation).
 
 use crate::f16::Half;
-use serde::{Deserialize, Serialize};
 use std::fmt::Debug;
 
 /// A scalar that can be stored in matrices and processed by kernels.
@@ -78,7 +77,7 @@ impl Scalar for Half {
 /// reduced representational capacity of 16-bit integers, we do not perform
 /// our index pre-scaling optimization for mixed-precision kernels"), while
 /// cuSPARSE only supports 32-bit indices.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IndexWidth {
     U16,
     U32,

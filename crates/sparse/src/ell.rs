@@ -12,12 +12,11 @@
 
 use crate::csr::CsrMatrix;
 use crate::element::Scalar;
-use serde::{Deserialize, Serialize};
 
 /// A fixed-width ELL matrix. Storage is column-major over the padded
 /// `rows x width` arrays: entry slot `(r, j)` lives at `j * rows + r`, so
 /// consecutive rows (= consecutive GPU threads) are adjacent in memory.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EllMatrix<T> {
     rows: usize,
     cols: usize,

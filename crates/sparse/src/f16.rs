@@ -6,11 +6,10 @@
 //! implemented bit-exactly here, with round-to-nearest-even, so the numerics
 //! of the mixed-precision path are faithful.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// An IEEE 754 binary16 value. 1 sign bit, 5 exponent bits, 10 mantissa bits.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 #[repr(transparent)]
 pub struct Half(pub u16);
 

@@ -3,10 +3,9 @@
 
 use crate::csr::CsrMatrix;
 use crate::element::Scalar;
-use serde::{Deserialize, Serialize};
 
 /// The three properties the paper's Figure 2 plots for each matrix.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MatrixStats {
     /// Fraction of zero entries.
     pub sparsity: f64,

@@ -9,7 +9,6 @@
 
 use crate::csr::CsrMatrix;
 use crate::element::Scalar;
-use serde::{Deserialize, Serialize};
 
 /// A precomputed row-processing order.
 ///
@@ -17,7 +16,7 @@ use serde::{Deserialize, Serialize};
 /// infrequently, the cost of the argsort ... can be amortized over many
 /// training steps" — mirroring that, the swizzle is computed once per
 /// topology and passed to kernels by reference.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RowSwizzle {
     order: Vec<u32>,
 }

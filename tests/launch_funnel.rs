@@ -9,11 +9,15 @@
 //!
 //! A second probe counts its `block_signature` calls: block dedup is a
 //! profile-mode fast path, so only a profile simulation may consult it.
+//!
+//! A run is the thread that launches it: its books, its trace switch and
+//! its lane selector are that thread's, so the counter deltas asserted here
+//! are exact while the harness runs other tests beside them.
 
 use gpu_sim::{
-    AccessBound, AccessPattern, AlignmentFacts, BarrierFacts, BlockContext, BufferBound, BufferId,
-    BufferSpec, CheckClass, CheckLevel, Dim3, Fleet, Gpu, Kernel, LaunchCache, LaunchError,
-    LaunchRequest, Mode, StageBound, StaticFacts, VectorClass,
+    lanes, metrics, trace, AccessBound, AccessPattern, AlignmentFacts, BarrierFacts, BlockContext,
+    BufferBound, BufferId, BufferSpec, CheckClass, CheckLevel, Dim3, Fleet, Gpu, Kernel,
+    LaunchCache, LaunchError, LaunchRequest, Mode, StageBound, StaticFacts, VectorClass,
 };
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -167,7 +171,10 @@ fn run_refutes_in_every_mode_cache_and_check_level() {
         for (i, req) in requests(&probe, &cache).iter().enumerate() {
             let before = gpu_sim::metrics::global().get("dispatch_static_refuted");
             assert_refuted(gpu.run(req), class, &format!("{class:?} request #{i}"));
-            assert!(gpu_sim::metrics::global().get("dispatch_static_refuted") > before);
+            assert_eq!(
+                gpu_sim::metrics::global().get("dispatch_static_refuted"),
+                before + 1
+            );
         }
     }
     assert!(cache.is_empty(), "a refuted launch must never be cached");
@@ -295,4 +302,49 @@ fn only_profile_launches_consult_block_signatures() {
     assert_eq!(probe.take(), blocks, "profile launch: one call per block");
     assert_eq!(stats, Gpu::v100().with_block_dedup(false).profile(&probe));
     assert_eq!(probe.take(), 0, "dedup off never consults a signature");
+}
+
+/// Launches on a spawned thread land in that thread's books and trace, and
+/// the lane selector set here does not reach it.
+#[test]
+fn a_spawned_run_keeps_its_books_trace_and_lanes_to_itself() {
+    let launches_before = metrics::global().get("launches");
+    trace::enable();
+    lanes::set_vectorized(false);
+    let (launched, traced, their_lanes) = std::thread::scope(|s| {
+        s.spawn(|| {
+            let their_lanes = lanes::vectorized();
+            trace::enable();
+            let before = metrics::global().get("launches");
+            let gpu = Gpu::v100();
+            let probe = Refutable::clean();
+            for _ in 0..3 {
+                gpu.profile(&probe);
+            }
+            gpu.launch(&probe);
+            let launched = metrics::global().get("launches") - before;
+            (launched, trace::disable().len(), their_lanes)
+        })
+        .join()
+        .expect("the spawned run")
+    });
+    lanes::set_vectorized(true);
+    let mine = trace::disable();
+
+    assert_eq!(launched, 4, "the spawned run counts its own launches");
+    assert!(traced >= 4, "the spawned run traces its own launches");
+    assert_eq!(
+        metrics::global().get("launches"),
+        launches_before,
+        "another thread's launches moved this thread's counters"
+    );
+    let names: Vec<&str> = mine.iter().map(|e| e.name.as_str()).collect();
+    assert!(
+        names.is_empty(),
+        "this thread's trace drained another thread's events: {names:?}"
+    );
+    assert!(
+        their_lanes,
+        "this thread's lane selector reached another thread"
+    );
 }

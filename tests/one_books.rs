@@ -9,7 +9,8 @@
 //! `dispatch_degraded`. Last, `reset` must zero the counters without
 //! touching a frozen snapshot or the event log.
 //!
-//! The books are process-global, so this binary holds a single test.
+//! The books are the calling thread's, so the deltas are exact even beside
+//! other tests.
 
 use dnn::transformer::{self, AttentionMode, TransformerConfig};
 use gpu_sim::trace::{self, Entry, EventKind, TraceEvent};

@@ -15,7 +15,6 @@ pub mod aspt;
 pub mod block_sparse;
 pub mod cublas;
 pub mod cusparse;
-pub mod ell_spmm;
 pub mod merge_spmm;
 pub mod nnz_split;
 
@@ -26,6 +25,5 @@ pub use cusparse::{
     cusparse_sddmm, cusparse_sddmm_profile, cusparse_spmm, cusparse_spmm_half_profile,
     cusparse_spmm_profile,
 };
-pub use ell_spmm::{ell_spmm, ell_spmm_profile, EllSpmmKernel};
 pub use merge_spmm::{merge_spmm, merge_spmm_profile, MergeSpmmKernel};
 pub use nnz_split::{nnz_split_spmm, nnz_split_spmm_profile, NnzSplitSpmmKernel};

@@ -54,20 +54,6 @@ proptest! {
         prop_assert!(c.max_abs_diff(&expect) < 1e-3);
     }
 
-    /// ELL roundtrips and its SpMM matches the reference.
-    #[test]
-    fn ell_spmm_matches_reference(m in 1usize..40, k in 1usize..40, n in 1usize..32,
-                                  s in 0.0f64..1.0, seed in 0u64..300) {
-        let csr = gen::uniform(m, k, s, seed);
-        let ell = sparse::EllMatrix::from_csr(&csr);
-        prop_assert_eq!(ell.to_csr(), csr.clone());
-        let b = Matrix::<f32>::random(k, n, seed ^ 0xa);
-        let gpu = Gpu::v100();
-        let (c, _) = baselines::ell_spmm(&gpu, &ell, &b);
-        let expect = sputnik::reference::spmm(&csr, &b);
-        prop_assert!(c.max_abs_diff(&expect) < 1e-3);
-    }
-
     /// Block-pruned retention is in (0, 1] and block sparsity tracks the
     /// element target.
     #[test]

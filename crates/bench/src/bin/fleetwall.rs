@@ -1,19 +1,15 @@
 //! Fleet-scaling benchmark: sharded SpMM swept across simulated device
 //! counts, plus fleet serving and a validated multi-device Chrome trace.
 //!
-//! Three sweeps over 1/2/4/8 V100s connected by NVLink:
+//! Two row-sharded (data-parallel) sweeps over 1/2/4/8 V100s connected by
+//! NVLink:
 //!
-//! - **Transformer attention, row-sharded** (data parallel): the paper's
-//!   big-compute workload. This is the headline scaling curve and the one
-//!   CI gates at >= 70% efficiency on 4 devices.
-//! - **Transformer attention, K-split** (tensor parallel): reduction-
-//!   dimension chunks folded in rank order plus a simulated ring
-//!   all-reduce. Scales worse by construction (the all-reduce moves the
-//!   whole output per step) — reported honestly, gated only on identity
-//!   and interconnect liveness.
-//! - **MobileNet 1x1 conv, row-sharded**: small output tiles, so gather
-//!   latency bites early. The sweep documents saturation rather than
-//!   pretending linearity.
+//! - **Transformer attention**: the paper's big-compute workload. This is
+//!   the headline scaling curve and the one CI gates at >= 70% efficiency
+//!   on 4 devices.
+//! - **MobileNet 1x1 conv**: small output tiles, so gather latency bites
+//!   early. The sweep documents saturation rather than pretending
+//!   linearity.
 //!
 //! Every sweep point is verified bit-identical to the single-GPU reference
 //! kernel, and every shard goes through the static auditor + sanitizer +
@@ -43,7 +39,7 @@
 
 use dnn::{
     mobilenet_pointwise_problem, scaling_sweep, transformer_attention_problem, FleetProblem,
-    ScalingPoint, ShardStrategy,
+    ScalingPoint,
 };
 use gpu_sim::{chrome_trace_json, trace, validate_chrome_trace, Fleet, LaunchCache};
 use serve::{
@@ -56,16 +52,15 @@ use sputnik_bench::{has_flag, Table};
 const DEVICES: [usize; 4] = [1, 2, 4, 8];
 const SEED: u64 = 0xF1EE7;
 
-fn sweep(problem: &FleetProblem, strategy: ShardStrategy) -> Vec<ScalingPoint> {
-    scaling_sweep(problem, strategy, &DEVICES)
-        .unwrap_or_else(|e| panic!("{} {} sweep failed: {e}", problem.name, strategy.label()))
+fn sweep(problem: &FleetProblem) -> Vec<ScalingPoint> {
+    scaling_sweep(problem, &DEVICES)
+        .unwrap_or_else(|e| panic!("{} sweep failed: {e}", problem.name))
 }
 
-fn tabulate(table: &mut Table, problem: &str, strategy: ShardStrategy, points: &[ScalingPoint]) {
+fn tabulate(table: &mut Table, problem: &str, points: &[ScalingPoint]) {
     for p in points {
         table.row(&[
             problem.to_string(),
-            strategy.label().to_string(),
             format!("{}", p.devices),
             format!("{:.1}", p.makespan_us),
             format!("{:.1}", p.kernel_us),
@@ -101,10 +96,9 @@ fn main() {
     let mb = mobilenet_pointwise_problem(1024, 512, 196, 0.85, SEED ^ 0xB0B);
 
     let mut table = Table::new(
-        "fleetwall — sharded SpMM scaling vs device count (simulated, deterministic)",
+        "fleetwall — row-sharded SpMM scaling vs device count (simulated, deterministic)",
         &[
             "problem",
-            "strategy",
             "devs",
             "makespan us",
             "kernel us",
@@ -116,21 +110,13 @@ fn main() {
         ],
     );
 
-    let tf_row = sweep(&tf, ShardStrategy::RowShard);
-    let tf_ks = sweep(&tf, ShardStrategy::KSplit);
-    let mb_row = sweep(&mb, ShardStrategy::RowShard);
-    tabulate(&mut table, "transformer", ShardStrategy::RowShard, &tf_row);
-    tabulate(&mut table, "transformer", ShardStrategy::KSplit, &tf_ks);
-    tabulate(&mut table, "mobilenet", ShardStrategy::RowShard, &mb_row);
+    let tf_row = sweep(&tf);
+    let mb_row = sweep(&mb);
+    tabulate(&mut table, "transformer", &tf_row);
+    tabulate(&mut table, "mobilenet", &mb_row);
     table.print();
 
-    let identical_all = u64::from(
-        tf_row
-            .iter()
-            .chain(&tf_ks)
-            .chain(&mb_row)
-            .all(|p| p.bit_identical),
-    );
+    let identical_all = u64::from(tf_row.iter().chain(&mb_row).all(|p| p.bit_identical));
 
     // Serving on the fleet: same saturating burst against 1 and 2 devices.
     let topologies = attention_topologies(256, 64, SEED);
@@ -179,11 +165,7 @@ fn main() {
         .int("band", band as u64)
         .int("tf_nnz", tf.a.nnz() as u64)
         .int("mb_nnz", mb.a.nnz() as u64);
-    for (prefix, points) in [
-        ("tf_row", &tf_row),
-        ("tf_ksplit", &tf_ks),
-        ("mb_row", &mb_row),
-    ] {
+    for (prefix, points) in [("tf_row", &tf_row), ("mb_row", &mb_row)] {
         for p in points {
             let d = p.devices;
             rec.float(format!("{prefix}_eff_d{d}"), p.efficiency, 6)

@@ -5,7 +5,7 @@
 //! numerical outputs — which dominates cold launches, sanitize passes, and
 //! every DNN forward pass. It runs a deterministic kernel grid covering the
 //! Sputnik kernels (SpMM, SDDMM, softmax, transpose) and the baselines
-//! (cuBLAS GEMM, cuSPARSE, ELL, merge, nnz-split, block-sparse) in three
+//! (cuBLAS GEMM, cuSPARSE, merge, nnz-split, block-sparse) in three
 //! instrumented passes:
 //!
 //! 1. `cold` — repeated functional launches, fresh every time: wall-clock
@@ -26,7 +26,7 @@
 #![allow(clippy::disallowed_methods)]
 
 use gpu_sim::{Gpu, LaunchCache};
-use sparse::{gen, BsrMatrix, EllMatrix, Matrix};
+use sparse::{gen, BsrMatrix, Matrix};
 use sputnik::{SddmmConfig, SpmmConfig};
 use sputnik_bench::gate::{BenchRecord, Gate};
 use sputnik_bench::{grid_label, has_flag, Table};
@@ -69,7 +69,6 @@ fn allocs() -> u64 {
 /// (BSR block size, ASPT-style tiling) accepts them.
 struct Problem {
     a: sparse::CsrMatrix<f32>,
-    a_ell: EllMatrix<f32>,
     a_bsr: BsrMatrix<f32>,
     b: Matrix<f32>,
     b_col: Matrix<f32>,
@@ -87,11 +86,9 @@ fn build_problems() -> Vec<Problem> {
         .iter()
         .map(|&(m, k, n, sparsity, seed)| {
             let a = gen::uniform(m, k, sparsity, seed);
-            let a_ell = EllMatrix::from_csr(&a);
             let a_bsr = BsrMatrix::from_dense(&a.to_dense(), 32);
             let b = Matrix::<f32>::random(k, n, seed ^ 1);
             Problem {
-                a_ell,
                 a_bsr,
                 b_col: b.to_layout(sparse::Layout::ColMajor),
                 b,
@@ -124,7 +121,6 @@ fn sweep(gpu: &Gpu, problems: &[Problem]) -> (u64, u64) {
             .unwrap_or_else(|e| panic!("merge_spmm rejected a grid problem: {e}"));
         add(merged.1);
         add(baselines::nnz_split_spmm(gpu, &p.a, &p.b).1);
-        add(baselines::ell_spmm(gpu, &p.a_ell, &p.b).1);
         add(baselines::block_spmm(gpu, &p.a_bsr, &p.b).1);
         add(baselines::gemm(gpu, &p.lhs, &p.rhs.transpose()).1);
         add(baselines::transpose(gpu, &p.b).1);
@@ -226,15 +222,6 @@ fn breakdown(gpu: &Gpu, problems: &[Problem], reps: u32) {
         },
         &mut |p| {
             baselines::nnz_split_spmm_profile::<f32>(gpu, &p.a, p.b.cols());
-        },
-    );
-    time(
-        "ell_spmm",
-        &mut |p| {
-            baselines::ell_spmm(gpu, &p.a_ell, &p.b);
-        },
-        &mut |p| {
-            baselines::ell_spmm_profile(gpu, &p.a_ell, p.b.cols());
         },
     );
     time(

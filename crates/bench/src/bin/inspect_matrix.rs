@@ -10,7 +10,7 @@
 //! ```
 
 use gpu_sim::Gpu;
-use sparse::{gen, io, mtx, stats, CsrMatrix, EllMatrix};
+use sparse::{gen, io, mtx, stats, CsrMatrix};
 use sputnik::{AutoTuner, SpmmConfig};
 use std::fs::File;
 use std::io::BufReader;
@@ -55,14 +55,8 @@ fn main() {
     println!("  domain       : {domain}");
 
     // Format suitability.
-    let ell = EllMatrix::from_csr(&m);
     println!("\nformat analysis:");
     println!("  CSR bytes    : {}", m.bytes(sparse::IndexWidth::U32));
-    println!(
-        "  ELL bytes    : {} (padding overhead {:.1}%)",
-        ell.bytes(),
-        ell.padding_overhead() * 100.0
-    );
     let u16_ok = sparse::IndexWidth::U16.can_index(m.cols());
     println!(
         "  16-bit index : {}",

@@ -5,16 +5,15 @@
 //! to 4096 x 2048 activations, the regime where skipped B-operand traffic
 //! actually buys DRAM time — with the activations regenerated by the
 //! seeded generator at each target zero fraction. Every point launches
-//! four contenders:
+//! three contenders:
 //!
 //! - dense GEMM (cost model; ignores both kinds of sparsity);
 //! - weight-only Sputnik SpMM (the paper's kernel, blind to activations);
-//! - joint SpMM with the fine 8x32 pattern LUT;
-//! - joint SpMM with the coarse 64x32 pattern LUT;
+//! - joint SpMM with the 8x32 pattern LUT;
 //!
-//! and records whether both joint outputs are bit-identical to the
-//! weight-only output. On top of the sweep the bin statically audits both
-//! joint launches at the gate point (zero refutations or the family does
+//! and records whether the joint output is bit-identical to the
+//! weight-only output. On top of the sweep the bin statically audits the
+//! joint launch at the gate point (zero refutations or the family does
 //! not ship), reads the `joint_tiles_total` / `joint_tiles_skipped`
 //! observability counters back from the metrics registry, and exports a
 //! traced run whose Chrome JSON must carry the joint counter track.
@@ -29,10 +28,10 @@
 //! - `fine_dead_zf80` >= 0.70: the gate point really is the ">=70% of
 //!   8x32 tiles skipped" regime the headline claims;
 //! - `bit_identical_all` == 1: pattern skipping is bit-invisible at every
-//!   swept point, both granularities;
+//!   swept point;
 //! - `statically_refuted` == 0: the auditor proves, never rejects, the
 //!   joint launch descriptors;
-//! - `gemm_us_*`, `spmm_us_*`, `fine_us_*` and `coarse_us_*` equal the
+//! - `gemm_us_*`, `spmm_us_*` and `fine_us_*` equal the
 //!   baseline's text at every swept point, so a cost drift of any size in
 //!   the SpMM body (which the joint kernel shares) fails the check until
 //!   the file is re-recorded; run `--full` without `--check`, since the
@@ -104,7 +103,6 @@ fn main() {
             "gemm us",
             "spmm us",
             "fine us",
-            "coarse us",
             "fine speedup",
             "identical",
         ],
@@ -116,7 +114,6 @@ fn main() {
             format!("{:.1}", p.dense_gemm_us),
             format!("{:.1}", p.weight_spmm_us),
             format!("{:.1}", p.joint_fine_us),
-            format!("{:.1}", p.joint_coarse_us),
             format!("{:.2}x", p.fine_speedup_vs_spmm()),
             format!("{}", u64::from(p.bit_identical)),
         ]);
@@ -133,8 +130,8 @@ fn main() {
     let tiles_skipped = gpu_sim::metrics::global().get("joint_tiles_skipped");
     println!("metrics: joint_tiles_skipped/total = {tiles_skipped}/{tiles_total}");
 
-    // Static audit of both gate-point joint launches: the descriptors must
-    // be proven or left dynamic, never refuted.
+    // Static audit of the gate-point joint launch: the descriptor must be
+    // proven or left dynamic, never refuted.
     let a: CsrMatrix<f32> = gen::uniform(M, K, WEIGHT_SPARSITY, SEED);
     let gate_idx = zero_fracs
         .iter()
@@ -142,14 +139,12 @@ fn main() {
         .unwrap_or_else(|| panic!("jointwall: sweep must include the zf {GATE_ZF} gate point"));
     let acts = gen::activations(K, N, GATE_ZF, SEED.wrapping_add(1 + gate_idx as u64));
     let fine = PatternLut::build(&acts, PatternGranularity::Fine);
-    let coarse = PatternLut::build(&acts, PatternGranularity::Coarse);
     let mut refuted_details = Vec::new();
-    let statically_refuted = audit_refutations(&gpu, &a, &fine, &mut refuted_details)
-        + audit_refutations(&gpu, &a, &coarse, &mut refuted_details);
+    let statically_refuted = audit_refutations(&gpu, &a, &fine, &mut refuted_details);
     for d in &refuted_details {
         eprintln!("refuted: {d}");
     }
-    println!("static audit: {statically_refuted} refuted checks across both granularities");
+    println!("static audit: {statically_refuted} refuted checks");
 
     // Traced gate-point run: the Chrome export must validate and carry the
     // joint counter track alongside the launch.
@@ -181,12 +176,11 @@ fn main() {
             .float(format!("gemm_us_{key}"), p.dense_gemm_us, 3)
             .float(format!("spmm_us_{key}"), p.weight_spmm_us, 3)
             .float(format!("fine_us_{key}"), p.joint_fine_us, 3)
-            .float(format!("coarse_us_{key}"), p.joint_coarse_us, 3)
             .float(format!("speedup_fine_{key}"), p.fine_speedup_vs_spmm(), 6)
             .int(format!("bit_identical_{key}"), u64::from(p.bit_identical));
         // Simulated kernel times are deterministic: any cost-model drift,
         // however small, must show up as a re-recorded baseline.
-        for contender in ["gemm", "spmm", "fine", "coarse"] {
+        for contender in ["gemm", "spmm", "fine"] {
             rec.gate(format!("{contender}_us_{key}"), Gate::MatchBaseline);
         }
     }

@@ -20,8 +20,8 @@ use baselines::cusparse::{
     ConstrainedGemmKernel, CusparseSpmmHalfFallbackKernel, CusparseSpmmKernel,
 };
 use baselines::{
-    AsptDirection, AsptPlan, BlockSpmmKernel, EllSpmmKernel, GemmKernel, MergeSpmmKernel,
-    NnzSplitSpmmKernel, TransposeKernel,
+    AsptDirection, AsptPlan, BlockSpmmKernel, GemmKernel, MergeSpmmKernel, NnzSplitSpmmKernel,
+    TransposeKernel,
 };
 use dnn::layers::{BiasReluKernel, DenseSoftmaxKernel, DepthwiseConvKernel};
 use dnn::lstm::LstmElementwiseKernel;
@@ -31,7 +31,6 @@ use gpu_sim::{
     CheckLevel, Gpu, Kernel, LaunchCache, LaunchError, LaunchRequest, Launched,
     SddmmSoftmaxSpmmKernel,
 };
-use sparse::ell::EllMatrix;
 use sparse::{block, gen, Layout, Matrix, PatternGranularity, PatternLut, RowSwizzle};
 use sputnik::{
     joint_heuristic, FallbackSpmmKernel, JointSpmmKernel, PermuteKernel, SddmmConfig, SddmmKernel,
@@ -95,33 +94,18 @@ pub fn for_each_kernel(visit: &mut dyn FnMut(&dyn Kernel)) {
             visit(&kernel);
         }
 
-        // The K-split accumulate variant: same compute, but the epilogue
-        // folds into existing C instead of overwriting it, which changes
-        // the traced output traffic and the static write-set.
-        {
-            let swizzle = RowSwizzle::identity(a.rows());
-            let mut out = Matrix::<f32>::random(m, n, seed + 9);
-            let kernel =
-                SpmmKernel::try_new(&a, &b, &mut out, &swizzle, SpmmConfig::heuristic::<f32>(n))
-                    .unwrap_or_else(|e| panic!("registry: spmm acc construction: {e}"))
-                    .with_accumulate();
-            visit(&kernel);
-        }
-
         // Joint activation x weight SpMM: same weights, but the dense
         // operand comes from the seeded activation generator so the pattern
-        // LUT has dead tiles to probe — one launch per LUT granularity.
+        // LUT has dead tiles to probe.
         {
             let acts = gen::activations(k, n, 0.8, seed + 10);
             let cfg = joint_heuristic::<f32>(n);
             let swizzle = RowSwizzle::identity(a.rows());
-            for granularity in [PatternGranularity::Fine, PatternGranularity::Coarse] {
-                let lut = PatternLut::build(&acts, granularity);
-                let mut out = Matrix::<f32>::zeros(m, n);
-                let kernel = JointSpmmKernel::try_new(&a, &acts, &mut out, &swizzle, &lut, cfg)
-                    .unwrap_or_else(|e| panic!("registry: joint spmm construction: {e}"));
-                visit(&kernel);
-            }
+            let lut = PatternLut::build(&acts, PatternGranularity::Fine);
+            let mut out = Matrix::<f32>::zeros(m, n);
+            let kernel = JointSpmmKernel::try_new(&a, &acts, &mut out, &swizzle, &lut, cfg)
+                .unwrap_or_else(|e| panic!("registry: joint spmm construction: {e}"));
+            visit(&kernel);
         }
 
         // Scalar fallback SpMM.
@@ -199,14 +183,6 @@ pub fn for_each_kernel(visit: &mut dyn FnMut(&dyn Kernel)) {
 
             let mut t = Matrix::<f32>::zeros(k, m);
             let kernel = TransposeKernel::new(&da, &mut t);
-            visit(&kernel);
-        }
-
-        // ELLR-T SpMM.
-        {
-            let ell = EllMatrix::from_csr(&a);
-            let mut out = Matrix::<f32>::zeros(m, n);
-            let kernel = EllSpmmKernel::new(&ell, &b, &mut out);
             visit(&kernel);
         }
 
@@ -315,10 +291,9 @@ pub fn for_each_kernel(visit: &mut dyn FnMut(&dyn Kernel)) {
 mod tests {
     use super::*;
 
-    /// The registry is deterministic: 22 kernels per shape (three SpMM
-    /// configs, the accumulate variant, the two joint-sparsity LUT
-    /// granularities, the fused attention pipeline, the three dnn
-    /// epilogues, and twelve other kernels), merge-SpMM only where
+    /// The registry is deterministic: 18 kernels per shape (three SpMM
+    /// configs, the joint-sparsity SpMM, the fused attention pipeline, the
+    /// three dnn epilogues, and ten other kernels), merge-SpMM only where
     /// `n % 32 == 0` (shapes 0 and 1), plus eight dedicated launches: the
     /// two shape-constrained baselines, depthwise convolution at strides 1
     /// and 2, and the four microbenchmarks.
@@ -328,7 +303,7 @@ mod tests {
         for_each_kernel(&mut |k| names.push(k.name().to_string()));
         let expected: usize = SHAPES
             .iter()
-            .map(|&(_, _, n, _)| 21 + usize::from(n % 32 == 0))
+            .map(|&(_, _, n, _)| 18 + usize::from(n % 32 == 0))
             .sum::<usize>()
             + 8;
         assert_eq!(names.len(), expected, "{names:?}");
@@ -342,7 +317,6 @@ mod tests {
             "value_permute",
             "cublas_sgemm",
             "cublas_transpose",
-            "ellr_t_spmm",
             "merge_spmm_rowsplit",
             "nnz_split_spmm",
             "cusparse_spmm",
@@ -367,7 +341,5 @@ mod tests {
         // The half-precision cuSPARSE fallback is a distinct kernel from
         // the f32 path even though the names share a prefix.
         assert!(names.iter().any(|n| n.ends_with("_fallback")), "{names:?}");
-        // The accumulate epilogue registers as its own launch.
-        assert!(names.iter().any(|n| n.ends_with("_acc")), "{names:?}");
     }
 }

@@ -52,21 +52,19 @@ fn all_kernels_fastpath_bit_identical() {
     });
 
     // An extra the registry does not hold: joint SpMM with the row swizzle
-    // its heuristic asks for (the registry's joint launches run unswizzled),
-    // at both LUT granularities.
+    // its heuristic asks for (the registry's joint launch runs unswizzled),
+    // on every registry shape, the ragged one included.
     for (i, &(m, k, n, sparsity)) in registry::SHAPES.iter().enumerate() {
         let seed = registry::seed(i);
         let a = gen::uniform(m, k, sparsity, seed);
         let acts = gen::activations(k, n, 0.7, seed + 7);
         let cfg = joint_heuristic::<f32>(n);
         let swizzle = RowSwizzle::for_config(&a, cfg.row_swizzle);
-        for granularity in [PatternGranularity::Fine, PatternGranularity::Coarse] {
-            let lut = PatternLut::build(&acts, granularity);
-            let kernel = JointSpmmKernel::<f32>::for_profile(&a, n, &swizzle, &lut, cfg)
-                .unwrap_or_else(|e| panic!("joint construction: {e}"));
-            let label = format!("swizzled joint_spmm {granularity:?} {m}x{k}x{n} s={sparsity}");
-            assert_fastpath_identical(&kernel, &label);
-        }
+        let lut = PatternLut::build(&acts, PatternGranularity::Fine);
+        let kernel = JointSpmmKernel::<f32>::for_profile(&a, n, &swizzle, &lut, cfg)
+            .unwrap_or_else(|e| panic!("joint construction: {e}"));
+        let label = format!("swizzled joint_spmm {m}x{k}x{n} s={sparsity}");
+        assert_fastpath_identical(&kernel, &label);
     }
 }
 

@@ -12,7 +12,7 @@
 //! flips in one place.
 
 use gpu_sim::{lanes, Gpu};
-use sparse::{block, ell::EllMatrix, gen, Layout, Matrix, PatternGranularity, PatternLut};
+use sparse::{block, gen, Layout, Matrix, PatternGranularity, PatternLut};
 use sputnik::{joint_heuristic, SddmmConfig, SpmmConfig};
 
 /// The last shape's N = 44 is not a multiple of 8, so the SpMM-family
@@ -97,10 +97,6 @@ fn every_kernel_bit_identical_on_both_lane_paths() {
         }
         assert_paths_match(&label("nnz_split"), || {
             bits(&baselines::nnz_split_spmm(&gpu, &a, &b).0)
-        });
-        assert_paths_match(&label("ell_spmm"), || {
-            let ell = EllMatrix::from_csr(&a);
-            bits(&baselines::ell_spmm(&gpu, &ell, &b).0)
         });
         assert_paths_match(&label("gemm"), || bits(&baselines::gemm(&gpu, &lhs, &b).0));
         assert_paths_match(&label("transpose"), || {

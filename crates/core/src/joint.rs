@@ -9,10 +9,10 @@
 //! and FMA.
 //!
 //! [`JointSpmmKernel`] is [`SpmmKernel`] with a precomputed
-//! [`sparse::PatternLut`] attached — a bitmap of 8x32 (fine) or 64x32
-//! (coarse) zero blocks of B. There is one SpMM body: this module adds the
-//! LUT checks to construction, its own launch name and the probe's two
-//! registers, and forwards everything else to [`SpmmKernel`], which skips
+//! [`sparse::PatternLut`] attached — a bitmap of 8x32 zero blocks of B.
+//! There is one SpMM body: this module adds the LUT checks to
+//! construction, its own launch name and the probe's two registers, and
+//! forwards everything else to [`SpmmKernel`], which skips
 //! the B load + FMA of any stored nonzero whose target tile the LUT marks
 //! dead. The skip is *warp-uniform*: the kernel's column strip is
 //! constrained to lie inside one 32-column LUT tile (`block_items_x` must
@@ -72,7 +72,7 @@ use sparse::{CsrMatrix, Matrix, PatternLut, RowSwizzle, Scalar};
 pub struct JointSpmmKernel<'a, T: Scalar> {
     /// The SpMM kernel, probing the LUT.
     spmm: SpmmKernel<'a, T>,
-    /// `sputnik_joint_spmm_{T}_{cfg}_{granularity}`.
+    /// `sputnik_joint_spmm_{T}_{cfg}_g8` (`g8` names the 8-row LUT tile).
     name: String,
 }
 
@@ -142,12 +142,7 @@ impl<'a, T: Scalar> JointSpmmKernel<'a, T> {
     fn probing(spmm: SpmmKernel<'a, T>, lut: &'a PatternLut, cfg: &SpmmConfig) -> Self {
         Self {
             spmm: spmm.with_lut(lut),
-            name: format!(
-                "sputnik_joint_spmm_{}_{}_{}",
-                T::TAG,
-                cfg.tag(),
-                lut.granularity().tag()
-            ),
+            name: format!("sputnik_joint_spmm_{}_{}_g8", T::TAG, cfg.tag()),
         }
     }
 }
@@ -278,6 +273,10 @@ mod tests {
     use crate::spmm::{spmm, spmm_profile};
     use sparse::{gen, PatternGranularity};
 
+    fn lut_of(b: &Matrix<f32>) -> PatternLut {
+        PatternLut::build(b, PatternGranularity::Fine)
+    }
+
     /// Build a weights/activations pair with real joint structure.
     fn problem(m: usize, k: usize, n: usize, zero_frac: f64) -> (CsrMatrix<f32>, Matrix<f32>) {
         let a = gen::uniform(m, k, 0.7, 11);
@@ -343,18 +342,16 @@ mod tests {
                 ..base
             },
         ];
-        for g in [PatternGranularity::Fine, PatternGranularity::Coarse] {
-            let lut = PatternLut::build(&b, g);
-            assert!(
-                lut.tiles_dead() > 0,
-                "test needs real skips to be meaningful"
-            );
-            for cfg in variants {
-                let (dense, _) = spmm(&gpu, &a, &b, cfg);
-                let (joint, stats) = joint_spmm(&gpu, &a, &b, &lut, cfg);
-                assert_bit_identical(&joint, &dense, &format!("{g:?} {}", cfg.tag()));
-                assert!(stats.time_us > 0.0);
-            }
+        let lut = lut_of(&b);
+        assert!(
+            lut.tiles_dead() > 0,
+            "test needs real skips to be meaningful"
+        );
+        for cfg in variants {
+            let (dense, _) = spmm(&gpu, &a, &b, cfg);
+            let (joint, stats) = joint_spmm(&gpu, &a, &b, &lut, cfg);
+            assert_bit_identical(&joint, &dense, &cfg.tag());
+            assert!(stats.time_us > 0.0);
         }
     }
 
@@ -365,12 +362,10 @@ mod tests {
             for zero_frac in [0.0, 0.5, 0.9] {
                 let (a, b) = problem(m, k, n, zero_frac);
                 let cfg = joint_heuristic::<f32>(n);
-                for g in [PatternGranularity::Fine, PatternGranularity::Coarse] {
-                    let lut = PatternLut::build(&b, g);
-                    let (dense, _) = spmm(&gpu, &a, &b, cfg);
-                    let (joint, _) = joint_spmm(&gpu, &a, &b, &lut, cfg);
-                    assert_bit_identical(&joint, &dense, &format!("{m}x{k}x{n} zf={zero_frac}"));
-                }
+                let lut = lut_of(&b);
+                let (dense, _) = spmm(&gpu, &a, &b, cfg);
+                let (joint, _) = joint_spmm(&gpu, &a, &b, &lut, cfg);
+                assert_bit_identical(&joint, &dense, &format!("{m}x{k}x{n} zf={zero_frac}"));
             }
         }
     }
@@ -381,7 +376,7 @@ mod tests {
         // the unskipped path and still match the dense kernel exactly.
         let a = gen::uniform(16, 32, 0.5, 3);
         let b = Matrix::<f32>::from_fn(32, 32, |r, c| if (r + c) % 3 == 0 { -0.0 } else { 0.25 });
-        let lut = PatternLut::build(&b, PatternGranularity::Fine);
+        let lut = lut_of(&b);
         assert_eq!(lut.tiles_dead(), 0);
         let gpu = Gpu::v100();
         let cfg = SpmmConfig::default();
@@ -393,7 +388,7 @@ mod tests {
     #[test]
     fn profile_matches_launch_timing() {
         let (a, b) = problem(64, 128, 64, 0.75);
-        let lut = PatternLut::build(&b, PatternGranularity::Fine);
+        let lut = lut_of(&b);
         let gpu = Gpu::v100();
         let cfg = SpmmConfig::default();
         let (_, launch) = joint_spmm(&gpu, &a, &b, &lut, cfg);
@@ -405,7 +400,7 @@ mod tests {
     #[test]
     fn static_audit_is_clean() {
         let (a, b) = problem(48, 96, 64, 0.7);
-        let lut = PatternLut::build(&b, PatternGranularity::Coarse);
+        let lut = lut_of(&b);
         let swizzle = RowSwizzle::by_length_desc(&a);
         let kernel =
             JointSpmmKernel::<f32>::for_profile(&a, 64, &swizzle, &lut, SpmmConfig::default())
@@ -420,7 +415,7 @@ mod tests {
     #[test]
     fn illegal_configurations_are_rejected() {
         let (a, b) = problem(32, 64, 128, 0.5);
-        let lut = PatternLut::build(&b, PatternGranularity::Fine);
+        let lut = lut_of(&b);
         let swizzle = RowSwizzle::by_length_desc(&a);
         // 64-wide strips span two LUT n-tiles: the probe would diverge.
         let wide = SpmmConfig {
@@ -442,7 +437,7 @@ mod tests {
             Err(SputnikError::IllegalConfig { .. })
         ));
         // A LUT built over a differently-shaped operand.
-        let other = PatternLut::build(&gen::activations(64, 32, 0.5, 1), PatternGranularity::Fine);
+        let other = lut_of(&gen::activations(64, 32, 0.5, 1));
         assert!(matches!(
             JointSpmmKernel::<f32>::for_profile(&a, 128, &swizzle, &other, SpmmConfig::default()),
             Err(SputnikError::ShapeMismatch { .. })
@@ -454,7 +449,7 @@ mod tests {
     #[test]
     fn skip_counters_reach_the_metrics_registry() {
         let (a, b) = problem(48, 96, 64, 0.8);
-        let lut = PatternLut::build(&b, PatternGranularity::Fine);
+        let lut = lut_of(&b);
         let (probes, dead) = lut.probe_stats(&a);
         assert!(probes > 0 && dead > 0, "problem must exercise real skips");
         let before_total = gpu_sim::metrics::global().get("joint_tiles_total");
@@ -475,7 +470,7 @@ mod tests {
     fn skipping_beats_the_dense_kernel_on_sparse_activations() {
         let a = gen::uniform(256, 512, 0.8, 5);
         let b = gen::activations(512, 128, 0.85, 7);
-        let lut = PatternLut::build(&b, PatternGranularity::Fine);
+        let lut = lut_of(&b);
         assert!(lut.dead_fraction() > 0.5);
         let gpu = Gpu::v100();
         let cfg = joint_heuristic::<f32>(128);
@@ -495,7 +490,7 @@ mod tests {
         // is exactly zero, and useful FLOPs are zero.
         let a = gen::uniform(32, 64, 0.6, 8);
         let b = Matrix::<f32>::zeros(64, 32);
-        let lut = PatternLut::build(&b, PatternGranularity::Fine);
+        let lut = lut_of(&b);
         assert_eq!(lut.tiles_live(), 0);
         let gpu = Gpu::v100();
         let (c, stats) = joint_spmm(&gpu, &a, &b, &lut, SpmmConfig::default());

@@ -33,10 +33,7 @@ pub use plan::{
 };
 pub use roma::MemoryAligner;
 pub use sddmm::{sddmm, sddmm_profile, sddmm_profile_cached, try_sddmm, SddmmKernel};
-pub use shard::{
-    k_slice, plan_row_shards, row_slice, sddmm_row_sharded, spmm_k_split, spmm_row_sharded,
-    ShardedRun,
-};
+pub use shard::{plan_row_shards, row_slice, sddmm_row_sharded, spmm_row_sharded, ShardedRun};
 pub use softmax::{
     sparse_softmax, sparse_softmax_profile, sparse_softmax_scaled, sparse_softmax_scaled_profile,
     SparseSoftmaxKernel,

@@ -1,29 +1,12 @@
-//! Sharded multi-device kernels over a simulated [`Fleet`].
+//! Row-sharded (data-parallel) multi-device kernels over a simulated
+//! [`Fleet`], proven **bit-identical** to the single-device reference.
 //!
-//! Two parallelism strategies from the serving/training playbook, both
-//! proven **bit-identical** to the single-device reference:
-//!
-//! * **Row sharding (data parallel)** — [`spmm_row_sharded`] /
-//!   [`sddmm_row_sharded`]: each device owns a contiguous, nnz-balanced
-//!   block of output rows. Per-row folds are untouched (a row's entire
-//!   CSR segment stays on one device), so concatenating the shard outputs
-//!   reproduces the single-device result bit for bit. Shards computed on
-//!   devices other than 0 are gathered to device 0 over the interconnect.
-//!
-//! * **K splitting (tensor parallel)** — [`spmm_k_split`]: the reduction
-//!   dimension is cut into contiguous column chunks, one per device, and
-//!   partial products are combined with a simulated ring all-reduce.
-//!   Naively summing independent partials would *not* be bit-identical
-//!   (each fma fuses its multiply-add; `round(p0) + round(p1)` differs
-//!   from the fused chain), so the functional execution instead folds the
-//!   chunks **in rank order** through [`SpmmKernel::with_accumulate`]:
-//!   CSR rows are strictly column-sorted, so contiguous K chunks partition
-//!   each row's nonzeros into contiguous in-order subsequences, and
-//!   seeding each chunk's accumulator from the current output composes the
-//!   exact per-row fma chain of the reference kernel. The *timing* model
-//!   still runs the chunks concurrently (one stream per device) followed
-//!   by the ring all-reduce — the standard modeling split between
-//!   numerical semantics and schedule.
+//! [`spmm_row_sharded`] / [`sddmm_row_sharded`]: each device owns a
+//! contiguous, nnz-balanced block of output rows. Per-row folds are
+//! untouched (a row's entire CSR segment stays on one device), so
+//! concatenating the shard outputs reproduces the single-device result bit
+//! for bit. Shards computed on devices other than 0 are gathered to device
+//! 0 over the interconnect.
 //!
 //! Every shard launch goes through [`Gpu::run`] at the default audit
 //! level: statically audited (a refuted shard fails the op before any block
@@ -112,40 +95,6 @@ pub fn row_slice<T: Scalar>(
         offsets,
         a.col_indices()[lo..hi].to_vec(),
         a.values()[lo..hi].to_vec(),
-    )?)
-}
-
-/// The column band `k0..k1` of `a` as a standalone CSR matrix with columns
-/// rebased by `-k0`. Per-row column order is preserved (CSR rows are
-/// strictly sorted, and filtering a sorted sequence keeps it sorted), which
-/// is what makes rank-ordered K-split accumulation bit-identical.
-pub fn k_slice<T: Scalar>(
-    a: &CsrMatrix<T>,
-    k0: usize,
-    k1: usize,
-) -> Result<CsrMatrix<T>, SputnikError> {
-    assert!(k0 <= k1 && k1 <= a.cols(), "column slice out of range");
-    let mut offsets = Vec::with_capacity(a.rows() + 1);
-    offsets.push(0u32);
-    let mut cols = Vec::new();
-    let mut vals = Vec::new();
-    for r in 0..a.rows() {
-        let (ci, vi) = a.row(r);
-        for (&c, &v) in ci.iter().zip(vi) {
-            let c = c as usize;
-            if (k0..k1).contains(&c) {
-                cols.push((c - k0) as u32);
-                vals.push(v);
-            }
-        }
-        offsets.push(cols.len() as u32);
-    }
-    Ok(CsrMatrix::from_parts(
-        a.rows(),
-        k1 - k0,
-        offsets,
-        cols,
-        vals,
     )?)
 }
 
@@ -272,67 +221,6 @@ pub fn sddmm_row_sharded<T: Scalar>(
     })
 }
 
-/// K-split (tensor-parallel) SpMM across a fleet: the reduction dimension
-/// is cut into contiguous column chunks, one per device, each multiplying
-/// its band of `A` against its block of `B` rows; partial outputs are
-/// combined with a simulated ring all-reduce of the full `C` payload.
-///
-/// Functionally the chunks fold in rank order through
-/// [`SpmmKernel::with_accumulate`], composing the reference kernel's exact
-/// per-row fma chains — see the module docs for why independent partials
-/// would not be bit-identical. Rejected for `fused_bias_relu` configs: a
-/// nonlinear epilogue cannot be applied per-chunk.
-pub fn spmm_k_split<T: Scalar>(
-    fleet: &mut Fleet,
-    cache: &LaunchCache,
-    a: &CsrMatrix<T>,
-    b: &Matrix<T>,
-    cfg: SpmmConfig,
-) -> Result<ShardedRun<Matrix<T>>, SputnikError> {
-    if cfg.fused_bias_relu {
-        return Err(SputnikError::IllegalConfig {
-            reason: "k-split cannot compose with fused_bias_relu: the epilogue is nonlinear, \
-                     so per-chunk application would differ from the single-device kernel"
-                .into(),
-        });
-    }
-    require_finite("a", a.values())?;
-    require_finite("b", b.as_slice())?;
-    let n = b.cols();
-    let k = a.cols();
-    let devices = fleet.num_devices();
-    let mut output = Matrix::<T>::zeros(a.rows(), n);
-    let mut shard_stats = Vec::new();
-    let mut cache_hits = 0usize;
-    for dev in 0..devices {
-        let (k0, k1) = (k * dev / devices, k * (dev + 1) / devices);
-        if k0 == k1 {
-            continue;
-        }
-        let chunk = k_slice(a, k0, k1)?;
-        let b_chunk = Matrix::from_vec(k1 - k0, n, b.as_slice()[k0 * n..k1 * n].to_vec());
-        let swizzle = RowSwizzle::for_config(&chunk, cfg.row_swizzle);
-        let launched = {
-            let kernel = SpmmKernel::try_new(&chunk, &b_chunk, &mut output, &swizzle, cfg)?
-                .with_accumulate();
-            let req =
-                LaunchRequest::functional(&kernel).cached((cache, operand_fingerprint(&chunk, n)));
-            fleet.gpu(dev).run(&req)?
-        };
-        cache_hits += usize::from(launched.hit);
-        fleet.submit(dev, launched.stats.time_us);
-        shard_stats.push(launched.stats);
-    }
-    fleet.ring_all_reduce((a.rows() * n) as u64 * u64::from(T::BYTES));
-    let sync = fleet.sync()?;
-    Ok(ShardedRun {
-        output,
-        shard_stats,
-        cache_hits,
-        sync,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -379,7 +267,7 @@ mod tests {
     }
 
     #[test]
-    fn row_and_k_slices_partition_the_matrix() {
+    fn row_slices_partition_the_matrix() {
         let a = gen::uniform(60, 44, 0.8, 11);
         let plan = plan_row_shards(&a, 3);
         let total: usize = plan
@@ -387,16 +275,6 @@ mod tests {
             .map(|&(r0, r1)| row_slice(&a, r0, r1).unwrap().nnz())
             .sum();
         assert_eq!(total, a.nnz());
-
-        let cuts = [0, 15, 29, 44];
-        let mut seen = 0;
-        for w in cuts.windows(2) {
-            let band = k_slice(&a, w[0], w[1]).unwrap();
-            assert_eq!(band.rows(), a.rows());
-            assert_eq!(band.cols(), w[1] - w[0]);
-            seen += band.nnz();
-        }
-        assert_eq!(seen, a.nnz());
     }
 
     #[test]
@@ -456,53 +334,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn spmm_k_split_is_bit_identical_to_single_device() {
-        let gpu = Gpu::v100();
-        for &(m, k, n, sp) in &[(64usize, 96usize, 32usize, 0.7f64), (100, 76, 40, 0.8)] {
-            let a = gen::uniform(m, k, sp, 29);
-            let b = Matrix::<f32>::random(k, n, 31);
-            for swizzle in [false, true] {
-                let cfg = SpmmConfig {
-                    row_swizzle: swizzle,
-                    ..SpmmConfig::default()
-                };
-                let (reference, _) = spmm(&gpu, &a, &b, cfg);
-                for devices in [1, 2, 4] {
-                    let cache = LaunchCache::new();
-                    let mut f = fleet(devices);
-                    let run = spmm_k_split(&mut f, &cache, &a, &b, cfg).unwrap();
-                    assert_bits_eq(
-                        &run.output,
-                        &reference,
-                        &format!("k-split {m}x{k}x{n} D={devices} swizzle={swizzle}"),
-                    );
-                    if devices > 1 {
-                        // Ring all-reduce: 2(N-1) steps on each of N devices.
-                        assert_eq!(
-                            run.sync.transfers,
-                            2 * (devices as u64 - 1) * devices as u64
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn k_split_rejects_fused_epilogue() {
-        let a = gen::uniform(32, 32, 0.5, 1);
-        let b = Matrix::<f32>::random(32, 32, 2);
-        let cfg = SpmmConfig {
-            fused_bias_relu: true,
-            ..SpmmConfig::default()
-        };
-        let cache = LaunchCache::new();
-        let mut f = fleet(2);
-        let err = spmm_k_split(&mut f, &cache, &a, &b, cfg).unwrap_err();
-        assert!(matches!(err, SputnikError::IllegalConfig { .. }));
     }
 
     #[test]

@@ -176,9 +176,6 @@ pub struct SpmmKernel<'a, T: Scalar> {
     bias: Option<&'a [f32]>,
     cfg: SpmmConfig,
     n: usize,
-    /// Accumulate into the existing output (`C += A·B`) instead of
-    /// overwriting it. See [`SpmmKernel::with_accumulate`].
-    accumulate: bool,
     /// Zero-tile bitmap of B; set only by [`crate::joint::JointSpmmKernel`].
     lut: Option<&'a PatternLut>,
     /// Each row strip's part of the block signature, filled by the first
@@ -284,7 +281,6 @@ impl<'a, T: Scalar> SpmmKernel<'a, T> {
             bias: None,
             cfg,
             n,
-            accumulate: false,
             lut: None,
             strip_sigs: OnceLock::new(),
         })
@@ -308,28 +304,9 @@ impl<'a, T: Scalar> SpmmKernel<'a, T> {
             bias: None,
             cfg,
             n,
-            accumulate: false,
             lut: None,
             strip_sigs: OnceLock::new(),
         }
-    }
-
-    /// Accumulate into the existing output instead of overwriting it:
-    /// `C += A·B`, with each row's accumulation chain *continuing* from the
-    /// values already in `C`. The K-split tensor-parallel path
-    /// ([`crate::shard`]) runs one accumulating launch per contiguous
-    /// K-chunk in rank order; because a validated CSR keeps every row's
-    /// entries column-sorted, those chunk folds compose into exactly the
-    /// fma chain the single-device kernel executes — bit identity, not
-    /// approximate equality. Incompatible with the fused bias+ReLU
-    /// epilogue, which is not linear in the partial sums.
-    pub fn with_accumulate(mut self) -> Self {
-        assert!(
-            !self.cfg.fused_bias_relu,
-            "accumulate cannot compose with fused_bias_relu"
-        );
-        self.accumulate = true;
-        self
     }
 
     /// Attach a fused bias + ReLU epilogue (`cfg.fused_bias_relu` must be set).
@@ -469,13 +446,6 @@ impl<'a, T: Scalar> SpmmKernel<'a, T> {
             return;
         };
         let b = b.as_slice();
-        if self.accumulate {
-            // Seed the accumulator tile with the output's current values so
-            // the fma chain continues where the previous K-chunk stopped.
-            for (x, slot) in acc.iter_mut().enumerate() {
-                *slot = out.read(sub.row * self.n + n_off + x).to_f32();
-            }
-        }
         // ROMA masking: the prefix belongs to the previous row. A B tile the
         // LUT proves dead is skipped: every fma it would run is
         // fma(val, +0.0, acc) == acc (see `crate::joint`).
@@ -728,20 +698,6 @@ impl<'a, T: Scalar> SpmmKernel<'a, T> {
         };
         let store_instrs = gpu_sim::memory::vector_instr_count(tile_w as u64, threads_x, store_vw);
         ctx.cost.st_global_instrs += store_instrs;
-        if self.accumulate {
-            // Read-modify-write epilogue: load the existing C tile with the
-            // same vectorization the store uses. No extra arithmetic — the
-            // loads seed the register accumulators that the fma chain
-            // already charges.
-            ctx.cost.ld_global_instrs += store_instrs;
-            for sub in subs {
-                if sub.row == usize::MAX {
-                    continue;
-                }
-                let addr = (sub.row * self.n + n_off) as u64 * eb as u64;
-                ctx.ld_global_trace(BUF_C, addr, tile_w as u64 * eb as u64);
-            }
-        }
         if cfg.fused_bias_relu {
             let mut bias_addrs = [0u64; MAX_BLOCK_SUBWARPS];
             let n_bias_addrs = gather_row_addrs(subs, 4, &mut bias_addrs);
@@ -770,14 +726,7 @@ impl<T: Scalar> SpmmKernel<'_, T> {
 
 impl<T: Scalar> Kernel for SpmmKernel<'_, T> {
     fn name(&self) -> String {
-        // The accumulate epilogue changes the cost trace (extra C loads),
-        // so it must be a distinct launch identity for the cache and the
-        // sanitizer memo.
-        if self.accumulate {
-            format!("{}_acc", Self::launch_name(&self.cfg))
-        } else {
-            Self::launch_name(&self.cfg)
-        }
+        Self::launch_name(&self.cfg)
     }
 
     fn grid(&self) -> Dim3 {
@@ -869,9 +818,6 @@ impl<T: Scalar> Kernel for SpmmKernel<'_, T> {
             && n_off.is_multiple_of(cfg.vector_width as usize)
             && tile_w.is_multiple_of(cfg.vector_width as usize);
         fp.write_u64(store_vw as u64);
-        // Kernel-wide constant, but the signature is also compared across
-        // dedup representatives in equivalence suites — keep it explicit.
-        fp.write_u64(self.accumulate as u64);
         fp.write_u64(n_off as u64 * eb % 32);
         let strips = self.strip_sigs.get_or_init(|| {
             (0..self.grid().y as usize)

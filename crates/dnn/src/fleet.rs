@@ -1,5 +1,5 @@
-//! Fleet-parallel scaling workloads: sharded SpMM on the deep-learning
-//! problems the paper benchmarks, swept across device counts.
+//! Fleet-parallel scaling workloads: row-sharded SpMM on the
+//! deep-learning problems the paper benchmarks, swept across device counts.
 //!
 //! Two problem families mirror the paper's application sections:
 //!
@@ -12,14 +12,14 @@
 //!   saturating early.
 //!
 //! [`scaling_sweep`] runs one problem through [`sputnik::spmm_row_sharded`]
-//! or [`sputnik::spmm_k_split`] at each device count, always anchoring on a
-//! freshly measured single-device run, and reports per-point efficiency
-//! `T1 / (D * T_D)` plus interconnect counters and a bit-identity verdict
-//! against the single-GPU reference kernel.
+//! at each device count, always anchoring on a freshly measured
+//! single-device run, and reports per-point efficiency `T1 / (D * T_D)`
+//! plus interconnect counters and a bit-identity verdict against the
+//! single-GPU reference kernel.
 
 use gpu_sim::{Fleet, Gpu, LaunchCache};
 use sparse::{gen, CsrMatrix, Matrix};
-use sputnik::shard::{spmm_k_split, spmm_row_sharded};
+use sputnik::shard::spmm_row_sharded;
 use sputnik::{spmm, SpmmConfig, SputnikError};
 
 /// A fleet-shardable SpMM problem: sparse operand, dense operand, config.
@@ -28,25 +28,6 @@ pub struct FleetProblem {
     pub a: CsrMatrix<f32>,
     pub b: Matrix<f32>,
     pub cfg: SpmmConfig,
-}
-
-/// How the problem is split across devices.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ShardStrategy {
-    /// Contiguous nnz-balanced output-row blocks (data parallel).
-    RowShard,
-    /// Contiguous reduction-dimension chunks + ring all-reduce (tensor
-    /// parallel).
-    KSplit,
-}
-
-impl ShardStrategy {
-    pub fn label(self) -> &'static str {
-        match self {
-            ShardStrategy::RowShard => "row_shard",
-            ShardStrategy::KSplit => "k_split",
-        }
-    }
 }
 
 /// One point of a scaling sweep.
@@ -119,15 +100,14 @@ pub fn mobilenet_pointwise_problem(
 /// [`sputnik::spmm`] reference.
 pub fn scaling_sweep(
     problem: &FleetProblem,
-    strategy: ShardStrategy,
     device_counts: &[usize],
 ) -> Result<Vec<ScalingPoint>, SputnikError> {
     let reference = spmm(&Gpu::v100(), &problem.a, &problem.b, problem.cfg).0;
     let cache = LaunchCache::new();
-    let t1 = run_once(problem, strategy, 1, &cache)?.sync.makespan_us;
+    let t1 = run_once(problem, 1, &cache)?.sync.makespan_us;
     let mut points = Vec::with_capacity(device_counts.len());
     for &devices in device_counts {
-        let run = run_once(problem, strategy, devices, &cache)?;
+        let run = run_once(problem, devices, &cache)?;
         let bit_identical = run
             .output
             .as_slice()
@@ -150,19 +130,11 @@ pub fn scaling_sweep(
 
 fn run_once(
     problem: &FleetProblem,
-    strategy: ShardStrategy,
     devices: usize,
     cache: &LaunchCache,
 ) -> Result<sputnik::ShardedRun<Matrix<f32>>, SputnikError> {
     let mut fleet = Fleet::v100(devices);
-    match strategy {
-        ShardStrategy::RowShard => {
-            spmm_row_sharded(&mut fleet, cache, &problem.a, &problem.b, problem.cfg)
-        }
-        ShardStrategy::KSplit => {
-            spmm_k_split(&mut fleet, cache, &problem.a, &problem.b, problem.cfg)
-        }
-    }
+    spmm_row_sharded(&mut fleet, cache, &problem.a, &problem.b, problem.cfg)
 }
 
 #[cfg(test)]
@@ -172,27 +144,25 @@ mod tests {
     #[test]
     fn sweeps_scale_and_stay_identical() {
         let problem = transformer_attention_problem(256, 32, 16, 0.98, 11);
-        for strategy in [ShardStrategy::RowShard, ShardStrategy::KSplit] {
-            let points = scaling_sweep(&problem, strategy, &[1, 2, 4]).unwrap();
-            assert_eq!(points.len(), 3);
-            for p in &points {
-                assert!(p.bit_identical, "{strategy:?} D={} diverged", p.devices);
-                assert!(p.efficiency > 0.0 && p.efficiency <= 1.01);
-                if p.devices > 1 {
-                    assert!(p.transfers > 0, "{strategy:?} must cross the interconnect");
-                }
+        let points = scaling_sweep(&problem, &[1, 2, 4]).unwrap();
+        assert_eq!(points.len(), 3);
+        for p in &points {
+            assert!(p.bit_identical, "D={} diverged", p.devices);
+            assert!(p.efficiency > 0.0 && p.efficiency <= 1.01);
+            if p.devices > 1 {
+                assert!(p.transfers > 0, "sharding must cross the interconnect");
             }
-            // The 1-device point re-runs the anchor through the cache, so
-            // its efficiency is exactly 1.
-            assert!((points[0].efficiency - 1.0).abs() < 1e-9);
-            assert!(points[0].cache_hits > 0);
         }
+        // The 1-device point re-runs the anchor through the cache, so its
+        // efficiency is exactly 1.
+        assert!((points[0].efficiency - 1.0).abs() < 1e-9);
+        assert!(points[0].cache_hits > 0);
     }
 
     #[test]
     fn mobilenet_problem_shards_cleanly() {
         let problem = mobilenet_pointwise_problem(128, 64, 56, 0.8, 13);
-        let points = scaling_sweep(&problem, ShardStrategy::RowShard, &[2]).unwrap();
+        let points = scaling_sweep(&problem, &[2]).unwrap();
         assert!(points[0].bit_identical);
         assert!(points[0].transfer_bytes > 0);
     }

@@ -3,13 +3,12 @@
 //!
 //! Figure 9 of the paper sweeps weight sparsity to locate where SpMM
 //! overtakes dense GEMM. This module holds the weight sparsity fixed and
-//! sweeps the *activation* zero fraction instead, measuring four contenders
-//! at every point:
+//! sweeps the *activation* zero fraction instead, measuring three
+//! contenders at every point:
 //!
 //! * dense GEMM (`baselines::cublas`) — ignores both kinds of sparsity;
 //! * weight-only Sputnik SpMM — the paper's kernel, blind to activations;
-//! * joint SpMM with a fine 8x32 pattern LUT;
-//! * joint SpMM with a coarse 64x32 pattern LUT.
+//! * joint SpMM with an 8x32 pattern LUT.
 //!
 //! The interesting structure is *multiplicative*: weight-only SpMM's
 //! advantage over GEMM comes from the weight sparsity, and the joint
@@ -18,9 +17,9 @@
 //! density crossover: the zero fraction past which the joint kernel beats
 //! dense GEMM even when weight-only SpMM alone does not.
 //!
-//! Every point functionally launches all three sparse contenders and
-//! asserts nothing — it *records* whether the joint outputs are bit-
-//! identical to the weight-only output, and downstream gates (tests, the
+//! Every point functionally launches both sparse contenders and asserts
+//! nothing — it *records* whether the joint output is bit-identical to the
+//! weight-only output, and downstream gates (tests, the
 //! `jointwall` bench) turn that bit into a hard failure.
 
 use baselines::gemm_profile;
@@ -37,17 +36,13 @@ pub struct JointSweepPoint {
     pub realized_zero_frac: f64,
     /// Fraction of 8x32 LUT tiles proven dead.
     pub fine_dead_frac: f64,
-    /// Fraction of 64x32 LUT tiles proven dead.
-    pub coarse_dead_frac: f64,
     /// Simulated time of the dense GEMM baseline, microseconds.
     pub dense_gemm_us: f64,
     /// Simulated time of weight-only Sputnik SpMM, microseconds.
     pub weight_spmm_us: f64,
-    /// Simulated time of the joint kernel with the fine LUT, microseconds.
+    /// Simulated time of the joint kernel with the 8x32 LUT, microseconds.
     pub joint_fine_us: f64,
-    /// Simulated time of the joint kernel with the coarse LUT, microseconds.
-    pub joint_coarse_us: f64,
-    /// Whether both joint outputs matched the weight-only SpMM output
+    /// Whether the joint output matched the weight-only SpMM output
     /// bit-for-bit (the soundness contract, recorded per point).
     pub bit_identical: bool,
 }
@@ -131,23 +126,19 @@ pub fn joint_crossover_sweep(
     for (i, &zf) in zero_fracs.iter().enumerate() {
         let b = gen::activations(k, n, zf, seed.wrapping_add(1 + i as u64));
         let fine = PatternLut::build(&b, PatternGranularity::Fine);
-        let coarse = PatternLut::build(&b, PatternGranularity::Coarse);
 
         let dense_gemm_us = gemm_profile(gpu, m, k, n).time_us;
         let (c_weight, weight_stats) = spmm(gpu, &a, &b, cfg);
         let (c_fine, fine_stats) = joint_spmm(gpu, &a, &b, &fine, cfg);
-        let (c_coarse, coarse_stats) = joint_spmm(gpu, &a, &b, &coarse, cfg);
 
         points.push(JointSweepPoint {
             target_zero_frac: zf,
             realized_zero_frac: zero_fraction(&b),
             fine_dead_frac: fine.dead_fraction(),
-            coarse_dead_frac: coarse.dead_fraction(),
             dense_gemm_us,
             weight_spmm_us: weight_stats.time_us,
             joint_fine_us: fine_stats.time_us,
-            joint_coarse_us: coarse_stats.time_us,
-            bit_identical: bits_equal(&c_fine, &c_weight) && bits_equal(&c_coarse, &c_weight),
+            bit_identical: bits_equal(&c_fine, &c_weight),
         });
     }
     JointSweep {
@@ -193,9 +184,6 @@ mod tests {
             "fine skip speedup at 85% target zeros: {}",
             last.fine_speedup_vs_spmm()
         );
-        // Fine tiles die at least as often as coarse ones, so fine is never
-        // slower than coarse by more than the extra probe traffic.
-        assert!(last.fine_dead_frac >= last.coarse_dead_frac);
     }
 
     #[test]

@@ -20,7 +20,7 @@ pub mod transformer;
 pub use attention::{dense_attention, sparse_attention, AttentionTime};
 pub use fleet::{
     mobilenet_pointwise_problem, scaling_sweep, transformer_attention_problem, FleetProblem,
-    ScalingPoint, ShardStrategy,
+    ScalingPoint,
 };
 pub use jointsweep::{joint_crossover_sweep, JointSweep, JointSweepPoint};
 pub use layers::{bias_relu, depthwise_conv, Chw, Linear};

@@ -45,14 +45,11 @@
 //! ## Interconnect
 //!
 //! Cross-device traffic is charged by the fleet's [`LinkProfile`]
-//! (alpha-beta: latency + bytes/bandwidth). [`Fleet::ring_all_reduce`]
-//! builds the classic 2(N−1)-step ring out of raw transfer + event
-//! commands, so its cost is emergent from the stream machinery rather than
-//! a closed-form formula. Every resolved transfer is one recording call
-//! ([`crate::trace::record`]): it bumps the `fleet_transfers` /
-//! `fleet_transfer_bytes` metrics and, while tracing, lands on the source
-//! device's trace track (with an `interconnect_bytes` counter track in the
-//! Chrome export).
+//! (alpha-beta: latency + bytes/bandwidth). Every resolved transfer is one
+//! recording call ([`crate::trace::record`]): it bumps the
+//! `fleet_transfers` / `fleet_transfer_bytes` metrics and, while tracing,
+//! lands on the source device's trace track (with an `interconnect_bytes`
+//! counter track in the Chrome export).
 
 use crate::device::{DeviceConfig, LinkProfile};
 use crate::kernel::Kernel;
@@ -280,28 +277,6 @@ impl Fleet {
             label: label.to_string(),
         });
         self.record_event(src)
-    }
-
-    /// Enqueue a ring all-reduce of `bytes_per_device` across every stream:
-    /// the classic reduce-scatter + all-gather, 2(N−1) steps of
-    /// `bytes/N`-sized chunks, each step's receive gated on the sender's
-    /// completion event. On a single-device fleet this is a no-op.
-    pub fn ring_all_reduce(&mut self, bytes_per_device: u64) {
-        let n = self.gpus.len();
-        if n <= 1 {
-            return;
-        }
-        let chunk = bytes_per_device.div_ceil(n as u64);
-        for phase in ["reduce-scatter", "all-gather"] {
-            for _step in 0..n - 1 {
-                let sent: Vec<EventId> = (0..n)
-                    .map(|d| self.transfer(d, (d + 1) % n, chunk, phase))
-                    .collect();
-                for d in 0..n {
-                    self.wait_event(d, sent[(d + n - 1) % n]);
-                }
-            }
-        }
     }
 
     /// Resolve every queued command against the stream semantics, advancing
@@ -584,32 +559,6 @@ mod tests {
             "receiver ran before the transfer completed: {}",
             sync.device_busy_us[1]
         );
-    }
-
-    #[test]
-    fn ring_all_reduce_cost_matches_alpha_beta() {
-        for n in [2usize, 4, 8] {
-            let mut f = fleet(n);
-            let bytes = 8u64 << 20;
-            f.ring_all_reduce(bytes);
-            let sync = f.sync().expect("ring is acyclic");
-            let chunk = bytes.div_ceil(n as u64);
-            let expected = 2.0 * (n as f64 - 1.0) * f.link().transfer_us(chunk);
-            // The event-driven ring should land exactly on the closed form:
-            // every step is fully synchronized by its completion events.
-            assert!(
-                (sync.makespan_us - expected).abs() < 1e-6,
-                "{n}-device ring: {} vs alpha-beta {expected}",
-                sync.makespan_us
-            );
-            assert_eq!(sync.transfers as usize, 2 * (n - 1) * n);
-        }
-        // Single device: nothing to reduce.
-        let mut f = fleet(1);
-        f.ring_all_reduce(8 << 20);
-        let sync = f.sync().expect("empty");
-        assert_eq!(sync.transfers, 0);
-        assert_eq!(sync.makespan_us, 0.0);
     }
 
     #[test]

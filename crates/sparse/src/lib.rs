@@ -24,7 +24,6 @@ pub mod csr;
 pub mod dataset;
 pub mod dense;
 pub mod element;
-pub mod ell;
 pub mod f16;
 pub mod gen;
 pub mod io;
@@ -39,7 +38,6 @@ pub use coo::{CooMatrix, DuplicatePolicy};
 pub use csr::{CsrError, CsrMatrix};
 pub use dense::{Layout, Matrix};
 pub use element::{IndexWidth, Scalar};
-pub use ell::EllMatrix;
 pub use f16::Half;
 pub use pattern::{PatternGranularity, PatternLut};
 pub use stats::{matrix_stats, MatrixStats};

@@ -4,24 +4,19 @@
 //! Joint activation×weight sparsity needs a *warp-uniform* way to skip work:
 //! per-element zero checks on the dense operand diverge within a warp and
 //! cost more than they save. Instead, the dense operand `B` (`k x n`,
-//! row-major — the activations of an inference GEMM) is tiled into
-//! `tile_k x 32` blocks and each block collapses to one bit: **live** (some
-//! element is nonzero) or **dead** (every element is exactly `+0.0`). A
+//! row-major — the activations of an inference GEMM) is tiled into 8×32
+//! blocks and each block collapses to one bit: **live** (some element is
+//! nonzero) or **dead** (every element is exactly `+0.0`). A
 //! subwarp processing one sparse nonzero `(row, col, val)` against a 32-wide
 //! output strip probes one bit — the tile covering B-rows
-//! `[col/tile_k * tile_k ..)` at its output column tile — and either issues
+//! `[col/8 * 8 ..)` at its output column tile — and either issues
 //! the whole strip load + FMA or skips both. Every lane of the subwarp reads
 //! the same bit, so the branch is uniform: zero divergence, one probe
-//! amortized over `tile_k` B-rows × 32 columns of skipped work.
+//! amortized over 8 B-rows × 32 columns of skipped work.
 //!
-//! Two granularities, after ESMM's K28/K24 kernels:
-//!
-//! * [`PatternGranularity::Fine`] — 8×32 tiles. Finds the most dead blocks
-//!   (any 8 aligned dead B-rows kill a tile) at 8× the LUT size and probe
-//!   rate of coarse.
-//! * [`PatternGranularity::Coarse`] — 64×32 tiles. One probe covers eight
-//!   fine tiles; only long runs of dead rows die at this granularity, so it
-//!   skips less but costs near zero overhead in the main loop.
+//! The 8×32 tile ([`PatternLut::TILE_K`] × [`PatternLut::TILE_N`]) is the
+//! fine granularity of ESMM's shipping K28 kernel: any 8 aligned dead B-rows
+//! kill a tile.
 //!
 //! ## Why skipping a dead tile is bit-invisible
 //!
@@ -44,48 +39,27 @@
 use crate::dense::{Layout, Matrix};
 use crate::element::Scalar;
 
-/// Zero-block tile shape, after ESMM's kernel progression.
+/// Zero-block tile shape: the fine 8×32 tile of ESMM's K28 kernel.
+///
+/// The one-variant enum, and [`PatternLut::build`]'s parameter of this
+/// type, remain only because `perfbench/src/attention.rs` passes
+/// `PatternGranularity::Fine` twice, and perfbench is edited only together
+/// with the benchmark itself. ROADMAP item 3 deletes both.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PatternGranularity {
-    /// 8×32 tiles (ESMM K28): maximal skip discovery.
+    /// 8×32 tiles (ESMM K28).
     Fine,
-    /// 64×32 tiles (ESMM K24): minimal probe overhead.
-    Coarse,
-}
-
-impl PatternGranularity {
-    /// Dense-operand rows per tile (the `k` direction of `B`).
-    pub fn tile_k(self) -> usize {
-        match self {
-            PatternGranularity::Fine => 8,
-            PatternGranularity::Coarse => 64,
-        }
-    }
-
-    /// Output columns per tile (the warp-uniform strip width).
-    pub fn tile_n(self) -> usize {
-        32
-    }
-
-    /// Short name for kernel tags (`g8` / `g64`).
-    pub fn tag(self) -> &'static str {
-        match self {
-            PatternGranularity::Fine => "g8",
-            PatternGranularity::Coarse => "g64",
-        }
-    }
 }
 
 /// A per-tile liveness bitmap over a dense `k x n` operand.
 ///
 /// Bit `kt * ntiles + nt` is 1 when tile `(kt, nt)` contains any element
-/// whose bit pattern is not `+0.0`. Trailing ragged tiles (when `k % tile_k`
-/// or `n % 32` is nonzero) cover only the in-bounds remainder.
+/// whose bit pattern is not `+0.0`. Trailing ragged tiles (when `k % 8` or
+/// `n % 32` is nonzero) cover only the in-bounds remainder.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PatternLut {
     rows: usize,
     cols: usize,
-    granularity: PatternGranularity,
     ktiles: usize,
     ntiles: usize,
     words: Vec<u64>,
@@ -93,13 +67,17 @@ pub struct PatternLut {
 }
 
 impl PatternLut {
+    /// Dense-operand rows per tile (the `k` direction of `B`).
+    pub const TILE_K: usize = 8;
+    /// Output columns per tile (the warp-uniform strip width).
+    pub const TILE_N: usize = 32;
+
     /// Scan the dense operand and build the liveness bitmap.
     ///
     /// `b` must be row-major (the layout every Sputnik kernel consumes).
     /// Cost is one pass over the operand; the LUT itself is
-    /// `ceil(ktiles * ntiles / 64)` words — 4096×4096 at fine granularity is
-    /// 8 KiB.
-    pub fn build<T: Scalar>(b: &Matrix<T>, granularity: PatternGranularity) -> Self {
+    /// `ceil(ktiles * ntiles / 64)` words — 4096×4096 is 8 KiB.
+    pub fn build<T: Scalar>(b: &Matrix<T>, _granularity: PatternGranularity) -> Self {
         assert_eq!(
             b.layout(),
             Layout::RowMajor,
@@ -107,17 +85,15 @@ impl PatternLut {
         );
         let rows = b.rows();
         let cols = b.cols();
-        let tile_k = granularity.tile_k();
-        let tile_n = granularity.tile_n();
-        let ktiles = rows.div_ceil(tile_k).max(usize::from(rows == 0));
-        let ntiles = cols.div_ceil(tile_n).max(usize::from(cols == 0));
+        let ktiles = rows.div_ceil(Self::TILE_K).max(usize::from(rows == 0));
+        let ntiles = cols.div_ceil(Self::TILE_N).max(usize::from(cols == 0));
         let bits = ktiles * ntiles;
         let mut words = vec![0u64; bits.div_ceil(64).max(1)];
         let data = b.as_slice();
         for r in 0..rows {
-            let kt = r / tile_k;
+            let kt = r / Self::TILE_K;
             let row = &data[r * cols..(r + 1) * cols];
-            for (nt, chunk) in row.chunks(tile_n).enumerate() {
+            for (nt, chunk) in row.chunks(Self::TILE_N).enumerate() {
                 // Dead means every element is exactly +0.0; -0.0 (or any
                 // nonzero bit pattern) marks the tile live — see the module
                 // docs for why the bit-identity argument needs this.
@@ -131,7 +107,6 @@ impl PatternLut {
         Self {
             rows,
             cols,
-            granularity,
             ktiles,
             ntiles,
             words,
@@ -145,9 +120,6 @@ impl PatternLut {
     }
     pub fn cols(&self) -> usize {
         self.cols
-    }
-    pub fn granularity(&self) -> PatternGranularity {
-        self.granularity
     }
     /// Tiles along the `k` (dense-operand row) direction.
     pub fn ktiles(&self) -> usize {
@@ -194,13 +166,13 @@ impl PatternLut {
     /// column index).
     #[inline]
     pub fn ktile_of(&self, col: usize) -> usize {
-        col / self.granularity.tile_k()
+        col / Self::TILE_K
     }
 
     /// The tile column covering output column `n_off`.
     #[inline]
     pub fn ntile_of(&self, n_off: usize) -> usize {
-        n_off / self.granularity.tile_n()
+        n_off / Self::TILE_N
     }
 
     /// Probe liveness for a sparse nonzero with column `col` against the
@@ -255,50 +227,46 @@ mod tests {
     use super::*;
     use crate::gen;
 
-    fn lut_of(m: &Matrix<f32>, g: PatternGranularity) -> PatternLut {
-        PatternLut::build(m, g)
+    const TK: usize = PatternLut::TILE_K;
+    const TN: usize = PatternLut::TILE_N;
+
+    fn lut_of(m: &Matrix<f32>) -> PatternLut {
+        PatternLut::build(m, PatternGranularity::Fine)
     }
 
     #[test]
     fn all_zero_operand_is_fully_dead() {
         let b = Matrix::<f32>::zeros(64, 64);
-        for g in [PatternGranularity::Fine, PatternGranularity::Coarse] {
-            let lut = lut_of(&b, g);
-            assert_eq!(lut.tiles_live(), 0);
-            assert_eq!(lut.dead_fraction(), 1.0);
-            assert_eq!(lut.tiles_total(), (64 / g.tile_k() * 2) as u64);
-        }
+        let lut = lut_of(&b);
+        assert_eq!(lut.tiles_live(), 0);
+        assert_eq!(lut.dead_fraction(), 1.0);
+        assert_eq!(lut.tiles_total(), (64 / TK * 2) as u64);
     }
 
     #[test]
     fn fully_dense_operand_has_no_dead_tiles() {
         let b = Matrix::<f32>::from_fn(64, 64, |r, c| (r + c + 1) as f32);
-        for g in [PatternGranularity::Fine, PatternGranularity::Coarse] {
-            let lut = lut_of(&b, g);
-            assert_eq!(lut.tiles_dead(), 0);
-            assert_eq!(lut.dead_fraction(), 0.0);
-        }
+        let lut = lut_of(&b);
+        assert_eq!(lut.tiles_dead(), 0);
+        assert_eq!(lut.dead_fraction(), 0.0);
     }
 
     #[test]
-    fn single_nonzero_marks_exactly_one_tile_per_granularity() {
+    fn single_nonzero_marks_exactly_one_tile() {
         let mut b = Matrix::<f32>::zeros(128, 64);
         b.set(70, 40, 3.0);
-        let fine = lut_of(&b, PatternGranularity::Fine);
-        assert_eq!(fine.tiles_live(), 1);
-        assert!(fine.is_live(70 / 8, 40 / 32));
-        assert!(!fine.is_live(0, 0));
-        let coarse = lut_of(&b, PatternGranularity::Coarse);
-        assert_eq!(coarse.tiles_live(), 1);
-        assert!(coarse.is_live(70 / 64, 40 / 32));
+        let lut = lut_of(&b);
+        assert_eq!(lut.tiles_live(), 1);
+        assert!(lut.is_live(70 / 8, 40 / 32));
+        assert!(!lut.is_live(0, 0));
     }
 
     #[test]
     fn ragged_trailing_tiles_cover_the_remainder() {
-        // 13 rows x 37 cols: ragged in both directions at fine granularity.
+        // 13 rows x 37 cols: ragged in both directions.
         let mut b = Matrix::<f32>::zeros(13, 37);
         b.set(12, 36, 1.0); // lives in the ragged corner tile
-        let lut = lut_of(&b, PatternGranularity::Fine);
+        let lut = lut_of(&b);
         assert_eq!(lut.ktiles(), 2);
         assert_eq!(lut.ntiles(), 2);
         assert!(lut.is_live(1, 1));
@@ -312,15 +280,13 @@ mod tests {
     fn one_row_matrix_tiles_correctly() {
         let mut b = Matrix::<f32>::zeros(1, 100);
         b.set(0, 99, 2.0);
-        for g in [PatternGranularity::Fine, PatternGranularity::Coarse] {
-            let lut = lut_of(&b, g);
-            assert_eq!(lut.ktiles(), 1);
-            assert_eq!(lut.ntiles(), 4);
-            assert!(lut.is_live(0, 3));
-            assert_eq!(lut.tiles_live(), 1);
-            assert!(lut.live_for(0, 99));
-            assert!(!lut.live_for(0, 0));
-        }
+        let lut = lut_of(&b);
+        assert_eq!(lut.ktiles(), 1);
+        assert_eq!(lut.ntiles(), 4);
+        assert!(lut.is_live(0, 3));
+        assert_eq!(lut.tiles_live(), 1);
+        assert!(lut.live_for(0, 99));
+        assert!(!lut.live_for(0, 0));
     }
 
     #[test]
@@ -329,7 +295,7 @@ mod tests {
         // an accumulator's zero sign (see module docs).
         let mut b = Matrix::<f32>::zeros(8, 32);
         b.set(3, 7, -0.0);
-        let lut = lut_of(&b, PatternGranularity::Fine);
+        let lut = lut_of(&b);
         assert_eq!(lut.tiles_live(), 1);
     }
 
@@ -350,49 +316,30 @@ mod tests {
             }
             m
         };
-        for g in [PatternGranularity::Fine, PatternGranularity::Coarse] {
-            let lut = lut_of(&b, g);
-            // nonzero element => live tile.
-            for r in 0..96 {
-                for c in 0..96 {
-                    if b.get(r, c) != 0.0 {
-                        assert!(lut.is_live(r / g.tile_k(), c / g.tile_n()));
-                    }
-                }
-            }
-            // live tile => some nonzero element within its extent.
-            for kt in 0..lut.ktiles() {
-                for nt in 0..lut.ntiles() {
-                    if !lut.is_live(kt, nt) {
-                        continue;
-                    }
-                    let mut found = false;
-                    for r in kt * g.tile_k()..((kt + 1) * g.tile_k()).min(96) {
-                        for c in nt * g.tile_n()..((nt + 1) * g.tile_n()).min(96) {
-                            found |= b.get(r, c) != 0.0;
-                        }
-                    }
-                    assert!(found, "tile ({kt},{nt}) live without a nonzero");
+        let lut = lut_of(&b);
+        // nonzero element => live tile.
+        for r in 0..96 {
+            for c in 0..96 {
+                if b.get(r, c) != 0.0 {
+                    assert!(lut.is_live(r / TK, c / TN));
                 }
             }
         }
-    }
-
-    #[test]
-    fn coarse_is_an_upper_bound_on_fine() {
-        // A live fine tile forces its covering coarse tile live.
-        let b = gen::activations(256, 128, 0.7, 11);
-        let fine = lut_of(&b, PatternGranularity::Fine);
-        let coarse = lut_of(&b, PatternGranularity::Coarse);
-        for kt in 0..fine.ktiles() {
-            for nt in 0..fine.ntiles() {
-                if fine.is_live(kt, nt) {
-                    assert!(coarse.is_live(kt / 8, nt));
+        // live tile => some nonzero element within its extent.
+        for kt in 0..lut.ktiles() {
+            for nt in 0..lut.ntiles() {
+                if !lut.is_live(kt, nt) {
+                    continue;
                 }
+                let mut found = false;
+                for r in kt * TK..((kt + 1) * TK).min(96) {
+                    for c in nt * TN..((nt + 1) * TN).min(96) {
+                        found |= b.get(r, c) != 0.0;
+                    }
+                }
+                assert!(found, "tile ({kt},{nt}) live without a nonzero");
             }
         }
-        // Fine finds at least as many dead tiles proportionally.
-        assert!(fine.dead_fraction() >= coarse.dead_fraction());
     }
 
     #[test]
@@ -405,7 +352,7 @@ mod tests {
                 b.set(r, c, 0.0);
             }
         }
-        let lut = lut_of(&b, PatternGranularity::Fine);
+        let lut = lut_of(&b);
         let a = gen::uniform(16, 64, 0.5, 3);
         let (total, dead) = lut.probe_stats(&a);
         assert!(total > 0);

@@ -1,9 +1,9 @@
 //! Integration tests for the extension APIs (beyond the paper's evaluation):
-//! cached transposes, autotuning, batched streams, block-sparse and ELL
+//! cached transposes, autotuning, batched streams, the block-sparse and COO
 //! formats — exercised together across crates.
 
 use gpu_sim::{Gpu, LaunchCache};
-use sparse::{block, gen, EllMatrix, Matrix};
+use sparse::{block, gen, Matrix};
 use sputnik::{AutoTuner, CachedTranspose, DispatchPolicy, SpmmConfig};
 
 /// A full backward pass built from the extensions: gradients wrt inputs via
@@ -51,8 +51,8 @@ fn batched_equals_unbatched() {
     assert!(batched.stream_us <= batched.naive_us);
 }
 
-/// All four sparse formats represent the same matrix and drive kernels to
-/// the same answer.
+/// The CSR, BSR and COO formats represent the same matrix, and the CSR and
+/// BSR kernels reach the same answer.
 #[test]
 fn format_zoo_agrees() {
     let gpu = Gpu::v100();
@@ -71,22 +71,18 @@ fn format_zoo_agrees() {
         d
     };
     let csr = sparse::CsrMatrix::from_dense(&dense);
-    let ell = EllMatrix::from_csr(&csr);
     let bsr = block::BsrMatrix::from_dense(&dense, 8);
     let coo = sparse::CooMatrix::from(&csr);
 
-    assert_eq!(ell.to_csr(), csr);
     assert_eq!(bsr.to_dense(), dense);
     assert_eq!(coo.to_csr(sparse::DuplicatePolicy::Reject).unwrap(), csr);
 
     let b = Matrix::<f32>::random(64, 32, 2107);
     let expect = sputnik::reference::spmm(&csr, &b);
     let (c1, _) = sputnik::spmm(&gpu, &csr, &b, SpmmConfig::heuristic::<f32>(32));
-    let (c2, _) = baselines::ell_spmm(&gpu, &ell, &b);
-    let (c3, _) = baselines::block_spmm(&gpu, &bsr, &b);
+    let (c2, _) = baselines::block_spmm(&gpu, &bsr, &b);
     assert!(c1.max_abs_diff(&expect) < 1e-3);
     assert!(c2.max_abs_diff(&expect) < 1e-3);
-    assert!(c3.max_abs_diff(&expect) < 1e-3);
 }
 
 /// SMTX -> CSR -> MatrixMarket -> CSR survives the trip.

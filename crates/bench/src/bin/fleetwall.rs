@@ -146,8 +146,7 @@ fn main() {
     // byte counters, validated as structurally well-formed Chrome JSON.
     trace::enable();
     let cache = LaunchCache::new();
-    let mut fleet = Fleet::v100(4);
-    spmm_row_sharded(&mut fleet, &cache, &tf.a, &tf.b, tf.cfg)
+    spmm_row_sharded(&Fleet::v100(4), &cache, &tf.a, &tf.b, tf.cfg)
         .unwrap_or_else(|e| panic!("traced 4-device run failed: {e}"));
     let events = trace::disable();
     let trace_json = chrome_trace_json(&events);

@@ -484,7 +484,7 @@ fn main() {
 
         let in_gpu_sim = rel.contains("crates/gpu-sim/src/");
         let in_serve = rel.contains("crates/serve/src/");
-        // Fleet-facing modules schedule against the simulated stream clock
+        // Fleet-facing modules schedule against the simulated clock
         // and get the same wall-clock ban as the sim crates themselves.
         let in_fleet =
             rel.ends_with("crates/core/src/shard.rs") || rel.ends_with("crates/dnn/src/fleet.rs");

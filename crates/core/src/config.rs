@@ -151,10 +151,13 @@ impl SpmmConfig {
         24 + 2 * self.vector_width
     }
 
-    /// A descriptive suffix for kernel names.
+    /// A descriptive suffix for kernel names: every field that changes the
+    /// cost trace, with a suffix only for a non-default value. The name is
+    /// the launch-cache key's only config component, so a field left out
+    /// would alias two configs there.
     pub fn tag(&self) -> String {
         format!(
-            "y{}k{}x{}v{}{}{}{}{}",
+            "y{}k{}x{}v{}{}{}{}{}{}{}{}",
             self.block_items_y,
             self.block_items_k,
             self.block_items_x,
@@ -163,6 +166,16 @@ impl SpmmConfig {
             if self.roma { "" } else { "_noroma" },
             if self.index_prescale { "" } else { "_nopre" },
             if self.residue_unroll { "" } else { "_nores" },
+            match self.index_width {
+                IndexWidth::U32 => "",
+                IndexWidth::U16 => "_i16",
+            },
+            if self.fused_bias_relu {
+                "_bias_relu"
+            } else {
+                ""
+            },
+            if self.assume_aligned { "_aligned" } else { "" },
         )
     }
 }
@@ -231,10 +244,16 @@ impl SddmmConfig {
         Ok(())
     }
 
+    /// A descriptive suffix for kernel names, like [`SpmmConfig::tag`]:
+    /// every field, with a suffix only for a non-default value.
     pub fn tag(&self) -> String {
         format!(
-            "x{}v{}t{}",
-            self.block_items_x, self.vector_width, self.threads_per_output_tile
+            "x{}v{}t{}{}{}",
+            self.block_items_x,
+            self.vector_width,
+            self.threads_per_output_tile,
+            if self.row_swizzle { "_swz" } else { "" },
+            if self.scale_by_mask { "_scaled" } else { "" },
         )
     }
 }
@@ -293,6 +312,49 @@ mod tests {
             cfg.validate(1 << 20).is_err(),
             "u16 cannot index 1M columns"
         );
+    }
+
+    /// Default names stay as recorded; each non-default field adds its own
+    /// suffix, so no two of these configs share a launch-cache key.
+    #[test]
+    fn tags_name_every_non_default_field() {
+        assert_eq!(SpmmConfig::default().tag(), "y4k32x32v4");
+        assert_eq!(SddmmConfig::default().tag(), "x32v4t32");
+        let spmm = SpmmConfig::default();
+        let tags = [
+            SpmmConfig {
+                index_width: IndexWidth::U16,
+                ..spmm
+            },
+            SpmmConfig {
+                fused_bias_relu: true,
+                ..spmm
+            },
+            SpmmConfig {
+                assume_aligned: true,
+                ..spmm
+            },
+        ]
+        .map(|c| c.tag());
+        assert_eq!(
+            tags,
+            [
+                "y4k32x32v4_i16",
+                "y4k32x32v4_bias_relu",
+                "y4k32x32v4_aligned"
+            ]
+        );
+        let sddmm = SddmmConfig::default();
+        let swizzled = SddmmConfig {
+            row_swizzle: true,
+            ..sddmm
+        };
+        let scaled = SddmmConfig {
+            scale_by_mask: true,
+            ..sddmm
+        };
+        assert_eq!(swizzled.tag(), "x32v4t32_swz");
+        assert_eq!(scaled.tag(), "x32v4t32_scaled");
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! match on the failure class and recover (see [`crate::dispatch`]) instead
 //! of unwinding through a panic.
 
-use gpu_sim::{DeviceFault, FleetError, LaunchError};
+use gpu_sim::{DeviceFault, LaunchError};
 use sparse::CsrError;
 use std::fmt;
 
@@ -52,9 +52,6 @@ pub enum SputnikError {
         class: String,
         detail: String,
     },
-    /// A sharded launch's fleet stream graph could not be resolved (wait
-    /// cycle or wait on a never-recorded event).
-    FleetStall(FleetError),
 }
 
 impl fmt::Display for SputnikError {
@@ -103,7 +100,6 @@ impl fmt::Display for SputnikError {
             } => {
                 write!(f, "kernel {kernel} statically refuted [{class}]: {detail}")
             }
-            SputnikError::FleetStall(e) => write!(f, "fleet stall: {e}"),
         }
     }
 }
@@ -113,7 +109,6 @@ impl std::error::Error for SputnikError {
         match self {
             SputnikError::CorruptCsr(e) => Some(e),
             SputnikError::DeviceFault(e) => Some(e),
-            SputnikError::FleetStall(e) => Some(e),
             _ => None,
         }
     }
@@ -128,12 +123,6 @@ impl From<CsrError> for SputnikError {
 impl From<DeviceFault> for SputnikError {
     fn from(e: DeviceFault) -> Self {
         SputnikError::DeviceFault(e)
-    }
-}
-
-impl From<FleetError> for SputnikError {
-    fn from(e: FleetError) -> Self {
-        SputnikError::FleetStall(e)
     }
 }
 

@@ -742,6 +742,34 @@ mod tests {
         assert!(!hit3, "different k must be a different key");
     }
 
+    /// The kernel name is the cache key's only config component, so a
+    /// config field that changes the cost trace must change the name: a
+    /// swizzled or mask-scaled profile after a plain one on the same mask
+    /// misses and gets its own stats.
+    #[test]
+    fn cached_profile_keys_every_config_field() {
+        let mask = gen::with_cov(256, 256, 0.9, 1.0, 39);
+        let gpu = Gpu::v100();
+        let cache = gpu_sim::LaunchCache::new();
+        let plain = SddmmConfig::default();
+        let (base, _) = sddmm_profile_cached(&gpu, &cache, &mask, 64, plain);
+        for cfg in [
+            SddmmConfig {
+                row_swizzle: true,
+                ..plain
+            },
+            SddmmConfig {
+                scale_by_mask: true,
+                ..plain
+            },
+        ] {
+            let (stats, hit) = sddmm_profile_cached(&gpu, &cache, &mask, 64, cfg);
+            assert!(!hit, "{cfg:?} replayed the default config's entry");
+            assert_eq!(stats, sddmm_profile(&gpu, &mask, 64, cfg));
+            assert_ne!(stats, base, "{cfg:?} should cost differently");
+        }
+    }
+
     #[test]
     fn equal_dot_lengths_mean_balance_is_inherent() {
         // Section VI-C: "load balancing in SDDMM is less critical due to the

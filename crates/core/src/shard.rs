@@ -23,7 +23,7 @@ use gpu_sim::{Fleet, FleetSync, Gpu, LaunchCache, LaunchRequest, LaunchStats, La
 use sparse::{CsrMatrix, Matrix, RowSwizzle, Scalar};
 
 /// The result of a sharded kernel run: the assembled output plus the
-/// per-shard launch stats and the resolved fleet timeline.
+/// per-shard launch stats and the placed fleet round.
 #[derive(Debug, Clone)]
 pub struct ShardedRun<Out> {
     /// The assembled output, bit-identical to the single-device kernel.
@@ -33,7 +33,7 @@ pub struct ShardedRun<Out> {
     /// How many shard launches were served from the [`LaunchCache`]
     /// (functional replay, memoized stats).
     pub cache_hits: usize,
-    /// The resolved fleet timeline: per-device busy clocks, makespan, and
+    /// The placed fleet round: per-device clocks, makespan, and
     /// interconnect counters.
     pub sync: FleetSync,
 }
@@ -103,13 +103,12 @@ pub fn row_slice<T: Scalar>(
 /// empty shards, and for each other shard calls `launch(gpu, r0, r1)`,
 /// which runs the shard on its device and returns the launch with the
 /// shard's gather size in bytes (`None` when the op gathers nothing for
-/// it). The loop submits each launch's time to its device. A shard off
-/// device 0 with a gather size sends that many bytes to device 0 over the
-/// interconnect, labelled `gather`. Device 0 waits for every gather before
-/// the fleet syncs. Returns the launch stats in device order, the cache-hit
-/// count and the fleet timeline.
+/// it). Then [`Fleet::gather`] places the round: each shard off device 0
+/// with a gather size sends that many bytes to device 0, labelled
+/// `gather`, and device 0 waits for every gather. Returns the launch stats
+/// in device order, the cache-hit count and the fleet timeline.
 fn run_row_shards<T: Scalar>(
-    fleet: &mut Fleet,
+    fleet: &Fleet,
     rows: &CsrMatrix<T>,
     gather: &str,
     mut launch: impl FnMut(&Gpu, usize, usize) -> Result<(Launched, Option<u64>), SputnikError>,
@@ -117,23 +116,17 @@ fn run_row_shards<T: Scalar>(
     let plan = plan_row_shards(rows, fleet.num_devices());
     let mut shard_stats = Vec::new();
     let mut cache_hits = 0usize;
-    let mut gathers = Vec::new();
+    let mut round = vec![(0.0, None); plan.len()];
     for (dev, &(r0, r1)) in plan.iter().enumerate() {
         if r0 == r1 {
             continue;
         }
         let (launched, bytes) = launch(fleet.gpu(dev), r0, r1)?;
         cache_hits += usize::from(launched.hit);
-        fleet.submit(dev, launched.stats.time_us);
+        round[dev] = (launched.stats.time_us, bytes);
         shard_stats.push(launched.stats);
-        if let (true, Some(bytes)) = (dev != 0, bytes) {
-            gathers.push(fleet.transfer(dev, 0, bytes, gather));
-        }
     }
-    for ev in gathers {
-        fleet.wait_event(0, ev);
-    }
-    Ok((shard_stats, cache_hits, fleet.sync()?))
+    Ok((shard_stats, cache_hits, fleet.gather(&round, gather)))
 }
 
 /// Row-sharded (data-parallel) SpMM across a fleet: `A (m x k) * B (k x n)`
@@ -143,7 +136,7 @@ fn run_row_shards<T: Scalar>(
 /// interconnect (`B` is assumed pre-replicated, the data-parallel norm).
 /// The assembled output is bit-identical to [`crate::spmm`].
 pub fn spmm_row_sharded<T: Scalar>(
-    fleet: &mut Fleet,
+    fleet: &Fleet,
     cache: &LaunchCache,
     a: &CsrMatrix<T>,
     b: &Matrix<T>,
@@ -183,7 +176,7 @@ pub fn spmm_row_sharded<T: Scalar>(
 /// laid out row-major), so the assembled output is bit-identical to
 /// [`crate::sddmm`].
 pub fn sddmm_row_sharded<T: Scalar>(
-    fleet: &mut Fleet,
+    fleet: &Fleet,
     cache: &LaunchCache,
     lhs: &Matrix<T>,
     rhs: &Matrix<T>,
@@ -291,8 +284,8 @@ mod tests {
                 let (reference, _) = spmm(&gpu, &a, &b, cfg);
                 for devices in [1, 2, 4] {
                     let cache = LaunchCache::new();
-                    let mut f = fleet(devices);
-                    let run = spmm_row_sharded(&mut f, &cache, &a, &b, cfg).unwrap();
+                    let f = fleet(devices);
+                    let run = spmm_row_sharded(&f, &cache, &a, &b, cfg).unwrap();
                     assert_bits_eq(
                         &run.output,
                         &reference,
@@ -320,8 +313,8 @@ mod tests {
             let (reference, _) = sddmm(&gpu, &lhs, &rhs, &mask, cfg);
             for devices in [1, 2, 4] {
                 let cache = LaunchCache::new();
-                let mut f = fleet(devices);
-                let run = sddmm_row_sharded(&mut f, &cache, &lhs, &rhs, &mask, cfg).unwrap();
+                let f = fleet(devices);
+                let run = sddmm_row_sharded(&f, &cache, &lhs, &rhs, &mask, cfg).unwrap();
                 assert!(run.output.same_pattern(&reference));
                 for (i, (g, w)) in run
                     .output
@@ -343,12 +336,12 @@ mod tests {
         let cfg = SpmmConfig::default();
         let cache = LaunchCache::new();
 
-        let mut f = fleet(4);
-        let cold = spmm_row_sharded(&mut f, &cache, &a, &b, cfg).unwrap();
+        let f = fleet(4);
+        let cold = spmm_row_sharded(&f, &cache, &a, &b, cfg).unwrap();
         assert_eq!(cold.cache_hits, 0);
 
-        let mut f = fleet(4);
-        let warm = spmm_row_sharded(&mut f, &cache, &a, &b, cfg).unwrap();
+        let f = fleet(4);
+        let warm = spmm_row_sharded(&f, &cache, &a, &b, cfg).unwrap();
         assert_eq!(warm.cache_hits, warm.shard_stats.len());
         assert_bits_eq(&warm.output, &cold.output, "replayed run");
         assert!(warm.sync.transfer_bytes > 0);
@@ -368,12 +361,12 @@ mod tests {
         let mut small = gpu_sim::DeviceConfig::v100();
         small.num_sms = 20;
 
-        let mut f1 = Fleet::homogeneous(&big, 2, LinkProfile::nvlink());
-        let cold = spmm_row_sharded(&mut f1, &cache, &a, &b, cfg).unwrap();
+        let f1 = Fleet::homogeneous(&big, 2, LinkProfile::nvlink());
+        let cold = spmm_row_sharded(&f1, &cache, &a, &b, cfg).unwrap();
         assert_eq!(cold.cache_hits, 0);
 
-        let mut f2 = Fleet::homogeneous(&small, 2, LinkProfile::nvlink());
-        let cross = spmm_row_sharded(&mut f2, &cache, &a, &b, cfg).unwrap();
+        let f2 = Fleet::homogeneous(&small, 2, LinkProfile::nvlink());
+        let cross = spmm_row_sharded(&f2, &cache, &a, &b, cfg).unwrap();
         assert_eq!(
             cross.cache_hits, 0,
             "a different arch must never replay another device's stats"
@@ -389,8 +382,8 @@ mod tests {
         let cfg = SpmmConfig::default();
         let (reference, _) = spmm(&gpu, &a, &b, cfg);
         let cache = LaunchCache::new();
-        let mut f = fleet(8);
-        let run = spmm_row_sharded(&mut f, &cache, &a, &b, cfg).unwrap();
+        let f = fleet(8);
+        let run = spmm_row_sharded(&f, &cache, &a, &b, cfg).unwrap();
         assert_bits_eq(&run.output, &reference, "tiny matrix on 8 devices");
         assert!(run.shard_stats.len() <= 3);
     }

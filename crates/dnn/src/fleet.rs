@@ -133,8 +133,13 @@ fn run_once(
     devices: usize,
     cache: &LaunchCache,
 ) -> Result<sputnik::ShardedRun<Matrix<f32>>, SputnikError> {
-    let mut fleet = Fleet::v100(devices);
-    spmm_row_sharded(&mut fleet, cache, &problem.a, &problem.b, problem.cfg)
+    spmm_row_sharded(
+        &Fleet::v100(devices),
+        cache,
+        &problem.a,
+        &problem.b,
+        problem.cfg,
+    )
 }
 
 #[cfg(test)]

@@ -1,172 +1,74 @@
-//! A simulated multi-GPU fleet: per-device command streams with async
-//! submission, cross-stream events, and an interconnect cost model.
+//! A simulated multi-GPU fleet: N [`Gpu`]s joined by one interconnect, and
+//! the placement of a sharded round on the simulated clock.
 //!
 //! The source paper saturates one V100; the at-scale successor line of work
 //! (see PAPERS.md) shards the same sparse workloads across a fleet with
-//! explicit transfer costs. This module supplies the execution substrate for
-//! that: a [`Fleet`] owns N [`Gpu`] instances (one command stream each), and
-//! work is *submitted* asynchronously — nothing advances the fleet clock
-//! until [`Fleet::sync`] resolves every queued command against the stream
-//! semantics below.
+//! explicit transfer costs. A [`Fleet`] owns the devices (each with a
+//! unique name, so launch-cache keys and trace tracks separate) and the
+//! [`LinkProfile`] between them.
 //!
-//! ## Stream semantics
+//! ## One gather per round
 //!
-//! * **Per-stream FIFO**: commands on one device's stream resolve strictly
-//!   in submission order, like a CUDA stream.
-//! * **Events**: every [`Fleet::transfer`] enqueues a marker after itself
-//!   on the sending stream and returns its [`EventId`]; the marker
-//!   completes when every earlier command on its stream has completed, at
-//!   that stream's clock. [`Fleet::wait_event`] blocks a stream until the
-//!   event completes, advancing the waiter's clock to the event's
-//!   completion time (never backwards) — so an event can never be observed
-//!   before its dependencies.
-//! * **Deadlock is a typed error**: a cross-stream wait cycle (or a wait on
-//!   an event nobody records) makes [`Fleet::sync`] return a
-//!   [`FleetError`] instead of hanging; the simulated machine has no
-//!   watchdog to rely on.
+//! A sharded op runs one launch per device through that device's
+//! [`Gpu`] (outputs and per-launch stats are timing-independent, so they
+//! happen eagerly), then hands [`Fleet::gather`] each device's launch time
+//! and the bytes its shard sends to device 0. The placement is a star
+//! gather:
 //!
-//! ## What submission does vs what sync does
+//! * a device's clock is its launch time, plus the transfer of its shard to
+//!   device 0 when it sends one;
+//! * device 0 starts at its own launch time and waits for every gather;
+//! * the makespan is the latest clock.
 //!
-//! Functional kernel execution (real numerical outputs) and per-launch cost
-//! simulation happen eagerly at submission on the owning [`Gpu`] — outputs
-//! are timing-independent, so there is nothing to defer (the same choice
-//! the cache-replay fast path makes). What *is* deferred is
-//! timeline placement: [`Fleet::sync`] replays the queued commands against
-//! the event graph to place every launch and transfer on each device's
-//! stream clock with a pipelined-submission model: a stream's first launch
-//! pays its full time, and every later one hides its launch overhead behind
-//! executing work, floored at 0.3 × the overhead. [`crate::pipelined_us`]
-//! floors every launch but the *last* instead, the first included. The two
-//! disagree when a stream's first or last launch is shorter than 1.3 × the
-//! overhead (3.9 µs on the V100): for launches of [3.5, 10] µs,
-//! `pipelined_us` gives 10.9 and the fleet 10.5, and the reverse order
-//! swaps the two.
+//! A round has one launch per device, so no pipelining rule applies; back
+//! to back launches on one device are [`crate::pipelined_us`]'s.
 //!
 //! ## Interconnect
 //!
 //! Cross-device traffic is charged by the fleet's [`LinkProfile`]
-//! (alpha-beta: latency + bytes/bandwidth). Every resolved transfer is one
-//! recording call ([`crate::trace::record`]): it bumps the
+//! (alpha-beta: latency + bytes/bandwidth). Every transfer is one recording
+//! call ([`crate::trace::record`]), in device order: it bumps the
 //! `fleet_transfers` / `fleet_transfer_bytes` metrics and, while tracing,
 //! lands on the source device's trace track (with an `interconnect_bytes`
 //! counter track in the Chrome export).
 
 use crate::device::{DeviceConfig, LinkProfile};
-use crate::kernel::Kernel;
-use crate::launch::{Gpu, LaunchError, LaunchRequest, LaunchStats};
+use crate::launch::Gpu;
 use crate::trace::{self, Entry};
-use std::collections::{HashMap, VecDeque};
 
-/// A cross-stream synchronization marker, returned by
-/// [`Fleet::transfer`]. Opaque; compare and pass to [`Fleet::wait_event`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct EventId(u64);
-
-/// Typed failures from [`Fleet::sync`] — the simulator refuses to model a
-/// hung machine silently.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum FleetError {
-    /// Every non-empty stream is blocked on a wait, and every blocked-on
-    /// event *would* eventually be recorded — i.e. the waits form a cycle
-    /// across streams. `blocked` lists (device index, event) pairs at the
-    /// stream heads.
-    WaitCycle { blocked: Vec<(usize, EventId)> },
-    /// A stream waits on an event that no stream ever records: not a cycle,
-    /// just a wait that can never be satisfied.
-    UnknownEvent { device: usize, event: EventId },
-}
-
-impl std::fmt::Display for FleetError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            FleetError::WaitCycle { blocked } => {
-                write!(f, "cross-stream wait cycle: ")?;
-                for (i, (dev, ev)) in blocked.iter().enumerate() {
-                    if i > 0 {
-                        write!(f, ", ")?;
-                    }
-                    write!(f, "dev{dev} blocked on event {}", ev.0)?;
-                }
-                Ok(())
-            }
-            FleetError::UnknownEvent { device, event } => write!(
-                f,
-                "dev{device} waits on event {} which no stream records",
-                event.0
-            ),
-        }
-    }
-}
-
-impl std::error::Error for FleetError {}
-
-/// One queued stream command. Launch costs are captured at submission; the
-/// resolver only does timeline arithmetic.
-#[derive(Debug, Clone)]
-enum StreamOp {
-    /// A launch whose end-to-end simulated time (including one launch
-    /// overhead) is `time_us`.
-    Launch { time_us: f64 },
-    /// Complete the event at the stream's current clock.
-    Record(EventId),
-    /// Stall the stream until the event completes.
-    Wait(EventId),
-    /// Send `bytes` toward device `dst` over the fleet link.
-    Transfer {
-        bytes: u64,
-        dst: usize,
-        label: String,
-    },
-}
-
-/// Summary of one [`Fleet::sync`]: where every stream clock ended up and
-/// what the interconnect carried since the fleet was created.
+/// Where one [`Fleet::gather`] round left every device and what the
+/// interconnect carried.
 #[derive(Debug, Clone)]
 pub struct FleetSync {
-    /// Per-device stream clocks after resolving every queued command, in
-    /// simulated microseconds since fleet creation.
+    /// Per-device clocks at the end of the round, in simulated
+    /// microseconds: device 0's includes waiting for every gather.
     pub device_busy_us: Vec<f64>,
-    /// The fleet makespan: the latest stream clock.
+    /// The fleet makespan: the latest device clock.
     pub makespan_us: f64,
-    /// Cumulative interconnect payload since fleet creation.
+    /// Interconnect payload of the round.
     pub transfer_bytes: u64,
-    /// Cumulative transfer count since fleet creation.
+    /// Transfer count of the round.
     pub transfers: u64,
-    /// Cumulative simulated time spent on interconnect transfers (summed
-    /// across streams; overlapping transfers each count).
+    /// Simulated time spent on interconnect transfers, summed across
+    /// senders (overlapping transfers each count).
     pub transfer_us: f64,
 }
 
-/// A fleet of N simulated GPUs with one command stream per device.
+/// A fleet of N simulated GPUs joined by one interconnect.
 ///
 /// ```
-/// use gpu_sim::{DeviceConfig, Fleet, LinkProfile};
+/// use gpu_sim::Fleet;
 ///
-/// let mut fleet = Fleet::homogeneous(&DeviceConfig::v100(), 2, LinkProfile::nvlink());
-/// // dev1 consumes dev0's result: transfer then wait on the completion event.
-/// fleet.submit(0, 100.0);
-/// let ready = fleet.transfer(0, 1, 1 << 20, "partial result");
-/// fleet.wait_event(1, ready);
-/// fleet.submit(1, 50.0);
-/// let sync = fleet.sync().expect("no wait cycles");
-/// assert!(sync.device_busy_us[1] > sync.device_busy_us[0]);
-/// assert!(sync.transfer_bytes > 0);
+/// let fleet = Fleet::v100(2);
+/// // dev0's shard took 40 us; dev1's took 50 us and gathers 1 MiB to dev0.
+/// let sync = fleet.gather(&[(40.0, None), (50.0, Some(1 << 20))], "partial result");
+/// assert_eq!((sync.transfers, sync.transfer_bytes), (1, 1 << 20));
+/// assert!(sync.device_busy_us[0] > 50.0, "dev0 waits for the gather");
+/// assert_eq!(sync.makespan_us, sync.device_busy_us[0]);
 /// ```
 pub struct Fleet {
     gpus: Vec<Gpu>,
     link: LinkProfile,
-    queues: Vec<VecDeque<StreamOp>>,
-    /// Per-device stream clock, microseconds since fleet creation.
-    clocks: Vec<f64>,
-    /// Launches resolved per stream: the first pays its full launch
-    /// overhead, later ones pipeline behind executing work.
-    launches_resolved: Vec<u64>,
-    /// Completed events: id -> completion time on the recording stream.
-    events: HashMap<u64, f64>,
-    next_event: u64,
-    transfer_bytes: u64,
-    transfers: u64,
-    transfer_us: f64,
 }
 
 impl Fleet {
@@ -184,14 +86,6 @@ impl Fleet {
                 })
                 .collect(),
             link,
-            queues: (0..n).map(|_| VecDeque::new()).collect(),
-            clocks: vec![0.0; n],
-            launches_resolved: vec![0; n],
-            events: HashMap::new(),
-            next_event: 0,
-            transfer_bytes: 0,
-            transfers: 0,
-            transfer_us: 0.0,
         }
     }
 
@@ -205,10 +99,8 @@ impl Fleet {
         self.gpus.len()
     }
 
-    /// The simulated GPU behind stream `device`. Kernels launched directly
-    /// on it (e.g. through the core dispatch wrappers) compute outputs and
-    /// record per-device metrics/trace; pair with [`Fleet::submit`] to
-    /// place their cost on the stream timeline.
+    /// The simulated GPU behind `device`: shard launches run on it and
+    /// record per-device metrics and trace.
     pub fn gpu(&self, device: usize) -> &Gpu {
         &self.gpus[device]
     }
@@ -217,348 +109,97 @@ impl Fleet {
         &self.gpus
     }
 
-    pub fn link(&self) -> &LinkProfile {
-        &self.link
-    }
-
-    /// Current stream clock of `device`, microseconds since fleet creation.
-    /// Only [`Fleet::sync`] advances it.
-    pub fn clock(&self, device: usize) -> f64 {
-        self.clocks[device]
-    }
-
-    /// Asynchronously launch `kernel` on `device`: run it through the owning
-    /// [`Gpu`]'s funnel now ([`Gpu::run`]: audited, outputs + per-launch
-    /// stats) and enqueue its cost on the device's stream. Returns the
-    /// launch statistics.
-    pub fn launch(
-        &mut self,
-        device: usize,
-        kernel: &dyn Kernel,
-    ) -> Result<LaunchStats, LaunchError> {
-        let stats = self.gpus[device]
-            .run(&LaunchRequest::functional(kernel))?
-            .stats;
-        self.submit(device, stats.time_us);
-        Ok(stats)
-    }
-
-    /// Enqueue `time_us` of already-simulated launch time on `device`'s
-    /// stream (the async half of a launch that was executed through the
-    /// [`Gpu`] directly, e.g. by a cached dispatch wrapper). `time_us` must
-    /// include one launch overhead, as [`LaunchStats::time_us`] does.
-    pub fn submit(&mut self, device: usize, time_us: f64) {
-        self.queues[device].push_back(StreamOp::Launch { time_us });
-    }
-
-    /// Enqueue an event marker on `device`'s stream. The event completes
-    /// when everything submitted to the stream before it has completed.
-    fn record_event(&mut self, device: usize) -> EventId {
-        let id = EventId(self.next_event);
-        self.next_event += 1;
-        self.queues[device].push_back(StreamOp::Record(id));
-        id
-    }
-
-    /// Enqueue a stall on `device`'s stream until `event` completes.
-    pub fn wait_event(&mut self, device: usize, event: EventId) {
-        self.queues[device].push_back(StreamOp::Wait(event));
-    }
-
-    /// Enqueue a transfer of `bytes` from `src` to `dst` over the fleet
-    /// link, returning an event the receiver (or anyone else) can wait on
-    /// for its completion.
-    pub fn transfer(&mut self, src: usize, dst: usize, bytes: u64, label: &str) -> EventId {
-        assert!(src != dst, "transfer requires two distinct devices");
-        assert!(dst < self.gpus.len(), "transfer dst out of range");
-        self.queues[src].push_back(StreamOp::Transfer {
-            bytes,
-            dst,
-            label: label.to_string(),
-        });
-        self.record_event(src)
-    }
-
-    /// Resolve every queued command against the stream semantics, advancing
-    /// the per-device clocks. Returns the resulting timeline summary, or a
-    /// typed error if the queues can never drain (wait cycle / unknown
-    /// event) — in which case the unresolvable commands stay queued.
-    pub fn sync(&mut self) -> Result<FleetSync, FleetError> {
-        loop {
-            let mut progress = false;
-            for d in 0..self.gpus.len() {
-                while let Some(op) = self.queues[d].front() {
-                    match op {
-                        StreamOp::Wait(ev) => {
-                            let Some(&done_at) = self.events.get(&ev.0) else {
-                                break; // maybe recorded by a later pass
-                            };
-                            if done_at > self.clocks[d] {
-                                self.clocks[d] = done_at;
-                            }
-                        }
-                        StreamOp::Record(ev) => {
-                            self.events.insert(ev.0, self.clocks[d]);
-                        }
-                        StreamOp::Launch { time_us } => {
-                            let overhead = self.gpus[d].device().launch_overhead_us;
-                            // Pipelined submission: the first launch pays
-                            // its full time; later ones hide the overhead
-                            // behind executing work, floored at 0.3 × the
-                            // overhead. `pipelined_us` floors every launch
-                            // but the last instead (see the module doc).
-                            let exec = if self.launches_resolved[d] == 0 {
-                                *time_us
-                            } else {
-                                (time_us - overhead).max(overhead * 0.3)
-                            };
-                            self.clocks[d] += exec;
-                            self.launches_resolved[d] += 1;
-                        }
-                        StreamOp::Transfer { bytes, dst, label } => {
-                            let us = self.link.transfer_us(*bytes);
-                            let bytes = *bytes;
-                            let transfer = Entry::Transfer {
-                                dur_us: us,
-                                bytes,
-                                dst: &self.gpus[*dst].device().name,
-                            };
-                            let counts = [("fleet_transfers", 1), ("fleet_transfer_bytes", bytes)];
-                            trace::record(
-                                "transfer",
-                                &self.gpus[d].device().name,
-                                transfer,
-                                &counts,
-                                || label.clone(),
-                            );
-                            self.clocks[d] += us;
-                            self.transfer_bytes += bytes;
-                            self.transfers += 1;
-                            self.transfer_us += us;
-                        }
-                    }
-                    self.queues[d].pop_front();
-                    progress = true;
+    /// Place one sharded round. `shards[d]` is device `d`'s launch time
+    /// (including one launch overhead, as [`crate::LaunchStats::time_us`]
+    /// does; 0.0 for a device that launched nothing) and the bytes its
+    /// shard gathers to device 0, if any. Device 0's own bytes stay in
+    /// place. Each gather is recorded as a `transfer` labelled `label`, in
+    /// device order.
+    pub fn gather(&self, shards: &[(f64, Option<u64>)], label: &str) -> FleetSync {
+        assert_eq!(shards.len(), self.gpus.len(), "one shard entry per device");
+        let dst = &self.gpus[0].device().name;
+        let mut sync = FleetSync {
+            device_busy_us: Vec::with_capacity(shards.len()),
+            makespan_us: 0.0,
+            transfer_bytes: 0,
+            transfers: 0,
+            transfer_us: 0.0,
+        };
+        for (d, &(time_us, bytes)) in shards.iter().enumerate() {
+            let mut clock = time_us;
+            if let Some(bytes) = bytes.filter(|_| d > 0) {
+                let us = self.link.transfer_us(bytes);
+                let transfer = Entry::Transfer {
+                    dur_us: us,
+                    bytes,
+                    dst,
+                };
+                let counts = [("fleet_transfers", 1), ("fleet_transfer_bytes", bytes)];
+                let src = &self.gpus[d].device().name;
+                trace::record("transfer", src, transfer, &counts, || label.to_string());
+                clock += us;
+                sync.transfer_bytes += bytes;
+                sync.transfers += 1;
+                sync.transfer_us += us;
+                // Device 0 (already placed) waits for the gather to land.
+                if clock > sync.device_busy_us[0] {
+                    sync.device_busy_us[0] = clock;
                 }
             }
-            if self.queues.iter().all(VecDeque::is_empty) {
-                break;
-            }
-            if !progress {
-                return Err(self.diagnose_stall());
-            }
+            sync.device_busy_us.push(clock);
         }
-        let makespan_us = self.clocks.iter().cloned().fold(0.0, f64::max);
-        Ok(FleetSync {
-            device_busy_us: self.clocks.clone(),
-            makespan_us,
-            transfer_bytes: self.transfer_bytes,
-            transfers: self.transfers,
-            transfer_us: self.transfer_us,
-        })
-    }
-
-    /// Classify a stalled resolution: every non-empty queue is headed by a
-    /// `Wait`. If some blocked-on event is never recorded anywhere, that is
-    /// the bug to report; otherwise the waits form a genuine cycle.
-    fn diagnose_stall(&self) -> FleetError {
-        let mut blocked = Vec::new();
-        for (d, q) in self.queues.iter().enumerate() {
-            if let Some(StreamOp::Wait(ev)) = q.front() {
-                blocked.push((d, *ev));
-            }
-        }
-        let pending_records: Vec<u64> = self
-            .queues
-            .iter()
-            .flat_map(|q| {
-                q.iter().filter_map(|op| match op {
-                    StreamOp::Record(ev) => Some(ev.0),
-                    _ => None,
-                })
-            })
-            .collect();
-        for &(device, event) in &blocked {
-            if !pending_records.contains(&event.0) && !self.events.contains_key(&event.0) {
-                return FleetError::UnknownEvent { device, event };
-            }
-        }
-        FleetError::WaitCycle { blocked }
+        sync.makespan_us = sync.device_busy_us.iter().copied().fold(0.0, f64::max);
+        sync
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sparse::rng::SplitMix64;
+    use crate::metrics;
 
     fn fleet(n: usize) -> Fleet {
         Fleet::v100(n)
     }
 
-    /// A draw below `n` from the frozen stream, for the property sweeps.
-    fn below(rng: &mut SplitMix64, n: u64) -> u64 {
-        rng.next_u64() % n
-    }
-
-    #[test]
-    fn per_stream_fifo_order_holds() {
-        let mut f = fleet(2);
-        // Interleave launches and events on both streams; each event must
-        // complete no earlier than the one recorded before it on the same
-        // stream, with the submitted work in between accounted for.
-        let mut marks: Vec<Vec<EventId>> = vec![Vec::new(); 2];
-        for i in 0..8 {
-            for (d, stream_marks) in marks.iter_mut().enumerate() {
-                f.submit(d, 10.0 + i as f64);
-                stream_marks.push(f.record_event(d));
-            }
-        }
-        let sync = f.sync().expect("no waits, no cycle");
-        for (d, stream_marks) in marks.iter().enumerate() {
-            let times: Vec<f64> = stream_marks.iter().map(|ev| f.events[&ev.0]).collect();
-            for w in times.windows(2) {
-                assert!(
-                    w[1] > w[0],
-                    "stream {d}: later-submitted event completed earlier ({} <= {})",
-                    w[1],
-                    w[0]
-                );
-            }
-            assert!((times[times.len() - 1] - sync.device_busy_us[d]).abs() < 1e-9);
-        }
-    }
-
-    /// Property sweep: across random cross-stream DAGs, a waiter's
-    /// downstream event never completes before the event it waited on.
-    #[test]
-    fn events_never_complete_before_dependencies() {
-        for seed in 0..20u64 {
-            let mut rng = SplitMix64::new(seed);
-            let n = 2 + (seed as usize % 3); // 2..=4 devices
-            let mut f = fleet(n);
-            // (upstream, downstream) pairs to check after sync.
-            let mut edges: Vec<(EventId, EventId)> = Vec::new();
-            let mut last_event: Vec<Option<EventId>> = vec![None; n];
-            for _ in 0..40 {
-                let d = below(&mut rng, n as u64) as usize;
-                match below(&mut rng, 3) {
-                    0 => f.submit(d, 1.0 + below(&mut rng, 50) as f64),
-                    1 => last_event[d] = Some(f.record_event(d)),
-                    _ => {
-                        // Wait on some other stream's latest event (if any),
-                        // then mark this stream so we can compare times.
-                        let src = below(&mut rng, n as u64) as usize;
-                        if src != d {
-                            if let Some(upstream) = last_event[src] {
-                                f.wait_event(d, upstream);
-                                let downstream = f.record_event(d);
-                                edges.push((upstream, downstream));
-                                last_event[d] = Some(downstream);
-                            }
-                        }
-                    }
-                }
-            }
-            f.sync().expect("forward-only waits cannot cycle");
-            for (up, down) in edges {
-                let (up_t, down_t) = (f.events[&up.0], f.events[&down.0]);
-                assert!(
-                    down_t >= up_t - 1e-12,
-                    "seed {seed}: event completed {down_t} before its dependency {up_t}"
-                );
-            }
-        }
-    }
-
-    /// The fleet's own pipelining rule, on both orders of a short and a
-    /// long launch: the first launch pays its full time, every later one is
-    /// floored at 0.3 × the 3 µs overhead. `pipelined_us` floors every
-    /// launch but the last, so it gives the two orders swapped.
-    #[test]
-    fn stream_floors_every_launch_but_the_first() {
-        for (times, fleet_us, pipelined) in [([3.5, 10.0], 10.5, 10.9), ([10.0, 3.5], 10.9, 10.5)] {
-            let mut f = fleet(1);
-            for t in times {
-                f.submit(0, t);
-            }
-            let sync = f.sync().expect("no waits");
-            assert!((sync.makespan_us - fleet_us).abs() < 1e-9, "{times:?}");
-            let overhead = f.gpu(0).device().launch_overhead_us;
-            assert!((crate::pipelined_us(overhead, times) - pipelined).abs() < 1e-9);
-        }
-    }
-
-    #[test]
-    fn wait_cycle_is_a_typed_error_not_a_hang() {
-        // Queue shape: dev0 = [Wait(e1), Record(e0)], dev1 = [Wait(e0),
-        // Record(e1)] — each stream's event is recorded only after its wait
-        // on the other's, a genuine cross-stream cycle. Event ids allocate
-        // sequentially from zero, so the waits can name them up front.
-        let mut f = fleet(2);
-        let (e0, e1) = (EventId(0), EventId(1));
-        f.wait_event(0, e1);
-        f.wait_event(1, e0);
-        assert_eq!(f.record_event(0), e0, "event ids allocate sequentially");
-        assert_eq!(f.record_event(1), e1, "event ids allocate sequentially");
-        match f.sync() {
-            Err(FleetError::WaitCycle { blocked }) => {
-                assert_eq!(blocked.len(), 2, "both streams blocked");
-            }
-            other => panic!("expected WaitCycle, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn wait_on_never_recorded_event_is_unknown_event() {
-        let mut f = fleet(2);
-        let real = f.record_event(0);
-        let _ = real;
-        f.wait_event(1, EventId(999));
-        match f.sync() {
-            Err(FleetError::UnknownEvent { device, event }) => {
-                assert_eq!(device, 1);
-                assert_eq!(event, EventId(999));
-            }
-            other => panic!("expected UnknownEvent, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn pipelined_stream_never_exceeds_naive_sum() {
-        let mut f = fleet(1);
-        let times = [12.0, 7.0, 30.0, 4.0];
-        for &t in &times {
-            f.submit(0, t);
-        }
-        let sync = f.sync().expect("single stream");
-        let naive: f64 = times.iter().sum();
-        assert!(
-            sync.makespan_us <= naive + 1e-9,
-            "pipelining must not cost time: {} > {naive}",
-            sync.makespan_us
-        );
-        assert!(sync.makespan_us > 0.0);
-    }
-
     #[test]
     fn transfers_charge_the_interconnect_and_gate_the_receiver() {
-        let mut f = fleet(2);
-        f.submit(0, 100.0);
-        let ready = f.transfer(0, 1, 1 << 20, "activations");
-        f.wait_event(1, ready);
-        f.submit(1, 10.0);
-        let sync = f.sync().expect("acyclic");
-        let xfer_us = f.link().transfer_us(1 << 20);
+        let f = fleet(2);
+        let before = metrics::global().get("fleet_transfers");
+        let sync = f.gather(&[(10.0, None), (100.0, Some(1 << 20))], "activations");
+        let xfer_us = LinkProfile::nvlink().transfer_us(1 << 20);
+        assert_eq!(metrics::global().get("fleet_transfers"), before + 1);
         assert_eq!(sync.transfers, 1);
         assert_eq!(sync.transfer_bytes, 1 << 20);
-        assert!((sync.transfer_us - xfer_us).abs() < 1e-9);
-        // dev1 cannot start its launch before the data lands.
-        assert!(
-            sync.device_busy_us[1] >= 100.0 + xfer_us,
-            "receiver ran before the transfer completed: {}",
-            sync.device_busy_us[1]
-        );
+        assert_eq!(sync.transfer_us, xfer_us);
+        // dev0 cannot finish before dev1's data lands.
+        assert_eq!(sync.device_busy_us, [100.0 + xfer_us; 2]);
+        assert_eq!(sync.makespan_us, 100.0 + xfer_us);
+    }
+
+    /// A 4-device round on a link of round numbers (1 us latency, 1000
+    /// bytes/us): device 0's own bytes stay in place, device 1 gathers,
+    /// device 2's shard is empty and device 3's has nothing to send (an
+    /// SDDMM shard with no values), so device 0 does not wait for it.
+    #[test]
+    fn round_places_clocks_makespan_and_transfers_by_hand() {
+        let link = LinkProfile {
+            name: "round".to_string(),
+            bandwidth_gbps: 1.0,
+            latency_us: 1.0,
+        };
+        let f = Fleet::homogeneous(&DeviceConfig::v100(), 4, link);
+        let shards = [
+            (10.0, Some(8000)),
+            (20.0, Some(3000)),
+            (0.0, None),
+            (30.0, None),
+        ];
+        let sync = f.gather(&shards, "gather");
+        assert_eq!(sync.device_busy_us, [24.0, 24.0, 0.0, 30.0]);
+        assert_eq!(sync.makespan_us, 30.0);
+        assert_eq!((sync.transfers, sync.transfer_bytes), (1, 3000));
+        assert_eq!(sync.transfer_us, 4.0);
     }
 
     #[test]

@@ -86,7 +86,7 @@ pub use device::{DeviceConfig, LinkProfile};
 pub use dim::Dim3;
 pub use fault::{DeviceFault, FaultKind, FaultPlan};
 pub use fingerprint::Fingerprint;
-pub use fleet::{EventId, Fleet, FleetError, FleetSync};
+pub use fleet::{Fleet, FleetSync};
 pub use fused::SddmmSoftmaxSpmmKernel;
 pub use kernel::Kernel;
 pub use launch::{

@@ -35,7 +35,7 @@
 //! | `dispatch_static_refuted` | launches rejected by the static auditor, from every entry point (they all go through [`crate::Gpu::run`]) |
 //! | `dispatch_degraded` / `dispatch_failed_attempts` | degradation-ladder traffic |
 //! | `dispatch_rung_*` | dispatched calls served per ladder rung (`sputnik`, `heuristic`, `fallback`, `cpu_reference`), bumped by the ladder's serve point in `sputnik::dispatch` |
-//! | `fleet_transfers` / `fleet_transfer_bytes` | interconnect transfers a [`crate::Fleet`] resolved |
+//! | `fleet_transfers` / `fleet_transfer_bytes` | interconnect transfers a [`crate::Fleet`] gather placed |
 //! | `serve_offered` / `serve_served` / `serve_shed` / `serve_rejected` | front-door outcome totals |
 //! | `serve_late` / `serve_batches` / `serve_degraded` | SLO misses, launch windows, degraded serves |
 //! | `serve_dev*_batches` | launch windows served per device (devices 0..8) |

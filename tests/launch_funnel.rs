@@ -19,6 +19,8 @@ use gpu_sim::{
     BufferBound, BufferId, BufferSpec, CheckClass, CheckLevel, Dim3, Fleet, Gpu, Kernel,
     LaunchCache, LaunchError, LaunchRequest, Mode, StageBound, StaticFacts, VectorClass,
 };
+use sparse::{gen, Matrix};
+use sputnik::{spmm_row_sharded, SpmmConfig, SputnikError};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -194,11 +196,27 @@ fn gpu_wrappers_refute() {
     }
 }
 
+/// The sharded entry points launch each shard through `Gpu::run`, so the
+/// gate refutes an unaligned `assume_aligned` SpMM before any block runs:
+/// `SpmmKernel::static_facts` scans the shard's row starts.
 #[test]
 fn fleet_refutes() {
-    for (class, probe) in Refutable::refuted() {
-        assert_refuted(Fleet::v100(2).launch(1, &probe), class, "Fleet::launch");
-    }
+    let a = gen::uniform(64, 96, 0.7, 3);
+    let b = Matrix::<f32>::random(96, 32, 5);
+    let cfg = SpmmConfig {
+        assume_aligned: true,
+        roma: false,
+        vector_width: 4,
+        ..SpmmConfig::default()
+    };
+    let before = metrics::global().get("dispatch_static_refuted");
+    let got = spmm_row_sharded(&Fleet::v100(2), &LaunchCache::new(), &a, &b, cfg);
+    assert!(
+        matches!(&got, Err(SputnikError::StaticallyRefuted { class, .. }) if class == "alignment"),
+        "expected an alignment refutation, got {:?}",
+        got.map(|run| run.shard_stats)
+    );
+    assert_eq!(metrics::global().get("dispatch_static_refuted"), before + 1);
 }
 
 #[test]
@@ -213,7 +231,6 @@ fn clean_probe_launches_through_every_entry_point() {
     assert_eq!(gpu.profile(&probe).blocks, 4);
     let (_, report) = gpu.sanitize(&probe).expect("clean sanitize");
     assert!(report.clean(), "{report}");
-    assert_eq!(Fleet::v100(2).launch(1, &probe).expect("fleet").blocks, 4);
 }
 
 #[test]

@@ -113,26 +113,6 @@ impl Kernel for BlockSpmmKernel<'_> {
         ]
     }
 
-    /// Structural cost signature: live column-tile width, block-row length,
-    /// the meta-load and output-strip base alignment classes, and each
-    /// stored block's B-strip base class. With `bs` and `n` kernel-constant,
-    /// a strip's per-row trace addresses advance by a fixed stride from its
-    /// base, so the base class pins the whole sequence.
-    fn block_signature(&self, block: Dim3) -> Option<u64> {
-        let bs = self.a.block_size();
-        let br = block.y as usize;
-        let n0 = block.x as usize * TILE_N;
-        let mut fp = gpu_sim::Fingerprint::new();
-        fp.write_u64(TILE_N.min(self.n - n0) as u64);
-        fp.write_u64(br as u64 * 4 % 32);
-        fp.write_u64(self.a.block_row_len(br) as u64);
-        for (bc, _) in self.a.block_row(br) {
-            fp.write_u64((bc * bs * self.n + n0) as u64 * 4 % 32);
-        }
-        fp.write_u64((br * bs * self.n + n0) as u64 * 4 % 32);
-        Some(fp.finish())
-    }
-
     /// Static safety facts for the launch auditor.
     ///
     /// Soundness: the meta prelude reads an 8-byte pair at `br * 4`
@@ -177,8 +157,11 @@ impl Kernel for BlockSpmmKernel<'_> {
         let warps = (THREADS / 32) as u64;
 
         let nblocks = self.a.block_row_len(br);
-        // Cost-only work is skipped entirely on cache-hit replays.
+        // Cost-only work is skipped entirely on cache-hit replays. Each
+        // strip is `bs` rows of `tile_n` columns, one trace per row.
         if ctx.recording() {
+            let (rows, stride, bytes) = (bs as u64, self.n as u64 * 4, tile_n as u64 * 4);
+            let strip_base = |row0: usize| (row0 * self.n + n0) as u64 * 4;
             ctx.misc(8);
             ctx.ld_global(BUF_META, br as u64 * 4, 2, 1, 4);
 
@@ -194,10 +177,8 @@ impl Kernel for BlockSpmmKernel<'_> {
                     SmemScope::Block,
                 );
                 ctx.cost.gmem[BUF_BLOCKS.0 as usize].ld_sectors += a_elems * 4 / 32 + 1;
-                // B strip rows.
-                for r in bc * bs..(bc + 1) * bs {
-                    ctx.ld_global_trace(BUF_B, (r * self.n + n0) as u64 * 4, tile_n as u64 * 4);
-                }
+                let sectors = ctx.tile_sectors(BUF_B, strip_base(bc * bs), rows, stride, bytes);
+                ctx.ld_sectors(BUF_B, 0, sectors);
                 ctx.bar_sync();
 
                 // Dense math: bs x TILE_N x bs FMAs, cuBLAS-grade inner loop.
@@ -210,10 +191,8 @@ impl Kernel for BlockSpmmKernel<'_> {
             if nblocks > 0 {
                 // Store the block row's output strip.
                 let store_instrs = ((bs * tile_n) as u64).div_ceil(THREADS as u64 * 4).max(1);
-                ctx.cost.st_global_instrs += store_instrs * warps;
-                for r in br * bs..(br + 1) * bs {
-                    ctx.st_global_trace(BUF_C, (r * self.n + n0) as u64 * 4, tile_n as u64 * 4);
-                }
+                let sectors = ctx.tile_sectors(BUF_C, strip_base(br * bs), rows, stride, bytes);
+                ctx.st_sectors(BUF_C, store_instrs * warps, sectors);
             }
         }
         if nblocks == 0 {

@@ -10,7 +10,8 @@
 
 use gpu_sim::{
     AccessBound, AccessPattern, AlignmentFacts, BarrierFacts, BlockContext, BufferBound, BufferId,
-    BufferSpec, Dim3, Gpu, Kernel, LaunchStats, OutputSlice, SmemScope, StageBound, StaticFacts,
+    BufferSpec, CostKey, Dim3, Gpu, Kernel, KeyedBlocks, LaunchStats, OutputSlice, SmemScope,
+    StageBound, StaticFacts,
 };
 use sparse::Matrix;
 
@@ -95,6 +96,71 @@ impl<'a> GemmKernel<'a> {
     }
 }
 
+/// A [`GemmKernel`] block's cost key (see [`CostKey`]): the live extent of
+/// its tile (full interior tiles vs edge-masked ones) and the sectors of
+/// its output store, so every interior block of a large GEMM collapses
+/// onto a handful of keys.
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+pub struct GemmKey {
+    tile_m: u64,
+    tile_n: u64,
+    out: u64,
+}
+
+impl CostKey for GemmKernel<'_> {
+    type Key = GemmKey;
+
+    fn cost_key(&self, block: Dim3, ctx: &mut BlockContext) -> GemmKey {
+        let row0 = block.y as usize * self.tile_m;
+        let col0 = block.x as usize * self.tile_n;
+        let (tile_m, tile_n) = (
+            self.tile_m.min(self.m - row0),
+            self.tile_n.min(self.n - col0),
+        );
+        let corner = (row0 * self.n + col0) as u64 * 4;
+        // Epilogue: the tile's stores, one contiguous run per row.
+        let (rows, stride, bytes) = (tile_m as u64, self.n as u64 * 4, tile_n as u64 * 4);
+        GemmKey {
+            tile_m: tile_m as u64,
+            tile_n: tile_n as u64,
+            out: ctx.tile_sectors(BUF_C, corner, rows, stride, bytes),
+        }
+    }
+
+    /// The full tile is paid for even when partially masked (tile
+    /// quantization). All warps share the block's instructions.
+    fn charge(&self, key: &GemmKey, ctx: &mut BlockContext) {
+        let (tm, tn, threads) = (self.tile_m, self.tile_n, self.threads);
+        let warps = (threads / 32) as u64;
+        for _ in 0..self.k.div_ceil(TILE_K) {
+            // Stage A and B tiles with float4 loads spread over the block.
+            let stage_elems = (tm * TILE_K + TILE_K * tn) as u64;
+            let stage_instrs = stage_elems.div_ceil(threads as u64 * 4);
+            // Per warp bookkeeping: instruction counts are per-warp issued;
+            // multiply by warps since all warps participate.
+            ctx.cost.ld_global_instrs += stage_instrs * warps;
+            ctx.smem_store(stage_instrs * warps, stage_elems * 4, SmemScope::Block);
+            ctx.cost.gmem[BUF_A.0 as usize].ld_sectors += (tm * TILE_K * 4) as u64 / 32;
+            ctx.cost.gmem[BUF_B.0 as usize].ld_sectors += (TILE_K * tn * 4) as u64 / 32;
+            ctx.bar_sync();
+
+            // Math: tm*tn*TILE_K scalar FMAs per strip; each warp
+            // instruction covers 32 lanes.
+            let fmas = (tm * tn * TILE_K) as u64;
+            ctx.cost.fma_instrs += fmas / 32;
+            // Shared->register fragment loads, 128-bit, heavily reused.
+            ctx.smem_load(fmas / 32 / 8, fmas / 8, SmemScope::Block);
+            ctx.misc(8 * warps);
+        }
+        // Useful FLOPs only count the live region.
+        ctx.cost.flops += 2 * key.tile_m * key.tile_n * self.k as u64;
+
+        // Epilogue: vectorized stores of the tile.
+        let store_instrs = ((tm * tn) as u64).div_ceil(threads as u64 * 4);
+        ctx.st_sectors(BUF_C, store_instrs * warps, key.out);
+    }
+}
+
 impl Kernel for GemmKernel<'_> {
     fn name(&self) -> String {
         format!("cublas_sgemm_{}x{}", self.tile_m, self.tile_n)
@@ -144,18 +210,8 @@ impl Kernel for GemmKernel<'_> {
         ]
     }
 
-    /// Structural cost signature: a dense tile's trace is fixed by its live
-    /// extent (full interior tiles vs edge-masked ones) and the sector
-    /// alignment of its output corner — every interior block of a large GEMM
-    /// collapses onto a handful of signatures.
-    fn block_signature(&self, block: Dim3) -> Option<u64> {
-        let row0 = block.y as usize * self.tile_m;
-        let col0 = block.x as usize * self.tile_n;
-        let mut fp = gpu_sim::Fingerprint::new();
-        fp.write_u64(self.tile_m.min(self.m - row0) as u64);
-        fp.write_u64(self.tile_n.min(self.n - col0) as u64);
-        fp.write_u64((row0 * self.n + col0) as u64 * 4 % 32);
-        Some(fp.finish())
+    fn keyed(&self) -> Option<&dyn KeyedBlocks> {
+        Some(self)
     }
 
     /// Static safety facts for the launch auditor.
@@ -191,49 +247,15 @@ impl Kernel for GemmKernel<'_> {
     }
 
     fn execute_block(&self, block: Dim3, ctx: &mut BlockContext) {
-        let (tm, tn, threads) = (self.tile_m, self.tile_n, self.threads);
-        let row0 = block.y as usize * tm;
-        let col0 = block.x as usize * tn;
-        let tile_m = tm.min(self.m - row0);
-        let tile_n = tn.min(self.n - col0);
-        let k_iters = self.k.div_ceil(TILE_K);
-
-        // ---- Cost: the full tile is paid for even when partially masked
-        // (tile quantization). All warps share the block's instructions.
-        // Skipped entirely on cache-hit replays (the replay context discards
-        // recorded cost).
+        // Cost: skipped entirely on cache-hit replays (the replay context
+        // discards recorded cost).
         if ctx.recording() {
-            let warps = (threads / 32) as u64;
-            for _ in 0..k_iters {
-                // Stage A and B tiles with float4 loads spread over the block.
-                let stage_elems = (tm * TILE_K + TILE_K * tn) as u64;
-                let stage_instrs = stage_elems.div_ceil(threads as u64 * 4);
-                // Per warp bookkeeping: instruction counts are per-warp issued;
-                // multiply by warps since all warps participate.
-                ctx.cost.ld_global_instrs += stage_instrs * warps;
-                ctx.smem_store(stage_instrs * warps, stage_elems * 4, SmemScope::Block);
-                ctx.cost.gmem[BUF_A.0 as usize].ld_sectors += (tm * TILE_K * 4) as u64 / 32;
-                ctx.cost.gmem[BUF_B.0 as usize].ld_sectors += (TILE_K * tn * 4) as u64 / 32;
-                ctx.bar_sync();
-
-                // Math: tm*tn*TILE_K scalar FMAs per strip; each warp
-                // instruction covers 32 lanes.
-                let fmas = (tm * tn * TILE_K) as u64;
-                ctx.cost.fma_instrs += fmas / 32;
-                // Shared->register fragment loads, 128-bit, heavily reused.
-                ctx.smem_load(fmas / 32 / 8, fmas / 8, SmemScope::Block);
-                ctx.misc(8 * warps);
-            }
-            // Useful FLOPs only count the live region.
-            ctx.cost.flops += 2 * (tile_m * tile_n * self.k) as u64;
-
-            // Epilogue: vectorized stores of the tile, one trace per row.
-            let store_instrs = ((tm * tn) as u64).div_ceil(threads as u64 * 4);
-            ctx.cost.st_global_instrs += store_instrs * warps;
-            for r in row0..row0 + tile_m {
-                ctx.st_global_trace(BUF_C, (r * self.n + col0) as u64 * 4, tile_n as u64 * 4);
-            }
+            self.charge_block(block, ctx);
         }
+        let row0 = block.y as usize * self.tile_m;
+        let col0 = block.x as usize * self.tile_n;
+        let tile_m = self.tile_m.min(self.m - row0);
+        let tile_n = self.tile_n.min(self.n - col0);
 
         // ---- Functional ----------------------------------------------------
         if let (true, Some(a), Some(b), Some(out)) =
@@ -246,8 +268,8 @@ impl Kernel for GemmKernel<'_> {
             // across the whole K reduction, and row pairs share one pass
             // over the B strips. Per-output-element accumulation order over
             // l is unchanged from the naive loop.
-            let mut acc = gpu_sim::arena::ScratchF32::take(tile_n);
-            let mut acc1 = gpu_sim::arena::ScratchF32::take(tile_n);
+            let mut acc = ctx.scratch_f32(tile_n);
+            let mut acc1 = ctx.scratch_f32(tile_n);
             let (k, n) = (self.k, self.n);
             let mut r = row0;
             while r + 1 < row0 + tile_m {
@@ -332,6 +354,60 @@ impl<'a> TransposeKernel<'a> {
     }
 }
 
+/// A [`TransposeKernel`] block's cost key (see [`CostKey`]): the sectors
+/// of its source reads and destination writes, the only part of its trace
+/// the live tile extent moves.
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+pub struct TransposeKey {
+    src: u64,
+    dst: u64,
+}
+
+impl CostKey for TransposeKernel<'_> {
+    type Key = TransposeKey;
+
+    fn cost_key(&self, block: Dim3, ctx: &mut BlockContext) -> TransposeKey {
+        let r0 = block.y as usize * T_TILE;
+        let c0 = block.x as usize * T_TILE;
+        let h = T_TILE.min(self.rows - r0) as u64;
+        let w = T_TILE.min(self.cols - c0) as u64;
+        let (rows, cols) = (self.rows as u64, self.cols as u64);
+        TransposeKey {
+            // Source rows of the tile, then destination rows (source
+            // columns) of the transposed tile.
+            src: ctx.tile_sectors(
+                BUF_A,
+                (r0 as u64 * cols + c0 as u64) * 4,
+                h,
+                cols * 4,
+                w * 4,
+            ),
+            dst: ctx.tile_sectors(
+                BUF_C,
+                (c0 as u64 * rows + r0 as u64) * 4,
+                w,
+                rows * 4,
+                h * 4,
+            ),
+        }
+    }
+
+    /// 4 warps ping a 32x32 tile through shared memory: coalesced reads,
+    /// coalesced writes, conflict-free via padding.
+    fn charge(&self, key: &TransposeKey, ctx: &mut BlockContext) {
+        let rounds = (T_TILE as u64 * T_TILE as u64).div_ceil(32 * 8);
+        ctx.smem_store(rounds * 8, (T_TILE * T_TILE * 4) as u64, SmemScope::Block);
+        ctx.ld_sectors(BUF_A, rounds * 8, key.src);
+        // The transposed readback crosses warps (each warp reads columns
+        // the other warps staged), so the tile must be fully written
+        // first.
+        ctx.bar_sync();
+        ctx.smem_load(rounds * 8, (T_TILE * T_TILE * 4) as u64, SmemScope::Block);
+        ctx.st_sectors(BUF_C, rounds * 8, key.dst);
+        ctx.misc(12);
+    }
+}
+
 impl Kernel for TransposeKernel<'_> {
     fn name(&self) -> String {
         "cublas_transpose_32x32".to_string()
@@ -370,17 +446,8 @@ impl Kernel for TransposeKernel<'_> {
         ]
     }
 
-    /// Structural cost signature: live tile extent plus the alignment class
-    /// of the source and destination corners (strides are kernel constants).
-    fn block_signature(&self, block: Dim3) -> Option<u64> {
-        let r0 = block.y as usize * T_TILE;
-        let c0 = block.x as usize * T_TILE;
-        let mut fp = gpu_sim::Fingerprint::new();
-        fp.write_u64(T_TILE.min(self.rows - r0) as u64);
-        fp.write_u64(T_TILE.min(self.cols - c0) as u64);
-        fp.write_u64((r0 * self.cols + c0) as u64 * 4 % 32);
-        fp.write_u64((c0 * self.rows + r0) as u64 * 4 % 32);
-        Some(fp.finish())
+    fn keyed(&self) -> Option<&dyn KeyedBlocks> {
+        Some(self)
     }
 
     /// Static safety facts for the launch auditor.
@@ -415,26 +482,8 @@ impl Kernel for TransposeKernel<'_> {
         let h = T_TILE.min(self.rows - r0);
         let w = T_TILE.min(self.cols - c0);
 
-        // 4 warps ping a 32x32 tile through shared memory: coalesced reads,
-        // coalesced writes, conflict-free via padding. Cost-only; replays
-        // skip it.
         if ctx.recording() {
-            let rounds = (T_TILE as u64 * T_TILE as u64).div_ceil(32 * 8);
-            ctx.cost.ld_global_instrs += rounds * 8;
-            ctx.smem_store(rounds * 8, (T_TILE * T_TILE * 4) as u64, SmemScope::Block);
-            for r in r0..r0 + h {
-                ctx.ld_global_trace(BUF_A, (r * self.cols + c0) as u64 * 4, w as u64 * 4);
-            }
-            // The transposed readback crosses warps (each warp reads columns
-            // the other warps staged), so the tile must be fully written
-            // first.
-            ctx.bar_sync();
-            ctx.smem_load(rounds * 8, (T_TILE * T_TILE * 4) as u64, SmemScope::Block);
-            ctx.cost.st_global_instrs += rounds * 8;
-            for c in c0..c0 + w {
-                ctx.st_global_trace(BUF_C, (c * self.rows + r0) as u64 * 4, h as u64 * 4);
-            }
-            ctx.misc(12);
+            self.charge_block(block, ctx);
         }
 
         if let (true, Some(src), Some(out)) = (ctx.functional(), self.src, self.out.as_ref()) {

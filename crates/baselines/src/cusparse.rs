@@ -18,7 +18,8 @@
 
 use gpu_sim::{
     AccessBound, AccessPattern, AlignmentFacts, BarrierFacts, BlockContext, BufferBound,
-    BufferSpec, Dim3, Gpu, Kernel, LaunchStats, OutputSlice, SmemScope, StageBound, StaticFacts,
+    BufferSpec, CostKey, Dim3, Gpu, Kernel, KeyedBlocks, LaunchStats, OutputSlice, SmemScope,
+    StageBound, StaticFacts,
 };
 use sparse::{CsrMatrix, IndexWidth, Matrix, Scalar};
 use sputnik::spmm::{csr_spmm_buffers, BUF_A_INDICES, BUF_A_OFFSETS, BUF_A_VALUES, BUF_B, BUF_C};
@@ -78,6 +79,117 @@ impl<'a, T: Scalar> CusparseSpmmKernel<'a, T> {
     }
 }
 
+/// One warp's part of a [`CusparseKey`]: an out-of-range row, an empty
+/// row (its offsets load and strided zero store), or a row with its
+/// nonzero count and the sector counts of its offsets, value and index
+/// loads.
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+enum WarpKey {
+    Idle,
+    Empty {
+        offsets: u64,
+        zeros: u64,
+    },
+    Row {
+        offsets: u64,
+        nnz: u64,
+        values: u64,
+        indices: u64,
+    },
+}
+
+/// A [`CusparseSpmmKernel`] block's cost key (see [`CostKey`]): the live
+/// column-tile width and its four warps' rows. The strided B gathers and
+/// non-empty C stores use constant strides from a representative base, so
+/// the tile width fixes them.
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+pub struct CusparseKey {
+    tile_n: u32,
+    warps: [WarpKey; 4],
+}
+
+impl<T: Scalar> CostKey for CusparseSpmmKernel<'_, T> {
+    type Key = CusparseKey;
+
+    fn cost_key(&self, block: Dim3, ctx: &mut BlockContext) -> CusparseKey {
+        let n0 = block.x as usize * 32;
+        let tile_n = 32.min(self.n - n0) as u32;
+        let eb = T::BYTES as u64;
+        let rows = self.a.rows();
+        let mut warps = [WarpKey::Idle; 4];
+        for (w, warp) in warps.iter_mut().enumerate() {
+            let row = block.y as usize * 4 + w;
+            if row >= rows {
+                continue;
+            }
+            let offsets = ctx.sectors(BUF_A_OFFSETS, row as u64 * 4, 8, 1, 4);
+            let nnz = self.a.row_len(row) as u64;
+            let offset = self.a.row_offsets()[row] as u64;
+            *warp = if nnz == 0 {
+                let base = (n0 * rows + row) as u64 * eb;
+                let zeros = ctx.strided_sectors(BUF_C, base, tile_n, rows as u64 * eb, T::BYTES);
+                WarpKey::Empty { offsets, zeros }
+            } else {
+                WarpKey::Row {
+                    offsets,
+                    nnz,
+                    values: ctx.sectors(BUF_A_VALUES, offset * eb, nnz * eb, 1, 1),
+                    indices: ctx.sectors(BUF_A_INDICES, offset * 4, nnz * 4, 1, 1),
+                }
+            };
+        }
+        CusparseKey { tile_n, warps }
+    }
+
+    fn charge(&self, key: &CusparseKey, ctx: &mut BlockContext) {
+        let eb = T::BYTES as u64;
+        let k_rows = self.a.cols() as u64;
+        for warp in key.warps {
+            match warp {
+                WarpKey::Idle => {}
+                // Still must zero the output tile.
+                WarpKey::Empty { offsets, zeros } => {
+                    ctx.misc(6);
+                    ctx.ld_sectors(BUF_A_OFFSETS, 1, offsets);
+                    ctx.st_sectors(BUF_C, 1, zeros);
+                }
+                WarpKey::Row {
+                    offsets,
+                    nnz,
+                    values,
+                    indices,
+                } => {
+                    ctx.misc(6);
+                    ctx.ld_sectors(BUF_A_OFFSETS, 1, offsets);
+                    // Per nonzero: scalar broadcast load of value+index, then
+                    // a strided gather across the lanes' output columns —
+                    // each lane reads B(col, n0+lane), which in column-major
+                    // storage sits `k_rows` elements apart: one sector per
+                    // lane. Values + indices are coalesced across lanes.
+                    ctx.cost.ld_global_instrs += 2 * nnz.div_ceil(32);
+                    ctx.ld_sectors(BUF_A_VALUES, 0, values);
+                    ctx.ld_sectors(BUF_A_INDICES, 0, indices);
+                    // B loads: one warp instruction per nonzero, strided by K.
+                    let b_sectors =
+                        gpu_sim::memory::sectors_strided(0, key.tile_n, k_rows * eb, eb);
+                    ctx.ld_sectors(BUF_B, nnz, nnz * b_sectors);
+                    ctx.cost.fma_instrs += nnz;
+                    ctx.misc(2 * nnz); // index scale + loop bookkeeping
+                    ctx.cost.flops += 2 * nnz * u64::from(key.tile_n);
+                    // Column-major output store: strided too.
+                    let c_sectors = gpu_sim::memory::sectors_strided(
+                        0,
+                        key.tile_n,
+                        self.a.rows() as u64 * eb,
+                        eb,
+                    );
+                    ctx.st_sectors(BUF_C, 1, c_sectors);
+                }
+            }
+        }
+    }
+}
+
 impl<T: Scalar> Kernel for CusparseSpmmKernel<'_, T> {
     fn name(&self) -> String {
         format!("cusparse_spmm_{}", T::TAG)
@@ -108,35 +220,8 @@ impl<T: Scalar> Kernel for CusparseSpmmKernel<'_, T> {
         csr_spmm_buffers(self.a, self.n, IndexWidth::U32)
     }
 
-    /// Structural cost signature: the live column-tile width plus, per warp
-    /// in the block, the row's nonzero count and the alignment classes of
-    /// its offset/value/index addresses. The strided B gathers and C stores
-    /// use constant bases and strides, so they need no per-block terms
-    /// beyond `tile_n` (and the empty-row store's base class).
-    fn block_signature(&self, block: Dim3) -> Option<u64> {
-        let eb = T::BYTES as u64;
-        let n0 = block.x as usize * 32;
-        let tile_n = 32.min(self.n - n0);
-        let mut fp = gpu_sim::Fingerprint::new();
-        fp.write_u64(tile_n as u64);
-        for w in 0..4usize {
-            let row = block.y as usize * 4 + w;
-            if row >= self.a.rows() {
-                fp.write_u64(u64::MAX);
-                continue;
-            }
-            let nnz = self.a.row_len(row) as u64;
-            fp.write_u64(nnz);
-            fp.write_u64(row as u64 * 4 % 32);
-            if nnz == 0 {
-                fp.write_u64((n0 * self.a.rows() + row) as u64 * eb % 32);
-            } else {
-                let offset = self.a.row_offsets()[row] as u64;
-                fp.write_u64(offset * eb % 32);
-                fp.write_u64(offset * 4 % 32);
-            }
-        }
-        Some(fp.finish())
+    fn keyed(&self) -> Option<&dyn KeyedBlocks> {
+        Some(self)
     }
 
     /// Static safety facts for the launch auditor.
@@ -180,96 +265,42 @@ impl<T: Scalar> Kernel for CusparseSpmmKernel<'_, T> {
     }
 
     fn execute_block(&self, block: Dim3, ctx: &mut BlockContext) {
+        // Cost-only work is skipped entirely on cache-hit replays.
+        if ctx.recording() {
+            self.charge_block(block, ctx);
+        }
+        let (true, Some(bt), Some(out)) = (ctx.functional(), self.bt.as_ref(), self.out.as_ref())
+        else {
+            return;
+        };
         let n0 = block.x as usize * 32;
         let tile_n = 32.min(self.n - n0);
-        let eb = T::BYTES as u64;
-        let k_rows = self.a.cols();
-
+        let m_rows = self.a.rows();
         for w in 0..4usize {
             let row = block.y as usize * 4 + w;
-            if row >= self.a.rows() {
+            if row >= m_rows {
                 continue;
             }
             let (cols, vals) = self.a.row(row);
-            let nnz = cols.len();
-            if nnz == 0 {
-                // Still must zero the output tile.
-                if ctx.recording() {
-                    ctx.misc(6);
-                    ctx.ld_global(BUF_A_OFFSETS, row as u64 * 4, 2, 1, 4);
-                    ctx.st_global_strided(
-                        BUF_C,
-                        (n0 * self.a.rows() + row) as u64 * eb,
-                        tile_n as u32,
-                        self.a.rows() as u64 * eb,
-                        T::BYTES,
-                    );
-                }
-                if let (true, Some(out)) = (ctx.functional(), self.out.as_ref()) {
-                    for c in n0..n0 + tile_n {
-                        out.write(c * self.a.rows() + row, T::zero());
-                    }
+            if cols.is_empty() {
+                for c in n0..n0 + tile_n {
+                    out.write(c * m_rows + row, T::zero());
                 }
                 continue;
             }
-
-            // Cost-only work is skipped entirely on cache-hit replays.
-            if ctx.recording() {
-                ctx.misc(6);
-                ctx.ld_global(BUF_A_OFFSETS, row as u64 * 4, 2, 1, 4);
-
-                // Per nonzero: scalar broadcast load of value+index, then a
-                // strided gather across the lanes' output columns — each lane
-                // reads B(col, n0+lane), which in column-major storage sits
-                // `k_rows` elements apart: one sector per lane.
-                let nnz_u = nnz as u64;
-                ctx.cost.ld_global_instrs += 2 * nnz_u.div_ceil(32); // values + indices, coalesced across lanes
-                ctx.ld_global_trace(
-                    BUF_A_VALUES,
-                    self.a.row_offsets()[row] as u64 * eb,
-                    nnz_u * eb,
-                );
-                ctx.ld_global_trace(
-                    BUF_A_INDICES,
-                    self.a.row_offsets()[row] as u64 * 4,
-                    nnz_u * 4,
-                );
-                // B loads: one warp instruction per nonzero, strided by K.
-                ctx.cost.ld_global_instrs += nnz_u;
-                ctx.cost.gmem[BUF_B.0 as usize].ld_sectors += nnz_u
-                    * gpu_sim::memory::sectors_strided(0, tile_n as u32, k_rows as u64 * eb, eb);
-                ctx.cost.fma_instrs += nnz_u;
-                ctx.misc(2 * nnz_u); // index scale + loop bookkeeping
-                ctx.cost.flops += 2 * nnz_u * tile_n as u64;
-
-                // Column-major output store: strided too.
-                ctx.cost.st_global_instrs += 1;
-                ctx.cost.gmem[BUF_C.0 as usize].st_sectors += gpu_sim::memory::sectors_strided(
-                    0,
-                    tile_n as u32,
-                    self.a.rows() as u64 * eb,
-                    eb,
-                );
-            }
-
-            if let (true, Some(bt), Some(out)) =
-                (ctx.functional(), self.bt.as_ref(), self.out.as_ref())
-            {
-                let m_rows = self.a.rows();
-                // Fixed 32-wide column tile over the row-major staging copy:
-                // each output element accumulates the row's nonzeros in CSR
-                // order, exactly like the strided column-major gather would.
-                let mut acc = [0.0f32; 32];
-                gpu_sim::lanes::fma_accumulate(
-                    &mut acc[..tile_n],
-                    cols.iter()
-                        .zip(vals)
-                        .map(|(&col, &val)| (val.to_f32(), &bt[col as usize * self.n + n0..])),
-                    |bv| bv,
-                );
-                for (lane, &v) in acc[..tile_n].iter().enumerate() {
-                    out.write((n0 + lane) * m_rows + row, T::from_f32(v));
-                }
+            // Fixed 32-wide column tile over the row-major staging copy:
+            // each output element accumulates the row's nonzeros in CSR
+            // order, exactly like the strided column-major gather would.
+            let mut acc = [0.0f32; 32];
+            gpu_sim::lanes::fma_accumulate(
+                &mut acc[..tile_n],
+                cols.iter()
+                    .zip(vals)
+                    .map(|(&col, &val)| (val.to_f32(), &bt[col as usize * self.n + n0..])),
+                |bv| bv,
+            );
+            for (lane, &v) in acc[..tile_n].iter().enumerate() {
+                out.write((n0 + lane) * m_rows + row, T::from_f32(v));
             }
         }
     }

@@ -15,8 +15,8 @@
 //!   divisible by 32.
 
 use gpu_sim::{
-    AccessBound, AlignmentFacts, BarrierFacts, BlockContext, BufferBound, BufferSpec, Dim3, Gpu,
-    Kernel, LaunchStats, OutputSlice, StageBound, StaticFacts,
+    AccessBound, AlignmentFacts, BarrierFacts, BlockContext, BufferBound, BufferSpec, CostKey,
+    Dim3, Gpu, Kernel, KeyedBlocks, LaunchStats, OutputSlice, StageBound, StaticFacts,
 };
 use sparse::{CsrMatrix, IndexWidth, Matrix, Scalar};
 use sputnik::spmm::{csr_spmm_buffers, BUF_A_INDICES, BUF_A_OFFSETS, BUF_A_VALUES, BUF_B, BUF_C};
@@ -69,6 +69,82 @@ impl<'a, T: Scalar> MergeSpmmKernel<'a, T> {
     }
 }
 
+/// One warp's row in a [`MergeKey`]: its nonzero count and the sector
+/// counts of its offsets load, its value and index strip loads (summed
+/// over its strips) and its 32-wide output store.
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+struct RowKey {
+    nnz: u64,
+    offsets: u64,
+    values: u64,
+    indices: u64,
+    out: u64,
+}
+
+/// A [`MergeSpmmKernel`] block's cost key (see [`CostKey`]): its four
+/// warps' rows, `None` past the last row.
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+pub struct MergeKey([Option<RowKey>; 4]);
+
+impl<T: Scalar> CostKey for MergeSpmmKernel<'_, T> {
+    type Key = MergeKey;
+
+    fn cost_key(&self, block: Dim3, ctx: &mut BlockContext) -> MergeKey {
+        let n0 = block.x as usize * 32;
+        let eb = T::BYTES as u64;
+        let mut key = MergeKey([None; 4]);
+        for (w, slot) in key.0.iter_mut().enumerate() {
+            let row = block.y as usize * 4 + w;
+            if row >= self.a.rows() {
+                continue;
+            }
+            let nnz = self.a.row_len(row) as u64;
+            let row_off = self.a.row_offsets()[row] as u64;
+            // Strips of 32 nonzeros, the last one partial.
+            let (full, rest) = (nnz / 32, nnz % 32);
+            let mut strips = |buf, elem: u64| {
+                let tail = (row_off + full * 32) * elem;
+                ctx.tile_sectors(buf, row_off * elem, full, 32 * elem, 32 * elem)
+                    + ctx.sectors(buf, tail, rest * elem, 1, 1)
+            };
+            let (values, indices) = (strips(BUF_A_VALUES, eb), strips(BUF_A_INDICES, 4));
+            *slot = Some(RowKey {
+                nnz,
+                offsets: ctx.sectors(BUF_A_OFFSETS, row as u64 * 4, 8, 1, 4),
+                values,
+                indices,
+                out: ctx.sectors(BUF_C, (row * self.n + n0) as u64 * eb, 32 * eb, 1, 1),
+            });
+        }
+        key
+    }
+
+    fn charge(&self, key: &MergeKey, ctx: &mut BlockContext) {
+        let eb = T::BYTES as u64;
+        for row in key.0.iter().flatten() {
+            let nnz = row.nnz;
+            ctx.misc(6);
+            ctx.ld_sectors(BUF_A_OFFSETS, 1, row.offsets);
+            // Strips of 32 nonzeros: coalesced scalar loads of each strip's
+            // values + indices; per-nonzero broadcast via warp shuffle (no
+            // shared-memory staging in the row-splitting kernel).
+            let strips = nnz.div_ceil(32);
+            ctx.ld_sectors(BUF_A_VALUES, strips, row.values);
+            ctx.ld_sectors(BUF_A_INDICES, strips, row.indices);
+            ctx.shfl(2 * nnz);
+            ctx.cost.ld_global_instrs += nnz;
+            ctx.cost.fma_instrs += nnz;
+            ctx.misc(2 * nnz + 4 * strips);
+            // B strips: a column tile starts at `n0 * eb`, a multiple of 32.
+            ctx.cost.gmem[BUF_B.0 as usize].ld_sectors +=
+                nnz * gpu_sim::memory::sectors_contiguous(0, 32 * eb);
+            ctx.cost.flops += 2 * nnz * 32;
+            // Coalesced scalar store of the 32 outputs.
+            ctx.st_sectors(BUF_C, 1, row.out);
+        }
+    }
+}
+
 impl<T: Scalar> Kernel for MergeSpmmKernel<'_, T> {
     fn name(&self) -> String {
         format!("merge_spmm_rowsplit_{}", T::TAG)
@@ -95,29 +171,8 @@ impl<T: Scalar> Kernel for MergeSpmmKernel<'_, T> {
         csr_spmm_buffers(self.a, self.n, IndexWidth::U32)
     }
 
-    /// Structural cost signature: per warp, the owned row's validity, its
-    /// nonzero count, and the alignment classes of the offsets/values/
-    /// indices/output addresses. The B sector model uses `n0 * eb % 32`,
-    /// which is identically zero (`32 * eb` is a multiple of 32), so no
-    /// column-tile term is needed.
-    fn block_signature(&self, block: Dim3) -> Option<u64> {
-        let n0 = block.x as usize * 32;
-        let eb = T::BYTES as u64;
-        let mut fp = gpu_sim::Fingerprint::new();
-        for w in 0..4usize {
-            let row = block.y as usize * 4 + w;
-            if row >= self.a.rows() {
-                fp.write_u64(u64::MAX);
-                continue;
-            }
-            let row_off = self.a.row_offsets()[row] as u64;
-            fp.write_u64(self.a.row_len(row) as u64);
-            fp.write_u64(row as u64 * 4 % 32);
-            fp.write_u64(row_off * eb % 32);
-            fp.write_u64(row_off * 4 % 32);
-            fp.write_u64((row * self.n + n0) as u64 * eb % 32);
-        }
-        Some(fp.finish())
+    fn keyed(&self) -> Option<&dyn KeyedBlocks> {
+        Some(self)
     }
 
     /// Static safety facts for the launch auditor.
@@ -162,81 +217,34 @@ impl<T: Scalar> Kernel for MergeSpmmKernel<'_, T> {
     }
 
     fn execute_block(&self, block: Dim3, ctx: &mut BlockContext) {
+        // Cost-only work is skipped entirely on cache-hit replays.
+        if ctx.recording() {
+            self.charge_block(block, ctx);
+        }
+        let (true, Some(b), Some(out)) = (ctx.functional(), self.b, self.out.as_ref()) else {
+            return;
+        };
+        let b = b.as_slice();
         let n0 = block.x as usize * 32;
-        let eb = T::BYTES as u64;
-
+        let n = self.n;
         for w in 0..4usize {
             let row = block.y as usize * 4 + w;
             if row >= self.a.rows() {
                 continue;
             }
             let (cols, vals) = self.a.row(row);
-
-            // Cost-only work is skipped entirely on cache-hit replays.
-            if ctx.recording() {
-                ctx.misc(6);
-                ctx.ld_global(BUF_A_OFFSETS, row as u64 * 4, 2, 1, 4);
-                let nnz = cols.len() as u64;
-                let row_off = self.a.row_offsets()[row] as u64;
-
-                // Strips of 32 nonzeros staged through shared memory.
-                let strips = nnz.div_ceil(32).max(1);
-                for s in 0..strips {
-                    let strip_len = 32.min(nnz.saturating_sub(s * 32));
-                    if strip_len == 0 {
-                        break;
-                    }
-                    // Coalesced scalar loads of the strip's values + indices;
-                    // per-nonzero broadcast via warp shuffle (no shared-memory
-                    // staging in the row-splitting kernel).
-                    ctx.ld_global(
-                        BUF_A_VALUES,
-                        (row_off + s * 32) * eb,
-                        strip_len as u32,
-                        1,
-                        T::BYTES,
-                    );
-                    ctx.ld_global(
-                        BUF_A_INDICES,
-                        (row_off + s * 32) * 4,
-                        strip_len as u32,
-                        1,
-                        4,
-                    );
-                    for _ in 0..strip_len {
-                        ctx.shfl(2);
-                        ctx.cost.ld_global_instrs += 1;
-                        ctx.cost.fma_instrs += 1;
-                        ctx.misc(2);
-                    }
-                    ctx.misc(4);
-                }
-                // Sector accounting over the whole row.
-                ctx.cost.gmem[BUF_B.0 as usize].ld_sectors +=
-                    nnz * gpu_sim::memory::sectors_contiguous((n0 as u64) * eb % 32, 32 * eb);
-                ctx.cost.flops += 2 * nnz * 32;
-
-                // Coalesced scalar store of the 32 outputs.
-                ctx.cost.st_global_instrs += 1;
-                ctx.st_global_trace(BUF_C, (row * self.n + n0) as u64 * eb, 32 * eb);
-            }
-
-            if let (true, Some(b), Some(out)) = (ctx.functional(), self.b, self.out.as_ref()) {
-                let b = b.as_slice();
-                // Fixed 32-wide column tile: a stack accumulator, with the
-                // lanes helper keeping per-element accumulation order.
-                let mut acc = [0.0f32; 32];
-                let n = self.n;
-                gpu_sim::lanes::fma_accumulate(
-                    &mut acc,
-                    cols.iter()
-                        .zip(vals)
-                        .map(|(&col, &val)| (val.to_f32(), &b[col as usize * n + n0..])),
-                    |bv| bv.to_f32(),
-                );
-                for (x, &v) in acc.iter().enumerate() {
-                    out.write(row * self.n + n0 + x, T::from_f32(v));
-                }
+            // Fixed 32-wide column tile: a stack accumulator, with the
+            // lanes helper keeping per-element accumulation order.
+            let mut acc = [0.0f32; 32];
+            gpu_sim::lanes::fma_accumulate(
+                &mut acc,
+                cols.iter()
+                    .zip(vals)
+                    .map(|(&col, &val)| (val.to_f32(), &b[col as usize * n + n0..])),
+                |bv| bv.to_f32(),
+            );
+            for (x, &v) in acc.iter().enumerate() {
+                out.write(row * n + n0 + x, T::from_f32(v));
             }
         }
     }

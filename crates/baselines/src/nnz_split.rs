@@ -12,8 +12,8 @@
 //! (`ext_load_balancing`).
 
 use gpu_sim::{
-    AccessBound, AlignmentFacts, BarrierFacts, BlockContext, BufferBound, BufferSpec, Dim3, Gpu,
-    Kernel, LaunchStats, StageBound, StaticFacts,
+    AccessBound, AlignmentFacts, BarrierFacts, BlockContext, BufferBound, BufferSpec, CostKey,
+    Dim3, Gpu, Kernel, KeyedBlocks, LaunchStats, StageBound, StaticFacts,
 };
 use sparse::{CsrMatrix, IndexWidth, Matrix, Scalar};
 use sputnik::spmm::{csr_spmm_buffers, BUF_A_INDICES, BUF_A_OFFSETS, BUF_A_VALUES, BUF_B, BUF_C};
@@ -82,6 +82,97 @@ impl<'a, T: Scalar> NnzSplitSpmmKernel<'a, T> {
     }
 }
 
+/// A working [`NnzSplitSpmmKernel`] block's strip: its length, the live
+/// column-tile width, the sector counts of its head, value and index
+/// loads, and the number of row boundaries it straddles (which sets the
+/// interior-store and atomic accounting).
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+struct StripKey {
+    count: u64,
+    tile_n: u64,
+    head: u64,
+    values: u64,
+    indices: u64,
+    boundaries: u64,
+}
+
+/// A [`NnzSplitSpmmKernel`] block's cost key (see [`CostKey`]); `None` for
+/// a block past the last nonzero. The binary-search prelude and the
+/// base-0 B/C sector models are constant given the strip.
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+pub struct NnzSplitKey(Option<StripKey>);
+
+impl<T: Scalar> CostKey for NnzSplitSpmmKernel<'_, T> {
+    type Key = NnzSplitKey;
+
+    fn cost_key(&self, block: Dim3, ctx: &mut BlockContext) -> NnzSplitKey {
+        let nnz = self.a.nnz();
+        let start = block.y as usize * STRIP;
+        if start >= nnz {
+            return NnzSplitKey(None);
+        }
+        let count = STRIP.min(nnz - start);
+        let n0 = block.x as usize * TILE_N;
+        let eb = T::BYTES as u64;
+        let (start_b, count_b) = (start as u64, count as u64);
+        // The head load is a full-warp vector load clamped to the strip:
+        // the final strip of the matrix may hold fewer than
+        // lanes*vec_width nonzeros, and reading past them would run off
+        // the values footprint.
+        let head = count_b.min(32) * count_b.div_ceil(32).min(4);
+        NnzSplitKey(Some(StripKey {
+            count: count_b,
+            tile_n: TILE_N.min(self.n - n0) as u64,
+            head: ctx.sectors(BUF_A_VALUES, start_b * eb, head.min(count_b) * eb, 1, 1),
+            values: ctx.sectors(BUF_A_VALUES, start_b * eb, count_b * eb, 1, 1),
+            indices: ctx.sectors(BUF_A_INDICES, start_b * 4, count_b * 4, 1, 1),
+            boundaries: self
+                .row_of(start + count - 1)
+                .saturating_sub(self.row_of(start)) as u64,
+        }))
+    }
+
+    fn charge(&self, key: &NnzSplitKey, ctx: &mut BlockContext) {
+        let Some(strip) = key.0 else {
+            return;
+        };
+        let (count, tile_n) = (strip.count, strip.tile_n);
+        let eb = T::BYTES as u64;
+        // Prelude: binary search for the starting row (log2(rows)
+        // scattered loads of row_offsets) — the overhead row-splitting
+        // doesn't pay.
+        let bs_steps = (self.a.rows().max(2) as f64).log2().ceil() as u64;
+        ctx.misc(4 + 3 * bs_steps);
+        ctx.ld_sectors(BUF_A_OFFSETS, bs_steps, bs_steps);
+
+        // Strip loads: the head load, then values + indices, coalesced.
+        ctx.ld_sectors(BUF_A_VALUES, 1, strip.head);
+        ctx.cost.ld_global_instrs += 2 * count.div_ceil(32 * 4);
+        ctx.ld_sectors(BUF_A_VALUES, 0, strip.values);
+        ctx.ld_sectors(BUF_A_INDICES, 0, strip.indices);
+
+        // Per nonzero: one B strip load + FMA + row-boundary bookkeeping.
+        let tile_sectors = gpu_sim::memory::sectors_contiguous(0, tile_n * eb);
+        ctx.ld_sectors(BUF_B, count, count * tile_sectors);
+        ctx.cost.fma_instrs += count;
+        ctx.misc(3 * count); // segment detection + carry logic
+
+        // Output: rows fully inside the strip are written once; the first
+        // and last (potentially shared) rows use atomics.
+        let interior_rows = strip.boundaries.saturating_sub(1);
+        // Atomic read-modify-write per boundary element: 2 accesses each.
+        let atomic_elems = 2 * tile_n;
+        ctx.st_sectors(
+            BUF_C,
+            interior_rows + 2 + atomic_elems.div_ceil(32),
+            atomic_elems.div_ceil(8) + (interior_rows + 2) * tile_sectors,
+        );
+        ctx.misc(6 * tile_n / 8); // atomic retry slack
+        ctx.cost.stall_cycles += 8; // serialization at hot boundary rows
+        ctx.cost.flops += 2 * count * tile_n;
+    }
+}
+
 impl<T: Scalar> Kernel for NnzSplitSpmmKernel<'_, T> {
     fn name(&self) -> String {
         format!("nnz_split_spmm_{}", T::TAG)
@@ -109,30 +200,8 @@ impl<T: Scalar> Kernel for NnzSplitSpmmKernel<'_, T> {
         csr_spmm_buffers(self.a, self.n, IndexWidth::U32)
     }
 
-    /// Structural cost signature: strip length, live column-tile width, the
-    /// strip's value/index base alignment classes, and the number of row
-    /// boundaries the strip straddles (which sets the interior-store and
-    /// atomic accounting). The binary-search prelude and the base-0 strided
-    /// B/C sector models are constant given those.
-    fn block_signature(&self, block: Dim3) -> Option<u64> {
-        let nnz = self.a.nnz();
-        let start = block.y as usize * STRIP;
-        let mut fp = gpu_sim::Fingerprint::new();
-        if start >= nnz {
-            fp.write_u64(u64::MAX);
-            return Some(fp.finish());
-        }
-        let count = STRIP.min(nnz - start);
-        let n0 = block.x as usize * TILE_N;
-        let eb = T::BYTES as u64;
-        fp.write_u64(count as u64);
-        fp.write_u64(TILE_N.min(self.n - n0) as u64);
-        fp.write_u64(start as u64 * eb % 32);
-        fp.write_u64(start as u64 * 4 % 32);
-        let first_row = self.row_of(start);
-        let last_row = self.row_of(start + count - 1);
-        fp.write_u64(last_row.saturating_sub(first_row) as u64);
-        Some(fp.finish())
+    fn keyed(&self) -> Option<&dyn KeyedBlocks> {
+        Some(self)
     }
 
     /// Static safety facts for the launch auditor.
@@ -183,63 +252,15 @@ impl<T: Scalar> Kernel for NnzSplitSpmmKernel<'_, T> {
         let count = STRIP.min(nnz - start);
         let n0 = block.x as usize * TILE_N;
         let tile_n = TILE_N.min(self.n - n0);
-        let eb = T::BYTES as u64;
-
-        // The starting row is needed by both the cost model (boundary
-        // accounting) and the functional body.
-        let first_row = self.row_of(start);
 
         // Cost-only work is skipped entirely on cache-hit replays.
         if ctx.recording() {
-            // Prelude: binary search for the starting row (log2(rows)
-            // scattered loads of row_offsets) — the overhead row-splitting
-            // doesn't pay.
-            let bs_steps = (self.a.rows().max(2) as f64).log2().ceil() as u64;
-            ctx.misc(4 + 3 * bs_steps);
-            ctx.cost.ld_global_instrs += bs_steps;
-            ctx.cost.gmem[BUF_A_OFFSETS.0 as usize].ld_sectors += bs_steps;
-
-            // Strip loads: values + indices, coalesced. The head load is a
-            // full-warp vector load clamped to the strip: the final strip of
-            // the matrix may hold fewer than lanes*vec_width nonzeros, and
-            // reading past them would run off the values footprint.
-            let head_lanes = count.min(32) as u64;
-            let head_vec = (count as u64).div_ceil(32).min(4);
-            ctx.cost.ld_global_instrs += 1;
-            ctx.ld_global_trace(
-                BUF_A_VALUES,
-                start as u64 * eb,
-                (head_lanes * head_vec).min(count as u64) * eb,
-            );
-            ctx.cost.ld_global_instrs += 2 * (count as u64).div_ceil(32 * 4);
-            ctx.ld_global_trace(BUF_A_VALUES, start as u64 * eb, count as u64 * eb);
-            ctx.ld_global_trace(BUF_A_INDICES, start as u64 * 4, count as u64 * 4);
-
-            // Per nonzero: one B strip load + FMA + row-boundary bookkeeping.
-            ctx.cost.ld_global_instrs += count as u64;
-            ctx.cost.gmem[BUF_B.0 as usize].ld_sectors +=
-                count as u64 * gpu_sim::memory::sectors_contiguous(0, tile_n as u64 * eb);
-            ctx.cost.fma_instrs += count as u64;
-            ctx.misc(3 * count as u64); // segment detection + carry logic
-
-            // Output: rows fully inside the strip are written once; the first
-            // and last (potentially shared) rows use atomics.
-            let last_row = self.row_of(start + count - 1);
-            let interior_rows = last_row.saturating_sub(first_row).saturating_sub(1);
-            ctx.cost.st_global_instrs += interior_rows as u64 + 2;
-            // Atomic read-modify-write per boundary element: 2 accesses each.
-            let atomic_elems = 2 * tile_n as u64;
-            ctx.cost.st_global_instrs += atomic_elems.div_ceil(32);
-            ctx.cost.gmem[BUF_C.0 as usize].st_sectors += atomic_elems.div_ceil(8)
-                + (interior_rows as u64 + 2)
-                    * gpu_sim::memory::sectors_contiguous(0, tile_n as u64 * eb);
-            ctx.misc(6 * tile_n as u64 / 8); // atomic retry slack
-            ctx.cost.stall_cycles += 8; // serialization at hot boundary rows
-            ctx.cost.flops += 2 * (count * tile_n) as u64;
+            self.charge_block(block, ctx);
         }
 
         // ---- Functional -----------------------------------------------------
         if let (true, Some(b), Some(out)) = (ctx.functional(), self.b, self.out) {
+            let first_row = self.row_of(start);
             let b = b.as_slice();
             let values = self.a.values();
             let indices = self.a.col_indices();

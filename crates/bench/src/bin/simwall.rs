@@ -15,15 +15,16 @@
 //!    [`WARM_SWEEPS`] sweeps, each of which must replay the cold stats.
 //!
 //! Results land in `BENCH_simwall.json` (repo root) so the perf trajectory
-//! is tracked across PRs. `--check <baseline.json>` gates CI: wall-clock
-//! times are machine-dependent, so the gates are on ratios — the
-//! quantities the fast path actually controls. The cold/warm speedup fails
-//! when it drops below half the committed baseline's, and the
-//! slowpath/cold speedup fails below 1.0. The sweep's two halves are also
-//! timed apart: `spmm_dedup_speedup` and `sddmm_dedup_speedup` (each
-//! family's slowpath over cold wall time) fail below 1.0, so each of
-//! `SpmmKernel`'s and `SddmmKernel`'s profile dedup must pay on its own.
-//! The other signatures are not gated here.
+//! is tracked across PRs. `--check <baseline.json>` gates CI. The cold and
+//! warm sweeps are gated per launch, each against a multiple of the
+//! committed baseline, so a faster sweep can never fail them: the wall
+//! times are machine-dependent and spread from run to run, which is why
+//! the headroom is wide. A ratio of the two would score a faster cold
+//! sweep as a loss. The slowpath/cold speedup fails below 1.0. The sweep's
+//! two halves are also timed apart: `spmm_dedup_speedup` and
+//! `sddmm_dedup_speedup` (each family's slowpath over cold wall time) fail
+//! below 1.0, so each of `SpmmKernel`'s and `SddmmKernel`'s profile dedup
+//! must pay on its own. The other cost keys are not gated here.
 
 // Wall-timing bin: reading the host clock is the whole point here, and is
 // exactly what `clippy.toml` bans inside simulated-clock code.
@@ -37,8 +38,15 @@ use sputnik_bench::{grid_label, Table};
 use std::time::Instant;
 
 /// Warm sweeps timed; the fastest counts, so one scheduler hiccup cannot
-/// sink `cold_warm_speedup`.
+/// sink `warm_us_per_launch`.
 const WARM_SWEEPS: usize = 5;
+
+/// How far above the committed per-launch times a cold or warm sweep may
+/// land. Six runs of one binary on one shared 2-vCPU host spread up to
+/// 1.42x (cold) and 1.85x (warm) from fastest to slowest; the margin on
+/// top absorbs a busier or slower host.
+const COLD_HEADROOM: f64 = 3.0;
+const WARM_HEADROOM: f64 = 3.0;
 
 /// Wall milliseconds since `t`.
 fn ms_since(t: Instant) -> f64 {
@@ -127,7 +135,8 @@ fn main() {
     }
     assert_eq!(slow.time_us, cold.time_us, "dedup changed results");
 
-    let cold_warm = cold_ms / warm_ms.max(1e-9);
+    let per_launch_us = |ms: f64| ms * 1e3 / cold.launches.max(1) as f64;
+    let (cold_us, warm_us) = (per_launch_us(cold_ms), per_launch_us(warm_ms));
     let slow_cold = slowpath_ms / cold_ms.max(1e-9);
     let [spmm_dedup, sddmm_dedup] = [0, 1].map(|f| slow_family_ms[f] / cold_family_ms[f].max(1e-9));
 
@@ -154,7 +163,7 @@ fn main() {
         format!("{}/{}", warm.cache_hits, warm.launches),
     ]);
     t.print();
-    println!("cold -> warm speedup: {cold_warm:.1}x   slowpath -> cold: {slow_cold:.2}x");
+    println!("per launch: cold {cold_us:.1} us, warm {warm_us:.3} us   slowpath -> cold: {slow_cold:.2}x");
     println!("dedup speedup per family: spmm {spmm_dedup:.2}x   sddmm {sddmm_dedup:.2}x");
 
     BenchRecord::new("simwall")
@@ -164,13 +173,21 @@ fn main() {
         .float("slowpath_ms", slowpath_ms, 3)
         .float("cold_ms", cold_ms, 3)
         .float("warm_ms", warm_ms, 3)
-        .float("cold_warm_speedup", cold_warm, 3)
+        .float("cold_us_per_launch", cold_us, 3)
+        .float("warm_us_per_launch", warm_us, 3)
         .float("slowpath_cold_speedup", slow_cold, 3)
         .float("spmm_dedup_speedup", spmm_dedup, 3)
         .float("sddmm_dedup_speedup", sddmm_dedup, 3)
         .int("cache_hits_warm", warm.cache_hits)
         .int("cache_misses_cold", cold.cache_misses)
-        .gate("cold_warm_speedup", Gate::AtLeastBaseline(0.5))
+        .gate(
+            "cold_us_per_launch",
+            Gate::AtMostBaseline(COLD_HEADROOM, 0.0),
+        )
+        .gate(
+            "warm_us_per_launch",
+            Gate::AtMostBaseline(WARM_HEADROOM, 0.0),
+        )
         .gate("slowpath_cold_speedup", Gate::AtLeast(1.0))
         .gate("spmm_dedup_speedup", Gate::AtLeast(1.0))
         .gate("sddmm_dedup_speedup", Gate::AtLeast(1.0))

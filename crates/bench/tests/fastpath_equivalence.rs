@@ -12,7 +12,7 @@
 //!   as ground truth;
 //! * `Gpu::with_block_dedup(false).profile` — the streaming reduction
 //!   alone;
-//! * `Gpu::profile` — streaming + dedup (the kernels with signatures; the
+//! * `Gpu::profile` — streaming + dedup (the kernels with cost keys; the
 //!   rest take the streaming path, and must still match).
 //!
 //! All three must produce equal [`LaunchStats`] (`PartialEq` covers every
@@ -21,7 +21,7 @@
 //! that profile launches never touch functional outputs.
 
 use baselines::NnzSplitSpmmKernel;
-use gpu_sim::{Gpu, Kernel};
+use gpu_sim::{BlockContext, Gpu, Kernel};
 use sparse::rng::SplitMix64;
 use sparse::{gen, CsrMatrix, Matrix, PatternGranularity, PatternLut, RowSwizzle};
 use sputnik::{
@@ -88,10 +88,12 @@ fn large_grid_fastpath_bit_identical() {
         for kernel in [&spmm as &dyn Kernel, &cusparse] {
             let label = format!("{} {shape} {m}x{k}x{n}", kernel.name());
             let grid = kernel.grid();
-            let mut groups: HashMap<Option<u64>, u64> = HashMap::new();
+            let keyed = kernel.keyed().expect("both kernels have cost keys");
+            let mut probe = BlockContext::new(false);
+            let mut groups: HashMap<u64, u64> = HashMap::new();
             for lin in 0..grid.size() {
                 *groups
-                    .entry(kernel.block_signature(grid.delinearize(lin)))
+                    .entry(keyed.signature(grid.delinearize(lin), &mut probe))
                     .or_default() += 1;
             }
             let largest = groups.values().copied().max().unwrap_or(0);

@@ -1,35 +1,53 @@
-//! Soundness of every `Kernel::block_signature` in the workspace: two
-//! blocks with equal signatures must record **bit-identical** cost traces,
-//! because profile-mode launches execute one representative per signature
-//! and replay its cost for the rest. An unsound signature silently skews
-//! every dataset-scale sweep.
+//! Soundness of every cost key in the workspace (`gpu_sim::CostKey`): two
+//! blocks with equal key hashes must record **bit-identical** cost traces,
+//! because profile-mode launches execute one representative per hash and
+//! replay its cost for the rest. An unsound key silently skews every
+//! dataset-scale sweep. Each block's `execute_block` must also record
+//! exactly what `charge(&cost_key(block))` records: the key is the whole
+//! of the cost half, so nothing outside it can tell blocks apart.
 //!
 //! Coverage comes from two directions: the shared kernel registry (every
 //! shipped kernel on the deterministic shape grid) and randomized Sputnik
 //! SpMM and SDDMM sweeps (ragged topologies, empty rows, swizzled and
-//! ROMA'd configs — the kernels whose signatures encode the most state).
+//! ROMA'd configs — the kernels whose keys hold the most state).
 
-use gpu_sim::{BlockContext, Kernel};
+use gpu_sim::{BlockContext, Dim3, Kernel};
 use sparse::rng::SplitMix64;
 use sparse::{gen, CsrMatrix, Half, Matrix, RowSwizzle, Scalar};
 use sputnik::{SddmmConfig, SddmmKernel, SpmmConfig, SpmmKernel};
 use sputnik_bench::registry;
 use std::collections::{HashMap, HashSet};
 
-/// Execute every block of `kernel`, grouping cost traces by signature;
-/// any signature collision with differing costs is a soundness bug.
+/// The hash profile dedup groups `block` by.
+fn signature(kernel: &dyn Kernel, block: Dim3) -> u64 {
+    let keyed = kernel
+        .keyed()
+        .unwrap_or_else(|| panic!("{} has no cost keys", kernel.name()));
+    keyed.signature(block, &mut BlockContext::new(false))
+}
+
+/// Execute every block of a keyed `kernel`, checking its trace against
+/// its key's charge and grouping traces by key hash; a hash collision with
+/// differing costs is a soundness bug.
 fn assert_signature_sound(kernel: &dyn Kernel, context: &str) {
+    let Some(keyed) = kernel.keyed() else {
+        return;
+    };
     let grid = kernel.grid();
-    let mut by_sig: HashMap<u64, (gpu_sim::Dim3, gpu_sim::BlockCost)> = HashMap::new();
-    let mut signed = 0u64;
+    let mut by_sig: HashMap<u64, (Dim3, gpu_sim::BlockCost)> = HashMap::new();
     for lin in 0..grid.size() {
         let block = grid.delinearize(lin);
-        let Some(sig) = kernel.block_signature(block) else {
-            continue;
-        };
-        signed += 1;
+        let sig = keyed.signature(block, &mut BlockContext::new(false));
         let mut ctx = BlockContext::new(true);
         kernel.execute_block(block, &mut ctx);
+        let mut charged = BlockContext::new(false);
+        keyed.charge_block(block, &mut charged);
+        assert_eq!(
+            ctx.cost,
+            charged.cost,
+            "{context}: kernel {} block {block:?} records more than its key charges",
+            kernel.name()
+        );
         match by_sig.get(&sig) {
             None => {
                 by_sig.insert(sig, (block, ctx.cost));
@@ -39,15 +57,12 @@ fn assert_signature_sound(kernel: &dyn Kernel, context: &str) {
                     *cost,
                     ctx.cost,
                     "{context}: kernel {} blocks {first:?} and {block:?} share \
-                     signature {sig:#x} but recorded different costs",
+                     key hash {sig:#x} but recorded different costs",
                     kernel.name()
                 );
             }
         }
     }
-    // The sweep only means something if signatures actually collide
-    // somewhere; individual kernels may legitimately sign nothing.
-    let _ = signed;
 }
 
 #[test]
@@ -200,9 +215,8 @@ fn signature_collisions_actually_occur() {
     let mut seen = HashMap::new();
     let mut collisions = 0u64;
     for lin in 0..grid.size() {
-        if let Some(sig) = kernel.block_signature(grid.delinearize(lin)) {
-            collisions += u64::from(seen.insert(sig, ()).is_some());
-        }
+        let sig = signature(&kernel, grid.delinearize(lin));
+        collisions += u64::from(seen.insert(sig, ()).is_some());
     }
     assert!(
         collisions > 0,
@@ -225,9 +239,7 @@ fn sddmm_signature_collisions_actually_occur() {
     let (mut exit_collisions, mut work_collisions) = (0u64, 0u64);
     for lin in 0..grid.size() {
         let block = grid.delinearize(lin);
-        let sig = kernel
-            .block_signature(block)
-            .expect("every SDDMM block signs");
+        let sig = signature(&kernel, block);
         let mut ctx = BlockContext::new(false);
         kernel.execute_block(block, &mut ctx);
         // Only a working block stores outputs.

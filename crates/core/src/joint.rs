@@ -173,10 +173,6 @@ impl<T: Scalar> Kernel for JointSpmmKernel<'_, T> {
         self.spmm.buffers()
     }
 
-    fn block_signature(&self, block: Dim3) -> Option<u64> {
-        self.spmm.block_signature(block)
-    }
-
     fn execute_block(&self, block: Dim3, ctx: &mut BlockContext) {
         self.spmm.execute_block(block, ctx);
     }

@@ -14,7 +14,7 @@
 //! capacity on Volta, where L1 and shared memory are the same storage).
 //!
 //! The over-provisioned grid costs the simulator little: a profile launch
-//! deduplicates blocks by [`Kernel::block_signature`], and the early-exit
+//! deduplicates blocks by cost key ([`SddmmKey`]), and the early-exit
 //! blocks, about half of a corpus SDDMM's, collapse into at most two
 //! groups (their one row-offset load spans one sector or two).
 //!
@@ -33,8 +33,8 @@ use gpu_sim::lanes::{self, Transposed};
 use gpu_sim::memory::{sectors_contiguous, SECTOR_BYTES};
 use gpu_sim::{
     AccessBound, AccessPattern, AlignmentFacts, BarrierFacts, BlockContext, BufferBound, BufferId,
-    BufferSpec, Dim3, Fingerprint, Gpu, Kernel, LaunchCache, LaunchRequest, LaunchStats,
-    OutputSlice, StageBound, StaticFacts,
+    BufferSpec, CostKey, Dim3, Fingerprint, Gpu, Kernel, KeyedBlocks, LaunchCache, LaunchRequest,
+    LaunchStats, OutputSlice, StageBound, StaticFacts,
 };
 use sparse::{CsrMatrix, Matrix, RowSwizzle, Scalar};
 use std::sync::OnceLock;
@@ -45,6 +45,28 @@ pub const BUF_MASK_OFFSETS: BufferId = BufferId(2);
 pub const BUF_MASK_INDICES: BufferId = BufferId(3);
 pub const BUF_OUT: BufferId = BufferId(4);
 pub const BUF_SWIZZLE: BufferId = BufferId(5);
+
+/// An [`SddmmKernel`] block's cost key (see [`CostKey`]): the sector count
+/// of its row-offset load and, for a working block, its strip. An
+/// over-provisioned block has no strip, so the grid's surplus blocks
+/// collapse into at most two keys.
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+pub struct SddmmKey {
+    offsets: u64,
+    strip: Option<StripKey>,
+}
+
+/// A working block's strip: its length `s`, which fixes every instruction
+/// count, and the sector counts of its mask-index load, LHS row load, RHS
+/// row loads and output store.
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+struct StripKey {
+    s: u64,
+    indices: u64,
+    lhs: u64,
+    rhs: u64,
+    out: u64,
+}
 
 /// The simulated SDDMM kernel. Construct functionally with
 /// [`SddmmKernel::new`] or cost-only with [`SddmmKernel::for_profile`].
@@ -186,22 +208,6 @@ impl<'a, T: Scalar> SddmmKernel<'a, T> {
         let strip_start = block.x as usize * bix;
         let s = bix.min(self.mask.row_len(row).saturating_sub(strip_start));
         (row, self.mask.row_offsets()[row] as usize + strip_start, s)
-    }
-
-    /// Sectors of the strip's RHS row loads, one contiguous `k`-element
-    /// row per column. When the row stride is a whole number of sectors
-    /// every row lands in the same alignment class, so one multiply
-    /// replaces the per-row sum.
-    fn rhs_sectors(&self, strip_cols: &[u32]) -> u64 {
-        let row_bytes = self.k as u64 * T::BYTES as u64;
-        if row_bytes.is_multiple_of(SECTOR_BYTES) {
-            strip_cols.len() as u64 * sectors_contiguous(0, row_bytes)
-        } else {
-            strip_cols
-                .iter()
-                .map(|&j| sectors_contiguous(u64::from(j) * row_bytes, row_bytes))
-                .sum()
-        }
     }
 
     /// Whether the functional launch built a transposed RHS for its runs of
@@ -348,106 +354,18 @@ impl<T: Scalar> Kernel for SddmmKernel<'_, T> {
         }
     }
 
-    /// Structural cost signature (see [`Kernel::block_signature`]): the
-    /// block keys on exactly what its cost trace reads.
-    ///
-    /// Every block loads its row's 8-byte offset pair at `row * 4` (one or
-    /// two sectors); the swizzle id load is one aligned 4-byte sector in
-    /// every block. An over-provisioned block records nothing more, so it
-    /// keys on an exit marker plus the offset pair's sector count, and the
-    /// grid's surplus blocks collapse into at most two groups. A working
-    /// block keys on its strip length `s`, which fixes every instruction
-    /// count, and on the sector counts of its mask-index load, its LHS row
-    /// load, its output store and its RHS row loads. The `scale_by_mask`
-    /// value load reads the output store's address range, so the store's
-    /// count covers it. The RHS count is `s` times one row's when a row is
-    /// a whole number of sectors, and a per-column sum otherwise.
-    fn block_signature(&self, block: Dim3) -> Option<u64> {
-        let (row, first, s) = self.strip_of(block);
-        let mut fp = Fingerprint::new();
-        fp.write_u64(sectors_contiguous(row as u64 * 4, 8));
-        if s == 0 {
-            fp.write_u64(u64::MAX);
-            return Some(fp.finish());
-        }
-        let eb = T::BYTES as u64;
-        let lhs_bytes = self.k as u64 * eb;
-        fp.write_u64(s as u64);
-        // Index load, LHS row, output store, RHS rows.
-        fp.write_u64(sectors_contiguous(first as u64 * 4, s as u64 * 4));
-        fp.write_u64(sectors_contiguous(row as u64 * lhs_bytes, lhs_bytes));
-        fp.write_u64(sectors_contiguous(first as u64 * eb, s as u64 * eb));
-        fp.write_u64(self.rhs_sectors(&self.mask.col_indices()[first..first + s]));
-        Some(fp.finish())
-    }
-
     fn execute_block(&self, block: Dim3, ctx: &mut BlockContext) {
-        let cfg = &self.cfg;
-        let (row, first, s) = self.strip_of(block);
-        if cfg.row_swizzle {
-            ctx.ld_global(BUF_SWIZZLE, block.y as u64 * 4, 1, 1, 4);
+        // Cost (skipped wholesale on cache-hit replays).
+        if ctx.recording() {
+            self.charge_block(block, ctx);
         }
-
-        // Prelude: row extent lookup + early-exit check.
-        ctx.misc(5);
-        ctx.ld_global(BUF_MASK_OFFSETS, row as u64 * 4, 2, 1, 4);
+        let (row, first, s) = self.strip_of(block);
         if s == 0 {
-            // Over-provisioned block: "each thread block calculates if it has
-            // work to do and returns early if it is not needed."
             return;
         }
+        let cfg = &self.cfg;
         let k = self.k;
-        let eb = T::BYTES;
-        let vw = self.vw();
-        let tpo = cfg.threads_per_output_tile;
         let strip_cols = &self.mask.col_indices()[first..first + s];
-
-        // ---- Cost trace (skipped wholesale on cache-hit replays) -----------
-        if ctx.recording() {
-            // Scalar loads of the strip's column indices (sparse-matrix
-            // accesses are scalar per Section VI-B).
-            let idx_addr = first as u64 * 4;
-            ctx.ld_global(BUF_MASK_INDICES, idx_addr, s as u32, 1, 4);
-            ctx.st_shared(s as u32, 1, 4, 1);
-            ctx.misc(3);
-
-            // LHS row: loaded once per block, spread over all 32 lanes.
-            let lhs_instrs = gpu_sim::memory::vector_instr_count(k as u64, 32, vw);
-            ctx.cost.ld_global_instrs += lhs_instrs;
-            ctx.cost.gmem[BUF_LHS.0 as usize].ld_sectors +=
-                sectors_contiguous((row * k) as u64 * eb as u64, k as u64 * eb as u64);
-
-            // Output groups: 32/tpo outputs processed concurrently per group.
-            let outputs_per_group = (32 / tpo).max(1) as usize;
-            let groups = s.div_ceil(outputs_per_group) as u64;
-            // Each lane covers k / tpo elements of its output's dot product,
-            // so a group costs k/tpo serialized steps across the warp.
-            let per_group_loads = (k as u64).div_ceil(tpo as u64 * vw as u64).max(1);
-            let per_group_fmas = (k as u64).div_ceil(tpo as u64).max(1);
-            let reduce_steps = (tpo as f64).log2() as u64;
-            ctx.cost.ld_global_instrs += groups * per_group_loads;
-            ctx.cost.fma_instrs += groups * per_group_fmas;
-            ctx.shfl(groups * reduce_steps);
-            ctx.fp(groups * reduce_steps, 0);
-            ctx.misc(groups * 3);
-
-            // RHS rows: one contiguous K-element read per output.
-            ctx.cost.gmem[BUF_RHS.0 as usize].ld_sectors += self.rhs_sectors(strip_cols);
-            ctx.cost.flops += 2 * (s * k) as u64;
-
-            // General SDDMM: scale each output by the mask's stored value —
-            // "1 load and 1 multiply instruction prior to storing the output".
-            if cfg.scale_by_mask {
-                let val_addr = first as u64 * eb as u64;
-                ctx.ld_global(BUF_MASK_INDICES, val_addr, s as u32, 1, eb);
-                ctx.fp((s as u64).div_ceil(32), s as u64);
-                ctx.cost.flops += s as u64;
-            }
-
-            // Scalar stores of the strip's outputs.
-            let out_addr = first as u64 * eb as u64;
-            ctx.st_global(BUF_OUT, out_addr, s as u32, 1, eb);
-        }
 
         // ---- Functional ----------------------------------------------------
         if let (true, Some(lhs), Some(rhs), Some(out)) = (
@@ -478,10 +396,113 @@ impl<T: Scalar> Kernel for SddmmKernel<'_, T> {
         }
     }
 
+    fn keyed(&self) -> Option<&dyn KeyedBlocks> {
+        Some(self)
+    }
+
     fn poison_output(&self, seed: u64) {
         if let Some(out) = self.out_values.as_ref() {
             out.poison(seed, T::from_f32(f32::NAN));
         }
+    }
+}
+
+impl<T: Scalar> CostKey for SddmmKernel<'_, T> {
+    type Key = SddmmKey;
+
+    fn cost_key(&self, block: Dim3, ctx: &mut BlockContext) -> SddmmKey {
+        let (row, first, s) = self.strip_of(block);
+        if self.cfg.row_swizzle {
+            // One aligned 4-byte row id: always one sector.
+            ctx.sectors(BUF_SWIZZLE, block.y as u64 * 4, 4, 1, 4);
+        }
+        let offsets = ctx.sectors(BUF_MASK_OFFSETS, row as u64 * 4, 8, 1, 4);
+        let strip = (s > 0).then(|| {
+            let eb = T::BYTES as u64;
+            let (first, len, row_bytes) = (first as u64, s as u64, self.k as u64 * eb);
+            if self.cfg.scale_by_mask {
+                // The mask values sit at the output's byte offsets, so
+                // their load moves the output store's sector count.
+                ctx.sectors(BUF_MASK_INDICES, first * eb, len * eb, 1, T::BYTES);
+            }
+            // One contiguous RHS row per column: when a row is a whole
+            // number of sectors every row lands in the same alignment
+            // class, so one multiply replaces the per-row sum.
+            let cols = &self.mask.col_indices()[first as usize..][..s];
+            let rhs = if row_bytes.is_multiple_of(SECTOR_BYTES) {
+                len * sectors_contiguous(0, row_bytes)
+            } else {
+                cols.iter()
+                    .map(|&j| sectors_contiguous(u64::from(j) * row_bytes, row_bytes))
+                    .sum()
+            };
+            StripKey {
+                s: len,
+                indices: ctx.sectors(BUF_MASK_INDICES, first * 4, len * 4, 1, 4),
+                lhs: ctx.sectors(BUF_LHS, row as u64 * row_bytes, row_bytes, 1, 1),
+                rhs,
+                out: ctx.sectors(BUF_OUT, first * eb, len * eb, 1, T::BYTES),
+            }
+        });
+        SddmmKey { offsets, strip }
+    }
+
+    fn charge(&self, key: &SddmmKey, ctx: &mut BlockContext) {
+        let cfg = &self.cfg;
+        if cfg.row_swizzle {
+            ctx.ld_sectors(BUF_SWIZZLE, 1, 1);
+        }
+        // Prelude: row extent lookup + early-exit check.
+        ctx.misc(5);
+        ctx.ld_sectors(BUF_MASK_OFFSETS, 1, key.offsets);
+        // Over-provisioned block: "each thread block calculates if it has
+        // work to do and returns early if it is not needed."
+        let Some(strip) = key.strip else {
+            return;
+        };
+        let s = strip.s;
+        let k = self.k as u64;
+        let vw = self.vw();
+        let tpo = cfg.threads_per_output_tile;
+
+        // Scalar loads of the strip's column indices (sparse-matrix
+        // accesses are scalar per Section VI-B).
+        ctx.ld_sectors(BUF_MASK_INDICES, 1, strip.indices);
+        ctx.st_shared(s as u32, 1, 4, 1);
+        ctx.misc(3);
+
+        // LHS row: loaded once per block, spread over all 32 lanes.
+        let lhs_instrs = gpu_sim::memory::vector_instr_count(k, 32, vw);
+        ctx.ld_sectors(BUF_LHS, lhs_instrs, strip.lhs);
+
+        // Output groups: 32/tpo outputs processed concurrently per group.
+        let outputs_per_group = u64::from((32 / tpo).max(1));
+        let groups = s.div_ceil(outputs_per_group);
+        // Each lane covers k / tpo elements of its output's dot product,
+        // so a group costs k/tpo serialized steps across the warp.
+        let per_group_loads = k.div_ceil(tpo as u64 * vw as u64).max(1);
+        let per_group_fmas = k.div_ceil(tpo as u64).max(1);
+        let reduce_steps = (tpo as f64).log2() as u64;
+        ctx.cost.ld_global_instrs += groups * per_group_loads;
+        ctx.cost.fma_instrs += groups * per_group_fmas;
+        ctx.shfl(groups * reduce_steps);
+        ctx.fp(groups * reduce_steps, 0);
+        ctx.misc(groups * 3);
+
+        // RHS rows: one contiguous K-element read per output.
+        ctx.ld_sectors(BUF_RHS, 0, strip.rhs);
+        ctx.cost.flops += 2 * s * k;
+
+        // General SDDMM: scale each output by the mask's stored value —
+        // "1 load and 1 multiply instruction prior to storing the output".
+        if cfg.scale_by_mask {
+            ctx.ld_sectors(BUF_MASK_INDICES, 1, strip.out);
+            ctx.fp(s.div_ceil(32), s);
+            ctx.cost.flops += s;
+        }
+
+        // Scalar stores of the strip's outputs.
+        ctx.st_sectors(BUF_OUT, 1, strip.out);
     }
 }
 

@@ -24,11 +24,12 @@ use crate::config::SpmmConfig;
 use crate::error::SputnikError;
 use crate::roma::{MemoryAligner, ROMA_PRELUDE_INSTRS};
 use gpu_sim::{
-    AccessBound, AccessPattern, AlignmentFacts, BarrierFacts, BlockContext, BufferBound, BufferId,
-    BufferSpec, Dim3, Fingerprint, Gpu, Kernel, LaunchCache, LaunchRequest, LaunchStats,
-    OutputSlice, SmemScope, StageBound, StaticFacts, VectorClass,
+    key_hash, AccessBound, AccessPattern, AlignmentFacts, BarrierFacts, BlockContext, BufferBound,
+    BufferId, BufferSpec, CostKey, Dim3, Fingerprint, Gpu, Kernel, KeyedBlocks, LaunchCache,
+    LaunchRequest, LaunchStats, OutputSlice, SmemScope, StageBound, StaticFacts, VectorClass,
 };
 use sparse::{CsrMatrix, IndexWidth, Matrix, PatternLut, RowSwizzle, Scalar};
+use std::hash::{Hash, Hasher};
 use std::sync::OnceLock;
 
 /// Validate shapes/config shared by the functional and profile constructors
@@ -178,9 +179,9 @@ pub struct SpmmKernel<'a, T: Scalar> {
     n: usize,
     /// Zero-tile bitmap of B; set only by [`crate::joint::JointSpmmKernel`].
     lut: Option<&'a PatternLut>,
-    /// Each row strip's part of the block signature, filled by the first
-    /// `block_signature` call of a launch.
-    strip_sigs: OnceLock<Vec<u64>>,
+    /// The hashes of each row strip's and each column tile's part of the
+    /// cost key, filled by the first `block_signature` call of a launch.
+    part_sigs: OnceLock<(Vec<u64>, Vec<u64>)>,
 }
 
 /// Per-subwarp state computed in the prelude.
@@ -214,21 +215,88 @@ impl SubwarpWork {
     };
 }
 
-/// Collect `row * scale` for every in-range subwarp into a stack buffer;
-/// returns the count. Shared by the offset/bias gathers and the signature.
-fn gather_row_addrs(
-    subs: &[SubwarpWork],
-    scale: u64,
-    out: &mut [u64; MAX_BLOCK_SUBWARPS],
-) -> usize {
-    let mut n = 0;
-    for s in subs {
-        if s.row != usize::MAX {
-            out[n] = s.row as u64 * scale;
-            n += 1;
-        }
+/// One subwarp's part of a block's cost key: whether its row is in range,
+/// its work sizes, the sector counts of its contiguous A value and index
+/// reads, and `row * n * eb % 32`, the row's part of its C tile's alignment
+/// class. CSR row offsets are `u32`, so every count fits one; the key is
+/// rebuilt for every block a launch executes, so it is kept small.
+#[derive(Clone, Copy, Default, PartialEq, Eq)]
+struct SubwarpKey {
+    live: bool,
+    c_class: u8,
+    total: u32,
+    nnz: u32,
+    a_sectors: u32,
+    i_sectors: u32,
+}
+
+/// Hashes the fields in pairs, three words per subwarp: every row strip of
+/// a profile launch hashes its subwarps once.
+impl Hash for SubwarpKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(u64::from(self.total) | u64::from(self.nnz) << 32);
+        state.write_u64(u64::from(self.a_sectors) | u64::from(self.i_sectors) << 32);
+        state.write_u64(u64::from(self.c_class) | u64::from(self.live) << 8);
     }
-    n
+}
+
+/// One warp's prelude part of a block's cost key: the sector counts of its
+/// swizzled row-id load and of its row-offset and bias gathers.
+#[derive(Clone, Copy, Default, PartialEq, Eq, Hash)]
+struct WarpKey {
+    swizzle: u32,
+    offsets: u32,
+    bias: u32,
+}
+
+/// The row strip's part of a block's cost key, the same for every column
+/// tile: its `n_subs` subwarps, in order, so each warp's chunk of them is
+/// fixed, and its `n_warps` warps.
+#[derive(Clone, Copy, PartialEq, Eq)]
+struct StripKey {
+    n_subs: usize,
+    n_warps: usize,
+    subs: [SubwarpKey; MAX_BLOCK_SUBWARPS],
+    warps: [WarpKey; MAX_BLOCK_SUBWARPS],
+}
+
+/// Hashes only the strip's own subwarps and warps: the slots past them
+/// hold defaults in every block of a launch.
+impl Hash for StripKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.subs[..self.n_subs].hash(state);
+        self.warps[..self.n_warps].hash(state);
+    }
+}
+
+/// The column tile's part of a block's cost key: its width, the sectors of
+/// one B strip load, whether its store may use the full vector width, and
+/// `n_off * eb % 32`.
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+struct TileKey {
+    tile_w: u64,
+    b_sectors: u64,
+    store_vw: bool,
+    n_off_class: u64,
+}
+
+/// An [`SpmmKernel`] block's cost key (see [`CostKey`]): its row strip's
+/// part and its column tile's part. A C tile starts at `(row * n + n_off)
+/// * eb`, so the strip's and the tile's classes fix its class mod 32.
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+pub struct SpmmKey {
+    tile: TileKey,
+    strip: StripKey,
+}
+
+/// One block's LUT liveness (joint kernel only), computed from its column
+/// indices. `strips` holds, per warp and main-loop strip in trace order,
+/// the union-live position count and the LUT probe gathers' instruction
+/// and sector counts; `subs` holds each subwarp's live B loads and live
+/// useful nonzeros.
+struct Liveness {
+    strips: Vec<[u64; 3]>,
+    subs: [(u64, u64); MAX_BLOCK_SUBWARPS],
 }
 
 impl<'a, T: Scalar> SpmmKernel<'a, T> {
@@ -282,7 +350,7 @@ impl<'a, T: Scalar> SpmmKernel<'a, T> {
             cfg,
             n,
             lut: None,
-            strip_sigs: OnceLock::new(),
+            part_sigs: OnceLock::new(),
         })
     }
 
@@ -305,7 +373,7 @@ impl<'a, T: Scalar> SpmmKernel<'a, T> {
             cfg,
             n,
             lut: None,
-            strip_sigs: OnceLock::new(),
+            part_sigs: OnceLock::new(),
         }
     }
 
@@ -340,23 +408,10 @@ impl<'a, T: Scalar> SpmmKernel<'a, T> {
         }
     }
 
-    /// Sectors touched by one subwarp's load of a `tile_w`-element strip of a
-    /// B row at column offset `n_off`. When the row stride and tile offset
-    /// are sector-aligned this is the same for every row of B; otherwise the
-    /// strip straddles one extra sector (the representative misaligned case).
-    fn b_load_sectors(&self, n_off: usize, tile_w: usize) -> u64 {
-        let eb = T::BYTES as u64;
-        if (self.n as u64 * eb).is_multiple_of(32) && (n_off as u64 * eb).is_multiple_of(32) {
-            gpu_sim::memory::sectors_contiguous(0, tile_w as u64 * eb)
-        } else {
-            gpu_sim::memory::sectors_contiguous(eb, tile_w as u64 * eb)
-        }
-    }
-
     /// Prepare one subwarp's work descriptor: swizzled row id, true length,
     /// and the ROMA / assume-aligned start adjustment. Forced inline: the
-    /// resolve loops in `strip_signature` and `execute_block` measured up
-    /// to a third slower with it out of line.
+    /// resolve loop in `subwarps` measured up to a third slower with it
+    /// out of line.
     #[inline(always)]
     fn subwarp_work(&self, m_idx: usize) -> SubwarpWork {
         let cfg = &self.cfg;
@@ -392,52 +447,180 @@ impl<'a, T: Scalar> SpmmKernel<'a, T> {
         }
     }
 
-    /// The row strip's part of the block signature: per warp, the gathered
-    /// sector counts, and per subwarp the work sizes, both alignment
-    /// classes of its A reads and the class of its C row start
-    /// `row * n * eb % 32`.
-    fn strip_signature(&self, strip: usize) -> u64 {
+    /// Resolve the row strip's subwarps (a stack buffer; `block_items_y <=
+    /// 32` by config validation, and slots past it stay out of range).
+    fn subwarps(&self, strip: usize) -> [SubwarpWork; MAX_BLOCK_SUBWARPS] {
+        let biy = self.cfg.block_items_y as usize;
+        let mut subs = [SubwarpWork::EMPTY; MAX_BLOCK_SUBWARPS];
+        for (s, slot) in subs.iter_mut().take(biy).enumerate() {
+            *slot = self.subwarp_work(strip * biy + s);
+        }
+        subs
+    }
+
+    /// The column tile's part of a block's key. One subwarp's load of the
+    /// tile's strip of a B row touches the same sectors for every row of B
+    /// when the row stride and tile offset are sector-aligned; otherwise
+    /// the strip straddles one extra sector (the representative misaligned
+    /// case).
+    fn tile_key(&self, bx: u32) -> TileKey {
+        let (vw, eb) = (self.cfg.vector_width as usize, T::BYTES as u64);
+        let n_off = bx as usize * self.cfg.block_items_x as usize;
+        let tile_w = (self.cfg.block_items_x as usize).min(self.n - n_off);
+        let aligned =
+            (self.n as u64 * eb).is_multiple_of(32) && (n_off as u64 * eb).is_multiple_of(32);
+        TileKey {
+            tile_w: tile_w as u64,
+            b_sectors: gpu_sim::memory::sectors_contiguous(
+                if aligned { 0 } else { eb },
+                tile_w as u64 * eb,
+            ),
+            store_vw: self.n.is_multiple_of(vw)
+                && n_off.is_multiple_of(vw)
+                && tile_w.is_multiple_of(vw),
+            n_off_class: n_off as u64 * eb % 32,
+        }
+    }
+
+    /// The row strip's part of a block's key, from its resolved subwarps.
+    fn strip_key(&self, subs: &[SubwarpWork], ctx: &mut BlockContext) -> StripKey {
         let cfg = &self.cfg;
         let eb = T::BYTES as u64;
         let ib = cfg.index_width.bytes() as u64;
-        let biy = cfg.block_items_y as usize;
-        let mut subs_buf = [SubwarpWork::EMPTY; MAX_BLOCK_SUBWARPS];
-        for (s, slot) in subs_buf.iter_mut().take(biy).enumerate() {
-            *slot = self.subwarp_work(strip * biy + s);
-        }
-        let subs = &subs_buf[..biy];
-        let mut fp = Fingerprint::new();
-        // Chunk boundaries are fixed per kernel, so hashing subwarps in order
-        // preserves the per-warp grouping the divergence model depends on.
-        for chunk in subs.chunks(cfg.subwarps_per_warp() as usize) {
-            let mut gather = [0u64; MAX_BLOCK_SUBWARPS];
-            let n_gather = gather_row_addrs(chunk, 4, &mut gather);
-            fp.write_u64(gpu_sim::memory::sectors_gather(&gather[..n_gather], 8));
+        let spw = cfg.subwarps_per_warp() as usize;
+        let mut key = StripKey {
+            n_subs: subs.len(),
+            n_warps: subs.len().div_ceil(spw),
+            subs: [SubwarpKey::default(); MAX_BLOCK_SUBWARPS],
+            warps: [WarpKey::default(); MAX_BLOCK_SUBWARPS],
+        };
+        let chunks = subs.chunks(spw);
+        for (warp, chunk) in key.warps.iter_mut().zip(chunks) {
+            if cfg.row_swizzle {
+                // One load of the swizzled row indices (consecutive m_idx,
+                // so the access is contiguous). Tail subwarps past the last
+                // row never issue it, so the lane count is clamped by the
+                // matrix height — matters only when rows < block_items_y.
+                let live = chunk.len().min(self.a.rows()) as u64;
+                warp.swizzle = ctx.sectors(BUF_SWIZZLE, 0, live * 4, 1, 4) as u32;
+            }
+            // Row offset + next offset per subwarp: scattered pair loads.
+            // The address list is bounded by the subwarp cap, so it lives
+            // on the stack.
+            let mut addrs = [0u64; MAX_BLOCK_SUBWARPS];
+            let mut n_addrs = 0;
+            for sub in chunk.iter().filter(|s| s.row != usize::MAX) {
+                addrs[n_addrs] = sub.row as u64 * 4;
+                n_addrs += 1;
+            }
+            warp.offsets = ctx.gather_sectors(BUF_A_OFFSETS, &addrs[..n_addrs], 8) as u32;
             if cfg.fused_bias_relu {
-                fp.write_u64(gpu_sim::memory::sectors_gather(&gather[..n_gather], 4));
-            }
-            for sub in chunk {
-                if sub.row == usize::MAX {
-                    fp.write_u64(u64::MAX);
-                    continue;
-                }
-                fp.write_u64(sub.total as u64);
-                fp.write_u64(sub.nnz as u64);
-                fp.write_u64(sub.aligned_offset as u64 * eb % 32);
-                fp.write_u64(sub.aligned_offset as u64 * ib % 32);
-                fp.write_u64((sub.row * self.n) as u64 * eb % 32);
+                warp.bias = ctx.gather_sectors(BUF_BIAS, &addrs[..n_addrs], 4) as u32;
             }
         }
-        fp.finish()
+        for (slot, sub) in key.subs.iter_mut().zip(subs) {
+            if sub.row == usize::MAX {
+                continue;
+            }
+            // A values + indices: contiguous from the aligned offset.
+            let (start, total) = (sub.aligned_offset as u64, sub.total as u64);
+            *slot = SubwarpKey {
+                live: true,
+                c_class: ((sub.row * self.n) as u64 * eb % 32) as u8,
+                total: sub.total as u32,
+                nnz: sub.nnz as u32,
+                a_sectors: ctx.sectors(BUF_A_VALUES, start * eb, total * eb, 1, 1) as u32,
+                i_sectors: ctx.sectors(BUF_A_INDICES, start * ib, total * ib, 1, 1) as u32,
+            };
+        }
+        key
+    }
+
+    /// The key of the block at column tile `bx` over the strip `subs`.
+    /// Each C tile store is memchecked here; its sector count follows from
+    /// the strip's and the tile's classes.
+    fn key_of(&self, subs: &[SubwarpWork], bx: u32, ctx: &mut BlockContext) -> SpmmKey {
+        let tile = self.tile_key(bx);
+        let eb = T::BYTES as u64;
+        let n_off = bx as usize * self.cfg.block_items_x as usize;
+        for sub in subs.iter().filter(|s| s.row != usize::MAX) {
+            let addr = (sub.row * self.n + n_off) as u64 * eb;
+            ctx.sectors(BUF_C, addr, tile.tile_w * eb, 1, 1);
+        }
+        SpmmKey {
+            tile,
+            strip: self.strip_key(subs, ctx),
+        }
+    }
+
+    /// The block's LUT liveness, walked warp by warp and strip by strip in
+    /// the order [`Self::charge_with`] consumes it. Liveness reads the
+    /// stored indices and the LUT, never the values, so ROMA prefix
+    /// positions probe like any other and profile and functional launches
+    /// cost the same.
+    fn liveness(
+        &self,
+        lut: &PatternLut,
+        subs: &[SubwarpWork],
+        n_off: usize,
+        ctx: &mut BlockContext,
+    ) -> Liveness {
+        let spw = self.cfg.subwarps_per_warp() as usize;
+        let bik = self.cfg.block_items_k as usize;
+        let indices = self.a.col_indices();
+        let nt = lut.ntile_of(n_off);
+        let mut live = Liveness {
+            strips: Vec::new(),
+            subs: [(0, 0); MAX_BLOCK_SUBWARPS],
+        };
+        let mut probes = Vec::new();
+        for (w, chunk) in subs.chunks(spw).enumerate() {
+            let max_total = chunk.iter().map(|s| s.total).max().unwrap_or(0);
+            let mut base = 0;
+            while base < max_total {
+                let len = bik.min(max_total - base);
+                probes.clear();
+                let mut union_live = 0;
+                for p in base..base + len {
+                    let mut any_live = false;
+                    for (s, sub) in chunk.iter().enumerate() {
+                        if sub.row == usize::MAX || p >= sub.total {
+                            continue;
+                        }
+                        let kt = lut.ktile_of(indices[sub.aligned_offset + p] as usize);
+                        probes.push(lut.word_addr(kt, nt));
+                        if lut.is_live(kt, nt) {
+                            any_live = true;
+                            let counts = &mut live.subs[w * spw + s];
+                            counts.0 += 1;
+                            counts.1 += u64::from(p >= sub.prefix);
+                        }
+                    }
+                    union_live += u64::from(any_live);
+                }
+                // The probe gathers the strip's distinct LUT words, 32 lanes
+                // per gather instruction.
+                probes.sort_unstable();
+                probes.dedup();
+                let sectors = probes
+                    .chunks(32)
+                    .map(|lanes| ctx.gather_sectors(BUF_LUT, lanes, 8))
+                    .sum();
+                live.strips
+                    .push([union_live, probes.len().div_ceil(32) as u64, sectors]);
+                base += len;
+            }
+        }
+        live
     }
 
     /// Functional computation for one subwarp: the real numerics, walked
     /// through the kernel's actual control flow (aligned start, masked
     /// prefix, zero-padded residue).
-    fn compute_subwarp(&self, sub: &SubwarpWork, n_off: usize, tile_w: usize) {
+    fn compute_subwarp(&self, sub: &SubwarpWork, n_off: usize, tile_w: usize, ctx: &BlockContext) {
         // The accumulator tile models the subwarp's register/shared staging:
         // arena-pooled (zero heap traffic once warm) and lane-vectorized.
-        let mut acc = gpu_sim::arena::ScratchF32::take(tile_w);
+        let mut acc = ctx.scratch_f32(tile_w);
         let values = self.a.values();
         let indices = self.a.col_indices();
         // Both operands are always present on the functional path (the only
@@ -467,6 +650,19 @@ impl<'a, T: Scalar> SpmmKernel<'a, T> {
         out.write_run(sub.row * self.n + n_off, tile);
     }
 
+    /// Record a block's trace from its key: warps execute their subwarps
+    /// in lockstep. Under a LUT, `live` supplies each strip's liveness.
+    fn charge_with(&self, key: &SpmmKey, live: Option<&Liveness>, ctx: &mut BlockContext) {
+        let spw = self.cfg.subwarps_per_warp() as usize;
+        let subs = &key.strip.subs[..self.cfg.block_items_y as usize];
+        let mut strips = live.map(|l| l.strips.iter());
+        for (w, chunk) in subs.chunks(spw).enumerate() {
+            let counts = live.map(|l| &l.subs[w * spw..]);
+            let warp = &key.strip.warps[w];
+            self.charge_warp(ctx, &key.tile, warp, chunk, strips.as_mut(), counts);
+        }
+    }
+
     /// Cost of one warp's execution over its subwarps.
     ///
     /// With a LUT, each strip of the main loop also pays the warp-uniform
@@ -475,35 +671,33 @@ impl<'a, T: Scalar> SpmmKernel<'a, T> {
     /// live: a position any subwarp needs costs the whole warp its
     /// instruction slot (lockstep execution). Without a LUT every position
     /// is live.
-    fn cost_warp(&self, ctx: &mut BlockContext, subs: &[SubwarpWork], n_off: usize, tile_w: usize) {
+    fn charge_warp(
+        &self,
+        ctx: &mut BlockContext,
+        tile: &TileKey,
+        warp: &WarpKey,
+        subs: &[SubwarpKey],
+        mut strips: Option<&mut std::slice::Iter<'_, [u64; 3]>>,
+        counts: Option<&[(u64, u64)]>,
+    ) {
         let cfg = &self.cfg;
-        let bik = cfg.block_items_k as usize;
+        let bik = u64::from(cfg.block_items_k);
         let threads_x = cfg.threads_x();
         let vw = cfg.vector_width;
         let vw_a = self.vw_a();
         let eb = T::BYTES;
         let ib = cfg.index_width.bytes();
+        let rows = || subs.iter().filter(|s| s.live);
+        let any_row = rows().next().is_some();
 
         // ---- Prelude (per warp) -------------------------------------------
         // Tile index math: ~6 integer ops.
         ctx.misc(6);
         if cfg.row_swizzle {
-            // One gather of the swizzled row indices (consecutive m_idx, so
-            // the access is contiguous). Tail subwarps past the last row
-            // never issue the load, so the lane count is clamped by the
-            // matrix height — matters only when rows < block_items_y.
-            let live = subs.len().min(self.a.rows()) as u32;
-            if live > 0 {
-                ctx.ld_global(BUF_SWIZZLE, 0, live, 1, 4);
-            }
+            ctx.ld_sectors(BUF_SWIZZLE, 1, warp.swizzle.into());
         }
-        // Row offset + next offset per subwarp: scattered pair loads. The
-        // address list is bounded by the subwarp cap, so it lives on the
-        // stack — no heap traffic on the cost path either.
-        let mut offset_addrs = [0u64; MAX_BLOCK_SUBWARPS];
-        let n_offset_addrs = gather_row_addrs(subs, 4, &mut offset_addrs);
-        if n_offset_addrs > 0 {
-            ctx.ld_global_gather(BUF_A_OFFSETS, &offset_addrs[..n_offset_addrs], 8);
+        if any_row {
+            ctx.ld_sectors(BUF_A_OFFSETS, 1, warp.offsets.into());
         }
         ctx.misc(2); // nnz computation
         if cfg.roma && vw > 1 {
@@ -522,67 +716,29 @@ impl<'a, T: Scalar> SpmmKernel<'a, T> {
         // warp-uniform: it changes which positions execute, never which
         // lanes, so it leaves this term alone.
         const DIVERGENCE_STALL_CYCLES_PER_SLOT: u64 = 14;
-        let max_total = subs.iter().map(|s| s.total).max().unwrap_or(0);
+        let max_total = rows().map(|s| u64::from(s.total)).max().unwrap_or(0);
         if subs.len() > 1 {
-            let wasted: u64 = subs
-                .iter()
-                .filter(|s| s.row != usize::MAX)
-                .map(|s| (max_total - s.total) as u64)
-                .sum();
+            let wasted: u64 = rows().map(|s| max_total - u64::from(s.total)).sum();
             ctx.cost.stall_cycles += wasted * DIVERGENCE_STALL_CYCLES_PER_SLOT / subs.len() as u64;
         }
 
         // ---- Main loop: one pass per strip --------------------------------
-        let a_load_instrs = gpu_sim::memory::vector_instr_count(bik as u64, threads_x, vw_a);
+        let a_load_instrs = gpu_sim::memory::vector_instr_count(bik, threads_x, vw_a);
         // 128-bit shared loads: 4 values (+ their indices) per access, one
         // lane's worth of the wider element.
-        let smem_broadcast_loads = 2 * (bik as u64).div_ceil(4);
+        let smem_broadcast_loads = 2 * bik.div_ceil(4);
         let w = u64::from(eb.max(ib));
-        // Under a LUT: per subwarp, live positions in `[0, total)` (B loads)
-        // and in `[prefix, total)` (useful nonzeros); per strip, the LUT
-        // word addresses probed. Both stay unallocated without one.
-        let mut live = match self.lut {
-            Some(_) => vec![(0u64, 0u64); subs.len()],
-            None => Vec::new(),
-        };
-        let mut probes = Vec::new();
-        let indices = self.a.col_indices();
         let mut base = 0;
         while base < max_total {
             let len = bik.min(max_total - base);
-            let mut union_live = len as u64;
-            if let Some(lut) = self.lut {
-                // Liveness reads the stored indices and the LUT, never the
-                // values, so ROMA prefix positions probe like any other and
-                // profile and functional launches cost the same.
-                let nt = lut.ntile_of(n_off);
-                probes.clear();
-                union_live = 0;
-                for p in base..base + len {
-                    let mut any_live = false;
-                    for (s, sub) in subs.iter().enumerate() {
-                        if sub.row == usize::MAX || p >= sub.total {
-                            continue;
-                        }
-                        let kt = lut.ktile_of(indices[sub.aligned_offset + p] as usize);
-                        probes.push(lut.word_addr(kt, nt));
-                        if lut.is_live(kt, nt) {
-                            any_live = true;
-                            live[s].0 += 1;
-                            live[s].1 += u64::from(p >= sub.prefix);
-                        }
-                    }
-                    union_live += u64::from(any_live);
-                }
-                // The probe: gather the strip's distinct LUT words (32 lanes
-                // per gather instruction), one bit test + skip predicate per
-                // position.
-                probes.sort_unstable();
-                probes.dedup();
-                for lanes in probes.chunks(32) {
-                    ctx.ld_global_gather(BUF_LUT, lanes, 8);
-                }
-                ctx.misc(len as u64);
+            let mut union_live = len;
+            if let Some(strips) = strips.as_mut() {
+                // The probe: the strip's LUT word gathers, one bit test +
+                // skip predicate per position.
+                let [live_positions, instrs, sectors] = strips.next().copied().unwrap_or_default();
+                union_live = live_positions;
+                ctx.ld_sectors(BUF_LUT, instrs, sectors);
+                ctx.misc(len);
             }
 
             if len == bik {
@@ -592,9 +748,9 @@ impl<'a, T: Scalar> SpmmKernel<'a, T> {
                 // that stores the strip is its only consumer).
                 ctx.cost.ld_global_instrs += 2 * a_load_instrs;
                 ctx.smem_store(2 * a_load_instrs, 0, SmemScope::Warp);
-                ctx.cost.shared_bytes += bik as u64 * (eb + ib) as u64;
+                ctx.cost.shared_bytes += bik * (eb + ib) as u64;
                 if cfg.index_prescale {
-                    ctx.misc((bik as u64).div_ceil(threads_x as u64));
+                    ctx.misc(bik.div_ceil(threads_x as u64));
                 }
                 // Broadcast loads of values and indices from shared memory,
                 // read back by the warp that staged them.
@@ -622,16 +778,16 @@ impl<'a, T: Scalar> SpmmKernel<'a, T> {
                 // works in 4-wide chunks, so live work rounds up to 4.
                 ctx.smem_store(2, 0, SmemScope::Warp);
                 let rounded = union_live.div_ceil(4) * 4;
-                let a_instrs = gpu_sim::memory::vector_instr_count(len as u64, threads_x, vw_a);
+                let a_instrs = gpu_sim::memory::vector_instr_count(len, threads_x, vw_a);
                 ctx.cost.ld_global_instrs += 2 * a_instrs;
                 ctx.smem_store(2 * a_instrs, 0, SmemScope::Warp);
-                ctx.cost.shared_bytes += len as u64 * (eb + ib) as u64;
-                let loads = 2 * (len as u64).div_ceil(4);
+                ctx.cost.shared_bytes += len * (eb + ib) as u64;
+                let loads = 2 * len.div_ceil(4);
                 ctx.smem_load(loads, loads * 4 * w, SmemScope::Warp);
                 ctx.cost.ld_global_instrs += rounded; // B loads incl. padding
                 ctx.cost.fma_instrs += rounded * vw as u64;
                 if cfg.index_prescale {
-                    ctx.misc((len as u64).div_ceil(threads_x as u64));
+                    ctx.misc(len.div_ceil(threads_x as u64));
                 } else {
                     ctx.misc(rounded);
                 }
@@ -642,76 +798,51 @@ impl<'a, T: Scalar> SpmmKernel<'a, T> {
                 // data-dependent trip count defeating unrolling (no static
                 // offsets, no dual-issue) — the inefficiency Section V-D2's
                 // loop splitting removes.
-                let a_instrs = gpu_sim::memory::vector_instr_count(len as u64, threads_x, 1);
+                let a_instrs = gpu_sim::memory::vector_instr_count(len, threads_x, 1);
                 ctx.cost.ld_global_instrs += 2 * a_instrs;
                 ctx.smem_store(2 * a_instrs, 0, SmemScope::Warp);
-                ctx.cost.shared_bytes += len as u64 * (eb + ib) as u64;
-                ctx.smem_load(2 * len as u64, 2 * len as u64 * w, SmemScope::Warp);
+                ctx.cost.shared_bytes += len * (eb + ib) as u64;
+                ctx.smem_load(2 * len, 2 * len * w, SmemScope::Warp);
                 ctx.cost.ld_global_instrs += union_live;
                 ctx.cost.fma_instrs += union_live * vw as u64;
-                ctx.misc(5 * len as u64);
-                ctx.cost.stall_cycles += 4 * len as u64;
+                ctx.misc(5 * len);
+                ctx.cost.stall_cycles += 4 * len;
             }
             base += len;
         }
 
         // ---- Per-subwarp memory traffic ----------------------------------
-        let b_sectors_per_load = self.b_load_sectors(n_off, tile_w);
-        for (s, sub) in subs.iter().enumerate() {
-            if sub.row == usize::MAX || sub.total == 0 {
-                continue;
-            }
-            // A values + indices: contiguous from the aligned offset.
-            ctx.ld_global_trace(
-                BUF_A_VALUES,
-                sub.aligned_offset as u64 * eb as u64,
-                sub.total as u64 * eb as u64,
-            );
-            ctx.ld_global_trace(
-                BUF_A_INDICES,
-                sub.aligned_offset as u64 * ib as u64,
-                sub.total as u64 * ib as u64,
-            );
+        for (s, sub) in subs.iter().enumerate().filter(|(_, s)| s.live) {
+            ctx.ld_sectors(BUF_A_VALUES, 0, sub.a_sectors.into());
+            ctx.ld_sectors(BUF_A_INDICES, 0, sub.i_sectors.into());
             // B strips: one per processed value. The unrolled residue path
             // issues padded loads of B row 0, but every padding access hits
             // the same cached row, so only processed values move sectors.
             // Useful FLOPs count true nonzeros only. Under a LUT both count
             // this subwarp's own live positions: a predicated-off lane moves
             // no sectors, and a skipped element would have added exact zeros.
-            let (loads, useful) = if self.lut.is_some() {
-                live[s]
-            } else {
-                (sub.total as u64, sub.nnz as u64)
+            let (loads, useful) = match counts {
+                Some(counts) => counts[s],
+                None => (sub.total.into(), sub.nnz.into()),
             };
-            ctx.cost.gmem[BUF_B.0 as usize].ld_sectors += loads * b_sectors_per_load;
-            ctx.cost.flops += 2 * useful * tile_w as u64;
+            ctx.cost.gmem[BUF_B.0 as usize].ld_sectors += loads * tile.b_sectors;
+            ctx.cost.flops += 2 * useful * tile.tile_w;
         }
 
         // ---- Output store -------------------------------------------------
-        let store_vw = if self.n.is_multiple_of(vw as usize)
-            && n_off.is_multiple_of(vw as usize)
-            && tile_w.is_multiple_of(vw as usize)
-        {
-            vw
-        } else {
-            1
-        };
-        let store_instrs = gpu_sim::memory::vector_instr_count(tile_w as u64, threads_x, store_vw);
+        let store_vw = if tile.store_vw { vw } else { 1 };
+        let store_instrs = gpu_sim::memory::vector_instr_count(tile.tile_w, threads_x, store_vw);
         ctx.cost.st_global_instrs += store_instrs;
         if cfg.fused_bias_relu {
-            let mut bias_addrs = [0u64; MAX_BLOCK_SUBWARPS];
-            let n_bias_addrs = gather_row_addrs(subs, 4, &mut bias_addrs);
-            if n_bias_addrs > 0 {
-                ctx.ld_global_gather(BUF_BIAS, &bias_addrs[..n_bias_addrs], 4);
+            if any_row {
+                ctx.ld_sectors(BUF_BIAS, 1, warp.bias.into());
             }
             ctx.fp(2 * store_instrs, 0);
         }
-        for sub in subs {
-            if sub.row == usize::MAX {
-                continue;
-            }
-            let addr = (sub.row * self.n + n_off) as u64 * eb as u64;
-            ctx.st_global_trace(BUF_C, addr, tile_w as u64 * eb as u64);
+        for sub in rows() {
+            let class = u64::from(sub.c_class) + tile.n_off_class;
+            let sectors = gpu_sim::memory::sectors_contiguous(class, tile.tile_w * eb as u64);
+            ctx.st_sectors(BUF_C, 0, sectors);
         }
     }
 }
@@ -778,97 +909,44 @@ impl<T: Scalar> Kernel for SpmmKernel<'_, T> {
         bufs
     }
 
-    /// Structural cost signature (see [`Kernel::block_signature`]).
-    ///
-    /// Everything `cost_warp` records is a function of the per-subwarp work
-    /// descriptors plus a handful of *alignment classes* — never of raw row
-    /// ids or float values — so the signature hashes exactly those inputs.
-    /// The row strip's part (`strip_signature`: per subwarp the work sizes
-    /// and address classes, per warp the exact gathered sector counts of
-    /// the row offsets and bias, computed with the trace's own
-    /// `sectors_gather`) is the same for every column tile, so it is
-    /// computed once per strip on the launch's first call. The column
-    /// tile's part is the tile width, the B-strip sector count, the store
-    /// vector-width legality and `n_off * eb % 32`. A C tile starts at
-    /// `(row * n + n_off) * eb`, whose class mod 32 is fixed by the strip's
-    /// `row * n * eb % 32` and the tile's `n_off * eb % 32`. Blocks agreeing
-    /// on all of this record bit-identical costs, which lets dataset sweeps
-    /// execute one representative per signature — notably collapsing the
-    /// grid's x extent, where the same row strip repeats across column
-    /// tiles in the same alignment class.
-    ///
-    /// A kernel with a LUT has no signature: its liveness depends on the
-    /// column indices and on the LUT tile of `n_off`, neither of which is
-    /// hashed here.
-    fn block_signature(&self, block: Dim3) -> Option<u64> {
-        if self.lut.is_some() {
-            return None;
-        }
-        let cfg = &self.cfg;
-        let eb = T::BYTES as u64;
-        let n_off = block.x as usize * cfg.block_items_x as usize;
-        let tile_w = cfg.block_items_x.min(self.n.saturating_sub(n_off) as u32) as usize;
-        let mut fp = Fingerprint::new();
-        fp.write_u64(tile_w as u64);
-        if tile_w == 0 {
-            return Some(fp.finish());
-        }
-        fp.write_u64(self.b_load_sectors(n_off, tile_w));
-        let store_vw = self.n.is_multiple_of(cfg.vector_width as usize)
-            && n_off.is_multiple_of(cfg.vector_width as usize)
-            && tile_w.is_multiple_of(cfg.vector_width as usize);
-        fp.write_u64(store_vw as u64);
-        fp.write_u64(n_off as u64 * eb % 32);
-        let strips = self.strip_sigs.get_or_init(|| {
-            (0..self.grid().y as usize)
-                .map(|strip| self.strip_signature(strip))
-                .collect()
-        });
-        fp.write_u64(strips[block.y as usize]);
-        Some(fp.finish())
-    }
-
     fn execute_block(&self, block: Dim3, ctx: &mut BlockContext) {
         let cfg = &self.cfg;
         let n_off = block.x as usize * cfg.block_items_x as usize;
         let tile_w = cfg.block_items_x.min((self.n - n_off) as u32) as usize;
-        if tile_w == 0 {
-            return;
-        }
+        let subs_buf = self.subwarps(block.y as usize);
+        let subs = &subs_buf[..cfg.block_items_y as usize];
 
-        // Prelude: resolve every subwarp's row and alignment (stack buffer;
-        // block_items_y <= 32 by config validation).
-        let biy = cfg.block_items_y as usize;
-        let base_m = block.y as usize * biy;
-        let mut subs_buf = [SubwarpWork::EMPTY; MAX_BLOCK_SUBWARPS];
-        for (s, slot) in subs_buf.iter_mut().take(biy).enumerate() {
-            *slot = self.subwarp_work(base_m + s);
-        }
-        let subs = &subs_buf[..biy];
-
-        // Cost: warps execute their subwarps in lockstep. A cache-hit
-        // replay discards the cost, so skip the trace math entirely.
+        // Cost: a cache-hit replay discards it, so skip the key and the
+        // charge entirely.
         if ctx.recording() {
-            let spw = cfg.subwarps_per_warp() as usize;
-            for chunk in subs.chunks(spw) {
-                self.cost_warp(ctx, chunk, n_off, tile_w);
-            }
+            let key = self.key_of(subs, block.x, ctx);
+            let live = self.lut.map(|lut| self.liveness(lut, subs, n_off, ctx));
+            self.charge_with(&key, live.as_ref(), ctx);
         }
 
         // Functional output.
         if ctx.functional() && self.b.is_some() {
             for sub in subs {
                 if sub.row != usize::MAX {
-                    self.compute_subwarp(sub, n_off, tile_w);
+                    self.compute_subwarp(sub, n_off, tile_w, ctx);
                 }
             }
+        }
+    }
+
+    /// Profile launches dedup by key only without a LUT: under one, the
+    /// trace also reads each strip's liveness, which no key holds.
+    fn keyed(&self) -> Option<&dyn KeyedBlocks> {
+        match self.lut {
+            None => Some(self),
+            Some(_) => None,
         }
     }
 
     /// Declarative facts for the static auditor ([`gpu_sim::static_check`]).
     ///
     /// Every extent is derived from the kernel's *tile arithmetic* — the
-    /// same address formulas `cost_warp` traces — independently of the
+    /// same address formulas the cost key's builder checks — independently of the
     /// footprints `buffers()` declares from the operand shapes, so the
     /// audit's extent-vs-footprint comparison genuinely cross-checks two
     /// derivations. Soundness arguments, per buffer:
@@ -947,7 +1025,7 @@ impl<T: Scalar> Kernel for SpmmKernel<'_, T> {
         }
 
         // Vector-access alignment, the mod-`vw*eb` analogue of the address
-        // classes `block_signature` hashes. ROMA proves residue 0 by
+        // classes the cost key holds. ROMA proves residue 0 by
         // construction; `assume_aligned` must actually *check* the promise
         // against every non-empty row's start offset — an O(rows) scan that
         // turns an unpadded CSR into a static refutation instead of a
@@ -995,6 +1073,38 @@ impl<T: Scalar> Kernel for SpmmKernel<'_, T> {
         if let Some(out) = self.out.as_ref() {
             out.poison(seed, T::from_f32(f32::NAN));
         }
+    }
+}
+
+impl<T: Scalar> CostKey for SpmmKernel<'_, T> {
+    type Key = SpmmKey;
+
+    fn cost_key(&self, block: Dim3, ctx: &mut BlockContext) -> SpmmKey {
+        let subs = self.subwarps(block.y as usize);
+        self.key_of(&subs[..self.cfg.block_items_y as usize], block.x, ctx)
+    }
+
+    fn charge(&self, key: &SpmmKey, ctx: &mut BlockContext) {
+        self.charge_with(key, None, ctx);
+    }
+
+    /// The key's hash, with each row strip's part and each column tile's
+    /// part hashed once per launch on the first call, so a block's
+    /// signature costs two lookups and one short hash. Dataset sweeps
+    /// execute one representative per signature — notably collapsing the
+    /// grid's x extent, where the same row strip repeats across column
+    /// tiles in the same alignment class.
+    fn block_signature(&self, block: Dim3, ctx: &mut BlockContext) -> u64 {
+        let biy = self.cfg.block_items_y as usize;
+        let (strips, tiles) = self.part_sigs.get_or_init(|| {
+            let grid = self.grid();
+            let strips = (0..grid.y as usize)
+                .map(|y| key_hash(&self.strip_key(&self.subwarps(y)[..biy], ctx)))
+                .collect();
+            let tiles = (0..grid.x).map(|x| key_hash(&self.tile_key(x))).collect();
+            (strips, tiles)
+        });
+        key_hash(&(tiles[block.x as usize], strips[block.y as usize]))
     }
 }
 

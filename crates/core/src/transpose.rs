@@ -224,7 +224,8 @@ impl<T: Scalar> Kernel for PermuteKernel<'_, T> {
                 for (a, &p) in addrs.iter_mut().zip(chunk) {
                     *a = p as u64 * eb as u64;
                 }
-                ctx.ld_global_gather(BUF_SRC, &addrs[..chunk.len()], eb);
+                let sectors = ctx.gather_sectors(BUF_SRC, &addrs[..chunk.len()], eb);
+                ctx.ld_sectors(BUF_SRC, 1, sectors);
             }
             ctx.misc(2 * warps);
         }

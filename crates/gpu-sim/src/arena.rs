@@ -10,10 +10,9 @@
 //! This module gives each thread a small pool of reusable buffers; a
 //! launch runs all its blocks on its caller's thread, so that thread's
 //! pool serves the whole launch. A kernel checks a buffer out for the
-//! duration of one block (through
-//! [`BlockContext::scratch_f32`](crate::BlockContext::scratch_f32) or the
-//! free functions here) and the buffer returns to the pool when the guard
-//! drops — exactly the shared-memory lifetime. After a short warm-up
+//! duration of one block, only through
+//! [`BlockContext::scratch_f32`](crate::BlockContext::scratch_f32), and the
+//! buffer returns to the pool when the guard drops — exactly the shared-memory lifetime. After a short warm-up
 //! (the thread growing its pooled buffers to the largest block it has
 //! seen), block execution performs **zero heap allocations**; the
 //! `zero_alloc` integration test enforces this.
@@ -71,7 +70,7 @@ pub struct ScratchF32 {
 
 impl ScratchF32 {
     /// Check out a zero-initialized buffer of exactly `len` elements.
-    pub fn take(len: usize) -> Self {
+    pub(crate) fn take(len: usize) -> Self {
         CHECKOUTS.set(CHECKOUTS.get() + 1);
         let mut buf = F32_POOL.with(|p| p.borrow_mut().pop()).unwrap_or_else(|| {
             POOL_MISSES.set(POOL_MISSES.get() + 1);

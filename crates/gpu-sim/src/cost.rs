@@ -141,7 +141,7 @@ impl BlockCost {
 /// full `BlockCost` per block alive until the cache model has run wastes
 /// memory and bandwidth. The streaming launch path folds each block's cost
 /// into a running total immediately and retains only this struct per block;
-/// the profile-dedup path retains one per signature group (its
+/// the profile-dedup path retains one per cost-key group (its
 /// representative) and a 4-byte group index per block.
 ///
 /// Every field is an exact integer pre-sum of `BlockCost` counters, so
@@ -268,6 +268,115 @@ impl BlockContext {
         crate::arena::ScratchF32::take(len)
     }
 
+    /// The sectors a contiguous global access of `bytes` at `byte_addr`
+    /// touches. Cost-key builders get each contiguous sector count here,
+    /// from the real address; in a sanitized block this also memchecks the
+    /// access against `buf`'s footprint and alignment-checks it as a
+    /// `vec_width`-wide access of `elem_bytes` elements.
+    #[inline]
+    pub fn sectors(
+        &mut self,
+        buf: BufferId,
+        byte_addr: u64,
+        bytes: u64,
+        vec_width: u32,
+        elem_bytes: u32,
+    ) -> u64 {
+        if let Some(san) = self.san.as_deref_mut() {
+            san.check_global(buf.0 as usize, byte_addr, bytes);
+            san.check_align(buf.0 as usize, byte_addr, vec_width, elem_bytes);
+        }
+        memory::sectors_contiguous(byte_addr, bytes)
+    }
+
+    /// The sectors of a tile walked row by row: `rows` contiguous accesses
+    /// of `bytes` each, `stride` bytes apart from `base`. A row's count
+    /// depends only on its start mod 32, and those classes repeat every
+    /// `32 / gcd(stride % 32, 32)` rows, so the sum costs at most one
+    /// period. In a sanitized block every row is memchecked.
+    #[inline]
+    pub fn tile_sectors(
+        &mut self,
+        buf: BufferId,
+        base: u64,
+        rows: u64,
+        stride: u64,
+        bytes: u64,
+    ) -> u64 {
+        if let Some(san) = self.san.as_deref_mut() {
+            for r in 0..rows {
+                san.check_global(buf.0 as usize, base + r * stride, bytes);
+            }
+        }
+        if rows == 0 {
+            return 0;
+        }
+        // gcd(stride % 32, 32) is the largest power of two dividing the
+        // stride, capped at 32.
+        let period = memory::SECTOR_BYTES >> stride.trailing_zeros().min(5);
+        let p = period.min(rows);
+        let row = |r: u64| memory::sectors_contiguous(base + r * stride, bytes);
+        let cycle: u64 = (0..p).map(row).sum();
+        (rows / p) * cycle + (0..rows % p).map(row).sum::<u64>()
+    }
+
+    /// The sectors of a strided warp access: `lanes` lanes, lane `i`
+    /// touching `elem_bytes` at `base + i * stride_bytes`. In a sanitized
+    /// block the span is memchecked.
+    #[inline]
+    pub fn strided_sectors(
+        &mut self,
+        buf: BufferId,
+        base: u64,
+        lanes: u32,
+        stride_bytes: u64,
+        elem_bytes: u32,
+    ) -> u64 {
+        if let Some(san) = self.san.as_deref_mut() {
+            if lanes > 0 {
+                let span = (lanes as u64 - 1) * stride_bytes + elem_bytes as u64;
+                san.check_global(buf.0 as usize, base, span);
+            }
+        }
+        memory::sectors_strided(base, lanes, stride_bytes, elem_bytes as u64)
+    }
+
+    /// The sectors of a warp gather with arbitrary per-lane byte addresses.
+    /// In a sanitized block every lane is memchecked and a gather where
+    /// each lane paid its own sector is linted as uncoalesced.
+    #[inline]
+    pub fn gather_sectors(&mut self, buf: BufferId, addrs: &[u64], elem_bytes: u32) -> u64 {
+        let sectors = memory::sectors_gather(addrs, elem_bytes as u64);
+        if let Some(san) = self.san.as_deref_mut() {
+            for &addr in addrs {
+                san.check_global(buf.0 as usize, addr, elem_bytes as u64);
+            }
+            san.note_uncoalesced(buf.0 as usize, addrs.len() as u32, sectors);
+        }
+        sectors
+    }
+
+    /// `instrs` global load instructions moving `sectors` sectors of `buf`:
+    /// counts only, as a cost key's `charge` records them.
+    #[inline]
+    pub fn ld_sectors(&mut self, buf: BufferId, instrs: u64, sectors: u64) {
+        if !self.record {
+            return;
+        }
+        self.cost.ld_global_instrs += instrs;
+        self.cost.gmem[buf.0 as usize].ld_sectors += sectors;
+    }
+
+    /// Global stores; mirror of [`Self::ld_sectors`].
+    #[inline]
+    pub fn st_sectors(&mut self, buf: BufferId, instrs: u64, sectors: u64) {
+        if !self.record {
+            return;
+        }
+        self.cost.st_global_instrs += instrs;
+        self.cost.gmem[buf.0 as usize].st_sectors += sectors;
+    }
+
     /// A contiguous warp-wide global load: `lanes` active lanes, lane `i`
     /// reading `vec_width` consecutive elements of `elem_bytes` starting at
     /// `byte_addr + i * vec_width * elem_bytes`. One warp instruction.
@@ -284,13 +393,8 @@ impl BlockContext {
             return;
         }
         let bytes = lanes as u64 * vec_width as u64 * elem_bytes as u64;
-        let sectors = memory::sectors_contiguous(byte_addr, bytes);
-        self.cost.ld_global_instrs += 1;
-        self.cost.gmem[buf.0 as usize].ld_sectors += sectors;
-        if let Some(san) = self.san.as_deref_mut() {
-            san.check_global(buf.0 as usize, byte_addr, bytes);
-            san.check_align(buf.0 as usize, byte_addr, vec_width, elem_bytes);
-        }
+        let sectors = self.sectors(buf, byte_addr, bytes, vec_width, elem_bytes);
+        self.ld_sectors(buf, 1, sectors);
     }
 
     /// A contiguous warp-wide global store; mirror of [`Self::ld_global`].
@@ -307,54 +411,8 @@ impl BlockContext {
             return;
         }
         let bytes = lanes as u64 * vec_width as u64 * elem_bytes as u64;
-        let sectors = memory::sectors_contiguous(byte_addr, bytes);
-        self.cost.st_global_instrs += 1;
-        self.cost.gmem[buf.0 as usize].st_sectors += sectors;
-        if let Some(san) = self.san.as_deref_mut() {
-            san.check_global(buf.0 as usize, byte_addr, bytes);
-            san.check_align(buf.0 as usize, byte_addr, vec_width, elem_bytes);
-        }
-    }
-
-    /// A strided warp store.
-    #[inline]
-    pub fn st_global_strided(
-        &mut self,
-        buf: BufferId,
-        base: u64,
-        lanes: u32,
-        stride_bytes: u64,
-        elem_bytes: u32,
-    ) {
-        if !self.record {
-            return;
-        }
-        let sectors = memory::sectors_strided(base, lanes, stride_bytes, elem_bytes as u64);
-        self.cost.st_global_instrs += 1;
-        self.cost.gmem[buf.0 as usize].st_sectors += sectors;
-        if let Some(san) = self.san.as_deref_mut() {
-            if lanes > 0 {
-                let span = (lanes as u64 - 1) * stride_bytes + elem_bytes as u64;
-                san.check_global(buf.0 as usize, base, span);
-            }
-        }
-    }
-
-    /// A gather load with arbitrary per-lane byte addresses.
-    #[inline]
-    pub fn ld_global_gather(&mut self, buf: BufferId, addrs: &[u64], elem_bytes: u32) {
-        if !self.record {
-            return;
-        }
-        let sectors = memory::sectors_gather(addrs, elem_bytes as u64);
-        self.cost.ld_global_instrs += 1;
-        self.cost.gmem[buf.0 as usize].ld_sectors += sectors;
-        if let Some(san) = self.san.as_deref_mut() {
-            for &addr in addrs {
-                san.check_global(buf.0 as usize, addr, elem_bytes as u64);
-            }
-            san.note_uncoalesced(buf.0 as usize, addrs.len() as u32, sectors);
-        }
+        let sectors = self.sectors(buf, byte_addr, bytes, vec_width, elem_bytes);
+        self.st_sectors(buf, 1, sectors);
     }
 
     /// A shared-memory load: one warp instruction moving
@@ -427,10 +485,8 @@ impl BlockContext {
         if !self.record {
             return;
         }
-        self.cost.gmem[buf.0 as usize].ld_sectors += memory::sectors_contiguous(byte_addr, bytes);
-        if let Some(san) = self.san.as_deref_mut() {
-            san.check_global(buf.0 as usize, byte_addr, bytes);
-        }
+        let sectors = self.sectors(buf, byte_addr, bytes, 1, 1);
+        self.ld_sectors(buf, 0, sectors);
     }
 
     /// Sector-accurate contiguous global-store traffic; mirror of
@@ -440,10 +496,8 @@ impl BlockContext {
         if !self.record {
             return;
         }
-        self.cost.gmem[buf.0 as usize].st_sectors += memory::sectors_contiguous(byte_addr, bytes);
-        if let Some(san) = self.san.as_deref_mut() {
-            san.check_global(buf.0 as usize, byte_addr, bytes);
-        }
+        let sectors = self.sectors(buf, byte_addr, bytes, 1, 1);
+        self.st_sectors(buf, 0, sectors);
     }
 
     /// `warp_instrs` FMA warp instructions performing `scalar_fmas` useful
@@ -570,6 +624,25 @@ mod tests {
         assert!(!ctx.recording());
         ctx.ld_global_trace(BufferId(0), 0, 128);
         assert_eq!(ctx.cost, BlockCost::default());
+    }
+
+    #[test]
+    fn tile_sectors_sum_every_row() {
+        let mut ctx = BlockContext::new(false);
+        for (base, rows, stride, bytes) in [
+            (0, 0, 128, 64),
+            (4, 1, 4, 12),
+            (20, 37, 392, 16),
+            (8, 9, 100, 256),
+            (12, 70, 6, 40),
+            (0, 128, 256, 128),
+        ] {
+            let per_row: u64 = (0..rows)
+                .map(|r| memory::sectors_contiguous(base + r * stride, bytes))
+                .sum();
+            let tile = ctx.tile_sectors(BufferId(0), base, rows, stride, bytes);
+            assert_eq!(tile, per_row, "base {base} rows {rows} stride {stride}");
+        }
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! A tiny stable hasher for structural fingerprints.
 //!
-//! Block signatures ([`crate::Kernel::block_signature`]) and launch-cache
+//! Cost-key hashes ([`crate::CostKey::block_signature`]) and launch-cache
 //! keys ([`crate::LaunchCache`]) need a hash that is deterministic across
 //! runs and Rust versions — `std::hash::DefaultHasher` guarantees neither.
 //! The mixer is FNV-1a lifted from octets to whole 64-bit words (one
-//! xor-multiply per word instead of eight): signature computation sits on
+//! xor-multiply per word instead of eight): key hashing sits on
 //! the launch fast path, so per-byte hashing is measurable. The word-level
 //! variant keeps FNV's stability and avalanche-by-multiplication while
 //! costing an eighth of the multiplies.
@@ -57,6 +57,39 @@ impl Fingerprint {
 
     pub fn finish(&self) -> u64 {
         self.state
+    }
+}
+
+/// Hashing a cost key: each integer field is absorbed as one word (one
+/// round, not eight byte rounds: key hashing runs once per block of a
+/// profile launch), and any other byte run as its little-endian words.
+impl std::hash::Hasher for Fingerprint {
+    fn finish(&self) -> u64 {
+        self.state
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            Fingerprint::write_u64(self, u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u8(&mut self, i: u8) {
+        Fingerprint::write_u64(self, i.into());
+    }
+
+    fn write_u32(&mut self, i: u32) {
+        Fingerprint::write_u64(self, i.into());
+    }
+
+    fn write_u64(&mut self, i: u64) {
+        Fingerprint::write_u64(self, i);
+    }
+
+    fn write_usize(&mut self, i: usize) {
+        Fingerprint::write_u64(self, i as u64);
     }
 }
 

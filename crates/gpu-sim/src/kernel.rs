@@ -3,8 +3,10 @@
 use crate::cache::BufferSpec;
 use crate::cost::BlockContext;
 use crate::dim::Dim3;
+use crate::fingerprint::Fingerprint;
 use crate::occupancy::BlockRequirements;
 use crate::static_check::StaticFacts;
+use std::hash::Hash;
 
 /// A simulated GPU kernel.
 ///
@@ -12,7 +14,8 @@ use crate::static_check::StaticFacts;
 /// memory, register pressure) and a per-thread-block body. The body is
 /// executed once per block in the grid — functionally computing the block's
 /// outputs (when the launch is functional) and recording the block's
-/// instruction/memory cost trace through the [`BlockContext`].
+/// instruction/memory cost trace through the [`BlockContext`]. A kernel
+/// with [`CostKey`]s records that trace as `charge(&cost_key(block))`.
 ///
 /// Blocks must be independent, as on the hardware: the launcher runs a
 /// launch's blocks one at a time on the calling thread, in any order. A
@@ -45,33 +48,18 @@ pub trait Kernel {
     /// Execute one thread block. `block` is the block index within the grid.
     fn execute_block(&self, block: Dim3, ctx: &mut BlockContext);
 
-    /// A structural signature of this block's *cost trace*: two blocks with
-    /// equal signatures must record bit-identical [`BlockCost`]s from
-    /// `execute_block` (instruction counts, sector counts, stalls — the
-    /// functional output may of course differ). Profile-mode launches
-    /// execute one representative per signature and replay its cost for the
-    /// others, which is how dataset-scale sweeps skip the long tail of
-    /// structurally repeated blocks. Only profile launches consult this:
-    /// functional and sanitized launches execute every block and never call
-    /// it.
+    /// This kernel's per-block cost keys, when its blocks have them (see
+    /// [`CostKey`]); `None` (the default) otherwise. Profile launches group
+    /// blocks by key hash, execute one representative per group and replay
+    /// its cost for the others, which is how dataset-scale sweeps skip the
+    /// long tail of structurally repeated blocks. Only profile launches
+    /// consult this: functional and sanitized launches execute every block.
     ///
-    /// Soundness is the implementor's burden: the signature must cover every
-    /// input the trace depends on, including address *alignment* classes
-    /// (sector counts change with `addr % 32`). Return `None` (the default)
-    /// for blocks whose cost cannot be cheaply summarized — those execute
-    /// normally. Override it only where a measured profile sweep is faster
+    /// Return `Some(self)` only where a measured profile sweep is faster
     /// with dedup than without (`Gpu::with_block_dedup(false)` is the
-    /// comparison): hashing every block costs host time, and a kernel with
-    /// few repeated blocks pays it for nothing.
-    ///
-    /// The launcher calls this once per block of a profile launch. An
-    /// implementation may precompute per-launch state on its first call
-    /// (e.g. one hash per row strip in a `OnceLock`, shared by every block
-    /// of that strip), so a signature costs O(distinct work) rather than a
-    /// full recomputation per block; it is still one call per block.
-    ///
-    /// [`BlockCost`]: crate::cost::BlockCost
-    fn block_signature(&self, _block: Dim3) -> Option<u64> {
+    /// comparison): building and hashing every block's key costs host
+    /// time, and a kernel with few repeated blocks pays it for nothing.
+    fn keyed(&self) -> Option<&dyn KeyedBlocks> {
         None
     }
 
@@ -97,9 +85,9 @@ pub trait Kernel {
     /// worst-case vector residue classes, barrier discipline, and staging
     /// bounds. The default declares nothing, which audits every
     /// data-dependent check to `NeedsDynamic` — always sound, never fast.
-    /// Like [`Kernel::block_signature`], soundness of a non-default
-    /// declaration is the implementor's burden; `static_audit` and
-    /// `sanitize_all` cross-check it against the dynamic sanitizer in CI.
+    /// Soundness of a non-default declaration is the implementor's burden;
+    /// `static_audit` and `sanitize_all` cross-check it against the dynamic
+    /// sanitizer in CI.
     fn static_facts(&self) -> StaticFacts {
         StaticFacts::conservative()
     }
@@ -112,4 +100,70 @@ pub trait Kernel {
             regs_per_thread: self.regs_per_thread(),
         }
     }
+}
+
+/// A kernel whose blocks differ in cost only through a small per-block
+/// record: work sizes and address classes, such as row and strip lengths,
+/// ROMA's aligned start or a tile's residue.
+///
+/// `cost_key` builds the record and `charge` records the block's trace from
+/// it, so two blocks with equal keys record bit-identical [`BlockCost`]s by
+/// construction: `charge` gets no block index, and the key holds counts
+/// and classes, never a row or column index to look data up by.
+///
+/// The key builder is the only code that sees a global address. It gets
+/// each sector count from a [`BlockContext`] helper
+/// ([`sectors`](BlockContext::sectors),
+/// [`tile_sectors`](BlockContext::tile_sectors),
+/// [`strided_sectors`](BlockContext::strided_sectors),
+/// [`gather_sectors`](BlockContext::gather_sectors)), which in a sanitized
+/// block also runs memcheck, aligncheck and the uncoalesced-gather lint on
+/// the real address. `charge` records counts only; it keeps the
+/// shared-memory, bank-conflict and barrier hooks, which take no address.
+///
+/// [`BlockCost`]: crate::cost::BlockCost
+pub trait CostKey {
+    /// A `Copy` stack record of exactly the counts and alignment classes
+    /// the block's trace reads.
+    type Key: Copy + Hash;
+
+    /// Build `block`'s key.
+    fn cost_key(&self, block: Dim3, ctx: &mut BlockContext) -> Self::Key;
+
+    /// Record a block's trace from its key and the launch's constants.
+    fn charge(&self, key: &Self::Key, ctx: &mut BlockContext);
+
+    /// The block's dedup signature: the hash of its key. Override only to
+    /// memoize part of that hash across the blocks of one launch.
+    fn block_signature(&self, block: Dim3, ctx: &mut BlockContext) -> u64 {
+        key_hash(&self.cost_key(block, ctx))
+    }
+}
+
+/// The object-safe face of a [`CostKey`] kernel, reached through
+/// [`Kernel::keyed`].
+pub trait KeyedBlocks {
+    /// [`CostKey::block_signature`].
+    fn signature(&self, block: Dim3, ctx: &mut BlockContext) -> u64;
+
+    /// `charge(&cost_key(block))`: the cost half of `execute_block`.
+    fn charge_block(&self, block: Dim3, ctx: &mut BlockContext);
+}
+
+impl<K: CostKey> KeyedBlocks for K {
+    fn signature(&self, block: Dim3, ctx: &mut BlockContext) -> u64 {
+        self.block_signature(block, ctx)
+    }
+
+    fn charge_block(&self, block: Dim3, ctx: &mut BlockContext) {
+        let key = self.cost_key(block, ctx);
+        self.charge(&key, ctx);
+    }
+}
+
+/// The stable hash of a cost key (or of any part of one).
+pub fn key_hash<K: Hash>(key: &K) -> u64 {
+    let mut fp = Fingerprint::new();
+    key.hash(&mut fp);
+    fp.finish()
 }

@@ -306,8 +306,8 @@ impl std::fmt::Display for LaunchStats {
     }
 }
 
-/// Hasher for keys that already are well-mixed 64-bit hashes (block
-/// signatures are FNV outputs): the key is its own hash, so the dedup group
+/// Hasher for keys that already are well-mixed 64-bit hashes (cost-key
+/// hashes are FNV outputs): the key is its own hash, so the dedup group
 /// map pays no SipHash rounds per block.
 #[derive(Default)]
 struct PassThrough(u64);
@@ -334,7 +334,7 @@ pub struct Gpu {
     /// Optional injected-fault schedule consulted on every launch.
     fault: Option<FaultPlan>,
     /// Structural block dedup in profile mode (see
-    /// [`Kernel::block_signature`]); on by default, disabled only to
+    /// [`Kernel::keyed`]); on by default, disabled only to
     /// brute-force a reference for equivalence testing.
     dedup: bool,
 }
@@ -376,8 +376,8 @@ impl Gpu {
     }
 
     /// Enable or disable structural block dedup for profile launches.
-    /// Dedup is on by default and bit-identical to brute force (that is the
-    /// [`Kernel::block_signature`] contract); turning it off forces every
+    /// Dedup is on by default and bit-identical to brute force (equal cost
+    /// keys charge equal traces, see [`crate::CostKey`]); turning it off forces every
     /// block to execute, which the equivalence suite uses as the reference.
     pub fn with_block_dedup(mut self, enabled: bool) -> Self {
         self.dedup = enabled;
@@ -620,10 +620,10 @@ impl Gpu {
         let grid = kernel.grid();
         let n_blocks = grid.size();
 
-        // Profile-mode dedup: cost-record one representative per structural
-        // block signature and replay its cost for the rest. Functional
-        // launches execute every block for its outputs and never consult a
-        // signature (measured: the second pass cost more than it saved), and
+        // Profile-mode dedup: cost-record one representative per cost key
+        // and replay its cost for the rest. Functional launches execute
+        // every block for its outputs and never build a key for dedup
+        // (measured: the second pass cost more than it saved), and
         // sanitized launches never dedup: the session's racecheck must observe
         // every block's real accesses.
         if self.dedup && !functional && session.is_none() {
@@ -663,10 +663,10 @@ impl Gpu {
         self.finish(kernel, occ, total, lites, None)
     }
 
-    /// Profile-mode structural dedup: group blocks by
-    /// [`Kernel::block_signature`], execute one representative per group, and
+    /// Profile-mode structural dedup: group blocks by cost-key hash (see
+    /// [`Kernel::keyed`]), execute one representative per group, and
     /// replay its cost for the other members. Returns `None` when the kernel
-    /// offers no signatures or no two blocks share one (the plain streaming
+    /// has no keys or no two blocks share one (the plain streaming
     /// path is then cheaper). Everything after execution is paid per group:
     /// the total weights each representative's cost by its member count
     /// (exact `u64` arithmetic, so equal to merging it once per member), one
@@ -705,31 +705,33 @@ impl Gpu {
         Some(self.finish(kernel, occ, total, lites, Some(&member)))
     }
 
-    /// Group blocks by structural signature in one serial pass. Returns
+    /// Group blocks by cost-key hash in one serial pass. Returns
     /// `(unique, member)`: `unique` lists the blocks that really execute
-    /// (signature-less blocks and first occurrences); `member[i]` is the slot
-    /// in `unique` whose cost block `i` replays. No per-block signature is
-    /// kept: each is looked up as soon as it is computed. Signatures are
-    /// already FNV hashes, so the group map uses them as their own hash.
-    /// Returns `None` when no two blocks share a signature (the plain
-    /// streaming path is cheaper) or when the grid could overflow a `u32`
-    /// slot index.
+    /// (each group's first block); `member[i]` is the slot in `unique`
+    /// whose cost block `i` replays. No per-block key or hash is kept: each
+    /// hash is looked up as soon as it is computed. The hashes are already
+    /// FNV outputs, so the group map uses them as their own hash. Returns
+    /// `None` when the kernel has no keys, when no two blocks share one
+    /// (the plain streaming path is cheaper) or when the grid could
+    /// overflow a `u32` slot index.
     fn dedup_plan(&self, kernel: &dyn Kernel) -> Option<(Vec<u64>, Vec<u32>)> {
+        let keyed = kernel.keyed()?;
         let grid = kernel.grid();
         let n_blocks = grid.size();
         if n_blocks == 0 || n_blocks > u64::from(u32::MAX) {
             return None;
         }
+        // Key builders take a context for its address checks; a profile
+        // launch is never sanitized, so one plain context serves them all.
+        let mut probe = BlockContext::new(false);
         let mut slot_of: HashMap<u64, u32, BuildHasherDefault<PassThrough>> = HashMap::default();
         let mut unique: Vec<u64> = Vec::new();
         let mut member: Vec<u32> = Vec::with_capacity(n_blocks as usize);
         for lin in 0..n_blocks {
             // `unique` never outgrows the grid, which fits in `u32`.
             let next = unique.len() as u32;
-            let slot = match kernel.block_signature(grid.delinearize(lin)) {
-                Some(sig) => *slot_of.entry(sig).or_insert(next),
-                None => next,
-            };
+            let sig = keyed.signature(grid.delinearize(lin), &mut probe);
+            let slot = *slot_of.entry(sig).or_insert(next);
             if slot == next {
                 unique.push(lin);
             }

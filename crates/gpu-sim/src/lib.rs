@@ -88,7 +88,7 @@ pub use fault::{DeviceFault, FaultKind, FaultPlan};
 pub use fingerprint::Fingerprint;
 pub use fleet::{Fleet, FleetSync};
 pub use fused::SddmmSoftmaxSpmmKernel;
-pub use kernel::Kernel;
+pub use kernel::{key_hash, CostKey, Kernel, KeyedBlocks};
 pub use launch::{
     pipelined_us, CheckLevel, Gpu, KernelBuilder, LaunchError, LaunchRequest, LaunchStats,
     LaunchSummary, Launched, Mode, PipelineBreakdown,

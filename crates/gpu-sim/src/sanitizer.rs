@@ -389,7 +389,10 @@ impl BlockSan {
     }
 
     /// Memcheck: a traced global access of `bytes` at `byte_addr` against
-    /// the declared footprint of buffer `slot`.
+    /// the declared footprint of buffer `slot`. Cold, like the other
+    /// address checks: every cost-key build tests for a sanitizer, and
+    /// only sanitized launches, a small share of all, take the branch.
+    #[cold]
     pub(crate) fn check_global(&mut self, slot: usize, byte_addr: u64, bytes: u64) {
         if bytes == 0 {
             return;
@@ -410,6 +413,7 @@ impl BlockSan {
     }
 
     /// Aligncheck: vector accesses must be naturally aligned.
+    #[cold]
     pub(crate) fn check_align(
         &mut self,
         slot: usize,
@@ -478,6 +482,7 @@ impl BlockSan {
     }
 
     /// Lint: a warp-wide load where every lane paid its own sector.
+    #[cold]
     pub(crate) fn note_uncoalesced(&mut self, slot: usize, lanes: u32, sectors: u64) {
         if lanes >= 16 && sectors >= lanes as u64 {
             let name = self

@@ -25,12 +25,12 @@
 //! The kernel's side of the bargain is [`StaticFacts`], a declarative
 //! summary returned by [`Kernel::static_facts`]: sound access-extent bounds
 //! per buffer, worst-case vector-address residues (the same mod-32
-//! address-class machinery `block_signature` hashes), the shared-memory
+//! address-class machinery a cost key records), the shared-memory
 //! staging discipline, and a per-epoch staging bound. The default is fully
 //! conservative (`NeedsDynamic` everywhere a declaration is required), so a
 //! kernel that declares nothing loses no checking — it only keeps paying
 //! the dynamic price. Soundness of a declaration is the implementor's
-//! burden, exactly like [`Kernel::block_signature`]; the cross-check is that
+//! burden; the cross-check is that
 //! `sanitize_all` runs the all-armed dynamic sanitizer over every registered
 //! kernel that `static_audit` proves, so an unsound `Proven` surfaces as a
 //! sanitizer violation and fails CI.
@@ -41,7 +41,6 @@
 //!
 //! [`Gpu::run`]: crate::launch::Gpu::run
 //! [`Kernel::static_facts`]: crate::kernel::Kernel::static_facts
-//! [`Kernel::block_signature`]: crate::kernel::Kernel::block_signature
 
 use crate::device::DeviceConfig;
 use crate::kernel::Kernel;
@@ -96,7 +95,7 @@ pub enum AlignmentFacts {
     /// misalign.
     ScalarOnly,
     /// Every vector-access site with its worst-case residue class, computed
-    /// with the same mod-`align` arithmetic `block_signature` hashes.
+    /// with the same mod-`align` arithmetic a cost key's classes use.
     Residues(Vec<VectorClass>),
     /// Vector addresses depend on runtime data; only the dynamic aligncheck
     /// can rule.

@@ -3,9 +3,9 @@
 //! that violation — and that well-behaved kernels come back clean.
 
 use gpu_sim::{
-    AccessPattern, BlockContext, BufferId, BufferSpec, CheckLevel, Dim3, Gpu, Kernel, LaunchCache,
-    LaunchRequest, LaunchStats, LaunchSummary, OutputSlice, SanitizerReport, SanitizerViolation,
-    SanitizerWarning, SmemScope,
+    AccessPattern, BlockContext, BufferId, BufferSpec, CheckLevel, CostKey, Dim3, Gpu, Kernel,
+    KeyedBlocks, LaunchCache, LaunchRequest, LaunchStats, LaunchSummary, OutputSlice,
+    SanitizerReport, SanitizerViolation, SanitizerWarning, SmemScope,
 };
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -525,6 +525,93 @@ fn misaligned_vector_access_is_reported() {
             elem_bytes: 4
         }
     );
+}
+
+/// A keyed kernel: its key builder reads `64` bytes at `byte_addr` of a
+/// 128-byte buffer as a `vec_width`-wide access, and its `charge` records
+/// only the sector count. The key builder is the only place the address
+/// exists, so that is where the sanitizer must see it.
+struct KeyedProbe {
+    byte_addr: u64,
+    vec_width: u32,
+}
+
+impl CostKey for KeyedProbe {
+    type Key = u64;
+
+    fn cost_key(&self, _block: Dim3, ctx: &mut BlockContext) -> u64 {
+        ctx.sectors(BUF, self.byte_addr, 64, self.vec_width, 4)
+    }
+
+    fn charge(&self, sectors: &u64, ctx: &mut BlockContext) {
+        ctx.ld_sectors(BUF, 1, *sectors);
+    }
+}
+
+impl Kernel for KeyedProbe {
+    fn name(&self) -> String {
+        "seeded_keyed_probe".into()
+    }
+    fn grid(&self) -> Dim3 {
+        Dim3::x(1)
+    }
+    fn block_dim(&self) -> Dim3 {
+        Dim3::x(32)
+    }
+    fn buffers(&self) -> Vec<BufferSpec> {
+        buffer(128)
+    }
+    fn execute_block(&self, block: Dim3, ctx: &mut BlockContext) {
+        if ctx.recording() {
+            self.charge_block(block, ctx);
+        }
+    }
+    fn keyed(&self) -> Option<&dyn KeyedBlocks> {
+        Some(self)
+    }
+}
+
+#[test]
+fn keyed_kernels_are_checked_where_their_keys_are_built() {
+    let gpu = Gpu::v100();
+    let past_the_end = KeyedProbe {
+        byte_addr: 96,
+        vec_width: 1,
+    };
+    let (_, report) = gpu.sanitize(&past_the_end).unwrap();
+    assert_eq!(report.violation_count, 1, "{report}");
+    assert_eq!(
+        report.violations[0],
+        SanitizerViolation::GlobalOutOfBounds {
+            buffer: "out",
+            byte_addr: 96,
+            bytes: 64,
+            footprint: 128,
+        }
+    );
+
+    let misaligned = KeyedProbe {
+        byte_addr: 4,
+        vec_width: 4,
+    };
+    let (_, report) = gpu.sanitize(&misaligned).unwrap();
+    assert_eq!(report.violation_count, 1, "{report}");
+    assert_eq!(
+        report.violations[0],
+        SanitizerViolation::Misaligned {
+            buffer: "out",
+            byte_addr: 4,
+            vec_width: 4,
+            elem_bytes: 4
+        }
+    );
+
+    let clean = KeyedProbe {
+        byte_addr: 64,
+        vec_width: 4,
+    };
+    let (_, report) = gpu.sanitize(&clean).unwrap();
+    assert!(report.clean(), "{report}");
 }
 
 /// Multi-warp block stores to shared memory and reads it back with no

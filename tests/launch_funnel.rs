@@ -7,7 +7,7 @@
 //! `LaunchError::StaticallyRefuted`; panicking wrappers must panic with the
 //! refutation, never with the probe's message.
 //!
-//! A second probe counts its `block_signature` calls: block dedup is a
+//! A second probe counts its cost-key builds: block dedup is a
 //! profile-mode fast path, so only a profile simulation may consult it.
 //!
 //! A run is the thread that launches it: its books, its trace switch and
@@ -16,8 +16,9 @@
 
 use gpu_sim::{
     lanes, metrics, trace, AccessBound, AccessPattern, AlignmentFacts, BarrierFacts, BlockContext,
-    BufferBound, BufferId, BufferSpec, CheckClass, CheckLevel, Dim3, Fleet, Gpu, Kernel,
-    LaunchCache, LaunchError, LaunchRequest, Mode, StageBound, StaticFacts, VectorClass,
+    BufferBound, BufferId, BufferSpec, CheckClass, CheckLevel, CostKey, Dim3, Fleet, Gpu, Kernel,
+    KeyedBlocks, LaunchCache, LaunchError, LaunchRequest, Mode, StageBound, StaticFacts,
+    VectorClass,
 };
 use sparse::{gen, Matrix};
 use sputnik::{spmm_row_sharded, SpmmConfig, SputnikError};
@@ -250,8 +251,8 @@ fn profile_hit_never_builds_the_kernel() {
     assert_eq!(warm.stats, cold.stats);
 }
 
-/// The clean probe with a `block_signature` that counts its calls and puts
-/// every block in one class.
+/// The clean probe with a cost key that counts its builds and puts every
+/// block in one class.
 struct SignatureCounter {
     inner: Refutable,
     calls: AtomicU64,
@@ -293,10 +294,19 @@ impl Kernel for SignatureCounter {
     fn static_facts(&self) -> StaticFacts {
         self.inner.static_facts()
     }
-    fn block_signature(&self, _block: Dim3) -> Option<u64> {
-        self.calls.fetch_add(1, Ordering::Relaxed);
-        Some(0)
+    fn keyed(&self) -> Option<&dyn KeyedBlocks> {
+        Some(self)
     }
+}
+
+impl CostKey for SignatureCounter {
+    type Key = ();
+
+    fn cost_key(&self, _block: Dim3, _ctx: &mut BlockContext) {
+        self.calls.fetch_add(1, Ordering::Relaxed);
+    }
+
+    fn charge(&self, _key: &(), _ctx: &mut BlockContext) {}
 }
 
 #[test]

@@ -323,23 +323,23 @@ impl<T: Scalar> Kernel for AsptSpmmKernel<'_, T> {
                 // traces stay per-row.
                 let stage_elems = (tile_cols.len() * 32) as u64;
                 let stage_instrs = stage_elems.div_ceil(128);
-                ctx.cost.ld_global_instrs += stage_instrs;
                 ctx.smem_store(stage_instrs, stage_elems * 4, SmemScope::Block);
+                let mut sectors = 0;
                 for &c in tile_cols {
-                    ctx.ld_global_trace(BUF_B, (c as usize * self.n + n0) as u64 * eb, 32 * eb);
+                    let addr = (c as usize * self.n + n0) as u64 * eb;
+                    sectors += ctx.sectors(BUF_B, addr, 32 * eb, 1, 1);
                 }
+                ctx.ld_sectors(BUF_B, stage_instrs, sectors);
                 ctx.bar_sync();
                 // Each nonzero in the tile: value+index from global (coalesced),
                 // B strip from *shared* memory, FMA.
                 let t = *tile_nnz as u64;
-                ctx.cost.ld_global_instrs += 2 * t.div_ceil(32);
-                ctx.cost.gmem[BUF_A_VALUES.0 as usize].ld_sectors += t * eb / 32 + 1;
-                ctx.cost.gmem[BUF_A_INDICES.0 as usize].ld_sectors += t / 8 + 1;
+                ctx.ld_sectors(BUF_A_VALUES, t.div_ceil(32), t * eb / 32 + 1);
+                ctx.ld_sectors(BUF_A_INDICES, t.div_ceil(32), t / 8 + 1);
                 // 128-bit shared reads: one access covers four nonzeros' operands.
                 ctx.smem_load(t.div_ceil(4), t * 32 * 4 / 8, SmemScope::Block); // broadcast-amortized
-                ctx.cost.fma_instrs += t;
+                ctx.fma(t, t * 32);
                 ctx.misc(2 * t);
-                ctx.cost.flops += 2 * t * 32;
                 ctx.bar_sync();
             }
 
@@ -349,21 +349,23 @@ impl<T: Scalar> Kernel for AsptSpmmKernel<'_, T> {
                 if t == 0 {
                     continue;
                 }
-                ctx.cost.ld_global_instrs += 2 * t.div_ceil(32) + t;
-                ctx.cost.gmem[BUF_A_VALUES.0 as usize].ld_sectors += t * eb / 32 + 1;
-                ctx.cost.gmem[BUF_A_INDICES.0 as usize].ld_sectors += t / 8 + 1;
-                ctx.cost.gmem[BUF_B.0 as usize].ld_sectors +=
-                    t * gpu_sim::memory::sectors_contiguous(0, 32 * eb);
-                ctx.cost.fma_instrs += t;
+                ctx.ld_sectors(BUF_A_VALUES, t.div_ceil(32), t * eb / 32 + 1);
+                ctx.ld_sectors(BUF_A_INDICES, t.div_ceil(32), t / 8 + 1);
+                ctx.ld_sectors(
+                    BUF_B,
+                    t,
+                    t * gpu_sim::memory::sectors_contiguous(0, 32 * eb),
+                );
+                ctx.fma(t, t * 32);
                 ctx.misc(2 * t);
-                ctx.cost.flops += 2 * t * 32;
             }
 
             // Store the panel's output strip, one trace per row.
-            ctx.cost.st_global_instrs += rows as u64;
+            let mut sectors = 0;
             for r in panel.row_start..panel.row_start + rows {
-                ctx.st_global_trace(BUF_C, (r * self.n + n0) as u64 * eb, 32 * eb);
+                sectors += ctx.sectors(BUF_C, (r * self.n + n0) as u64 * eb, 32 * eb, 1, 1);
             }
+            ctx.st_sectors(BUF_C, rows as u64, sectors);
         }
 
         // ---- Functional: reordering is performance-only; results are the

@@ -170,23 +170,21 @@ impl Kernel for BlockSpmmKernel<'_> {
                 let a_elems = (bs * bs) as u64;
                 let b_elems = (bs * TILE_N) as u64;
                 let stage_instrs = (a_elems + b_elems).div_ceil(THREADS as u64 * 4);
-                ctx.cost.ld_global_instrs += stage_instrs * warps + 1;
                 ctx.smem_store(
                     stage_instrs * warps,
                     (a_elems + b_elems) * 4,
                     SmemScope::Block,
                 );
-                ctx.cost.gmem[BUF_BLOCKS.0 as usize].ld_sectors += a_elems * 4 / 32 + 1;
+                ctx.ld_sectors(BUF_BLOCKS, stage_instrs * warps + 1, a_elems * 4 / 32 + 1);
                 let sectors = ctx.tile_sectors(BUF_B, strip_base(bc * bs), rows, stride, bytes);
                 ctx.ld_sectors(BUF_B, 0, sectors);
                 ctx.bar_sync();
 
                 // Dense math: bs x TILE_N x bs FMAs, cuBLAS-grade inner loop.
                 let fmas = (bs * TILE_N * bs) as u64;
-                ctx.cost.fma_instrs += fmas / 32;
+                ctx.fma(fmas / 32, (bs * tile_n * bs) as u64);
                 ctx.smem_load(fmas / 32 / 8, fmas / 8, SmemScope::Block);
                 ctx.misc(4 * warps);
-                ctx.cost.flops += 2 * (bs * tile_n * bs) as u64;
             }
             if nblocks > 0 {
                 // Store the block row's output strip.

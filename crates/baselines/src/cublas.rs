@@ -138,22 +138,21 @@ impl CostKey for GemmKernel<'_> {
             let stage_instrs = stage_elems.div_ceil(threads as u64 * 4);
             // Per warp bookkeeping: instruction counts are per-warp issued;
             // multiply by warps since all warps participate.
-            ctx.cost.ld_global_instrs += stage_instrs * warps;
             ctx.smem_store(stage_instrs * warps, stage_elems * 4, SmemScope::Block);
-            ctx.cost.gmem[BUF_A.0 as usize].ld_sectors += (tm * TILE_K * 4) as u64 / 32;
-            ctx.cost.gmem[BUF_B.0 as usize].ld_sectors += (TILE_K * tn * 4) as u64 / 32;
+            ctx.ld_sectors(BUF_A, stage_instrs * warps, (tm * TILE_K * 4) as u64 / 32);
+            ctx.ld_sectors(BUF_B, 0, (TILE_K * tn * 4) as u64 / 32);
             ctx.bar_sync();
 
             // Math: tm*tn*TILE_K scalar FMAs per strip; each warp
             // instruction covers 32 lanes.
             let fmas = (tm * tn * TILE_K) as u64;
-            ctx.cost.fma_instrs += fmas / 32;
+            ctx.fma(fmas / 32, 0);
             // Shared->register fragment loads, 128-bit, heavily reused.
             ctx.smem_load(fmas / 32 / 8, fmas / 8, SmemScope::Block);
             ctx.misc(8 * warps);
         }
         // Useful FLOPs only count the live region.
-        ctx.cost.flops += 2 * key.tile_m * key.tile_n * self.k as u64;
+        ctx.fma(0, key.tile_m * key.tile_n * self.k as u64);
 
         // Epilogue: vectorized stores of the tile.
         let store_instrs = ((tm * tn) as u64).div_ceil(threads as u64 * 4);

@@ -166,17 +166,15 @@ impl<T: Scalar> CostKey for CusparseSpmmKernel<'_, T> {
                     // each lane reads B(col, n0+lane), which in column-major
                     // storage sits `k_rows` elements apart: one sector per
                     // lane. Values + indices are coalesced across lanes.
-                    ctx.cost.ld_global_instrs += 2 * nnz.div_ceil(32);
-                    ctx.ld_sectors(BUF_A_VALUES, 0, values);
-                    ctx.ld_sectors(BUF_A_INDICES, 0, indices);
+                    ctx.ld_sectors(BUF_A_VALUES, nnz.div_ceil(32), values);
+                    ctx.ld_sectors(BUF_A_INDICES, nnz.div_ceil(32), indices);
                     // B loads: one warp instruction per nonzero, strided by K.
                     let b_sectors =
                         gpu_sim::memory::sectors_strided(0, key.tile_n, k_rows * eb, eb);
                     ctx.ld_sectors(BUF_B, nnz, nnz * b_sectors);
-                    ctx.cost.fma_instrs += nnz;
+                    ctx.fma(nnz, nnz * u64::from(key.tile_n));
                     ctx.misc(2 * nnz); // index scale + loop bookkeeping
-                    ctx.cost.flops += 2 * nnz * u64::from(key.tile_n);
-                    // Column-major output store: strided too.
+                                       // Column-major output store: strided too.
                     let c_sectors = gpu_sim::memory::sectors_strided(
                         0,
                         key.tile_n,
@@ -412,16 +410,14 @@ impl<T: Scalar> Kernel for CusparseSpmmHalfFallbackKernel<'_, T> {
             }
             let nnz = self.a.row_len(row) as u64;
             let steps = nnz * self.n as u64;
-            ctx.cost.ld_global_instrs += 3 * steps; // value + index + B, every step
-            ctx.cost.fma_instrs += steps;
+            // Value + index + B, every step; scalar accesses: one sector
+            // per touch.
+            ctx.ld_sectors(BUF_A_VALUES, steps, steps);
+            ctx.ld_sectors(BUF_A_INDICES, steps, steps);
+            ctx.ld_sectors(BUF_B, steps, steps);
+            ctx.fma(steps, steps);
             ctx.misc(3 * steps);
-            ctx.cost.st_global_instrs += self.n as u64;
-            // Scalar accesses: one sector per touch.
-            ctx.cost.gmem[BUF_A_VALUES.0 as usize].ld_sectors += steps;
-            ctx.cost.gmem[BUF_A_INDICES.0 as usize].ld_sectors += steps;
-            ctx.cost.gmem[BUF_B.0 as usize].ld_sectors += steps;
-            ctx.cost.gmem[BUF_C.0 as usize].st_sectors += self.n as u64;
-            ctx.cost.flops += 2 * steps;
+            ctx.st_sectors(BUF_C, self.n as u64, self.n as u64);
         }
     }
 }
@@ -610,11 +606,10 @@ impl<T: Scalar> Kernel for ConstrainedGemmKernel<'_, T> {
             for _ in 0..k_iters {
                 let stage_elems = ((TILE_M + TILE_N) * TILE_K) as u64;
                 let stage_instrs = stage_elems.div_ceil(256 * 4);
-                ctx.cost.ld_global_instrs += stage_instrs * warps;
                 ctx.smem_store(stage_instrs * warps, stage_elems * eb, SmemScope::Block);
-                ctx.cost.gmem[BUF_A_VALUES.0 as usize].ld_sectors +=
-                    (TILE_M * TILE_K) as u64 * eb / 32;
-                ctx.cost.gmem[BUF_B.0 as usize].ld_sectors += (TILE_K * TILE_N) as u64 * eb / 32;
+                let a_sectors = (TILE_M * TILE_K) as u64 * eb / 32;
+                ctx.ld_sectors(BUF_A_VALUES, stage_instrs * warps, a_sectors);
+                ctx.ld_sectors(BUF_B, 0, (TILE_K * TILE_N) as u64 * eb / 32);
                 ctx.bar_sync();
                 ctx.bar_sync(); // no double buffering: a second barrier per strip
                                 // The inner product is compiler-generated C++, not hand-tuned
@@ -622,7 +617,7 @@ impl<T: Scalar> Kernel for ConstrainedGemmKernel<'_, T> {
                                 // instructions with it (cuBLAS amortizes these to near zero with
                                 // register blocking), plus scalar shared-memory fragment reads.
                 let fmas = (TILE_M * TILE_N * TILE_K) as u64;
-                ctx.cost.fma_instrs += fmas / 32;
+                ctx.fma(fmas / 32, 0);
                 ctx.misc(3 * (fmas / 32));
                 ctx.smem_load(fmas / 32 / 2, fmas / 2, SmemScope::Block);
                 ctx.misc(8 * warps);
@@ -636,13 +631,11 @@ impl<T: Scalar> Kernel for ConstrainedGemmKernel<'_, T> {
                     .filter(|&&c| (c as usize) >= col0 && (c as usize) < col0 + tile_n)
                     .count() as u64;
             }
-            ctx.cost.flops += 2 * masked * k as u64;
+            ctx.fma(0, masked * k as u64);
             // Epilogue: gather the mask topology for the tile, scatter outputs.
             ctx.ld_global(BUF_A_OFFSETS, row0 as u64 * 4, tile_m as u32, 1, 4);
-            ctx.cost.ld_global_instrs += masked.div_ceil(32);
-            ctx.cost.gmem[BUF_A_INDICES.0 as usize].ld_sectors += masked.div_ceil(8);
-            ctx.cost.st_global_instrs += masked.div_ceil(32).max(1);
-            ctx.cost.gmem[BUF_C.0 as usize].st_sectors += masked.div_ceil(8).max(1);
+            ctx.ld_sectors(BUF_A_INDICES, masked.div_ceil(32), masked.div_ceil(8));
+            ctx.st_sectors(BUF_C, masked.div_ceil(32).max(1), masked.div_ceil(8).max(1));
             ctx.misc(6 * warps);
         }
 

@@ -132,13 +132,14 @@ impl<T: Scalar> CostKey for MergeSpmmKernel<'_, T> {
             ctx.ld_sectors(BUF_A_VALUES, strips, row.values);
             ctx.ld_sectors(BUF_A_INDICES, strips, row.indices);
             ctx.shfl(2 * nnz);
-            ctx.cost.ld_global_instrs += nnz;
-            ctx.cost.fma_instrs += nnz;
+            ctx.fma(nnz, nnz * 32);
             ctx.misc(2 * nnz + 4 * strips);
             // B strips: a column tile starts at `n0 * eb`, a multiple of 32.
-            ctx.cost.gmem[BUF_B.0 as usize].ld_sectors +=
-                nnz * gpu_sim::memory::sectors_contiguous(0, 32 * eb);
-            ctx.cost.flops += 2 * nnz * 32;
+            ctx.ld_sectors(
+                BUF_B,
+                nnz,
+                nnz * gpu_sim::memory::sectors_contiguous(0, 32 * eb),
+            );
             // Coalesced scalar store of the 32 outputs.
             ctx.st_sectors(BUF_C, 1, row.out);
         }

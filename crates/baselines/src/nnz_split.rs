@@ -147,14 +147,13 @@ impl<T: Scalar> CostKey for NnzSplitSpmmKernel<'_, T> {
 
         // Strip loads: the head load, then values + indices, coalesced.
         ctx.ld_sectors(BUF_A_VALUES, 1, strip.head);
-        ctx.cost.ld_global_instrs += 2 * count.div_ceil(32 * 4);
-        ctx.ld_sectors(BUF_A_VALUES, 0, strip.values);
-        ctx.ld_sectors(BUF_A_INDICES, 0, strip.indices);
+        ctx.ld_sectors(BUF_A_VALUES, count.div_ceil(32 * 4), strip.values);
+        ctx.ld_sectors(BUF_A_INDICES, count.div_ceil(32 * 4), strip.indices);
 
         // Per nonzero: one B strip load + FMA + row-boundary bookkeeping.
         let tile_sectors = gpu_sim::memory::sectors_contiguous(0, tile_n * eb);
         ctx.ld_sectors(BUF_B, count, count * tile_sectors);
-        ctx.cost.fma_instrs += count;
+        ctx.fma(count, count * tile_n);
         ctx.misc(3 * count); // segment detection + carry logic
 
         // Output: rows fully inside the strip are written once; the first
@@ -168,8 +167,7 @@ impl<T: Scalar> CostKey for NnzSplitSpmmKernel<'_, T> {
             atomic_elems.div_ceil(8) + (interior_rows + 2) * tile_sectors,
         );
         ctx.misc(6 * tile_n / 8); // atomic retry slack
-        ctx.cost.stall_cycles += 8; // serialization at hot boundary rows
-        ctx.cost.flops += 2 * count * tile_n;
+        ctx.stall(8); // serialization at hot boundary rows
     }
 }
 

@@ -43,19 +43,19 @@ fn assert_signature_sound(kernel: &dyn Kernel, context: &str) {
         let mut charged = BlockContext::new(false);
         keyed.charge_block(block, &mut charged);
         assert_eq!(
-            ctx.cost,
-            charged.cost,
+            ctx.cost(),
+            charged.cost(),
             "{context}: kernel {} block {block:?} records more than its key charges",
             kernel.name()
         );
         match by_sig.get(&sig) {
             None => {
-                by_sig.insert(sig, (block, ctx.cost));
+                by_sig.insert(sig, (block, ctx.cost().clone()));
             }
             Some((first, cost)) => {
                 assert_eq!(
-                    *cost,
-                    ctx.cost,
+                    cost,
+                    ctx.cost(),
                     "{context}: kernel {} blocks {first:?} and {block:?} share \
                      key hash {sig:#x} but recorded different costs",
                     kernel.name()
@@ -243,7 +243,7 @@ fn sddmm_signature_collisions_actually_occur() {
         let mut ctx = BlockContext::new(false);
         kernel.execute_block(block, &mut ctx);
         // Only a working block stores outputs.
-        let exits = ctx.cost.st_global_instrs == 0;
+        let exits = ctx.cost().st_global_instrs == 0;
         let repeats = !seen.insert(sig);
         match (exits, repeats) {
             (true, true) => exit_collisions += 1,

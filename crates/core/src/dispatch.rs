@@ -657,10 +657,10 @@ impl<T: Scalar> Kernel for FallbackSpmmKernel<'_, T> {
                         let lanes = 32.min(n as u32 - (s * 32) as u32);
                         ctx.ld_global(BUF_B, addr, lanes, 1, eb);
                     }
-                    ctx.cost.fma_instrs += strips_per_row;
+                    ctx.fma(strips_per_row, 0);
                     ctx.misc(2);
                 }
-                ctx.cost.flops += 2 * (nnz * n) as u64;
+                ctx.fma(0, (nnz * n) as u64);
             }
             let strips_per_row = (n as u64).div_ceil(32);
             for s in 0..strips_per_row {

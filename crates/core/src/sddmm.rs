@@ -483,22 +483,20 @@ impl<T: Scalar> CostKey for SddmmKernel<'_, T> {
         let per_group_loads = k.div_ceil(tpo as u64 * vw as u64).max(1);
         let per_group_fmas = k.div_ceil(tpo as u64).max(1);
         let reduce_steps = (tpo as f64).log2() as u64;
-        ctx.cost.ld_global_instrs += groups * per_group_loads;
-        ctx.cost.fma_instrs += groups * per_group_fmas;
+        ctx.fma(groups * per_group_fmas, s * k);
         ctx.shfl(groups * reduce_steps);
         ctx.fp(groups * reduce_steps, 0);
         ctx.misc(groups * 3);
 
         // RHS rows: one contiguous K-element read per output.
-        ctx.ld_sectors(BUF_RHS, 0, strip.rhs);
-        ctx.cost.flops += 2 * s * k;
+        ctx.ld_sectors(BUF_RHS, groups * per_group_loads, strip.rhs);
 
         // General SDDMM: scale each output by the mask's stored value —
         // "1 load and 1 multiply instruction prior to storing the output".
         if cfg.scale_by_mask {
             ctx.ld_sectors(BUF_MASK_INDICES, 1, strip.out);
             ctx.fp(s.div_ceil(32), s);
-            ctx.cost.flops += s;
+            ctx.fp(0, s);
         }
 
         // Scalar stores of the strip's outputs.

@@ -159,27 +159,24 @@ impl<T: Scalar> Kernel for SparseSoftmaxKernel<'_, T> {
             // Cost-only math is skipped on cache-hit replays.
             if ctx.recording() {
                 let load_instrs = gpu_sim::memory::vector_instr_count(len as u64, 32, vw);
-                let sectors = gpu_sim::memory::sectors_contiguous(
-                    start as u64 * eb as u64,
-                    len as u64 * eb as u64,
-                );
-                ctx.cost.ld_global_instrs += 3 * load_instrs;
-                ctx.cost.gmem[BUF_VALUES.0 as usize].ld_sectors += 3 * sectors;
+                let (addr, bytes) = (start as u64 * eb as u64, len as u64 * eb as u64);
+                let sectors = ctx.sectors(BUF_VALUES, addr, bytes, 1, 1);
+                ctx.ld_sectors(BUF_VALUES, 3 * load_instrs, 3 * sectors);
                 // exp on each element + subtract max + divide: ~3 FLOPs each,
                 // exp modeled as one MUFU-pipe instruction per element slice.
                 let elem_instrs = (len as u64).div_ceil(32);
                 if self.scale.is_some() {
                     // The metered logit-scale multiply (one pass).
                     ctx.fp(elem_instrs, len as u64);
-                    ctx.cost.flops += len as u64;
+                    ctx.fp(0, len as u64);
                 }
                 ctx.fp(3 * elem_instrs, 3 * len as u64);
                 // Warp reductions: 5 shuffle + 5 op for max, same for sum.
                 ctx.shfl(10);
                 ctx.fp(10, 10);
-                ctx.cost.st_global_instrs += load_instrs;
-                ctx.cost.gmem[BUF_OUT.0 as usize].st_sectors += sectors;
-                ctx.cost.flops += 3 * len as u64;
+                let sectors = ctx.sectors(BUF_OUT, addr, bytes, 1, 1);
+                ctx.st_sectors(BUF_OUT, load_instrs, sectors);
+                ctx.fp(0, 3 * len as u64);
             }
 
             if let (true, Some(out)) = (ctx.functional(), self.out_values.as_ref()) {

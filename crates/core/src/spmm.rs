@@ -719,7 +719,7 @@ impl<'a, T: Scalar> SpmmKernel<'a, T> {
         let max_total = rows().map(|s| u64::from(s.total)).max().unwrap_or(0);
         if subs.len() > 1 {
             let wasted: u64 = rows().map(|s| max_total - u64::from(s.total)).sum();
-            ctx.cost.stall_cycles += wasted * DIVERGENCE_STALL_CYCLES_PER_SLOT / subs.len() as u64;
+            ctx.stall(wasted * DIVERGENCE_STALL_CYCLES_PER_SLOT / subs.len() as u64);
         }
 
         // ---- Main loop: one pass per strip --------------------------------
@@ -746,9 +746,9 @@ impl<'a, T: Scalar> SpmmKernel<'a, T> {
                 // under a LUT (the indices must be read to be probed). Warp
                 // scope: Sputnik's staging is warp-synchronous (the warp
                 // that stores the strip is its only consumer).
-                ctx.cost.ld_global_instrs += 2 * a_load_instrs;
+                ctx.ld_sectors(BUF_A_VALUES, 2 * a_load_instrs, 0);
                 ctx.smem_store(2 * a_load_instrs, 0, SmemScope::Warp);
-                ctx.cost.shared_bytes += bik * (eb + ib) as u64;
+                ctx.smem_bytes(bik * (eb + ib) as u64);
                 if cfg.index_prescale {
                     ctx.misc(bik.div_ceil(threads_x as u64));
                 }
@@ -761,11 +761,11 @@ impl<'a, T: Scalar> SpmmKernel<'a, T> {
                 );
                 // One B-row strip load per live position (all subwarps issue
                 // in the same warp instruction), vector_width FMAs each.
-                ctx.cost.ld_global_instrs += union_live;
+                ctx.ld_sectors(BUF_B, union_live, 0);
                 if !cfg.index_prescale {
                     ctx.misc(union_live); // scale index at every use
                 }
-                ctx.cost.fma_instrs += union_live * vw as u64;
+                ctx.fma(union_live * vw as u64, 0);
                 ctx.misc(4); // loop bookkeeping
                 if base == 0 && cfg.roma && vw > 1 {
                     // Mask the prefix: 1 setp + 2 st.shared.
@@ -779,13 +779,13 @@ impl<'a, T: Scalar> SpmmKernel<'a, T> {
                 ctx.smem_store(2, 0, SmemScope::Warp);
                 let rounded = union_live.div_ceil(4) * 4;
                 let a_instrs = gpu_sim::memory::vector_instr_count(len, threads_x, vw_a);
-                ctx.cost.ld_global_instrs += 2 * a_instrs;
+                ctx.ld_sectors(BUF_A_VALUES, 2 * a_instrs, 0);
                 ctx.smem_store(2 * a_instrs, 0, SmemScope::Warp);
-                ctx.cost.shared_bytes += len * (eb + ib) as u64;
+                ctx.smem_bytes(len * (eb + ib) as u64);
                 let loads = 2 * len.div_ceil(4);
                 ctx.smem_load(loads, loads * 4 * w, SmemScope::Warp);
-                ctx.cost.ld_global_instrs += rounded; // B loads incl. padding
-                ctx.cost.fma_instrs += rounded * vw as u64;
+                ctx.ld_sectors(BUF_B, rounded, 0); // B loads incl. padding
+                ctx.fma(rounded * vw as u64, 0);
                 if cfg.index_prescale {
                     ctx.misc(len.div_ceil(threads_x as u64));
                 } else {
@@ -799,14 +799,14 @@ impl<'a, T: Scalar> SpmmKernel<'a, T> {
                 // offsets, no dual-issue) — the inefficiency Section V-D2's
                 // loop splitting removes.
                 let a_instrs = gpu_sim::memory::vector_instr_count(len, threads_x, 1);
-                ctx.cost.ld_global_instrs += 2 * a_instrs;
+                ctx.ld_sectors(BUF_A_VALUES, 2 * a_instrs, 0);
                 ctx.smem_store(2 * a_instrs, 0, SmemScope::Warp);
-                ctx.cost.shared_bytes += len * (eb + ib) as u64;
+                ctx.smem_bytes(len * (eb + ib) as u64);
                 ctx.smem_load(2 * len, 2 * len * w, SmemScope::Warp);
-                ctx.cost.ld_global_instrs += union_live;
-                ctx.cost.fma_instrs += union_live * vw as u64;
+                ctx.ld_sectors(BUF_B, union_live, 0);
+                ctx.fma(union_live * vw as u64, 0);
                 ctx.misc(5 * len);
-                ctx.cost.stall_cycles += 4 * len;
+                ctx.stall(4 * len);
             }
             base += len;
         }
@@ -825,25 +825,26 @@ impl<'a, T: Scalar> SpmmKernel<'a, T> {
                 Some(counts) => counts[s],
                 None => (sub.total.into(), sub.nnz.into()),
             };
-            ctx.cost.gmem[BUF_B.0 as usize].ld_sectors += loads * tile.b_sectors;
-            ctx.cost.flops += 2 * useful * tile.tile_w;
+            ctx.ld_sectors(BUF_B, 0, loads * tile.b_sectors);
+            ctx.fma(0, useful * tile.tile_w);
         }
 
         // ---- Output store -------------------------------------------------
         let store_vw = if tile.store_vw { vw } else { 1 };
         let store_instrs = gpu_sim::memory::vector_instr_count(tile.tile_w, threads_x, store_vw);
-        ctx.cost.st_global_instrs += store_instrs;
         if cfg.fused_bias_relu {
             if any_row {
                 ctx.ld_sectors(BUF_BIAS, 1, warp.bias.into());
             }
             ctx.fp(2 * store_instrs, 0);
         }
-        for sub in rows() {
-            let class = u64::from(sub.c_class) + tile.n_off_class;
-            let sectors = gpu_sim::memory::sectors_contiguous(class, tile.tile_w * eb as u64);
-            ctx.st_sectors(BUF_C, 0, sectors);
-        }
+        let sectors = rows()
+            .map(|sub| {
+                let class = u64::from(sub.c_class) + tile.n_off_class;
+                gpu_sim::memory::sectors_contiguous(class, tile.tile_w * eb as u64)
+            })
+            .sum();
+        ctx.st_sectors(BUF_C, store_instrs, sectors);
     }
 }
 

@@ -209,14 +209,11 @@ impl<T: Scalar> Kernel for PermuteKernel<'_, T> {
         // cache-hit replays.
         if ctx.recording() {
             // Permutation indices and destination: coalesced.
-            ctx.cost.ld_global_instrs += warps;
-            ctx.ld_global_trace(BUF_PERM, (start * 4) as u64, count as u64 * 4);
-            ctx.cost.st_global_instrs += warps;
-            ctx.st_global_trace(
-                BUF_DST,
-                (start * eb as usize) as u64,
-                count as u64 * eb as u64,
-            );
+            let sectors = ctx.sectors(BUF_PERM, (start * 4) as u64, count as u64 * 4, 1, 1);
+            ctx.ld_sectors(BUF_PERM, warps, sectors);
+            let (addr, bytes) = ((start * eb as usize) as u64, count as u64 * eb as u64);
+            let sectors = ctx.sectors(BUF_DST, addr, bytes, 1, 1);
+            ctx.st_sectors(BUF_DST, warps, sectors);
             // Source values: a gather — count real sectors from the
             // permutation, staged on the stack (32 lanes per warp).
             let mut addrs = [0u64; 32];

@@ -180,16 +180,14 @@ impl Kernel for BiasReluKernel<'_> {
         let w = 256.min(self.n - c0);
         let addr = (row * self.n + c0) as u64 * 4;
         let instrs = (w as u64).div_ceil(32 * 4);
-        ctx.cost.ld_global_instrs += instrs;
-        ctx.cost.st_global_instrs += instrs;
         ctx.ld_global(BUF_BIAS, row as u64 * 4, 1, 1, 4);
-        ctx.cost.gmem[BUF_X.0 as usize].ld_sectors +=
-            gpu_sim::memory::sectors_contiguous(addr, w as u64 * 4);
-        ctx.cost.gmem[BUF_Y.0 as usize].st_sectors +=
-            gpu_sim::memory::sectors_contiguous(addr, w as u64 * 4);
+        let sectors = ctx.sectors(BUF_X, addr, w as u64 * 4, 1, 1);
+        ctx.ld_sectors(BUF_X, instrs, sectors);
+        let sectors = ctx.sectors(BUF_Y, addr, w as u64 * 4, 1, 1);
+        ctx.st_sectors(BUF_Y, instrs, sectors);
         ctx.fp(2 * (w as u64).div_ceil(32), 2 * w as u64);
         ctx.misc(6);
-        ctx.cost.flops += 2 * w as u64;
+        ctx.fp(0, 2 * w as u64);
 
         if let (true, Some(x), Some(bias), Some(out)) =
             (ctx.functional(), self.x, self.bias, self.out.as_ref())
@@ -405,17 +403,15 @@ impl Kernel for DepthwiseConvKernel<'_> {
         ctx.ld_global(BUF_DW_W, (c * 9) as u64 * 4, 9, 1, 4);
         ctx.ld_global(BUF_DW_W, c as u64 * 4, 1, 1, 4); // bias via same buffer
                                                         // 3 rows x 3 taps of (mostly) contiguous loads per warp.
-        ctx.cost.ld_global_instrs += warps * 9;
         let row_bytes = (32 * self.stride) as u64 * 4 + 8;
-        ctx.cost.gmem[BUF_DW_IN.0 as usize].ld_sectors +=
-            warps * 3 * gpu_sim::memory::sectors_contiguous(4, row_bytes);
-        ctx.cost.fma_instrs += warps * 9;
+        let in_sectors = warps * 3 * gpu_sim::memory::sectors_contiguous(4, row_bytes);
+        ctx.ld_sectors(BUF_DW_IN, warps * 9, in_sectors);
+        ctx.fma(warps * 9, 10 * count as u64);
         ctx.fp(warps * 2, 2 * count as u64);
         ctx.misc(warps * 12);
-        ctx.cost.st_global_instrs += warps;
-        ctx.cost.gmem[BUF_DW_OUT.0 as usize].st_sectors +=
-            gpu_sim::memory::sectors_contiguous(((c * oh * ow + p0) * 4) as u64, count as u64 * 4);
-        ctx.cost.flops += (9 * 2 + 2) * count as u64;
+        let out_addr = ((c * oh * ow + p0) * 4) as u64;
+        let sectors = ctx.sectors(BUF_DW_OUT, out_addr, count as u64 * 4, 1, 1);
+        ctx.st_sectors(BUF_DW_OUT, warps, sectors);
 
         if let (true, Some(input), Some(filters), Some(bias), Some(out)) = (
             ctx.functional(),
@@ -561,21 +557,21 @@ impl Kernel for DenseSoftmaxKernel<'_> {
             }
             let n = self.n as u64;
             let load_instrs = n.div_ceil(32 * 4);
-            let sectors = gpu_sim::memory::sectors_contiguous((row * self.n * 4) as u64, n * 4);
-            ctx.cost.ld_global_instrs += 3 * load_instrs;
-            ctx.cost.gmem[BUF_X.0 as usize].ld_sectors += 3 * sectors;
+            let addr = (row * self.n * 4) as u64;
+            let sectors = ctx.sectors(BUF_X, addr, n * 4, 1, 1);
+            ctx.ld_sectors(BUF_X, 3 * load_instrs, 3 * sectors);
             if self.scale.is_some() {
                 // One multiply per element across the three read passes.
                 ctx.fp(3 * n.div_ceil(32), 3 * n);
-                ctx.cost.flops += 3 * n;
+                ctx.fp(0, 3 * n);
             }
             ctx.fp(3 * n.div_ceil(32), 3 * n);
             ctx.shfl(10);
             ctx.fp(10, 10);
-            ctx.cost.st_global_instrs += load_instrs;
-            ctx.cost.gmem[BUF_Y.0 as usize].st_sectors += sectors;
+            let sectors = ctx.sectors(BUF_Y, addr, n * 4, 1, 1);
+            ctx.st_sectors(BUF_Y, load_instrs, sectors);
             ctx.misc(8);
-            ctx.cost.flops += 3 * n;
+            ctx.fp(0, 3 * n);
 
             if let (true, Some(x), Some(out)) = (ctx.functional(), self.x, self.out.as_ref()) {
                 let mut row_p = ctx.scratch_f32(self.n);

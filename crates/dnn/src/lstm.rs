@@ -231,26 +231,23 @@ impl Kernel for LstmElementwiseKernel<'_> {
         }
         let warps = (count as u64).div_ceil(32);
         // Four strided gate reads (one per gate region), bias, c_in.
+        let (addr, bytes) = (start as u64 * 4, count as u64 * 4);
         for gate in 0..4u64 {
-            ctx.cost.ld_global_instrs += warps;
-            ctx.cost.gmem[BUF_GATES.0 as usize].ld_sectors += gpu_sim::memory::sectors_contiguous(
-                (gate * total as u64 + start as u64) * 4,
-                count as u64 * 4,
-            );
+            let gate_addr = gate * total as u64 * 4 + addr;
+            let sectors = ctx.sectors(BUF_GATES, gate_addr, bytes, 1, 1);
+            ctx.ld_sectors(BUF_GATES, warps, sectors);
         }
         ctx.ld_global(BUF_BIAS, 0, warps as u32, 1, 4);
-        ctx.cost.ld_global_instrs += warps;
-        ctx.cost.gmem[BUF_C_IN.0 as usize].ld_sectors +=
-            gpu_sim::memory::sectors_contiguous(start as u64 * 4, count as u64 * 4);
+        let sectors = ctx.sectors(BUF_C_IN, addr, bytes, 1, 1);
+        ctx.ld_sectors(BUF_C_IN, warps, sectors);
         // sigmoid x3 + tanh x2 + FMAs: ~24 flops/element through the MUFU.
         ctx.fp(24 * warps, 24 * count as u64);
         ctx.misc(8 * warps);
-        ctx.cost.st_global_instrs += 2 * warps;
-        ctx.cost.gmem[BUF_H_OUT.0 as usize].st_sectors +=
-            gpu_sim::memory::sectors_contiguous(start as u64 * 4, count as u64 * 4);
-        ctx.cost.gmem[BUF_C_OUT.0 as usize].st_sectors +=
-            gpu_sim::memory::sectors_contiguous(start as u64 * 4, count as u64 * 4);
-        ctx.cost.flops += 24 * count as u64;
+        let sectors = ctx.sectors(BUF_H_OUT, addr, bytes, 1, 1);
+        ctx.st_sectors(BUF_H_OUT, warps, sectors);
+        let sectors = ctx.sectors(BUF_C_OUT, addr, bytes, 1, 1);
+        ctx.st_sectors(BUF_C_OUT, warps, sectors);
+        ctx.fp(0, 24 * count as u64);
 
         if ctx.functional() {
             let g = self.gates.as_slice();

@@ -186,21 +186,28 @@ impl From<&BlockCost> for BlockCostLite {
     }
 }
 
-/// Recording context handed to a kernel's `execute_block`.
+/// Recording context handed to a kernel's `execute_block`: the one way
+/// into a block's [`BlockCost`].
 ///
-/// Provides the memory/arithmetic primitives a CUDA kernel would use; each
-/// call updates the block's [`BlockCost`]. The `functional` flag tells the
-/// kernel whether it must also compute real output values (launch mode) or
-/// may skip the arithmetic (profile mode, used for large parameter sweeps).
+/// Kernels speak one vocabulary to it. An address becomes a sector count
+/// through the `*sectors` helpers ([`Self::sectors`],
+/// [`Self::tile_sectors`], [`Self::strided_sectors`],
+/// [`Self::gather_sectors`]), which in a sanitized block also memcheck the
+/// real address. A count reaches the books through the charge helpers
+/// ([`Self::ld_sectors`]/[`Self::st_sectors`], [`Self::fma`], [`Self::fp`],
+/// [`Self::shfl`], [`Self::misc`], the shared-memory and barrier hooks,
+/// [`Self::stall`]); [`Self::ld_global`]/[`Self::st_global`] do both for
+/// one warp instruction. Every charge is a no-op on a cache-hit replay.
+/// The `functional` flag tells the kernel whether it must also compute real
+/// output values (launch mode) or may skip the arithmetic (profile mode,
+/// used for large parameter sweeps).
 #[derive(Debug)]
 pub struct BlockContext {
-    pub cost: BlockCost,
+    pub(crate) cost: BlockCost,
     functional: bool,
-    /// When false, the recording methods below are no-ops: the context is a
-    /// replay of a launch whose statistics are already known (a
-    /// [`LaunchCache`](crate::LaunchCache) hit), so sector/conflict math
-    /// would be wasted. Kernels that poke `ctx.cost` fields directly still
-    /// pay those (cheap) increments; the resulting cost is discarded.
+    /// When false, the charge helpers are no-ops: the context is a replay
+    /// of a launch whose statistics are already known (a
+    /// [`LaunchCache`](crate::LaunchCache) hit).
     record: bool,
     /// Per-block sanitizer state; `None` outside sanitized launches, so the
     /// hot path pays one branch per recorded access.
@@ -245,6 +252,12 @@ impl BlockContext {
         self.san.take().map(|b| *b)
     }
 
+    /// The block's books so far (all zero on a replay).
+    #[inline]
+    pub fn cost(&self) -> &BlockCost {
+        &self.cost
+    }
+
     /// Whether the kernel must produce real numerical outputs.
     #[inline]
     pub fn functional(&self) -> bool {
@@ -269,10 +282,10 @@ impl BlockContext {
     }
 
     /// The sectors a contiguous global access of `bytes` at `byte_addr`
-    /// touches. Cost-key builders get each contiguous sector count here,
-    /// from the real address; in a sanitized block this also memchecks the
-    /// access against `buf`'s footprint and alignment-checks it as a
-    /// `vec_width`-wide access of `elem_bytes` elements.
+    /// touches. A kernel (or its cost-key builder) gets each contiguous
+    /// sector count of a real address here; in a sanitized block this also
+    /// memchecks the access against `buf`'s footprint and alignment-checks
+    /// it as a `vec_width`-wide access of `elem_bytes` elements.
     #[inline]
     pub fn sectors(
         &mut self,
@@ -477,27 +490,15 @@ impl BlockContext {
         }
     }
 
-    /// Sector-accurate contiguous global-load traffic for callers that
-    /// account load *instructions* separately (bulk staging loops). Adds
-    /// sectors and runs memcheck; no instruction is counted.
+    /// Shared-memory bytes moved by instructions charged elsewhere, with
+    /// no sanitizer note: the staging they belong to was noted by the
+    /// [`Self::smem_store`] or [`Self::smem_load`] that counted them.
     #[inline]
-    pub fn ld_global_trace(&mut self, buf: BufferId, byte_addr: u64, bytes: u64) {
+    pub fn smem_bytes(&mut self, bytes: u64) {
         if !self.record {
             return;
         }
-        let sectors = self.sectors(buf, byte_addr, bytes, 1, 1);
-        self.ld_sectors(buf, 0, sectors);
-    }
-
-    /// Sector-accurate contiguous global-store traffic; mirror of
-    /// [`Self::ld_global_trace`].
-    #[inline]
-    pub fn st_global_trace(&mut self, buf: BufferId, byte_addr: u64, bytes: u64) {
-        if !self.record {
-            return;
-        }
-        let sectors = self.sectors(buf, byte_addr, bytes, 1, 1);
-        self.st_sectors(buf, 0, sectors);
+        self.cost.shared_bytes += bytes;
     }
 
     /// `warp_instrs` FMA warp instructions performing `scalar_fmas` useful
@@ -538,6 +539,16 @@ impl BlockContext {
             return;
         }
         self.cost.misc_instrs += n;
+    }
+
+    /// Exposed-latency stall cycles the block cannot hide (e.g. warp
+    /// divergence reducing memory-level parallelism).
+    #[inline]
+    pub fn stall(&mut self, cycles: u64) {
+        if !self.record {
+            return;
+        }
+        self.cost.stall_cycles += cycles;
     }
 
     /// A `__syncthreads()` barrier.
@@ -602,7 +613,7 @@ mod tests {
         ctx.st_shared(16, 1, 4, 2);
         ctx.ld_global(BufferId(2), 20, 32, 4, 4);
         ctx.st_global(BufferId(7), 4, 32, 1, 4);
-        ctx.cost.stall_cycles = 11;
+        ctx.stall(11);
         let c = ctx.cost;
         let mut base = BlockCost::default();
         base.merge(&c);
@@ -622,8 +633,12 @@ mod tests {
         let mut ctx = BlockContext::replay();
         assert!(ctx.functional());
         assert!(!ctx.recording());
-        ctx.ld_global_trace(BufferId(0), 0, 128);
-        assert_eq!(ctx.cost, BlockCost::default());
+        ctx.ld_global(BufferId(0), 0, 32, 1, 4);
+        ctx.fma(1, 32);
+        ctx.smem_bytes(64);
+        ctx.stall(3);
+        ctx.bar_sync();
+        assert_eq!(*ctx.cost(), BlockCost::default());
     }
 
     #[test]

@@ -288,9 +288,9 @@ impl<T: Scalar> Kernel for SddmmSoftmaxSpmmKernel<'_, T> {
             let vw = self.vw();
             // Q row: loaded once per block, reused across every score.
             let q_instrs = memory::vector_instr_count(k as u64, 32, vw);
-            ctx.cost.ld_global_instrs += q_instrs;
-            ctx.cost.gmem[BUF_Q.0 as usize].ld_sectors +=
-                memory::sectors_contiguous((row * k) as u64 * eb as u64, k as u64 * eb as u64);
+            let q_bytes = k as u64 * eb as u64;
+            let sectors = ctx.sectors(BUF_Q, row as u64 * q_bytes, q_bytes, 1, 1);
+            ctx.ld_sectors(BUF_Q, q_instrs, sectors);
 
             // SDDMM stage, per strip: stage the index strip, then one
             // warp-cooperative dot per output (the whole warp reduces each
@@ -310,22 +310,21 @@ impl<T: Scalar> Kernel for SddmmSoftmaxSpmmKernel<'_, T> {
                 ctx.st_shared(s as u32, 1, 4, 1);
                 ctx.misc(3);
                 let groups = s as u64;
-                ctx.cost.ld_global_instrs += groups * (k as u64).div_ceil(32 * vw as u64).max(1);
-                ctx.cost.fma_instrs += groups * (k as u64).div_ceil(32).max(1);
+                ctx.fma(groups * (k as u64).div_ceil(32).max(1), (s * k) as u64);
                 ctx.shfl(groups * 5);
                 ctx.fp(groups * 5, 0);
                 ctx.misc(groups * 3);
-                if k_bytes.is_multiple_of(memory::SECTOR_BYTES) {
-                    ctx.cost.gmem[BUF_K.0 as usize].ld_sectors +=
-                        s as u64 * memory::sectors_contiguous(0, k_bytes);
+                let sectors = if k_bytes.is_multiple_of(memory::SECTOR_BYTES) {
+                    s as u64 * memory::sectors_contiguous(0, k_bytes)
                 } else {
                     let (cols, _) = self.mask.row(row);
-                    for &j in &cols[strip_start..strip_start + s] {
-                        ctx.cost.gmem[BUF_K.0 as usize].ld_sectors +=
-                            memory::sectors_contiguous(j as u64 * k_bytes, k_bytes);
-                    }
-                }
-                ctx.cost.flops += 2 * (s * k) as u64;
+                    cols[strip_start..strip_start + s]
+                        .iter()
+                        .map(|&j| ctx.sectors(BUF_K, j as u64 * k_bytes, k_bytes, 1, 1))
+                        .sum()
+                };
+                let k_instrs = groups * (k as u64).div_ceil(32 * vw as u64).max(1);
+                ctx.ld_sectors(BUF_K, k_instrs, sectors);
                 // Scores land in shared memory instead of DRAM.
                 ctx.st_shared(s as u32, 1, 4, 1);
                 strip_start += s;
@@ -342,7 +341,7 @@ impl<T: Scalar> Kernel for SddmmSoftmaxSpmmKernel<'_, T> {
             ctx.fp(10, 10);
             // Probabilities overwrite the staged scores in place.
             ctx.smem_store(elem_instrs, len as u64 * 4, crate::SmemScope::Warp);
-            ctx.cost.flops += 4 * len as u64;
+            ctx.fp(0, 4 * len as u64);
 
             // SpMM stage: gather V rows, accumulate the context row tile by
             // tile; probabilities are re-read from shared memory per tile.
@@ -352,29 +351,28 @@ impl<T: Scalar> Kernel for SddmmSoftmaxSpmmKernel<'_, T> {
                 let tile_w = self.spmm_tile.min(n - n_off);
                 ctx.smem_load(elem_instrs, len as u64 * 4, crate::SmemScope::Warp);
                 let per_col = memory::vector_instr_count(tile_w as u64, 32, vw);
-                ctx.cost.ld_global_instrs += len as u64 * per_col;
-                if n_bytes.is_multiple_of(memory::SECTOR_BYTES) {
-                    ctx.cost.gmem[BUF_V.0 as usize].ld_sectors += len as u64
-                        * memory::sectors_contiguous(
-                            n_off as u64 * eb as u64,
-                            tile_w as u64 * eb as u64,
-                        );
+                let tile_bytes = tile_w as u64 * eb as u64;
+                let sectors = if n_bytes.is_multiple_of(memory::SECTOR_BYTES) {
+                    len as u64 * memory::sectors_contiguous(n_off as u64 * eb as u64, tile_bytes)
                 } else {
                     let (cols, _) = self.mask.row(row);
-                    for &j in cols {
-                        ctx.cost.gmem[BUF_V.0 as usize].ld_sectors += memory::sectors_contiguous(
-                            (j as u64 * n as u64 + n_off as u64) * eb as u64,
-                            tile_w as u64 * eb as u64,
-                        );
-                    }
-                }
-                ctx.cost.fma_instrs += len as u64 * (tile_w as u64).div_ceil(32);
+                    cols.iter()
+                        .map(|&j| {
+                            let addr = (j as u64 * n as u64 + n_off as u64) * eb as u64;
+                            ctx.sectors(BUF_V, addr, tile_bytes, 1, 1)
+                        })
+                        .sum()
+                };
+                ctx.ld_sectors(BUF_V, len as u64 * per_col, sectors);
+                ctx.fma(
+                    len as u64 * (tile_w as u64).div_ceil(32),
+                    (len * tile_w) as u64,
+                );
                 ctx.misc(len as u64);
-                ctx.cost.flops += 2 * (len * tile_w) as u64;
                 let out_addr = (row * n + n_off) as u64 * eb as u64;
-                ctx.cost.st_global_instrs += memory::vector_instr_count(tile_w as u64, 32, vw);
-                ctx.cost.gmem[BUF_OUT.0 as usize].st_sectors +=
-                    memory::sectors_contiguous(out_addr, tile_w as u64 * eb as u64);
+                let sectors = ctx.sectors(BUF_OUT, out_addr, tile_bytes, 1, 1);
+                let store_instrs = memory::vector_instr_count(tile_w as u64, 32, vw);
+                ctx.st_sectors(BUF_OUT, store_instrs, sectors);
                 n_off += tile_w;
             }
         }

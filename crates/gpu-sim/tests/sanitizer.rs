@@ -302,7 +302,8 @@ impl Kernel for OverlapKernel<'_> {
         self.atomic
     }
     fn execute_block(&self, block: Dim3, ctx: &mut BlockContext) {
-        ctx.st_global_trace(BUF, 0, 4);
+        let sectors = ctx.sectors(BUF, 0, 4, 1, 1);
+        ctx.st_sectors(BUF, 0, sectors);
         if ctx.functional() {
             self.out.write(0, block.x as f32);
         }
@@ -680,7 +681,9 @@ impl Kernel for GlobalOobKernel {
         buffer(64)
     }
     fn execute_block(&self, _block: Dim3, ctx: &mut BlockContext) {
-        ctx.st_global_trace(BUF, 32, 64); // [32, 96) overruns the 64-byte buffer
+        // [32, 96) overruns the 64-byte buffer.
+        let sectors = ctx.sectors(BUF, 32, 64, 1, 1);
+        ctx.st_sectors(BUF, 0, sectors);
     }
 }
 
@@ -765,7 +768,8 @@ impl Kernel for CleanKernel<'_> {
         ctx.smem_store(2, 256, SmemScope::Block);
         ctx.bar_sync();
         ctx.smem_load(2, 256, SmemScope::Block);
-        ctx.st_global_trace(BUF, base as u64 * 4, 64 * 4);
+        let sectors = ctx.sectors(BUF, base as u64 * 4, 64 * 4, 1, 1);
+        ctx.st_sectors(BUF, 0, sectors);
         if ctx.functional() {
             for i in 0..64 {
                 self.out.write(base + i, i as f32);

@@ -496,7 +496,6 @@ impl<T: Scalar> CostKey for SddmmKernel<'_, T> {
         if cfg.scale_by_mask {
             ctx.ld_sectors(BUF_MASK_INDICES, 1, strip.out);
             ctx.fp(s.div_ceil(32), s);
-            ctx.fp(0, s);
         }
 
         // Scalar stores of the strip's outputs.

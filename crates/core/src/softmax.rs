@@ -168,7 +168,6 @@ impl<T: Scalar> Kernel for SparseSoftmaxKernel<'_, T> {
                 if self.scale.is_some() {
                     // The metered logit-scale multiply (one pass).
                     ctx.fp(elem_instrs, len as u64);
-                    ctx.fp(0, len as u64);
                 }
                 ctx.fp(3 * elem_instrs, 3 * len as u64);
                 // Warp reductions: 5 shuffle + 5 op for max, same for sum.
@@ -176,7 +175,6 @@ impl<T: Scalar> Kernel for SparseSoftmaxKernel<'_, T> {
                 ctx.fp(10, 10);
                 let sectors = ctx.sectors(BUF_OUT, addr, bytes, 1, 1);
                 ctx.st_sectors(BUF_OUT, load_instrs, sectors);
-                ctx.fp(0, 3 * len as u64);
             }
 
             if let (true, Some(out)) = (ctx.functional(), self.out_values.as_ref()) {
@@ -292,6 +290,20 @@ mod tests {
             (vals[0] - 1.0).abs() < 1e-6,
             "single-element row softmaxes to 1"
         );
+    }
+
+    #[test]
+    fn profile_counts_each_flop_once() {
+        // 3 FLOPs per stored value (max, exp, divide) plus the 10 of the
+        // two warp reductions per non-empty row; the scaled kernel adds its
+        // one multiply per value.
+        let m = gen::attention_mask(256, 32, 0.9, 42);
+        let rows = (0..m.rows()).filter(|&r| m.row_len(r) > 0).count() as u64;
+        let nnz = m.nnz() as u64;
+        let gpu = Gpu::v100();
+        assert_eq!(sparse_softmax_profile(&gpu, &m).flops, 3 * nnz + 10 * rows);
+        let scaled = sparse_softmax_scaled_profile(&gpu, &m, 0.125);
+        assert_eq!(scaled.flops, 4 * nnz + 10 * rows);
     }
 
     #[test]

@@ -187,7 +187,6 @@ impl Kernel for BiasReluKernel<'_> {
         ctx.st_sectors(BUF_Y, instrs, sectors);
         ctx.fp(2 * (w as u64).div_ceil(32), 2 * w as u64);
         ctx.misc(6);
-        ctx.fp(0, 2 * w as u64);
 
         if let (true, Some(x), Some(bias), Some(out)) =
             (ctx.functional(), self.x, self.bias, self.out.as_ref())
@@ -406,7 +405,7 @@ impl Kernel for DepthwiseConvKernel<'_> {
         let row_bytes = (32 * self.stride) as u64 * 4 + 8;
         let in_sectors = warps * 3 * gpu_sim::memory::sectors_contiguous(4, row_bytes);
         ctx.ld_sectors(BUF_DW_IN, warps * 9, in_sectors);
-        ctx.fma(warps * 9, 10 * count as u64);
+        ctx.fma(warps * 9, 9 * count as u64);
         ctx.fp(warps * 2, 2 * count as u64);
         ctx.misc(warps * 12);
         let out_addr = ((c * oh * ow + p0) * 4) as u64;
@@ -563,7 +562,6 @@ impl Kernel for DenseSoftmaxKernel<'_> {
             if self.scale.is_some() {
                 // One multiply per element across the three read passes.
                 ctx.fp(3 * n.div_ceil(32), 3 * n);
-                ctx.fp(0, 3 * n);
             }
             ctx.fp(3 * n.div_ceil(32), 3 * n);
             ctx.shfl(10);
@@ -571,7 +569,6 @@ impl Kernel for DenseSoftmaxKernel<'_> {
             let sectors = ctx.sectors(BUF_Y, addr, n * 4, 1, 1);
             ctx.st_sectors(BUF_Y, load_instrs, sectors);
             ctx.misc(8);
-            ctx.fp(0, 3 * n);
 
             if let (true, Some(x), Some(out)) = (ctx.functional(), self.x, self.out.as_ref()) {
                 let mut row_p = ctx.scratch_f32(self.n);

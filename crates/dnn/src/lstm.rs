@@ -247,7 +247,6 @@ impl Kernel for LstmElementwiseKernel<'_> {
         ctx.st_sectors(BUF_H_OUT, warps, sectors);
         let sectors = ctx.sectors(BUF_C_OUT, addr, bytes, 1, 1);
         ctx.st_sectors(BUF_C_OUT, warps, sectors);
-        ctx.fp(0, 24 * count as u64);
 
         if ctx.functional() {
             let g = self.gates.as_slice();
@@ -318,6 +317,18 @@ mod tests {
         assert!(step.h.max_abs_diff(&h_ref) < 1e-3);
         assert!(step.c.max_abs_diff(&c_ref) < 1e-3);
         assert!(step.total_us() > 0.0);
+    }
+
+    #[test]
+    fn elementwise_counts_24_flops_per_element() {
+        let (hidden, batch) = (48, 20);
+        let gates = Matrix::<f32>::random(4 * hidden, batch, 609);
+        let c = Matrix::<f32>::random(hidden, batch, 610);
+        let bias = vec![0.0f32; 4 * hidden];
+        let (mut h_out, mut c_out) = (Matrix::zeros(hidden, batch), Matrix::zeros(hidden, batch));
+        let kernel = LstmElementwiseKernel::new(&gates, &bias, &c, &mut h_out, &mut c_out);
+        let stats = Gpu::v100().launch(&kernel);
+        assert_eq!(stats.flops, 24 * (hidden * batch) as u64);
     }
 
     #[test]

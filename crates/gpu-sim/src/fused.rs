@@ -341,7 +341,6 @@ impl<T: Scalar> Kernel for SddmmSoftmaxSpmmKernel<'_, T> {
             ctx.fp(10, 10);
             // Probabilities overwrite the staged scores in place.
             ctx.smem_store(elem_instrs, len as u64 * 4, crate::SmemScope::Warp);
-            ctx.fp(0, 4 * len as u64);
 
             // SpMM stage: gather V rows, accumulate the context row tile by
             // tile; probabilities are re-read from shared memory per tile.

@@ -6,7 +6,7 @@
 //! for the sparse-Transformer experiment in Table III, where the dense model
 //! runs out of the 1080's 8 GiB of device memory.
 
-use crate::fingerprint::Fingerprint;
+use sparse::Fingerprint;
 
 /// Static description of a simulated GPU.
 ///

@@ -3,9 +3,9 @@
 use crate::cache::BufferSpec;
 use crate::cost::BlockContext;
 use crate::dim::Dim3;
-use crate::fingerprint::Fingerprint;
 use crate::occupancy::BlockRequirements;
 use crate::static_check::StaticFacts;
+use sparse::Fingerprint;
 use std::hash::Hash;
 
 /// A simulated GPU kernel.

@@ -61,7 +61,6 @@ pub mod cost;
 pub mod device;
 pub mod dim;
 pub mod fault;
-pub mod fingerprint;
 pub mod fleet;
 pub mod fused;
 pub mod kernel;
@@ -85,7 +84,6 @@ pub use cost::{BlockContext, BlockCost, BlockCostLite, BufferId, Traffic, MAX_BU
 pub use device::{DeviceConfig, LinkProfile};
 pub use dim::Dim3;
 pub use fault::{DeviceFault, FaultKind, FaultPlan};
-pub use fingerprint::Fingerprint;
 pub use fleet::{Fleet, FleetSync};
 pub use fused::SddmmSoftmaxSpmmKernel;
 pub use kernel::{key_hash, CostKey, Kernel, KeyedBlocks};
@@ -101,6 +99,7 @@ pub use sanitizer::{
     CheckClass, SanitizerReport, SanitizerViolation, SanitizerWarning, SmemScope, Verdict,
 };
 pub use scheduler::{simulate_schedule, volta_first_wave_sm, ScheduleResult};
+pub use sparse::Fingerprint;
 pub use static_check::{
     audit, AccessBound, AlignmentFacts, BarrierFacts, BufferBound, StageBound, StaticAudit,
     StaticFacts, StaticFinding, VectorClass,

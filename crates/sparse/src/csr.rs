@@ -7,6 +7,7 @@
 
 use crate::dense::Matrix;
 use crate::element::{IndexWidth, Scalar};
+use crate::fingerprint::Fingerprint;
 use std::fmt;
 use std::sync::OnceLock;
 
@@ -285,24 +286,17 @@ impl<T: Scalar> CsrMatrix<T> {
 
     /// The uncached topology hash behind [`Self::fingerprint`].
     fn compute_fingerprint(&self) -> u64 {
-        const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h = FNV_OFFSET;
-        // FNV-1a lifted to whole words: one xor-multiply per word.
-        let mut mix = |word: u64| {
-            h ^= word;
-            h = h.wrapping_mul(FNV_PRIME);
-        };
-        mix(self.rows as u64);
-        mix(self.cols as u64);
-        mix(self.nnz() as u64);
+        let mut fp = Fingerprint::new();
+        fp.write_u64(self.rows as u64)
+            .write_u64(self.cols as u64)
+            .write_u64(self.nnz() as u64);
         for &o in &self.row_offsets {
-            mix(o as u64);
+            fp.write_u64(o as u64);
         }
         for &c in &self.col_indices {
-            mix(c as u64);
+            fp.write_u64(c as u64);
         }
-        h
+        fp.finish()
     }
 
     /// Do two matrices share the same topology (offsets and indices)?

@@ -14,6 +14,7 @@
 //! EXPERIMENTS.md). Transformer batches match the paper (1 and 8).
 
 use crate::csr::CsrMatrix;
+use crate::fingerprint::Fingerprint;
 use crate::gen;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -80,19 +81,15 @@ pub struct ProblemSpec {
 impl ProblemSpec {
     /// Deterministic seed derived from the spec's identity.
     pub fn seed(&self) -> u64 {
-        let mut h: u64 = 0xcbf29ce484222325;
-        let mut mix = |v: u64| {
-            h ^= v;
-            h = h.wrapping_mul(0x100000001b3);
-        };
-        mix(self.rows as u64);
-        mix(self.cols as u64);
-        mix(self.base_n as u64);
-        mix((self.sparsity * 1e6) as u64);
-        mix(self.method as u64);
-        mix(self.replica as u64);
-        mix(self.layer.len() as u64);
-        h
+        Fingerprint::new()
+            .write_u64(self.rows as u64)
+            .write_u64(self.cols as u64)
+            .write_u64(self.base_n as u64)
+            .write_u64((self.sparsity * 1e6) as u64)
+            .write_u64(self.method as u64)
+            .write_u64(self.replica as u64)
+            .write_u64(self.layer.len() as u64)
+            .finish()
     }
 
     /// Materialize the sparse weight matrix.

@@ -25,6 +25,7 @@ pub mod dataset;
 pub mod dense;
 pub mod element;
 pub mod f16;
+pub mod fingerprint;
 pub mod gen;
 pub mod io;
 pub mod mtx;
@@ -39,6 +40,7 @@ pub use csr::{CsrError, CsrMatrix};
 pub use dense::{Layout, Matrix};
 pub use element::{IndexWidth, Scalar};
 pub use f16::Half;
+pub use fingerprint::Fingerprint;
 pub use pattern::{PatternGranularity, PatternLut};
 pub use stats::{matrix_stats, MatrixStats};
 pub use swizzle::RowSwizzle;

@@ -174,7 +174,8 @@ impl<T: Scalar> CostKey for CusparseSpmmKernel<'_, T> {
                     ctx.ld_sectors(BUF_B, nnz, nnz * b_sectors);
                     ctx.fma(nnz, nnz * u64::from(key.tile_n));
                     ctx.misc(2 * nnz); // index scale + loop bookkeeping
-                                       // Column-major output store: strided too.
+
+                    // Column-major output store: strided too.
                     let c_sectors = gpu_sim::memory::sectors_strided(
                         0,
                         key.tile_n,

@@ -6,12 +6,15 @@
 //! exactly what `charge(&cost_key(block))` records: the key is the whole
 //! of the cost half, so nothing outside it can tell blocks apart.
 //!
+//! A cache-hit replay (`BlockContext::replay`) must record nothing at all:
+//! its statistics come from the cache, so every charge is a no-op.
+//!
 //! Coverage comes from two directions: the shared kernel registry (every
 //! shipped kernel on the deterministic shape grid) and randomized Sputnik
 //! SpMM and SDDMM sweeps (ragged topologies, empty rows, swizzled and
 //! ROMA'd configs — the kernels whose keys hold the most state).
 
-use gpu_sim::{BlockContext, Dim3, Kernel};
+use gpu_sim::{BlockContext, BlockCost, Dim3, Kernel};
 use sparse::rng::SplitMix64;
 use sparse::{gen, CsrMatrix, Half, Matrix, RowSwizzle, Scalar};
 use sputnik::{SddmmConfig, SddmmKernel, SpmmConfig, SpmmKernel};
@@ -34,7 +37,7 @@ fn assert_signature_sound(kernel: &dyn Kernel, context: &str) {
         return;
     };
     let grid = kernel.grid();
-    let mut by_sig: HashMap<u64, (Dim3, gpu_sim::BlockCost)> = HashMap::new();
+    let mut by_sig: HashMap<u64, (Dim3, BlockCost)> = HashMap::new();
     for lin in 0..grid.size() {
         let block = grid.delinearize(lin);
         let sig = keyed.signature(block, &mut BlockContext::new(false));
@@ -69,6 +72,24 @@ fn assert_signature_sound(kernel: &dyn Kernel, context: &str) {
 fn registry_kernels_have_sound_signatures() {
     registry::for_each_kernel(&mut |kernel| {
         assert_signature_sound(kernel, "registry grid");
+    });
+}
+
+#[test]
+fn registry_replays_record_nothing() {
+    registry::for_each_kernel(&mut |kernel| {
+        let grid = kernel.grid();
+        for lin in 0..grid.size() {
+            let block = grid.delinearize(lin);
+            let mut ctx = BlockContext::replay();
+            kernel.execute_block(block, &mut ctx);
+            assert_eq!(
+                *ctx.cost(),
+                BlockCost::default(),
+                "kernel {} block {block:?} records on a replay",
+                kernel.name()
+            );
+        }
     });
 }
 

@@ -111,15 +111,17 @@ pub trait Kernel {
 /// construction: `charge` gets no block index, and the key holds counts
 /// and classes, never a row or column index to look data up by.
 ///
-/// The key builder is the only code that sees a global address. It gets
-/// each sector count from a [`BlockContext`] helper
+/// Both halves speak [`BlockContext`]'s one vocabulary. The key builder
+/// is the only code that sees a global address: it turns each into a
+/// sector count through the `*sectors` helpers
 /// ([`sectors`](BlockContext::sectors),
 /// [`tile_sectors`](BlockContext::tile_sectors),
 /// [`strided_sectors`](BlockContext::strided_sectors),
 /// [`gather_sectors`](BlockContext::gather_sectors)), which in a sanitized
-/// block also runs memcheck, aligncheck and the uncoalesced-gather lint on
-/// the real address. `charge` records counts only; it keeps the
-/// shared-memory, bank-conflict and barrier hooks, which take no address.
+/// block also run memcheck, aligncheck and the uncoalesced-gather lint on
+/// the real address. `charge` puts counts into the books through the
+/// charge helpers only; it keeps the shared-memory, bank-conflict and
+/// barrier hooks, which take no address.
 ///
 /// [`BlockCost`]: crate::cost::BlockCost
 pub trait CostKey {

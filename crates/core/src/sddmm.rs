@@ -433,7 +433,7 @@ impl<T: Scalar> CostKey for SddmmKernel<'_, T> {
                 len * sectors_contiguous(0, row_bytes)
             } else {
                 cols.iter()
-                    .map(|&j| sectors_contiguous(u64::from(j) * row_bytes, row_bytes))
+                    .map(|&j| ctx.sectors(BUF_RHS, u64::from(j) * row_bytes, row_bytes, 1, 1))
                     .sum()
             };
             StripKey {

@@ -747,8 +747,7 @@ impl<'a, T: Scalar> SpmmKernel<'a, T> {
                 // scope: Sputnik's staging is warp-synchronous (the warp
                 // that stores the strip is its only consumer).
                 ctx.ld_sectors(BUF_A_VALUES, 2 * a_load_instrs, 0);
-                ctx.smem_store(2 * a_load_instrs, 0, SmemScope::Warp);
-                ctx.smem_bytes(bik * (eb + ib) as u64);
+                ctx.smem_store(2 * a_load_instrs, bik * (eb + ib) as u64, SmemScope::Warp);
                 if cfg.index_prescale {
                     ctx.misc(bik.div_ceil(threads_x as u64));
                 }
@@ -780,8 +779,7 @@ impl<'a, T: Scalar> SpmmKernel<'a, T> {
                 let rounded = union_live.div_ceil(4) * 4;
                 let a_instrs = gpu_sim::memory::vector_instr_count(len, threads_x, vw_a);
                 ctx.ld_sectors(BUF_A_VALUES, 2 * a_instrs, 0);
-                ctx.smem_store(2 * a_instrs, 0, SmemScope::Warp);
-                ctx.smem_bytes(len * (eb + ib) as u64);
+                ctx.smem_store(2 * a_instrs, len * (eb + ib) as u64, SmemScope::Warp);
                 let loads = 2 * len.div_ceil(4);
                 ctx.smem_load(loads, loads * 4 * w, SmemScope::Warp);
                 ctx.ld_sectors(BUF_B, rounded, 0); // B loads incl. padding
@@ -800,8 +798,7 @@ impl<'a, T: Scalar> SpmmKernel<'a, T> {
                 // loop splitting removes.
                 let a_instrs = gpu_sim::memory::vector_instr_count(len, threads_x, 1);
                 ctx.ld_sectors(BUF_A_VALUES, 2 * a_instrs, 0);
-                ctx.smem_store(2 * a_instrs, 0, SmemScope::Warp);
-                ctx.smem_bytes(len * (eb + ib) as u64);
+                ctx.smem_store(2 * a_instrs, len * (eb + ib) as u64, SmemScope::Warp);
                 ctx.smem_load(2 * len, 2 * len * w, SmemScope::Warp);
                 ctx.ld_sectors(BUF_B, union_live, 0);
                 ctx.fma(union_live * vw as u64, 0);

@@ -490,17 +490,6 @@ impl BlockContext {
         }
     }
 
-    /// Shared-memory bytes moved by instructions charged elsewhere, with
-    /// no sanitizer note: the staging they belong to was noted by the
-    /// [`Self::smem_store`] or [`Self::smem_load`] that counted them.
-    #[inline]
-    pub fn smem_bytes(&mut self, bytes: u64) {
-        if !self.record {
-            return;
-        }
-        self.cost.shared_bytes += bytes;
-    }
-
     /// `warp_instrs` FMA warp instructions performing `scalar_fmas` useful
     /// scalar fused multiply-adds (2 FLOPs each).
     #[inline]
@@ -635,7 +624,7 @@ mod tests {
         assert!(!ctx.recording());
         ctx.ld_global(BufferId(0), 0, 32, 1, 4);
         ctx.fma(1, 32);
-        ctx.smem_bytes(64);
+        ctx.smem_store(2, 64, SmemScope::Warp);
         ctx.stall(3);
         ctx.bar_sync();
         assert_eq!(*ctx.cost(), BlockCost::default());
